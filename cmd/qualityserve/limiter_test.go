@@ -221,6 +221,54 @@ func TestServiceSheds503(t *testing.T) {
 	}
 }
 
+// TestMalformedSearchTakesNoPermit: parameters are validated before
+// admission, so with the only slot held a malformed /search is answered
+// 400 — not shed with 503 — and moves neither admission counter.
+func TestMalformedSearchTakesNoPermit(t *testing.T) {
+	storePath, archiveDir := buildFixture(t)
+	svc, err := buildServiceCfg(storePath, archiveDir, "", 3, defaultQCfg(),
+		serveConfig{cacheSize: 64, shards: 1, maxInflight: 1, maxWait: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(svc)
+	defer ts.Close()
+	if !svc.lim.acquire(context.Background()) {
+		t.Fatal("could not occupy the admission slot")
+	}
+	defer svc.lim.release()
+
+	stats := func() map[string]int {
+		t.Helper()
+		resp, err := httpGet(ts.Client(), ts.URL+"/stats")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var m map[string]int
+		if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	before := stats()
+	for _, path := range []string{"/search", "/search?q=x&k=0", "/search?q=x&rank=bogus"} {
+		resp, err := httpGet(ts.Client(), ts.URL+path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status = %d, want 400", path, resp.StatusCode)
+		}
+	}
+	after := stats()
+	if after["admitted"] != before["admitted"] || after["shed"] != before["shed"] {
+		t.Fatalf("malformed requests moved the admission counters: admitted %d -> %d, shed %d -> %d",
+			before["admitted"], after["admitted"], before["shed"], after["shed"])
+	}
+}
+
 // TestRunFlagValidation pins the CLI contract of the new serving flags:
 // zero or negative shard and admission values are rejected before any
 // expensive load begins, mirroring search.Options validation.

@@ -57,6 +57,7 @@ import (
 	"pagequality/internal/quality"
 	"pagequality/internal/search"
 	"pagequality/internal/snapshot"
+	"pagequality/internal/webserver"
 )
 
 // cacheShards is the shard count of the query cache: enough that
@@ -65,28 +66,9 @@ import (
 const cacheShards = 16
 
 func main() {
-	if err := run(os.Args[1:], os.Stdout, listenAndServe); err != nil {
+	if err := run(os.Args[1:], os.Stdout, webserver.ListenAndServe); err != nil {
 		fmt.Fprintln(os.Stderr, "qualityserve:", err)
 		os.Exit(1)
-	}
-}
-
-// listenAndServe serves h behind an http.Server with header, read and
-// write timeouts, so a slow or stalled client cannot wedge a connection
-// (and its goroutine) indefinitely — the seam tests swap this out.
-func listenAndServe(addr string, h http.Handler) error {
-	return newServer(addr, h).ListenAndServe()
-}
-
-// newServer is the production server configuration.
-func newServer(addr string, h http.Handler) *http.Server {
-	return &http.Server{
-		Addr:              addr,
-		Handler:           h,
-		ReadHeaderTimeout: 5 * time.Second,
-		ReadTimeout:       30 * time.Second,
-		WriteTimeout:      60 * time.Second,
-		IdleTimeout:       2 * time.Minute,
 	}
 }
 
@@ -431,16 +413,8 @@ func (s *service) serveRefresh(w http.ResponseWriter) {
 }
 
 func (s *service) serveSearch(w http.ResponseWriter, r *http.Request) {
-	// Admission control: past the in-flight limit (plus a bounded wait for
-	// a slot) the request is shed with 503 + Retry-After instead of queueing
-	// in the scheduler, so overload degrades into a bounded-latency service
-	// at capacity rather than a collapsing one.
-	if !s.lim.acquire(r.Context()) {
-		w.Header().Set("Retry-After", "1")
-		http.Error(w, "saturated: in-flight search limit reached", http.StatusServiceUnavailable)
-		return
-	}
-	defer s.lim.release()
+	// Validate before admission: a malformed request is answered 400
+	// whatever the load and never holds a permit.
 	q := r.URL.Query().Get("q")
 	if q == "" {
 		http.Error(w, `missing query parameter "q"`, http.StatusBadRequest)
@@ -455,6 +429,25 @@ func (s *service) serveSearch(w http.ResponseWriter, r *http.Request) {
 		}
 		k = v
 	}
+	rank := r.URL.Query().Get("rank")
+	switch rank {
+	case "":
+		rank = "quality" // the default and the explicit form share a cache key
+	case "quality", "pagerank", "relevance":
+	default:
+		http.Error(w, `parameter "rank" must be quality, pagerank or relevance`, http.StatusBadRequest)
+		return
+	}
+	// Admission control: past the in-flight limit (plus a bounded wait for
+	// a slot) the request is shed with 503 + Retry-After instead of queueing
+	// in the scheduler, so overload degrades into a bounded-latency service
+	// at capacity rather than a collapsing one.
+	if !s.lim.acquire(r.Context()) {
+		w.Header().Set("Retry-After", "1")
+		http.Error(w, "saturated: in-flight search limit reached", http.StatusServiceUnavailable)
+		return
+	}
+	defer s.lim.release()
 	// One load; g is this request's whole world. A refresh swapping the
 	// pointer mid-request cannot change what this response is built from.
 	g := s.gen.Load()
@@ -464,21 +457,14 @@ func (s *service) serveSearch(w http.ResponseWriter, r *http.Request) {
 	if nd := g.ix.NumDocs(); k > nd {
 		k = nd
 	}
-	rank := r.URL.Query().Get("rank")
 	opts := search.Options{TopK: k}
 	switch rank {
-	case "", "quality":
-		rank = "quality" // the default and the explicit form share a cache key
+	case "quality":
 		opts.Authority = g.qual
 		opts.AuthorityWeight = 0.7
 	case "pagerank":
 		opts.Authority = g.pr
 		opts.AuthorityWeight = 0.7
-	case "relevance":
-		// content only
-	default:
-		http.Error(w, `parameter "rank" must be quality, pagerank or relevance`, http.StatusBadRequest)
-		return
 	}
 	key := queryKey{gen: g.id, q: q, k: k, rank: rank}
 	compute := func() ([]byte, error) {

@@ -18,35 +18,15 @@ import (
 	"io"
 	"net/http"
 	"os"
-	"time"
 
 	"pagequality/internal/snapshot"
 	"pagequality/internal/webserver"
 )
 
 func main() {
-	if err := run(os.Args[1:], os.Stdout, listenAndServe); err != nil {
+	if err := run(os.Args[1:], os.Stdout, webserver.ListenAndServe); err != nil {
 		fmt.Fprintln(os.Stderr, "serve:", err)
 		os.Exit(1)
-	}
-}
-
-// listenAndServe serves h behind an http.Server with header, read and
-// write timeouts, so a slow or stalled client cannot wedge a connection
-// indefinitely — the seam tests swap this out.
-func listenAndServe(addr string, h http.Handler) error {
-	return newServer(addr, h).ListenAndServe()
-}
-
-// newServer is the production server configuration.
-func newServer(addr string, h http.Handler) *http.Server {
-	return &http.Server{
-		Addr:              addr,
-		Handler:           h,
-		ReadHeaderTimeout: 5 * time.Second,
-		ReadTimeout:       30 * time.Second,
-		WriteTimeout:      60 * time.Second,
-		IdleTimeout:       2 * time.Minute,
 	}
 }
 

@@ -5,8 +5,8 @@
 //
 // The execution model is map over segments, ordered reduce:
 //
-//   - Map runs one mapper call per pagestore segment on an atomic-cursor
-//     worker pool. A segment's live records arrive in record (offset)
+//   - Map runs one mapper call per pagestore segment on the internal/par
+//     fan-out. A segment's live records arrive in record (offset)
 //     order with bodies decompressed — every live record in exactly one
 //     mapper call.
 //   - Results are folded in ascending segment-id order, regardless of
@@ -21,11 +21,8 @@
 package corpus
 
 import (
-	"runtime"
-	"sync"
-	"sync/atomic"
-
 	"pagequality/internal/pagestore"
+	"pagequality/internal/par"
 )
 
 // Doc is one live document handed to mappers: key, metadata and the
@@ -52,48 +49,16 @@ type Mapper[T any] func(seg int, docs []Doc) (T, error)
 func Map[T any](st *pagestore.Store, mapper Mapper[T], opts Options) ([]T, error) {
 	ids := st.SegmentIDs()
 	results := make([]T, len(ids))
-	errs := make([]error, len(ids))
-	run := func(i int) {
+	err := par.DoErr(len(ids), opts.Workers, func(i int) error {
 		docs, err := st.ReadLive(ids[i])
 		if err != nil {
-			errs[i] = err
-			return
+			return err
 		}
-		results[i], errs[i] = mapper(ids[i], docs)
-	}
-	workers := opts.Workers
-	if workers < 1 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(ids) {
-		workers = len(ids)
-	}
-	if workers <= 1 {
-		for i := range ids {
-			run(i)
-		}
-	} else {
-		var cursor atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(cursor.Add(1)) - 1
-					if i >= len(ids) {
-						return
-					}
-					run(i)
-				}
-			}()
-		}
-		wg.Wait()
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+		results[i], err = mapper(ids[i], docs)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return results, nil
 }

@@ -3,8 +3,8 @@ package experiments
 import (
 	"fmt"
 	"sort"
-	"sync"
 
+	"pagequality/internal/par"
 	"pagequality/internal/quality"
 	"pagequality/internal/snapshot"
 	"pagequality/internal/usersim"
@@ -105,23 +105,22 @@ func AblationForgetting(cfg HeadlineConfig, forgetRate, noiseRate float64) (*For
 		return est.Counts, nil
 	}
 	// The two corpora are independent simulations; run them concurrently.
-	var clean, forg map[quality.Class]int
-	var cleanErr, forgErr error
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		clean, cleanErr = runOnce(0, 0)
-	}()
-	forg, forgErr = runOnce(forgetRate, noiseRate)
-	wg.Wait()
-	if cleanErr != nil {
-		return nil, fmt.Errorf("experiments: clean run: %w", cleanErr)
+	runs := [2]struct {
+		name          string
+		forget, noise float64
+	}{{"clean", 0, 0}, {"forgetting", forgetRate, noiseRate}}
+	var counts [2]map[quality.Class]int
+	err := par.DoErr(len(runs), 0, func(i int) error {
+		var err error
+		if counts[i], err = runOnce(runs[i].forget, runs[i].noise); err != nil {
+			return fmt.Errorf("experiments: %s run: %w", runs[i].name, err)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	if forgErr != nil {
-		return nil, fmt.Errorf("experiments: forgetting run: %w", forgErr)
-	}
-	return &ForgettingResult{ClassesClean: clean, ClassesForgetting: forg}, nil
+	return &ForgettingResult{ClassesClean: counts[0], ClassesForgetting: counts[1]}, nil
 }
 
 // WindowPoint is one row of the measurement-window ablation.
@@ -181,51 +180,42 @@ func AblationWindow(cfg HeadlineConfig, gaps []float64, futureWeek float64) ([]W
 	// Each window point reads only the shared rank series; evaluate the
 	// points concurrently and collect by index.
 	out := make([]WindowPoint, len(gaps))
-	errs := make([]error, len(gaps))
-	var wg sync.WaitGroup
-	for gi := range gaps {
-		wg.Add(1)
-		go func(gi int) {
-			defer wg.Done()
-			series := [][]float64{ranks[0], ranks[gi+1]}
-			est, err := quality.EstimateFromSeries(series, cfg.Estimator)
-			if err != nil {
-				errs[gi] = err
-				return
-			}
-			cur := ranks[gi+1]
-			// Split changed pages at the median current popularity.
-			var lowSum, highSum float64
-			var lowN, highN int
-			med := medianOf(cur)
-			for i := range est.Q {
-				if !est.Changed[i] || future[i] == 0 {
-					continue
-				}
-				e := abs((future[i] - est.Q[i]) / future[i])
-				if cur[i] <= med {
-					lowSum += e
-					lowN++
-				} else {
-					highSum += e
-					highN++
-				}
-			}
-			wp := WindowPoint{GapWeeks: gaps[gi]}
-			if lowN > 0 {
-				wp.AvgErrQLow = lowSum / float64(lowN)
-			}
-			if highN > 0 {
-				wp.AvgErrQHigh = highSum / float64(highN)
-			}
-			out[gi] = wp
-		}(gi)
-	}
-	wg.Wait()
-	for _, err := range errs {
+	err = par.DoErr(len(gaps), 0, func(gi int) error {
+		series := [][]float64{ranks[0], ranks[gi+1]}
+		est, err := quality.EstimateFromSeries(series, cfg.Estimator)
 		if err != nil {
-			return nil, err
+			return err
 		}
+		cur := ranks[gi+1]
+		// Split changed pages at the median current popularity.
+		var lowSum, highSum float64
+		var lowN, highN int
+		med := medianOf(cur)
+		for i := range est.Q {
+			if !est.Changed[i] || future[i] == 0 {
+				continue
+			}
+			e := abs((future[i] - est.Q[i]) / future[i])
+			if cur[i] <= med {
+				lowSum += e
+				lowN++
+			} else {
+				highSum += e
+				highN++
+			}
+		}
+		wp := WindowPoint{GapWeeks: gaps[gi]}
+		if lowN > 0 {
+			wp.AvgErrQLow = lowSum / float64(lowN)
+		}
+		if highN > 0 {
+			wp.AvgErrQHigh = highSum / float64(highN)
+		}
+		out[gi] = wp
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }

@@ -3,11 +3,10 @@ package experiments
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
 
 	"pagequality/internal/metrics"
 	"pagequality/internal/pagerank"
+	"pagequality/internal/par"
 	"pagequality/internal/quality"
 	"pagequality/internal/snapshot"
 	"pagequality/internal/webcorpus"
@@ -247,36 +246,23 @@ func RunHeadlineMultiSeed(cfg HeadlineConfig, seeds []int64) (*MultiSeedResult, 
 	}
 	cfg.fill()
 	headlines := make([]*HeadlineResult, len(seeds))
-	errs := make([]error, len(seeds))
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(seeds) {
-		workers = len(seeds)
+	err := par.DoErr(len(seeds), 0, func(i int) error {
+		run := cfg
+		run.Corpus.Seed = seeds[i]
+		h, err := RunHeadline(run)
+		if err != nil {
+			return fmt.Errorf("seed %d: %w", seeds[i], err)
+		}
+		headlines[i] = h
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	var wg sync.WaitGroup
-	idx := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				run := cfg
-				run.Corpus.Seed = seeds[i]
-				headlines[i], errs[i] = RunHeadline(run)
-			}
-		}()
-	}
-	for i := range seeds {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
 
 	res := &MultiSeedResult{Seeds: seeds, MinFactor: math.Inf(1), AllSignificant: true}
 	sum := 0.0
-	for i, h := range headlines {
-		if errs[i] != nil {
-			return nil, fmt.Errorf("seed %d: %w", seeds[i], errs[i])
-		}
+	for _, h := range headlines {
 		f := h.AvgErrPR / h.AvgErrQ
 		res.Factors = append(res.Factors, f)
 		sum += f

@@ -3,10 +3,10 @@ package experiments
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"pagequality/internal/graph"
 	"pagequality/internal/metrics"
+	"pagequality/internal/par"
 	"pagequality/internal/ranking"
 	"pagequality/internal/webcorpus"
 )
@@ -125,25 +125,16 @@ func RankingPolicyComparison(cfg PolicyComparisonConfig) (*PolicyComparisonResul
 		Weeks:    cfg.Weeks,
 		Outcomes: make([]PolicyOutcome, len(cfg.Policies)),
 	}
-	errs := make([]error, len(cfg.Policies))
-	var wg sync.WaitGroup
-	for i, pol := range cfg.Policies {
-		wg.Add(1)
-		go func(i int, pol ranking.Policy) {
-			defer wg.Done()
-			out, err := runPolicy(cfg, pol)
-			if err != nil {
-				errs[i] = fmt.Errorf("experiments: policy %s: %w", pol.Name(), err)
-				return
-			}
-			res.Outcomes[i] = *out
-		}(i, pol)
-	}
-	wg.Wait()
-	for _, err := range errs {
+	err := par.DoErr(len(cfg.Policies), 0, func(i int) error {
+		out, err := runPolicy(cfg, cfg.Policies[i])
 		if err != nil {
-			return nil, err
+			return fmt.Errorf("experiments: policy %s: %w", cfg.Policies[i].Name(), err)
 		}
+		res.Outcomes[i] = *out
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return res, nil
 }

@@ -43,7 +43,7 @@ type AdaptiveResult struct {
 
 func (o *AdaptiveOptions) fill(n int) error {
 	base := Options{Jump: o.Jump, Tol: o.Tol, MaxIter: o.MaxIter, Variant: o.Variant}
-	if err := base.fill(n); err != nil {
+	if err := base.fill(); err != nil {
 		return err
 	}
 	o.Jump, o.Tol, o.MaxIter = base.Jump, base.Tol, base.MaxIter
@@ -65,9 +65,9 @@ func (o *AdaptiveOptions) fill(n int) error {
 	return nil
 }
 
-// ComputeAdaptive runs the adaptive power iteration with the
-// DanglingUniform policy. It reaches the same fixed point as Compute
-// (within tolerance) while skipping updates for frozen pages.
+// ComputeAdaptive runs the adaptive power iteration. It reaches the same
+// fixed point as Compute (within tolerance) while skipping updates for
+// frozen pages.
 func ComputeAdaptive(c *graph.CSR, opts AdaptiveOptions) (*AdaptiveResult, error) {
 	n := c.NumNodes()
 	if err := opts.fill(n); err != nil {

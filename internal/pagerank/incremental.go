@@ -66,8 +66,8 @@ type IncrementalResult struct {
 	FrontierUpdates int
 }
 
-func (o *IncrementalOptions) fill(n int) error {
-	if err := o.Options.fill(n); err != nil {
+func (o *IncrementalOptions) fill() error {
+	if err := o.Options.fill(); err != nil {
 		return err
 	}
 	if o.Extrapolate {
@@ -103,7 +103,7 @@ func (o *IncrementalOptions) fill(n int) error {
 // full-recompute fallback, which is Compute verbatim.
 func ComputeIncremental(c *graph.CSR, prev []float64, d *graph.Delta, opts IncrementalOptions) (*IncrementalResult, error) {
 	n := c.NumNodes()
-	if err := opts.fill(n); err != nil {
+	if err := opts.fill(); err != nil {
 		return nil, err
 	}
 	if d == nil {
@@ -132,32 +132,10 @@ func ComputeIncremental(c *graph.CSR, prev []float64, d *graph.Delta, opts Incre
 		return res, nil
 	}
 
-	// Setup mirrors Compute: per-variant base term and dangling policy.
-	tele := normalizeTeleport(opts.Teleport)
 	inOff, inFrom := c.InLists()
 	invOut := c.InvOutDegrees()
 	follow := 1 - opts.Jump
-
-	total := 1.0
-	baseConst := 0.0
-	var baseVec []float64
-	switch opts.Variant {
-	case VariantPaper:
-		total = float64(n)
-		baseConst = opts.Jump
-	case VariantStandard:
-		if tele == nil {
-			baseConst = opts.Jump / float64(n)
-		} else {
-			baseVec = make([]float64, n)
-			for i, v := range tele {
-				baseVec[i] = opts.Jump * v
-			}
-		}
-	}
-	danglingTele := opts.Dangling == DanglingTeleport && tele != nil
-	danglingSelf := opts.Dangling == DanglingSelf
-	shareBased := !danglingTele && !danglingSelf
+	total, base := opts.scale(n)
 
 	frontierTol := opts.FrontierTol
 	if frontierTol == 0 {
@@ -208,38 +186,20 @@ func ComputeIncremental(c *graph.CSR, prev []float64, d *graph.Delta, opts Incre
 	// frontier must) costs in-degree work per visit, which for hubs is
 	// orders of magnitude more than their out-degree.
 	//
-	// Global couplings — the dangling share drifting as dmass moves, the
-	// teleport redistribution of dangling mass, the final normalisation —
-	// are priced into the initial residuals and then deliberately NOT
-	// re-propagated (each would be an O(n) push); dmass is tracked and the
-	// polish phase settles them exactly.
+	// Global couplings — the dangling share drifting as the dangling mass
+	// moves, the final normalisation — are priced into the initial
+	// residuals and then deliberately NOT re-propagated (each would be an
+	// O(n) push); the polish phase settles them exactly.
 	r := make([]float64, n)
 	frontier, next := bitset.New(n), bitset.New(n)
-	share := 0.0
-	if shareBased {
-		share = dmass / float64(n)
-	}
+	share := dmass / float64(n)
 	for _, id := range dirty {
 		i := int(id)
 		gather := 0.0
 		for e, end := inOff[i], inOff[i+1]; e < end; e++ {
 			gather += curS[inFrom[e]]
 		}
-		inv := invOut[i]
-		switch {
-		case shareBased:
-			gather += share
-		case danglingTele:
-			gather += dmass * tele[i]
-		case danglingSelf:
-			if inv == 0 {
-				gather += cur[i]
-			}
-		}
-		base := baseConst
-		if baseVec != nil {
-			base = baseVec[i]
-		}
+		gather += share
 		r[i] = base + follow*gather - cur[i]
 		frontier.Set(i)
 	}
@@ -259,15 +219,8 @@ func ComputeIncremental(c *graph.CSR, prev []float64, d *graph.Delta, opts Incre
 			res.FrontierUpdates++
 			inv := invOut[i]
 			if inv == 0 {
-				dmass += ch
-				// A dangling node's own update rule reads cur[i] under
-				// DanglingSelf, so its change feeds straight back to itself.
-				if danglingSelf {
-					r[i] += follow * ch
-					if math.Abs(r[i]) > frontierTol {
-						next.Set(i)
-					}
-				}
+				// Dangling: nothing to push along; its change reaches the
+				// other pages through the share, which the polish settles.
 				return true
 			}
 			push := follow * ch * inv

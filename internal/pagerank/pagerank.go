@@ -1,27 +1,28 @@
 // Package pagerank implements the popularity metrics the paper builds on:
 // the PageRank power iteration in both the paper's un-normalised,
 // 1-initialised form (Section 3) and the standard stochastic form, with
-// configurable damping, dangling-node policies, optional personalised
-// teleport vectors, parallel execution and Aitken Δ² extrapolation
-// acceleration. The package also provides the HITS and in-degree baselines
-// referenced in the paper's related work.
+// configurable damping, parallel execution and Aitken Δ² extrapolation
+// acceleration. Dangling pages follow the paper's footnote — "If a page
+// has no outgoing link, we assume that it has outgoing links to every
+// single Web page" — and the jump is uniform; no other policy exists. The
+// package also provides the HITS and in-degree baselines referenced in the
+// paper's related work.
 //
-// Compute is the hot path of every experiment: it runs a specialised flat
-// kernel per (Variant × Dangling) combination over the CSR's raw
-// in-adjacency arrays, with a precomputed inverse-out-degree table and all
-// per-iteration reductions (dangling mass, vector sum, L1 delta) fused
-// into the parallel sweeps as per-chunk partials. ComputeReference retains
-// the straightforward implementation as the correctness oracle.
+// Compute is the hot path of every experiment: one flat kernel over the
+// CSR's raw in-adjacency arrays, with a precomputed inverse-out-degree
+// table and all per-iteration reductions (dangling mass, vector sum, L1
+// delta) fused into the parallel sweeps as per-chunk partials.
+// ComputeReference retains the straightforward serial implementation as
+// the correctness oracle.
 package pagerank
 
 import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
 
 	"pagequality/internal/graph"
+	"pagequality/internal/par"
 )
 
 // Variant selects the normalisation convention of the computed vector.
@@ -36,22 +37,6 @@ const (
 	// VariantStandard is the stochastic random-surfer form: the vector is a
 	// probability distribution summing to 1.
 	VariantStandard
-)
-
-// Dangling selects what happens to the rank mass of pages without
-// out-links.
-type Dangling uint8
-
-const (
-	// DanglingUniform follows the paper's footnote: "If a page has no
-	// outgoing link, we assume that it has outgoing links to every single
-	// Web page."
-	DanglingUniform Dangling = iota
-	// DanglingSelf keeps the mass on the dangling page (a self-loop).
-	DanglingSelf
-	// DanglingTeleport redistributes the mass according to the teleport
-	// vector (uniform when no personalised vector is set).
-	DanglingTeleport
 )
 
 // Options configures Compute.
@@ -73,13 +58,6 @@ type Options struct {
 	// Workers setting: parallel reductions are combined over fixed-size
 	// chunks whose boundaries depend only on the node count.
 	Workers int
-	// Dangling selects the dangling-node policy.
-	Dangling Dangling
-	// Teleport, when non-nil, personalises the jump distribution
-	// (Haveliwala [10]). It must have one non-negative entry per node and a
-	// positive sum; it is normalised internally. Only meaningful with
-	// VariantStandard or DanglingTeleport.
-	Teleport []float64
 	// Extrapolate enables periodic Aitken Δ² extrapolation (Kamvar et al.
 	// [12]), applying one extrapolation step every ExtrapolatePeriod
 	// iterations (default 10 when enabled). ExtrapolatePeriod must not be
@@ -103,7 +81,7 @@ type Result struct {
 // ErrBadOptions reports invalid configuration.
 var ErrBadOptions = errors.New("pagerank: bad options")
 
-func (o *Options) fill(n int) error {
+func (o *Options) fill() error {
 	if o.Jump == 0 {
 		o.Jump = 0.15
 	}
@@ -122,24 +100,6 @@ func (o *Options) fill(n int) error {
 	if o.MaxIter < 1 {
 		return fmt.Errorf("%w: MaxIter %d < 1", ErrBadOptions, o.MaxIter)
 	}
-	if o.Workers <= 0 {
-		o.Workers = runtime.GOMAXPROCS(0)
-	}
-	if o.Teleport != nil {
-		if len(o.Teleport) != n {
-			return fmt.Errorf("%w: teleport length %d != nodes %d", ErrBadOptions, len(o.Teleport), n)
-		}
-		sum := 0.0
-		for _, v := range o.Teleport {
-			if v < 0 || math.IsNaN(v) {
-				return fmt.Errorf("%w: negative teleport entry", ErrBadOptions)
-			}
-			sum += v
-		}
-		if sum <= 0 {
-			return fmt.Errorf("%w: teleport sums to zero", ErrBadOptions)
-		}
-	}
 	if o.ExtrapolatePeriod < 0 {
 		return fmt.Errorf("%w: ExtrapolatePeriod %d < 0", ErrBadOptions, o.ExtrapolatePeriod)
 	}
@@ -151,50 +111,34 @@ func (o *Options) fill(n int) error {
 	default:
 		return fmt.Errorf("%w: unknown variant %d", ErrBadOptions, o.Variant)
 	}
-	switch o.Dangling {
-	case DanglingUniform, DanglingSelf, DanglingTeleport:
-	default:
-		return fmt.Errorf("%w: unknown dangling policy %d", ErrBadOptions, o.Dangling)
-	}
 	return nil
 }
 
-// normalizeTeleport returns the sum-1 copy of t, or nil when t is nil.
-func normalizeTeleport(t []float64) []float64 {
-	if t == nil {
-		return nil
+// scale returns the variant's total mass and its per-node jump term for an
+// n-node graph: (n, Jump) for the paper's form, (1, Jump/n) for the
+// stochastic one.
+func (o *Options) scale(n int) (total, base float64) {
+	if o.Variant == VariantPaper {
+		return float64(n), o.Jump
 	}
-	sum := 0.0
-	for _, v := range t {
-		sum += v
-	}
-	norm := make([]float64, len(t))
-	for i, v := range t {
-		norm[i] = v / sum
-	}
-	return norm
+	return 1, o.Jump / float64(n)
 }
 
-// kernelState carries everything the specialised sweep kernels read. The
-// slices are fixed for the whole computation; the scalars (share, dmass,
-// invSumCur, invSumNext) are updated between pool runs, never during one.
+// kernelState carries everything the sweep kernels read. The slices are
+// fixed for the whole computation; the scalars (share, invSumCur,
+// invSumNext) are updated between sweeps, never during one.
 type kernelState struct {
-	inOff   []uint32
-	inFrom  []graph.NodeID
-	outDegs []uint32
-	invOut  []float64 // 1/outdeg, 0 for dangling nodes
-	cur     []float64
-	next    []float64
-	curS    []float64 // cur[i]·invOut[i], the per-edge contribution of i
-	nextS   []float64
-	tele    []float64 // normalised teleport (nil if unset)
-	baseVec []float64 // Jump·tele[i] (nil unless personalised standard)
+	inOff  []uint32
+	inFrom []graph.NodeID
+	invOut []float64 // 1/outdeg, 0 for dangling nodes
+	cur    []float64
+	next   []float64
+	curS   []float64 // cur[i]·invOut[i], the per-edge contribution of i
+	nextS  []float64
 
-	baseConst float64
-	follow    float64
-
-	share float64 // dmass/n, uniform-style dangling policies
-	dmass float64 // dangling mass, DanglingTeleport with a vector
+	base   float64 // the jump term: Jump (paper) or Jump/n (standard)
+	follow float64
+	share  float64 // dangling mass / n: a dangling page links to every page
 
 	invSumCur  float64
 	invSumNext float64
@@ -204,26 +148,24 @@ type kernelState struct {
 	partDelta []float64 // per-chunk L1 delta on normalised vectors
 }
 
-// The six sweep kernels: flat loops over the CSR in-adjacency, one per
-// (constant-vs-personalised base × dangling policy). Each computes
-// next[i] for one chunk and records the chunk's partial next-sum and
-// dangling-mass reductions — there is no per-node function call and no
-// division in the inner loop. The inner loop gathers the pre-scaled
-// curS[j] = cur[j]·invOut[j], a single 8-byte random read per edge; the
-// scaled entry for the next iteration (nextS[i] = next[i]·invOut[i]) is
-// produced by the same pass as a sequential store. invOut[i] == 0 exactly
-// when i is dangling, so the kernels never touch outDegs. Four
-// accumulators break the floating-point add dependency chain so several
-// gathers stay in flight; the row sum therefore associates differently
-// from ComputeReference — which is why agreement with the reference is
-// specified to 1e-12 on the normalised vectors rather than bitwise.
-// (Determinism across Workers settings is unaffected: chunk boundaries
-// and the in-chunk order are fixed for a given graph.)
-
-func (k *kernelState) sweepConstShare(chunk, lo, hi int) {
+// sweepNext is the next-vector kernel: a flat loop over the CSR
+// in-adjacency that computes next[i] for one chunk and records the chunk's
+// partial next-sum and dangling-mass reductions — there is no per-node
+// function call and no division in the inner loop. The inner loop gathers
+// the pre-scaled curS[j] = cur[j]·invOut[j], a single 8-byte random read
+// per edge; the scaled entry for the next iteration (nextS[i] =
+// next[i]·invOut[i]) is produced by the same pass as a sequential store.
+// invOut[i] == 0 exactly when i is dangling, so the kernel never touches
+// the out-degrees. The short-row cases add a row's terms to each other
+// before adding them to the dangling share, so the row sum associates
+// differently from ComputeReference — which is why agreement with the
+// reference is specified to 1e-12 on the normalised vectors rather than
+// bitwise. (Determinism across Workers settings is unaffected: chunk
+// boundaries and the in-chunk order are fixed for a given graph.)
+func (k *kernelState) sweepNext(chunk, lo, hi int) {
 	inOff, inFrom, curS, invOut := k.inOff, k.inFrom, k.curS, k.invOut
 	next, nextS := k.next, k.nextS
-	base, follow, share := k.baseConst, k.follow, k.share
+	base, follow, share := k.base, k.follow, k.share
 	s, dm := 0.0, 0.0
 	for i := lo; i < hi; i++ {
 		sum := share
@@ -242,174 +184,6 @@ func (k *kernelState) sweepConstShare(chunk, lo, hi int) {
 			}
 		}
 		v := base + follow*sum
-		next[i] = v
-		s += v
-		inv := invOut[i]
-		nextS[i] = v * inv
-		if inv == 0 {
-			dm += v
-		}
-	}
-	k.partSum[chunk] = s
-	k.partDang[chunk] = dm
-}
-
-func (k *kernelState) sweepConstSelf(chunk, lo, hi int) {
-	inOff, inFrom, curS, invOut := k.inOff, k.inFrom, k.curS, k.invOut
-	next, nextS, cur := k.next, k.nextS, k.cur
-	base, follow := k.baseConst, k.follow
-	s := 0.0
-	for i := lo; i < hi; i++ {
-		sum := 0.0
-		inv := invOut[i]
-		if inv == 0 {
-			sum = cur[i]
-		}
-		e, end := inOff[i], inOff[i+1]
-		switch end - e {
-		case 0:
-		case 1:
-			sum += curS[inFrom[e]]
-		case 2:
-			sum += curS[inFrom[e]] + curS[inFrom[e+1]]
-		case 3:
-			sum += curS[inFrom[e]] + curS[inFrom[e+1]] + curS[inFrom[e+2]]
-		default:
-			for ; e < end; e++ {
-				sum += curS[inFrom[e]]
-			}
-		}
-		v := base + follow*sum
-		next[i] = v
-		nextS[i] = v * inv
-		s += v
-	}
-	k.partSum[chunk] = s
-}
-
-func (k *kernelState) sweepConstTele(chunk, lo, hi int) {
-	inOff, inFrom, curS, invOut := k.inOff, k.inFrom, k.curS, k.invOut
-	next, nextS, tele := k.next, k.nextS, k.tele
-	base, follow, dmass := k.baseConst, k.follow, k.dmass
-	s, dm := 0.0, 0.0
-	for i := lo; i < hi; i++ {
-		sum := dmass * tele[i]
-		e, end := inOff[i], inOff[i+1]
-		switch end - e {
-		case 0:
-		case 1:
-			sum += curS[inFrom[e]]
-		case 2:
-			sum += curS[inFrom[e]] + curS[inFrom[e+1]]
-		case 3:
-			sum += curS[inFrom[e]] + curS[inFrom[e+1]] + curS[inFrom[e+2]]
-		default:
-			for ; e < end; e++ {
-				sum += curS[inFrom[e]]
-			}
-		}
-		v := base + follow*sum
-		next[i] = v
-		s += v
-		inv := invOut[i]
-		nextS[i] = v * inv
-		if inv == 0 {
-			dm += v
-		}
-	}
-	k.partSum[chunk] = s
-	k.partDang[chunk] = dm
-}
-
-func (k *kernelState) sweepVecShare(chunk, lo, hi int) {
-	inOff, inFrom, curS, invOut := k.inOff, k.inFrom, k.curS, k.invOut
-	next, nextS, baseVec := k.next, k.nextS, k.baseVec
-	follow, share := k.follow, k.share
-	s, dm := 0.0, 0.0
-	for i := lo; i < hi; i++ {
-		sum := share
-		e, end := inOff[i], inOff[i+1]
-		switch end - e {
-		case 0:
-		case 1:
-			sum += curS[inFrom[e]]
-		case 2:
-			sum += curS[inFrom[e]] + curS[inFrom[e+1]]
-		case 3:
-			sum += curS[inFrom[e]] + curS[inFrom[e+1]] + curS[inFrom[e+2]]
-		default:
-			for ; e < end; e++ {
-				sum += curS[inFrom[e]]
-			}
-		}
-		v := baseVec[i] + follow*sum
-		next[i] = v
-		s += v
-		inv := invOut[i]
-		nextS[i] = v * inv
-		if inv == 0 {
-			dm += v
-		}
-	}
-	k.partSum[chunk] = s
-	k.partDang[chunk] = dm
-}
-
-func (k *kernelState) sweepVecSelf(chunk, lo, hi int) {
-	inOff, inFrom, curS, invOut := k.inOff, k.inFrom, k.curS, k.invOut
-	next, nextS, cur, baseVec := k.next, k.nextS, k.cur, k.baseVec
-	follow := k.follow
-	s := 0.0
-	for i := lo; i < hi; i++ {
-		sum := 0.0
-		inv := invOut[i]
-		if inv == 0 {
-			sum = cur[i]
-		}
-		e, end := inOff[i], inOff[i+1]
-		switch end - e {
-		case 0:
-		case 1:
-			sum += curS[inFrom[e]]
-		case 2:
-			sum += curS[inFrom[e]] + curS[inFrom[e+1]]
-		case 3:
-			sum += curS[inFrom[e]] + curS[inFrom[e+1]] + curS[inFrom[e+2]]
-		default:
-			for ; e < end; e++ {
-				sum += curS[inFrom[e]]
-			}
-		}
-		v := baseVec[i] + follow*sum
-		next[i] = v
-		nextS[i] = v * inv
-		s += v
-	}
-	k.partSum[chunk] = s
-}
-
-func (k *kernelState) sweepVecTele(chunk, lo, hi int) {
-	inOff, inFrom, curS, invOut := k.inOff, k.inFrom, k.curS, k.invOut
-	next, nextS, baseVec, tele := k.next, k.nextS, k.baseVec, k.tele
-	follow, dmass := k.follow, k.dmass
-	s, dm := 0.0, 0.0
-	for i := lo; i < hi; i++ {
-		sum := dmass * tele[i]
-		e, end := inOff[i], inOff[i+1]
-		switch end - e {
-		case 0:
-		case 1:
-			sum += curS[inFrom[e]]
-		case 2:
-			sum += curS[inFrom[e]] + curS[inFrom[e+1]]
-		case 3:
-			sum += curS[inFrom[e]] + curS[inFrom[e+1]] + curS[inFrom[e+2]]
-		default:
-			for ; e < end; e++ {
-				sum += curS[inFrom[e]]
-			}
-		}
-		v := baseVec[i] + follow*sum
 		next[i] = v
 		s += v
 		inv := invOut[i]
@@ -446,8 +220,7 @@ func sumChunks(parts []float64) float64 {
 
 // Compute runs the PageRank power iteration over c.
 func Compute(c *graph.CSR, opts Options) (*Result, error) {
-	n := c.NumNodes()
-	if err := opts.fill(n); err != nil {
+	if err := opts.fill(); err != nil {
 		return nil, err
 	}
 	return computeFrom(c, opts, nil)
@@ -468,70 +241,23 @@ func computeFrom(c *graph.CSR, opts Options, warm []float64) (*Result, error) {
 		return nil, fmt.Errorf("%w: warm-start vector has %d entries for %d nodes", ErrBadOptions, len(warm), n)
 	}
 
-	tele := normalizeTeleport(opts.Teleport)
 	inOff, inFrom := c.InLists()
 	outDegs := c.OutDegrees()
 
 	// Inverse out-degree table, precomputed at Freeze time: one division
 	// per node there replaces one division per edge per iteration here.
-	// Dangling nodes hold 0 — their mass flows through the dangling
-	// policy, never through invOut.
+	// Dangling nodes hold 0 — their mass flows through the dangling share,
+	// never through invOut.
 	invOut := c.InvOutDegrees()
 
+	total, base := opts.scale(n)
 	k := &kernelState{
-		inOff:   inOff,
-		inFrom:  inFrom,
-		outDegs: outDegs,
-		invOut:  invOut,
-		tele:    tele,
-		follow:  1 - opts.Jump,
+		inOff:  inOff,
+		inFrom: inFrom,
+		invOut: invOut,
+		base:   base,
+		follow: 1 - opts.Jump,
 	}
-
-	total := 1.0
-	switch opts.Variant {
-	case VariantPaper:
-		total = float64(n)
-		k.baseConst = opts.Jump
-	case VariantStandard:
-		if tele == nil {
-			k.baseConst = opts.Jump / float64(n)
-		} else {
-			k.baseVec = make([]float64, n)
-			for i, v := range tele {
-				k.baseVec[i] = opts.Jump * v
-			}
-		}
-	}
-
-	// Select the specialised kernel for this (base × dangling) combination.
-	var sweep func(chunk, lo, hi int)
-	shareBased := false // dangling mass redistributed via the share scalar
-	switch opts.Dangling {
-	case DanglingSelf:
-		if k.baseVec == nil {
-			sweep = k.sweepConstSelf
-		} else {
-			sweep = k.sweepVecSelf
-		}
-	case DanglingTeleport:
-		if tele != nil {
-			if k.baseVec == nil {
-				sweep = k.sweepConstTele
-			} else {
-				sweep = k.sweepVecTele
-			}
-			break
-		}
-		fallthrough
-	case DanglingUniform:
-		shareBased = true
-		if k.baseVec == nil {
-			sweep = k.sweepConstShare
-		} else {
-			sweep = k.sweepVecShare
-		}
-	}
-	danglingTele := opts.Dangling == DanglingTeleport && tele != nil
 
 	cur := warm
 	if cur == nil {
@@ -573,9 +299,9 @@ func computeFrom(c *graph.CSR, opts Options, warm []float64) (*Result, error) {
 	} else {
 		sumCur, dmass = recompute()
 		// Rescale the warm start to the variant's total mass. The sum of
-		// the iterates evolves autonomously (s' = Jump·total + (1-Jump)·s,
-		// for every dangling policy: all mass is either passed along edges
-		// or redistributed) with fixed point `total`, converging at the
+		// the iterates evolves autonomously (s' = Jump·total + (1-Jump)·s:
+		// all mass is either passed along edges or redistributed) with
+		// fixed point `total`, converging at the
 		// damping factor — the slowest mode of the whole iteration. A warm
 		// start with the wrong total would spend ~log(Tol)/log(1-Jump)
 		// iterations just draining the excess mass; rescaling removes that
@@ -598,30 +324,35 @@ func computeFrom(c *graph.CSR, opts Options, warm []float64) (*Result, error) {
 		prev2 = make([]float64, n)
 	}
 
-	pool := newWorkerPool(opts.Workers, n)
-	defer pool.close()
-	k.partSum = make([]float64, pool.nc)
-	k.partDang = make([]float64, pool.nc)
-	k.partDelta = make([]float64, pool.nc)
+	// Chunk boundaries depend only on the node count — never on the worker
+	// count — and the per-chunk partials are folded in chunk order, so
+	// Compute is bitwise deterministic across Workers settings (see
+	// internal/par for the scheduling half of that argument).
+	nc := (n + chunkSize - 1) / chunkSize
+	k.partSum = make([]float64, nc)
+	k.partDang = make([]float64, nc)
+	k.partDelta = make([]float64, nc)
+	run := func(sweep func(chunk, lo, hi int)) {
+		par.Do(nc, opts.Workers, func(chunk int) {
+			lo := chunk * chunkSize
+			sweep(chunk, lo, min(lo+chunkSize, n))
+		})
+	}
 
 	res := &Result{}
 	for iter := 1; iter <= opts.MaxIter; iter++ {
-		if shareBased {
-			k.share = dmass / float64(n)
-		} else if danglingTele {
-			k.dmass = dmass
-		}
+		k.share = dmass / float64(n)
 
 		// One parallel sweep computes next and, fused into the same pass,
 		// the per-chunk next-sum and next-dangling-mass partials.
-		pool.run(sweep)
+		run(k.sweepNext)
 		sumNext := sumChunks(k.partSum)
 		dmassNext := sumChunks(k.partDang)
 
 		// Second parallel pass: L1 delta on the sum-1 normalised vectors.
 		k.invSumCur = 1 / sumCur
 		k.invSumNext = 1 / sumNext
-		pool.run(k.sweepDelta)
+		run(k.sweepDelta)
 		delta := sumChunks(k.partDelta)
 
 		res.Iterations = iter
@@ -676,61 +407,5 @@ func aitken(x2, x1, x0 []float64) {
 	}
 }
 
-// chunkSize is the number of nodes per parallel work unit. Chunk
-// boundaries depend only on the node count — never on the worker count —
-// so per-chunk floating-point reductions combine identically for every
-// parallelism degree, keeping Compute bitwise deterministic across
-// Workers settings.
+// chunkSize is the number of nodes per parallel work unit.
 const chunkSize = 2048
-
-func numChunks(n int) int { return (n + chunkSize - 1) / chunkSize }
-
-// workerPool amortises goroutine startup across power iterations. Each
-// call to run splits [0,n) into fixed-size chunks that idle workers pull
-// until all are processed.
-type workerPool struct {
-	workers int
-	n, nc   int
-	work    chan chunkTask
-	wg      sync.WaitGroup
-}
-
-type chunkTask struct {
-	fn            func(chunk, lo, hi int)
-	chunk, lo, hi int
-}
-
-func newWorkerPool(workers, n int) *workerPool {
-	nc := numChunks(n)
-	if workers > nc {
-		workers = max(1, nc)
-	}
-	p := &workerPool{
-		workers: workers,
-		n:       n,
-		nc:      nc,
-		work:    make(chan chunkTask, nc),
-	}
-	for w := 0; w < workers; w++ {
-		go func() { //pqlint:allow looproutine fixed-size pool; run() joins via wg.Wait and close() ends the workers
-			for t := range p.work {
-				t.fn(t.chunk, t.lo, t.hi)
-				p.wg.Done()
-			}
-		}()
-	}
-	return p
-}
-
-// run executes fn over every chunk of [0,n) and waits for completion.
-func (p *workerPool) run(fn func(chunk, lo, hi int)) {
-	p.wg.Add(p.nc)
-	for c := 0; c < p.nc; c++ {
-		lo := c * chunkSize
-		hi := min(lo+chunkSize, p.n)
-		p.work <- chunkTask{fn: fn, chunk: c, lo: lo, hi: hi}
-	}
-	p.wg.Wait()
-}
-
-func (p *workerPool) close() { close(p.work) }

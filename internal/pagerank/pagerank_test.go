@@ -1,8 +1,10 @@
 package pagerank
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math"
 	"math/rand"
 	"runtime"
@@ -107,21 +109,19 @@ func TestStandardSumsToOne(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := graph.Freeze(g)
-	for _, dang := range []Dangling{DanglingUniform, DanglingSelf, DanglingTeleport} {
-		res, err := Compute(c, Options{Variant: VariantStandard, Dangling: dang})
-		if err != nil {
-			t.Fatal(err)
+	res, err := Compute(c, Options{Variant: VariantStandard})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := 0.0
+	for _, v := range res.Rank {
+		sum += v
+		if v < 0 {
+			t.Fatalf("negative rank %g", v)
 		}
-		sum := 0.0
-		for _, v := range res.Rank {
-			sum += v
-			if v < 0 {
-				t.Fatalf("negative rank under policy %d", dang)
-			}
-		}
-		if math.Abs(sum-1) > 1e-9 {
-			t.Fatalf("policy %d: sum = %g, want 1", dang, sum)
-		}
+	}
+	if math.Abs(sum-1) > 1e-9 {
+		t.Fatalf("sum = %g, want 1", sum)
 	}
 }
 
@@ -167,56 +167,6 @@ func TestHubGetsMoreRank(t *testing.T) {
 	}
 }
 
-func TestDanglingPoliciesDiffer(t *testing.T) {
-	// 0 -> 1, 1 dangling.
-	g := graph.New(2)
-	g.AddNodes(2)
-	g.AddLink(0, 1)
-	c := graph.Freeze(g)
-	self, err := Compute(c, Options{Variant: VariantStandard, Dangling: DanglingSelf})
-	if err != nil {
-		t.Fatal(err)
-	}
-	uni, err := Compute(c, Options{Variant: VariantStandard, Dangling: DanglingUniform})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Under DanglingSelf node 1 hoards its mass, so it must score higher
-	// than under DanglingUniform.
-	if self.Rank[1] <= uni.Rank[1] {
-		t.Fatalf("self=%g uniform=%g: self policy should favour the dangling page",
-			self.Rank[1], uni.Rank[1])
-	}
-}
-
-func TestPersonalizedTeleport(t *testing.T) {
-	c := cycle(10)
-	tele := make([]float64, 10)
-	tele[3] = 1 // all jumps land on node 3
-	res, err := Compute(c, Options{Variant: VariantStandard, Teleport: tele})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range res.Rank {
-		if i != 3 && v >= res.Rank[3] {
-			t.Fatalf("personalised rank[3]=%g not maximal (rank[%d]=%g)", res.Rank[3], i, v)
-		}
-	}
-}
-
-func TestTeleportValidation(t *testing.T) {
-	c := cycle(4)
-	if _, err := Compute(c, Options{Teleport: []float64{1, 1}}); !errors.Is(err, ErrBadOptions) {
-		t.Fatal("wrong-length teleport accepted")
-	}
-	if _, err := Compute(c, Options{Teleport: []float64{1, -1, 0, 0}}); !errors.Is(err, ErrBadOptions) {
-		t.Fatal("negative teleport accepted")
-	}
-	if _, err := Compute(c, Options{Teleport: []float64{0, 0, 0, 0}}); !errors.Is(err, ErrBadOptions) {
-		t.Fatal("zero teleport accepted")
-	}
-}
-
 func TestOptionValidation(t *testing.T) {
 	c := cycle(4)
 	for _, tc := range []struct {
@@ -229,7 +179,6 @@ func TestOptionValidation(t *testing.T) {
 		{"negative tol", Options{Tol: -1}, true},
 		{"negative maxiter", Options{MaxIter: -3}, true},
 		{"unknown variant", Options{Variant: Variant(9)}, true},
-		{"unknown dangling", Options{Dangling: Dangling(9)}, true},
 		{"negative extrapolate period", Options{ExtrapolatePeriod: -1}, true},
 		{"negative period with extrapolation on", Options{Extrapolate: true, ExtrapolatePeriod: -10}, true},
 		{"defaults", Options{}, false},
@@ -249,7 +198,7 @@ func TestOptionValidation(t *testing.T) {
 }
 
 // danglyGraph is a preferential-attachment graph with extra guaranteed
-// dangling nodes (in-links only), so every dangling policy has mass to
+// dangling nodes (in-links only), so there is dangling mass to
 // redistribute.
 func danglyGraph(t testing.TB, nodes, extraDangling int, seed int64) *graph.CSR {
 	t.Helper()
@@ -280,42 +229,29 @@ func normalized(v []float64) []float64 {
 	return out
 }
 
-// TestKernelsMatchReference checks every specialised kernel against the
-// retained naive implementation: for all Variant × Dangling × Teleport
-// combinations the converged sum-1 vectors must agree to 1e-12.
+// TestKernelsMatchReference checks the kernel against the retained naive
+// implementation: for both variants the converged sum-1 vectors must agree
+// to 1e-12.
 func TestKernelsMatchReference(t *testing.T) {
 	c := danglyGraph(t, 2000, 60, 7)
-	n := c.NumNodes()
-	tele := make([]float64, n)
-	for i := range tele {
-		tele[i] = float64(i%17) + 1
-	}
 	for _, variant := range []Variant{VariantPaper, VariantStandard} {
-		for _, dang := range []Dangling{DanglingUniform, DanglingSelf, DanglingTeleport} {
-			for _, tv := range [][]float64{nil, tele} {
-				name := fmt.Sprintf("variant=%d/dangling=%d/teleport=%v", variant, dang, tv != nil)
-				t.Run(name, func(t *testing.T) {
-					opts := Options{
-						Variant: variant, Dangling: dang, Teleport: tv,
-						Tol: 1e-13, MaxIter: 1000,
-					}
-					fast, err := Compute(c, opts)
-					if err != nil {
-						t.Fatal(err)
-					}
-					ref, err := ComputeReference(c, opts)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !fast.Converged || !ref.Converged {
-						t.Fatalf("convergence: fast=%v ref=%v", fast.Converged, ref.Converged)
-					}
-					if d := maxAbsDiff(normalized(fast.Rank), normalized(ref.Rank)); d > 1e-12 {
-						t.Fatalf("kernel diverges from reference by %g", d)
-					}
-				})
+		t.Run(fmt.Sprintf("variant=%d", variant), func(t *testing.T) {
+			opts := Options{Variant: variant, Tol: 1e-13, MaxIter: 1000}
+			fast, err := Compute(c, opts)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
+			ref, err := ComputeReference(c, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !fast.Converged || !ref.Converged {
+				t.Fatalf("convergence: fast=%v ref=%v", fast.Converged, ref.Converged)
+			}
+			if d := maxAbsDiff(normalized(fast.Rank), normalized(ref.Rank)); d > 1e-12 {
+				t.Fatalf("kernel diverges from reference by %g", d)
+			}
+		})
 	}
 }
 
@@ -600,45 +536,57 @@ func BenchmarkHITS10k(b *testing.B) {
 	}
 }
 
-func TestDanglingTeleportWithPersonalization(t *testing.T) {
-	// 0 -> 1, both 1 and 2 dangling; all dangling mass and jumps go to 2.
-	g := graph.New(3)
-	g.AddNodes(3)
-	g.AddLink(0, 1)
-	tele := []float64{0, 0, 1}
-	res, err := Compute(graph.Freeze(g), Options{
-		Variant:  VariantStandard,
-		Dangling: DanglingTeleport,
-		Teleport: tele,
-	})
-	if err != nil {
-		t.Fatal(err)
+// rankCRC folds the exact bits of v into one number, so a pin fails on a
+// change in the last place of any entry.
+func rankCRC(v []float64) uint32 {
+	buf := make([]byte, 8*len(v))
+	for i, x := range v {
+		binary.LittleEndian.PutUint64(buf[8*i:], math.Float64bits(x))
 	}
-	// Node 2 absorbs jumps and dangling mass: it must dominate.
-	if res.Rank[2] <= res.Rank[0] || res.Rank[2] <= res.Rank[1] {
-		t.Fatalf("teleport sink not dominant: %v", res.Rank)
-	}
-	sum := res.Rank[0] + res.Rank[1] + res.Rank[2]
-	if math.Abs(sum-1) > 1e-9 {
-		t.Fatalf("sum = %g", sum)
-	}
+	return crc32.ChecksumIEEE(buf)
 }
 
-func TestTeleportNormalizedInternally(t *testing.T) {
-	// A non-normalised teleport vector gives the same result as its
-	// normalised form.
-	c := cycle(6)
-	t1 := []float64{5, 0, 0, 0, 0, 5}
-	t2 := []float64{0.5, 0, 0, 0, 0, 0.5}
-	a, err := Compute(c, Options{Variant: VariantStandard, Teleport: t1})
+// TestComputeBitsPinned holds Compute and ComputeIncremental to the exact
+// bits they produced before the dangling/teleport options and their five
+// kernels were deleted: the values below were captured at that parent
+// commit, and every experiment, command and benchmark rides these paths.
+func TestComputeBitsPinned(t *testing.T) {
+	c := danglyGraph(t, 5000, 100, 11)
+	for _, tc := range []struct {
+		name    string
+		variant Variant
+		crc     uint32
+		iters   int
+	}{
+		{"paper", VariantPaper, 0xf9c0df17, 15},
+		{"standard", VariantStandard, 0xb2dfe1bc, 15},
+	} {
+		res, err := Compute(c, Options{Variant: tc.variant})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := rankCRC(res.Rank); got != tc.crc || res.Iterations != tc.iters {
+			t.Errorf("%s: crc %#08x after %d iterations, want %#08x after %d",
+				tc.name, got, res.Iterations, tc.crc, tc.iters)
+		}
+	}
+
+	old, cur := churnGraphs(t, 2000, 20, 40, 20, 11)
+	d, err := graph.Diff(old, cur)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Compute(c, Options{Variant: VariantStandard, Teleport: t2})
+	prev, err := Compute(old, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := maxAbsDiff(a.Rank, b.Rank); d > 1e-12 {
-		t.Fatalf("scaling the teleport changed the result by %g", d)
+	inc, err := ComputeIncremental(cur, prev.Rank, d, IncrementalOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const wantCRC, wantIters, wantUpdates = 0xbe753e08, 1, 1592
+	if got := rankCRC(inc.Rank); got != wantCRC || inc.Iterations != wantIters || inc.FrontierUpdates != wantUpdates {
+		t.Errorf("incremental: crc %#08x after %d polish iterations and %d frontier updates, want %#08x, %d, %d",
+			got, inc.Iterations, inc.FrontierUpdates, wantCRC, wantIters, wantUpdates)
 	}
 }

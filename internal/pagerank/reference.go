@@ -1,52 +1,38 @@
 package pagerank
 
 import (
-	"fmt"
 	"math"
-	"sync"
 
 	"pagequality/internal/graph"
 )
 
-// ComputeReference is the retained naive PageRank implementation: the
-// closure-based kernel with a float division per edge and separate
-// full-vector passes for the dangling-mass, vector-sum and delta
-// bookkeeping that Compute replaced. It is kept verbatim as the
-// correctness oracle for the specialised kernels (see
-// TestKernelsMatchReference) and as the "before" side of
-// BenchmarkPageRankKernel. It accepts the same Options and converges to
-// the same fixed point as Compute.
+// ComputeReference is the retained naive PageRank implementation: a
+// serial loop with a float division per edge and separate full-vector
+// passes for the dangling-mass, vector-sum and delta bookkeeping that
+// Compute fuses into its sweeps. It is kept as the correctness oracle for
+// the kernel (see TestKernelsMatchReference) and as the "before" side of
+// BenchmarkPageRankKernel. It accepts the same Options (Workers is
+// ignored) and converges to the same fixed point as Compute.
 func ComputeReference(c *graph.CSR, opts Options) (*Result, error) {
 	n := c.NumNodes()
-	if err := opts.fill(n); err != nil {
+	if err := opts.fill(); err != nil {
 		return nil, err
 	}
 	if n == 0 {
 		return &Result{Rank: nil, Converged: true}, nil
 	}
 
-	tele := normalizeTeleport(opts.Teleport)
 	danglings := c.Danglings()
 
-	// Base (per-node constant) and scale depend on the variant. Both
-	// variants share one iteration kernel operating on an arbitrary-scale
-	// vector; convergence is measured after scaling to sum 1.
-	var base func(i int) float64
+	// Base (the jump term) and scale depend on the variant. Both variants
+	// share one iteration operating on an arbitrary-scale vector;
+	// convergence is measured after scaling to sum 1.
 	follow := 1 - opts.Jump
 	total := 1.0
-	switch opts.Variant {
-	case VariantPaper:
+	base := opts.Jump / float64(n)
+	if opts.Variant == VariantPaper {
 		total = float64(n)
-		base = func(int) float64 { return opts.Jump }
-	case VariantStandard:
-		if tele == nil {
-			b := opts.Jump / float64(n)
-			base = func(int) float64 { return b }
-		} else {
-			base = func(i int) float64 { return opts.Jump * tele[i] }
-		}
-	default:
-		return nil, fmt.Errorf("%w: unknown variant %d", ErrBadOptions, opts.Variant)
+		base = opts.Jump
 	}
 
 	cur := make([]float64, n)
@@ -62,9 +48,6 @@ func ComputeReference(c *graph.CSR, opts Options) (*Result, error) {
 		prev2 = make([]float64, n)
 	}
 
-	pool := newRangePool(opts.Workers, n)
-	defer pool.close()
-
 	res := &Result{}
 	for iter := 1; iter <= opts.MaxIter; iter++ {
 		// Mass sitting on dangling pages this round.
@@ -73,38 +56,16 @@ func ComputeReference(c *graph.CSR, opts Options) (*Result, error) {
 			dmass += cur[d]
 		}
 
-		var dangAdd func(i int) float64
-		switch opts.Dangling {
-		case DanglingUniform:
-			share := dmass / float64(n)
-			dangAdd = func(int) float64 { return share }
-		case DanglingSelf:
-			dangAdd = func(i int) float64 {
-				if c.OutDegree(graph.NodeID(i)) == 0 {
-					return cur[i]
-				}
-				return 0
-			}
-		case DanglingTeleport:
-			if tele == nil {
-				share := dmass / float64(n)
-				dangAdd = func(int) float64 { return share }
-			} else {
-				dangAdd = func(i int) float64 { return dmass * tele[i] }
-			}
-		default:
-			return nil, fmt.Errorf("%w: unknown dangling policy %d", ErrBadOptions, opts.Dangling)
-		}
+		// A page with no outgoing link links to every page.
+		share := dmass / float64(n)
 
-		pool.run(func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				sum := dangAdd(i)
-				for _, j := range c.In(graph.NodeID(i)) {
-					sum += cur[j] / float64(c.OutDegree(j))
-				}
-				next[i] = base(i) + follow*sum
+		for i := range next {
+			sum := share
+			for _, j := range c.In(graph.NodeID(i)) {
+				sum += cur[j] / float64(c.OutDegree(j))
 			}
-		})
+			next[i] = base + follow*sum
+		}
 
 		// L1 delta on the sum-1 normalised vectors.
 		sumNext := 0.0
@@ -151,48 +112,3 @@ func ComputeReference(c *graph.CSR, opts Options) (*Result, error) {
 	res.Rank = cur
 	return res, nil
 }
-
-// rangePool is the pre-rewrite worker pool retained for ComputeReference:
-// one contiguous range per worker, no per-chunk reductions.
-type rangePool struct {
-	workers int
-	n       int
-	work    chan rangeTask
-	wg      sync.WaitGroup
-}
-
-type rangeTask struct {
-	fn     func(lo, hi int)
-	lo, hi int
-}
-
-func newRangePool(workers, n int) *rangePool {
-	if workers > n {
-		workers = max(1, n)
-	}
-	p := &rangePool{
-		workers: workers,
-		n:       n,
-		work:    make(chan rangeTask, workers),
-	}
-	for w := 0; w < workers; w++ {
-		go func() { //pqlint:allow looproutine fixed-size pool; run() joins via wg.Wait and close() ends the workers
-			for t := range p.work {
-				t.fn(t.lo, t.hi)
-				p.wg.Done()
-			}
-		}()
-	}
-	return p
-}
-
-// run executes fn over a partition of [0,n) and waits for completion.
-func (p *rangePool) run(fn func(lo, hi int)) {
-	p.wg.Add(p.workers)
-	for w := 0; w < p.workers; w++ {
-		p.work <- rangeTask{fn: fn, lo: w * p.n / p.workers, hi: (w + 1) * p.n / p.workers}
-	}
-	p.wg.Wait()
-}
-
-func (p *rangePool) close() { close(p.work) }

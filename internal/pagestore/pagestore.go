@@ -34,11 +34,11 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
+
+	"pagequality/internal/par"
 )
 
 // Meta is the per-document metadata stored alongside the body.
@@ -241,40 +241,16 @@ type segLoad struct {
 // earliest failing segment regardless of which worker hit it first.
 // Returns whether the newest segment is sealed.
 func (s *Store) rebuildIndex(segs []int, workers int) (lastSealed bool, err error) {
-	if workers < 1 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(segs) {
-		workers = len(segs)
-	}
 	loads := make([]segLoad, len(segs))
-	errs := make([]error, len(segs))
-	if workers <= 1 {
-		for i, id := range segs {
-			loads[i], errs[i] = s.loadSegmentIndex(id, i == len(segs)-1)
-		}
-	} else {
-		var cursor atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(cursor.Add(1)) - 1
-					if i >= len(segs) {
-						return
-					}
-					loads[i], errs[i] = s.loadSegmentIndex(segs[i], i == len(segs)-1)
-				}
-			}()
-		}
-		wg.Wait()
+	err = par.DoErr(len(segs), workers, func(i int) error {
+		var err error
+		loads[i], err = s.loadSegmentIndex(segs[i], i == len(segs)-1)
+		return err
+	})
+	if err != nil {
+		return false, err
 	}
 	for i, id := range segs {
-		if errs[i] != nil {
-			return false, errs[i]
-		}
 		for _, e := range loads[i].entries {
 			s.index[e.key] = location{seg: id, offset: e.off}
 		}

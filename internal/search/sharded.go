@@ -5,8 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sync"
-	"sync/atomic"
+
+	"pagequality/internal/par"
 )
 
 // ErrBadShard reports an unusable sharding configuration.
@@ -249,41 +249,14 @@ func (si *ShardedIndex) SearchContext(ctx context.Context, query string, opts Op
 	return merged.ranked(), nil
 }
 
-// fanOut applies fn to every shard index using at most si.workers
-// goroutines pulling shards off a shared cursor. With an effective pool
-// of one it runs inline, so single-shard serving pays no scheduling
-// cost. fn calls for distinct shards never overlap on shared state (each
-// writes only its own slot), and a ctx error stops workers between
-// shards.
+// fanOut applies fn to every shard index on the internal/par fan-out
+// with at most si.workers goroutines; with an effective pool of one it
+// runs inline, so single-shard serving pays no scheduling cost. fn calls
+// for distinct shards never overlap on shared state (each writes only its
+// own slot), and a ctx error stops workers between shards.
 func (si *ShardedIndex) fanOut(ctx context.Context, fn func(s int)) error {
-	nw := si.workers
-	if nw > len(si.parts) {
-		nw = len(si.parts)
-	}
-	if nw <= 1 {
-		for s := range si.parts {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			fn(s)
-		}
+	return par.DoContext(ctx, len(si.parts), si.workers, func(s int) error {
+		fn(s)
 		return nil
-	}
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < nw; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for ctx.Err() == nil {
-				s := int(cursor.Add(1)) - 1
-				if s >= len(si.parts) {
-					return
-				}
-				fn(s)
-			}
-		}()
-	}
-	wg.Wait()
-	return ctx.Err()
+	})
 }

@@ -9,6 +9,7 @@ import (
 
 	"pagequality/internal/graph"
 	"pagequality/internal/pagerank"
+	"pagequality/internal/par"
 )
 
 // Aligned is a series of snapshots restricted to the pages present in
@@ -119,15 +120,9 @@ func (a *Aligned) NumSnapshots() int { return len(a.Graphs) }
 func (a *Aligned) CSRs() []*graph.CSR {
 	a.frozenOnce.Do(func() {
 		a.frozen = make([]*graph.CSR, len(a.Graphs))
-		var wg sync.WaitGroup
-		for k, g := range a.Graphs {
-			wg.Add(1)
-			go func(k int, g *graph.Graph) {
-				defer wg.Done()
-				a.frozen[k] = graph.Freeze(g)
-			}(k, g)
-		}
-		wg.Wait()
+		par.Do(len(a.Graphs), 0, func(k int) {
+			a.frozen[k] = graph.Freeze(a.Graphs[k])
+		})
 	})
 	return a.frozen
 }
@@ -153,33 +148,20 @@ func (a *Aligned) PageRankSeries(opts pagerank.Options) ([][]float64, error) {
 	inner.Workers = max(1, workers/outer)
 
 	ranks := make([][]float64, len(csrs))
-	errs := make([]error, len(csrs))
-	sem := make(chan struct{}, outer)
-	var wg sync.WaitGroup
-	for k := range csrs {
-		wg.Add(1)
-		go func(k int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			res, err := pagerank.Compute(csrs[k], inner)
-			if err != nil {
-				errs[k] = fmt.Errorf("snapshot %s: %w", a.Labels[k], err)
-				return
-			}
-			if !res.Converged {
-				errs[k] = fmt.Errorf("snapshot %s: PageRank did not converge (delta %g after %d iters)",
-					a.Labels[k], res.Delta, res.Iterations)
-				return
-			}
-			ranks[k] = res.Rank
-		}(k)
-	}
-	wg.Wait()
-	for _, err := range errs {
+	err := par.DoErr(len(csrs), outer, func(k int) error {
+		res, err := pagerank.Compute(csrs[k], inner)
 		if err != nil {
-			return nil, err
+			return fmt.Errorf("snapshot %s: %w", a.Labels[k], err)
 		}
+		if !res.Converged {
+			return fmt.Errorf("snapshot %s: PageRank did not converge (delta %g after %d iters)",
+				a.Labels[k], res.Delta, res.Iterations)
+		}
+		ranks[k] = res.Rank
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return ranks, nil
 }

@@ -3,10 +3,9 @@ package usersim
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
 
 	"pagequality/internal/model"
+	"pagequality/internal/par"
 )
 
 // Ensemble aggregates many independent runs of the same page
@@ -43,35 +42,18 @@ func RunEnsemble(cfg Config, runs int, tMax float64, sampleEvery int) (*Ensemble
 	}
 
 	trajectories := make([]model.Trajectory, runs)
-	errs := make([]error, runs)
-	workers := min(runs, runtime.GOMAXPROCS(0))
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				run := cfg
-				run.Seed = cfg.Seed + int64(i)
-				sim, err := New(run)
-				if err != nil {
-					errs[i] = err
-					continue
-				}
-				trajectories[i], errs[i] = sim.Run(tMax, sampleEvery)
-			}
-		}()
-	}
-	for i := 0; i < runs; i++ {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-	for _, err := range errs {
+	err := par.DoErr(runs, 0, func(i int) error {
+		run := cfg
+		run.Seed = cfg.Seed + int64(i)
+		sim, err := New(run)
 		if err != nil {
-			return nil, err
+			return err
 		}
+		trajectories[i], err = sim.Run(tMax, sampleEvery)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	// All runs share the same step grid; verify and aggregate.

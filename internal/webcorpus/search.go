@@ -162,7 +162,7 @@ func (s *Sim) refreshSearch() {
 	ix.Freeze()
 	pr, err := pagerank.Compute(graph.Freeze(s.g), pagerank.Options{
 		Variant: pagerank.VariantPaper,
-		Workers: s.workers,
+		Workers: s.cfg.Workers,
 	})
 	if err != nil {
 		// Options are fixed and valid and the graph is well-formed by

@@ -29,13 +29,11 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"strconv"
-	"sync"
-	"sync/atomic"
 
 	"pagequality/internal/graph"
 	"pagequality/internal/loadgen"
+	"pagequality/internal/par"
 	"pagequality/internal/randx"
 	"pagequality/internal/ranking"
 	"pagequality/internal/snapshot"
@@ -170,9 +168,8 @@ const timeSlack = 1e-9
 // grows nodes (pages are never deleted, matching a crawler that keeps
 // seeing the same URLs); links come and go.
 type Sim struct {
-	cfg     Config
-	workers int
-	g       *graph.Graph
+	cfg Config
+	g   *graph.Graph
 	// Per-page state, indexed by NodeID.
 	aware   []float64 // number of users aware of the page
 	likes   []float64 // number of users who like the page (popularity × n)
@@ -209,13 +206,8 @@ func New(cfg Config) (*Sim, error) {
 	if err := cfg.fill(); err != nil {
 		return nil, err
 	}
-	workers := cfg.Workers
-	if workers == 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	s := &Sim{
 		cfg:       cfg,
-		workers:   workers,
 		g:         graph.New(cfg.Sites * cfg.InitialPagesPerSite * 2),
 		sitePages: make([][]graph.NodeID, cfg.Sites),
 		time:      -cfg.BurnInWeeks,
@@ -389,13 +381,13 @@ func (s *Sim) Step() {
 	nPages := s.g.NumNodes()
 	s.growScratch(nPages)
 
-	// (1) Draw phase. Workers own disjoint contiguous page ranges, so the
-	// per-page slices are written race-free; the graph is not touched.
-	if s.workers > 1 && nPages > drawChunk {
-		s.drawParallel(nPages)
-	} else {
-		s.drawRange(0, nPages)
-	}
+	// (1) Draw phase, fanned out over fixed contiguous chunks. Workers own
+	// disjoint page ranges, so the per-page slices are written race-free;
+	// the graph is not touched.
+	par.Do((nPages+drawChunk-1)/drawChunk, cfg.Workers, func(c int) {
+		lo := c * drawChunk
+		s.drawRange(lo, min(lo+drawChunk, nPages))
+	})
 
 	// (2) Apply phase: serial, in page order, continuing each page's
 	// stream where the draw phase left it.
@@ -458,37 +450,6 @@ func (s *Sim) growScratch(nPages int) {
 		s.linkDels = s.linkDels[:nPages]
 		s.streams = s.streams[:nPages]
 	}
-}
-
-// drawParallel fans the draw phase out over fixed contiguous chunks via a
-// shared atomic cursor.
-func (s *Sim) drawParallel(nPages int) {
-	chunks := (nPages + drawChunk - 1) / drawChunk
-	workers := s.workers
-	if workers > chunks {
-		workers = chunks
-	}
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				c := int(cursor.Add(1)) - 1
-				if c >= chunks {
-					return
-				}
-				lo := c * drawChunk
-				hi := lo + drawChunk
-				if hi > nPages {
-					hi = nPages
-				}
-				s.drawRange(lo, hi)
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // drawRange runs the draw phase for pages [lo, hi): visits, discoveries,

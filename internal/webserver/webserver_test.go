@@ -164,3 +164,15 @@ func httpGet(c *http.Client, url string) (*http.Response, error) {
 	}
 	return c.Do(req)
 }
+
+// TestServerHasTimeouts pins the production listener configuration: every
+// timeout that protects the server from a slow client must be set.
+func TestServerHasTimeouts(t *testing.T) {
+	srv := newHTTPServer("127.0.0.1:0", http.NotFoundHandler())
+	if srv.ReadHeaderTimeout <= 0 || srv.ReadTimeout <= 0 || srv.WriteTimeout <= 0 || srv.IdleTimeout <= 0 {
+		t.Fatalf("server timeouts unset: %+v", srv)
+	}
+	if srv.Addr != "127.0.0.1:0" || srv.Handler == nil {
+		t.Fatalf("server miswired: %+v", srv)
+	}
+}
