@@ -98,8 +98,8 @@ func run(args []string, out io.Writer) error {
 	if wk < 0 {
 		wk = float64(len(snaps)) * 4
 	}
-	if n := len(snaps); n > 0 && wk < snaps[n-1].Time {
-		return fmt.Errorf("snapshot week %g precedes the last stored snapshot (%g)", wk, snaps[n-1].Time)
+	if n := len(snaps); n > 0 && wk <= snaps[n-1].Time {
+		return fmt.Errorf("snapshot week %g does not follow the last stored snapshot (%g)", wk, snaps[n-1].Time)
 	}
 
 	cfg := crawler.Config{

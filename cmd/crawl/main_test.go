@@ -149,6 +149,47 @@ func TestCrawlCLIErrors(t *testing.T) {
 	}
 }
 
+// TestCrawlCLIRefusesEqualWeek: snapshot.Align needs strictly increasing
+// times, so a second crawl at the last stored week must be refused and
+// leave the store file untouched, not append a store nothing can read.
+func TestCrawlCLIRefusesEqualWeek(t *testing.T) {
+	cfg := webcorpus.DefaultConfig()
+	cfg.Sites = 2
+	cfg.InitialPagesPerSite = 3
+	cfg.Users = 2000
+	cfg.VisitRate = 2000
+	cfg.BurnInWeeks = 2
+	cfg.Seed = 1
+	sim, err := webcorpus.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := startServer(t, sim)
+	store := filepath.Join(t.TempDir(), "s.pqs")
+	var buf bytes.Buffer
+	if err := run([]string{"-seeds", ts.URL + "/seeds.txt", "-store", store, "-week", "4"}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = run([]string{"-seeds", ts.URL + "/seeds.txt", "-store", store, "-week", "4"}, &buf)
+	if err == nil || !strings.Contains(err.Error(), "does not follow") {
+		t.Fatalf("equal week: err = %v", err)
+	}
+	after, err := os.ReadFile(store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Fatal("refused crawl modified the store")
+	}
+	if snaps, err := snapshot.ReadFile(store); err != nil || len(snaps) != 1 {
+		t.Fatalf("store after refusal: %d snapshots, %v", len(snaps), err)
+	}
+}
+
 func TestCrawlCLIArchivesBodies(t *testing.T) {
 	cfg := webcorpus.DefaultConfig()
 	cfg.Sites = 4

@@ -17,7 +17,6 @@ import (
 	"os"
 
 	"pagequality/internal/corpus"
-	"pagequality/internal/crawler"
 	"pagequality/internal/experiments"
 	"pagequality/internal/pagestore"
 	"pagequality/internal/snapshot"
@@ -59,43 +58,18 @@ func run(args []string, out io.Writer) error {
 		return experiments.WriteArchiveStatsCSV(out, ls)
 	}
 
-	// One corpus pass projects every archived document under the label.
-	// Extract returns key-sorted results, matching the KeysWithPrefix
-	// iteration order this command used before the corpus engine.
-	prefix := *label + "/"
-	type archived struct {
-		doc  crawler.Document
-		week float64
-	}
-	recs, err := corpus.Extract(arch, func(d corpus.Doc) (archived, bool) {
-		if len(d.Key) < len(prefix) || d.Key[:len(prefix)] != prefix {
-			return archived{}, false
-		}
-		return archived{
-			doc:  crawler.Document{FetchURL: d.Key[len(prefix):], Body: d.Body},
-			week: d.Meta.FetchedAt,
-		}, true
-	}, corpus.Options{})
+	// One corpus pass re-extracts the label's snapshot, stamped with the
+	// archived fetch time unless -week overrides it.
+	extracted, err := corpus.SnapshotsFromArchive(arch, []string{*label}, corpus.Options{})
 	if err != nil {
-		return err
+		return fmt.Errorf("%s: %w", *archiveDir, err)
 	}
-	if len(recs) == 0 {
-		return fmt.Errorf("no documents with prefix %q in %s", prefix, *archiveDir)
+	snap := extracted[0]
+	if *week >= 0 {
+		snap.Time = *week
 	}
-	docs := make([]crawler.Document, len(recs))
-	fetchedAt := *week
-	for i, r := range recs {
-		if fetchedAt < 0 {
-			fetchedAt = r.week
-		}
-		docs[i] = r.doc
-	}
-	res, err := crawler.Assemble(docs)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "extracted %d documents: %d nodes, %d links\n",
-		len(docs), res.Graph.NumNodes(), res.Graph.NumEdges())
+	fmt.Fprintf(out, "extracted %s: %d nodes, %d links\n",
+		snap.Label, snap.Graph.NumNodes(), snap.Graph.NumEdges())
 
 	var snaps []snapshot.Snapshot
 	if _, err := os.Stat(*store); err == nil {
@@ -104,14 +78,14 @@ func run(args []string, out io.Writer) error {
 			return fmt.Errorf("existing store: %w", err)
 		}
 	}
-	if n := len(snaps); n > 0 && fetchedAt < snaps[n-1].Time {
-		return fmt.Errorf("snapshot week %g precedes the last stored snapshot (%g)", fetchedAt, snaps[n-1].Time)
+	if n := len(snaps); n > 0 && snap.Time <= snaps[n-1].Time {
+		return fmt.Errorf("snapshot week %g does not follow the last stored snapshot (%g)", snap.Time, snaps[n-1].Time)
 	}
-	snaps = append(snaps, snapshot.Snapshot{Label: *label, Time: fetchedAt, Graph: res.Graph})
+	snaps = append(snaps, snap)
 	if err := snapshot.WriteFile(*store, snaps); err != nil {
 		return err
 	}
 	fmt.Fprintf(out, "appended snapshot %s (week %.1f) to %s (%d snapshots total)\n",
-		*label, fetchedAt, *store, len(snaps))
+		snap.Label, snap.Time, *store, len(snaps))
 	return nil
 }

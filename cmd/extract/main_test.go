@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -103,6 +104,36 @@ func TestExtractStats(t *testing.T) {
 	}
 	if !strings.HasPrefix(lines[1], "t1,") {
 		t.Fatalf("row: %s", lines[1])
+	}
+}
+
+// TestExtractRefusesEqualWeek: snapshot.Align needs strictly increasing
+// times, so extracting at the last stored week must be refused and leave
+// the store file untouched.
+func TestExtractRefusesEqualWeek(t *testing.T) {
+	archiveDir, _ := crawlIntoArchive(t, "t1")
+	store := filepath.Join(t.TempDir(), "web.pqs")
+	var buf bytes.Buffer
+	if err := run([]string{"-archive", archiveDir, "-label", "t1", "-store", store}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Once at the archived fetch time again, once at the same week by flag.
+	for _, args := range [][]string{nil, {"-week", "2"}} {
+		err := run(append([]string{"-archive", archiveDir, "-label", "t1", "-store", store}, args...), &buf)
+		if err == nil || !strings.Contains(err.Error(), "does not follow") {
+			t.Fatalf("%v: equal week: err = %v", args, err)
+		}
+		after, err := os.ReadFile(store)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(before, after) {
+			t.Fatalf("%v: refused extract modified the store", args)
+		}
 	}
 }
 

@@ -16,8 +16,8 @@
 //	        [-topics 40 | -queries file] [-zipf 1.1] [-seed 1] \
 //	        [-k 10] [-rank quality] [-timeout 5s] [-json]
 //
-// With -json the full report is emitted as one JSON object on stdout
-// (the BENCH_8.json inputs); otherwise a human summary is printed.
+// With -json the full report is emitted as one JSON object on stdout;
+// otherwise a human summary is printed.
 package main
 
 import (

@@ -28,7 +28,6 @@ import (
 	"pagequality/internal/pagerank"
 	"pagequality/internal/pagestore"
 	"pagequality/internal/quality"
-	"pagequality/internal/qualityarchive"
 	"pagequality/internal/snapshot"
 )
 
@@ -63,11 +62,11 @@ func run(args []string, out io.Writer) error {
 		defer arch.Close()
 		want := strings.Split(*labels, ",")
 		if *labels == "" {
-			if want, err = qualityarchive.ArchiveLabels(arch, corpus.Options{}); err != nil {
+			if want, err = corpus.ArchiveLabels(arch, corpus.Options{}); err != nil {
 				return err
 			}
 		}
-		if snaps, err = qualityarchive.SnapshotsFromArchive(arch, want, corpus.Options{}); err != nil {
+		if snaps, err = corpus.SnapshotsFromArchive(arch, want, corpus.Options{}); err != nil {
 			return err
 		}
 	} else {

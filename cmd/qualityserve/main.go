@@ -45,7 +45,6 @@ import (
 	"net/http"
 	"os"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -263,19 +262,19 @@ func (s *service) loadGeneration(id uint64) (*generation, error) {
 	// phase; Extract returns key order, so the sequential index build
 	// below sees the same documents in the same order the old
 	// KeysWithPrefix+Get walk produced.
-	prefix := label + "/"
 	type indexable struct {
 		canonical string
 		body      string
 		ai        int
 	}
 	docs, err := corpus.Extract(arch, func(d corpus.Doc) (indexable, bool) {
-		if !strings.HasPrefix(d.Key, prefix) {
+		l, fetchURL, ok := corpus.SplitKey(d.Key)
+		if !ok || l != label {
 			return indexable{}, false
 		}
 		_, canonical := crawler.ExtractLinks(string(d.Body))
 		if canonical == "" {
-			canonical = d.Key[len(prefix):]
+			canonical = fetchURL
 		}
 		ai, ok := byURL[canonical]
 		if !ok {
@@ -286,7 +285,7 @@ func (s *service) loadGeneration(id uint64) (*generation, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(docs) == 0 && len(arch.KeysWithPrefix(prefix)) == 0 {
+	if len(docs) == 0 && len(arch.KeysWithPrefix(label+"/")) == 0 {
 		return nil, fmt.Errorf("qualityserve: no documents with label %q in %s", label, s.archiveDir)
 	}
 

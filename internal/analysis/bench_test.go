@@ -15,7 +15,7 @@ import (
 // schedule cannot beat serial on CPU-bound checking; what the comparison
 // pins is that extra workers cost nothing (the wave scheduler degrades
 // to serial) while multi-core machines get the import-DAG parallelism
-// for free. BENCH_7.json records the numbers honestly.
+// for free.
 func BenchmarkLoadModule(b *testing.B) {
 	root, err := filepath.Abs(filepath.Join("..", ".."))
 	if err != nil {

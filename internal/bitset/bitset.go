@@ -9,7 +9,6 @@ package bitset
 import (
 	"fmt"
 	"math/bits"
-	"strings"
 )
 
 const wordBits = 64
@@ -75,16 +74,6 @@ func (s *Set) Test(i int) bool {
 	return w < len(s.words) && s.words[w]&(1<<(uint(i)%wordBits)) != 0
 }
 
-// SetIfUnset sets bit i and reports whether the bit was previously unset.
-// This is the common "first discovery" primitive in the user simulator.
-func (s *Set) SetIfUnset(i int) bool {
-	if s.Test(i) {
-		return false
-	}
-	s.Set(i)
-	return true
-}
-
 // Count returns the number of set bits.
 func (s *Set) Count() int {
 	n := 0
@@ -94,69 +83,11 @@ func (s *Set) Count() int {
 	return n
 }
 
-// Len returns the capacity in bits of the backing array.
-func (s *Set) Len() int { return len(s.words) * wordBits }
-
 // Reset clears every bit while retaining the backing array.
 func (s *Set) Reset() {
 	for i := range s.words {
 		s.words[i] = 0
 	}
-}
-
-// Clone returns a deep copy of the set.
-func (s *Set) Clone() *Set {
-	c := &Set{words: make([]uint64, len(s.words))}
-	copy(c.words, s.words)
-	return c
-}
-
-// Union sets s = s ∪ o.
-func (s *Set) Union(o *Set) {
-	if len(o.words) > len(s.words) {
-		s.grow(len(o.words)*wordBits - 1)
-	}
-	for i, w := range o.words {
-		s.words[i] |= w
-	}
-}
-
-// Intersect sets s = s ∩ o.
-func (s *Set) Intersect(o *Set) {
-	n := min(len(s.words), len(o.words))
-	for i := 0; i < n; i++ {
-		s.words[i] &= o.words[i]
-	}
-	for i := n; i < len(s.words); i++ {
-		s.words[i] = 0
-	}
-}
-
-// Difference sets s = s \ o.
-func (s *Set) Difference(o *Set) {
-	n := min(len(s.words), len(o.words))
-	for i := 0; i < n; i++ {
-		s.words[i] &^= o.words[i]
-	}
-}
-
-// Equal reports whether s and o contain exactly the same bits.
-func (s *Set) Equal(o *Set) bool {
-	a, b := s.words, o.words
-	if len(a) > len(b) {
-		a, b = b, a
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	for _, w := range b[len(a):] {
-		if w != 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // ForEach calls fn for every set bit in ascending order. If fn returns
@@ -171,47 +102,4 @@ func (s *Set) ForEach(fn func(i int) bool) {
 			w &= w - 1
 		}
 	}
-}
-
-// NextSet returns the index of the first set bit at or after i, and whether
-// such a bit exists.
-func (s *Set) NextSet(i int) (int, bool) {
-	if i < 0 {
-		i = 0
-	}
-	wi := i / wordBits
-	if wi >= len(s.words) {
-		return 0, false
-	}
-	w := s.words[wi] >> (uint(i) % wordBits)
-	if w != 0 {
-		return i + bits.TrailingZeros64(w), true
-	}
-	for wi++; wi < len(s.words); wi++ {
-		if s.words[wi] != 0 {
-			return wi*wordBits + bits.TrailingZeros64(s.words[wi]), true
-		}
-	}
-	return 0, false
-}
-
-// String renders the set as a sorted list of indices, capped for readability.
-func (s *Set) String() string {
-	var b strings.Builder
-	b.WriteByte('{')
-	n := 0
-	s.ForEach(func(i int) bool {
-		if n > 0 {
-			b.WriteByte(' ')
-		}
-		if n >= 32 {
-			b.WriteString("...")
-			return false
-		}
-		fmt.Fprintf(&b, "%d", i)
-		n++
-		return true
-	})
-	b.WriteByte('}')
-	return b.String()
 }

@@ -1,7 +1,6 @@
 package bitset
 
 import (
-	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -62,28 +61,12 @@ func TestTestNegativeIsFalse(t *testing.T) {
 	}
 }
 
-func TestSetIfUnset(t *testing.T) {
-	var s Set
-	if !s.SetIfUnset(10) {
-		t.Fatal("first SetIfUnset returned false")
-	}
-	if s.SetIfUnset(10) {
-		t.Fatal("second SetIfUnset returned true")
-	}
-	if !s.Test(10) {
-		t.Fatal("bit not set")
-	}
-}
-
 func TestGrowth(t *testing.T) {
 	var s Set
 	const big = 100_000
 	s.Set(big)
 	if !s.Test(big) {
 		t.Fatalf("bit %d not set after growth", big)
-	}
-	if s.Len() < big {
-		t.Fatalf("Len = %d < %d", s.Len(), big)
 	}
 	if got := s.Count(); got != 1 {
 		t.Fatalf("Count = %d, want 1", got)
@@ -98,78 +81,6 @@ func TestReset(t *testing.T) {
 	s.Reset()
 	if got := s.Count(); got != 0 {
 		t.Fatalf("Count after Reset = %d", got)
-	}
-}
-
-func TestCloneIndependence(t *testing.T) {
-	s := New(64)
-	s.Set(3)
-	c := s.Clone()
-	c.Set(4)
-	if s.Test(4) {
-		t.Fatal("mutating clone mutated original")
-	}
-	if !c.Test(3) {
-		t.Fatal("clone lost bit 3")
-	}
-}
-
-func TestUnionIntersectDifference(t *testing.T) {
-	a := New(64)
-	b := New(200) // different sizes on purpose
-	for _, i := range []int{1, 2, 3} {
-		a.Set(i)
-	}
-	for _, i := range []int{2, 3, 4, 150} {
-		b.Set(i)
-	}
-
-	u := a.Clone()
-	u.Union(b)
-	for _, i := range []int{1, 2, 3, 4, 150} {
-		if !u.Test(i) {
-			t.Errorf("union missing %d", i)
-		}
-	}
-	if u.Count() != 5 {
-		t.Errorf("union Count = %d, want 5", u.Count())
-	}
-
-	in := a.Clone()
-	in.Intersect(b)
-	if in.Count() != 2 || !in.Test(2) || !in.Test(3) {
-		t.Errorf("intersection = %v, want {2 3}", in)
-	}
-
-	d := a.Clone()
-	d.Difference(b)
-	if d.Count() != 1 || !d.Test(1) {
-		t.Errorf("difference = %v, want {1}", d)
-	}
-}
-
-func TestIntersectClearsTail(t *testing.T) {
-	a := New(256)
-	a.Set(200)
-	b := New(8)
-	b.Set(1)
-	a.Intersect(b)
-	if a.Count() != 0 {
-		t.Fatalf("intersection with small set kept tail bits: %v", a)
-	}
-}
-
-func TestEqual(t *testing.T) {
-	a := New(64)
-	b := New(1024) // trailing zero words must not affect equality
-	a.Set(7)
-	b.Set(7)
-	if !a.Equal(b) || !b.Equal(a) {
-		t.Fatal("sets with same bits but different capacity not Equal")
-	}
-	b.Set(999)
-	if a.Equal(b) {
-		t.Fatal("different sets reported Equal")
 	}
 }
 
@@ -196,38 +107,6 @@ func TestForEachOrderAndEarlyStop(t *testing.T) {
 	s.ForEach(func(int) bool { n++; return n < 2 })
 	if n != 2 {
 		t.Fatalf("early stop visited %d bits, want 2", n)
-	}
-}
-
-func TestNextSet(t *testing.T) {
-	s := New(256)
-	s.Set(10)
-	s.Set(130)
-	cases := []struct {
-		from, want int
-		ok         bool
-	}{
-		{0, 10, true},
-		{10, 10, true},
-		{11, 130, true},
-		{130, 130, true},
-		{131, 0, false},
-		{-5, 10, true},
-	}
-	for _, c := range cases {
-		got, ok := s.NextSet(c.from)
-		if ok != c.ok || (ok && got != c.want) {
-			t.Errorf("NextSet(%d) = (%d,%v), want (%d,%v)", c.from, got, ok, c.want, c.ok)
-		}
-	}
-}
-
-func TestString(t *testing.T) {
-	s := New(8)
-	s.Set(1)
-	s.Set(3)
-	if got := s.String(); got != "{1 3}" {
-		t.Fatalf("String = %q", got)
 	}
 }
 
@@ -272,40 +151,6 @@ func TestQuickForEachMatchesMap(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// Property: De Morgan-ish check — |A∪B| + |A∩B| == |A| + |B|.
-func TestQuickInclusionExclusion(t *testing.T) {
-	f := func(aIdx, bIdx []uint16) bool {
-		a, b := &Set{}, &Set{}
-		for _, v := range aIdx {
-			a.Set(int(v))
-		}
-		for _, v := range bIdx {
-			b.Set(int(v))
-		}
-		u := a.Clone()
-		u.Union(b)
-		in := a.Clone()
-		in.Intersect(b)
-		return u.Count()+in.Count() == a.Count()+b.Count()
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func BenchmarkSetIfUnset(b *testing.B) {
-	s := New(1 << 20)
-	rng := rand.New(rand.NewSource(1))
-	idx := make([]int, 4096)
-	for i := range idx {
-		idx[i] = rng.Intn(1 << 20)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.SetIfUnset(idx[i%len(idx)])
 	}
 }
 

@@ -3,11 +3,14 @@ package corpus
 import (
 	"errors"
 	"fmt"
-	"math"
+	"io/fs"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"pagequality/internal/pagestore"
@@ -18,7 +21,11 @@ import (
 // per key.
 func buildStore(t testing.TB, tiny bool) (*pagestore.Store, map[string]string) {
 	t.Helper()
-	dir := t.TempDir()
+	return buildStoreAt(t, t.TempDir(), tiny)
+}
+
+func buildStoreAt(t testing.TB, dir string, tiny bool) (*pagestore.Store, map[string]string) {
+	t.Helper()
 	s, err := pagestore.Open(dir, pagestore.Options{MaxSegmentBytes: 4096})
 	if err != nil {
 		t.Fatal(err)
@@ -96,200 +103,86 @@ func TestExtractMatchesKeyWalk(t *testing.T) {
 	}
 }
 
-// TestExtractLayoutInvariant: compaction rehomes every record; verb
-// output must not change.
+// TestExtractLayoutInvariant: Extract's output is a function of the
+// live document set alone — the same at workers 1, 2 and GOMAXPROCS,
+// and across a compaction that rehomes every record.
 func TestExtractLayoutInvariant(t *testing.T) {
 	s, _ := buildStore(t, false)
-	before, err := Extract(s, func(d Doc) (string, bool) { return d.Key + ":" + string(d.Body), true }, Options{})
+	proj := func(d Doc) (string, bool) { return d.Key + ":" + string(d.Body), true }
+	before, err := Extract(s, proj, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	after, err := Extract(s, func(d Doc) (string, bool) { return d.Key + ":" + string(d.Body), true }, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(before, after) {
-		t.Fatal("Extract output changed across Compact")
-	}
-}
-
-// docScore derives a float from the body in a way that would expose any
-// reordering of the accumulation (values differ wildly in magnitude).
-func docScore(d Doc) float64 {
-	h := 0.0
-	for i, b := range d.Body {
-		h += float64(b) * math.Pow(1.0000173, float64(i%97))
-	}
-	return h * math.Exp(float64(len(d.Key)%7))
-}
-
-// TestScoreDeterministicAcrossWorkers pins the acceptance criterion:
-// Score output (per-page floats and the chunked Total) is
-// Float64bits-identical at workers 1, 2 and GOMAXPROCS.
-func TestScoreDeterministicAcrossWorkers(t *testing.T) {
-	s, want := buildStore(t, false)
-	ref, err := Score(s, docScore, nil, Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ref.Keys) != len(want) {
-		t.Fatalf("scored %d docs, want %d", len(ref.Keys), len(want))
-	}
-	for _, workers := range []int{2, 0} {
-		got, err := Score(s, docScore, nil, Options{Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Float64bits(got.Total) != math.Float64bits(ref.Total) {
-			t.Fatalf("workers=%d: Total bits differ", workers)
-		}
-		for i := range ref.Values {
-			if math.Float64bits(got.Values[i]) != math.Float64bits(ref.Values[i]) {
-				t.Fatalf("workers=%d: Values[%d] bits differ", workers, i)
-			}
-			if got.Keys[i] != ref.Keys[i] {
-				t.Fatalf("workers=%d: Keys[%d] differ", workers, i)
-			}
-		}
-	}
-	// And across the physical layout.
-	if err := s.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Score(s, docScore, nil, Options{Workers: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Float64bits(got.Total) != math.Float64bits(ref.Total) {
-		t.Fatal("Total bits changed across Compact")
-	}
-}
-
-// TestScoreKeepFilter: keep prunes documents before scoring.
-func TestScoreKeepFilter(t *testing.T) {
-	s, _ := buildStore(t, false)
-	sc, err := Score(s, func(Doc) float64 { return 1 }, func(d Doc) bool {
-		return strings.HasPrefix(d.Key, "t2/")
-	}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, k := range sc.Keys {
-		if !strings.HasPrefix(k, "t2/") {
-			t.Fatalf("kept key %q", k)
-		}
-	}
-	if int(sc.Total) != len(sc.Keys) {
-		t.Fatalf("Total %v with %d keys", sc.Total, len(sc.Keys))
-	}
-}
-
-// TestQueryMatchesFilterWalk: Query == sorted keys of matching docs.
-func TestQueryMatchesFilterWalk(t *testing.T) {
-	s, want := buildStore(t, false)
-	pred := func(d Doc) bool { return d.Meta.Status == 201 }
-	got, err := Query(s, pred, Options{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var exp []string
-	for k := range want {
-		meta, _, err := s.Get(k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if meta.Status == 201 {
-			exp = append(exp, k)
-		}
-	}
-	sort.Strings(exp)
-	if !reflect.DeepEqual(got, exp) {
-		t.Fatalf("Query = %d keys, walk = %d keys", len(got), len(exp))
-	}
-}
-
-// TestTopNMatchesFullSort: the bounded-heap merge equals scoring every
-// document, sorting under the total order and truncating — at every
-// worker count and at boundary sizes.
-func TestTopNMatchesFullSort(t *testing.T) {
-	s, want := buildStore(t, false)
-	sc, err := Score(s, docScore, nil, Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	oracle := make([]Scored, len(sc.Keys))
-	for i := range sc.Keys {
-		oracle[i] = Scored{Key: sc.Keys[i], Score: sc.Values[i]}
-	}
-	sort.Slice(oracle, func(a, b int) bool { return ranksAfter(oracle[b], oracle[a]) })
-	for _, n := range []int{1, 3, 10, len(want), len(want) + 5} {
+	check := func(when string) {
+		t.Helper()
 		for _, workers := range []int{1, 2, 0} {
-			got, err := TopN(s, n, docScore, Options{Workers: workers})
+			got, err := Extract(s, proj, Options{Workers: workers})
 			if err != nil {
 				t.Fatal(err)
 			}
-			exp := oracle
-			if len(exp) > n {
-				exp = exp[:n]
-			}
-			if len(got) != len(exp) {
-				t.Fatalf("n=%d workers=%d: %d results, want %d", n, workers, len(got), len(exp))
-			}
-			for i := range exp {
-				if got[i].Key != exp[i].Key || math.Float64bits(got[i].Score) != math.Float64bits(exp[i].Score) {
-					t.Fatalf("n=%d workers=%d: rank %d = %+v, want %+v", n, workers, i, got[i], exp[i])
-				}
+			if !reflect.DeepEqual(got, before) {
+				t.Fatalf("%s, workers=%d: Extract output changed", when, workers)
 			}
 		}
 	}
-	if res, err := TopN(s, 0, docScore, Options{}); err != nil || res != nil {
-		t.Fatalf("TopN(0) = %v, %v", res, err)
-	}
-}
-
-// TestMapSegmentPartition: every live doc reaches exactly one mapper
-// call, in offset order, and results fold in segment order.
-func TestMapSegmentPartition(t *testing.T) {
-	s, want := buildStore(t, false)
-	counts, err := Map(s, func(seg int, docs []Doc) (int, error) {
-		return len(docs), nil
-	}, Options{Workers: 2})
-	if err != nil {
+	check("before Compact")
+	if err := s.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
-	if total != len(want) {
-		t.Fatalf("mapped %d docs, want %d", total, len(want))
-	}
-	ids := s.SegmentIDs()
-	if len(counts) != len(ids) {
-		t.Fatalf("%d results for %d segments", len(counts), len(ids))
+	check("after Compact")
+}
+
+// TestMapSegmentPartition: every live doc is projected exactly once —
+// whichever segment homes it and whichever worker reads that segment —
+// and the kept projections come back in key order.
+func TestMapSegmentPartition(t *testing.T) {
+	s, want := buildStore(t, false)
+	for _, workers := range []int{1, 2, 0} {
+		var mu sync.Mutex
+		seen := map[string]int{}
+		keys, err := Extract(s, func(d Doc) (string, bool) {
+			mu.Lock()
+			seen[d.Key]++
+			mu.Unlock()
+			return d.Key, true
+		}, Options{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(seen) != len(want) {
+			t.Fatalf("workers=%d: projected %d distinct docs, want %d", workers, len(seen), len(want))
+		}
+		for k, n := range seen {
+			if _, live := want[k]; !live || n != 1 {
+				t.Fatalf("workers=%d: key %q projected %d times (live=%v)", workers, k, n, live)
+			}
+		}
+		if len(keys) != len(want) || !sort.StringsAreSorted(keys) {
+			t.Fatalf("workers=%d: %d keys (want %d), sorted=%v", workers, len(keys), len(want), sort.StringsAreSorted(keys))
+		}
 	}
 }
 
-// TestMapError: a mapper error aborts the pass; the earliest segment's
-// error wins.
+// TestMapError: a segment that cannot be read aborts the pass; the
+// earliest failing segment's error wins, whichever worker hit it first.
 func TestMapError(t *testing.T) {
-	s, _ := buildStore(t, false)
+	dir := t.TempDir()
+	s, _ := buildStoreAt(t, dir, false)
 	ids := s.SegmentIDs()
-	boom := errors.New("boom")
-	_, err := Map(s, func(seg int, docs []Doc) (int, error) {
-		if seg == ids[0] || seg == ids[len(ids)-1] {
-			return 0, fmt.Errorf("segment %d: %w", seg, boom)
+	first, last := ids[0], ids[len(ids)-2] // both sealed; the active segment stays writable
+	for _, id := range []int{first, last} {
+		if err := os.Remove(filepath.Join(dir, fmt.Sprintf("seg-%06d.dat", id))); err != nil {
+			t.Fatal(err)
 		}
-		return len(docs), nil
-	}, Options{Workers: 0})
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v", err)
 	}
-	if !strings.Contains(err.Error(), fmt.Sprintf("segment %d:", ids[0])) {
-		t.Fatalf("err %q does not name the earliest failing segment", err)
+	for _, workers := range []int{1, 2, 0} {
+		_, err := Extract(s, func(d Doc) (string, bool) { return d.Key, true }, Options{Workers: workers})
+		if !errors.Is(err, fs.ErrNotExist) {
+			t.Fatalf("workers=%d: err = %v", workers, err)
+		}
+		if !strings.Contains(err.Error(), fmt.Sprintf("segment %d:", first)) {
+			t.Fatalf("workers=%d: err %q does not name the earliest failing segment %d", workers, err, first)
+		}
 	}
 }
 
@@ -297,18 +190,18 @@ func TestMapError(t *testing.T) {
 // empty results.
 func TestVerbsOnTinyStore(t *testing.T) {
 	s, want := buildStore(t, true)
-	keys, err := Query(s, func(Doc) bool { return true }, Options{Workers: 8})
+	keys, err := Extract(s, func(d Doc) (string, bool) { return d.Key, true }, Options{Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(keys) != len(want) {
 		t.Fatalf("%d keys, want %d", len(keys), len(want))
 	}
-	none, err := Query(s, func(Doc) bool { return false }, Options{})
+	none, err := Extract(s, func(Doc) (string, bool) { return "", false }, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(none) != 0 {
-		t.Fatalf("empty predicate matched %d", len(none))
+		t.Fatalf("empty projection kept %d", len(none))
 	}
 }

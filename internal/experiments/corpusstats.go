@@ -5,7 +5,6 @@ import (
 	"io"
 	"sort"
 	"strconv"
-	"strings"
 
 	"pagequality/internal/corpus"
 	"pagequality/internal/pagestore"
@@ -22,9 +21,10 @@ type LabelStat struct {
 }
 
 // ArchiveStats computes per-label document counts, body volume and
-// fetch-time spans over a crawl archive in one corpus pass. Labels are
-// the key prefix up to the first '/'; results are label-sorted, so the
-// output is independent of worker count and segment layout.
+// fetch-time spans over a crawl archive in one corpus pass. Keys that
+// are not archive keys (corpus.SplitKey) are skipped; results are
+// label-sorted, so the output is independent of worker count and
+// segment layout.
 func ArchiveStats(st *pagestore.Store, opts corpus.Options) ([]LabelStat, error) {
 	type docStat struct {
 		label string
@@ -32,11 +32,8 @@ func ArchiveStats(st *pagestore.Store, opts corpus.Options) ([]LabelStat, error)
 		week  float64
 	}
 	stats, err := corpus.Extract(st, func(d corpus.Doc) (docStat, bool) {
-		label := d.Key
-		if i := strings.IndexByte(label, '/'); i >= 0 {
-			label = label[:i]
-		}
-		return docStat{label: label, bytes: int64(len(d.Body)), week: d.Meta.FetchedAt}, true
+		label, _, ok := corpus.SplitKey(d.Key)
+		return docStat{label: label, bytes: int64(len(d.Body)), week: d.Meta.FetchedAt}, ok
 	}, opts)
 	if err != nil {
 		return nil, err

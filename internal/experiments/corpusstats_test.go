@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -59,6 +60,35 @@ func TestArchiveStats(t *testing.T) {
 	}
 	if !reflect.DeepEqual(stats, again) {
 		t.Fatal("stats differ across worker counts")
+	}
+}
+
+// TestArchiveStatsSkipsStrayKeys: a record whose key is not
+// "<label>/<url>" is no crawl's document. The stats pass and the label
+// reader must agree on that, or `extract -stats` lists labels
+// `quality -archive` cannot estimate from.
+func TestArchiveStatsSkipsStrayKeys(t *testing.T) {
+	st := buildArchive(t)
+	for _, key := range []string{"nolabel", "/x"} {
+		if err := st.Put(key, pagestore.Meta{FetchedAt: 9, Status: 200}, []byte("stray")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stats, err := ArchiveStats(st, corpus.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fromStats []string
+	for _, ls := range stats {
+		fromStats = append(fromStats, ls.Label)
+	}
+	fromLabels, err := corpus.ArchiveLabels(st, corpus.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sort.Strings(fromLabels)
+	if want := []string{"t1", "t2"}; !reflect.DeepEqual(fromStats, want) || !reflect.DeepEqual(fromLabels, want) {
+		t.Fatalf("ArchiveStats labels %q, ArchiveLabels %q, want both %q", fromStats, fromLabels, want)
 	}
 }
 

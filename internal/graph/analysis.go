@@ -3,27 +3,12 @@ package graph
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // This file provides the structural analyses used to sanity-check the
 // synthetic corpora against the published properties of the real Web:
 // power-law degree distributions [3, 4] and the bow-tie macro structure
 // [6].
-
-// DegreeDistribution returns hist[k] = number of nodes with degree k,
-// for in-degrees (in=true) or out-degrees (in=false).
-func DegreeDistribution(c *CSR, in bool) map[int]int {
-	hist := make(map[int]int)
-	for i := 0; i < c.NumNodes(); i++ {
-		d := c.OutDegree(NodeID(i))
-		if in {
-			d = c.InDegree(NodeID(i))
-		}
-		hist[d]++
-	}
-	return hist
-}
 
 // PowerLawAlpha estimates the exponent of a discrete power-law tail
 // P(k) ∝ k^-alpha for degrees >= kmin using the standard maximum-likelihood
@@ -284,35 +269,4 @@ func weaklyReachable(c *CSR, seeds []NodeID) []bool {
 		}
 	}
 	return seen
-}
-
-// TopKByDegree returns the k node ids with the highest in-degree
-// (in=true) or out-degree, ties broken by smaller id.
-func TopKByDegree(c *CSR, k int, in bool) []NodeID {
-	type nd struct {
-		id NodeID
-		d  int
-	}
-	all := make([]nd, c.NumNodes())
-	for i := range all {
-		d := c.OutDegree(NodeID(i))
-		if in {
-			d = c.InDegree(NodeID(i))
-		}
-		all[i] = nd{NodeID(i), d}
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].d != all[j].d {
-			return all[i].d > all[j].d
-		}
-		return all[i].id < all[j].id
-	})
-	if k > len(all) {
-		k = len(all)
-	}
-	out := make([]NodeID, k)
-	for i := 0; i < k; i++ {
-		out[i] = all[i].id
-	}
-	return out
 }

@@ -165,23 +165,6 @@ func TestRegionString(t *testing.T) {
 	}
 }
 
-func TestDegreeDistribution(t *testing.T) {
-	g := New(4)
-	g.AddNodes(4)
-	g.AddLink(0, 3)
-	g.AddLink(1, 3)
-	g.AddLink(2, 3)
-	c := Freeze(g)
-	in := DegreeDistribution(c, true)
-	if in[0] != 3 || in[3] != 1 {
-		t.Fatalf("in-degree hist = %v", in)
-	}
-	out := DegreeDistribution(c, false)
-	if out[1] != 3 || out[0] != 1 {
-		t.Fatalf("out-degree hist = %v", out)
-	}
-}
-
 func TestPowerLawAlphaOnSyntheticTail(t *testing.T) {
 	// Draw from a discrete power law with alpha=2.5 via inverse transform
 	// on a continuous Pareto, then round.
@@ -212,23 +195,5 @@ func TestPowerLawAlphaDegenerate(t *testing.T) {
 	// kmin < 1 is clamped to 1.
 	if _, n := PowerLawAlpha([]int{2, 3}, 0); n != 2 {
 		t.Fatal("kmin clamp failed")
-	}
-}
-
-func TestTopKByDegree(t *testing.T) {
-	g := New(4)
-	g.AddNodes(4)
-	g.AddLink(0, 3)
-	g.AddLink(1, 3)
-	g.AddLink(2, 3)
-	g.AddLink(0, 2)
-	c := Freeze(g)
-	top := TopKByDegree(c, 2, true)
-	if len(top) != 2 || top[0] != 3 || top[1] != 2 {
-		t.Fatalf("TopK in = %v, want [3 2]", top)
-	}
-	topOut := TopKByDegree(c, 10, false)
-	if len(topOut) != 4 || topOut[0] != 0 {
-		t.Fatalf("TopK out = %v", topOut)
 	}
 }

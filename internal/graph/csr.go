@@ -111,21 +111,3 @@ func (c *CSR) Danglings() []NodeID {
 	}
 	return d
 }
-
-// Transpose returns a CSR for the reversed graph (every edge u→v becomes
-// v→u). Useful for running push-style algorithms against in-links.
-func (c *CSR) Transpose() *CSR {
-	t := &CSR{
-		n:       c.n,
-		outOff:  append([]uint32(nil), c.inOff...),
-		outTo:   append([]NodeID(nil), c.inFrom...),
-		inOff:   append([]uint32(nil), c.outOff...),
-		inFrom:  append([]NodeID(nil), c.outTo...),
-		outDegs: make([]uint32, c.n),
-	}
-	for i := 0; i < c.n; i++ {
-		t.outDegs[i] = t.outOff[i+1] - t.outOff[i]
-	}
-	t.buildInvOut()
-	return t
-}

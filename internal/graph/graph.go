@@ -248,16 +248,6 @@ func (g *Graph) Subgraph(keep []NodeID) (*Graph, map[NodeID]NodeID) {
 	return sub, remap
 }
 
-// SortAdjacency sorts every adjacency list in ascending order. Generators
-// append in insertion order; sorting makes serialisation deterministic and
-// binary-diff friendly.
-func (g *Graph) SortAdjacency() {
-	for i := range g.out {
-		sortNodeIDs(g.out[i])
-		sortNodeIDs(g.in[i])
-	}
-}
-
 func sortNodeIDs(s []NodeID) {
 	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
 }

@@ -245,24 +245,6 @@ func TestCSRDanglings(t *testing.T) {
 	}
 }
 
-func TestCSRTranspose(t *testing.T) {
-	g := New(3)
-	g.AddNodes(3)
-	g.AddLink(0, 1)
-	g.AddLink(0, 2)
-	g.AddLink(1, 2)
-	tr := Freeze(g).Transpose()
-	if tr.NumEdges() != 3 {
-		t.Fatalf("transpose edges = %d", tr.NumEdges())
-	}
-	if len(tr.Out(2)) != 2 || len(tr.In(2)) != 0 {
-		t.Fatalf("transpose of node 2 wrong: out=%v in=%v", tr.Out(2), tr.In(2))
-	}
-	if tr.OutDegree(2) != 2 || tr.OutDegree(0) != 0 {
-		t.Fatal("transpose outDegs wrong")
-	}
-}
-
 func TestPreferentialAttachmentShape(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	g, err := GeneratePreferentialAttachment(PreferentialAttachmentConfig{

@@ -178,7 +178,7 @@ func TestRunCancelled(t *testing.T) {
 	}
 }
 
-// TestReportJSON pins the wire names BENCH_8.json depends on.
+// TestReportJSON pins the wire names of the -json report format.
 func TestReportJSON(t *testing.T) {
 	b, err := json.Marshal(&Report{})
 	if err != nil {

@@ -12,9 +12,13 @@ import (
 func ExampleFigure5Histogram() {
 	future := []float64{1.0, 2.0, 0.5, 4.0}
 	estimate := []float64{0.9, 2.1, 0.8, 1.5}
-	errs, skipped, err := metrics.RelativeErrors(estimate, future)
-	if err != nil {
-		panic(err)
+	errs := make([]float64, len(future))
+	for i := range future {
+		e, err := metrics.RelativeError(estimate[i], future[i])
+		if err != nil {
+			panic(err)
+		}
+		errs[i] = e
 	}
 	h := metrics.Figure5Histogram()
 	if err := h.AddAll(errs); err != nil {
@@ -24,10 +28,10 @@ func ExampleFigure5Histogram() {
 	if err != nil {
 		panic(err)
 	}
-	fmt.Printf("skipped=%d mean=%.3f first-bin=%.2f last-bin=%.2f\n",
-		skipped, s.Mean, h.Fraction(0), h.Fraction(9))
+	fmt.Printf("mean=%.3f first-bin=%.2f last-bin=%.2f\n",
+		s.Mean, h.Fraction(0), h.Fraction(9))
 	// Output:
-	// skipped=0 mean=0.344 first-bin=0.50 last-bin=0.00
+	// mean=0.344 first-bin=0.50 last-bin=0.00
 }
 
 // Kendall tau compares two rankings of the same pages: +1 identical

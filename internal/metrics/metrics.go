@@ -1,8 +1,8 @@
 // Package metrics implements the evaluation machinery of Section 8: the
 // relative prediction error err(p), its Figure-5 histogram (0.1-wide bins
 // with everything above 1 clamped into the last bin), summary statistics,
-// and the rank-comparison measures (Kendall τ, Spearman ρ, top-k overlap,
-// NDCG) used to compare quality-based and popularity-based rankings.
+// and the rank-comparison measures (Kendall τ, Spearman ρ, NDCG) used to
+// compare quality-based and popularity-based rankings.
 package metrics
 
 import (
@@ -22,24 +22,6 @@ func RelativeError(estimate, truth float64) (float64, error) {
 		return 0, fmt.Errorf("%w: zero truth value", ErrBadInput)
 	}
 	return math.Abs((truth - estimate) / truth), nil
-}
-
-// RelativeErrors computes err(p) for aligned slices, skipping entries
-// where the truth is zero (those pages cannot be scored) and reporting how
-// many were skipped.
-func RelativeErrors(estimates, truths []float64) (errs []float64, skipped int, err error) {
-	if len(estimates) != len(truths) {
-		return nil, 0, fmt.Errorf("%w: length mismatch %d != %d", ErrBadInput, len(estimates), len(truths))
-	}
-	errs = make([]float64, 0, len(truths))
-	for i := range truths {
-		if truths[i] == 0 {
-			skipped++
-			continue
-		}
-		errs = append(errs, math.Abs((truths[i]-estimates[i])/truths[i]))
-	}
-	return errs, skipped, nil
 }
 
 // Summary holds the summary statistics of a sample.

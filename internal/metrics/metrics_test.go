@@ -22,22 +22,6 @@ func TestRelativeError(t *testing.T) {
 	}
 }
 
-func TestRelativeErrors(t *testing.T) {
-	errs, skipped, err := RelativeErrors([]float64{1, 2, 5}, []float64{2, 0, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if skipped != 1 {
-		t.Fatalf("skipped = %d, want 1", skipped)
-	}
-	if len(errs) != 2 || math.Abs(errs[0]-0.5) > 1e-15 || math.Abs(errs[1]-0.25) > 1e-15 {
-		t.Fatalf("errs = %v", errs)
-	}
-	if _, _, err := RelativeErrors([]float64{1}, []float64{1, 2}); !errors.Is(err, ErrBadInput) {
-		t.Fatal("mismatched lengths accepted")
-	}
-}
-
 func TestSummarize(t *testing.T) {
 	s, err := Summarize([]float64{4, 1, 3, 2})
 	if err != nil {
@@ -257,25 +241,6 @@ func TestFractionalRanksTies(t *testing.T) {
 		if r[i] != want[i] { //pqlint:allow floateq fractional ranks are exact half-integers by construction
 			t.Fatalf("ranks = %v, want %v", r, want)
 		}
-	}
-}
-
-func TestTopKOverlap(t *testing.T) {
-	a := []float64{9, 8, 7, 1, 2}
-	b := []float64{9, 1, 7, 8, 2}
-	// top3(a) = {0,1,2}, top3(b) = {0,3,2} -> overlap 2/3.
-	ov, err := TopKOverlap(a, b, 3)
-	if err != nil || math.Abs(ov-2.0/3) > 1e-12 {
-		t.Fatalf("overlap = %g (%v)", ov, err)
-	}
-	if _, err := TopKOverlap(a, b, 0); !errors.Is(err, ErrBadInput) {
-		t.Fatal("k=0 accepted")
-	}
-	if _, err := TopKOverlap(a, b, 6); !errors.Is(err, ErrBadInput) {
-		t.Fatal("k>n accepted")
-	}
-	if _, err := TopKOverlap(a, b[:2], 1); !errors.Is(err, ErrBadInput) {
-		t.Fatal("length mismatch accepted")
 	}
 }
 

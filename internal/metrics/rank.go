@@ -185,47 +185,6 @@ func pearson(a, b []float64) (float64, error) {
 	return cov / math.Sqrt(va*vb), nil
 }
 
-// TopKOverlap returns |topK(a) ∩ topK(b)| / k, where topK selects the k
-// indices with the highest scores (ties broken by lower index).
-func TopKOverlap(a, b []float64, k int) (float64, error) {
-	if len(a) != len(b) {
-		return 0, fmt.Errorf("%w: length mismatch %d != %d", ErrBadInput, len(a), len(b))
-	}
-	if k < 1 || k > len(a) {
-		return 0, fmt.Errorf("%w: k=%d outside [1,%d]", ErrBadInput, k, len(a))
-	}
-	ta := topKSet(a, k)
-	tb := topKSet(b, k)
-	inter := 0
-	for i := range ta {
-		if tb[i] {
-			inter++
-		}
-	}
-	return float64(inter) / float64(k), nil
-}
-
-// topKSet selects the k highest-scoring indices.
-//
-//pqlint:allow floateq exact-tie detection so equal scores fall through to the index tie-break
-func topKSet(xs []float64, k int) map[int]bool {
-	idx := make([]int, len(xs))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(i, j int) bool {
-		if xs[idx[i]] != xs[idx[j]] {
-			return xs[idx[i]] > xs[idx[j]]
-		}
-		return idx[i] < idx[j]
-	})
-	set := make(map[int]bool, k)
-	for _, i := range idx[:k] {
-		set[i] = true
-	}
-	return set
-}
-
 // NDCG computes the normalised discounted cumulative gain at k of a
 // ranking (scores) against non-negative relevance grades: how well the
 // score ordering surfaces the truly relevant items near the top.

@@ -1,7 +1,6 @@
 package pagerank
 
 import (
-	"fmt"
 	"math"
 
 	"pagequality/internal/graph"
@@ -18,15 +17,6 @@ type AdaptiveOptions struct {
 	Jump    float64
 	Tol     float64
 	MaxIter int
-	// FreezeTol is the per-page relative-change threshold below which a
-	// page is declared converged and frozen (default Tol/len·10, clamped
-	// to 1e-12).
-	FreezeTol float64
-	// RefreshPeriod unfreezes every page once every this many iterations
-	// (default 10), washing out the drift a permanently frozen page would
-	// accumulate while its upstream neighbours keep moving. Pages that
-	// are genuinely converged refreeze within one iteration.
-	RefreshPeriod int
 	// Variant selects the output normalisation (paper or standard).
 	Variant Variant
 }
@@ -41,27 +31,18 @@ type AdaptiveResult struct {
 	SkippedUpdates int64
 }
 
-func (o *AdaptiveOptions) fill(n int) error {
+// refreshPeriod unfreezes every page once every this many iterations,
+// washing out the drift a permanently frozen page would accumulate while
+// its upstream neighbours keep moving. Pages that are genuinely converged
+// refreeze within one iteration.
+const refreshPeriod = 10
+
+func (o *AdaptiveOptions) fill() error {
 	base := Options{Jump: o.Jump, Tol: o.Tol, MaxIter: o.MaxIter, Variant: o.Variant}
 	if err := base.fill(); err != nil {
 		return err
 	}
 	o.Jump, o.Tol, o.MaxIter = base.Jump, base.Tol, base.MaxIter
-	if o.FreezeTol == 0 {
-		o.FreezeTol = o.Tol / float64(max(n, 1)) * 10
-		if o.FreezeTol < 1e-12 {
-			o.FreezeTol = 1e-12
-		}
-	}
-	if o.FreezeTol < 0 {
-		return fmt.Errorf("%w: FreezeTol=%g", ErrBadOptions, o.FreezeTol)
-	}
-	if o.RefreshPeriod == 0 {
-		o.RefreshPeriod = 10
-	}
-	if o.RefreshPeriod < 1 {
-		return fmt.Errorf("%w: RefreshPeriod=%d", ErrBadOptions, o.RefreshPeriod)
-	}
 	return nil
 }
 
@@ -70,7 +51,7 @@ func (o *AdaptiveOptions) fill(n int) error {
 // frozen pages.
 func ComputeAdaptive(c *graph.CSR, opts AdaptiveOptions) (*AdaptiveResult, error) {
 	n := c.NumNodes()
-	if err := opts.fill(n); err != nil {
+	if err := opts.fill(); err != nil {
 		return nil, err
 	}
 	res := &AdaptiveResult{FrozenAt: make([]int, n)}
@@ -78,6 +59,9 @@ func ComputeAdaptive(c *graph.CSR, opts AdaptiveOptions) (*AdaptiveResult, error
 		res.Converged = true
 		return res, nil
 	}
+	// freezeTol is the per-page relative-change threshold below which a
+	// page is declared converged and frozen.
+	freezeTol := math.Max(opts.Tol/float64(n)*10, 1e-12)
 	follow := 1 - opts.Jump
 	total := 1.0
 	base := opts.Jump / float64(n)
@@ -96,7 +80,7 @@ func ComputeAdaptive(c *graph.CSR, opts AdaptiveOptions) (*AdaptiveResult, error
 	danglings := c.Danglings()
 
 	for iter := 1; iter <= opts.MaxIter; iter++ {
-		if iter%opts.RefreshPeriod == 0 {
+		if iter%refreshPeriod == 0 {
 			for i := range frozen {
 				frozen[i] = false
 			}
@@ -133,7 +117,7 @@ func ComputeAdaptive(c *graph.CSR, opts AdaptiveOptions) (*AdaptiveResult, error
 			d := math.Abs(next[i]/sumNext - cur[i]/sumCur)
 			delta += d
 			// Freeze pages whose relative movement is negligible.
-			if !frozen[i] && cur[i] > 0 && math.Abs(next[i]-cur[i])/cur[i] < opts.FreezeTol {
+			if !frozen[i] && cur[i] > 0 && math.Abs(next[i]-cur[i])/cur[i] < freezeTol {
 				frozen[i] = true
 				res.FrozenAt[i] = iter
 			}

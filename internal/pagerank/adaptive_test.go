@@ -70,9 +70,6 @@ func TestAdaptiveEmptyAndValidation(t *testing.T) {
 	if _, err := ComputeAdaptive(c, AdaptiveOptions{Jump: 2}); !errors.Is(err, ErrBadOptions) {
 		t.Fatal("bad jump accepted")
 	}
-	if _, err := ComputeAdaptive(c, AdaptiveOptions{FreezeTol: -1}); !errors.Is(err, ErrBadOptions) {
-		t.Fatal("negative freeze tolerance accepted")
-	}
 }
 
 func TestAdaptiveCycleUniform(t *testing.T) {

@@ -16,7 +16,7 @@ import (
 // residual-push sweeps over the frontier of dirty nodes — expanding along
 // out-links only where a value actually moved — before certifying the
 // result with full power-iteration sweeps under the exact convergence
-// criterion Compute uses. Past a configurable churn threshold the
+// criterion Compute uses. Past the churn threshold (churnThreshold) the
 // locality assumption is void and it delegates to Compute wholesale,
 // bitwise identical to a full recompute.
 
@@ -26,26 +26,12 @@ import (
 // start, which a warm start deliberately destroys).
 type IncrementalOptions struct {
 	Options
-
-	// ChurnThreshold is the dirty-node fraction of the graph above which
-	// the frontier pass is abandoned and the result comes from a plain
-	// Compute call, bitwise identical to a full recompute. Default 0.25.
-	ChurnThreshold float64
-
-	// FrontierTol is the absolute per-node residual below which the
-	// frontier phase leaves a correction unapplied (handing it to the
-	// polish phase). Smaller values push more of the correction into the
-	// cheap localized sweeps; larger values hand it to the polish phase.
-	// Default: Tol scaled by the variant's per-node magnitude (Tol for
-	// VariantPaper, whose entries are O(1); Tol/NumNodes for
-	// VariantStandard, whose entries are O(1/NumNodes)) — so the frontier
-	// phase converges its region to the same relative depth either way.
-	FrontierTol float64
-
-	// MaxFrontierSweeps bounds the localized sweeps before the polish
-	// phase runs regardless. Default: MaxIter.
-	MaxFrontierSweeps int
 }
+
+// churnThreshold is the dirty-node fraction of the graph above which the
+// frontier pass is abandoned and the result comes from a plain Compute
+// call, bitwise identical to a full recompute.
+const churnThreshold = 0.25
 
 // IncrementalResult extends Result with incremental-path diagnostics.
 // Iterations, Delta and Converged describe the polish phase (or the full
@@ -55,7 +41,7 @@ type IncrementalResult struct {
 	Result
 	// Dirty is the number of nodes the delta marked dirty.
 	Dirty int
-	// FullRecompute reports that churn exceeded ChurnThreshold and the
+	// FullRecompute reports that churn exceeded churnThreshold and the
 	// result is a verbatim Compute result.
 	FullRecompute bool
 	// FrontierSweeps is the number of localized sweeps performed.
@@ -72,21 +58,6 @@ func (o *IncrementalOptions) fill() error {
 	}
 	if o.Extrapolate {
 		return fmt.Errorf("%w: Extrapolate is not supported by ComputeIncremental", ErrBadOptions)
-	}
-	if o.ChurnThreshold == 0 {
-		o.ChurnThreshold = 0.25
-	}
-	if o.ChurnThreshold < 0 || o.ChurnThreshold > 1 {
-		return fmt.Errorf("%w: ChurnThreshold %g outside (0,1]", ErrBadOptions, o.ChurnThreshold)
-	}
-	if o.FrontierTol < 0 {
-		return fmt.Errorf("%w: negative FrontierTol", ErrBadOptions)
-	}
-	if o.MaxFrontierSweeps == 0 {
-		o.MaxFrontierSweeps = o.MaxIter
-	}
-	if o.MaxFrontierSweeps < 0 {
-		return fmt.Errorf("%w: MaxFrontierSweeps %d < 0", ErrBadOptions, o.MaxFrontierSweeps)
 	}
 	return nil
 }
@@ -122,7 +93,7 @@ func ComputeIncremental(c *graph.CSR, prev []float64, d *graph.Delta, opts Incre
 
 	dirty := d.DirtyNodes(c)
 	res := &IncrementalResult{Dirty: len(dirty)}
-	if float64(len(dirty)) > opts.ChurnThreshold*float64(n) {
+	if float64(len(dirty)) > churnThreshold*float64(n) {
 		full, err := Compute(c, opts.Options)
 		if err != nil {
 			return nil, err
@@ -137,10 +108,13 @@ func ComputeIncremental(c *graph.CSR, prev []float64, d *graph.Delta, opts Incre
 	follow := 1 - opts.Jump
 	total, base := opts.scale(n)
 
-	frontierTol := opts.FrontierTol
-	if frontierTol == 0 {
-		frontierTol = opts.Tol * total / float64(n)
-	}
+	// frontierTol is the absolute per-node residual below which the
+	// frontier phase leaves a correction unapplied, handing it to the
+	// polish phase: Tol scaled by the variant's per-node magnitude (Tol
+	// for VariantPaper, whose entries are O(1); Tol/NumNodes for
+	// VariantStandard, whose entries are O(1/NumNodes)), so the frontier
+	// phase converges its region to the same relative depth either way.
+	frontierTol := opts.Tol * total / float64(n)
 
 	// Warm-start vector: the previous fixed point for carried-over nodes,
 	// the variant's uniform initial value for new ones — rescaled to the
@@ -203,7 +177,9 @@ func ComputeIncremental(c *graph.CSR, prev []float64, d *graph.Delta, opts Incre
 		r[i] = base + follow*gather - cur[i]
 		frontier.Set(i)
 	}
-	for sweep := 1; sweep <= opts.MaxFrontierSweeps && frontier.Count() > 0; sweep++ {
+	// MaxIter bounds the localized sweeps too; the polish phase runs
+	// regardless.
+	for sweep := 1; sweep <= opts.MaxIter && frontier.Count() > 0; sweep++ {
 		res.FrontierSweeps = sweep
 		next.Reset()
 		frontier.ForEach(func(i int) bool {

@@ -123,7 +123,8 @@ func TestIncrementalParity(t *testing.T) {
 // TestIncrementalChurnFallback pins the fallback contract: past the churn
 // threshold the result is bitwise identical to Compute.
 func TestIncrementalChurnFallback(t *testing.T) {
-	old, cur := churnGraphs(t, 500, 10, 30, 10, 3)
+	// 300 edge edits on 500 nodes dirty well over a quarter of the graph.
+	old, cur := churnGraphs(t, 500, 10, 200, 100, 3)
 	d, err := graph.Diff(old, cur)
 	if err != nil {
 		t.Fatal(err)
@@ -136,14 +137,12 @@ func TestIncrementalChurnFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inc, err := ComputeIncremental(cur, prev.Rank, d, IncrementalOptions{
-		ChurnThreshold: 1e-6, // any dirt trips it
-	})
+	inc, err := ComputeIncremental(cur, prev.Rank, d, IncrementalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !inc.FullRecompute {
-		t.Fatalf("churn threshold did not trip with %d dirty nodes", inc.Dirty)
+		t.Fatalf("churn threshold did not trip with %d dirty nodes of %d", inc.Dirty, cur.NumNodes())
 	}
 	if inc.Iterations != full.Iterations || inc.Converged != full.Converged {
 		t.Fatalf("fallback diagnostics differ: %+v vs %+v", inc.Result, full)
@@ -243,14 +242,5 @@ func TestIncrementalBadInput(t *testing.T) {
 		Options: Options{Extrapolate: true},
 	}); !errors.Is(err, ErrBadOptions) {
 		t.Fatalf("Extrapolate accepted: %v", err)
-	}
-	if _, err := ComputeIncremental(cur, prev.Rank, d, IncrementalOptions{ChurnThreshold: 2}); !errors.Is(err, ErrBadOptions) {
-		t.Fatalf("ChurnThreshold > 1 accepted: %v", err)
-	}
-	if _, err := ComputeIncremental(cur, prev.Rank, d, IncrementalOptions{FrontierTol: -1}); !errors.Is(err, ErrBadOptions) {
-		t.Fatalf("negative FrontierTol accepted: %v", err)
-	}
-	if _, err := ComputeIncremental(cur, prev.Rank, d, IncrementalOptions{MaxFrontierSweeps: -1}); !errors.Is(err, ErrBadOptions) {
-		t.Fatalf("negative MaxFrontierSweeps accepted: %v", err)
 	}
 }

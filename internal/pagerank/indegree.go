@@ -13,27 +13,3 @@ func InDegree(c *graph.CSR) []float64 {
 	}
 	return v
 }
-
-// NormalizedInDegree returns in-degree scaled to sum to 1 (a probability
-// vector comparable with VariantStandard PageRank). A graph with no edges
-// yields the uniform distribution.
-func NormalizedInDegree(c *graph.CSR) []float64 {
-	v := InDegree(c)
-	sum := 0.0
-	for _, x := range v {
-		sum += x
-	}
-	if sum == 0 {
-		if len(v) > 0 {
-			u := 1 / float64(len(v))
-			for i := range v {
-				v[i] = u
-			}
-		}
-		return v
-	}
-	for i := range v {
-		v[i] /= sum
-	}
-	return v
-}

@@ -59,12 +59,14 @@ type Options struct {
 	// chunks whose boundaries depend only on the node count.
 	Workers int
 	// Extrapolate enables periodic Aitken Δ² extrapolation (Kamvar et al.
-	// [12]), applying one extrapolation step every ExtrapolatePeriod
-	// iterations (default 10 when enabled). ExtrapolatePeriod must not be
-	// negative.
-	Extrapolate       bool
-	ExtrapolatePeriod int
+	// [12]), applying one extrapolation step every extrapolatePeriod
+	// iterations.
+	Extrapolate bool
 }
+
+// extrapolatePeriod is the number of power iterations between two Aitken
+// steps when Options.Extrapolate is set.
+const extrapolatePeriod = 10
 
 // Result carries the computed vector and convergence diagnostics.
 type Result struct {
@@ -99,12 +101,6 @@ func (o *Options) fill() error {
 	}
 	if o.MaxIter < 1 {
 		return fmt.Errorf("%w: MaxIter %d < 1", ErrBadOptions, o.MaxIter)
-	}
-	if o.ExtrapolatePeriod < 0 {
-		return fmt.Errorf("%w: ExtrapolatePeriod %d < 0", ErrBadOptions, o.ExtrapolatePeriod)
-	}
-	if o.Extrapolate && o.ExtrapolatePeriod == 0 {
-		o.ExtrapolatePeriod = 10
 	}
 	switch o.Variant {
 	case VariantPaper, VariantStandard:
@@ -368,7 +364,7 @@ func computeFrom(c *graph.CSR, opts Options, warm []float64) (*Result, error) {
 			break
 		}
 
-		if opts.Extrapolate && iter >= 3 && iter%opts.ExtrapolatePeriod == 0 {
+		if opts.Extrapolate && iter >= 3 && iter%extrapolatePeriod == 0 {
 			aitken(cur, prev1, prev2)
 			sumCur, dmass = recompute()
 		}

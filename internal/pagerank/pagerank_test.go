@@ -179,11 +179,8 @@ func TestOptionValidation(t *testing.T) {
 		{"negative tol", Options{Tol: -1}, true},
 		{"negative maxiter", Options{MaxIter: -3}, true},
 		{"unknown variant", Options{Variant: Variant(9)}, true},
-		{"negative extrapolate period", Options{ExtrapolatePeriod: -1}, true},
-		{"negative period with extrapolation on", Options{Extrapolate: true, ExtrapolatePeriod: -10}, true},
 		{"defaults", Options{}, false},
-		{"explicit extrapolation period", Options{Extrapolate: true, ExtrapolatePeriod: 5}, false},
-		{"period without extrapolation", Options{ExtrapolatePeriod: 7}, false},
+		{"extrapolation on", Options{Extrapolate: true}, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := Compute(c, tc.opts)
@@ -473,19 +470,6 @@ func TestInDegreeBaselines(t *testing.T) {
 	raw := InDegree(c)
 	if raw[2] != 2 || raw[0] != 0 {
 		t.Fatalf("InDegree = %v", raw)
-	}
-	norm := NormalizedInDegree(c)
-	if math.Abs(norm[2]-1) > 1e-12 {
-		t.Fatalf("NormalizedInDegree = %v", norm)
-	}
-	// Edgeless graph: uniform.
-	empty := graph.New(4)
-	empty.AddNodes(4)
-	norm = NormalizedInDegree(graph.Freeze(empty))
-	for _, v := range norm {
-		if math.Abs(v-0.25) > 1e-12 {
-			t.Fatalf("edgeless NormalizedInDegree = %v", norm)
-		}
 	}
 }
 

@@ -89,7 +89,7 @@ func ComputeReference(c *graph.CSR, opts Options) (*Result, error) {
 			break
 		}
 
-		if opts.Extrapolate && iter >= 3 && iter%opts.ExtrapolatePeriod == 0 {
+		if opts.Extrapolate && iter >= 3 && iter%extrapolatePeriod == 0 {
 			aitken(cur, prev1, prev2)
 		}
 		if opts.Extrapolate {

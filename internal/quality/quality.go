@@ -257,10 +257,11 @@ func classify(ranks [][]float64, i int, minChange float64) Class {
 }
 
 // FromAligned runs the full Section-8 pipeline on an aligned snapshot
-// series: computes PageRank for the first estimationSnaps snapshots with
-// the given options, then applies the estimator. The remaining snapshots
-// (if any) are left to the caller as the "future" reference — the paper
-// estimated from t1..t3 and evaluated against t4.
+// series: computes PageRank for every snapshot with the given options,
+// then applies the estimator to the first estimationSnaps of them. It
+// returns the estimate and the whole rank series; the ranks past
+// estimationSnaps (if any) are the caller's "future" reference — the
+// paper estimated from t1..t3 and evaluated against t4.
 func FromAligned(al *snapshot.Aligned, estimationSnaps int, prOpts pagerank.Options, cfg Config) (*Result, [][]float64, error) {
 	if estimationSnaps < 2 || estimationSnaps > al.NumSnapshots() {
 		return nil, nil, fmt.Errorf("%w: estimationSnaps=%d with %d snapshots",

@@ -18,7 +18,6 @@ package search
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -102,20 +101,6 @@ func (ix *Index) Freeze() { ix.frozen() }
 
 // NumTerms returns the vocabulary size.
 func (ix *Index) NumTerms() int { return len(ix.postings) }
-
-// DocFreq returns the number of documents containing the term.
-func (ix *Index) DocFreq(term string) int {
-	return len(ix.postings[strings.ToLower(term)])
-}
-
-// idf is the smoothed inverse document frequency.
-func (ix *Index) idf(term string) float64 {
-	df := len(ix.postings[term])
-	if df == 0 {
-		return 0
-	}
-	return math.Log(1 + float64(len(ix.docLen))/float64(df))
-}
 
 // Mode selects the retrieval model.
 type Mode uint8

@@ -38,15 +38,6 @@ func TestIndexStats(t *testing.T) {
 	if ix.NumDocs() != 5 {
 		t.Fatalf("NumDocs = %d", ix.NumDocs())
 	}
-	if df := ix.DocFreq("quick"); df != 4 {
-		t.Fatalf("DocFreq(quick) = %d, want 4", df)
-	}
-	if df := ix.DocFreq("QUICK"); df != 4 {
-		t.Fatalf("DocFreq is case sensitive")
-	}
-	if df := ix.DocFreq("missing"); df != 0 {
-		t.Fatalf("DocFreq(missing) = %d", df)
-	}
 	if ix.NumTerms() == 0 {
 		t.Fatal("no terms")
 	}

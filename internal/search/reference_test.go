@@ -13,13 +13,23 @@ import (
 	"sort"
 )
 
+// idfReference is the smoothed inverse document frequency the
+// reference scorers weigh terms by.
+func (ix *Index) idfReference(term string) float64 {
+	df := len(ix.postings[term])
+	if df == 0 {
+		return 0
+	}
+	return math.Log(1 + float64(len(ix.docLen))/float64(df))
+}
+
 // normsReference recomputes the per-document tf-idf L2 norms exactly as
 // the old ensureNorms did: terms visited in sorted order, so each norm is
 // the same ordered float sum.
 func (ix *Index) normsReference() []float64 {
 	norm := make([]float64, len(ix.docLen))
 	for _, term := range ix.sortedVocab() {
-		w := ix.idf(term)
+		w := ix.idfReference(term)
 		for _, p := range ix.postings[term] {
 			x := float64(p.tf) * w
 			norm[p.doc] += x * x
@@ -38,7 +48,7 @@ func (ix *Index) vectorScoresReference(terms []string) map[int32]float64 {
 	scores := make(map[int32]float64)
 	qNorm := 0.0
 	for _, t := range sortedKeys(qCounts) {
-		w := ix.idf(t)
+		w := ix.idfReference(t)
 		if w == 0 {
 			continue
 		}

