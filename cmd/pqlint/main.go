@@ -4,21 +4,22 @@
 //
 // Usage:
 //
-//	pqlint [-json] [-rules globalrand,detrange,...] [-suppressed] [-tests] [-workers N] [patterns]
+//	pqlint [-json] [-rules globalrand,detrange,...] [-suppressed] [-tests] [patterns]
 //
 // Patterns are "./..." (the whole module containing the working
 // directory, the tier-1 form) or package directories like
 // ./internal/metrics. With no pattern, "./..." is assumed. _test.go
 // files are analyzed by default (-tests=false restores library-only
-// runs); package type checks run in parallel topological waves on
-// -workers workers (0 = GOMAXPROCS) with bitwise-identical findings at
-// every worker count.
+// runs). Imports from outside the module are read from compiler export
+// data (`go list -export`), so the go tool must be on PATH and a run
+// after `go build ./...` finds the standard library already compiled.
 //
 // Exit codes (the tier-1 contract):
 //
 //	0  no un-suppressed diagnostics
 //	1  at least one un-suppressed diagnostic (printed to stdout)
-//	2  usage or load error (printed to stderr)
+//	2  usage or load error, a package that does not type-check
+//	   included (printed to stderr)
 //
 // With -json, stdout is a JSON array of diagnostic objects — empty for a
 // clean tree — so CI can parse findings without scraping text.
@@ -58,7 +59,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	rules := fs.String("rules", "", "comma-separated subset of rules to run (default: all)")
 	showSuppressed := fs.Bool("suppressed", false, "also list findings silenced by //pqlint:allow")
 	tests := fs.Bool("tests", true, "analyze _test.go files too")
-	workers := fs.Int("workers", 0, "type-check worker count (0 = GOMAXPROCS)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -74,9 +74,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "pqlint: %v\n", err)
 		return 2
 	}
-	pkgs, err := analysis.LoadModule(root, analysis.LoadOptions{Tests: *tests, Workers: *workers})
+	pkgs, err := analysis.LoadModule(root, *tests)
 	if err != nil {
 		fmt.Fprintf(stderr, "pqlint: %v\n", err)
+		return 2
+	}
+	// The rules degrade silently on partial type information, so a tree
+	// that does not type-check must not lint clean.
+	broken := false
+	for _, p := range pkgs {
+		if len(p.TypeErrors) > 0 {
+			fmt.Fprintf(stderr, "pqlint: %s: %v\n", p.Path, p.TypeErrors[0])
+			broken = true
+		}
+	}
+	if broken {
 		return 2
 	}
 	pkgs, err = filterPackages(pkgs, fs.Args(), root)

@@ -17,12 +17,11 @@
 // plain access to the same field (atomicmix), and no context-less HTTP
 // request construction (ctxhttp).
 //
-// Architecture (in the spirit of x/tools/go/analysis): each package is
-// traversed once into a shared Inspector (see inspector.go); analyzers
-// are registered passes that declare what they Require and return a
-// result ("fact") that dependent passes read through Pass.ResultOf.
-// Findings from every pass are merged and sorted deterministically, so
-// pqlint output is bitwise stable at any loader worker count.
+// Architecture: the loader (load.go) type-checks the module's packages
+// against compiler export data for everything outside the module; each
+// analyzer is one named rule that walks a package through the Inspector
+// (inspector.go) and reports. Findings from every rule are merged and
+// sorted deterministically.
 //
 // Intentional exceptions are suppressed in source with a directive:
 //
@@ -60,9 +59,8 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s: [%s] %s", d.Pos, d.Rule, d.Message)
 }
 
-// A Pass carries one type-checked package through one analyzer run.
+// A Pass carries one type-checked package through the analyzers.
 type Pass struct {
-	Analyzer  *Analyzer
 	Fset      *token.FileSet
 	Files     []*ast.File
 	Pkg       *types.Package
@@ -74,10 +72,6 @@ type Pass struct {
 	// documented idiom.
 	IsCommand bool
 
-	// ResultOf holds the results ("facts") of every pass this analyzer
-	// Requires, keyed by the required analyzer.
-	ResultOf map[*Analyzer]any
-
 	report func(token.Pos, string, string)
 }
 
@@ -86,34 +80,17 @@ func (p *Pass) Reportf(pos token.Pos, rule, format string, args ...any) {
 	p.report(pos, rule, fmt.Sprintf(format, args...))
 }
 
-// Inspector returns the shared traversal built by InspectAnalyzer, which
-// every rule Requires.
+// Inspector returns the filtered traversal of the package's files.
 func (p *Pass) Inspector() *Inspector {
-	ins, _ := p.ResultOf[InspectAnalyzer].(*Inspector)
-	return ins
+	return &Inspector{files: p.Files}
 }
 
-// An Analyzer is one named pass: a rule, or an internal fact producer
-// like InspectAnalyzer.
+// An Analyzer is one named rule.
 type Analyzer struct {
 	Name string
 	Doc  string
-	// Requires lists passes that must run first on the same package;
-	// their results are available through Pass.ResultOf.
-	Requires []*Analyzer
-	// Run executes the pass and returns its result (nil is fine for
-	// rules that only report diagnostics).
-	Run func(*Pass) (any, error)
-}
-
-// InspectAnalyzer is the internal pass producing the package's shared
-// *Inspector. Every rule Requires it; it reports nothing itself.
-var InspectAnalyzer = &Analyzer{
-	Name: "inspect",
-	Doc:  "build the shared AST traversal every rule replays",
-	Run: func(pass *Pass) (any, error) {
-		return NewInspector(pass.Files), nil
-	},
+	// Run walks the package and reports what the rule finds.
+	Run func(*Pass)
 }
 
 // Analyzers returns the full rule suite in stable order.
@@ -272,30 +249,6 @@ func knownRule(name string) bool {
 	return false
 }
 
-// schedule expands the requested analyzers into execution order: every
-// transitively Required pass precedes its dependents, each pass appearing
-// once. The requested order is preserved for passes at the same depth, so
-// output is deterministic.
-func schedule(analyzers []*Analyzer) []*Analyzer {
-	var order []*Analyzer
-	seen := make(map[*Analyzer]bool)
-	var visit func(a *Analyzer)
-	visit = func(a *Analyzer) {
-		if seen[a] {
-			return
-		}
-		seen[a] = true
-		for _, req := range a.Requires {
-			visit(req)
-		}
-		order = append(order, a)
-	}
-	for _, a := range analyzers {
-		visit(a)
-	}
-	return order
-}
-
 // staleKey dedupes one physical directive across package variants: the
 // same //pqlint:allow line is parsed once in the plain package and again
 // in its test variant, and is live if either run used it.
@@ -305,9 +258,9 @@ type staleKey struct {
 	rule string
 }
 
-// RunAnalyzers applies every analyzer (plus whatever they Require) to
-// every package and returns all diagnostics — suppressed ones included,
-// flagged — in deterministic file/line/column/rule order. A directive
+// RunAnalyzers applies every analyzer to every package and returns all
+// diagnostics — suppressed ones included, flagged — in deterministic
+// file/line/column/rule order. A directive
 // that suppressed nothing across the whole run is reported as a stale
 // "directive" diagnostic, but only for rules that actually ran: an allow
 // for a rule excluded by -rules is dormant, not stale.
@@ -339,17 +292,10 @@ func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 			Pkg:       pkg.Types,
 			TypesInfo: pkg.Info,
 			IsCommand: pkg.IsCommand,
-			ResultOf:  make(map[*Analyzer]any),
 			report:    report,
 		}
-		for _, a := range schedule(analyzers) {
-			pass.Analyzer = a
-			res, err := a.Run(pass)
-			if err != nil {
-				report(token.NoPos, a.Name, fmt.Sprintf("analyzer failed: %v", err))
-				continue
-			}
-			pass.ResultOf[a] = res
+		for _, a := range analyzers {
+			a.Run(pass)
 		}
 		// A test variant re-checks the plain files alongside the _test.go
 		// files; only findings in the test files are new — the rest were

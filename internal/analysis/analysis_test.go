@@ -178,7 +178,7 @@ func TestModuleIsClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkgs, err := analysis.LoadModule(root, analysis.LoadOptions{Tests: true})
+	pkgs, err := analysis.LoadModule(root, true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,17 +16,16 @@ import (
 // everywhere; intentional exceptions (single-threaded init before any
 // goroutine starts) document themselves with //pqlint:allow atomicmix.
 var AtomicMixAnalyzer = &Analyzer{
-	Name:     "atomicmix",
-	Doc:      "flag fields accessed via sync/atomic in one place and plain loads/stores elsewhere",
-	Requires: []*Analyzer{InspectAnalyzer},
-	Run:      runAtomicMix,
+	Name: "atomicmix",
+	Doc:  "flag fields accessed via sync/atomic in one place and plain loads/stores elsewhere",
+	Run:  runAtomicMix,
 }
 
 // atomicOpPrefixes are the sync/atomic function-name prefixes whose first
 // argument is the address of the shared word.
 var atomicOpPrefixes = []string{"Load", "Store", "Add", "Swap", "CompareAndSwap"}
 
-func runAtomicMix(pass *Pass) (any, error) {
+func runAtomicMix(pass *Pass) {
 	// First sweep: find every `atomic.Op(&x.f, ...)` call, remember the
 	// object behind x.f, and mark the identifiers inside the atomic call
 	// itself as sanctioned.
@@ -63,7 +62,7 @@ func runAtomicMix(pass *Pass) (any, error) {
 		})
 	})
 	if len(tracked) == 0 {
-		return nil, nil
+		return
 	}
 	// Second sweep: any other use of a tracked object is a plain access.
 	// Taking the address again (&x.f passed to a helper) counts too: the
@@ -86,7 +85,6 @@ func runAtomicMix(pass *Pass) (any, error) {
 			"%s is accessed with sync/atomic (atomic.%s) elsewhere in this package but plainly here; make every access atomic or //pqlint:allow atomicmix",
 			id.Name, op)
 	})
-	return nil, nil
 }
 
 // atomicCall reports whether call is a sync/atomic operation taking an

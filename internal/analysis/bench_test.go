@@ -1,34 +1,30 @@
 package analysis_test
 
 import (
-	"fmt"
 	"path/filepath"
-	"runtime"
 	"testing"
 
 	"pagequality/internal/analysis"
 )
 
 // BenchmarkLoadModule times the load-and-type-check phase on the real
-// repository module, tests included, at worker counts 1 and GOMAXPROCS
-// plus an oversubscribed count. On a single-vCPU box the parallel
-// schedule cannot beat serial on CPU-bound checking; what the comparison
-// pins is that extra workers cost nothing (the wave scheduler degrades
-// to serial) while multi-core machines get the import-DAG parallelism
-// for free.
+// repository module: plain is the library-only scope, tests the default
+// one with every test variant and external test package. Both include the
+// `go list -export` run against a warm build cache.
 func BenchmarkLoadModule(b *testing.B) {
 	root, err := filepath.Abs(filepath.Join("..", ".."))
 	if err != nil {
 		b.Fatal(err)
 	}
-	// The plain=workers=1 case matches the scope of the pre-framework
-	// serial loader (no _test.go files), so it is the before/after axis;
-	// the tests=... cases price the new default scope.
-	bench := func(name string, opts analysis.LoadOptions) {
+	for _, tests := range []bool{false, true} {
+		name := "plain"
+		if tests {
+			name = "tests"
+		}
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				pkgs, err := analysis.LoadModule(root, opts)
+				pkgs, err := analysis.LoadModule(root, tests)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -37,15 +33,6 @@ func BenchmarkLoadModule(b *testing.B) {
 				}
 			}
 		})
-	}
-	bench("plain/workers=1", analysis.LoadOptions{Tests: false, Workers: 1})
-	seen := map[int]bool{}
-	for _, workers := range []int{1, runtime.GOMAXPROCS(0), 4} {
-		if seen[workers] {
-			continue
-		}
-		seen[workers] = true
-		bench(fmt.Sprintf("tests/workers=%d", workers), analysis.LoadOptions{Tests: true, Workers: workers})
 	}
 }
 
@@ -56,7 +43,7 @@ func BenchmarkRunAnalyzers(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	pkgs, err := analysis.LoadModule(root, analysis.LoadOptions{Tests: true})
+	pkgs, err := analysis.LoadModule(root, true)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -15,10 +15,9 @@ import (
 // downstream work from the client disconnect it should be observing —
 // r.Context() is already there.
 var CtxHTTPAnalyzer = &Analyzer{
-	Name:     "ctxhttp",
-	Doc:      "flag HTTP requests without context and handlers ignoring r.Context()",
-	Requires: []*Analyzer{InspectAnalyzer},
-	Run:      runCtxHTTP,
+	Name: "ctxhttp",
+	Doc:  "flag HTTP requests without context and handlers ignoring r.Context()",
+	Run:  runCtxHTTP,
 }
 
 // contextlessHTTP are the net/http package-level and *http.Client call
@@ -30,7 +29,7 @@ var contextlessHTTP = map[string]bool{
 	"Head":     true,
 }
 
-func runCtxHTTP(pass *Pass) (any, error) {
+func runCtxHTTP(pass *Pass) {
 	pass.Inspector().WithStack([]ast.Node{(*ast.CallExpr)(nil)},
 		func(n ast.Node, push bool, stack []ast.Node) bool {
 			if !push {
@@ -56,7 +55,6 @@ func runCtxHTTP(pass *Pass) (any, error) {
 			reportClientCall(pass, call, sel)
 			return true
 		})
-	return nil, nil
 }
 
 // reportHTTPPkgCall handles package-level net/http calls: NewRequest and

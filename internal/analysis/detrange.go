@@ -13,13 +13,12 @@ import (
 // or accumulate floating-point sums (float addition is not associative,
 // so the iteration order changes the bits of the result).
 var DetRangeAnalyzer = &Analyzer{
-	Name:     "detrange",
-	Doc:      "flag map iteration whose order leaks into ordered or float-accumulated output",
-	Requires: []*Analyzer{InspectAnalyzer},
-	Run:      runDetRange,
+	Name: "detrange",
+	Doc:  "flag map iteration whose order leaks into ordered or float-accumulated output",
+	Run:  runDetRange,
 }
 
-func runDetRange(pass *Pass) (any, error) {
+func runDetRange(pass *Pass) {
 	pass.Inspector().WithStack([]ast.Node{(*ast.RangeStmt)(nil)},
 		func(n ast.Node, push bool, stack []ast.Node) bool {
 			if !push {
@@ -44,7 +43,6 @@ func runDetRange(pass *Pass) (any, error) {
 			checkMapRange(pass, rng, encl)
 			return true
 		})
-	return nil, nil
 }
 
 func childBody(n ast.Node) ast.Node {

@@ -12,19 +12,17 @@ import (
 // numerical preconditions (convergence, alignment, fit shape); dropping
 // one turns a loud failure into a silently wrong figure.
 var DroppedErrAnalyzer = &Analyzer{
-	Name:     "droppederr",
-	Doc:      "flag blank-discarded errors and dead `_ = x` assignments",
-	Requires: []*Analyzer{InspectAnalyzer},
-	Run:      runDroppedErr,
+	Name: "droppederr",
+	Doc:  "flag blank-discarded errors and dead `_ = x` assignments",
+	Run:  runDroppedErr,
 }
 
-func runDroppedErr(pass *Pass) (any, error) {
+func runDroppedErr(pass *Pass) {
 	errType := types.Universe.Lookup("error").Type()
 	pass.Inspector().Preorder([]ast.Node{(*ast.AssignStmt)(nil)}, func(n ast.Node) {
 		as := n.(*ast.AssignStmt)
 		checkDroppedErr(pass, as, errType)
 	})
-	return nil, nil
 }
 
 func checkDroppedErr(pass *Pass, as *ast.AssignStmt, errType types.Type) {

@@ -14,13 +14,12 @@ import (
 // against a constant (x == 0, x != 1) are exempt: they test exact
 // sentinel values, which IEEE 754 represents and propagates exactly.
 var FloatEqAnalyzer = &Analyzer{
-	Name:     "floateq",
-	Doc:      "flag ==/!= between non-constant floating-point operands",
-	Requires: []*Analyzer{InspectAnalyzer},
-	Run:      runFloatEq,
+	Name: "floateq",
+	Doc:  "flag ==/!= between non-constant floating-point operands",
+	Run:  runFloatEq,
 }
 
-func runFloatEq(pass *Pass) (any, error) {
+func runFloatEq(pass *Pass) {
 	pass.Inspector().Preorder([]ast.Node{(*ast.BinaryExpr)(nil)}, func(n ast.Node) {
 		be := n.(*ast.BinaryExpr)
 		if be.Op != token.EQL && be.Op != token.NEQ {
@@ -42,7 +41,6 @@ func runFloatEq(pass *Pass) (any, error) {
 			"%s between floating-point values; compare with a tolerance, or document exact-tie intent with //pqlint:allow floateq",
 			be.Op)
 	})
-	return nil, nil
 }
 
 func isFloatTV(tv types.TypeAndValue) bool {

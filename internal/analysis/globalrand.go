@@ -13,10 +13,9 @@ import (
 // locally owned *rand.Rand. Constructors that build injectable generators
 // (rand.New, rand.NewSource, rand.NewZipf) stay legal.
 var GlobalRandAnalyzer = &Analyzer{
-	Name:     "globalrand",
-	Doc:      "forbid package-level math/rand functions; inject a seeded *rand.Rand",
-	Requires: []*Analyzer{InspectAnalyzer},
-	Run:      runGlobalRand,
+	Name: "globalrand",
+	Doc:  "forbid package-level math/rand functions; inject a seeded *rand.Rand",
+	Run:  runGlobalRand,
 }
 
 // globalRandAllowed are the math/rand package-level names that construct
@@ -36,7 +35,7 @@ var globalRandAllowed = map[string]bool{
 	"NewChaCha8": true, // math/rand/v2
 }
 
-func runGlobalRand(pass *Pass) (any, error) {
+func runGlobalRand(pass *Pass) {
 	// Fallback for files whose type info is partial: the local names
 	// under which math/rand is imported, per file.
 	randNames := make(map[*ast.File]map[string]bool, len(pass.Files))
@@ -93,5 +92,4 @@ func runGlobalRand(pass *Pass) (any, error) {
 				sel.Sel.Name)
 			return true
 		})
-	return nil, nil
 }

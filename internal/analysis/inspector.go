@@ -1,70 +1,44 @@
 package analysis
 
-import "go/ast"
+import (
+	"go/ast"
+	"reflect"
+)
 
-// Inspector is the shared traversal engine behind every analyzer pass, in
-// the spirit of x/tools/go/ast/inspector: the package's files are walked
-// exactly once up front into a flat event list (a push and a pop event per
-// node, each carrying a node-kind bitmask), and every rule then replays
-// the list filtered by the kinds it cares about. With nine rules on one
-// package this turns nine full AST walks into one walk plus nine linear
-// scans of a slice — and the scans skip whole subtrees for free when a
-// rule's filter cannot match inside them (not implemented here: the event
-// list is small enough that a straight scan wins on this module).
-//
-// The Inspector is built once per package by inspectPass and shared by
-// every rule through Pass.Inspector().
+// Inspector is the traversal every rule filters: ast.Inspect over the
+// package's files, narrowed to the node types the rule asks for. Each
+// call is its own walk; at nine rules on this module that is a few
+// milliseconds, less than recording the walk once costs to keep.
 type Inspector struct {
-	events []inspectorEvent
+	files []*ast.File
 }
 
-// inspectorEvent is one traversal event. A push event's index points at
-// the matching pop event (always greater than the push's own position);
-// a pop event's index points back at the push. This lets scans detect
-// event polarity by comparing index to position and jump over subtrees.
-type inspectorEvent struct {
-	node  ast.Node
-	mask  uint64
-	index int
-}
-
-// NewInspector walks files once and records the traversal.
-func NewInspector(files []*ast.File) *Inspector {
-	// Preallocate roughly: most Go files average ~2 events per node and
-	// the walk below appends two events per node.
-	var events []inspectorEvent
-	var stack []int
-	for _, f := range files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			if n != nil {
-				events = append(events, inspectorEvent{node: n, mask: maskOf(n)})
-				stack = append(stack, len(events)-1)
-				return true
-			}
-			push := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			events[push].index = len(events)
-			events = append(events, inspectorEvent{
-				node:  events[push].node,
-				mask:  events[push].mask,
-				index: push,
-			})
-			return true
-		})
+// wanted returns the filter for the example nodes in types: a node
+// matches when its dynamic type is that of one of them, and every node
+// matches when types is empty.
+func wanted(types []ast.Node) func(ast.Node) bool {
+	if len(types) == 0 {
+		return func(ast.Node) bool { return true }
 	}
-	return &Inspector{events: events}
+	set := make(map[reflect.Type]bool, len(types))
+	for _, n := range types {
+		set[reflect.TypeOf(n)] = true
+	}
+	return func(n ast.Node) bool { return set[reflect.TypeOf(n)] }
 }
 
 // Preorder calls f for every node whose type matches one of the example
 // nodes in types (all nodes when types is empty), in depth-first source
 // order.
 func (in *Inspector) Preorder(types []ast.Node, f func(ast.Node)) {
-	mask := maskOfTypes(types)
-	for i := 0; i < len(in.events); i++ {
-		ev := in.events[i]
-		if ev.index > i && ev.mask&mask != 0 {
-			f(ev.node)
-		}
+	want := wanted(types)
+	for _, file := range in.files {
+		ast.Inspect(file, func(n ast.Node) bool {
+			if n != nil && want(n) {
+				f(n)
+			}
+			return true
+		})
 	}
 }
 
@@ -73,146 +47,22 @@ func (in *Inspector) Preorder(types []ast.Node, f func(ast.Node)) {
 // false from a push visit skips the node's subtree (its pop visit still
 // fires).
 func (in *Inspector) WithStack(types []ast.Node, f func(n ast.Node, push bool, stack []ast.Node) bool) {
-	mask := maskOfTypes(types)
+	want := wanted(types)
 	var stack []ast.Node
-	for i := 0; i < len(in.events); i++ {
-		ev := in.events[i]
-		if ev.index > i { // push
-			stack = append(stack, ev.node)
-			if ev.mask&mask != 0 && !f(ev.node, true, stack) {
-				// Jump to just before the pop event; the pop branch below
-				// then unwinds the stack entry.
-				i = ev.index - 1
+	for _, file := range in.files {
+		ast.Inspect(file, func(n ast.Node) bool {
+			if n != nil {
+				stack = append(stack, n)
+				if !want(n) || f(n, true, stack) {
+					return true
+				}
+				// Pruned: ast.Inspect sends no nil for n, so pop it here.
 			}
-		} else { // pop
-			if ev.mask&mask != 0 {
-				f(ev.node, false, stack)
+			if top := stack[len(stack)-1]; want(top) {
+				f(top, false, stack)
 			}
 			stack = stack[:len(stack)-1]
-		}
+			return false
+		})
 	}
-}
-
-// maskOfTypes folds the kind bits of the example nodes; empty means all.
-func maskOfTypes(types []ast.Node) uint64 {
-	if len(types) == 0 {
-		return ^uint64(0)
-	}
-	var mask uint64
-	for _, n := range types {
-		mask |= maskOf(n)
-	}
-	return mask
-}
-
-// maskOf assigns each AST node kind a bit. Kinds not enumerated (rare
-// ones like Bad* nodes) share the catch-all bit 63, which only ever
-// over-matches — a filter scan then rejects by the callback's own type
-// switch, never under-matches.
-func maskOf(n ast.Node) uint64 {
-	switch n.(type) {
-	case *ast.ArrayType:
-		return 1 << 0
-	case *ast.AssignStmt:
-		return 1 << 1
-	case *ast.BasicLit:
-		return 1 << 2
-	case *ast.BinaryExpr:
-		return 1 << 3
-	case *ast.BlockStmt:
-		return 1 << 4
-	case *ast.BranchStmt:
-		return 1 << 5
-	case *ast.CallExpr:
-		return 1 << 6
-	case *ast.CaseClause:
-		return 1 << 7
-	case *ast.ChanType:
-		return 1 << 8
-	case *ast.CommClause:
-		return 1 << 9
-	case *ast.CompositeLit:
-		return 1 << 10
-	case *ast.DeclStmt:
-		return 1 << 11
-	case *ast.DeferStmt:
-		return 1 << 12
-	case *ast.Ellipsis:
-		return 1 << 13
-	case *ast.EmptyStmt:
-		return 1 << 14
-	case *ast.ExprStmt:
-		return 1 << 15
-	case *ast.Field:
-		return 1 << 16
-	case *ast.FieldList:
-		return 1 << 17
-	case *ast.File:
-		return 1 << 18
-	case *ast.ForStmt:
-		return 1 << 19
-	case *ast.FuncDecl:
-		return 1 << 20
-	case *ast.FuncLit:
-		return 1 << 21
-	case *ast.FuncType:
-		return 1 << 22
-	case *ast.GenDecl:
-		return 1 << 23
-	case *ast.GoStmt:
-		return 1 << 24
-	case *ast.Ident:
-		return 1 << 25
-	case *ast.IfStmt:
-		return 1 << 26
-	case *ast.ImportSpec:
-		return 1 << 27
-	case *ast.IncDecStmt:
-		return 1 << 28
-	case *ast.IndexExpr:
-		return 1 << 29
-	case *ast.IndexListExpr:
-		return 1 << 30
-	case *ast.InterfaceType:
-		return 1 << 31
-	case *ast.KeyValueExpr:
-		return 1 << 32
-	case *ast.LabeledStmt:
-		return 1 << 33
-	case *ast.MapType:
-		return 1 << 34
-	case *ast.ParenExpr:
-		return 1 << 35
-	case *ast.RangeStmt:
-		return 1 << 36
-	case *ast.ReturnStmt:
-		return 1 << 37
-	case *ast.SelectStmt:
-		return 1 << 38
-	case *ast.SelectorExpr:
-		return 1 << 39
-	case *ast.SendStmt:
-		return 1 << 40
-	case *ast.SliceExpr:
-		return 1 << 41
-	case *ast.StarExpr:
-		return 1 << 42
-	case *ast.StructType:
-		return 1 << 43
-	case *ast.SwitchStmt:
-		return 1 << 44
-	case *ast.TypeAssertExpr:
-		return 1 << 45
-	case *ast.TypeSpec:
-		return 1 << 46
-	case *ast.TypeSwitchStmt:
-		return 1 << 47
-	case *ast.UnaryExpr:
-		return 1 << 48
-	case *ast.ValueSpec:
-		return 1 << 49
-	case *ast.CommentGroup, *ast.Comment:
-		return 1 << 50
-	}
-	return 1 << 63
 }

@@ -1,18 +1,20 @@
 package analysis
 
 import (
+	"cmp"
 	"fmt"
 	"go/ast"
 	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
-	"runtime"
-	"sort"
+	"slices"
 	"strings"
-	"sync"
 )
 
 // A Package is one parsed and type-checked module package ready for
@@ -42,18 +44,6 @@ type Package struct {
 	TypeErrors []error
 }
 
-// LoadOptions configures LoadModule.
-type LoadOptions struct {
-	// Tests includes _test.go files: every package with in-package test
-	// files gains a test variant, and external _test packages are loaded
-	// as their own packages.
-	Tests bool
-	// Workers bounds the number of concurrent type-check workers;
-	// <= 0 means GOMAXPROCS. Results are identical at every worker
-	// count — the schedule only changes wall time.
-	Workers int
-}
-
 // ModulePath reads the module path from the go.mod at root.
 func ModulePath(root string) (string, error) {
 	data, err := os.ReadFile(filepath.Join(root, "go.mod"))
@@ -69,351 +59,174 @@ func ModulePath(root string) (string, error) {
 	return "", fmt.Errorf("analysis: no module line in %s/go.mod", root)
 }
 
-// loadNode is one package (module or stdlib) in the load graph.
-type loadNode struct {
-	id      string // unique node id (import path, suffixed for variants)
-	path    string // the types.Package path
-	dir     string
-	std     bool
-	files   []string    // absolute source filenames (stdlib: parsed lazily)
-	syntax  []*ast.File // module files, parsed up front
-	resolve map[string]*loadNode
-
-	deps       []*loadNode
-	dependents []*loadNode
-	npending   int
-
-	forTest   string
-	testFiles map[string]bool
-	isCommand bool
-
-	tpkg *types.Package
-	info *types.Info
-	errs []error
+// exportImporter returns an importer that reads the compiler's export
+// data for paths, the route go vet takes: one `go list -export` run in dir
+// compiles each package, or finds it in the build cache `go build` filled,
+// and prints where its export file is. A path go list cannot build has no
+// file, and importing it is an import error go/types reports on the
+// importing package.
+func exportImporter(fset *token.FileSet, dir string, paths []string) (types.Importer, error) {
+	exports := make(map[string]string, len(paths))
+	if len(paths) > 0 {
+		cmd := exec.Command("go", append([]string{"list", "-e", "-export", "-f", "{{.ImportPath}}\t{{.Export}}"}, paths...)...)
+		cmd.Dir = dir
+		var stderr strings.Builder
+		cmd.Stderr = &stderr
+		out, err := cmd.Output()
+		if err != nil {
+			return nil, fmt.Errorf("analysis: go list -export: %s", strings.TrimSpace(err.Error()+"\n"+stderr.String()))
+		}
+		for _, line := range strings.Split(string(out), "\n") {
+			if path, file, ok := strings.Cut(line, "\t"); ok && file != "" {
+				exports[path] = file
+			}
+		}
+	}
+	return importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		file, ok := exports[path]
+		if !ok {
+			return nil, fmt.Errorf("no export data for %q", path)
+		}
+		return os.Open(file)
+	}), nil
 }
 
-// loader carries the whole load: the shared FileSet, the node universe,
-// and the pre-frozen placeholder packages for unresolvable imports.
-// Everything here is built serially; the parallel phase only reads it
-// (and writes each node's own result fields, which dependents observe
-// only after the scheduler's happens-before edge).
+// importPaths lists, sorted, the distinct paths files import that local
+// rejects (nil rejects none) — the ones export data has to answer.
+func importPaths(files []*ast.File, local func(string) bool) []string {
+	seen := make(map[string]bool)
+	var paths []string
+	for _, f := range files {
+		for _, spec := range f.Imports {
+			ip := strings.Trim(spec.Path.Value, `"`)
+			if seen[ip] || ip == "unsafe" || ip == "C" || local != nil && local(ip) {
+				continue
+			}
+			seen[ip] = true
+			paths = append(paths, ip)
+		}
+	}
+	slices.Sort(paths)
+	return paths
+}
+
+// unit is one type-check unit: a plain package, its test variant, or its
+// external test package.
+type unit struct {
+	pkg *Package
+	// variant, on an external test package, is the test variant of the
+	// package under test: the external tests may use in-package test
+	// helpers, so their import of that package resolves to it.
+	variant  *unit
+	checking bool
+}
+
+// loader carries one load: the module's plain packages by import path,
+// and the export-data importer for the rest.
 type loader struct {
-	fset  *token.FileSet
-	bctx  build.Context
-	nodes []*loadNode
-	// stdByDir dedupes stdlib packages by resolved directory — the one
-	// canonical spelling of each package even through GOROOT vendoring.
-	stdByDir map[string]*loadNode
-	// fakes holds an empty placeholder package per unresolvable import
-	// path, so analyzers degrade gracefully instead of the load dying.
-	fakes map[string]*types.Package
+	plain map[string]*unit
+	std   types.Importer
 }
 
-// fakeFor returns (creating if needed) the placeholder for an import
-// path that could not be resolved. Serial-phase only.
-func (ld *loader) fakeFor(path string) *types.Package {
-	if p, ok := ld.fakes[path]; ok {
-		return p
+// unitImporter resolves one unit's imports: module packages are checked on
+// demand, so the module is checked depth-first in import order.
+type unitImporter struct {
+	ld *loader
+	u  *unit
+}
+
+func (im unitImporter) Import(path string) (*types.Package, error) {
+	dep := im.ld.plain[path]
+	if v := im.u.variant; v != nil && path == v.pkg.Path {
+		dep = v
 	}
-	name := path
-	if i := strings.LastIndexByte(name, '/'); i >= 0 {
-		name = name[i+1:]
+	if dep == nil {
+		return im.ld.std.Import(path)
 	}
-	p := types.NewPackage(path, name)
-	p.MarkComplete()
-	ld.fakes[path] = p
+	if dep.checking {
+		return nil, fmt.Errorf("import cycle through %s", path)
+	}
+	im.ld.check(dep)
+	return dep.pkg.Types, nil
+}
+
+// check type-checks u once, collecting what the checker complains about
+// in TypeErrors: a partially checked package is still analyzable, and the
+// caller decides whether it is acceptable.
+func (ld *loader) check(u *unit) {
+	p := u.pkg
+	if p.Types != nil {
+		return
+	}
+	u.checking = true
+	p.Info = &types.Info{
+		Types:      make(map[ast.Expr]types.TypeAndValue),
+		Defs:       make(map[*ast.Ident]types.Object),
+		Uses:       make(map[*ast.Ident]types.Object),
+		Selections: make(map[*ast.SelectorExpr]*types.Selection),
+	}
+	conf := types.Config{
+		Importer:    unitImporter{ld: ld, u: u},
+		FakeImportC: true,
+		Error:       func(err error) { p.TypeErrors = append(p.TypeErrors, err) },
+	}
+	p.Types, _ = conf.Check(p.Path, p.Fset, p.Files, p.Info) //pqlint:allow droppederr the same error is collected via conf.Error into TypeErrors
+	u.checking = false
+}
+
+// parseDir parses the Go files of dir that this platform's build
+// constraints select (//go:build lines, _GOOS/_GOARCH suffixes), _test.go
+// files only when tests is set.
+func parseDir(fset *token.FileSet, dir string, tests bool) ([]*ast.File, error) {
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	var files []*ast.File
+	for _, e := range ents {
+		name := e.Name()
+		if e.IsDir() || !strings.HasSuffix(name, ".go") || !tests && strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		if ok, err := build.Default.MatchFile(dir, name); err != nil {
+			return nil, err
+		} else if !ok {
+			continue
+		}
+		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
+		if err != nil {
+			return nil, err
+		}
+		files = append(files, f)
+	}
+	return files, nil
+}
+
+// newPackage wraps parsed files as an unchecked Package; names of _test.go
+// files among them go to TestGoFiles.
+func newPackage(fset *token.FileSet, path, dir, forTest string, files []*ast.File) *Package {
+	p := &Package{Path: path, Dir: dir, ForTest: forTest, TestGoFiles: make(map[string]bool), Fset: fset, Files: files}
+	for _, f := range files {
+		if name := fset.File(f.Package).Name(); strings.HasSuffix(name, "_test.go") {
+			p.TestGoFiles[name] = true
+		}
+		if f.Name.Name == "main" {
+			p.IsCommand = true
+		}
+	}
 	return p
 }
 
-// resolveStd resolves one stdlib import as seen from srcDir (srcDir makes
-// GOROOT vendoring work: net/http's golang.org/x/net deps live under
-// GOROOT/src/vendor and only resolve relative to an importer inside
-// GOROOT). New packages join the BFS frontier. Serial-phase only.
-func (ld *loader) resolveStd(path, srcDir string, frontier *[]*loadNode) *loadNode {
-	bp, err := ld.bctx.Import(path, srcDir, 0)
-	if err != nil {
-		return nil
-	}
-	if n, ok := ld.stdByDir[bp.Dir]; ok {
-		return n
-	}
-	n := &loadNode{
-		id:      "std:" + bp.Dir,
-		path:    bp.ImportPath,
-		dir:     bp.Dir,
-		std:     true,
-		resolve: make(map[string]*loadNode, len(bp.Imports)),
-	}
-	for _, f := range bp.GoFiles {
-		n.files = append(n.files, filepath.Join(bp.Dir, f))
-	}
-	ld.stdByDir[bp.Dir] = n
-	ld.nodes = append(ld.nodes, n)
-	*frontier = append(*frontier, n)
-	// Record the imports now; edges are resolved when the frontier is
-	// drained so recursion depth stays flat.
-	for _, imp := range bp.Imports {
-		n.resolve[imp] = nil // filled by expandStd
-	}
-	return n
-}
-
-// expandStd drains the stdlib BFS frontier, resolving each discovered
-// package's own imports (which may grow the frontier further).
-func (ld *loader) expandStd(frontier *[]*loadNode) {
-	for len(*frontier) > 0 {
-		n := (*frontier)[0]
-		*frontier = (*frontier)[1:]
-		imps := make([]string, 0, len(n.resolve))
-		for imp := range n.resolve {
-			imps = append(imps, imp)
-		}
-		sort.Strings(imps)
-		for _, imp := range imps {
-			if imp == "unsafe" || imp == "C" {
-				continue
-			}
-			n.resolve[imp] = ld.resolveStd(imp, n.dir, frontier)
-		}
-	}
-}
-
-// sortedDeps lists a node's resolved dependencies in import-path order,
-// so the dependency graph (and with it every schedule tie-break) is
-// deterministic.
-func sortedDeps(n *loadNode) []*loadNode {
-	paths := make([]string, 0, len(n.resolve))
-	for p := range n.resolve {
-		paths = append(paths, p)
-	}
-	sort.Strings(paths)
-	deps := make([]*loadNode, 0, len(paths))
-	for _, p := range paths {
-		if d := n.resolve[p]; d != nil {
-			deps = append(deps, d)
-		}
-	}
-	return deps
-}
-
-// nodeImporter resolves imports for one node's type check from the
-// pre-resolved map. All referenced packages are complete before the node
-// is scheduled, so this is read-only at check time.
-type nodeImporter struct {
-	ld   *loader
-	node *loadNode
-}
-
-func (im nodeImporter) Import(path string) (*types.Package, error) {
-	if path == "unsafe" {
-		return types.Unsafe, nil
-	}
-	if dep, ok := im.node.resolve[path]; ok && dep != nil && dep.tpkg != nil {
-		return dep.tpkg, nil
-	}
-	if p, ok := im.ld.fakes[path]; ok {
-		return p, nil
-	}
-	// Unreachable for resolvable imports; keep the checker going.
-	name := path
-	if i := strings.LastIndexByte(name, '/'); i >= 0 {
-		name = name[i+1:]
-	}
-	p := types.NewPackage(path, name)
-	p.MarkComplete()
-	return p, nil
-}
-
-// check type-checks one node. Stdlib packages are parsed here (inside the
-// worker, so parsing parallelizes too) and checked with IgnoreFuncBodies:
-// importers only need their exported API, and skipping every stdlib
-// function body is the single largest saving over the old
-// srcimporter-based loader. Module packages get a full check with
-// complete type info for the analyzers.
-func (ld *loader) check(n *loadNode) {
-	files := n.syntax
-	if n.std {
-		for _, fname := range n.files {
-			f, err := parser.ParseFile(ld.fset, fname, nil, parser.SkipObjectResolution)
-			if err != nil {
-				n.errs = append(n.errs, err)
-				continue
-			}
-			files = append(files, f)
-		}
-	}
-	conf := types.Config{
-		Importer:         nodeImporter{ld: ld, node: n},
-		FakeImportC:      true,
-		IgnoreFuncBodies: n.std,
-		Error:            func(err error) { n.errs = append(n.errs, err) },
-	}
-	if !n.std {
-		n.info = &types.Info{
-			Types:      make(map[ast.Expr]types.TypeAndValue),
-			Defs:       make(map[*ast.Ident]types.Object),
-			Uses:       make(map[*ast.Ident]types.Object),
-			Selections: make(map[*ast.SelectorExpr]*types.Selection),
-		}
-	}
-	// Check never returns a useful error beyond what Error collected,
-	// and a partially checked package is still analyzable.
-	tp, _ := conf.Check(n.path, ld.fset, files, n.info) //pqlint:allow droppederr the same error is collected via conf.Error into n.errs
-	if tp == nil {
-		tp = ld.fakeFor(n.path)
-	}
-	n.tpkg = tp
-	n.syntax = files
-}
-
-// run executes the load graph on a worker pool in topological waves:
-// a node becomes ready when its last dependency completes, workers pull
-// ready nodes from a queue, and finishing a node may release its
-// dependents. The queue is buffered to the node count so completions
-// never block.
-func (ld *loader) run(workers int) error {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	for _, n := range ld.nodes {
-		seen := make(map[*loadNode]bool)
-		for _, d := range n.deps {
-			if d == nil || d == n || seen[d] {
-				continue
-			}
-			seen[d] = true
-			n.npending++
-			d.dependents = append(d.dependents, n)
-		}
-	}
-	queue := make(chan *loadNode, len(ld.nodes))
-	ready := 0
-	for _, n := range ld.nodes {
-		if n.npending == 0 {
-			queue <- n
-			ready++
-		}
-	}
-	if ready == 0 && len(ld.nodes) > 0 {
-		return fmt.Errorf("analysis: import cycle: no ready packages among %d", len(ld.nodes))
-	}
-
-	var mu sync.Mutex
-	done := 0
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for n := range queue {
-				ld.check(n)
-				mu.Lock()
-				done++
-				for _, dep := range n.dependents {
-					dep.npending--
-					if dep.npending == 0 {
-						queue <- dep
-					}
-				}
-				if done == len(ld.nodes) {
-					close(queue)
-				}
-				mu.Unlock()
-			}
-		}()
-	}
-	wg.Wait()
-	if done != len(ld.nodes) {
-		return fmt.Errorf("analysis: import cycle: %d of %d packages checked", done, len(ld.nodes))
-	}
-	return nil
-}
-
-// moduleDir is one module directory's classified source files.
-type moduleDir struct {
-	importPath string
-	dir        string
-	goFiles    []string
-	testFiles  []string // in-package _test.go
-	xtestFiles []string // external package_test _test.go
-}
-
-// discoverModule walks the module tree, classifying each directory's Go
-// files. Test files are classified by their package clause: a package
-// name ending in _test is an external test package.
-func discoverModule(root, modPath string, fset *token.FileSet, tests bool) ([]*moduleDir, map[string][]*ast.File, error) {
-	var dirs []*moduleDir
-	parsed := make(map[string][]*ast.File) // absolute filename is the key's prefix-free id
-	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if !d.IsDir() {
-			return nil
-		}
-		name := d.Name()
-		if path != root && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
-			return filepath.SkipDir
-		}
-		ents, err := os.ReadDir(path)
-		if err != nil {
-			return err
-		}
-		md := &moduleDir{dir: path}
-		for _, e := range ents {
-			n := e.Name()
-			if e.IsDir() || !strings.HasSuffix(n, ".go") {
-				continue
-			}
-			isTest := strings.HasSuffix(n, "_test.go")
-			if isTest && !tests {
-				continue
-			}
-			fname := filepath.Join(path, n)
-			f, perr := parser.ParseFile(fset, fname, nil, parser.ParseComments|parser.SkipObjectResolution)
-			if perr != nil {
-				return fmt.Errorf("analysis: %w", perr)
-			}
-			parsed[fname] = append(parsed[fname], f)
-			switch {
-			case !isTest:
-				md.goFiles = append(md.goFiles, fname)
-			case strings.HasSuffix(f.Name.Name, "_test"):
-				md.xtestFiles = append(md.xtestFiles, fname)
-			default:
-				md.testFiles = append(md.testFiles, fname)
-			}
-		}
-		if len(md.goFiles)+len(md.testFiles)+len(md.xtestFiles) == 0 {
-			return nil
-		}
-		rel, err := filepath.Rel(root, path)
-		if err != nil {
-			return err
-		}
-		md.importPath = modPath
-		if rel != "." {
-			md.importPath = modPath + "/" + filepath.ToSlash(rel)
-		}
-		dirs = append(dirs, md)
-		return nil
-	})
-	if err != nil {
-		return nil, nil, fmt.Errorf("analysis: walk %s: %w", root, err)
-	}
-	sort.Slice(dirs, func(i, j int) bool { return dirs[i].importPath < dirs[j].importPath })
-	return dirs, parsed, nil
-}
-
 // LoadModule parses and type-checks every package under root (the module
-// root), skipping testdata and hidden directories. With opts.Tests, each
-// package's _test.go files are loaded too: in-package test files form a
-// test variant of the package, and package foo_test files form their own
-// external test package importing the variant. Package type checks run
-// in parallel topological waves on opts.Workers workers; results are
-// bitwise identical at every worker count. Packages come back sorted by
-// import path (plain before test variant before external test package).
-func LoadModule(root string, opts LoadOptions) ([]*Package, error) {
+// root), skipping testdata and hidden directories and the files this
+// platform's build constraints exclude. With tests, each package's
+// _test.go files are loaded too: in-package test files form a test variant
+// of the package (its own files plus those), and package foo_test files
+// form their own external test package importing the variant. Imports from
+// outside the module are read from compiler export data, so the go tool
+// must be on PATH. Packages come back sorted by import path (plain before
+// test variant before external test package).
+func LoadModule(root string, tests bool) ([]*Package, error) {
 	modPath, err := ModulePath(root)
 	if err != nil {
 		return nil, err
@@ -422,266 +235,104 @@ func LoadModule(root string, opts LoadOptions) ([]*Package, error) {
 	if err != nil {
 		return nil, fmt.Errorf("analysis: %w", err)
 	}
-
-	ld := &loader{
-		fset:     token.NewFileSet(),
-		bctx:     build.Default,
-		stdByDir: make(map[string]*loadNode),
-		fakes:    make(map[string]*types.Package),
+	fset := token.NewFileSet()
+	ld := &loader{plain: make(map[string]*unit)}
+	var units []*unit
+	var all []*ast.File
+	add := func(u *unit) *unit {
+		units = append(units, u)
+		return u
 	}
-	// CGO off: stdlib packages type-check from their pure-Go fallback
-	// files instead of needing a C toolchain. Context copy — the global
-	// build.Default is left alone.
-	ld.bctx.CgoEnabled = false
-
-	dirs, parsedByFile, err := discoverModule(root, modPath, ld.fset, opts.Tests)
+	err = filepath.WalkDir(root, func(dir string, d os.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if name := d.Name(); dir != root && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
+			return filepath.SkipDir
+		}
+		files, err := parseDir(fset, dir, tests)
+		if err != nil {
+			return err
+		}
+		all = append(all, files...)
+		rel, err := filepath.Rel(root, dir)
+		if err != nil {
+			return err
+		}
+		path := modPath
+		if rel != "." {
+			path += "/" + filepath.ToSlash(rel)
+		}
+		// Test files are classified by their package clause: a package
+		// name ending in _test is an external test package.
+		var goFiles, testFiles, xtestFiles []*ast.File
+		for _, f := range files {
+			switch {
+			case !strings.HasSuffix(fset.File(f.Package).Name(), "_test.go"):
+				goFiles = append(goFiles, f)
+			case strings.HasSuffix(f.Name.Name, "_test"):
+				xtestFiles = append(xtestFiles, f)
+			default:
+				testFiles = append(testFiles, f)
+			}
+		}
+		var base, variant *unit
+		if len(goFiles) > 0 {
+			base = add(&unit{pkg: newPackage(fset, path, dir, "", goFiles)})
+			ld.plain[path] = base
+		}
+		if len(testFiles) > 0 {
+			variant = add(&unit{pkg: newPackage(fset, path, dir, path, slices.Concat(goFiles, testFiles))})
+		}
+		if len(xtestFiles) > 0 {
+			x := add(&unit{pkg: newPackage(fset, path+"_test", dir, path, xtestFiles), variant: variant})
+			// External tests of a main package are still command territory.
+			x.pkg.IsCommand = base != nil && base.pkg.IsCommand
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("analysis: walk %s: %w", root, err)
+	}
+	if len(units) == 0 {
+		return nil, fmt.Errorf("analysis: no Go packages under %s", root)
+	}
+	ld.std, err = exportImporter(fset, root, importPaths(all, func(p string) bool {
+		return p == modPath || strings.HasPrefix(p, modPath+"/")
+	}))
 	if err != nil {
 		return nil, err
 	}
-	if len(dirs) == 0 {
-		return nil, fmt.Errorf("analysis: no Go packages under %s", root)
-	}
-
-	fileSyntax := func(fname string) *ast.File { return parsedByFile[fname][0] }
-	isModuleLocal := func(p string) bool {
-		return p == modPath || strings.HasPrefix(p, modPath+"/")
-	}
-
-	// Module nodes: plain package, test variant, external test package.
-	plain := make(map[string]*loadNode)
-	type modNode struct {
-		node *loadNode
-		md   *moduleDir
-		kind int // 0 plain, 1 test variant, 2 external test
-	}
-	var modNodes []modNode
-	addNode := func(md *moduleDir, kind int) *loadNode {
-		n := &loadNode{dir: md.dir, resolve: make(map[string]*loadNode)}
-		var files []string
-		switch kind {
-		case 0:
-			n.id = md.importPath
-			n.path = md.importPath
-			files = md.goFiles
-		case 1:
-			n.id = md.importPath + " [tests]"
-			n.path = md.importPath
-			n.forTest = md.importPath
-			files = append(append([]string{}, md.goFiles...), md.testFiles...)
-		case 2:
-			n.id = md.importPath + "_test [tests]"
-			n.path = md.importPath + "_test"
-			n.forTest = md.importPath
-			files = md.xtestFiles
-		}
-		n.files = files
-		n.testFiles = make(map[string]bool)
-		for _, f := range files {
-			n.syntax = append(n.syntax, fileSyntax(f))
-			if strings.HasSuffix(f, "_test.go") {
-				n.testFiles[f] = true
-			}
-		}
-		for _, f := range n.syntax {
-			if f.Name.Name == "main" {
-				n.isCommand = true
-			}
-		}
-		ld.nodes = append(ld.nodes, n)
-		modNodes = append(modNodes, modNode{node: n, md: md, kind: kind})
-		return n
-	}
-	for _, md := range dirs {
-		if len(md.goFiles) > 0 {
-			plain[md.importPath] = addNode(md, 0)
-		}
-		if opts.Tests && len(md.testFiles) > 0 {
-			addNode(md, 1)
-		}
-		if opts.Tests && len(md.xtestFiles) > 0 {
-			addNode(md, 2)
-		}
-	}
-	// External tests of a main package are still command territory.
-	for _, mn := range modNodes {
-		if mn.kind == 2 {
-			if base := plain[mn.md.importPath]; base != nil && base.isCommand {
-				mn.node.isCommand = true
-			}
-		}
-	}
-
-	// Resolve every import: module-local to module nodes, the rest into
-	// the stdlib BFS. All serial; the parallel phase only reads it.
-	var frontier []*loadNode
-	for _, mn := range modNodes {
-		n := mn.node
-		seen := make(map[string]bool)
-		for _, f := range n.syntax {
-			for _, spec := range f.Imports {
-				ip := strings.Trim(spec.Path.Value, `"`)
-				if seen[ip] || ip == "unsafe" || ip == "C" {
-					continue
-				}
-				seen[ip] = true
-				if isModuleLocal(ip) {
-					if dep := plain[ip]; dep != nil {
-						n.resolve[ip] = dep
-					} else {
-						n.resolve[ip] = nil // unresolvable: placeholder at check time
-						ld.fakeFor(ip)
-					}
-					continue
-				}
-				dep := ld.resolveStd(ip, n.dir, &frontier)
-				n.resolve[ip] = dep
-				if dep == nil {
-					ld.fakeFor(ip)
-				}
-			}
-		}
-	}
-	ld.expandStd(&frontier)
-	for _, n := range ld.nodes {
-		if n.std {
-			for imp, dep := range n.resolve {
-				if dep == nil && imp != "unsafe" && imp != "C" {
-					ld.fakeFor(imp)
-				}
-			}
-		}
-	}
-
-	// A test variant supersedes its plain package for the external test
-	// package's import (external tests may use in-package test helpers),
-	// and is serialized after the plain package — the two share *ast.File
-	// values, and go/types must not check the same file concurrently.
-	variants := make(map[string]*loadNode)
-	for _, mn := range modNodes {
-		if mn.kind == 1 {
-			variants[mn.md.importPath] = mn.node
-		}
-	}
-	for _, mn := range modNodes {
-		n := mn.node
-		switch mn.kind {
-		case 1:
-			if base := plain[mn.md.importPath]; base != nil {
-				n.deps = append(n.deps, base)
-			}
-		case 2:
-			if v := variants[mn.md.importPath]; v != nil {
-				n.resolve[mn.md.importPath] = v
-			}
-		}
-		n.deps = append(n.deps, sortedDeps(n)...)
-	}
-	for _, n := range ld.nodes {
-		if n.std {
-			n.deps = append(n.deps, sortedDeps(n)...)
-		}
-	}
-
-	if err := ld.run(opts.Workers); err != nil {
-		return nil, err
-	}
-
-	// Package results, sorted by (path, plain < variant < external).
-	sort.SliceStable(modNodes, func(i, j int) bool {
-		a, b := modNodes[i], modNodes[j]
-		if a.md.importPath != b.md.importPath {
-			return a.md.importPath < b.md.importPath
-		}
-		return a.kind < b.kind
+	// A directory's units were added plain, variant, external; the walk is
+	// not in import-path order where a name holds a byte below '/'.
+	slices.SortStableFunc(units, func(a, b *unit) int {
+		return strings.Compare(cmp.Or(a.pkg.ForTest, a.pkg.Path), cmp.Or(b.pkg.ForTest, b.pkg.Path))
 	})
-	var pkgs []*Package
-	for _, mn := range modNodes {
-		n := mn.node
-		pkgs = append(pkgs, &Package{
-			Path:        n.path,
-			Dir:         n.dir,
-			ForTest:     n.forTest,
-			TestGoFiles: n.testFiles,
-			IsCommand:   n.isCommand,
-			Fset:        ld.fset,
-			Files:       n.syntax,
-			Types:       n.tpkg,
-			Info:        n.info,
-			TypeErrors:  n.errs,
-		})
+	pkgs := make([]*Package, len(units))
+	for i, u := range units {
+		ld.check(u)
+		pkgs[i] = u.pkg
 	}
 	return pkgs, nil
 }
 
 // LoadDir parses and type-checks the single package in dir under the
-// given import path, resolving its imports through the same loader
-// machinery. Used by the analyzer test harness on testdata packages.
+// given import path, resolving its imports through export data like
+// LoadModule. Used by the analyzer test harness on testdata packages.
 func LoadDir(dir, importPath string) (*Package, error) {
-	ents, err := os.ReadDir(dir)
+	fset := token.NewFileSet()
+	files, err := parseDir(fset, dir, true)
 	if err != nil {
 		return nil, fmt.Errorf("analysis: %w", err)
 	}
-	ld := &loader{
-		fset:     token.NewFileSet(),
-		bctx:     build.Default,
-		stdByDir: make(map[string]*loadNode),
-		fakes:    make(map[string]*types.Package),
-	}
-	ld.bctx.CgoEnabled = false
-
-	n := &loadNode{id: importPath, path: importPath, dir: dir, resolve: make(map[string]*loadNode)}
-	for _, e := range ents {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") {
-			continue
-		}
-		fname := filepath.Join(dir, name)
-		f, err := parser.ParseFile(ld.fset, fname, nil, parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			return nil, fmt.Errorf("analysis: %w", err)
-		}
-		n.files = append(n.files, fname)
-		n.syntax = append(n.syntax, f)
-		if f.Name.Name == "main" {
-			n.isCommand = true
-		}
-	}
-	if len(n.syntax) == 0 {
+	if len(files) == 0 {
 		return nil, fmt.Errorf("analysis: no Go files in %s", dir)
 	}
-	ld.nodes = append(ld.nodes, n)
-	var frontier []*loadNode
-	seen := make(map[string]bool)
-	for _, f := range n.syntax {
-		for _, spec := range f.Imports {
-			ip := strings.Trim(spec.Path.Value, `"`)
-			if seen[ip] || ip == "unsafe" || ip == "C" {
-				continue
-			}
-			seen[ip] = true
-			dep := ld.resolveStd(ip, n.dir, &frontier)
-			n.resolve[ip] = dep
-			if dep == nil {
-				ld.fakeFor(ip)
-			}
-		}
-	}
-	ld.expandStd(&frontier)
-	for _, nd := range ld.nodes {
-		nd.deps = append(nd.deps, sortedDeps(nd)...)
-	}
-	if err := ld.run(0); err != nil {
+	ld := &loader{}
+	if ld.std, err = exportImporter(fset, dir, importPaths(files, nil)); err != nil {
 		return nil, err
 	}
-	return &Package{
-		Path:        n.path,
-		Dir:         n.dir,
-		TestGoFiles: map[string]bool{},
-		IsCommand:   n.isCommand,
-		Fset:        ld.fset,
-		Files:       n.syntax,
-		Types:       n.tpkg,
-		Info:        n.info,
-		TypeErrors:  n.errs,
-	}, nil
+	u := &unit{pkg: newPackage(fset, importPath, dir, "", files)}
+	ld.check(u)
+	return u.pkg, nil
 }

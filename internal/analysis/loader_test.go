@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"pagequality/internal/analysis"
@@ -11,8 +12,9 @@ import (
 
 // writeTestModule lays out a small module exercising every loader shape:
 // a library package, its in-package test variant, an external _test
-// package using an in-package helper, a command, and an inter-package
-// import.
+// package using an in-package helper, a command, an inter-package
+// import, a file the build constraints exclude, and two directories
+// (core-util, core/sub) a directory walk meets out of import-path order.
 func writeTestModule(t *testing.T) string {
 	t.Helper()
 	dir := t.TempDir()
@@ -23,6 +25,15 @@ func writeTestModule(t *testing.T) string {
 // Double is imported by pkg and by the command.
 func Double(x int) int { return 2 * x }
 `,
+		"core/gen.go": `//go:build ignore
+
+// A generator run with "go run gen.go": never part of package core.
+package main
+
+func main() { undefinedHelper() }
+`,
+		"core/sub/sub.go":   "package sub\n",
+		"core-util/util.go": "package util\n",
 		"pkg/pkg.go": `package pkg
 
 import "loadertest.example/m/core"
@@ -82,10 +93,11 @@ func main() { fmt.Println(core.Double(21)) }
 
 // TestLoadModuleShapes checks the package universe the loader produces:
 // plain packages, test variants, external test packages, command
-// detection, and clean type-checking for all of them.
+// detection, import-path order, no build-excluded file, and clean
+// type-checking for all of them.
 func TestLoadModuleShapes(t *testing.T) {
 	root := writeTestModule(t)
-	pkgs, err := analysis.LoadModule(root, analysis.LoadOptions{Tests: true})
+	pkgs, err := analysis.LoadModule(root, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,11 +114,18 @@ func TestLoadModuleShapes(t *testing.T) {
 		if p.Types == nil || p.Info == nil {
 			t.Errorf("%s: missing type info", p.Path)
 		}
+		for _, f := range p.Files {
+			if name := p.Fset.File(f.Package).Name(); filepath.Base(name) == "gen.go" {
+				t.Errorf("%s: loaded %s, which //go:build ignore excludes", p.Path, name)
+			}
+		}
 		got = append(got, shape{p.Path, p.ForTest, p.IsCommand, len(p.TestGoFiles)})
 	}
 	want := []shape{
 		{"loadertest.example/m/cmd/run", "", true, 0},
 		{"loadertest.example/m/core", "", false, 0},
+		{"loadertest.example/m/core-util", "", false, 0},
+		{"loadertest.example/m/core/sub", "", false, 0},
 		{"loadertest.example/m/pkg", "", false, 0},
 		{"loadertest.example/m/pkg", "loadertest.example/m/pkg", false, 1},
 		{"loadertest.example/m/pkg_test", "loadertest.example/m/pkg", false, 1},
@@ -115,49 +134,29 @@ func TestLoadModuleShapes(t *testing.T) {
 		t.Fatalf("package universe:\n got %+v\nwant %+v", got, want)
 	}
 
-	// Without Tests, only the three plain packages load.
-	plain, err := analysis.LoadModule(root, analysis.LoadOptions{Tests: false})
+	// Without tests, only the five plain packages load.
+	plain, err := analysis.LoadModule(root, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(plain) != 3 {
-		t.Fatalf("Tests=false loaded %d packages, want 3", len(plain))
+	if len(plain) != 5 {
+		t.Fatalf("tests=false loaded %d packages, want 5", len(plain))
 	}
 }
 
-// TestLoadModuleWorkerInvariance pins the tentpole determinism claim: the
-// full diagnostic stream is identical at every worker count, because the
-// schedule only changes wall time.
-func TestLoadModuleWorkerInvariance(t *testing.T) {
+// TestLoadModuleNoGoTool pins the failure mode of the one outside
+// dependency the loader has: imports from outside the module come from
+// `go list -export`, so without a go tool the load is an error naming that
+// command, never a panic or a silently degraded (clean-looking) result.
+func TestLoadModuleNoGoTool(t *testing.T) {
 	root := writeTestModule(t)
-	// Make the module dirty so there is a real stream to compare.
-	dirty := `package core
-
-import "math/rand"
-
-func Jitter() float64 { return rand.Float64() }
-`
-	if err := os.WriteFile(filepath.Join(root, "core", "jitter.go"), []byte(dirty), 0o644); err != nil {
-		t.Fatal(err)
+	t.Setenv("PATH", "")
+	pkgs, err := analysis.LoadModule(root, true)
+	if err == nil {
+		t.Fatalf("LoadModule without a go tool returned %d packages and no error", len(pkgs))
 	}
-	var base []analysis.Diagnostic
-	for i, workers := range []int{1, 2, 8} {
-		pkgs, err := analysis.LoadModule(root, analysis.LoadOptions{Tests: true, Workers: workers})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		diags := analysis.RunAnalyzers(pkgs, analysis.Analyzers())
-		if len(diags) == 0 {
-			t.Fatalf("workers=%d: dirty module produced no diagnostics", workers)
-		}
-		if i == 0 {
-			base = diags
-			continue
-		}
-		if !reflect.DeepEqual(diags, base) {
-			t.Fatalf("workers=%d: diagnostics differ from workers=1:\n got %v\nwant %v",
-				workers, diags, base)
-		}
+	if !strings.HasPrefix(err.Error(), "analysis: go list -export: ") {
+		t.Fatalf("error does not name the command: %v", err)
 	}
 }
 
@@ -181,7 +180,7 @@ func eqInTest(a, b float64) bool { return a != b }
 	if err := os.WriteFile(filepath.Join(root, "pkg", "dirty_test.go"), []byte(dirtyTest), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	pkgs, err := analysis.LoadModule(root, analysis.LoadOptions{Tests: true})
+	pkgs, err := analysis.LoadModule(root, true)
 	if err != nil {
 		t.Fatal(err)
 	}

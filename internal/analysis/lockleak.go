@@ -21,10 +21,9 @@ import (
 // the common `if ... { mu.Unlock(); return }` ladder passes, while a
 // bare `if err != nil { return err }` between Lock and Unlock is caught.
 var LockLeakAnalyzer = &Analyzer{
-	Name:     "lockleak",
-	Doc:      "flag mutex Lock without a deferred or path-covering Unlock",
-	Requires: []*Analyzer{InspectAnalyzer},
-	Run:      runLockLeak,
+	Name: "lockleak",
+	Doc:  "flag mutex Lock without a deferred or path-covering Unlock",
+	Run:  runLockLeak,
 }
 
 // lockPairs maps acquire method names to their release.
@@ -33,7 +32,7 @@ var lockPairs = map[string]string{
 	"RLock": "RUnlock",
 }
 
-func runLockLeak(pass *Pass) (any, error) {
+func runLockLeak(pass *Pass) {
 	pass.Inspector().Preorder([]ast.Node{(*ast.BlockStmt)(nil)}, func(n ast.Node) {
 		block := n.(*ast.BlockStmt)
 		for i, st := range block.List {
@@ -52,7 +51,6 @@ func runLockLeak(pass *Pass) (any, error) {
 			checkLockPath(pass, call, block.List[i+1:], recv, unlock)
 		}
 	})
-	return nil, nil
 }
 
 // mutexAcquire reports whether call is recv.Lock() or recv.RLock() on a

@@ -15,13 +15,12 @@ import (
 // function counts as the join; sites that coordinate through some other
 // mechanism document themselves with //pqlint:allow looproutine.
 var LoopRoutineAnalyzer = &Analyzer{
-	Name:     "looproutine",
-	Doc:      "flag goroutines launched in a loop with no WaitGroup/errgroup/channel join in scope",
-	Requires: []*Analyzer{InspectAnalyzer},
-	Run:      runLoopRoutine,
+	Name: "looproutine",
+	Doc:  "flag goroutines launched in a loop with no WaitGroup/errgroup/channel join in scope",
+	Run:  runLoopRoutine,
 }
 
-func runLoopRoutine(pass *Pass) (any, error) {
+func runLoopRoutine(pass *Pass) {
 	pass.Inspector().WithStack([]ast.Node{(*ast.GoStmt)(nil)},
 		func(n ast.Node, push bool, stack []ast.Node) bool {
 			if !push {
@@ -49,7 +48,6 @@ func runLoopRoutine(pass *Pass) (any, error) {
 				"goroutine launched in a loop with no join in the enclosing function (no .Wait() call or channel receive); bound it with a WaitGroup or semaphore")
 			return true
 		})
-	return nil, nil
 }
 
 // hasJoin reports whether body contains anything that waits on other

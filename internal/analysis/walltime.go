@@ -17,10 +17,9 @@ import (
 // libraries (crawl retry deadlines, fault-injection latency) carry a
 // //pqlint:allow walltime directive naming themselves.
 var WallTimeAnalyzer = &Analyzer{
-	Name:     "walltime",
-	Doc:      "forbid wall-clock reads (time.Now/Sleep/Since/...) in library code; inject clocks",
-	Requires: []*Analyzer{InspectAnalyzer},
-	Run:      runWallTime,
+	Name: "walltime",
+	Doc:  "forbid wall-clock reads (time.Now/Sleep/Since/...) in library code; inject clocks",
+	Run:  runWallTime,
 }
 
 // wallClockFuncs are the package time functions that observe or depend on
@@ -39,9 +38,9 @@ var wallClockFuncs = map[string]bool{
 	"AfterFunc": true,
 }
 
-func runWallTime(pass *Pass) (any, error) {
+func runWallTime(pass *Pass) {
 	if pass.IsCommand {
-		return nil, nil
+		return
 	}
 	// Per-file fallback import names for partially type-checked files.
 	timeNames := make(map[*ast.File]map[string]bool, len(pass.Files))
@@ -92,5 +91,4 @@ func runWallTime(pass *Pass) (any, error) {
 				sel.Sel.Name)
 			return true
 		})
-	return nil, nil
 }

@@ -38,9 +38,6 @@ func NewZipf(n int, s float64) (*Zipf, error) {
 	return &Zipf{cdf: cdf}, nil
 }
 
-// N returns the number of ranks.
-func (z *Zipf) N() int { return len(z.cdf) }
-
 // Rank maps a uniform variate u in [0,1) to its zipf rank: the first
 // rank whose cumulative probability exceeds u.
 func (z *Zipf) Rank(u float64) int {
@@ -84,6 +81,3 @@ func (w *Workload) Query(i uint64) string {
 	s := randx.NewStream(w.seed, workloadKey, i)
 	return w.queries[w.zipf.Rank(randx.Float64(&s))]
 }
-
-// NumQueries returns the size of the query vocabulary.
-func (w *Workload) NumQueries() int { return len(w.queries) }

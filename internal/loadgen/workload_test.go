@@ -32,8 +32,8 @@ func TestZipfRank(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if z.N() != 10 {
-		t.Fatalf("N = %d", z.N())
+	if len(z.cdf) != 10 {
+		t.Fatalf("N = %d", len(z.cdf))
 	}
 	if r := z.Rank(0); r != 0 {
 		t.Fatalf("Rank(0) = %d, want head rank 0", r)
@@ -112,8 +112,8 @@ func TestWorkloadReplayable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.NumQueries() != len(vocab) {
-		t.Fatalf("NumQueries = %d", a.NumQueries())
+	if len(a.queries) != len(vocab) {
+		t.Fatalf("NumQueries = %d", len(a.queries))
 	}
 	diverged := false
 	for i := uint64(0); i < 1000; i++ {

@@ -87,15 +87,3 @@ func RunEnsemble(cfg Config, runs int, tMax float64, sampleEvery int) (*Ensemble
 	}
 	return ens, nil
 }
-
-// MaxDeviationFrom returns the sup-norm distance between the ensemble
-// mean and the analytic popularity of the given parameters.
-func (e *Ensemble) MaxDeviationFrom(p model.Params) float64 {
-	d := 0.0
-	for j, t := range e.T {
-		if x := math.Abs(e.Mean[j] - p.PopularityAt(t)); x > d {
-			d = x
-		}
-	}
-	return d
-}

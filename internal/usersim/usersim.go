@@ -162,9 +162,6 @@ func (s *Sim) Time() float64 { return s.time }
 // Visits returns the cumulative number of visits so far.
 func (s *Sim) Visits() int64 { return s.visits }
 
-// Discoveries returns how many visits were first discoveries.
-func (s *Sim) Discoveries() int64 { return s.discovers }
-
 // Step advances the simulation by one DT tick: draws a Poisson number of
 // visits at the current visit rate, assigns each to a uniformly random
 // user, applies discovery/liking, then applies forgetting.

@@ -187,12 +187,12 @@ func TestVisitAccounting(t *testing.T) {
 	if s.Visits() == 0 {
 		t.Fatal("no visits recorded")
 	}
-	if s.Discoveries() > s.Visits() {
+	if s.discovers > s.Visits() {
 		t.Fatal("more discoveries than visits")
 	}
 	// Every aware user beyond the initial seeds was discovered exactly once.
 	wantDisc := int64(float64(cfg.Users)*s.Awareness()) - int64(cfg.InitialLikes)
-	if d := s.Discoveries(); absInt64(d-wantDisc) > 2 {
+	if d := s.discovers; absInt64(d-wantDisc) > 2 {
 		t.Fatalf("discoveries = %d, aware-derived = %d", d, wantDisc)
 	}
 }

@@ -356,11 +356,6 @@ func (s *Sim) Awareness(p graph.NodeID) float64 {
 	return s.aware[p] / float64(s.cfg.Users)
 }
 
-// Quality returns the ground-truth quality of page p.
-func (s *Sim) Quality(p graph.NodeID) float64 {
-	return s.g.Page(p).Quality
-}
-
 // Graph exposes the live graph for inspection. Callers must not mutate it;
 // use SnapshotNow for a stable copy.
 func (s *Sim) Graph() *graph.Graph { return s.g }

@@ -271,7 +271,7 @@ func TestPopularityBounded(t *testing.T) {
 	for i := 0; i < s.NumPages(); i++ {
 		id := graph.NodeID(i)
 		pop := s.Popularity(id)
-		q := s.Quality(id)
+		q := s.g.Page(id).Quality
 		if pop < 0 || pop > 1 {
 			t.Fatalf("page %d popularity %g outside [0,1]", i, pop)
 		}
