@@ -49,9 +49,9 @@ import (
 	"sync/atomic"
 	"time"
 
+	"pagequality/internal/corpus"
 	"pagequality/internal/crawler"
 	"pagequality/internal/pagerank"
-	"pagequality/internal/corpus"
 	"pagequality/internal/pagestore"
 	"pagequality/internal/quality"
 	"pagequality/internal/search"
@@ -257,14 +257,15 @@ func (s *service) loadGeneration(id uint64) (*generation, error) {
 		byURL[u] = i
 	}
 
-	// One corpus pass projects every indexable document under the label:
-	// link extraction and the common-page filter run in the parallel map
-	// phase; Extract returns key order, so the sequential index build
-	// below sees the same documents in the same order the old
-	// KeysWithPrefix+Get walk produced.
+	// One corpus pass projects every indexable document under the label;
+	// the key prefix keeps the other crawls' records unread. The canonical
+	// link, the common-page filter and the tokenizer all run in the
+	// parallel map phase; Extract returns key order, so the sequential
+	// index build below — posting appends only — sees the same documents
+	// in the same order the old KeysWithPrefix+Get walk produced.
 	type indexable struct {
 		canonical string
-		body      string
+		terms     search.Analyzed
 		ai        int
 	}
 	docs, err := corpus.Extract(arch, func(d corpus.Doc) (indexable, bool) {
@@ -272,7 +273,8 @@ func (s *service) loadGeneration(id uint64) (*generation, error) {
 		if !ok || l != label {
 			return indexable{}, false
 		}
-		_, canonical := crawler.ExtractLinks(string(d.Body))
+		body := string(d.Body)
+		canonical := crawler.Canonical(body)
 		if canonical == "" {
 			canonical = fetchURL
 		}
@@ -280,8 +282,8 @@ func (s *service) loadGeneration(id uint64) (*generation, error) {
 		if !ok {
 			return indexable{}, false // page not common to every crawl: no quality estimate
 		}
-		return indexable{canonical: canonical, body: string(d.Body), ai: ai}, true
-	}, corpus.Options{})
+		return indexable{canonical: canonical, terms: search.Analyze(body), ai: ai}, true
+	}, corpus.Options{KeyPrefix: label + "/"})
 	if err != nil {
 		return nil, err
 	}
@@ -292,7 +294,7 @@ func (s *service) loadGeneration(id uint64) (*generation, error) {
 	g := &generation{id: id, ix: search.NewIndex()}
 	for _, d := range docs {
 		canonical, ai := d.canonical, d.ai
-		doc := g.ix.Add(d.body)
+		doc := g.ix.AddAnalyzed(d.terms)
 		if doc != len(g.urls) {
 			return nil, fmt.Errorf("qualityserve: document id drift")
 		}

@@ -36,9 +36,16 @@ type Options struct {
 	// GOMAXPROCS; 1 runs sequentially. Results are bitwise identical
 	// either way.
 	Workers int
+	// KeyPrefix restricts the pass to the keys that start with it (an
+	// archive label is "<label>/"). The pagestore applies it to its key
+	// index before reading anything, so a segment with no such key is
+	// never opened and a record outside the prefix never inflated; the
+	// result equals the unrestricted pass with the same test in proj.
+	KeyPrefix string
 }
 
-// Extract projects a field set out of every live document: proj returns
+// Extract projects a field set out of every live document under
+// opts.KeyPrefix (every live document when it is empty): proj returns
 // the projection and whether to keep it. proj must be safe to run
 // concurrently with other segments' projections; it may keep d.Body
 // (every record's body is its own allocation). Results are in key
@@ -54,7 +61,7 @@ func Extract[R any](st *pagestore.Store, proj func(Doc) (R, bool), opts Options)
 	ids := st.SegmentIDs()
 	parts := make([][]keyed, len(ids))
 	err := par.DoErr(len(ids), opts.Workers, func(i int) error {
-		docs, err := st.ReadLive(ids[i])
+		docs, err := st.ReadLivePrefix(ids[i], opts.KeyPrefix)
 		if err != nil {
 			return err
 		}

@@ -205,3 +205,102 @@ func TestVerbsOnTinyStore(t *testing.T) {
 		t.Fatalf("empty projection kept %d", len(none))
 	}
 }
+
+// TestExtractKeyPrefix: a pass with Options.KeyPrefix equals the
+// unrestricted pass with the same test inside the projection — at every
+// worker count, before and after a compaction rehomes every record.
+func TestExtractKeyPrefix(t *testing.T) {
+	s, _ := buildStore(t, false)
+	line := func(d Doc) string { return fmt.Sprintf("%s %v %s", d.Key, d.Meta, d.Body) }
+	check := func(when string) {
+		t.Helper()
+		for _, prefix := range []string{"", "t1/", "t2/", "t2/site-00", "t", "none/"} {
+			want, err := Extract(s, func(d Doc) (string, bool) {
+				return line(d), strings.HasPrefix(d.Key, prefix)
+			}, Options{Workers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if (len(want) == 0) != (prefix == "none/") {
+				t.Fatalf("%s: prefix %q selects %d documents", when, prefix, len(want))
+			}
+			for _, workers := range []int{1, 2, 8} {
+				got, err := Extract(s, func(d Doc) (string, bool) { return line(d), true },
+					Options{Workers: workers, KeyPrefix: prefix})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s, prefix %q, workers=%d: %d documents, want %d (or they differ)", when, prefix, workers, len(got), len(want))
+				}
+			}
+		}
+	}
+	check("before Compact")
+	if err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	check("after Compact")
+}
+
+// TestExtractKeyPrefixSkipsSegments: segments holding no key under the
+// prefix are not touched — with such a segment's file gone the prefixed
+// pass still succeeds, while the unrestricted pass reports the read
+// error.
+func TestExtractKeyPrefixSkipsSegments(t *testing.T) {
+	dir := t.TempDir()
+	s, err := pagestore.Open(dir, pagestore.Options{MaxSegmentBytes: 4096})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	for _, label := range []string{"t1", "t2", "t3"} { // one crawl after the other
+		for i := 0; i < 30; i++ {
+			filler := make([]byte, 120)
+			rng.Read(filler)
+			if err := s.Put(fmt.Sprintf("%s/page%02d", label, i), pagestore.Meta{Status: 200}, []byte(fmt.Sprintf("%x", filler))); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if s, err = pagestore.Open(dir, pagestore.Options{MaxSegmentBytes: 4096}); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+
+	keys := func(opts Options) ([]string, error) {
+		return Extract(s, func(d Doc) (string, bool) { return d.Key, true }, opts)
+	}
+	want, err := keys(Options{KeyPrefix: "t3/"})
+	if err != nil || len(want) != 30 {
+		t.Fatalf("prefixed pass on the intact store: %d keys, err %v", len(want), err)
+	}
+	first := s.SegmentIDs()[0]
+	recs, err := s.ReadLive(first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range recs {
+		if !strings.HasPrefix(r.Key, "t1/") {
+			t.Fatalf("fixture: first segment holds %q", r.Key)
+		}
+	}
+	if err := os.Remove(filepath.Join(dir, fmt.Sprintf("seg-%06d.dat", first))); err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 2, 8} {
+		got, err := keys(Options{Workers: workers, KeyPrefix: "t3/"})
+		if err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("workers=%d: prefixed pass without the t1 segment: %d keys, err %v", workers, len(got), err)
+		}
+		if _, err := keys(Options{Workers: workers}); !errors.Is(err, fs.ErrNotExist) {
+			t.Fatalf("workers=%d: unrestricted pass without the t1 segment: err = %v", workers, err)
+		}
+		if _, err := keys(Options{Workers: workers, KeyPrefix: "t1/"}); !errors.Is(err, fs.ErrNotExist) {
+			t.Fatalf("workers=%d: t1 pass without the t1 segment: err = %v", workers, err)
+		}
+	}
+}

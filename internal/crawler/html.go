@@ -11,50 +11,71 @@ import "strings"
 // the href of the first <link rel="canonical"> if present.
 func ExtractLinks(body string) (hrefs []string, canonical string) {
 	for i := 0; i < len(body); {
-		lt := strings.IndexByte(body[i:], '<')
-		if lt < 0 {
-			break
-		}
-		i += lt + 1
-		tag, attrs, next := scanTag(body, i)
-		i = next
-		switch tag {
-		case "a":
-			if href, ok := attrs["href"]; ok && href != "" {
+		var name, attrs string
+		name, attrs, i = nextTag(body, i)
+		switch {
+		case strings.EqualFold(name, "a"):
+			if href := parseAttrs(attrs)["href"]; href != "" {
 				hrefs = append(hrefs, href)
 			}
-		case "link":
-			if canonical == "" &&
-				strings.EqualFold(attrs["rel"], "canonical") &&
-				attrs["href"] != "" {
-				canonical = attrs["href"]
-			}
+		case canonical == "" && strings.EqualFold(name, "link"):
+			canonical = canonicalHref(attrs)
 		}
 	}
 	return hrefs, canonical
 }
 
-// scanTag parses the tag starting at body[i] (just past '<') and returns
-// the lowercase tag name, its attributes and the index just past '>'.
-// Comments, closing tags and malformed fragments return an empty name.
-func scanTag(body string, i int) (name string, attrs map[string]string, next int) {
+// Canonical returns ExtractLinks' second result alone: it stops at the
+// first canonical link (normally in <head>) and parses the attributes
+// of <link> tags only.
+func Canonical(body string) string {
+	for i := 0; i < len(body); {
+		var name, attrs string
+		name, attrs, i = nextTag(body, i)
+		if strings.EqualFold(name, "link") {
+			if href := canonicalHref(attrs); href != "" {
+				return href
+			}
+		}
+	}
+	return ""
+}
+
+// canonicalHref returns the href of a <link> tag's attribute text if its
+// rel is "canonical", else "".
+func canonicalHref(attrs string) string {
+	a := parseAttrs(attrs)
+	if strings.EqualFold(a["rel"], "canonical") {
+		return a["href"]
+	}
+	return ""
+}
+
+// nextTag finds the first '<' at or after body[i] and returns the tag's
+// name as written (match it with EqualFold), its unparsed attribute text
+// and the index just past '>'. Comments, closing tags and malformed
+// fragments return an empty name; when no tag is left, next is len(body).
+func nextTag(body string, i int) (name, attrs string, next int) {
+	lt := strings.IndexByte(body[i:], '<')
+	if lt < 0 {
+		return "", "", len(body)
+	}
+	i += lt + 1
 	end := strings.IndexByte(body[i:], '>')
 	if end < 0 {
-		return "", nil, len(body)
+		return "", "", len(body)
 	}
 	content := body[i : i+end]
 	next = i + end + 1
 	if content == "" || content[0] == '/' || content[0] == '!' || content[0] == '?' {
-		return "", nil, next
+		return "", "", next
 	}
 	// Tag name: leading run of letters/digits.
 	j := 0
 	for j < len(content) && isNameByte(content[j]) {
 		j++
 	}
-	name = strings.ToLower(content[:j])
-	attrs = parseAttrs(content[j:])
-	return name, attrs, next
+	return content[:j], content[j:], next
 }
 
 func isNameByte(c byte) bool {

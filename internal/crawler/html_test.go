@@ -2,7 +2,10 @@ package crawler
 
 import (
 	"reflect"
+	"strings"
 	"testing"
+
+	"pagequality/internal/randx"
 )
 
 func TestExtractLinksBasic(t *testing.T) {
@@ -81,5 +84,52 @@ func TestExtractLinksIgnoresNonAnchorHref(t *testing.T) {
 	hrefs, _ := ExtractLinks(body)
 	if len(hrefs) != 1 || hrefs[0] != "/yes" {
 		t.Fatalf("hrefs = %v", hrefs)
+	}
+}
+
+// TestCanonicalMatchesExtractLinks: Canonical is ExtractLinks' second
+// result, on the shapes where an early-exit scanner could drift — a
+// link inside a comment, a longer tag name, an empty or missing href, a
+// non-canonical rel first, upper case, entities, unterminated tags —
+// and on random splices of those fragments.
+func TestCanonicalMatchesExtractLinks(t *testing.T) {
+	frags := []string{
+		`<link rel="canonical" href="http://a.example/x">`,
+		`<LINK REL="CANONICAL" HREF="http://upper/">`,
+		`<link rel=canonical href=/unquoted>`,
+		`<link href='/href-first' rel='canonical'>`,
+		`<link rel="canonical" href="">`,
+		`<link rel="canonical">`,
+		`<link rel="stylesheet" href="/s.css">`,
+		`<links rel="canonical" href="/not-a-link-tag">`,
+		`<link rel="canonical" href="/q?a=1&amp;b=2">`,
+		`<!-- <link rel="canonical" href="/in-comment"> -->`,
+		`<!-- > <link rel="canonical" href="/after-comment-gt">`,
+		`</link rel="canonical" href="/closing">`,
+		`<a href="/p/1.html" rel="canonical">anchor</a>`,
+		`<li><a href="/p/2.html">x</a></li>`,
+		`<link rel="canonical" href="/unterminated"`,
+		`<link rel="canonical" href="/quote>inside">`,
+		`<`, `>`, `<>`, `< link rel=canonical href=/space>`, "text\n", `<link/rel=canonical href=/slash>`,
+	}
+	check := func(body string) {
+		t.Helper()
+		_, want := ExtractLinks(body)
+		if got := Canonical(body); got != want {
+			t.Fatalf("Canonical(%q) = %q, ExtractLinks says %q", body, got, want)
+		}
+	}
+	check("")
+	for _, f := range frags {
+		check(f)
+		check("<html><head>" + f + "</head><body>" + frags[0] + "</body></html>")
+	}
+	rng := randx.NewStream(7, randx.Key("canonical"), 0)
+	for i := 0; i < 2000; i++ {
+		var b strings.Builder
+		for n := 1 + randx.Intn(&rng, 6); n > 0; n-- {
+			b.WriteString(frags[randx.Intn(&rng, len(frags))])
+		}
+		check(b.String())
 	}
 }

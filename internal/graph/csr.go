@@ -13,8 +13,8 @@ type CSR struct {
 	outOff []uint32 // len n+1
 	outTo  []NodeID // len e
 
-	inOff   []uint32 // len n+1
-	inFrom  []NodeID // len e
+	inOff   []uint32  // len n+1
+	inFrom  []NodeID  // len e
 	outDegs []uint32  // out-degree per node, len n (avoids pointer chase)
 	invOut  []float64 // 1/out-degree per node (0 for danglings), len n
 }

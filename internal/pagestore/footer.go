@@ -37,10 +37,10 @@ import (
 // mismatch, inconsistent dataLen/offsets) falls back to the full record
 // scan, which rebuilds an identical index from the records themselves.
 const (
-	footMagic      = 0xF5
-	footVersion    = 1
-	footTrailerLen = 16 // crc32 + bodyLen + trailer magic
-	bloomHashes    = 4
+	footMagic       = 0xF5
+	footVersion     = 1
+	footTrailerLen  = 16 // crc32 + bodyLen + trailer magic
+	bloomHashes     = 4
 	bloomBitsPerKey = 10
 )
 

@@ -55,11 +55,11 @@ type Meta struct {
 type Store struct {
 	mu         sync.Mutex
 	dir        string
-	active     *os.File // current segment, opened for append
-	actID      int      // numeric id of the active segment
-	actLen     int64    // current size of the active segment
+	active     *os.File         // current segment, opened for append
+	actID      int              // numeric id of the active segment
+	actLen     int64            // current size of the active segment
 	actEntries map[string]int64 // latest offset per key in the active segment (footer material)
-	maxSeg     int64    // rotation threshold
+	maxSeg     int64            // rotation threshold
 	index      map[string]location
 	blooms     map[int]segBloom // per sealed segment, from its footer
 	closed     bool
@@ -67,7 +67,7 @@ type Store struct {
 	// openStats records how the index was rebuilt; tests use it to pin
 	// the O(index) cold-start contract.
 	openStats struct {
-		footerSegments int // indexed from a valid footer, no record reads
+		footerSegments  int // indexed from a valid footer, no record reads
 		scannedSegments int // indexed by replaying records
 	}
 }
@@ -332,7 +332,7 @@ func (s *Store) scanSegmentFile(id int, last, footerEvidence bool) ([]segEntry, 
 			}
 			return ents, nil
 		}
-		recLen, key, err := verifyRecordAt(data, off)
+		recLen, key, _, _, err := parseRecordAt(data, off)
 		if err != nil {
 			if footerEvidence {
 				if last {
@@ -351,66 +351,92 @@ func (s *Store) scanSegmentFile(id int, last, footerEvidence bool) ([]segEntry, 
 			}
 			return nil, fmt.Errorf("pagestore: segment %d offset %d: %w", id, off, err)
 		}
-		ents = append(ents, segEntry{key: key, off: off})
+		ents = append(ents, segEntry{key: string(key), off: off})
 		off += recLen
 	}
 	return ents, nil
 }
 
-// verifyRecordAt checks the record starting at data[off], returning its
-// total length and key. Structural damage inside the buffer is ErrCorrupt;
-// running past the end is io.ErrUnexpectedEOF (a torn write).
-func verifyRecordAt(data []byte, off int64) (int64, string, error) {
-	r := bytes.NewReader(data[off:])
-	if b, err := r.ReadByte(); err != nil {
-		return 0, "", io.ErrUnexpectedEOF
-	} else if b != recMagic {
-		return 0, "", fmt.Errorf("%w: magic 0x%02x", ErrCorrupt, b)
+// parseRecordAt checks the record starting at data[off] — structure,
+// length limits and CRC — and returns its total length and its fields as
+// views into data; nothing is copied. Structural damage inside the
+// buffer is ErrCorrupt; running past the end is io.ErrUnexpectedEOF (a
+// torn write).
+func parseRecordAt(data []byte, off int64) (total int64, key []byte, meta Meta, compressed []byte, err error) {
+	b := data[off:]
+	if len(b) == 0 {
+		return 0, nil, meta, nil, io.ErrUnexpectedEOF
 	}
-	klen, err := binary.ReadUvarint(r)
-	if err != nil {
-		return 0, "", io.ErrUnexpectedEOF
+	if b[0] != recMagic {
+		return 0, nil, meta, nil, fmt.Errorf("%w: magic 0x%02x", ErrCorrupt, b[0])
+	}
+	p := 1
+	// uvarint reads the next varint field; ok is false when it runs past
+	// the end of the buffer.
+	uvarint := func() (v uint64, ok bool) {
+		v, n := binary.Uvarint(b[p:])
+		p += n
+		return v, n > 0
+	}
+	klen, ok := uvarint()
+	if !ok {
+		return 0, nil, meta, nil, io.ErrUnexpectedEOF
 	}
 	if klen > maxKeyLen {
-		return 0, "", fmt.Errorf("%w: key length %d", ErrCorrupt, klen)
+		return 0, nil, meta, nil, fmt.Errorf("%w: key length %d", ErrCorrupt, klen)
 	}
-	kb := make([]byte, klen)
-	if _, err := io.ReadFull(r, kb); err != nil {
-		return 0, "", io.ErrUnexpectedEOF
+	if uint64(len(b)-p) < klen+8 {
+		return 0, nil, meta, nil, io.ErrUnexpectedEOF
 	}
-	if _, err := r.Seek(8, io.SeekCurrent); err != nil {
-		return 0, "", io.ErrUnexpectedEOF
+	key = b[p : p+int(klen)]
+	p += int(klen)
+	meta.FetchedAt = math.Float64frombits(binary.LittleEndian.Uint64(b[p:]))
+	p += 8
+	status, ok := uvarint()
+	if !ok {
+		return 0, nil, meta, nil, io.ErrUnexpectedEOF
 	}
-	if r.Len() < 8 {
-		return 0, "", io.ErrUnexpectedEOF
-	}
-	if _, err := binary.ReadUvarint(r); err != nil { // status
-		return 0, "", io.ErrUnexpectedEOF
-	}
-	blen, err := binary.ReadUvarint(r)
-	if err != nil {
-		return 0, "", io.ErrUnexpectedEOF
+	meta.Status = int(status)
+	blen, ok := uvarint()
+	if !ok {
+		return 0, nil, meta, nil, io.ErrUnexpectedEOF
 	}
 	if blen > maxBodyLen {
-		return 0, "", fmt.Errorf("%w: body length %d", ErrCorrupt, blen)
+		return 0, nil, meta, nil, fmt.Errorf("%w: body length %d", ErrCorrupt, blen)
 	}
-	if int64(r.Len()) < int64(blen)+4 {
-		return 0, "", io.ErrUnexpectedEOF
+	if uint64(len(b)-p) < blen+4 {
+		return 0, nil, meta, nil, io.ErrUnexpectedEOF
 	}
-	if _, err := r.Seek(int64(blen), io.SeekCurrent); err != nil {
-		return 0, "", io.ErrUnexpectedEOF
+	compressed = b[p : p+int(blen)]
+	p += int(blen)
+	if crc32.ChecksumIEEE(b[1:p]) != binary.LittleEndian.Uint32(b[p:]) {
+		return 0, nil, meta, nil, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
 	}
-	consumedPayload := int64(len(data)) - off - int64(r.Len())
-	payload := data[off+1 : off+consumedPayload]
-	var crcBuf [4]byte
-	if _, err := io.ReadFull(r, crcBuf[:]); err != nil {
-		return 0, "", io.ErrUnexpectedEOF
+	return int64(p) + 4, key, meta, compressed, nil
+}
+
+// deflate compresses one body for a record. A body longer than limit
+// on either side of the compressor is refused: the read path rejects
+// such a record as corrupt, so writing it would lose the document.
+func deflate(body []byte, limit int) ([]byte, error) {
+	if len(body) > limit {
+		return nil, fmt.Errorf("pagestore: body of %d bytes exceeds the %d-byte limit", len(body), limit)
 	}
-	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(crcBuf[:]) {
-		return 0, "", fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
+	var cbuf bytes.Buffer
+	fw, err := flate.NewWriter(&cbuf, flate.BestSpeed)
+	if err != nil {
+		return nil, fmt.Errorf("pagestore: flate: %w", err)
 	}
-	total := consumedPayload + 4
-	return total, string(kb), nil
+	if _, err := fw.Write(body); err != nil {
+		return nil, fmt.Errorf("pagestore: compress: %w", err)
+	}
+	if err := fw.Close(); err != nil {
+		return nil, fmt.Errorf("pagestore: compress close: %w", err)
+	}
+	if cbuf.Len() > limit {
+		return nil, fmt.Errorf("pagestore: body compresses to %d bytes, over the %d-byte limit", cbuf.Len(), limit)
+	}
+	return cbuf.Bytes(), nil
 }
 
 // Put stores (or replaces) the body under key.
@@ -418,18 +444,11 @@ func (s *Store) Put(key string, meta Meta, body []byte) error {
 	if key == "" || len(key) > maxKeyLen {
 		return fmt.Errorf("pagestore: invalid key length %d", len(key))
 	}
-	var cbuf bytes.Buffer
-	fw, err := flate.NewWriter(&cbuf, flate.BestSpeed)
+	compressed, err := deflate(body, maxBodyLen)
 	if err != nil {
-		return fmt.Errorf("pagestore: flate: %w", err)
+		return err
 	}
-	if _, err := fw.Write(body); err != nil {
-		return fmt.Errorf("pagestore: compress: %w", err)
-	}
-	if err := fw.Close(); err != nil {
-		return fmt.Errorf("pagestore: compress close: %w", err)
-	}
-	rec := appendRecord(nil, key, meta, cbuf.Bytes())
+	rec := appendRecord(nil, key, meta, compressed)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -505,54 +524,65 @@ func decodeRecordAt(data []byte, off int64) (Meta, []byte, error) {
 	if off >= int64(len(data)) {
 		return Meta{}, nil, fmt.Errorf("%w: offset beyond segment", ErrCorrupt)
 	}
-	if _, _, err := verifyRecordAt(data, off); err != nil {
-		return Meta{}, nil, err
-	}
-	r := bytes.NewReader(data[off:])
-	if _, err := r.ReadByte(); err != nil { // skip magic, already verified
-		return Meta{}, nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	_, meta, compressed, err := readRecord0(r)
+	_, _, meta, compressed, err := parseRecordAt(data, off)
 	if err != nil {
 		return Meta{}, nil, err
 	}
-	body, err := io.ReadAll(flate.NewReader(bytes.NewReader(compressed)))
-	if err != nil {
-		return Meta{}, nil, fmt.Errorf("%w: decompress: %v", ErrCorrupt, err)
-	}
-	return meta, body, nil
+	body, err := inflate(compressed, maxBodyLen)
+	return meta, body, err
 }
 
-// readRecord0 parses the record fields after the magic byte.
-func readRecord0(r *bytes.Reader) (string, Meta, []byte, error) {
-	var meta Meta
-	klen, err := binary.ReadUvarint(r)
-	if err != nil {
-		return "", meta, nil, io.ErrUnexpectedEOF
+// inflater is the reusable state of one decompression: a flate reader
+// is ~40 KB to build, so readers are reset (flate.Resetter) rather than
+// rebuilt, and a body is inflated into buf first so the caller gets one
+// exact-size allocation instead of io.ReadAll's doubling.
+type inflater struct {
+	src bytes.Reader
+	fr  io.Reader // flate reader over src
+	buf []byte
+}
+
+var inflaters = sync.Pool{New: func() any {
+	return &inflater{fr: flate.NewReader(nil), buf: make([]byte, 0, 32<<10)}
+}}
+
+// maxPooledScratch bounds the buffer a pooled inflater keeps, so one
+// huge body does not stay pinned for the life of the process.
+const maxPooledScratch = 1 << 20
+
+// inflate decompresses one record body into a fresh exact-size slice.
+// A stream that does not decode, or that inflates past limit bytes (Put
+// refuses such a body), is ErrCorrupt.
+func inflate(compressed []byte, limit int) ([]byte, error) {
+	z := inflaters.Get().(*inflater)
+	defer inflaters.Put(z)
+	z.src.Reset(compressed)
+	if err := z.fr.(flate.Resetter).Reset(&z.src, nil); err != nil {
+		return nil, fmt.Errorf("%w: decompress: %v", ErrCorrupt, err)
 	}
-	kb := make([]byte, klen)
-	if _, err := io.ReadFull(r, kb); err != nil {
-		return "", meta, nil, io.ErrUnexpectedEOF
+	buf := z.buf[:0]
+	for {
+		if len(buf) == cap(buf) {
+			// Double, but never past the one byte beyond limit that
+			// proves the stream too long.
+			buf = append(make([]byte, 0, min(2*cap(buf), limit+1)), buf...)
+		}
+		n, err := z.fr.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if len(buf) > limit {
+			return nil, fmt.Errorf("%w: body inflates past %d bytes", ErrCorrupt, limit)
+		}
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, fmt.Errorf("%w: decompress: %v", ErrCorrupt, err)
+		}
 	}
-	var fbuf [8]byte
-	if _, err := io.ReadFull(r, fbuf[:]); err != nil {
-		return "", meta, nil, io.ErrUnexpectedEOF
+	if cap(buf) <= maxPooledScratch {
+		z.buf = buf
 	}
-	meta.FetchedAt = math.Float64frombits(binary.LittleEndian.Uint64(fbuf[:]))
-	status, err := binary.ReadUvarint(r)
-	if err != nil {
-		return "", meta, nil, io.ErrUnexpectedEOF
-	}
-	meta.Status = int(status)
-	blen, err := binary.ReadUvarint(r)
-	if err != nil {
-		return "", meta, nil, io.ErrUnexpectedEOF
-	}
-	compressed := make([]byte, blen)
-	if _, err := io.ReadFull(r, compressed); err != nil {
-		return "", meta, nil, io.ErrUnexpectedEOF
-	}
-	return string(kb), meta, compressed, nil
+	return append(make([]byte, 0, len(buf)), buf...), nil
 }
 
 // Record is one live document streamed out of the store — the unit the
@@ -587,7 +617,14 @@ func (s *Store) SegmentIDs() []int {
 // live set is snapshotted at call time: a concurrent Compact may remove
 // the segment underneath the read, which reports an error rather than
 // partial data.
-func (s *Store) ReadLive(seg int) ([]Record, error) {
+func (s *Store) ReadLive(seg int) ([]Record, error) { return s.ReadLivePrefix(seg, "") }
+
+// ReadLivePrefix is ReadLive restricted to the keys that start with
+// prefix. The filter runs on the in-memory key index before any I/O: a
+// segment holding no such key is not opened, and a record outside the
+// prefix is neither CRC-checked nor inflated. Every record returned is
+// verified exactly as ReadLive verifies it.
+func (s *Store) ReadLivePrefix(seg int, prefix string) ([]Record, error) {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -595,7 +632,7 @@ func (s *Store) ReadLive(seg int) ([]Record, error) {
 	}
 	var ents []segEntry
 	for k, loc := range s.index {
-		if loc.seg == seg {
+		if loc.seg == seg && strings.HasPrefix(k, prefix) {
 			ents = append(ents, segEntry{key: k, off: loc.offset})
 		}
 	}
@@ -775,7 +812,7 @@ func (s *Store) Compact() error {
 			return s.compactFailLocked(out, created, oldActID, err)
 		}
 		for _, e := range bySeg[sid] {
-			recLen, _, err := verifyRecordAt(data, e.off)
+			recLen, _, _, _, err := parseRecordAt(data, e.off)
 			if err != nil {
 				return s.compactFailLocked(out, created, oldActID, err)
 			}

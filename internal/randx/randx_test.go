@@ -221,7 +221,7 @@ func TestBetaMoments(t *testing.T) {
 // shape < 1 regime.
 func TestGammaMoments(t *testing.T) {
 	for _, shape := range []float64{0.5, 2.5} {
-		s := NewStream(4, uint64(shape * 10), 0)
+		s := NewStream(4, uint64(shape*10), 0)
 		checkMoments(t, "gamma", func() float64 {
 			return Gamma(&s, shape)
 		}, shape, shape, 0.02*shape+0.02, 0.08*shape+0.05)

@@ -65,18 +65,77 @@ func NewIndex() *Index {
 	return &Index{postings: make(map[string][]posting)}
 }
 
+// Analyzed is one tokenized document, ready for AddAnalyzed: its distinct
+// terms in first-occurrence order, each term's frequency, and the token
+// count. It is a plain value, so documents can be analysed concurrently
+// (a map phase) and added in order afterwards.
+type Analyzed struct {
+	Terms []string
+	TFs   []int32 // TFs[i] is the number of occurrences of Terms[i]
+	Len   int     // tokens in the document
+}
+
+// Analyze tokenizes a document exactly as Tokenize does and counts its
+// terms. A pure-ASCII document takes a single pass that lower-cases
+// token by token and allocates a string only the first time the document
+// sees a term: below 0x80 unicode.IsLetter/IsDigit are the ASCII letters
+// and digits and strings.ToLower touches only 'A'-'Z', so the tokens are
+// Tokenize's. Any byte >= 0x80 sends the whole document through Tokenize
+// itself.
+func Analyze(text string) Analyzed {
+	distinct := len(text) / 24 // a guess that spares most regrowth, nothing more
+	a := Analyzed{Terms: make([]string, 0, distinct), TFs: make([]int32, 0, distinct)}
+	slot := make(map[string]int32, distinct) // term -> index in a.Terms
+	count := func(tok []byte) {
+		a.Len++
+		i, seen := slot[string(tok)] // no allocation: lookup-only conversion
+		if !seen {
+			i = int32(len(a.Terms))
+			term := string(tok)
+			slot[term] = i
+			a.Terms = append(a.Terms, term)
+			a.TFs = append(a.TFs, 0)
+		}
+		a.TFs[i]++
+	}
+	tok := make([]byte, 0, 64) // the token being lower-cased
+	for i := 0; i < len(text); i++ {
+		switch c := text[i]; {
+		case c >= 0x80:
+			a = Analyzed{}
+			clear(slot)
+			for _, t := range Tokenize(text) {
+				count([]byte(t))
+			}
+			return a
+		case c >= 'A' && c <= 'Z':
+			tok = append(tok, c+('a'-'A'))
+		case c >= 'a' && c <= 'z' || c >= '0' && c <= '9':
+			tok = append(tok, c)
+		case len(tok) > 0:
+			count(tok)
+			tok = tok[:0]
+		}
+	}
+	if len(tok) > 0 {
+		count(tok)
+	}
+	return a
+}
+
 // Add indexes one document and returns its id (sequential from 0).
-func (ix *Index) Add(text string) int {
+func (ix *Index) Add(text string) int { return ix.AddAnalyzed(Analyze(text)) }
+
+// AddAnalyzed indexes one analysed document and returns its id
+// (sequential from 0). A term's postings are in ascending doc order
+// whatever order the terms arrive in, so the frozen layout does not
+// depend on it.
+func (ix *Index) AddAnalyzed(a Analyzed) int {
 	id := len(ix.docLen)
-	terms := Tokenize(text)
-	counts := make(map[string]int, len(terms))
-	for _, t := range terms {
-		counts[t]++
+	for i, t := range a.Terms {
+		ix.postings[t] = append(ix.postings[t], posting{doc: int32(id), tf: a.TFs[i]})
 	}
-	for t, c := range counts {
-		ix.postings[t] = append(ix.postings[t], posting{doc: int32(id), tf: int32(c)})
-	}
-	ix.docLen = append(ix.docLen, len(terms))
+	ix.docLen = append(ix.docLen, a.Len)
 	ix.fz.Store(nil)
 	return id
 }

@@ -70,8 +70,12 @@ func (si *ShardedIndex) NumShards() int { return len(si.parts) }
 // of its documents' precomputed norms, re-indexed to local ids. Postings
 // are copied term by term in global term order, so within each shard
 // bucket they stay in ascending local-doc order exactly as freeze laid
-// them out.
+// them out. One shard is the global layout itself: local ids equal
+// global ids, so f is shared and nothing is copied.
 func partitionFrozen(f *frozen, k int) []*frozen {
+	if k == 1 {
+		return []*frozen{f}
+	}
 	nTerms := len(f.start) - 1
 	sizes := make([]int, k)    // documents per shard
 	postings := make([]int, k) // postings per shard

@@ -83,6 +83,11 @@ func TestShardedParity(t *testing.T) {
 			if si.NumShards() != shards {
 				t.Fatalf("NumShards = %d, want %d", si.NumShards(), shards)
 			}
+			// One shard is the frozen view itself, not a copy of it; any
+			// other count owns its posting slices.
+			if shared := si.parts[0] == si.f; shared != (shards == 1) {
+				t.Fatalf("shards=%d: part 0 shares the global view = %v", shards, shared)
+			}
 			for qi, q := range queries {
 				for oi, o := range optsList {
 					got, err := si.SearchContext(context.Background(), q, o)
@@ -93,6 +98,26 @@ func TestShardedParity(t *testing.T) {
 					requireSameHits(t, label, got, want[qi][oi])
 				}
 			}
+		}
+	}
+
+	// The shared view stays the snapshot taken at Shard time: an Add to
+	// the parent builds a new frozen view and leaves the old one alone.
+	one, err := ix.Shard(1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix.Add("shared common term3 term8 everywhere latecomer")
+	if _, err := ix.Search(queries[0], optsList[0]); err != nil { // refreeze the parent
+		t.Fatal(err)
+	}
+	for qi, q := range queries {
+		for oi, o := range optsList {
+			got, err := one.SearchContext(context.Background(), q, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireSameHits(t, fmt.Sprintf("one shard after Add: query=%d opts=%d", qi, oi), got, want[qi][oi])
 		}
 	}
 }

@@ -191,12 +191,12 @@ type Sim struct {
 
 	// Search-discovery channel state (see search.go); nil/zero when the
 	// channel is disabled.
-	workload     *loadgen.Workload
-	rank         *ranking.Context
-	prevPR       []float64 // PageRank vector of the previous refresh
-	refreshTicks uint64
-	nextRefresh  uint64
-	searchSeq    uint64 // workload request counter
+	workload                                        *loadgen.Workload
+	rank                                            *ranking.Context
+	prevPR                                          []float64 // PageRank vector of the previous refresh
+	refreshTicks                                    uint64
+	nextRefresh                                     uint64
+	searchSeq                                       uint64 // workload request counter
 	searchSessions, searchVisits, searchDiscoveries int64
 }
 
