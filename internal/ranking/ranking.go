@@ -177,21 +177,18 @@ func (r Randomized) Rank(ctx *Context, query string, k int) ([]int, error) {
 	if nRand == 0 {
 		return all[:k], nil
 	}
-	nTop := k - nRand
-	out := make([]int, nTop, k)
-	copy(out, all[:nTop])
-	// Partial Fisher–Yates over the remainder, fed by the (seed, query,
-	// tick) counter stream: bitwise reproducible at any worker count and
-	// fresh per tick, so repeated identical queries explore differently
-	// over time but identically across runs.
-	rest := append([]int(nil), all[nTop:]...)
+	// Partial Fisher–Yates over the remainder, in place (all is this
+	// call's own slice), fed by the (seed, query, tick) counter stream:
+	// bitwise reproducible at any worker count and fresh per tick, so
+	// repeated identical queries explore differently over time but
+	// identically across runs.
+	rest := all[k-nRand:]
 	st := randx.NewStream(ctx.Seed, randomizedSalt^randx.Key(query), ctx.Tick)
 	for i := 0; i < nRand; i++ {
 		j := i + randx.Intn(&st, len(rest)-i)
 		rest[i], rest[j] = rest[j], rest[i]
-		out = append(out, rest[i])
 	}
-	return out, nil
+	return all[:k], nil
 }
 
 // rankByScore retrieves the query's relevant set ordered purely by the

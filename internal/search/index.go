@@ -52,6 +52,13 @@ type posting struct {
 // calls: the first query freezes the postings into an immutable flat
 // layout that all queries share. Adding documents concurrently with
 // searching is not supported.
+//
+// Adding after a freeze is the supported refresh path: ids are sequential
+// and each term's postings append in doc order, so the next freeze is
+// bit-identical to that of an index rebuilt from all the documents
+// (webcorpus grows one Index this way for a simulation's lifetime).
+// Anything sized to the old document count — an Options.Authority
+// vector, a ranking.Context — must not outlive the refresh.
 type Index struct {
 	postings map[string][]posting
 	docLen   []int // tokens per document
@@ -286,7 +293,7 @@ func blendAndSelect(docs []int32, rel []float64, opts Options) []Hit {
 			}
 		}
 	}
-	top := newTopK(opts.TopK)
+	top := newTopK(opts.TopK, len(docs))
 	for _, d := range docs {
 		top.offer(blendHit(int(d), rel[d], maxRel, maxAuth, opts))
 	}

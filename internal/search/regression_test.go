@@ -1,8 +1,11 @@
 package search
 
 import (
+	"errors"
 	"fmt"
 	"math"
+	"runtime"
+	"sort"
 	"testing"
 )
 
@@ -134,37 +137,127 @@ func TestFrozenMatchesReferenceNorms(t *testing.T) {
 }
 
 // TestTopKSelection exercises the bounded heap directly against a full
-// sort, over adversarial score patterns (many exact ties).
+// sort, over adversarial score patterns (many exact ties, all scores
+// equal) and at every relation of k to the candidate count n: k < n,
+// k == n and k > n, where the heap is sized to n and never fills.
 func TestTopKSelection(t *testing.T) {
-	hits := make([]Hit, 200)
-	for i := range hits {
-		hits[i] = Hit{Doc: i, Score: float64(i % 7), Relevance: float64(i)}
+	const n = 200
+	patterns := []struct {
+		name  string
+		score func(doc int) float64
+	}{
+		{"ties mod 7", func(doc int) float64 { return float64(doc % 7) }},
+		{"all equal", func(int) float64 { return 0.5 }},
 	}
-	for _, k := range []int{1, 2, 7, 50, 200} {
-		top := newTopK(k)
-		for _, h := range hits {
-			top.offer(h)
+	for _, p := range patterns {
+		hits := make([]Hit, n)
+		for i := range hits {
+			// Offer in an order unrelated to the ranking order.
+			d := (i * 37) % n
+			hits[i] = Hit{Doc: d, Score: p.score(d), Relevance: float64(d)}
 		}
-		got := top.ranked()
-		if len(got) != k {
-			t.Fatalf("k=%d: %d hits", k, len(got))
+		full := append([]Hit(nil), hits...)
+		sort.Slice(full, func(i, j int) bool {
+			if full[i].Score != full[j].Score { //pqlint:allow floateq exact score ties decide the comparator's tie-break branch
+				return full[i].Score > full[j].Score
+			}
+			return full[i].Doc < full[j].Doc
+		})
+		for _, k := range []int{1, 2, 7, 50, n - 1, n, n + 1, 5 * n} {
+			top := newTopK(k, len(hits))
+			if cap(top.hits) > n {
+				t.Fatalf("%s k=%d: heap sized %d for %d candidates", p.name, k, cap(top.hits), n)
+			}
+			for _, h := range hits {
+				top.offer(h)
+			}
+			hitsBitwiseEqual(t, fmt.Sprintf("%s k=%d", p.name, k), top.ranked(), full[:min(k, n)])
 		}
-		// Expected: scores descending, ties by ascending doc.
+	}
+}
+
+// TestSearchTopKBeyondRelevantSet pins the heap sizing: asking for the
+// whole relevant set (TopK = NumDocs, as ranking.Randomized does on
+// every query) costs memory proportional to the documents that matched,
+// not to the corpus, and returns exactly what a TopK of that size does.
+func TestSearchTopKBeyondRelevantSet(t *testing.T) {
+	const numDocs, relevant = 10000, 5
+	docs := make([]string, numDocs)
+	for i := range docs {
+		docs[i] = fmt.Sprintf("filler%d common everywhere", i%50)
+		if i%(numDocs/relevant) == 7 {
+			docs[i] += " needle"
+		}
+	}
+	ix := buildIndex(docs)
+	want, err := ix.Search("needle", Options{TopK: relevant})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) != relevant {
+		t.Fatalf("relevant set has %d documents, want %d", len(want), relevant)
+	}
+	all := Options{TopK: numDocs}
+	got, err := ix.Search("needle", all)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hitsBitwiseEqual(t, "TopK = NumDocs", got, want)
+	if raceEnabled {
+		return
+	}
+
+	const runs = 200
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	allocs := testing.AllocsPerRun(runs, func() {
+		if _, err := ix.Search("needle", all); err != nil {
+			t.Fatal(err)
+		}
+	})
+	runtime.ReadMemStats(&after)
+	// AllocsPerRun makes runs+1 calls. A heap sized to the corpus would
+	// be numDocs × 24 B = 240 KB a call.
+	perCall := (after.TotalAlloc - before.TotalAlloc) / (runs + 1)
+	if perCall >= 2048 || allocs > 12 {
+		t.Fatalf("Search at TopK = NumDocs allocates %d B in %.0f allocations a call, want < 2 KB", perCall, allocs)
+	}
+	t.Logf("%d B, %.0f allocations a call", perCall, allocs)
+}
+
+// fuzzIndex is the small fixed corpus FuzzSearchQuery searches.
+var fuzzIndex = buildIndex(append(synthDocs(60), analyzeSeeds...))
+
+// FuzzSearchQuery: for arbitrary query bytes, mode and k, Search never
+// panics, fails exactly when the retained reference scorer fails and
+// only with ErrBadQuery, and otherwise returns the reference's hits bit
+// for bit — at most k of them, in ranking order. The seeds are the
+// committed corpus under testdata/fuzz/FuzzSearchQuery, which runs on
+// every plain `go test`: no token at all, non-ASCII and invalid bytes,
+// repeated and absent terms under each mode, an unknown mode, and k zero
+// (the default), negative, and far beyond the corpus.
+func FuzzSearchQuery(f *testing.F) {
+	f.Fuzz(func(t *testing.T, query string, mode uint8, k int) {
+		opts := Options{Mode: Mode(mode), TopK: k}
+		got, err := fuzzIndex.Search(query, opts)
+		want, refErr := fuzzIndex.searchReference(query, opts)
+		if (err != nil) != (refErr != nil) || (err != nil && !errors.Is(err, ErrBadQuery)) {
+			t.Fatalf("Search(%q, %+v) error %v, reference error %v", query, opts, err, refErr)
+		}
+		if err != nil {
+			return
+		}
+		if k == 0 {
+			k = 10 // Options' documented default
+		}
+		if len(got) > k {
+			t.Fatalf("Search(%q, %+v) returned %d hits", query, opts, len(got))
+		}
 		for i := 1; i < len(got); i++ {
-			if ranksAfter(got[i-1], got[i]) {
-				t.Fatalf("k=%d: hits %d and %d out of order: %+v %+v", k, i-1, i, got[i-1], got[i])
+			if !ranksAfter(got[i], got[i-1]) {
+				t.Fatalf("Search(%q, %+v): hits %d and %d out of order: %+v %+v", query, opts, i-1, i, got[i-1], got[i])
 			}
 		}
-		// The worst retained hit must rank no worse than every rejected hit.
-		last := got[len(got)-1]
-		kept := make(map[int]bool, k)
-		for _, h := range got {
-			kept[h.Doc] = true
-		}
-		for _, h := range hits {
-			if !kept[h.Doc] && ranksAfter(last, h) {
-				t.Fatalf("k=%d: rejected %+v ranks before retained %+v", k, h, last)
-			}
-		}
-	}
+		hitsBitwiseEqual(t, fmt.Sprintf("Search(%q, %+v)", query, opts), got, want)
+	})
 }

@@ -222,7 +222,7 @@ func (si *ShardedIndex) SearchContext(ctx context.Context, query string, opts Op
 	tops := make([][]Hit, k)
 	err = si.fanOut(ctx, func(s int) {
 		sc := results[s].sc
-		top := newTopK(opts.TopK)
+		top := newTopK(opts.TopK, len(results[s].docs))
 		for _, d := range results[s].docs {
 			top.offer(blendHit(int(d)*k+s, sc.score[d], maxRel, maxAuth, opts))
 		}
@@ -232,7 +232,7 @@ func (si *ShardedIndex) SearchContext(ctx context.Context, query string, opts Op
 		return nil, err
 	}
 
-	merged := newTopK(opts.TopK)
+	merged := newTopK(opts.TopK, matched)
 	for _, hits := range tops {
 		for _, h := range hits {
 			merged.offer(h)

@@ -1,6 +1,6 @@
 package search
 
-import "sort"
+import "slices"
 
 // topK selects the best k hits under the ranking order — score
 // descending, then doc id ascending — without sorting the full candidate
@@ -15,7 +15,10 @@ type topK struct {
 	hits []Hit
 }
 
-func newTopK(k int) *topK {
+// newTopK sizes the heap to the candidates it will be offered: a relevant
+// set smaller than k never fills it (Options.fill clamps k to the corpus).
+func newTopK(k, candidates int) *topK {
+	k = min(k, candidates)
 	return &topK{k: k, hits: make([]Hit, 0, k)}
 }
 
@@ -70,6 +73,14 @@ func (t *topK) offer(h Hit) {
 
 // ranked returns the retained hits in final ranking order.
 func (t *topK) ranked() []Hit {
-	sort.Slice(t.hits, func(i, j int) bool { return ranksAfter(t.hits[j], t.hits[i]) })
+	slices.SortFunc(t.hits, func(a, b Hit) int {
+		switch {
+		case ranksAfter(b, a):
+			return -1
+		case ranksAfter(a, b):
+			return 1
+		}
+		return 0
+	})
 	return t.hits
 }

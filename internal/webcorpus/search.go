@@ -127,7 +127,7 @@ func (s *Sim) QueryVocab(wordsPerTopic int) []string {
 	}
 	for w := 0; w < wordsPerTopic; w++ {
 		for t := 0; t < nTopics; t++ {
-			vocab = append(vocab, topicWord(topics[t], w))
+			vocab = append(vocab, topicWords[t*topicVocabSize+w%topicVocabSize])
 		}
 	}
 	return vocab
@@ -145,6 +145,7 @@ func (s *Sim) initSearch() error {
 		return fmt.Errorf("%w: search workload: %v", ErrBadConfig, err)
 	}
 	s.workload = wl
+	s.ix = search.NewIndex()
 	s.refreshTicks = uint64(math.Round(sc.RefreshWeeks / s.cfg.DT))
 	if s.refreshTicks < 1 {
 		s.refreshTicks = 1
@@ -153,13 +154,19 @@ func (s *Sim) initSearch() error {
 }
 
 // refreshSearch refreezes the engine's view of the corpus: index the
-// current texts, compute PageRank on the frozen graph, and derive the
-// live quality estimate from the previous refresh's vector (Equation 1).
-// Every stage is bitwise worker-count invariant.
+// pages born since the last refresh, compute PageRank on the frozen
+// graph, and derive the live quality estimate from the previous
+// refresh's vector (Equation 1). Pages are never deleted and PageText is
+// pure, so the grown index freezes to the layout a rebuild from AllTexts
+// would have (TestRefreshIncrementalMatchesRebuild). Every stage is
+// bitwise worker-count invariant.
 func (s *Sim) refreshSearch() {
-	ix := search.NewIndex()
-	ix.AddAll(s.AllTexts(TextOptions{}))
-	ix.Freeze()
+	for id := s.ix.NumDocs(); id < s.g.NumNodes(); id++ {
+		s.ix.Add(s.PageText(graph.NodeID(id), TextOptions{}))
+		s.docsAnalysed++
+	}
+	s.ix.Freeze()
+	s.refreshes++
 	pr, err := pagerank.Compute(graph.Freeze(s.g), pagerank.Options{
 		Variant: pagerank.VariantPaper,
 		Workers: s.cfg.Workers,
@@ -175,7 +182,7 @@ func (s *Sim) refreshSearch() {
 	}
 	s.prevPR = pr.Rank
 	s.rank = &ranking.Context{
-		Index:    ix,
+		Index:    s.ix,
 		PageRank: pr.Rank,
 		Quality:  q,
 		Seed:     s.cfg.Seed,
@@ -244,6 +251,12 @@ func (s *Sim) searchVisit(st randx.Source, p graph.NodeID) {
 // run, result visits made, and visits that were first discoveries.
 func (s *Sim) SearchStats() (sessions, visits, discoveries int64) {
 	return s.searchSessions, s.searchVisits, s.searchDiscoveries
+}
+
+// RefreshStats reports the index refreshes run and the page texts they
+// analysed in total — each page exactly once.
+func (s *Sim) RefreshStats() (refreshes, docsAnalysed int64) {
+	return s.refreshes, s.docsAnalysed
 }
 
 // FirstDiscoveryWeek returns the simulation week at which page p was

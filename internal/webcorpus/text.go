@@ -3,6 +3,7 @@ package webcorpus
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 	"strings"
 
 	"pagequality/internal/graph"
@@ -29,23 +30,28 @@ const topicVocabSize = 40
 // backgroundVocabSize is the size of the shared background vocabulary.
 const backgroundVocabSize = 400
 
+// topicWords[t*topicVocabSize+w] is the w-th word of topic t's
+// vocabulary, e.g. "astronomy17"; backgroundWords[w] is the w-th
+// background word, e.g. "common123". Built once: page text is generated
+// on the tick hot path.
+var topicWords, backgroundWords = func() (tw, bw []string) {
+	for _, topic := range topics {
+		for w := 0; w < topicVocabSize; w++ {
+			tw = append(tw, topic+strconv.Itoa(w))
+		}
+	}
+	for w := 0; w < backgroundVocabSize; w++ {
+		bw = append(bw, "common"+strconv.Itoa(w))
+	}
+	return tw, bw
+}()
+
 // SiteTopic returns the topic name assigned to a site.
 func SiteTopic(site int) string {
 	if site < 0 {
 		return topics[0]
 	}
 	return topics[site%len(topics)]
-}
-
-// topicWord returns the w-th word of a topic's vocabulary, e.g.
-// "astronomy17".
-func topicWord(topic string, w int) string {
-	return fmt.Sprintf("%s%d", topic, w%topicVocabSize)
-}
-
-// backgroundWord returns the w-th background word, e.g. "common123".
-func backgroundWord(w int) string {
-	return fmt.Sprintf("common%d", w%backgroundVocabSize)
 }
 
 // TextOptions tunes text generation.
@@ -64,6 +70,9 @@ func (o *TextOptions) fill() {
 	if o.MaxWords == 0 {
 		o.MaxWords = 180
 	}
+	if o.MaxWords < o.MinWords {
+		o.MaxWords = o.MinWords
+	}
 	if o.TopicFrac == 0 {
 		o.TopicFrac = 0.6
 	}
@@ -77,18 +86,18 @@ func (s *Sim) PageText(id graph.NodeID, opts TextOptions) string {
 	pg := s.g.Page(id)
 	mix := uint64(s.cfg.Seed) ^ uint64(id+1)*0x9E3779B97F4A7C15
 	rng := rand.New(rand.NewSource(int64(mix)))
-	topic := SiteTopic(int(pg.Site))
+	t := int(pg.Site) % len(topics) // SiteTopic's round-robin; a page's site is never negative
 	n := opts.MinWords + rng.Intn(opts.MaxWords-opts.MinWords+1)
 	var b strings.Builder
 	b.Grow(n * 10)
 	// Title line: the topic plus the page number, always retrievable.
-	fmt.Fprintf(&b, "%s page %d.", topic, id)
+	fmt.Fprintf(&b, "%s page %d.", topics[t], id)
 	for w := 0; w < n; w++ {
 		b.WriteByte(' ')
 		if rng.Float64() < opts.TopicFrac {
-			b.WriteString(topicWord(topic, rng.Intn(topicVocabSize)))
+			b.WriteString(topicWords[t*topicVocabSize+rng.Intn(topicVocabSize)])
 		} else {
-			b.WriteString(backgroundWord(rng.Intn(backgroundVocabSize)))
+			b.WriteString(backgroundWords[rng.Intn(backgroundVocabSize)])
 		}
 	}
 	return b.String()

@@ -36,6 +36,7 @@ import (
 	"pagequality/internal/par"
 	"pagequality/internal/randx"
 	"pagequality/internal/ranking"
+	"pagequality/internal/search"
 	"pagequality/internal/snapshot"
 )
 
@@ -192,6 +193,8 @@ type Sim struct {
 	// Search-discovery channel state (see search.go); nil/zero when the
 	// channel is disabled.
 	workload                                        *loadgen.Workload
+	ix                                              *search.Index // grown by each refresh, never rebuilt
+	refreshes, docsAnalysed                         int64
 	rank                                            *ranking.Context
 	prevPR                                          []float64 // PageRank vector of the previous refresh
 	refreshTicks                                    uint64
