@@ -3,77 +3,49 @@ package main
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
-	"net/http/httptest"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
-	"pagequality/internal/crawler"
+	"pagequality/internal/graph"
 	"pagequality/internal/pagestore"
-	"pagequality/internal/quality"
 	"pagequality/internal/snapshot"
-	"pagequality/internal/webcorpus"
 	"pagequality/internal/webserver"
 )
 
-// buildFixture grows a corpus, crawls it three times over HTTP (archiving
-// bodies under t1..t3), and writes the snapshot store — the exact inputs
-// qualityserve consumes in production.
-func buildFixture(t testing.TB) (storePath, archiveDir string) {
+// buildFixture writes the smallest inputs run accepts: three snapshots of
+// a five-page chain and an archive of plain-text bodies under t1..t3. The
+// crawled fixture and everything about ranking live in internal/serving.
+func buildFixture(t *testing.T) (storePath, archiveDir string) {
 	t.Helper()
-	cfg := webcorpus.DefaultConfig()
-	cfg.Sites = 10
-	cfg.InitialPagesPerSite = 6
-	cfg.Users = 3000
-	cfg.VisitRate = 3000
-	cfg.LinkProb = 0.2
-	cfg.BirthRate = 2
-	cfg.BurnInWeeks = 20
-	cfg.Seed = 14
-	sim, err := webcorpus.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
 	dir := t.TempDir()
-	storePath = filepath.Join(dir, "web.pqs")
-	archiveDir = filepath.Join(dir, "pages")
+	storePath, archiveDir = filepath.Join(dir, "web.pqs"), filepath.Join(dir, "pages")
 	arch, err := pagestore.Open(archiveDir, pagestore.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer arch.Close()
-
-	texts := func() []string { return sim.AllTexts(webcorpus.TextOptions{MinWords: 20, MaxWords: 40}) }
 	var snaps []snapshot.Snapshot
 	for k, week := range []float64{0, 4, 8} {
-		sim.AdvanceTo(week)
-		srv, err := webserver.New(sim.Graph().Clone(), texts())
-		if err != nil {
-			t.Fatal(err)
-		}
-		ts := httptest.NewServer(srv)
-		seeds, err := crawler.FetchSeeds(context.Background(), ts.Client(), ts.URL+"/seeds.txt")
-		if err != nil {
-			t.Fatal(err)
-		}
 		label := fmt.Sprintf("t%d", k+1)
-		res, err := crawler.Crawl(crawler.Config{
-			Seeds:  seeds,
-			Client: ts.Client(),
-			OnFetch: func(u string, body []byte) {
-				if err := arch.Put(label+"/"+u, pagestore.Meta{FetchedAt: week, Status: 200}, body); err != nil {
-					t.Error(err)
-				}
-			},
-		})
-		ts.Close()
-		if err != nil {
-			t.Fatal(err)
+		g := graph.New(5)
+		for i := 0; i < 5; i++ {
+			url := fmt.Sprintf("http://s.example/p%d", i)
+			g.MustAddPage(graph.Page{URL: url, Site: 0})
+			if err := arch.Put(label+"/"+url, pagestore.Meta{FetchedAt: week, Status: 200}, []byte("astronomy page "+url)); err != nil {
+				t.Fatal(err)
+			}
 		}
-		snaps = append(snaps, snapshot.Snapshot{Label: label, Time: week, Graph: res.Graph})
+		for i := 0; i < 4+k && i < 5; i++ {
+			g.AddLink(graph.NodeID(i), graph.NodeID((i+1)%5))
+		}
+		snaps = append(snaps, snapshot.Snapshot{Label: label, Time: week, Graph: g})
 	}
 	if err := snapshot.WriteFile(storePath, snaps); err != nil {
 		t.Fatal(err)
@@ -81,145 +53,41 @@ func buildFixture(t testing.TB) (storePath, archiveDir string) {
 	return storePath, archiveDir
 }
 
-func defaultQCfg() quality.Config {
-	return quality.Config{C: 1.0, MinChangeFrac: 0.05, ApplyTrendToDecreasing: true, MaxTrend: 0.3}
+// lockedBuffer is run's output while its refresh ticker is still writing.
+type lockedBuffer struct {
+	mu sync.Mutex
+	b  bytes.Buffer
 }
 
-func TestServiceSearch(t *testing.T) {
-	storePath, archiveDir := buildFixture(t)
-	svc, err := buildService(storePath, archiveDir, "", 3, defaultQCfg(), 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(svc)
-	defer ts.Close()
-
-	// Query the topic of site 0 under each ranking mode.
-	topic := webcorpus.SiteTopic(0)
-	for _, mode := range []string{"", "quality", "pagerank", "relevance"} {
-		u := ts.URL + "/search?q=" + topic + "&k=5"
-		if mode != "" {
-			u += "&rank=" + mode
-		}
-		resp, err := httpGet(ts.Client(), u)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var hits []hitJSON
-		if err := json.NewDecoder(resp.Body).Decode(&hits); err != nil {
-			t.Fatalf("mode %q: %v", mode, err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("mode %q: status %d", mode, resp.StatusCode)
-		}
-		if len(hits) == 0 {
-			t.Fatalf("mode %q: no hits for %q", mode, topic)
-		}
-		for _, h := range hits {
-			if h.URL == "" || h.Score <= 0 {
-				t.Fatalf("mode %q: bad hit %+v", mode, h)
-			}
-			if !strings.Contains(h.URL, ".example/") {
-				t.Fatalf("mode %q: non-canonical URL %q", mode, h.URL)
-			}
-		}
-		// Results must be in descending score order.
-		for i := 1; i < len(hits); i++ {
-			if hits[i].Score > hits[i-1].Score+1e-12 {
-				t.Fatalf("mode %q: results not sorted", mode)
-			}
-		}
-	}
+func (l *lockedBuffer) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.Write(p)
 }
 
-func TestServiceStatsAndHealth(t *testing.T) {
-	storePath, archiveDir := buildFixture(t)
-	svc, err := buildService(storePath, archiveDir, "", 3, defaultQCfg(), 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(svc)
-	defer ts.Close()
-	resp, err := httpGet(ts.Client(), ts.URL+"/healthz")
-	if err != nil || resp.StatusCode != http.StatusOK {
-		t.Fatalf("healthz: %v %v", resp, err)
-	}
-	resp.Body.Close()
-	resp, err = httpGet(ts.Client(), ts.URL+"/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var stats map[string]int
-	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if stats["documents"] == 0 || stats["terms"] == 0 {
-		t.Fatalf("stats = %v", stats)
-	}
-	// The query-cache fields are always present; this service has made no
-	// searches, so the counters are zero and the capacity is as built.
-	for _, field := range []string{"cache_hits", "cache_misses", "cache_evictions", "cache_entries", "cache_capacity"} {
-		if _, ok := stats[field]; !ok {
-			t.Fatalf("stats missing %q: %v", field, stats)
-		}
-	}
-	if stats["cache_capacity"] < 64 {
-		t.Fatalf("cache_capacity = %d, want >= 64", stats["cache_capacity"])
-	}
-	if stats["cache_hits"] != 0 || stats["cache_misses"] != 0 || stats["cache_entries"] != 0 {
-		t.Fatalf("fresh service has non-zero cache stats: %v", stats)
-	}
+func (l *lockedBuffer) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.String()
 }
 
-func TestServiceBadRequests(t *testing.T) {
-	storePath, archiveDir := buildFixture(t)
-	svc, err := buildService(storePath, archiveDir, "", 3, defaultQCfg(), 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(svc)
-	defer ts.Close()
-	for _, path := range []string{
-		"/search",                // missing q
-		"/search?q=x&k=0",        // bad k
-		"/search?q=x&k=zzz",      // bad k
-		"/search?q=x&rank=bogus", // bad mode
-		"/search?q=...",          // tokenizes to nothing
+// TestRunFlagValidation pins the CLI contract of the serving flags: zero
+// or negative admission values are rejected before any expensive load
+// begins.
+func TestRunFlagValidation(t *testing.T) {
+	listen := func(context.Context, string, http.Handler) error { return nil }
+	for _, args := range [][]string{
+		{"-store", "web.pqs"}, // -archive is required
+		{"-archive", "x", "-cachesize", "-1"},
+		{"-archive", "x", "-refresh-interval", "-1s"},
+		{"-archive", "x", "-max-inflight", "0"},
+		{"-archive", "x", "-max-inflight", "-5"},
+		{"-archive", "x", "-max-wait", "-1s"},
 	} {
-		resp, err := httpGet(ts.Client(), ts.URL+path)
-		if err != nil {
-			t.Fatal(err)
+		var sb strings.Builder
+		if err := run(context.Background(), args, &sb, listen); err == nil {
+			t.Fatalf("args %v accepted", args)
 		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("%s -> %d, want 400", path, resp.StatusCode)
-		}
-	}
-	resp, err := httpGet(ts.Client(), ts.URL+"/nope")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("unknown path -> %d", resp.StatusCode)
-	}
-}
-
-func TestBuildServiceErrors(t *testing.T) {
-	storePath, archiveDir := buildFixture(t)
-	if _, err := buildService(filepath.Join(t.TempDir(), "none.pqs"), archiveDir, "", 3, defaultQCfg(), 0); err == nil {
-		t.Fatal("missing store accepted")
-	}
-	if _, err := buildService(storePath, t.TempDir(), "", 3, defaultQCfg(), 0); err == nil {
-		t.Fatal("empty archive accepted")
-	}
-	if _, err := buildService(storePath, archiveDir, "zz", 3, defaultQCfg(), 0); err == nil {
-		t.Fatal("unknown label accepted")
-	}
-	if _, err := buildService(storePath, archiveDir, "", 9, defaultQCfg(), 0); err == nil {
-		t.Fatal("snaps beyond series accepted")
 	}
 }
 
@@ -227,34 +95,104 @@ func TestRunWiresListener(t *testing.T) {
 	storePath, archiveDir := buildFixture(t)
 	var buf bytes.Buffer
 	called := false
-	listen := func(addr string, h http.Handler) error {
+	listen := func(_ context.Context, addr string, h http.Handler) error {
 		called = true
-		if h == nil {
-			t.Fatal("nil handler")
+		if addr != "127.0.0.1:0" || h == nil {
+			t.Fatalf("listen(%q, %v)", addr, h)
 		}
 		return nil
 	}
-	err := run([]string{"-store", storePath, "-archive", archiveDir, "-addr", "127.0.0.1:0"}, &buf, listen)
+	err := run(context.Background(), []string{"-store", storePath, "-archive", archiveDir, "-addr", "127.0.0.1:0"}, &buf, listen)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !called {
 		t.Fatal("listener not invoked")
 	}
-	if !strings.Contains(buf.String(), "indexed") {
+	if !strings.Contains(buf.String(), "indexed 5 documents") {
 		t.Fatalf("banner missing:\n%s", buf.String())
-	}
-	if err := run([]string{"-store", storePath}, &buf, listen); err == nil {
-		t.Fatal("missing -archive accepted")
 	}
 }
 
-// httpGet issues a GET carrying an explicit context, so test traffic
-// meets the same ctxhttp cancellation discipline as the serving stack.
-func httpGet(c *http.Client, url string) (*http.Response, error) {
-	req, err := http.NewRequestWithContext(context.Background(), http.MethodGet, url, nil)
+// TestRunDrainsOnCancel is the shutdown path end to end, through the real
+// listener: ctx is cancelled (what SIGTERM does) while a /search is inside
+// the handler; the listener closes to new connections, the in-flight
+// request still completes with 200, the refresh ticker has stopped, and
+// run returns nil.
+func TestRunDrainsOnCancel(t *testing.T) {
+	storePath, archiveDir := buildFixture(t)
+	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		return nil, err
+		t.Fatal(err)
 	}
-	return c.Do(req)
+	addr := l.Addr().String()
+	l.Close()
+
+	entered, release := make(chan struct{}), make(chan struct{})
+	listen := func(ctx context.Context, addr string, h http.Handler) error {
+		return webserver.ListenAndServe(ctx, addr, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/search" {
+				close(entered)
+				<-release
+			}
+			h.ServeHTTP(w, r)
+		}))
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var out lockedBuffer
+	runErr := make(chan error, 1)
+	go func() {
+		runErr <- run(ctx, []string{"-store", storePath, "-archive", archiveDir, "-addr", addr, "-refresh-interval", "1ms"}, &out, listen)
+	}()
+
+	tr := &http.Transport{}
+	defer tr.CloseIdleConnections()
+	get := func(path string) (int, error) {
+		req, err := http.NewRequestWithContext(context.Background(), http.MethodGet, "http://"+addr+path, nil)
+		if err != nil {
+			return 0, err
+		}
+		resp, err := tr.RoundTrip(req)
+		if err != nil {
+			return 0, err
+		}
+		defer resp.Body.Close()
+		_, err = io.Copy(io.Discard, resp.Body)
+		return resp.StatusCode, err
+	}
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(30 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+		}
+	}
+	waitFor("the listener", func() bool { code, err := get("/healthz"); return err == nil && code == http.StatusOK })
+	waitFor("a ticker refresh", func() bool { return strings.Contains(out.String(), "refreshed: generation") })
+
+	status := make(chan int, 1)
+	go func() {
+		code, err := get("/search?q=astronomy")
+		if err != nil {
+			t.Error(err)
+		}
+		status <- code
+	}()
+	<-entered
+	cancel()
+	waitFor("the listener to close", func() bool { _, err := get("/healthz"); return err != nil })
+	select {
+	case err := <-runErr:
+		t.Fatalf("run returned %v with a request still in flight", err)
+	default:
+	}
+	close(release)
+	if code := <-status; code != http.StatusOK {
+		t.Fatalf("in-flight /search finished with %d, want 200", code)
+	}
+	if err := <-runErr; err != nil {
+		t.Fatalf("run after a drain: %v", err)
+	}
 }

@@ -13,25 +13,32 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
 	"net/http"
 	"os"
+	"os/signal"
+	"syscall"
 
 	"pagequality/internal/snapshot"
 	"pagequality/internal/webserver"
 )
 
 func main() {
-	if err := run(os.Args[1:], os.Stdout, webserver.ListenAndServe); err != nil {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	err := run(ctx, os.Args[1:], os.Stdout, webserver.ListenAndServe)
+	stop()
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "serve:", err)
 		os.Exit(1)
 	}
 }
 
-// run wires flags to the handler; listen is injectable for tests.
-func run(args []string, out io.Writer, listen func(addr string, h http.Handler) error) error {
+// run wires flags to the handler; listen is injectable for tests. ctx's
+// cancellation (SIGINT/SIGTERM) drains the listener and run returns nil.
+func run(ctx context.Context, args []string, out io.Writer, listen func(ctx context.Context, addr string, h http.Handler) error) error {
 	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
 	var (
 		in             = fs.String("in", "web.pqs", "snapshot store path")
@@ -67,7 +74,7 @@ func run(args []string, out io.Writer, listen func(addr string, h http.Handler) 
 			fc.ErrorRate, fc.RateLimitRate, fc.TimeoutRate, fc.Latency, fc.Seed)
 	}
 	fmt.Fprintf(out, "serving %s on http://%s/ (seeds at /seeds.txt)\n", info, *addr)
-	return listen(*addr, h)
+	return listen(ctx, *addr, h)
 }
 
 // newHandler loads the requested snapshot and builds its site handler.

@@ -106,14 +106,14 @@ func TestRunWiresListener(t *testing.T) {
 	path := storeFixture(t)
 	var buf bytes.Buffer
 	called := false
-	listen := func(addr string, h http.Handler) error {
+	listen := func(_ context.Context, addr string, h http.Handler) error {
 		called = true
 		if addr != "127.0.0.1:0" || h == nil {
 			t.Fatalf("listen(%q, %v)", addr, h)
 		}
 		return nil
 	}
-	if err := run([]string{"-in", path, "-addr", "127.0.0.1:0"}, &buf, listen); err != nil {
+	if err := run(context.Background(), []string{"-in", path, "-addr", "127.0.0.1:0"}, &buf, listen); err != nil {
 		t.Fatal(err)
 	}
 	if !called {
@@ -131,11 +131,11 @@ func TestRunFaultFlags(t *testing.T) {
 	path := storeFixture(t)
 	var buf bytes.Buffer
 	var captured http.Handler
-	listen := func(addr string, h http.Handler) error {
+	listen := func(_ context.Context, addr string, h http.Handler) error {
 		captured = h
 		return nil
 	}
-	if err := run([]string{
+	if err := run(context.Background(), []string{
 		"-in", path, "-addr", "127.0.0.1:0",
 		"-fault-ratelimit", "1", "-fault-seed", "7",
 	}, &buf, listen); err != nil {
@@ -149,7 +149,7 @@ func TestRunFaultFlags(t *testing.T) {
 	if rec.Code != http.StatusTooManyRequests || rec.Header().Get("Retry-After") != "1" {
 		t.Fatalf("fault handler returned %d (Retry-After %q)", rec.Code, rec.Header().Get("Retry-After"))
 	}
-	if err := run([]string{"-in", path, "-fault-error", "1.5"}, &buf, listen); err == nil {
+	if err := run(context.Background(), []string{"-in", path, "-fault-error", "1.5"}, &buf, listen); err == nil {
 		t.Fatal("out-of-range fault rate accepted")
 	}
 }
@@ -161,11 +161,11 @@ func TestRunWithoutFaultFlagsServesDirectly(t *testing.T) {
 	path := storeFixture(t)
 	var buf bytes.Buffer
 	var captured http.Handler
-	listen := func(addr string, h http.Handler) error {
+	listen := func(_ context.Context, addr string, h http.Handler) error {
 		captured = h
 		return nil
 	}
-	if err := run([]string{"-in", path, "-addr", "127.0.0.1:0"}, &buf, listen); err != nil {
+	if err := run(context.Background(), []string{"-in", path, "-addr", "127.0.0.1:0"}, &buf, listen); err != nil {
 		t.Fatal(err)
 	}
 	if strings.Contains(buf.String(), "faults") {

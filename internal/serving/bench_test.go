@@ -1,4 +1,4 @@
-package main
+package serving
 
 import (
 	"fmt"
@@ -13,10 +13,11 @@ import (
 
 // benchService builds one service over the crawl fixture with the given
 // cache capacity (0 disables the cache, isolating the uncached path).
-func benchService(b *testing.B, cacheSize int) *service {
+func benchService(b *testing.B, cacheSize int) *Service {
 	b.Helper()
-	storePath, archiveDir := buildFixture(b)
-	svc, err := buildService(storePath, archiveDir, "", 3, defaultQCfg(), cacheSize)
+	cfg := fixtureConfig(b)
+	cfg.CacheSize = cacheSize
+	svc, err := New(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}

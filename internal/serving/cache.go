@@ -1,4 +1,4 @@
-package main
+package serving
 
 import (
 	"container/list"
@@ -26,8 +26,8 @@ type queryKey struct {
 // global lock. Hit, miss, coalesced and eviction counts are process-wide
 // atomics surfaced in /stats.
 //
-// A nil *queryCache is valid and means caching is disabled: lookups
-// miss for free, stores are dropped, and getOrCompute always computes.
+// A nil *queryCache is valid and means caching is disabled:
+// getOrCompute always computes and nothing is stored.
 type queryCache struct {
 	shards    []cacheShard
 	hits      atomic.Uint64
@@ -98,52 +98,10 @@ func (c *queryCache) shard(k queryKey) *cacheShard {
 	return &c.shards[h%uint64(len(c.shards))]
 }
 
-// get returns the cached response body for the key, promoting the entry
-// to most recently used. The returned slice is shared and must not be
-// mutated (handlers only write it to the wire).
-func (c *queryCache) get(k queryKey) ([]byte, bool) {
-	if c == nil {
-		return nil, false
-	}
-	s := c.shard(k)
-	var body []byte
-	s.mu.Lock()
-	if e, ok := s.m[k]; ok {
-		s.ll.MoveToFront(e)
-		body = e.Value.(*cacheEntry).body
-	}
-	s.mu.Unlock()
-	if body == nil {
-		c.misses.Add(1)
-		return nil, false
-	}
-	c.hits.Add(1)
-	return body, true
-}
-
-// put stores the response body under the key, evicting the shard's least
-// recently used entry if the shard is full.
-func (c *queryCache) put(k queryKey, body []byte) {
-	if c == nil {
-		return
-	}
-	s := c.shard(k)
-	s.mu.Lock()
-	evicted := s.insertLocked(k, body)
-	s.mu.Unlock()
-	if evicted {
-		c.evictions.Add(1)
-	}
-}
-
-// insertLocked adds or refreshes an entry and reports whether an LRU
-// victim was evicted. Caller holds s.mu.
+// insertLocked adds an entry and reports whether an LRU victim was
+// evicted. Caller holds s.mu and is k's flight leader, so k is not cached:
+// it was absent when the flight was registered and only a leader inserts.
 func (s *cacheShard) insertLocked(k queryKey, body []byte) (evicted bool) {
-	if e, ok := s.m[k]; ok {
-		e.Value.(*cacheEntry).body = body
-		s.ll.MoveToFront(e)
-		return false
-	}
 	s.m[k] = s.ll.PushFront(&cacheEntry{key: k, body: body})
 	if s.ll.Len() > s.cap {
 		back := s.ll.Back()

@@ -1,8 +1,7 @@
-package main
+package serving
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -13,41 +12,52 @@ import (
 	"pagequality/internal/webcorpus"
 )
 
+// cached looks k up through getOrCompute and reports whether the body was
+// already there, i.e. compute did not run; a miss stores body.
+func cached(t *testing.T, c *queryCache, k queryKey, body []byte) bool {
+	t.Helper()
+	hit := true
+	got, err := c.getOrCompute(k, func() ([]byte, error) {
+		hit = false
+		return body, nil
+	})
+	if err != nil || !bytes.Equal(got, body) {
+		t.Fatalf("getOrCompute(%+v) = %q, %v, want %q", k, got, err, body)
+	}
+	return hit
+}
+
 func TestQueryCacheLRU(t *testing.T) {
 	c := newQueryCache(1, 3) // one shard: fully deterministic LRU order
 	k := func(i int) queryKey { return queryKey{q: fmt.Sprintf("q%d", i), k: 10, rank: "quality"} }
 	body := func(i int) []byte { return []byte(fmt.Sprintf("body%d", i)) }
 
-	if _, ok := c.get(k(1)); ok {
-		t.Fatal("hit on empty cache")
-	}
 	for i := 1; i <= 3; i++ {
-		c.put(k(i), body(i))
+		if cached(t, c, k(i), body(i)) {
+			t.Fatalf("hit on cold key %d", i)
+		}
 	}
 	if got := c.entries(); got != 3 {
 		t.Fatalf("entries = %d, want 3", got)
 	}
-	// Touch 1 so 2 becomes the LRU victim.
-	if b, ok := c.get(k(1)); !ok || !bytes.Equal(b, body(1)) {
-		t.Fatalf("get(1) = %q, %v", b, ok)
+	// Touch 1 so 2 becomes the LRU victim of the next insert.
+	if !cached(t, c, k(1), body(1)) {
+		t.Fatal("entry 1 lost")
 	}
-	c.put(k(4), body(4))
-	if _, ok := c.get(k(2)); ok {
-		t.Fatal("LRU entry 2 survived eviction")
+	if cached(t, c, k(4), body(4)) {
+		t.Fatal("hit on cold key 4")
 	}
 	for _, i := range []int{1, 3, 4} {
-		if b, ok := c.get(k(i)); !ok || !bytes.Equal(b, body(i)) {
-			t.Fatalf("entry %d lost: %q, %v", i, b, ok)
+		if !cached(t, c, k(i), body(i)) {
+			t.Fatalf("entry %d lost", i)
 		}
 	}
-	// Re-putting an existing key updates in place, no eviction.
-	c.put(k(4), body(40))
-	if b, _ := c.get(k(4)); !bytes.Equal(b, body(40)) {
-		t.Fatalf("update in place failed: %q", b)
+	if cached(t, c, k(2), body(2)) {
+		t.Fatal("LRU entry 2 survived eviction")
 	}
 	hits, misses, _, evictions := c.counters()
-	if hits != 5 || misses != 2 || evictions != 1 {
-		t.Fatalf("counters = %d/%d/%d, want 5/2/1", hits, misses, evictions)
+	if hits != 4 || misses != 5 || evictions != 2 {
+		t.Fatalf("counters = %d/%d/%d, want 4/5/2", hits, misses, evictions)
 	}
 	if got := c.entries(); got != 3 {
 		t.Fatalf("entries = %d, want 3 (bounded)", got)
@@ -58,10 +68,9 @@ func TestQueryCacheConstruction(t *testing.T) {
 	if c := newQueryCache(16, 0); c != nil {
 		t.Fatal("capacity 0 should disable the cache")
 	}
-	// A nil cache is inert but safe.
+	// A nil cache is inert but safe: every lookup computes.
 	var c *queryCache
-	c.put(queryKey{q: "x"}, []byte("y"))
-	if _, ok := c.get(queryKey{q: "x"}); ok {
+	if cached(t, c, queryKey{q: "x"}, []byte("y")) || cached(t, c, queryKey{q: "x"}, []byte("y")) {
 		t.Fatal("nil cache hit")
 	}
 	if c.entries() != 0 || c.capacity() != 0 {
@@ -70,9 +79,6 @@ func TestQueryCacheConstruction(t *testing.T) {
 	h, m, co, e := c.counters()
 	if h != 0 || m != 0 || co != 0 || e != 0 {
 		t.Fatal("nil cache has counters")
-	}
-	if body, err := c.getOrCompute(queryKey{q: "x"}, func() ([]byte, error) { return []byte("y"), nil }); err != nil || string(body) != "y" {
-		t.Fatalf("nil cache getOrCompute = %q, %v", body, err)
 	}
 	c.purge(1)
 	// Shards never exceed capacity; total capacity rounds up.
@@ -98,8 +104,7 @@ func TestQueryCacheConstruction(t *testing.T) {
 // output, (q, k, rank) variations occupy distinct entries, and bad
 // requests never populate the cache.
 func TestServiceQueryCache(t *testing.T) {
-	storePath, archiveDir := buildFixture(t)
-	svc, err := buildService(storePath, archiveDir, "", 3, defaultQCfg(), 64)
+	svc, err := New(fixtureConfig(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,8 +169,9 @@ func TestServiceQueryCache(t *testing.T) {
 // count must stay bounded, eviction pressure must be visible, and the
 // hit/miss counters must account for every lookup.
 func TestServiceCacheConcurrent(t *testing.T) {
-	storePath, archiveDir := buildFixture(t)
-	svc, err := buildService(storePath, archiveDir, "", 3, defaultQCfg(), 8)
+	cfg := fixtureConfig(t)
+	cfg.CacheSize = 8
+	svc, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,15 +244,7 @@ func TestServiceCacheConcurrent(t *testing.T) {
 		t.Fatalf("entries %d exceed capacity %d", n, c)
 	}
 	// /stats must reflect the same counters.
-	resp, err := httpGet(ts.Client(), ts.URL+"/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var stats map[string]uint64
-	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
+	stats, _ := getStats(t, ts.Client(), ts.URL)
 	if stats["cache_hits"] != hits || stats["cache_misses"] != misses || stats["cache_evictions"] != evictions {
 		t.Fatalf("stats %v disagree with counters %d/%d/%d", stats, hits, misses, evictions)
 	}

@@ -1,4 +1,4 @@
-package main
+package serving
 
 import (
 	"context"
@@ -13,9 +13,6 @@ import (
 // scheduler where latency grows without bound for everyone; shedding the
 // excess with 503 + Retry-After keeps latency bounded for the requests
 // that are admitted and tells well-behaved clients when to come back.
-//
-// A nil *limiter admits everything — the tests that construct a bare
-// service get the historical unlimited behaviour.
 type limiter struct {
 	sem     chan struct{}
 	maxWait time.Duration
@@ -24,14 +21,10 @@ type limiter struct {
 	shed     atomic.Uint64
 }
 
-// newLimiter builds a limiter admitting at most maxInflight concurrent
-// requests, each waiting at most maxWait for a slot before being shed
-// (maxWait 0 sheds immediately on saturation). maxInflight < 1 returns
-// nil: unlimited.
+// newLimiter builds a limiter admitting at most maxInflight (>= 1, checked
+// by New) concurrent requests, each waiting at most maxWait for a slot
+// before being shed (maxWait 0 sheds immediately on saturation).
 func newLimiter(maxInflight int, maxWait time.Duration) *limiter {
-	if maxInflight < 1 {
-		return nil
-	}
 	return &limiter{sem: make(chan struct{}, maxInflight), maxWait: maxWait}
 }
 
@@ -39,9 +32,6 @@ func newLimiter(maxInflight int, maxWait time.Duration) *limiter {
 // shed — when none frees up within maxWait or the caller's context ends
 // first. Every true return must be paired with exactly one release.
 func (l *limiter) acquire(ctx context.Context) bool {
-	if l == nil {
-		return true
-	}
 	select {
 	case l.sem <- struct{}{}:
 		l.admitted.Add(1)
@@ -49,7 +39,7 @@ func (l *limiter) acquire(ctx context.Context) bool {
 	default:
 	}
 	if l.maxWait > 0 {
-		t := time.NewTimer(l.maxWait)
+		t := time.NewTimer(l.maxWait) //pqlint:allow walltime the bounded admission wait is a real time boundary; cancellable via ctx
 		defer t.Stop()
 		select {
 		case l.sem <- struct{}{}:
@@ -64,32 +54,15 @@ func (l *limiter) acquire(ctx context.Context) bool {
 }
 
 // release returns one in-flight slot.
-func (l *limiter) release() {
-	if l != nil {
-		<-l.sem
-	}
-}
+func (l *limiter) release() { <-l.sem }
 
 // inflight returns the number of currently admitted requests.
-func (l *limiter) inflight() int {
-	if l == nil {
-		return 0
-	}
-	return len(l.sem)
-}
+func (l *limiter) inflight() int { return len(l.sem) }
 
-// limit returns the admission capacity, 0 meaning unlimited.
-func (l *limiter) limit() int {
-	if l == nil {
-		return 0
-	}
-	return cap(l.sem)
-}
+// limit returns the admission capacity.
+func (l *limiter) limit() int { return cap(l.sem) }
 
 // counters returns the lifetime admitted and shed request counts.
 func (l *limiter) counters() (admitted, shed uint64) {
-	if l == nil {
-		return 0, 0
-	}
 	return l.admitted.Load(), l.shed.Load()
 }

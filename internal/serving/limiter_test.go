@@ -1,11 +1,9 @@
-package main
+package serving
 
 import (
 	"context"
-	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -16,7 +14,7 @@ import (
 
 // TestLimiterBasics pins the semaphore semantics: capacity admits, excess
 // sheds (fail-fast at maxWait 0), releases free slots, counters track
-// lifetime admitted/shed, and the nil limiter admits everything.
+// lifetime admitted/shed.
 func TestLimiterBasics(t *testing.T) {
 	l := newLimiter(2, 0)
 	ctx := context.Background()
@@ -42,16 +40,6 @@ func TestLimiterBasics(t *testing.T) {
 	if admitted != 3 || shed != 1 {
 		t.Fatalf("admitted=%d shed=%d, want 3/1", admitted, shed)
 	}
-
-	// maxInflight < 1 disables limiting entirely.
-	var unlimited *limiter = newLimiter(0, 0)
-	if unlimited != nil {
-		t.Fatal("limit 0 built a limiter")
-	}
-	if !unlimited.acquire(ctx) || unlimited.limit() != 0 || unlimited.inflight() != 0 {
-		t.Fatal("nil limiter must admit for free")
-	}
-	unlimited.release()
 }
 
 // TestLimiterBoundedWait: a saturated limiter holds a request for up to
@@ -145,9 +133,9 @@ func TestLimiterRace(t *testing.T) {
 // shed counter reaches /stats; with slots free it serves 200s again —
 // saturation is a state, not a ratchet.
 func TestServiceSheds503(t *testing.T) {
-	storePath, archiveDir := buildFixture(t)
-	svc, err := buildServiceCfg(storePath, archiveDir, "", 3, defaultQCfg(),
-		serveConfig{cacheSize: 64, shards: 2, maxInflight: 2, maxWait: 0})
+	cfg := fixtureConfig(t)
+	cfg.MaxInflight, cfg.MaxWait = 2, 0
+	svc, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,23 +180,15 @@ func TestServiceSheds503(t *testing.T) {
 	}
 
 	// /stats itself is never admission-limited and reports the shedding.
-	resp, err := httpGet(ts.Client(), ts.URL+"/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var stats map[string]int
-	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if stats["shed"] != burst || stats["max_inflight"] != 2 || stats["inflight"] != 2 || stats["shards"] != 2 {
-		t.Fatalf("stats = %v, want shed=%d max_inflight=2 inflight=2 shards=2", stats, burst)
+	stats, _ := getStats(t, ts.Client(), ts.URL)
+	if stats["shed"] != burst || stats["max_inflight"] != 2 || stats["inflight"] != 2 {
+		t.Fatalf("stats = %v, want shed=%d max_inflight=2 inflight=2", stats, burst)
 	}
 
 	// Drain and verify no permit was lost: the service admits again.
 	svc.lim.release()
 	svc.lim.release()
-	resp, err = httpGet(ts.Client(), query)
+	resp, err := httpGet(ts.Client(), query)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,9 +205,9 @@ func TestServiceSheds503(t *testing.T) {
 // admission, so with the only slot held a malformed /search is answered
 // 400 — not shed with 503 — and moves neither admission counter.
 func TestMalformedSearchTakesNoPermit(t *testing.T) {
-	storePath, archiveDir := buildFixture(t)
-	svc, err := buildServiceCfg(storePath, archiveDir, "", 3, defaultQCfg(),
-		serveConfig{cacheSize: 64, shards: 1, maxInflight: 1, maxWait: 0})
+	cfg := fixtureConfig(t)
+	cfg.MaxInflight, cfg.MaxWait = 1, 0
+	svc, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,21 +218,8 @@ func TestMalformedSearchTakesNoPermit(t *testing.T) {
 	}
 	defer svc.lim.release()
 
-	stats := func() map[string]int {
-		t.Helper()
-		resp, err := httpGet(ts.Client(), ts.URL+"/stats")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		var m map[string]int
-		if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
-			t.Fatal(err)
-		}
-		return m
-	}
-	before := stats()
-	for _, path := range []string{"/search", "/search?q=x&k=0", "/search?q=x&rank=bogus"} {
+	before, _ := getStats(t, ts.Client(), ts.URL)
+	for _, path := range []string{"/search", "/search?q=x&k=0", "/search?q=x&rank=bogus", "/search?q=..."} {
 		resp, err := httpGet(ts.Client(), ts.URL+path)
 		if err != nil {
 			t.Fatal(err)
@@ -262,46 +229,9 @@ func TestMalformedSearchTakesNoPermit(t *testing.T) {
 			t.Errorf("%s: status = %d, want 400", path, resp.StatusCode)
 		}
 	}
-	after := stats()
+	after, _ := getStats(t, ts.Client(), ts.URL)
 	if after["admitted"] != before["admitted"] || after["shed"] != before["shed"] {
 		t.Fatalf("malformed requests moved the admission counters: admitted %d -> %d, shed %d -> %d",
 			before["admitted"], after["admitted"], before["shed"], after["shed"])
-	}
-}
-
-// TestRunFlagValidation pins the CLI contract of the new serving flags:
-// zero or negative shard and admission values are rejected before any
-// expensive load begins, mirroring search.Options validation.
-func TestRunFlagValidation(t *testing.T) {
-	listen := func(string, http.Handler) error { return nil }
-	for _, args := range [][]string{
-		{"-archive", "x", "-shards", "0"},
-		{"-archive", "x", "-shards", "-2"},
-		{"-archive", "x", "-shard-workers", "-1"},
-		{"-archive", "x", "-max-inflight", "0"},
-		{"-archive", "x", "-max-inflight", "-5"},
-		{"-archive", "x", "-max-wait", "-1s"},
-	} {
-		var sb strings.Builder
-		if err := run(args, &sb, listen); err == nil {
-			t.Fatalf("args %v accepted", args)
-		}
-	}
-}
-
-// TestRunShardsClamped: a shard count beyond the corpus is clamped to the
-// document count (never an error), matching the search.Options TopK
-// convention, and the banner reports the effective geometry.
-func TestRunShardsClamped(t *testing.T) {
-	storePath, archiveDir := buildFixture(t)
-	var sb strings.Builder
-	listen := func(string, http.Handler) error { return nil }
-	err := run([]string{"-store", storePath, "-archive", archiveDir,
-		"-shards", "1000000", "-max-inflight", "8"}, &sb, listen)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "shards") {
-		t.Fatalf("banner missing shard count:\n%s", sb.String())
 	}
 }

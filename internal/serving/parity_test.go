@@ -1,8 +1,7 @@
-package main
+package serving
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 	"math"
 	"reflect"
@@ -16,9 +15,9 @@ import (
 	"pagequality/internal/webcorpus"
 )
 
-// TestLoadGenerationMatchesSerialBuild holds loadGeneration — prefixed
-// corpus pass, early-exit canonical, tokenizer in the map phase, shared
-// one-shard view — to the build it replaced: walk the label's keys in
+// TestLoadGenerationMatchesSerialBuild holds LoadGeneration — prefixed
+// corpus pass, early-exit canonical, tokenizer in the map phase — to the
+// build it replaced: walk the label's keys in
 // order, take ExtractLinks' canonical, Add the whole body. Same URL
 // table, same index statistics, and bit-equal hits for every rank mode,
 // on a three-label archive re-homed into many small segments with one
@@ -88,47 +87,44 @@ func TestLoadGenerationMatchesSerialBuild(t *testing.T) {
 		webcorpus.SiteTopic(0), webcorpus.SiteTopic(1) + " " + webcorpus.SiteTopic(2),
 		"href li a html", "site000 example page", "café", "CAFÉ istanbul", "i̇stanbul école", "naïve nosuchterm", "zzzz",
 	}
-	for _, shards := range []int{1, 3} {
-		svc, err := buildServiceCfg(storePath, archiveDir, "", 3, defaultQCfg(), serveConfig{shards: shards})
-		if err != nil {
-			t.Fatal(err)
-		}
-		g := svc.gen.Load()
-		if !reflect.DeepEqual(g.urls, wantURLs) {
-			t.Fatalf("shards=%d: URL table differs: %d urls, want %d", shards, len(g.urls), len(wantURLs))
-		}
-		if g.ix.NumDocs() != want.NumDocs() || g.ix.NumTerms() != want.NumTerms() {
-			t.Fatalf("shards=%d: %d docs / %d terms, want %d / %d", shards, g.ix.NumDocs(), g.ix.NumTerms(), want.NumDocs(), want.NumTerms())
-		}
-		for _, q := range queries {
-			for rank, authority := range map[string][]float64{"quality": g.qual, "pagerank": g.pr, "relevance": nil} {
-				opts := search.Options{TopK: 25, Authority: authority}
-				if authority != nil {
-					opts.AuthorityWeight = 0.7
-				}
-				wantHits, err := want.Search(q, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := g.sx.SearchContext(context.Background(), q, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				label := fmt.Sprintf("shards=%d q=%q rank=%s", shards, q, rank)
-				if len(got) != len(wantHits) {
-					t.Fatalf("%s: %d hits, want %d", label, len(got), len(wantHits))
-				}
-				for i := range got {
-					if got[i].Doc != wantHits[i].Doc ||
-						math.Float64bits(got[i].Score) != math.Float64bits(wantHits[i].Score) ||
-						math.Float64bits(got[i].Relevance) != math.Float64bits(wantHits[i].Relevance) {
-						t.Fatalf("%s: hit %d = %+v, want %+v", label, i, got[i], wantHits[i])
-					}
+	g, err := LoadGeneration(Config{StorePath: storePath, ArchiveDir: archiveDir, Snaps: 3, Quality: defaultQCfg()}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(g.urls, wantURLs) {
+		t.Fatalf("URL table differs: %d urls, want %d", len(g.urls), len(wantURLs))
+	}
+	if g.ix.NumDocs() != want.NumDocs() || g.ix.NumTerms() != want.NumTerms() {
+		t.Fatalf("%d docs / %d terms, want %d / %d", g.ix.NumDocs(), g.ix.NumTerms(), want.NumDocs(), want.NumTerms())
+	}
+	for _, q := range queries {
+		for rank, authority := range map[string][]float64{"quality": g.qual, "pagerank": g.pr, "relevance": nil} {
+			opts := search.Options{TopK: 25, Authority: authority}
+			if authority != nil {
+				opts.AuthorityWeight = 0.7
+			}
+			wantHits, err := want.Search(q, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := g.ix.Search(q, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			label := fmt.Sprintf("q=%q rank=%s", q, rank)
+			if len(got) != len(wantHits) {
+				t.Fatalf("%s: %d hits, want %d", label, len(got), len(wantHits))
+			}
+			for i := range got {
+				if got[i].Doc != wantHits[i].Doc ||
+					math.Float64bits(got[i].Score) != math.Float64bits(wantHits[i].Score) ||
+					math.Float64bits(got[i].Relevance) != math.Float64bits(wantHits[i].Relevance) {
+					t.Fatalf("%s: hit %d = %+v, want %+v", label, i, got[i], wantHits[i])
 				}
 			}
 		}
-		if hits, err := g.sx.SearchContext(context.Background(), "café", search.Options{}); err != nil || len(hits) != 1 {
-			t.Fatalf("shards=%d: the accented body is not served: %d hits, err %v", shards, len(hits), err)
-		}
+	}
+	if hits, err := g.ix.Search("café", search.Options{}); err != nil || len(hits) != 1 {
+		t.Fatalf("the accented body is not served: %d hits, err %v", len(hits), err)
 	}
 }

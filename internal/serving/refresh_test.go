@@ -1,11 +1,14 @@
-package main
+package serving
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strconv"
 	"strings"
 	"sync"
@@ -110,9 +113,12 @@ func TestQueryCacheSingleflightError(t *testing.T) {
 // generations.
 func TestQueryCachePurge(t *testing.T) {
 	c := newQueryCache(4, 16)
+	key := func(gen uint64, i int) queryKey {
+		return queryKey{gen: gen, q: fmt.Sprintf("q%d", i), k: 10, rank: "quality"}
+	}
 	for gen := uint64(1); gen <= 2; gen++ {
 		for i := 0; i < 4; i++ {
-			c.put(queryKey{gen: gen, q: fmt.Sprintf("q%d", i), k: 10, rank: "quality"}, []byte("x"))
+			cached(t, c, key(gen, i), []byte("x"))
 		}
 	}
 	if n := c.entries(); n != 8 {
@@ -123,11 +129,11 @@ func TestQueryCachePurge(t *testing.T) {
 		t.Fatalf("entries after purge = %d, want 4", n)
 	}
 	for i := 0; i < 4; i++ {
-		if _, ok := c.get(queryKey{gen: 1, q: fmt.Sprintf("q%d", i), k: 10, rank: "quality"}); ok {
-			t.Fatalf("generation-1 entry q%d survived purge", i)
-		}
-		if _, ok := c.get(queryKey{gen: 2, q: fmt.Sprintf("q%d", i), k: 10, rank: "quality"}); !ok {
+		if !cached(t, c, key(2, i), []byte("x")) {
 			t.Fatalf("generation-2 entry q%d purged", i)
+		}
+		if cached(t, c, key(1, i), []byte("x")) {
+			t.Fatalf("generation-1 entry q%d survived purge", i)
 		}
 	}
 }
@@ -138,12 +144,11 @@ func TestQueryCachePurge(t *testing.T) {
 // k=1000 (both beyond this fixture's corpus) must produce one miss and
 // one hit, not two entries.
 func TestServiceCacheKeyNormalizesK(t *testing.T) {
-	storePath, archiveDir := buildFixture(t)
-	svc, err := buildService(storePath, archiveDir, "", 3, defaultQCfg(), 64)
+	svc, err := New(fixtureConfig(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if nd := svc.gen.Load().ix.NumDocs(); nd >= 500 {
+	if nd := svc.Generation().NumDocs(); nd >= 500 {
 		t.Fatalf("fixture has %d docs, test needs < 500", nd)
 	}
 	ts := httptest.NewServer(svc)
@@ -169,60 +174,66 @@ func TestServiceCacheKeyNormalizesK(t *testing.T) {
 // TestServiceRefresh drives the admin refresh path end to end: the
 // generation counter advances, the swap empties the effective cache (the
 // same query is recomputed, never served from an old generation's entry),
-// and responses advertise the generation they were built from.
+// and responses advertise the generation they were built from. A refresh
+// that fails — the store is unreadable — leaves the serving generation in
+// place and answering, and shows up in /stats until the next success.
 func TestServiceRefresh(t *testing.T) {
-	storePath, archiveDir := buildFixture(t)
-	svc, err := buildService(storePath, archiveDir, "", 3, defaultQCfg(), 64)
+	cfg := fixtureConfig(t)
+	svc, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(svc)
 	defer ts.Close()
 
-	getJSON := func(path string) (map[string]uint64, http.Header) {
+	get := func(path string) (int, http.Header, []byte) {
 		t.Helper()
 		resp, err := httpGet(ts.Client(), ts.URL+path)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("%s: status %d", path, resp.StatusCode)
-		}
-		var m map[string]uint64
-		if path == "/search" || strings.HasPrefix(path, "/search?") {
-			return nil, resp.Header
-		}
-		if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
 			t.Fatal(err)
 		}
-		return m, resp.Header
+		return resp.StatusCode, resp.Header, body
+	}
+	search := func(wantGen string) []byte {
+		t.Helper()
+		code, hdr, body := get("/search?q=" + webcorpus.SiteTopic(0) + "&k=5")
+		if code != http.StatusOK || hdr.Get("X-Quality-Generation") != wantGen {
+			t.Fatalf("search: status %d, X-Quality-Generation %q, want 200 from generation %s", code, hdr.Get("X-Quality-Generation"), wantGen)
+		}
+		return body
+	}
+	refresh := func() map[string]uint64 {
+		t.Helper()
+		code, _, body := get("/refresh")
+		if code != http.StatusOK {
+			t.Fatalf("/refresh: status %d: %s", code, body)
+		}
+		var m map[string]uint64
+		if err := json.Unmarshal(body, &m); err != nil {
+			t.Fatal(err)
+		}
+		return m
 	}
 
-	topic := webcorpus.SiteTopic(0)
-	query := "/search?q=" + topic + "&k=5"
-
-	_, hdr := getJSON(query)
-	if got := hdr.Get("X-Quality-Generation"); got != "1" {
-		t.Fatalf("X-Quality-Generation = %q, want 1", got)
-	}
-	stats, _ := getJSON("/stats")
+	search("1")
+	stats, _ := getStats(t, ts.Client(), ts.URL)
 	if stats["generation"] != 1 || stats["searches"] != 1 {
 		t.Fatalf("fresh stats: %v", stats)
 	}
 
-	ref, _ := getJSON("/refresh")
-	if ref["generation"] != 2 || ref["documents"] != stats["documents"] {
+	if ref := refresh(); ref["generation"] != 2 || ref["documents"] != stats["documents"] {
 		t.Fatalf("refresh response: %v (want generation 2, %d documents)", ref, stats["documents"])
 	}
 
 	// The identical query must be recomputed against generation 2: a hit
 	// on the old generation's entry would keep searches at 1.
-	_, hdr = getJSON(query)
-	if got := hdr.Get("X-Quality-Generation"); got != "2" {
-		t.Fatalf("post-refresh X-Quality-Generation = %q, want 2", got)
-	}
-	stats, _ = getJSON("/stats")
+	served := search("2")
+	stats, _ = getStats(t, ts.Client(), ts.URL)
 	if stats["generation"] != 2 {
 		t.Fatalf("stats generation = %d, want 2", stats["generation"])
 	}
@@ -232,13 +243,46 @@ func TestServiceRefresh(t *testing.T) {
 	if stats["cache_entries"] != 1 {
 		t.Fatalf("cache_entries = %d, want 1 (old generation purged)", stats["cache_entries"])
 	}
+
+	// Break the store: the rebuild fails before anything is swapped.
+	intact, err := os.ReadFile(cfg.StorePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(cfg.StorePath, intact[:len(intact)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if code, _, _ := get("/refresh"); code != http.StatusInternalServerError {
+		t.Fatalf("/refresh on a truncated store: status %d, want 500", code)
+	}
+	stats, lastErr := getStats(t, ts.Client(), ts.URL)
+	if stats["generation"] != 2 || stats["refresh_failures"] != 1 || lastErr == "" {
+		t.Fatalf("after a failed refresh: generation %d, refresh_failures %d, last_refresh_error %q; want 2, 1, the error",
+			stats["generation"], stats["refresh_failures"], lastErr)
+	}
+	if again := search("2"); !bytes.Equal(again, served) {
+		t.Fatalf("generation 2 answers differently after the failed refresh:\n%s\n%s", served, again)
+	}
+
+	// Mend it: the next refresh succeeds and clears the error, not the count.
+	if err := os.WriteFile(cfg.StorePath, intact, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if ref := refresh(); ref["generation"] != 3 {
+		t.Fatalf("refresh after repair: %v, want generation 3", ref)
+	}
+	stats, lastErr = getStats(t, ts.Client(), ts.URL)
+	if stats["generation"] != 3 || stats["refresh_failures"] != 1 || lastErr != "" {
+		t.Fatalf("after the repair: generation %d, refresh_failures %d, last_refresh_error %q; want 3, 1, empty",
+			stats["generation"], stats["refresh_failures"], lastErr)
+	}
 }
 
 // syntheticGeneration builds a self-describing generation: every URL and
 // both score vectors encode the generation id, so a response mixing two
 // generations is detectable field by field.
-func syntheticGeneration(id uint64, docs int) *generation {
-	g := &generation{id: id, ix: search.NewIndex()}
+func syntheticGeneration(id uint64, docs int) *Generation {
+	g := &Generation{ID: id, ix: search.NewIndex()}
 	for i := 0; i < docs; i++ {
 		g.ix.Add(fmt.Sprintf("alpha beta shared corpus terms doc%d", i))
 		g.urls = append(g.urls, fmt.Sprintf("http://site.example/gen%d/doc%d", id, i))
@@ -246,12 +290,15 @@ func syntheticGeneration(id uint64, docs int) *generation {
 		g.pr = append(g.pr, float64(id)+float64(i)/1e6)
 	}
 	g.ix.Freeze()
-	sx, err := g.ix.Shard(4, 2)
-	if err != nil {
-		panic(err)
-	}
-	g.sx = sx
 	return g
+}
+
+// syntheticService serves syntheticGeneration(1, docs) with no store behind
+// it: everything but Refresh works.
+func syntheticService(docs, maxInflight int) *Service {
+	svc := &Service{cache: newQueryCache(cacheShards, 64), lim: newLimiter(maxInflight, 0)}
+	svc.gen.Store(syntheticGeneration(1, docs))
+	return svc
 }
 
 // TestServiceGenerationConsistency hammers /search while generations swap
@@ -261,8 +308,7 @@ func syntheticGeneration(id uint64, docs int) *generation {
 // existed. This is the RCU contract: readers see old state or new state,
 // never a mix.
 func TestServiceGenerationConsistency(t *testing.T) {
-	svc := &service{cache: newQueryCache(cacheShards, 64)}
-	svc.gen.Store(syntheticGeneration(1, 20))
+	svc := syntheticService(20, 256)
 	ts := httptest.NewServer(svc)
 	defer ts.Close()
 

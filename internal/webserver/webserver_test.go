@@ -3,6 +3,7 @@ package webserver
 import (
 	"context"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -174,5 +175,24 @@ func TestServerHasTimeouts(t *testing.T) {
 	}
 	if srv.Addr != "127.0.0.1:0" || srv.Handler == nil {
 		t.Fatalf("server miswired: %+v", srv)
+	}
+}
+
+// TestListenAndServeReturns pins the two ways ListenAndServe ends without
+// a request in flight: a bind failure is returned at once, whatever ctx
+// does later, and a cancelled ctx is a clean stop, not an error.
+func TestListenAndServeReturns(t *testing.T) {
+	taken, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer taken.Close()
+	if err := ListenAndServe(context.Background(), taken.Addr().String(), http.NotFoundHandler()); err == nil {
+		t.Fatal("serving on a bound port reported no error")
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := ListenAndServe(ctx, "127.0.0.1:0", http.NotFoundHandler()); err != nil {
+		t.Fatalf("cancelled before serving: %v", err)
 	}
 }
