@@ -409,9 +409,9 @@ func benchSearchIndex(b *testing.B) (*search.Index, []float64) {
 // BenchmarkSearchQuery times the uncached query hot path of the search
 // engine over a webcorpus-scale index: a short topical query and a
 // multi-term query dominated by high-document-frequency background words
-// (the worst case for per-posting work), under each ranking mode. One
-// warm-up query runs before the timer so index freezing is excluded — a
-// serving process pays that cost once, not per query.
+// (the worst case for per-posting work), with and without the authority
+// blend. One warm-up query runs before the timer so index freezing is
+// excluded — a serving process pays that cost once, not per query.
 func BenchmarkSearchQuery(b *testing.B) {
 	ix, auth := benchSearchIndex(b)
 	// "astronomy" appears in page titles; commonN words span every site.
@@ -427,8 +427,6 @@ func BenchmarkSearchQuery(b *testing.B) {
 		{"vector/short", shortQ, search.Options{TopK: 10}},
 		{"vector/multi", multiQ, search.Options{TopK: 10}},
 		{"vector/multi/blend", multiQ, search.Options{TopK: 10, Authority: auth, AuthorityWeight: 0.7}},
-		{"bm25/multi", multiQ, search.Options{TopK: 10, Mode: search.ModeBM25}},
-		{"boolean-or/multi", multiQ, search.Options{TopK: 10, Mode: search.ModeBooleanOr}},
 	} {
 		b.Run(bench.name, func(b *testing.B) {
 			if _, err := ix.Search(bench.query, bench.opts); err != nil {

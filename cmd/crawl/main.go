@@ -24,6 +24,7 @@ import (
 	"os"
 	"os/signal"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"pagequality/internal/crawler"
@@ -38,7 +39,7 @@ func main() {
 	}
 }
 
-func run(args []string, out io.Writer) error {
+func run(args []string, out io.Writer) (err error) {
 	fs := flag.NewFlagSet("crawl", flag.ContinueOnError)
 	var (
 		seedList    = fs.String("seeds", "", "URL of a newline-separated seed list")
@@ -118,15 +119,29 @@ func run(args []string, out io.Writer) error {
 		},
 	}
 	if *archiveDir != "" {
-		arch, err := pagestore.Open(*archiveDir, pagestore.Options{})
-		if err != nil {
-			return err
+		arch, openErr := pagestore.Open(*archiveDir, pagestore.Options{})
+		if openErr != nil {
+			return openErr
 		}
-		defer arch.Close()
+		// OnFetch runs on every fetcher. A document the archive did not
+		// get fails the run, after the snapshot and the checkpoint are
+		// written: the snapshot names pages qualityserve would not serve.
+		var failed atomic.Int64
+		var firstErr atomic.Pointer[error]
+		defer func() {
+			cerr := arch.Close()
+			if n := failed.Load(); n > 0 {
+				cerr = fmt.Errorf("%d documents could not be archived (first: %v)", n, *firstErr.Load())
+			}
+			if err == nil {
+				err = cerr // run's result
+			}
+		}()
 		meta := pagestore.Meta{FetchedAt: wk, Status: 200}
 		cfg.OnFetch = func(u string, body []byte) {
 			if err := arch.Put(lbl+"/"+u, meta, body); err != nil {
-				fmt.Fprintf(out, "archive error for %s: %v\n", u, err)
+				failed.Add(1)
+				firstErr.CompareAndSwap(nil, &err)
 			}
 		}
 	}

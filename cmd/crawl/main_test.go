@@ -445,3 +445,50 @@ func TestCrawlCLITransientCheckpointRetry(t *testing.T) {
 		t.Fatalf("clean completion left the checkpoint behind (err=%v)", err)
 	}
 }
+
+// TestCrawlCLIArchiveFailureFailsRun: a document the archive refuses (a
+// 64 KiB URL, the longest a snapshot holds, whose key "<label>/<url>" is
+// past pagestore's 64 KiB key limit) used to be a line on stdout and exit
+// status 0. The run now fails with the count, after the snapshot — which
+// names the page — is written.
+func TestCrawlCLIArchiveFailureFailsRun(t *testing.T) {
+	var long string
+	ts := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case "/":
+			fmt.Fprintf(w, `<html><a href="/ok">ok</a> <a href="%s">long</a></html>`, long)
+		case "/ok", long:
+			fmt.Fprint(w, "<html>leaf</html>")
+		default:
+			http.NotFound(w, r)
+		}
+	}))
+	long = "/" + strings.Repeat("a", 1<<16-len("http://"+ts.Listener.Addr().String())-1)
+	ts.Start()
+	defer ts.Close()
+	dir := t.TempDir()
+	store := filepath.Join(dir, "s.pqs")
+	archive := filepath.Join(dir, "pages")
+	var buf bytes.Buffer
+	err := run([]string{
+		"-seed", ts.URL + "/", "-store", store, "-archive", archive, "-label", "t1", "-week", "0",
+	}, &buf)
+	if err == nil || !strings.Contains(err.Error(), "1 documents could not be archived") {
+		t.Fatalf("run error = %v, want the one failed Put reported\n%s", err, buf.String())
+	}
+	snaps, err := snapshot.ReadFile(store)
+	if err != nil {
+		t.Fatalf("snapshot not written: %v", err)
+	}
+	if n := snaps[0].Graph.NumNodes(); n != 3 {
+		t.Fatalf("snapshot has %d pages, want 3", n)
+	}
+	arch, err := pagestore.Open(archive, pagestore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer arch.Close()
+	if arch.Len() != 2 {
+		t.Fatalf("archive holds %d documents, want the 2 whose keys fit", arch.Len())
+	}
+}

@@ -17,7 +17,6 @@ import (
 	"os"
 
 	"pagequality/internal/corpus"
-	"pagequality/internal/experiments"
 	"pagequality/internal/pagestore"
 	"pagequality/internal/snapshot"
 )
@@ -51,11 +50,11 @@ func run(args []string, out io.Writer) error {
 	defer arch.Close()
 
 	if *stats {
-		ls, err := experiments.ArchiveStats(arch, corpus.Options{})
+		ls, err := corpus.ArchiveStats(arch, corpus.Options{})
 		if err != nil {
 			return err
 		}
-		return experiments.WriteArchiveStatsCSV(out, ls)
+		return corpus.WriteArchiveStatsCSV(out, ls)
 	}
 
 	// One corpus pass re-extracts the label's snapshot, stamped with the

@@ -80,10 +80,7 @@ func run(args []string, out io.Writer) error {
 			res.Iterations, res.Delta)
 		score = res.Rank
 	case "hits":
-		res, err := pagerank.HITS(c, pagerank.HITSOptions{})
-		if err != nil {
-			return err
-		}
+		res := pagerank.HITS(c)
 		fmt.Fprintf(out, "HITS converged in %d iterations; ranking by authority\n", res.Iterations)
 		score = res.Authorities
 	case "indegree":

@@ -1,4 +1,4 @@
-package experiments
+package corpus
 
 import (
 	"fmt"
@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"pagequality/internal/corpus"
 	"pagequality/internal/pagestore"
 )
 
@@ -35,7 +34,7 @@ func buildArchive(t *testing.T) *pagestore.Store {
 
 func TestArchiveStats(t *testing.T) {
 	st := buildArchive(t)
-	stats, err := ArchiveStats(st, corpus.Options{Workers: 2})
+	stats, err := ArchiveStats(st, Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +53,7 @@ func TestArchiveStats(t *testing.T) {
 		}
 	}
 	// Worker-count invariance.
-	again, err := ArchiveStats(st, corpus.Options{Workers: 1})
+	again, err := ArchiveStats(st, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +73,7 @@ func TestArchiveStatsSkipsStrayKeys(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	stats, err := ArchiveStats(st, corpus.Options{})
+	stats, err := ArchiveStats(st, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +81,7 @@ func TestArchiveStatsSkipsStrayKeys(t *testing.T) {
 	for _, ls := range stats {
 		fromStats = append(fromStats, ls.Label)
 	}
-	fromLabels, err := corpus.ArchiveLabels(st, corpus.Options{})
+	fromLabels, err := ArchiveLabels(st, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +93,7 @@ func TestArchiveStatsSkipsStrayKeys(t *testing.T) {
 
 func TestWriteArchiveStatsCSV(t *testing.T) {
 	st := buildArchive(t)
-	stats, err := ArchiveStats(st, corpus.Options{})
+	stats, err := ArchiveStats(st, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

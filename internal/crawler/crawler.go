@@ -44,8 +44,6 @@ type Config struct {
 	Concurrency int
 	// Client performs the requests (default http.DefaultClient).
 	Client *http.Client
-	// MaxBodyBytes bounds how much of each response is read (default 1 MiB).
-	MaxBodyBytes int64
 	// RequestTimeout bounds each individual fetch attempt via its request
 	// context. Zero means no per-attempt deadline (the Client's own
 	// Timeout, if any, still applies).
@@ -61,10 +59,6 @@ type Config struct {
 	// (e.g. to archive it into a pagestore). It is called from multiple
 	// goroutines and must be safe for concurrent use.
 	OnFetch func(fetchURL string, body []byte)
-	// IgnoreRobots disables robots.txt handling. By default the crawler
-	// fetches each host's /robots.txt once and skips paths disallowed for
-	// User-agent *.
-	IgnoreRobots bool
 	// Interrupt, when non-nil, stops the crawl gracefully once closed:
 	// in-flight fetches finish, the remaining frontier is returned in
 	// Result.Checkpoint, and a later Crawl with Resume set picks up where
@@ -82,6 +76,9 @@ type Config struct {
 // ErrBadConfig reports invalid crawler configuration.
 var ErrBadConfig = errors.New("crawler: bad config")
 
+// maxBodyBytes bounds how much of each response is read.
+const maxBodyBytes = 1 << 20
+
 func (c *Config) fill() error {
 	if len(c.Seeds) == 0 {
 		return fmt.Errorf("%w: no seeds", ErrBadConfig)
@@ -94,12 +91,6 @@ func (c *Config) fill() error {
 	}
 	if c.Client == nil {
 		c.Client = http.DefaultClient
-	}
-	if c.MaxBodyBytes == 0 {
-		c.MaxBodyBytes = 1 << 20
-	}
-	if c.MaxBodyBytes < 1 {
-		return fmt.Errorf("%w: MaxBodyBytes=%d", ErrBadConfig, c.MaxBodyBytes)
 	}
 	if c.MaxPagesPerSite < 0 || c.MaxPages < 0 {
 		return fmt.Errorf("%w: negative page caps", ErrBadConfig)
@@ -301,7 +292,7 @@ func (c *crawl) fetchWithRetry(u string) (page, []byte, error) {
 		if stopped && attempt > 1 {
 			return page{}, nil, lastErr // shutting down: stop retrying
 		}
-		pg, body, err := fetch(c.cfg.Client, u, c.cfg.MaxBodyBytes, c.cfg.RequestTimeout)
+		pg, body, err := fetch(c.cfg.Client, u, c.cfg.RequestTimeout)
 		if err == nil {
 			return pg, body, nil
 		}
@@ -379,9 +370,6 @@ func (c *crawl) refundLocked(u string) {
 // fetch happens without it, and sync.Once guarantees one fetch per host
 // no matter how many workers miss the cache concurrently.
 func (c *crawl) robotsForLocked(host string) *robotsRules {
-	if c.cfg.IgnoreRobots {
-		return nil
-	}
 	e, ok := c.robots[host]
 	if !ok {
 		e = &robotsEntry{}
@@ -401,18 +389,16 @@ func (c *crawl) enqueueLocked(u string) {
 	if c.visited[u] {
 		return
 	}
-	if !c.cfg.IgnoreRobots {
-		pu, err := url.Parse(u)
-		if err != nil {
-			return
-		}
-		if !c.robotsForLocked(hostOf(u)).allowed(pu.Path) {
-			c.stats.SkippedRobots++
-			return
-		}
-		if c.visited[u] {
-			return // robots fetch released the lock; re-check
-		}
+	pu, err := url.Parse(u)
+	if err != nil {
+		return
+	}
+	if !c.robotsForLocked(hostOf(u)).allowed(pu.Path) {
+		c.stats.SkippedRobots++
+		return
+	}
+	if c.visited[u] {
+		return // robots fetch released the lock; re-check
 	}
 	if c.cfg.MaxPages > 0 && c.admitted >= c.cfg.MaxPages {
 		c.stats.SkippedCaps++
@@ -462,7 +448,7 @@ func (c *crawl) checkpointLocked() *Checkpoint {
 // fetch downloads one page and extracts its links, returning the raw body
 // for optional archiving. A positive timeout bounds the whole attempt via
 // the request context.
-func fetch(client *http.Client, u string, maxBody int64, timeout time.Duration) (page, []byte, error) {
+func fetch(client *http.Client, u string, timeout time.Duration) (page, []byte, error) {
 	ctx := context.Background()
 	if timeout > 0 {
 		var cancel context.CancelFunc
@@ -479,10 +465,10 @@ func fetch(client *http.Client, u string, maxBody int64, timeout time.Duration) 
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, maxBody))
+		io.Copy(io.Discard, io.LimitReader(resp.Body, maxBodyBytes))
 		return page{}, nil, &HTTPError{URL: u, Status: resp.StatusCode, RetryAfter: parseRetryAfter(resp)}
 	}
-	body, err := io.ReadAll(io.LimitReader(resp.Body, maxBody))
+	body, err := io.ReadAll(io.LimitReader(resp.Body, maxBodyBytes))
 	if err != nil {
 		return page{}, nil, err
 	}

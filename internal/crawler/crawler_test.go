@@ -321,9 +321,6 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := Crawl(Config{Seeds: []string{"http://x/"}, Concurrency: -1}); !errors.Is(err, ErrBadConfig) {
 		t.Fatal("negative concurrency accepted")
 	}
-	if _, err := Crawl(Config{Seeds: []string{"http://x/"}, MaxBodyBytes: -1}); !errors.Is(err, ErrBadConfig) {
-		t.Fatal("negative body cap accepted")
-	}
 	if _, err := Crawl(Config{Seeds: []string{"://bad"}}); err == nil {
 		t.Fatal("unparseable seed accepted")
 	}

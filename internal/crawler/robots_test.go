@@ -208,14 +208,6 @@ func TestCrawlRespectsRobots(t *testing.T) {
 	if res.Stats.Fetched >= full {
 		t.Fatalf("robots did not reduce the crawl: %d vs %d", res.Stats.Fetched, full)
 	}
-	// Ignoring robots restores the full crawl.
-	res, err = Crawl(Config{Seeds: seeds, Client: ts.Client(), IgnoreRobots: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.Fetched != full || res.Stats.SkippedRobots != 0 {
-		t.Fatalf("IgnoreRobots crawl fetched %d, want %d", res.Stats.Fetched, full)
-	}
 }
 
 // TestRobotsFetchedOncePerHost pins the duplicate-fetch fix: however many

@@ -11,80 +11,56 @@ import (
 // emits a header row and one row per data point; cmd/experiments wires
 // them to the -csv flag.
 
-// WriteFigure1CSV emits t,P columns of the popularity evolution.
-func WriteFigure1CSV(w io.Writer, res *Figure1Result) error {
+// writeTable writes the header and the rows as CSV.
+func writeTable(w io.Writer, header []string, rows [][]string) error {
 	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"t", "popularity"}); err != nil {
+	if err := cw.Write(header); err != nil {
 		return err
 	}
-	for i := range res.Trajectory.T {
-		if err := cw.Write([]string{
-			formatF(res.Trajectory.T[i]),
-			formatF(res.Trajectory.P[i]),
-		}); err != nil {
-			return err
-		}
+	return cw.WriteAll(rows) // WriteAll flushes
+}
+
+// WriteFigure1CSV emits t,P columns of the popularity evolution.
+func WriteFigure1CSV(w io.Writer, res *Figure1Result) error {
+	rows := make([][]string, len(res.Trajectory.T))
+	for i := range rows {
+		rows[i] = []string{formatF(res.Trajectory.T[i]), formatF(res.Trajectory.P[i])}
 	}
-	cw.Flush()
-	return cw.Error()
+	return writeTable(w, []string{"t", "popularity"}, rows)
 }
 
 // WriteFigure2CSV emits t,I,P columns.
 func WriteFigure2CSV(w io.Writer, res *Figure2Result) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"t", "I", "P"}); err != nil {
-		return err
+	rows := make([][]string, len(res.T))
+	for i := range rows {
+		rows[i] = []string{formatF(res.T[i]), formatF(res.I[i]), formatF(res.P[i])}
 	}
-	for i := range res.T {
-		if err := cw.Write([]string{
-			formatF(res.T[i]), formatF(res.I[i]), formatF(res.P[i]),
-		}); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
+	return writeTable(w, []string{"t", "I", "P"}, rows)
 }
 
 // WriteFigure3CSV emits t,sum columns (the flat Theorem-2 line).
 func WriteFigure3CSV(w io.Writer, res *Figure3Result) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"t", "I_plus_P"}); err != nil {
-		return err
+	rows := make([][]string, len(res.T))
+	for i := range rows {
+		rows[i] = []string{formatF(res.T[i]), formatF(res.Sum[i])}
 	}
-	for i := range res.T {
-		if err := cw.Write([]string{formatF(res.T[i]), formatF(res.Sum[i])}); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
+	return writeTable(w, []string{"t", "I_plus_P"}, rows)
 }
 
 // WriteFigure5CSV emits bin,fracQ,fracPR rows of the error histogram.
 func WriteFigure5CSV(w io.Writer, res *HeadlineResult) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"bin", "frac_quality", "frac_pagerank"}); err != nil {
-		return err
-	}
 	fq := res.HistQ.Fractions()
 	fp := res.HistPR.Fractions()
-	for i := range fq {
-		if err := cw.Write([]string{
-			res.HistQ.Label(i), formatF(fq[i]), formatF(fp[i]),
-		}); err != nil {
-			return err
-		}
+	rows := make([][]string, len(fq))
+	for i := range rows {
+		rows[i] = []string{res.HistQ.Label(i), formatF(fq[i]), formatF(fp[i])}
 	}
-	cw.Flush()
-	return cw.Error()
+	return writeTable(w, []string{"bin", "frac_quality", "frac_pagerank"}, rows)
 }
 
 // WriteHeadlineCSV emits the §8.2 summary as key,value rows.
 func WriteHeadlineCSV(w io.Writer, res *HeadlineResult) error {
-	cw := csv.NewWriter(w)
-	rows := [][]string{
-		{"metric", "value"},
+	return writeTable(w, []string{"metric", "value"}, [][]string{
 		{"pages_crawled", strconv.Itoa(res.PagesCrawled)},
 		{"pages_common", strconv.Itoa(res.PagesCommon)},
 		{"pages_changed", strconv.Itoa(res.PagesChanged)},
@@ -100,74 +76,45 @@ func WriteHeadlineCSV(w io.Writer, res *HeadlineResult) error {
 		{"frac_last_bin_pagerank", formatF(res.FracLastPR)},
 		{"tau_quality_vs_truth", formatF(res.TauQTruth)},
 		{"tau_pagerank_vs_truth", formatF(res.TauPRTruth)},
-	}
-	for _, r := range rows {
-		if err := cw.Write(r); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
+	})
 }
 
 // WriteAblationCCSV emits the C sweep.
 func WriteAblationCCSV(w io.Writer, pts []CPoint) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"C", "avg_err_quality", "avg_err_pagerank"}); err != nil {
-		return err
+	rows := make([][]string, len(pts))
+	for i, p := range pts {
+		rows[i] = []string{formatF(p.C), formatF(p.AvgErrQ), formatF(p.AvgErrPR)}
 	}
-	for _, p := range pts {
-		if err := cw.Write([]string{
-			formatF(p.C), formatF(p.AvgErrQ), formatF(p.AvgErrPR),
-		}); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
+	return writeTable(w, []string{"C", "avg_err_quality", "avg_err_pagerank"}, rows)
 }
 
 // WriteWindowCSV emits the measurement-window sweep.
 func WriteWindowCSV(w io.Writer, pts []WindowPoint) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"gap_weeks", "avg_err_low_pr", "avg_err_high_pr"}); err != nil {
-		return err
+	rows := make([][]string, len(pts))
+	for i, p := range pts {
+		rows[i] = []string{formatF(p.GapWeeks), formatF(p.AvgErrQLow), formatF(p.AvgErrQHigh)}
 	}
-	for _, p := range pts {
-		if err := cw.Write([]string{
-			formatF(p.GapWeeks), formatF(p.AvgErrQLow), formatF(p.AvgErrQHigh),
-		}); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
+	return writeTable(w, []string{"gap_weeks", "avg_err_low_pr", "avg_err_high_pr"}, rows)
 }
 
 // WritePolicyComparisonCSV emits one row per ranking policy.
 func WritePolicyComparisonCSV(w io.Writer, res *PolicyComparisonResult) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{
-		"policy", "pages", "links", "sessions", "search_visits", "search_discoveries",
-		"quality_weighted_discovery", "highq_newborns", "newborn_discovery",
-		"newborns_found", "mean_time_to_first_visit", "popularity_gini", "quality_pop_corr",
-	}); err != nil {
-		return err
-	}
-	for _, o := range res.Outcomes {
-		if err := cw.Write([]string{
+	rows := make([][]string, len(res.Outcomes))
+	for i, o := range res.Outcomes {
+		rows[i] = []string{
 			o.Policy, strconv.Itoa(o.Pages), strconv.Itoa(o.Links),
 			strconv.FormatInt(o.Sessions, 10), strconv.FormatInt(o.SearchVisits, 10),
 			strconv.FormatInt(o.SearchDiscoveries, 10),
 			formatF(o.QualityWeightedDiscovery), strconv.Itoa(o.HighQNewborns),
 			formatF(o.NewbornDiscovery), strconv.Itoa(o.NewbornsFound),
 			formatF(o.MeanTimeToFirstVisit), formatF(o.PopularityGini), formatF(o.QualityPopCorr),
-		}); err != nil {
-			return err
 		}
 	}
-	cw.Flush()
-	return cw.Error()
+	return writeTable(w, []string{
+		"policy", "pages", "links", "sessions", "search_visits", "search_discoveries",
+		"quality_weighted_discovery", "highq_newborns", "newborn_discovery",
+		"newborns_found", "mean_time_to_first_visit", "popularity_gini", "quality_pop_corr",
+	}, rows)
 }
 
 func formatF(v float64) string {

@@ -29,9 +29,9 @@ type PolicyComparisonConfig struct {
 	// overwritten per policy). Defaults to DefaultHeadlineConfig's corpus.
 	Corpus webcorpus.Config
 	// Search is the shared search-channel configuration; the Policy field
-	// is overridden per run. Defaults: 1500 sessions/week, top-10,
-	// StartWeek 0 (no search during burn-in, so every policy starts from
-	// the identical seed corpus).
+	// is overridden per run. Defaults: 1500 sessions/week, top-10. No
+	// session fires during the burn-in, so every policy starts from the
+	// identical seed corpus.
 	Search webcorpus.SearchConfig
 	// Policies are the contenders. Defaults to the four of the ISSUE:
 	// none, pagerank, quality, randomized-0.2.

@@ -13,12 +13,10 @@ import (
 // skips most of the work in the tail of the iteration where only a few
 // slow pages still move.
 type AdaptiveOptions struct {
-	// Jump, Tol, MaxIter as in Options (same defaults).
-	Jump    float64
+	// Tol, MaxIter as in Options (same defaults); the jump probability
+	// and the normalisation are Options' defaults too.
 	Tol     float64
 	MaxIter int
-	// Variant selects the output normalisation (paper or standard).
-	Variant Variant
 }
 
 // AdaptiveResult extends Result with adaptivity accounting.
@@ -37,20 +35,12 @@ type AdaptiveResult struct {
 // refreeze within one iteration.
 const refreshPeriod = 10
 
-func (o *AdaptiveOptions) fill() error {
-	base := Options{Jump: o.Jump, Tol: o.Tol, MaxIter: o.MaxIter, Variant: o.Variant}
-	if err := base.fill(); err != nil {
-		return err
-	}
-	o.Jump, o.Tol, o.MaxIter = base.Jump, base.Tol, base.MaxIter
-	return nil
-}
-
 // ComputeAdaptive runs the adaptive power iteration. It reaches the same
 // fixed point as Compute (within tolerance) while skipping updates for
 // frozen pages.
-func ComputeAdaptive(c *graph.CSR, opts AdaptiveOptions) (*AdaptiveResult, error) {
+func ComputeAdaptive(c *graph.CSR, o AdaptiveOptions) (*AdaptiveResult, error) {
 	n := c.NumNodes()
+	opts := Options{Tol: o.Tol, MaxIter: o.MaxIter}
 	if err := opts.fill(); err != nil {
 		return nil, err
 	}
@@ -63,12 +53,7 @@ func ComputeAdaptive(c *graph.CSR, opts AdaptiveOptions) (*AdaptiveResult, error
 	// page is declared converged and frozen.
 	freezeTol := math.Max(opts.Tol/float64(n)*10, 1e-12)
 	follow := 1 - opts.Jump
-	total := 1.0
-	base := opts.Jump / float64(n)
-	if opts.Variant == VariantPaper {
-		total = float64(n)
-		base = opts.Jump
-	}
+	total, base := opts.scale(n)
 
 	cur := make([]float64, n)
 	next := make([]float64, n)

@@ -1,7 +1,6 @@
 package pagerank
 
 import (
-	"fmt"
 	"math"
 
 	"pagequality/internal/graph"
@@ -20,26 +19,14 @@ type HITSResult struct {
 	Converged  bool
 }
 
-// HITSOptions configures HITS.
-type HITSOptions struct {
-	// Tol is the L1 convergence threshold (default 1e-9).
-	Tol float64
-	// MaxIter bounds the iterations (default 100).
-	MaxIter int
-}
+const (
+	hitsTol     = 1e-9 // L1 convergence threshold
+	hitsMaxIter = 100
+)
 
 // HITS runs the hub/authority mutual-reinforcement iteration on c with
 // L2 normalisation per step.
-func HITS(c *graph.CSR, opts HITSOptions) (*HITSResult, error) {
-	if opts.Tol == 0 {
-		opts.Tol = 1e-9
-	}
-	if opts.MaxIter == 0 {
-		opts.MaxIter = 100
-	}
-	if opts.Tol < 0 || opts.MaxIter < 1 {
-		return nil, fmt.Errorf("%w: tol=%g maxIter=%d", ErrBadOptions, opts.Tol, opts.MaxIter)
-	}
+func HITS(c *graph.CSR) *HITSResult {
 	n := c.NumNodes()
 	res := &HITSResult{
 		Hubs:        make([]float64, n),
@@ -47,7 +34,7 @@ func HITS(c *graph.CSR, opts HITSOptions) (*HITSResult, error) {
 	}
 	if n == 0 {
 		res.Converged = true
-		return res, nil
+		return res
 	}
 	h := res.Hubs
 	a := res.Authorities
@@ -57,7 +44,7 @@ func HITS(c *graph.CSR, opts HITSOptions) (*HITSResult, error) {
 	}
 	prevA := make([]float64, n)
 	prevH := make([]float64, n)
-	for iter := 1; iter <= opts.MaxIter; iter++ {
+	for iter := 1; iter <= hitsMaxIter; iter++ {
 		copy(prevA, a)
 		copy(prevH, h)
 		// a = Eᵀ h
@@ -79,12 +66,12 @@ func HITS(c *graph.CSR, opts HITSOptions) (*HITSResult, error) {
 		}
 		normalizeL2(h)
 		res.Iterations = iter
-		if l1(a, prevA)+l1(h, prevH) < opts.Tol {
+		if l1(a, prevA)+l1(h, prevH) < hitsTol {
 			res.Converged = true
 			break
 		}
 	}
-	return res, nil
+	return res
 }
 
 func normalizeL2(v []float64) {

@@ -427,10 +427,7 @@ func TestHITSAuthority(t *testing.T) {
 		g.AddLink(graph.NodeID(i), 4)
 	}
 	g.AddLink(3, 4)
-	res, err := HITS(graph.Freeze(g), HITSOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := HITS(graph.Freeze(g))
 	if !res.Converged {
 		t.Fatal("HITS did not converge")
 	}
@@ -451,13 +448,9 @@ func TestHITSAuthority(t *testing.T) {
 	}
 }
 
-func TestHITSEmptyAndValidation(t *testing.T) {
-	res, err := HITS(graph.Freeze(graph.New(0)), HITSOptions{})
-	if err != nil || !res.Converged {
-		t.Fatalf("empty HITS = (%+v, %v)", res, err)
-	}
-	if _, err := HITS(cycle(3), HITSOptions{MaxIter: -1}); !errors.Is(err, ErrBadOptions) {
-		t.Fatal("negative MaxIter accepted")
+func TestHITSEmpty(t *testing.T) {
+	if res := HITS(graph.Freeze(graph.New(0))); !res.Converged || len(res.Authorities) != 0 {
+		t.Fatalf("empty HITS = %+v", res)
 	}
 }
 
@@ -514,9 +507,7 @@ func BenchmarkHITS10k(b *testing.B) {
 	c := graph.Freeze(g)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := HITS(c, HITSOptions{Tol: 1e-8}); err != nil {
-			b.Fatal(err)
-		}
+		HITS(c)
 	}
 }
 

@@ -54,7 +54,7 @@ func BenchmarkOpen(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			s, err := Open(dir, Options{ScanWorkers: 1})
+			s, err := Open(dir, Options{})
 			if err != nil {
 				b.Fatal(err)
 			}

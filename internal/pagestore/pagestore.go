@@ -90,12 +90,6 @@ type Options struct {
 	// MaxSegmentBytes triggers rotation to a new segment file once the
 	// active one exceeds this size (default 64 MiB).
 	MaxSegmentBytes int64
-	// ScanWorkers bounds the goroutines used to scan segment files when
-	// rebuilding the key index on Open. 0 uses GOMAXPROCS; 1 scans
-	// sequentially. The rebuilt index is identical either way: scans
-	// only collect per-segment records, and the merge applies them in
-	// segment order so the latest version of a key always wins.
-	ScanWorkers int
 }
 
 // Errors returned by the store.
@@ -138,7 +132,7 @@ func Open(dir string, opts Options) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	lastSealed, err := s.rebuildIndex(segs, opts.ScanWorkers)
+	lastSealed, err := s.rebuildIndex(segs, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -233,11 +227,11 @@ type segLoad struct {
 }
 
 // rebuildIndex indexes the segments (fanning the per-file loads out over
-// workers) and merges the discovered records into the key index in
-// segment order, so the latest version of a key wins exactly as a
-// sequential replay would decide. Sealed segments are read from their
-// footers without touching record bodies; unsealed (or corrupt-footer)
-// segments fall back to a record scan. Errors are reported for the
+// workers; Open passes 0, GOMAXPROCS) and merges the discovered records
+// into the key index in segment order, so the latest version of a key
+// wins exactly as a sequential replay would decide. Sealed segments are
+// read from their footers without touching record bodies; unsealed (or
+// corrupt-footer) segments fall back to a record scan. Errors are reported for the
 // earliest failing segment regardless of which worker hit it first.
 // Returns whether the newest segment is sealed.
 func (s *Store) rebuildIndex(segs []int, workers int) (lastSealed bool, err error) {

@@ -49,6 +49,18 @@ func buildMultiSegmentFixture(t *testing.T) (string, map[string]string) {
 	return dir, want
 }
 
+// scanIndex runs Open's index rebuild alone at a chosen worker count;
+// Open itself always scans with GOMAXPROCS workers.
+func scanIndex(dir string, workers int) (*Store, error) {
+	s := &Store{dir: dir, index: map[string]location{}, actEntries: map[string]int64{}, blooms: map[int]segBloom{}}
+	segs, err := listSegments(dir)
+	if err != nil {
+		return nil, err
+	}
+	_, err = s.rebuildIndex(segs, workers)
+	return s, err
+}
+
 // TestParallelScanMatchesSequential pins the satellite contract of the
 // parallel index rebuild: for any worker count the rebuilt index is
 // identical to the sequential scan's, and every key resolves to its
@@ -56,9 +68,15 @@ func buildMultiSegmentFixture(t *testing.T) (string, map[string]string) {
 func TestParallelScanMatchesSequential(t *testing.T) {
 	dir, want := buildMultiSegmentFixture(t)
 
-	seq := open(t, dir, Options{MaxSegmentBytes: 2048, ScanWorkers: 1})
+	seq, err := scanIndex(dir, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, workers := range []int{0, 2, 8} {
-		par := open(t, dir, Options{MaxSegmentBytes: 2048, ScanWorkers: workers})
+		par, err := scanIndex(dir, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if len(par.index) != len(seq.index) {
 			t.Fatalf("workers=%d: index size %d, sequential %d", workers, len(par.index), len(seq.index))
 		}
@@ -67,17 +85,26 @@ func TestParallelScanMatchesSequential(t *testing.T) {
 				t.Fatalf("workers=%d: index[%q] = %+v, sequential %+v", workers, k, got, loc)
 			}
 		}
-		for k, body := range want {
-			meta, got, err := par.Get(k)
-			if err != nil {
-				t.Fatalf("workers=%d: Get(%q): %v", workers, k, err)
-			}
-			if string(got) != body {
-				t.Fatalf("workers=%d: Get(%q) returned a stale version", workers, k)
-			}
-			if meta.FetchedAt != 5 {
-				t.Fatalf("workers=%d: Get(%q) meta.FetchedAt = %g, want latest round", workers, k, meta.FetchedAt)
-			}
+	}
+	// The index Open builds is that one too, and resolves every key to
+	// its latest version.
+	s := open(t, dir, Options{MaxSegmentBytes: 2048})
+	if len(s.index) != len(seq.index) {
+		t.Fatalf("Open: index size %d, sequential %d", len(s.index), len(seq.index))
+	}
+	for k, body := range want {
+		if s.index[k] != seq.index[k] {
+			t.Fatalf("Open: index[%q] = %+v, sequential %+v", k, s.index[k], seq.index[k])
+		}
+		meta, got, err := s.Get(k)
+		if err != nil {
+			t.Fatalf("Get(%q): %v", k, err)
+		}
+		if string(got) != body {
+			t.Fatalf("Get(%q) returned a stale version", k)
+		}
+		if meta.FetchedAt != 5 {
+			t.Fatalf("Get(%q) meta.FetchedAt = %g, want latest round", k, meta.FetchedAt)
 		}
 	}
 }
@@ -99,7 +126,10 @@ func TestParallelScanTornTail(t *testing.T) {
 	if err := os.Truncate(path, st.Size()-3); err != nil {
 		t.Fatal(err)
 	}
-	s := open(t, dir, Options{MaxSegmentBytes: 2048, ScanWorkers: 8})
+	if _, err := scanIndex(dir, 8); err != nil {
+		t.Fatal(err)
+	}
+	s := open(t, dir, Options{MaxSegmentBytes: 2048})
 	// Exactly one record (the torn tail) is lost; every surviving key
 	// still reads back.
 	if got := s.Len(); got != len(want) && got != len(want)-1 {
@@ -140,7 +170,7 @@ func TestParallelScanReportsEarliestError(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, err = Open(dir, Options{MaxSegmentBytes: 2048, ScanWorkers: 8})
+	_, err = scanIndex(dir, 8)
 	if err == nil {
 		t.Fatal("corrupt early segment accepted")
 	}

@@ -8,24 +8,21 @@ import (
 )
 
 // tokenizeCounts is the oracle Analyze is held to: Tokenize, then count.
-func tokenizeCounts(text string) (map[string]int32, int) {
+func tokenizeCounts(text string) map[string]int32 {
 	toks := Tokenize(text)
 	counts := make(map[string]int32, len(toks))
 	for _, t := range toks {
 		counts[t]++
 	}
-	return counts, len(toks)
+	return counts
 }
 
 // requireAnalyzeMatchesTokenize fails unless Analyze(text) has
-// Tokenize's token count, its term→tf multiset, and no repeated term.
+// Tokenize's term→tf multiset and no repeated term.
 func requireAnalyzeMatchesTokenize(t *testing.T, text string) {
 	t.Helper()
 	a := Analyze(text)
-	want, n := tokenizeCounts(text)
-	if a.Len != n {
-		t.Fatalf("Analyze(%q).Len = %d, Tokenize has %d tokens", text, a.Len, n)
-	}
+	want := tokenizeCounts(text)
 	if len(a.Terms) != len(a.TFs) {
 		t.Fatalf("Analyze(%q): %d terms, %d tfs", text, len(a.Terms), len(a.TFs))
 	}
@@ -70,7 +67,7 @@ func TestAnalyzeMatchesTokenize(t *testing.T) {
 		requireAnalyzeMatchesTokenize(t, s)
 	}
 	a := Analyze("b A b c a B")
-	if want := (Analyzed{Terms: []string{"b", "a", "c"}, TFs: []int32{3, 2, 1}, Len: 6}); !reflect.DeepEqual(a, want) {
+	if want := (Analyzed{Terms: []string{"b", "a", "c"}, TFs: []int32{3, 2, 1}}); !reflect.DeepEqual(a, want) {
 		t.Fatalf("Analyze = %+v, want %+v", a, want)
 	}
 }
@@ -91,12 +88,10 @@ func FuzzAnalyze(f *testing.F) {
 // path: Tokenize, count into a map, append one posting per counted term
 // in map order.
 func addByTokenize(ix *Index, text string) {
-	id := len(ix.docLen)
-	counts, n := tokenizeCounts(text)
-	for t, c := range counts {
-		ix.postings[t] = append(ix.postings[t], posting{doc: int32(id), tf: c})
+	for t, c := range tokenizeCounts(text) {
+		ix.postings[t] = append(ix.postings[t], posting{doc: int32(ix.numDocs), tf: c})
 	}
-	ix.docLen = append(ix.docLen, n)
+	ix.numDocs++
 }
 
 // TestAddMatchesHistoricalBuild: the index Add builds through
@@ -120,9 +115,8 @@ func TestAddMatchesHistoricalBuild(t *testing.T) {
 		t.Fatal("frozen posting layout differs")
 	}
 	for d := range fa.norm {
-		if math.Float64bits(fa.norm[d]) != math.Float64bits(fb.norm[d]) ||
-			math.Float64bits(fa.bm25Len[d]) != math.Float64bits(fb.bm25Len[d]) {
-			t.Fatalf("doc %d: norm %v/%v bm25Len %v/%v", d, fa.norm[d], fb.norm[d], fa.bm25Len[d], fb.bm25Len[d])
+		if math.Float64bits(fa.norm[d]) != math.Float64bits(fb.norm[d]) {
+			t.Fatalf("doc %d: norm %v/%v", d, fa.norm[d], fb.norm[d])
 		}
 	}
 }

@@ -27,7 +27,7 @@ func buildIndex(docs []string) *Index {
 	return ix
 }
 
-// TestScoringDeterministic runs every scoring path twice — within one
+// TestScoringDeterministic runs the scoring kernel twice — within one
 // frozen view (two kernel invocations) and across two independently
 // built and frozen indexes (two map iterations over the vocabulary,
 // differently randomized by the runtime) — and demands bitwise-identical
@@ -49,45 +49,33 @@ func TestScoringDeterministic(t *testing.T) {
 		}
 	}
 	for i := range fa.idf {
-		if math.Float64bits(fa.idf[i]) != math.Float64bits(fb.idf[i]) ||
-			math.Float64bits(fa.bm25IDF[i]) != math.Float64bits(fb.bm25IDF[i]) {
+		if math.Float64bits(fa.idf[i]) != math.Float64bits(fb.idf[i]) {
 			t.Fatalf("idf[%d] differs across identical builds", i)
 		}
 	}
 
-	score := func(f *frozen, kernel func(*frozen, []string, *scratch) []int32) map[int32]float64 {
+	score := func(f *frozen) map[int32]float64 {
 		sc := f.getScratch()
 		defer f.release(sc)
 		out := make(map[int32]float64)
-		for _, d := range kernel(f, terms, sc) {
+		for _, d := range f.vectorKernel(terms, sc) {
 			out[d] = sc.score[d]
 		}
 		return out
 	}
-	paths := []struct {
-		name   string
-		kernel func(*frozen, []string, *scratch) []int32
-	}{
-		{"vector", func(f *frozen, ts []string, sc *scratch) []int32 { return f.vectorKernel(ts, sc) }},
-		{"bm25", func(f *frozen, ts []string, sc *scratch) []int32 { return f.bm25Kernel(ts, sc) }},
+	first := score(fa)
+	if len(first) == 0 {
+		t.Fatal("query matched nothing; corpus broken")
 	}
-	for _, p := range paths {
-		first := score(fa, p.kernel)
-		if len(first) == 0 {
-			t.Fatalf("%s: query matched nothing; corpus broken", p.name)
-		}
-		for run := 0; run < 5; run++ {
-			for name, f := range map[string]*frozen{"same index": fa, "rebuilt index": fb} {
-				got := score(f, p.kernel)
-				if len(got) != len(first) {
-					t.Fatalf("%s (%s run %d): %d docs scored, want %d",
-						p.name, name, run, len(got), len(first))
-				}
-				for d, s := range first {
-					if math.Float64bits(got[d]) != math.Float64bits(s) {
-						t.Fatalf("%s (%s run %d): doc %d score %x, want bitwise %x",
-							p.name, name, run, d, got[d], s)
-					}
+	for run := 0; run < 5; run++ {
+		for name, f := range map[string]*frozen{"same index": fa, "rebuilt index": fb} {
+			got := score(f)
+			if len(got) != len(first) {
+				t.Fatalf("%s run %d: %d docs scored, want %d", name, run, len(got), len(first))
+			}
+			for d, s := range first {
+				if math.Float64bits(got[d]) != math.Float64bits(s) {
+					t.Fatalf("%s run %d: doc %d score %x, want bitwise %x", name, run, d, got[d], s)
 				}
 			}
 		}
@@ -103,7 +91,7 @@ func TestSearchDeterministic(t *testing.T) {
 	for i := range auth {
 		auth[i] = 1 / float64(i+1)
 	}
-	opts := Options{Mode: ModeBM25, TopK: 25, Authority: auth}
+	opts := Options{TopK: 25, Authority: auth}
 
 	a := buildIndex(docs)
 	b := buildIndex(docs)

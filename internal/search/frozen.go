@@ -8,8 +8,7 @@ import (
 // frozen is the read-only, CSR-style view of the index that queries are
 // served from: all postings live in one backing doc-id slice and one
 // term-frequency slice, bucketed per term through start offsets, with the
-// per-term idf values (tf-idf and BM25 forms), the per-document tf-idf L2
-// norms and the per-document BM25 length normalisation precomputed at
+// per-term idf values and the per-document tf-idf L2 norms precomputed at
 // freeze time. The layout mirrors graph.CSR and the PageRank kernels of
 // PR 1: pointer-free flat slices the scoring loops stream through.
 //
@@ -22,10 +21,8 @@ type frozen struct {
 	docs   []int32   // doc ids, ascending within each term bucket
 	tfs    []float32 // term frequency per posting (exact: tf is a small integer)
 
-	idf     []float64 // smoothed tf-idf inverse document frequency, per term
-	bm25IDF []float64 // BM25 inverse document frequency, per term
-	norm    []float64 // tf-idf L2 norm, per document
-	bm25Len []float64 // k1·(1-b+b·|d|/avgdl), the BM25 denominator tail, per document
+	idf  []float64 // smoothed tf-idf inverse document frequency, per term
+	norm []float64 // tf-idf L2 norm, per document
 
 	numDocs int
 	pool    sync.Pool // *scratch
@@ -37,9 +34,8 @@ type frozen struct {
 // are dirty; release zeroes exactly those.
 type scratch struct {
 	score   []float64 // per-doc relevance accumulator
-	count   []int32   // per-doc matched-term count; doubles as the touched marker
+	seen    []bool    // per-doc touched marker
 	touched []int32   // docs hit by the current query, in first-touch order
-	result  []int32   // filtered doc set when it differs from touched (boolean AND)
 }
 
 // frozen returns the current view, building it on first use after a
@@ -69,7 +65,7 @@ func (ix *Index) frozen() *frozen {
 // each term at most once per document.
 func (ix *Index) freeze() *frozen {
 	vocab := ix.sortedVocab()
-	n := len(ix.docLen)
+	n := ix.numDocs
 	total := 0
 	for _, t := range vocab {
 		total += len(ix.postings[t])
@@ -80,14 +76,8 @@ func (ix *Index) freeze() *frozen {
 		docs:    make([]int32, 0, total),
 		tfs:     make([]float32, 0, total),
 		idf:     make([]float64, len(vocab)),
-		bm25IDF: make([]float64, len(vocab)),
 		norm:    make([]float64, n),
-		bm25Len: make([]float64, n),
 		numDocs: n,
-	}
-	totalLen := 0
-	for _, l := range ix.docLen {
-		totalLen += l
 	}
 	for i, t := range vocab {
 		f.termID[t] = int32(i)
@@ -95,7 +85,6 @@ func (ix *Index) freeze() *frozen {
 		df := float64(len(plist))
 		w := math.Log(1 + float64(n)/df)
 		f.idf[i] = w
-		f.bm25IDF[i] = math.Log(1 + (float64(n)-df+0.5)/(df+0.5))
 		for _, p := range plist {
 			f.docs = append(f.docs, p.doc)
 			f.tfs = append(f.tfs, float32(p.tf))
@@ -107,16 +96,8 @@ func (ix *Index) freeze() *frozen {
 	for i := range f.norm {
 		f.norm[i] = math.Sqrt(f.norm[i])
 	}
-	if n > 0 {
-		avgLen := float64(totalLen) / float64(n)
-		if avgLen > 0 {
-			for d := 0; d < n; d++ {
-				f.bm25Len[d] = bm25K1 * (1 - bm25B + bm25B*float64(ix.docLen[d])/avgLen)
-			}
-		}
-	}
 	f.pool.New = func() any {
-		return &scratch{score: make([]float64, n), count: make([]int32, n)}
+		return &scratch{score: make([]float64, n), seen: make([]bool, n)}
 	}
 	return f
 }
@@ -132,19 +113,18 @@ func (f *frozen) getScratch() *scratch {
 func (f *frozen) release(sc *scratch) {
 	for _, d := range sc.touched {
 		sc.score[d] = 0
-		sc.count[d] = 0
+		sc.seen[d] = false
 	}
 	sc.touched = sc.touched[:0]
-	sc.result = sc.result[:0]
 	f.pool.Put(sc)
 }
 
 // touch marks doc d matched, recording it on first contact.
 func (sc *scratch) touch(d int32) {
-	if sc.count[d] == 0 {
+	if !sc.seen[d] {
+		sc.seen[d] = true
 		sc.touched = append(sc.touched, d)
 	}
-	sc.count[d]++
 }
 
 // vectorKernel computes cosine(query, doc) over tf-idf weights into the
@@ -181,61 +161,4 @@ func (f *frozen) vectorKernel(terms []string, sc *scratch) []int32 {
 		}
 	}
 	return sc.touched
-}
-
-// bm25Kernel computes Okapi BM25 into the scratch and returns the
-// matched doc set. The per-term idf and per-doc length normalisation are
-// precomputed at freeze time from the same expressions the incremental
-// scorer evaluated per query, so the sums are bitwise identical.
-func (f *frozen) bm25Kernel(terms []string, sc *scratch) []int32 {
-	qCounts := queryCounts(terms)
-	for _, t := range sortedKeys(qCounts) {
-		id, ok := f.termID[t]
-		if !ok {
-			continue
-		}
-		idf := f.bm25IDF[id]
-		for i := f.start[id]; i < f.start[id+1]; i++ {
-			d := f.docs[i]
-			sc.touch(d)
-			tf := float64(f.tfs[i])
-			denom := tf + f.bm25Len[d]
-			sc.score[d] += idf * tf * (bm25K1 + 1) / denom
-		}
-	}
-	return sc.touched
-}
-
-// booleanKernel retrieves by term containment; the score is the number
-// of distinct query terms matched (so OR mode still ranks fuller matches
-// first). In AND mode a document must match every unique query term —
-// including terms absent from the vocabulary, which therefore empty the
-// result, matching the historical scorer.
-func (f *frozen) booleanKernel(terms []string, requireAll bool, sc *scratch) []int32 {
-	qCounts := queryCounts(terms)
-	need := int32(len(qCounts))
-	for _, t := range sortedKeys(qCounts) {
-		id, ok := f.termID[t]
-		if !ok {
-			continue
-		}
-		for i := f.start[id]; i < f.start[id+1]; i++ {
-			sc.touch(f.docs[i])
-		}
-	}
-	if !requireAll {
-		for _, d := range sc.touched {
-			sc.score[d] = float64(sc.count[d])
-		}
-		return sc.touched
-	}
-	res := sc.result[:0]
-	for _, d := range sc.touched {
-		if sc.count[d] >= need {
-			sc.score[d] = float64(sc.count[d])
-			res = append(res, d)
-		}
-	}
-	sc.result = res
-	return res
 }

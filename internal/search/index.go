@@ -1,7 +1,7 @@
 // Package search implements the search-engine substrate the paper's
-// motivation rests on: an inverted index with boolean and tf-idf
-// vector-space retrieval (the "first-generation" ranking the paper
-// discusses), combined with a link-based authority score — PageRank or the
+// motivation rests on: an inverted index with tf-idf vector-space
+// retrieval (the "first-generation" ranking the paper discusses),
+// combined with a link-based authority score — PageRank or the
 // quality estimate — to produce the final ranking. Section 4's
 // relevance-versus-quality argument maps directly onto this two-stage
 // design: the query selects the relevant set, the authority vector orders
@@ -61,7 +61,7 @@ type posting struct {
 // vector, a ranking.Context — must not outlive the refresh.
 type Index struct {
 	postings map[string][]posting
-	docLen   []int // tokens per document
+	numDocs  int
 
 	mu sync.Mutex             // serialises freeze after a mutation
 	fz atomic.Pointer[frozen] // current frozen view; nil after mutation
@@ -73,13 +73,12 @@ func NewIndex() *Index {
 }
 
 // Analyzed is one tokenized document, ready for AddAnalyzed: its distinct
-// terms in first-occurrence order, each term's frequency, and the token
-// count. It is a plain value, so documents can be analysed concurrently
-// (a map phase) and added in order afterwards.
+// terms in first-occurrence order and each term's frequency. It is a
+// plain value, so documents can be analysed concurrently (a map phase)
+// and added in order afterwards.
 type Analyzed struct {
 	Terms []string
 	TFs   []int32 // TFs[i] is the number of occurrences of Terms[i]
-	Len   int     // tokens in the document
 }
 
 // Analyze tokenizes a document exactly as Tokenize does and counts its
@@ -94,7 +93,6 @@ func Analyze(text string) Analyzed {
 	a := Analyzed{Terms: make([]string, 0, distinct), TFs: make([]int32, 0, distinct)}
 	slot := make(map[string]int32, distinct) // term -> index in a.Terms
 	count := func(tok []byte) {
-		a.Len++
 		i, seen := slot[string(tok)] // no allocation: lookup-only conversion
 		if !seen {
 			i = int32(len(a.Terms))
@@ -138,11 +136,11 @@ func (ix *Index) Add(text string) int { return ix.AddAnalyzed(Analyze(text)) }
 // whatever order the terms arrive in, so the frozen layout does not
 // depend on it.
 func (ix *Index) AddAnalyzed(a Analyzed) int {
-	id := len(ix.docLen)
+	id := ix.numDocs
 	for i, t := range a.Terms {
 		ix.postings[t] = append(ix.postings[t], posting{doc: int32(id), tf: a.TFs[i]})
 	}
-	ix.docLen = append(ix.docLen, a.Len)
+	ix.numDocs++
 	ix.fz.Store(nil)
 	return id
 }
@@ -155,7 +153,7 @@ func (ix *Index) AddAll(texts []string) {
 }
 
 // NumDocs returns the number of indexed documents.
-func (ix *Index) NumDocs() int { return len(ix.docLen) }
+func (ix *Index) NumDocs() int { return ix.numDocs }
 
 // Freeze eagerly builds the immutable posting layout that Search would
 // otherwise build lazily on first query. Callers that publish an index to
@@ -167,23 +165,6 @@ func (ix *Index) Freeze() { ix.frozen() }
 
 // NumTerms returns the vocabulary size.
 func (ix *Index) NumTerms() int { return len(ix.postings) }
-
-// Mode selects the retrieval model.
-type Mode uint8
-
-const (
-	// ModeVector ranks by tf-idf cosine similarity (Salton's vector-space
-	// model [21]).
-	ModeVector Mode = iota
-	// ModeBooleanAnd retrieves documents containing every query term [27].
-	ModeBooleanAnd
-	// ModeBooleanOr retrieves documents containing any query term.
-	ModeBooleanOr
-	// ModeBM25 ranks by Okapi BM25, the practical form of the
-	// probabilistic retrieval model the paper's related work cites
-	// [7, 20].
-	ModeBM25
-)
 
 // Hit is one search result.
 type Hit struct {
@@ -197,12 +178,9 @@ type Hit struct {
 
 // Options configures Search.
 type Options struct {
-	// Mode selects boolean or vector retrieval (default ModeVector).
-	Mode Mode
 	// TopK bounds the number of results (default 10). Zero selects the
 	// default, negative values are rejected, and values beyond the number
-	// of indexed documents are clamped to it — uniformly across every
-	// retrieval mode.
+	// of indexed documents are clamped to it.
 	TopK int
 	// Authority, when non-nil, re-ranks the relevant set by blending the
 	// normalised relevance with the normalised authority score:
@@ -214,6 +192,20 @@ type Options struct {
 	// set). Weight 1 reproduces the paper's framing exactly: relevance
 	// only selects the set, authority alone orders it.
 	AuthorityWeight float64
+}
+
+// prepare is the query preamble Index.Search and
+// ShardedIndex.SearchContext share: defaults and validation against the
+// corpus size, then the query's tokens, of which there must be one.
+func (o *Options) prepare(query string, numDocs int) ([]string, error) {
+	if err := o.fill(numDocs); err != nil {
+		return nil, err
+	}
+	terms := Tokenize(query)
+	if len(terms) == 0 {
+		return nil, fmt.Errorf("%w: empty query", ErrBadQuery)
+	}
+	return terms, nil
 }
 
 func (o *Options) fill(numDocs int) error {
@@ -240,33 +232,19 @@ func (o *Options) fill(numDocs int) error {
 	return nil
 }
 
-// Search retrieves and ranks documents for the query. It is safe for
-// concurrent use as long as no Add runs at the same time.
+// Search retrieves the documents matching the query and ranks them by
+// tf-idf cosine similarity (Salton's vector-space model [21]), blended
+// with Options.Authority when set. It is safe for concurrent use as long
+// as no Add runs at the same time.
 func (ix *Index) Search(query string, opts Options) ([]Hit, error) {
-	if err := opts.fill(ix.NumDocs()); err != nil {
+	terms, err := opts.prepare(query, ix.NumDocs())
+	if err != nil {
 		return nil, err
-	}
-	terms := Tokenize(query)
-	if len(terms) == 0 {
-		return nil, fmt.Errorf("%w: empty query", ErrBadQuery)
-	}
-	if opts.Mode > ModeBM25 {
-		return nil, fmt.Errorf("%w: unknown mode %d", ErrBadQuery, opts.Mode)
 	}
 	f := ix.frozen()
 	sc := f.getScratch()
 	defer f.release(sc)
-	var docs []int32
-	switch opts.Mode {
-	case ModeVector:
-		docs = f.vectorKernel(terms, sc)
-	case ModeBooleanAnd:
-		docs = f.booleanKernel(terms, true, sc)
-	case ModeBooleanOr:
-		docs = f.booleanKernel(terms, false, sc)
-	case ModeBM25:
-		docs = f.bm25Kernel(terms, sc)
-	}
+	docs := f.vectorKernel(terms, sc)
 	if len(docs) == 0 {
 		return nil, nil
 	}

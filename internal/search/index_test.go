@@ -115,35 +115,6 @@ func TestVectorSearchTFMatters(t *testing.T) {
 	}
 }
 
-func TestBooleanModes(t *testing.T) {
-	ix := corpus()
-	and, err := ix.Search("quick go", Options{Mode: ModeBooleanAnd, TopK: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Docs containing both: 1 and 2.
-	if len(and) != 2 {
-		t.Fatalf("AND hits = %v", and)
-	}
-	for _, h := range and {
-		if h.Doc != 1 && h.Doc != 2 {
-			t.Fatalf("AND returned doc %d", h.Doc)
-		}
-	}
-	or, err := ix.Search("quick go", Options{Mode: ModeBooleanOr, TopK: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Docs containing either: 0,1,2,4.
-	if len(or) != 4 {
-		t.Fatalf("OR hits = %v", or)
-	}
-	// Full matches rank before partial ones in OR mode.
-	if or[0].Doc != 1 && or[0].Doc != 2 {
-		t.Fatalf("OR top hit = %d, want a doc matching both terms", or[0].Doc)
-	}
-}
-
 func TestAuthorityReranking(t *testing.T) {
 	ix := corpus()
 	auth := []float64{0, 0.1, 5.0, 0, 0.1} // doc 2 is far more authoritative
@@ -213,9 +184,6 @@ func TestSearchValidation(t *testing.T) {
 	}
 	if _, err := ix.Search("x", Options{Authority: make([]float64, 5), AuthorityWeight: 2}); !errors.Is(err, ErrBadQuery) {
 		t.Fatal("weight > 1 accepted")
-	}
-	if _, err := ix.Search("x", Options{Mode: Mode(99)}); !errors.Is(err, ErrBadQuery) {
-		t.Fatal("unknown mode accepted")
 	}
 }
 

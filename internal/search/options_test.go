@@ -5,50 +5,49 @@ import (
 	"testing"
 )
 
-// TestTopKValidationUniformAcrossModes pins the Options contract on every
-// retrieval path: negative k rejected, zero k defaulted, k beyond the
-// corpus clamped — identically for vector, boolean and BM25 scoring.
+// TestTopKValidationUniformAcrossModes pins the Options contract on both
+// ranking modes: negative k rejected, zero k defaulted, k beyond the
+// corpus clamped — identically for relevance alone and for the
+// authority blend.
 func TestTopKValidationUniformAcrossModes(t *testing.T) {
-	ix := corpus() // 5 documents; "quick" matches 4, "quick go" AND-matches 2
+	ix := corpus() // 5 documents; "quick" matches 4
+	const query, match = "quick", 4
 	modes := []struct {
-		name  string
-		mode  Mode
-		query string
-		match int // docs the query matches in this mode
+		name string
+		opts Options
 	}{
-		{"vector", ModeVector, "quick", 4},
-		{"boolean-and", ModeBooleanAnd, "quick go", 2},
-		{"boolean-or", ModeBooleanOr, "quick go", 4},
-		{"bm25", ModeBM25, "quick", 4},
+		{"vector", Options{}},
+		{"authority", Options{Authority: []float64{0, 0.1, 5, 0, 0.1}, AuthorityWeight: 0.7}},
 	}
 	for _, m := range modes {
 		t.Run(m.name, func(t *testing.T) {
+			withK := func(k int) Options { o := m.opts; o.TopK = k; return o }
 			for _, bad := range []int{-1, -100} {
-				if _, err := ix.Search(m.query, Options{Mode: m.mode, TopK: bad}); !errors.Is(err, ErrBadQuery) {
+				if _, err := ix.Search(query, withK(bad)); !errors.Is(err, ErrBadQuery) {
 					t.Fatalf("TopK=%d accepted", bad)
 				}
 			}
 			// Zero defaults to 10, clamped to the 5-doc corpus: every
 			// match comes back, no error.
-			hits, err := ix.Search(m.query, Options{Mode: m.mode})
+			hits, err := ix.Search(query, withK(0))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(hits) != m.match {
-				t.Fatalf("TopK=0: %d hits, want %d", len(hits), m.match)
+			if len(hits) != match {
+				t.Fatalf("TopK=0: %d hits, want %d", len(hits), match)
 			}
 			// Requests far beyond NumDocs are clamped, not rejected.
 			for _, k := range []int{ix.NumDocs(), ix.NumDocs() + 1, 1 << 20} {
-				hits, err := ix.Search(m.query, Options{Mode: m.mode, TopK: k})
+				hits, err := ix.Search(query, withK(k))
 				if err != nil {
 					t.Fatalf("TopK=%d: %v", k, err)
 				}
-				if len(hits) != m.match {
-					t.Fatalf("TopK=%d: %d hits, want %d", k, len(hits), m.match)
+				if len(hits) != match {
+					t.Fatalf("TopK=%d: %d hits, want %d", k, len(hits), match)
 				}
 			}
 			// Truncation below the match count still works.
-			hits, err = ix.Search(m.query, Options{Mode: m.mode, TopK: 1})
+			hits, err = ix.Search(query, withK(1))
 			if err != nil || len(hits) != 1 {
 				t.Fatalf("TopK=1: %v, %v", hits, err)
 			}
@@ -60,13 +59,11 @@ func TestTopKValidationUniformAcrossModes(t *testing.T) {
 // against; any positive k is accepted and the result is empty.
 func TestTopKOnEmptyIndex(t *testing.T) {
 	ix := NewIndex()
-	for _, mode := range []Mode{ModeVector, ModeBooleanAnd, ModeBooleanOr, ModeBM25} {
-		hits, err := ix.Search("anything", Options{Mode: mode, TopK: 7})
-		if err != nil {
-			t.Fatalf("mode %d: %v", mode, err)
-		}
-		if hits != nil {
-			t.Fatalf("mode %d: hits on empty index: %v", mode, hits)
-		}
+	hits, err := ix.Search("anything", Options{TopK: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hits != nil {
+		t.Fatalf("hits on empty index: %v", hits)
 	}
 }

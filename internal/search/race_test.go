@@ -24,11 +24,11 @@ func TestConcurrentSearch(t *testing.T) {
 		opts  Options
 	}
 	queries := []q{
-		{"shared common term3 term8", Options{Mode: ModeVector, TopK: 20}},
-		{"term1 term5 term8", Options{Mode: ModeBM25, TopK: 10, Authority: auth}},
-		{"shared everywhere", Options{Mode: ModeBooleanAnd, TopK: 30}},
-		{"term2 unique7 zzz", Options{Mode: ModeBooleanOr, TopK: 15}},
-		{"unique3", Options{Mode: ModeVector, TopK: 5, Authority: auth, AuthorityWeight: 1}},
+		{"shared common term3 term8", Options{TopK: 20}},
+		{"term1 term5 term8", Options{TopK: 10, Authority: auth}},
+		{"shared everywhere", Options{TopK: 30}},
+		{"term2 unique7 zzz", Options{TopK: 15}},
+		{"unique3", Options{TopK: 5, Authority: auth, AuthorityWeight: 1}},
 	}
 	// Serial ground truth from an identical, separately frozen index, so
 	// the index under test is first touched concurrently.

@@ -5,8 +5,8 @@ package search
 // map-accumulator Search — per-query map[int32]float64 scores, lazily
 // recomputed norms, full sort plus truncation — against which the
 // frozen-kernel path must stay bitwise identical (same doc ids, same
-// Float64bits) in every retrieval mode. It lives in a test file so the
-// shipped package carries exactly one scorer.
+// Float64bits). It lives in a test file so the shipped package carries
+// exactly one scorer.
 
 import (
 	"math"
@@ -20,14 +20,14 @@ func (ix *Index) idfReference(term string) float64 {
 	if df == 0 {
 		return 0
 	}
-	return math.Log(1 + float64(len(ix.docLen))/float64(df))
+	return math.Log(1 + float64(ix.numDocs)/float64(df))
 }
 
 // normsReference recomputes the per-document tf-idf L2 norms exactly as
 // the old ensureNorms did: terms visited in sorted order, so each norm is
 // the same ordered float sum.
 func (ix *Index) normsReference() []float64 {
-	norm := make([]float64, len(ix.docLen))
+	norm := make([]float64, ix.numDocs)
 	for _, term := range ix.sortedVocab() {
 		w := ix.idfReference(term)
 		for _, p := range ix.postings[term] {
@@ -70,61 +70,6 @@ func (ix *Index) vectorScoresReference(terms []string) map[int32]float64 {
 	return scores
 }
 
-// bm25ScoresReference is the historical Okapi BM25 scorer.
-func (ix *Index) bm25ScoresReference(terms []string) map[int32]float64 {
-	n := len(ix.docLen)
-	if n == 0 {
-		return nil
-	}
-	totalLen := 0
-	for _, l := range ix.docLen {
-		totalLen += l
-	}
-	avgLen := float64(totalLen) / float64(n)
-	if avgLen == 0 {
-		return nil
-	}
-	qCounts := queryCounts(terms)
-	scores := make(map[int32]float64)
-	for _, t := range sortedKeys(qCounts) {
-		plist := ix.postings[t]
-		if len(plist) == 0 {
-			continue
-		}
-		df := float64(len(plist))
-		idf := math.Log(1 + (float64(n)-df+0.5)/(df+0.5))
-		for _, p := range plist {
-			tf := float64(p.tf)
-			dl := float64(ix.docLen[p.doc])
-			denom := tf + bm25K1*(1-bm25B+bm25B*dl/avgLen)
-			scores[p.doc] += idf * tf * (bm25K1 + 1) / denom
-		}
-	}
-	return scores
-}
-
-// booleanScoresReference is the historical containment scorer.
-func (ix *Index) booleanScoresReference(terms []string, requireAll bool) map[int32]float64 {
-	uniq := make(map[string]bool, len(terms))
-	for _, t := range terms {
-		uniq[t] = true
-	}
-	counts := make(map[int32]int)
-	for t := range uniq {
-		for _, p := range ix.postings[t] {
-			counts[p.doc]++
-		}
-	}
-	scores := make(map[int32]float64, len(counts))
-	for d, c := range counts {
-		if requireAll && c < len(uniq) {
-			continue
-		}
-		scores[d] = float64(c)
-	}
-	return scores
-}
-
 // searchReference is the historical Search: score into a map, build
 // every hit, sort fully, truncate.
 func (ix *Index) searchReference(query string, opts Options) ([]Hit, error) {
@@ -135,19 +80,7 @@ func (ix *Index) searchReference(query string, opts Options) ([]Hit, error) {
 	if len(terms) == 0 {
 		return nil, ErrBadQuery
 	}
-	var rel map[int32]float64
-	switch opts.Mode {
-	case ModeVector:
-		rel = ix.vectorScoresReference(terms)
-	case ModeBooleanAnd:
-		rel = ix.booleanScoresReference(terms, true)
-	case ModeBooleanOr:
-		rel = ix.booleanScoresReference(terms, false)
-	case ModeBM25:
-		rel = ix.bm25ScoresReference(terms)
-	default:
-		return nil, ErrBadQuery
-	}
+	rel := ix.vectorScoresReference(terms)
 	if len(rel) == 0 {
 		return nil, nil
 	}

@@ -26,9 +26,9 @@ func hitsBitwiseEqual(t *testing.T, label string, got, want []Hit) {
 	}
 }
 
-// TestSearchMatchesReference is the pin for the flat-kernel rewrite: for
-// every retrieval mode, across truncating and non-truncating TopK values
-// and with and without authority blending, the frozen-postings path must
+// TestSearchMatchesReference is the pin for the flat-kernel rewrite:
+// across truncating and non-truncating TopK values and with and without
+// authority blending, the frozen-postings path must
 // return exactly the hits of the historical map-accumulator scorer —
 // same docs, same order, same Float64bits.
 func TestSearchMatchesReference(t *testing.T) {
@@ -48,15 +48,6 @@ func TestSearchMatchesReference(t *testing.T) {
 		"zzz-absent qqq-absent",    // fully unknown query
 		"unique5 unique6 unique7",  // singleton postings
 	}
-	modes := []struct {
-		name string
-		mode Mode
-	}{
-		{"vector", ModeVector},
-		{"boolean-and", ModeBooleanAnd},
-		{"boolean-or", ModeBooleanOr},
-		{"bm25", ModeBM25},
-	}
 	type variant struct {
 		name string
 		opts Options
@@ -69,19 +60,15 @@ func TestSearchMatchesReference(t *testing.T) {
 		{"auth", Options{TopK: 20, Authority: auth}},
 		{"auth-w1", Options{TopK: 20, Authority: auth, AuthorityWeight: 1}},
 	}
-	for _, m := range modes {
-		for _, q := range queries {
-			for _, v := range variants {
-				opts := v.opts
-				opts.Mode = m.mode
-				label := fmt.Sprintf("%s/%s/%q", m.name, v.name, q)
-				want, werr := ix.searchReference(q, opts)
-				got, gerr := ix.Search(q, opts)
-				if (werr == nil) != (gerr == nil) {
-					t.Fatalf("%s: err %v, reference err %v", label, gerr, werr)
-				}
-				hitsBitwiseEqual(t, label, got, want)
+	for _, q := range queries {
+		for _, v := range variants {
+			label := fmt.Sprintf("%s/%q", v.name, q)
+			want, werr := ix.searchReference(q, v.opts)
+			got, gerr := ix.Search(q, v.opts)
+			if (werr == nil) != (gerr == nil) {
+				t.Fatalf("%s: err %v, reference err %v", label, gerr, werr)
 			}
+			hitsBitwiseEqual(t, label, got, want)
 		}
 	}
 }
@@ -94,18 +81,16 @@ func TestSearchMatchesReferenceAfterIncrementalAdd(t *testing.T) {
 	ix := buildIndex(docs)
 	q := "shared common term3 term8"
 	for round := 0; round < 3; round++ {
-		for _, mode := range []Mode{ModeVector, ModeBM25, ModeBooleanOr} {
-			opts := Options{Mode: mode, TopK: 15}
-			want, err := ix.searchReference(q, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := ix.Search(q, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			hitsBitwiseEqual(t, fmt.Sprintf("round %d mode %d", round, mode), got, want)
+		opts := Options{TopK: 15}
+		want, err := ix.searchReference(q, opts)
+		if err != nil {
+			t.Fatal(err)
 		}
+		got, err := ix.Search(q, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hitsBitwiseEqual(t, fmt.Sprintf("round %d", round), got, want)
 		ix.AddAll(synthDocs(10)) // duplicates existing docs: heavier postings
 	}
 }
@@ -228,17 +213,31 @@ func TestSearchTopKBeyondRelevantSet(t *testing.T) {
 // fuzzIndex is the small fixed corpus FuzzSearchQuery searches.
 var fuzzIndex = buildIndex(append(synthDocs(60), analyzeSeeds...))
 
-// FuzzSearchQuery: for arbitrary query bytes, mode and k, Search never
-// panics, fails exactly when the retained reference scorer fails and
-// only with ErrBadQuery, and otherwise returns the reference's hits bit
-// for bit — at most k of them, in ranking order. The seeds are the
-// committed corpus under testdata/fuzz/FuzzSearchQuery, which runs on
-// every plain `go test`: no token at all, non-ASCII and invalid bytes,
-// repeated and absent terms under each mode, an unknown mode, and k zero
-// (the default), negative, and far beyond the corpus.
+// fuzzAuthority is the fixed authority vector FuzzSearchQuery blends in.
+var fuzzAuthority = func() []float64 {
+	auth := make([]float64, fuzzIndex.NumDocs())
+	for i := range auth {
+		auth[i] = 1 / float64(i%23+1)
+	}
+	return auth
+}()
+
+// FuzzSearchQuery: for arbitrary query bytes and k, ranked by relevance
+// alone or blended with a fixed authority vector at weight 0.7 (what
+// /search serves for rank=quality|pagerank), Search never panics, fails
+// exactly when the retained reference scorer fails and only with
+// ErrBadQuery, and otherwise returns the reference's hits bit for bit —
+// at most k of them, in ranking order. The seeds are the committed
+// corpus under testdata/fuzz/FuzzSearchQuery, which runs on every plain
+// `go test`: no token at all, non-ASCII and invalid bytes, repeated and
+// absent terms with and without authority, and k zero (the default),
+// negative, and far beyond the corpus.
 func FuzzSearchQuery(f *testing.F) {
-	f.Fuzz(func(t *testing.T, query string, mode uint8, k int) {
-		opts := Options{Mode: Mode(mode), TopK: k}
+	f.Fuzz(func(t *testing.T, query string, withAuthority bool, k int) {
+		opts := Options{TopK: k}
+		if withAuthority {
+			opts.Authority, opts.AuthorityWeight = fuzzAuthority, 0.7
+		}
 		got, err := fuzzIndex.Search(query, opts)
 		want, refErr := fuzzIndex.searchReference(query, opts)
 		if (err != nil) != (refErr != nil) || (err != nil && !errors.Is(err, ErrBadQuery)) {

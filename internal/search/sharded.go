@@ -94,20 +94,16 @@ func partitionFrozen(f *frozen, k int) []*frozen {
 			docs:    make([]int32, 0, postings[s]),
 			tfs:     make([]float32, 0, postings[s]),
 			idf:     f.idf,
-			bm25IDF: f.bm25IDF,
 			norm:    make([]float64, n),
-			bm25Len: make([]float64, n),
 			numDocs: n,
 		}
 		p.pool.New = func() any {
-			return &scratch{score: make([]float64, n), count: make([]int32, n)}
+			return &scratch{score: make([]float64, n), seen: make([]bool, n)}
 		}
 		parts[s] = p
 	}
 	for d := 0; d < f.numDocs; d++ {
-		p := parts[d%k]
-		p.norm[d/k] = f.norm[d]
-		p.bm25Len[d/k] = f.bm25Len[d]
+		parts[d%k].norm[d/k] = f.norm[d]
 	}
 	for t := 0; t < nTerms; t++ {
 		for i := f.start[t]; i < f.start[t+1]; i++ {
@@ -146,15 +142,9 @@ type shardResult struct {
 // fan-out between shards: workers finish the shard kernel they are in,
 // skip the rest, and SearchContext returns ctx.Err().
 func (si *ShardedIndex) SearchContext(ctx context.Context, query string, opts Options) ([]Hit, error) {
-	if err := opts.fill(si.f.numDocs); err != nil {
+	terms, err := opts.prepare(query, si.f.numDocs)
+	if err != nil {
 		return nil, err
-	}
-	terms := Tokenize(query)
-	if len(terms) == 0 {
-		return nil, fmt.Errorf("%w: empty query", ErrBadQuery)
-	}
-	if opts.Mode > ModeBM25 {
-		return nil, fmt.Errorf("%w: unknown mode %d", ErrBadQuery, opts.Mode)
 	}
 	k := len(si.parts)
 	results := make([]shardResult, k)
@@ -168,21 +158,11 @@ func (si *ShardedIndex) SearchContext(ctx context.Context, query string, opts Op
 
 	// Scatter: run the scoring kernel on each shard's posting subset and
 	// reduce the shard-local maxima.
-	err := si.fanOut(ctx, func(s int) {
+	err = si.fanOut(ctx, func(s int) {
 		p := si.parts[s]
 		sc := p.getScratch()
 		results[s].sc = sc
-		var docs []int32
-		switch opts.Mode {
-		case ModeVector:
-			docs = p.vectorKernel(terms, sc)
-		case ModeBooleanAnd:
-			docs = p.booleanKernel(terms, true, sc)
-		case ModeBooleanOr:
-			docs = p.booleanKernel(terms, false, sc)
-		case ModeBM25:
-			docs = p.bm25Kernel(terms, sc)
-		}
+		docs := p.vectorKernel(terms, sc)
 		results[s].docs = docs
 		for _, d := range docs {
 			if sc.score[d] > results[s].maxRel {

@@ -10,9 +10,9 @@ import (
 	"testing"
 )
 
-// shardedQueries is the query mix the parity and race tests drive: every
-// retrieval mode, short and multi-term queries, absent terms, and
-// authority blends at several weights.
+// shardedQueries is the query mix the parity and race tests drive: short
+// and multi-term queries, absent terms, and authority blends at several
+// weights.
 func shardedQueries(numDocs int) (queries []string, opts []Options) {
 	auth := make([]float64, numDocs)
 	for i := range auth {
@@ -27,12 +27,12 @@ func shardedQueries(numDocs int) (queries []string, opts []Options) {
 		"term40 term39 term38 term37 term36 shared",
 	}
 	opts = []Options{
-		{Mode: ModeVector, TopK: 20},
-		{Mode: ModeBM25, TopK: 10, Authority: auth},
-		{Mode: ModeBooleanAnd, TopK: 30},
-		{Mode: ModeBooleanOr, TopK: 15, Authority: auth, AuthorityWeight: 0.3},
-		{Mode: ModeVector, TopK: 5, Authority: auth, AuthorityWeight: 1},
-		{Mode: ModeBM25, TopK: numDocs},
+		{TopK: 20},
+		{TopK: 10, Authority: auth},
+		{TopK: 30},
+		{TopK: 15, Authority: auth, AuthorityWeight: 0.3},
+		{TopK: 5, Authority: auth, AuthorityWeight: 1},
+		{TopK: numDocs},
 	}
 	return queries, opts
 }
@@ -54,9 +54,9 @@ func requireSameHits(t *testing.T, label string, got, want []Hit) {
 }
 
 // TestShardedParity is the reference-oracle contract of the scatter-gather
-// engine: for every shard count and worker count, every mode and every
-// option shape, the sharded result equals the unsharded Index.Search bit
-// for bit — same doc ids, same math.Float64bits scores.
+// engine: for every shard count, worker count and option shape, the
+// sharded result equals the unsharded Index.Search bit for bit — same doc
+// ids, same math.Float64bits scores.
 func TestShardedParity(t *testing.T) {
 	docs := synthDocs(150)
 	ix := buildIndex(docs)
@@ -198,9 +198,6 @@ func TestShardValidation(t *testing.T) {
 	}
 	if _, err := si2.SearchContext(context.Background(), "shared", Options{TopK: -1}); !errors.Is(err, ErrBadQuery) {
 		t.Fatal("negative TopK accepted")
-	}
-	if _, err := si2.SearchContext(context.Background(), "shared", Options{Mode: ModeBM25 + 1}); !errors.Is(err, ErrBadQuery) {
-		t.Fatal("unknown mode accepted")
 	}
 }
 

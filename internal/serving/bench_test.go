@@ -52,7 +52,7 @@ func BenchmarkServeSearch(b *testing.B) {
 
 // BenchmarkServeConcurrentClients drives the service over real HTTP with
 // parallel clients rotating through a query mix that fits in the cache,
-// measuring serving throughput under contention (shard locks, pooled
+// measuring serving throughput under contention (the cache lock, pooled
 // encoders, keep-alive connections).
 func BenchmarkServeConcurrentClients(b *testing.B) {
 	svc := benchService(b, 1024)

@@ -28,7 +28,7 @@ func cached(t *testing.T, c *queryCache, k queryKey, body []byte) bool {
 }
 
 func TestQueryCacheLRU(t *testing.T) {
-	c := newQueryCache(1, 3) // one shard: fully deterministic LRU order
+	c := newQueryCache(3)
 	k := func(i int) queryKey { return queryKey{q: fmt.Sprintf("q%d", i), k: 10, rank: "quality"} }
 	body := func(i int) []byte { return []byte(fmt.Sprintf("body%d", i)) }
 
@@ -65,7 +65,7 @@ func TestQueryCacheLRU(t *testing.T) {
 }
 
 func TestQueryCacheConstruction(t *testing.T) {
-	if c := newQueryCache(16, 0); c != nil {
+	if c := newQueryCache(0); c != nil {
 		t.Fatal("capacity 0 should disable the cache")
 	}
 	// A nil cache is inert but safe: every lookup computes.
@@ -81,21 +81,8 @@ func TestQueryCacheConstruction(t *testing.T) {
 		t.Fatal("nil cache has counters")
 	}
 	c.purge(1)
-	// Shards never exceed capacity; total capacity rounds up.
-	c = newQueryCache(16, 5)
-	if len(c.shards) != 5 {
-		t.Fatalf("shards = %d, want clamped to 5", len(c.shards))
-	}
-	if c.capacity() < 5 {
-		t.Fatalf("capacity = %d, want >= 5", c.capacity())
-	}
-	// Distinct keys must spread over shards (FNV over all fields).
-	seen := map[*cacheShard]bool{}
-	for i := 0; i < 100; i++ {
-		seen[c.shard(queryKey{q: fmt.Sprintf("query-%d", i), k: i % 7, rank: "quality"})] = true
-	}
-	if len(seen) < 2 {
-		t.Fatal("all keys hash to one shard")
+	if c = newQueryCache(5); c.capacity() != 5 {
+		t.Fatalf("capacity = %d, want 5", c.capacity())
 	}
 }
 

@@ -25,7 +25,7 @@ import (
 // other goroutine has had the chance to arrive, so the test is
 // deterministic rather than a timing lottery. Run under -race.
 func TestQueryCacheSingleflight(t *testing.T) {
-	c := newQueryCache(4, 16)
+	c := newQueryCache(16)
 	key := queryKey{gen: 1, q: "hot", k: 10, rank: "quality"}
 
 	const n = 16
@@ -91,7 +91,7 @@ func TestQueryCacheSingleflight(t *testing.T) {
 // TestQueryCacheSingleflightError: a failed compute propagates its error
 // to the leader and is not cached — the next request computes again.
 func TestQueryCacheSingleflightError(t *testing.T) {
-	c := newQueryCache(1, 4)
+	c := newQueryCache(4)
 	key := queryKey{gen: 1, q: "bad", k: 10, rank: "quality"}
 	boom := errors.New("boom")
 	if _, err := c.getOrCompute(key, func() ([]byte, error) { return nil, boom }); !errors.Is(err, boom) {
@@ -112,7 +112,7 @@ func TestQueryCacheSingleflightError(t *testing.T) {
 // TestQueryCachePurge: purge drops exactly the entries of other
 // generations.
 func TestQueryCachePurge(t *testing.T) {
-	c := newQueryCache(4, 16)
+	c := newQueryCache(16)
 	key := func(gen uint64, i int) queryKey {
 		return queryKey{gen: gen, q: fmt.Sprintf("q%d", i), k: 10, rank: "quality"}
 	}
@@ -296,7 +296,7 @@ func syntheticGeneration(id uint64, docs int) *Generation {
 // syntheticService serves syntheticGeneration(1, docs) with no store behind
 // it: everything but Refresh works.
 func syntheticService(docs, maxInflight int) *Service {
-	svc := &Service{cache: newQueryCache(cacheShards, 64), lim: newLimiter(maxInflight, 0)}
+	svc := &Service{cache: newQueryCache(64), lim: newLimiter(maxInflight, 0)}
 	svc.gen.Store(syntheticGeneration(1, docs))
 	return svc
 }

@@ -11,7 +11,7 @@
 //
 // The query path is built for load: the index serves every request from
 // a frozen flat posting layout, responses are encoded through pooled
-// buffers, and a sharded LRU cache keyed on (generation, query, k, rank)
+// buffers, and an LRU cache keyed on (generation, query, k, rank)
 // short-cuts repeated queries, with per-key singleflight so a thundering
 // herd on a cold key runs the search once. An admission limiter
 // (Config.MaxInflight, Config.MaxWait) bounds concurrent searches: on
@@ -48,11 +48,6 @@ import (
 	"pagequality/internal/search"
 	"pagequality/internal/snapshot"
 )
-
-// cacheShards is the shard count of the query cache: enough that
-// concurrent clients rarely collide on a shard lock, small enough that a
-// modest capacity still gives each shard a useful LRU depth.
-const cacheShards = 16
 
 // Config is everything a Service is built from: the rebuild inputs, fixed
 // for the life of the service, and the serving limits.
@@ -120,7 +115,7 @@ func New(cfg Config) (*Service, error) {
 	}
 	s := &Service{
 		cfg:   cfg,
-		cache: newQueryCache(cacheShards, cfg.CacheSize),
+		cache: newQueryCache(cfg.CacheSize),
 		lim:   newLimiter(cfg.MaxInflight, cfg.MaxWait),
 	}
 	s.gen.Store(g)

@@ -21,26 +21,24 @@ func requireIndexMatchesRebuild(t *testing.T, label string, s *Sim) {
 		t.Fatalf("%s: grown index has %d docs / %d terms, rebuild %d / %d",
 			label, s.ix.NumDocs(), s.ix.NumTerms(), rebuilt.NumDocs(), rebuilt.NumTerms())
 	}
-	for _, mode := range []search.Mode{search.ModeVector, search.ModeBM25} {
-		opts := search.Options{Mode: mode, TopK: rebuilt.NumDocs()}
-		for _, q := range s.QueryVocab(s.cfg.Search.QueryWordsPerTopic) {
-			got, err := s.ix.Search(q, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := rebuilt.Search(q, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(got) != len(want) {
-				t.Fatalf("%s mode %d %q: %d hits, rebuild %d", label, mode, q, len(got), len(want))
-			}
-			for i := range got {
-				if got[i].Doc != want[i].Doc ||
-					math.Float64bits(got[i].Score) != math.Float64bits(want[i].Score) ||
-					math.Float64bits(got[i].Relevance) != math.Float64bits(want[i].Relevance) {
-					t.Fatalf("%s mode %d %q hit %d: %+v, rebuild %+v", label, mode, q, i, got[i], want[i])
-				}
+	opts := search.Options{TopK: rebuilt.NumDocs()}
+	for _, q := range s.QueryVocab(queryWordsPerTopic) {
+		got, err := s.ix.Search(q, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := rebuilt.Search(q, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%s %q: %d hits, rebuild %d", label, q, len(got), len(want))
+		}
+		for i := range got {
+			if got[i].Doc != want[i].Doc ||
+				math.Float64bits(got[i].Score) != math.Float64bits(want[i].Score) ||
+				math.Float64bits(got[i].Relevance) != math.Float64bits(want[i].Relevance) {
+				t.Fatalf("%s %q hit %d: %+v, rebuild %+v", label, q, i, got[i], want[i])
 			}
 		}
 	}
@@ -48,48 +46,43 @@ func requireIndexMatchesRebuild(t *testing.T, label string, s *Sim) {
 
 // TestRefreshIncrementalMatchesRebuild pins the refresh path: the one
 // index a Sim grows across refreshes is, after every refresh, the index a
-// rebuild from the current page texts would be — through a late search
-// era, both cadences and a page injected between two refreshes — and
-// every page's text was analysed exactly once to get there.
+// rebuild from the current page texts would be — with no refresh during
+// the burn-in and a page injected between two refreshes — and every
+// page's text was analysed exactly once to get there.
 func TestRefreshIncrementalMatchesRebuild(t *testing.T) {
-	for _, refreshWeeks := range []float64{1, 2} {
-		cfg := searchedConfig()
-		cfg.Search.StartWeek = 2
-		cfg.Search.RefreshWeeks = refreshWeeks
-		s, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n, docs := s.RefreshStats(); n != 0 || docs != 0 {
-			t.Fatalf("refresh ran before the search era: %d refreshes, %d docs", n, docs)
-		}
-		var seen, injectAfter int64 = 0, 3
-		for seen < 9 {
-			s.Step()
-			n, docs := s.RefreshStats()
-			if n == seen {
-				if n == injectAfter {
-					// Strictly between two refreshes: this tick ran none.
-					if _, err := s.BirthPage(1, 0.9); err != nil {
-						t.Fatal(err)
-					}
-					injectAfter = -1
+	s, err := New(searchedConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, docs := s.RefreshStats(); n != 0 || docs != 0 {
+		t.Fatalf("refresh ran before the search era: %d refreshes, %d docs", n, docs)
+	}
+	var seen, injectAfter int64 = 0, 3
+	for seen < 9 {
+		s.Step()
+		n, docs := s.RefreshStats()
+		if n == seen {
+			if n == injectAfter {
+				// Strictly between two refreshes: this tick ran none.
+				if _, err := s.BirthPage(1, 0.9); err != nil {
+					t.Fatal(err)
 				}
-				continue
+				injectAfter = -1
 			}
-			seen = n
-			label := fmt.Sprintf("RefreshWeeks %g refresh %d", refreshWeeks, n)
-			// Each page exactly once: the refresh is the tick's last
-			// event, so the index covers every page there is. (Rebuilding
-			// at every refresh, this figure was the sum over refreshes.)
-			if docs != int64(s.NumPages()) {
-				t.Fatalf("%s: %d documents analysed for %d pages", label, docs, s.NumPages())
-			}
-			requireIndexMatchesRebuild(t, label, s)
+			continue
 		}
-		if injectAfter != -1 {
-			t.Fatal("no page was injected between refreshes")
+		seen = n
+		label := fmt.Sprintf("refresh %d", n)
+		// Each page exactly once: the refresh is the tick's last
+		// event, so the index covers every page there is. (Rebuilding
+		// at every refresh, this figure was the sum over refreshes.)
+		if docs != int64(s.NumPages()) {
+			t.Fatalf("%s: %d documents analysed for %d pages", label, docs, s.NumPages())
 		}
+		requireIndexMatchesRebuild(t, label, s)
+	}
+	if injectAfter != -1 {
+		t.Fatal("no page was injected between refreshes")
 	}
 }
 
@@ -113,15 +106,16 @@ func TestPageTextWordBounds(t *testing.T) {
 // BenchmarkSearchRefresh times refreshSearch alone on the default
 // 154-site corpus: "first" indexes every page into an empty index (what
 // every refresh used to cost), "weekly" is the refresh after one more
-// week of growth. The search era never starts, so no refresh runs inside
-// the untimed AdvanceTo.
+// week of growth. No refresh runs during the burn-in, and switching the
+// sessions off afterwards keeps the untimed AdvanceTo from running one.
 func BenchmarkSearchRefresh(b *testing.B) {
 	cfg := DefaultConfig()
-	cfg.Search = SearchConfig{SessionsPerWeek: 1, StartWeek: math.Inf(1)}
+	cfg.Search = SearchConfig{SessionsPerWeek: 1}
 	s, err := New(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
+	s.cfg.Search.SessionsPerWeek = 0
 	b.Run("first", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {

@@ -43,32 +43,30 @@ type SearchConfig struct {
 	SessionsPerWeek float64
 	// TopK is how many results each session visits (default 10).
 	TopK int
-	// ZipfS is the zipf exponent of the query distribution over the topic
-	// vocabulary (default 1.0; head topics dominate as on the real Web).
-	ZipfS float64
-	// QueryWordsPerTopic extends the vocabulary beyond the topic names
-	// with this many topic words per topic (default 5); they form the
-	// zipf tail.
-	QueryWordsPerTopic int
-	// RefreshWeeks is the cadence at which the engine re-crawls: the
-	// index and authority scores are refrozen from the live graph every
-	// RefreshWeeks (default 1). Pages born since the last refresh are
-	// invisible to search until the next one — the crawler lag of a real
-	// engine.
-	RefreshWeeks float64
-	// StartWeek is when the search era begins (default 0, the first
-	// crawl). Sessions before this time never fire, so the burn-in
-	// corpus is identical across policies — the "one seed set" every
-	// policy comparison starts from.
-	StartWeek float64
 	// Policy is the active ranking policy (default ranking.ByPageRank).
 	Policy ranking.Policy
-	// Estimator configures the live Q(p) computed at each refresh for
-	// the quality policy. A wholly zero value selects the corpus-tuned
-	// defaults (C=1, 5% filter, trend cap 0.3 — the DefaultHeadlineConfig
-	// constants).
-	Estimator quality.Config
 }
+
+// The channel's fixed parameters. The search era begins at t = 0, the
+// first crawl: sessions never fire during the burn-in, so the burn-in
+// corpus is identical across policies — the "one seed set" every policy
+// comparison starts from.
+const (
+	// queryZipfS is the zipf exponent of the query distribution over the
+	// vocabulary: head topics dominate as on the real Web.
+	queryZipfS = 1.0
+	// queryWordsPerTopic topic words per topic follow the topic names in
+	// the vocabulary; they form the zipf tail.
+	queryWordsPerTopic = 5
+	// refreshWeeks is the cadence at which the engine re-crawls. Pages
+	// born since the last refresh are invisible to search until the next
+	// one — the crawler lag of a real engine.
+	refreshWeeks = 1.0
+)
+
+// liveEstimator configures the live Q(p) computed at each refresh for the
+// quality policy: the corpus-tuned DefaultHeadlineConfig constants.
+var liveEstimator = quality.Config{C: 1.0, MinChangeFrac: 0.05, ApplyTrendToDecreasing: true, MaxTrend: 0.3}
 
 // enabled reports whether the channel is on at all.
 func (sc *SearchConfig) enabled() bool { return sc.SessionsPerWeek > 0 }
@@ -83,32 +81,11 @@ func (sc *SearchConfig) fill() error {
 	if sc.TopK == 0 {
 		sc.TopK = 10
 	}
-	if sc.ZipfS == 0 {
-		sc.ZipfS = 1.0
-	}
-	if sc.QueryWordsPerTopic == 0 {
-		sc.QueryWordsPerTopic = 5
-	}
-	if sc.RefreshWeeks == 0 {
-		sc.RefreshWeeks = 1
-	}
 	if sc.Policy == nil {
 		sc.Policy = ranking.ByPageRank{}
 	}
-	if sc.Estimator == (quality.Config{}) {
-		sc.Estimator = quality.Config{C: 1.0, MinChangeFrac: 0.05, ApplyTrendToDecreasing: true, MaxTrend: 0.3}
-	}
-	switch {
-	case sc.TopK < 1:
+	if sc.TopK < 1 {
 		return fmt.Errorf("%w: search TopK=%d", ErrBadConfig, sc.TopK)
-	case sc.ZipfS < 0 || math.IsNaN(sc.ZipfS):
-		return fmt.Errorf("%w: search ZipfS=%g", ErrBadConfig, sc.ZipfS)
-	case sc.QueryWordsPerTopic < 0:
-		return fmt.Errorf("%w: QueryWordsPerTopic=%d", ErrBadConfig, sc.QueryWordsPerTopic)
-	case sc.RefreshWeeks <= 0:
-		return fmt.Errorf("%w: RefreshWeeks=%g", ErrBadConfig, sc.RefreshWeeks)
-	case sc.Estimator.C < 0 || sc.Estimator.MinChangeFrac < 0 || sc.Estimator.MaxTrend < 0:
-		return fmt.Errorf("%w: search estimator %+v", ErrBadConfig, sc.Estimator)
 	}
 	return nil
 }
@@ -140,13 +117,13 @@ func (s *Sim) initSearch() error {
 	if !sc.enabled() {
 		return nil
 	}
-	wl, err := loadgen.NewWorkload(s.QueryVocab(sc.QueryWordsPerTopic), sc.ZipfS, s.cfg.Seed)
+	wl, err := loadgen.NewWorkload(s.QueryVocab(queryWordsPerTopic), queryZipfS, s.cfg.Seed)
 	if err != nil {
 		return fmt.Errorf("%w: search workload: %v", ErrBadConfig, err)
 	}
 	s.workload = wl
 	s.ix = search.NewIndex()
-	s.refreshTicks = uint64(math.Round(sc.RefreshWeeks / s.cfg.DT))
+	s.refreshTicks = uint64(math.Round(refreshWeeks / s.cfg.DT))
 	if s.refreshTicks < 1 {
 		s.refreshTicks = 1
 	}
@@ -176,7 +153,7 @@ func (s *Sim) refreshSearch() {
 		// construction; a failure here is a programming error.
 		panic("webcorpus: refresh pagerank: " + err.Error())
 	}
-	q, err := quality.Live(s.prevPR, pr.Rank, s.cfg.Search.Estimator)
+	q, err := quality.Live(s.prevPR, pr.Rank, liveEstimator)
 	if err != nil {
 		panic("webcorpus: refresh live quality: " + err.Error())
 	}
@@ -195,8 +172,8 @@ func (s *Sim) refreshSearch() {
 // draw-phase worker count cannot influence it.
 func (s *Sim) stepSearch() {
 	sc := &s.cfg.Search
-	if s.time < sc.StartWeek-timeSlack {
-		return // pre-search era
+	if s.time < -timeSlack {
+		return // burn-in: the search era begins at t = 0
 	}
 	if s.rank == nil || s.tick >= s.nextRefresh {
 		s.refreshSearch()

@@ -26,11 +26,6 @@ func TestSearchConfigValidation(t *testing.T) {
 	mutations := []func(*Config){
 		func(c *Config) { c.Search.SessionsPerWeek = -1 },
 		func(c *Config) { c.Search.TopK = -3 },
-		func(c *Config) { c.Search.ZipfS = -0.5 },
-		func(c *Config) { c.Search.ZipfS = math.NaN() },
-		func(c *Config) { c.Search.QueryWordsPerTopic = -1 },
-		func(c *Config) { c.Search.RefreshWeeks = -2 },
-		func(c *Config) { c.Search.Estimator.C = -1 },
 	}
 	for i, mutate := range mutations {
 		cfg := searchedConfig()
@@ -108,7 +103,7 @@ func TestSearchChannelActive(t *testing.T) {
 }
 
 // TestSearchBurnInIdentical pins the "one seed set" property of policy
-// comparisons: with StartWeek 0, the burn-in corpus is bitwise identical
+// comparisons: the burn-in corpus is bitwise identical
 // whether or not search is configured, because no session fires before
 // t = 0.
 func TestSearchBurnInIdentical(t *testing.T) {
@@ -139,7 +134,6 @@ func TestSearchedCorpusWorkerInvariance(t *testing.T) {
 		cfg.Sites = 30
 		cfg.InitialPagesPerSite = 40
 		cfg.BurnInWeeks = 2
-		cfg.Search.RefreshWeeks = 1
 		cfg.Search.Policy = ranking.Randomized{Epsilon: 0.3}
 		cfg.Workers = workers
 		s, err := New(cfg)
