@@ -23,6 +23,7 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -570,7 +571,10 @@ func hostOf(u string) string {
 // assemble builds the canonical-URL link graph from the fetched pages.
 // Duplicate-canonical fetches merge; links to unfetched pages are dropped
 // (they were never downloaded, so the crawl cannot know their content).
+// A page whose canonical URL the graph cannot store is dropped the same
+// way, as if it had never been fetched.
 func assemble(pages []page, stats Stats) (*Result, error) {
+	pages = slices.DeleteFunc(pages, func(p page) bool { return len(p.canonical) > graph.MaxURLLen })
 	// fetchURL -> canonical, for link resolution.
 	canonOf := make(map[string]string, len(pages))
 	for _, p := range pages {

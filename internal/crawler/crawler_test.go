@@ -6,10 +6,13 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
 	"pagequality/internal/graph"
+	"pagequality/internal/snapshot"
 	"pagequality/internal/webcorpus"
 	"pagequality/internal/webserver"
 )
@@ -311,6 +314,48 @@ func TestBudgetRefundOnFailure(t *testing.T) {
 		if res.Stats.Errors != 1 || res.Stats.SkippedCaps != 0 {
 			t.Fatalf("stats = %+v", res.Stats)
 		}
+	}
+}
+
+// TestCrawlSkipsOverlongURL: a page whose URL the graph format cannot
+// read back (70 KiB) is fetched but left out of the graph like an
+// unfetched link target — no node, no edge to or from it — so the
+// snapshot the crawl writes reads back.
+func TestCrawlSkipsOverlongURL(t *testing.T) {
+	long := "/" + strings.Repeat("x", 70<<10)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case "/":
+			fmt.Fprintf(w, `<a href="%s">long</a><a href="/b">b</a>`, long)
+		case long:
+			fmt.Fprint(w, `<a href="/b">b</a><a href="/">home</a>`)
+		case "/b":
+			fmt.Fprint(w, `<a href="/">home</a>`)
+		default:
+			http.NotFound(w, r)
+		}
+	}))
+	defer srv.Close()
+	res, err := Crawl(Config{Seeds: []string{srv.URL + "/"}, Client: srv.Client()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.Fetched != 3 || res.Stats.Errors != 0 {
+		t.Fatalf("stats %+v, want 3 fetched (the long URL too), 0 errors", res.Stats)
+	}
+	if res.Graph.NumNodes() != 2 || res.Graph.NumEdges() != 2 {
+		t.Fatalf("graph has %d nodes, %d edges; want 2, 2 (/ <-> /b)", res.Graph.NumNodes(), res.Graph.NumEdges())
+	}
+	path := filepath.Join(t.TempDir(), "web.pqs")
+	if err := snapshot.WriteFile(path, []snapshot.Snapshot{{Label: "t1", Graph: res.Graph}}); err != nil {
+		t.Fatal(err)
+	}
+	snaps, err := snapshot.ReadFile(path)
+	if err != nil {
+		t.Fatalf("the crawl's snapshot does not read back: %v", err)
+	}
+	if len(snaps) != 1 || snaps[0].Graph.NumNodes() != 2 {
+		t.Fatalf("read back %d snapshots", len(snaps))
 	}
 }
 

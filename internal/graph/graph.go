@@ -61,10 +61,18 @@ func New(n int) *Graph {
 // ErrDuplicateURL is returned by AddPage when the URL already exists.
 var ErrDuplicateURL = errors.New("graph: duplicate URL")
 
+// MaxURLLen is the longest page URL, in bytes, the binary format reads
+// back; AddPage refuses a longer one, so every graph can be written and
+// read again.
+const MaxURLLen = 1 << 16
+
 // AddPage adds a page and returns its new NodeID. The URL must be unique
-// within the graph; pass an empty URL to skip URL indexing entirely (useful
-// for purely synthetic graphs).
+// within the graph and at most MaxURLLen bytes; pass an empty URL to skip
+// URL indexing entirely (useful for purely synthetic graphs).
 func (g *Graph) AddPage(p Page) (NodeID, error) {
+	if len(p.URL) > MaxURLLen {
+		return InvalidNode, fmt.Errorf("graph: URL of %d bytes exceeds %d", len(p.URL), MaxURLLen)
+	}
 	if p.URL != "" {
 		if _, ok := g.byURL[p.URL]; ok {
 			return InvalidNode, fmt.Errorf("%w: %q", ErrDuplicateURL, p.URL)

@@ -152,7 +152,7 @@ func parsePayload(payload []byte) (*Graph, error) {
 		if err != nil {
 			return nil, fmt.Errorf("graph: node %d url len: %w", i, err)
 		}
-		if ulen > 1<<16 {
+		if ulen > MaxURLLen {
 			return nil, fmt.Errorf("%w: url length %d", ErrBadFormat, ulen)
 		}
 		urlBytes := make([]byte, ulen)

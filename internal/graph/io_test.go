@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -142,6 +143,22 @@ func TestEmptyGraphRoundTrip(t *testing.T) {
 	}
 	if g2.NumNodes() != 0 || g2.NumEdges() != 0 {
 		t.Fatal("empty graph round trip non-empty")
+	}
+}
+
+// TestURLLengthLimit: the writer refuses what the reader refuses. A URL
+// of MaxURLLen bytes round-trips; AddPage refuses one byte more, so no
+// graph holds a URL that ReadFrom would reject.
+func TestURLLengthLimit(t *testing.T) {
+	g := New(1)
+	longest := "http://a/" + strings.Repeat("x", MaxURLLen-len("http://a/"))
+	g.MustAddPage(Page{URL: longest})
+	g2, _, err := DecodeBinary(g.AppendBinary(nil))
+	if err != nil || !graphsEqual(g, g2) {
+		t.Fatalf("a %d-byte URL does not round-trip: %v", len(longest), err)
+	}
+	if _, err := g.AddPage(Page{URL: longest + "x"}); err == nil || g.NumNodes() != 1 {
+		t.Fatalf("AddPage took a %d-byte URL: err %v, %d nodes", len(longest)+1, err, g.NumNodes())
 	}
 }
 

@@ -282,14 +282,18 @@ func TestServiceRefresh(t *testing.T) {
 // both score vectors encode the generation id, so a response mixing two
 // generations is detectable field by field.
 func syntheticGeneration(id uint64, docs int) *Generation {
-	g := &Generation{ID: id, ix: search.NewIndex()}
+	ix := search.NewIndex()
+	var urls []string
+	var scores []float64
 	for i := 0; i < docs; i++ {
-		g.ix.Add(fmt.Sprintf("alpha beta shared corpus terms doc%d", i))
-		g.urls = append(g.urls, fmt.Sprintf("http://site.example/gen%d/doc%d", id, i))
-		g.qual = append(g.qual, float64(id)+float64(i)/1e6)
-		g.pr = append(g.pr, float64(id)+float64(i)/1e6)
+		ix.Add(fmt.Sprintf("alpha beta shared corpus terms doc%d", i))
+		urls = append(urls, fmt.Sprintf("http://site.example/gen%d/doc%d", id, i))
+		scores = append(scores, float64(id)+float64(i)/1e6)
 	}
-	g.ix.Freeze()
+	g, err := newGeneration(id, ix, urls, scores, scores)
+	if err != nil {
+		panic(err)
+	}
 	return g
 }
 

@@ -10,21 +10,22 @@
 //	GET /healthz
 //
 // The query path is built for load: the index serves every request from
-// a frozen flat posting layout, responses are encoded through pooled
-// buffers, and an LRU cache keyed on (generation, query, k, rank)
+// a frozen flat posting layout; a response is appended onto JSON
+// fragments each generation renders once per document, so a miss formats
+// only its scores; and an LRU cache keyed on (generation, query, k, rank)
 // short-cuts repeated queries, with per-key singleflight so a thundering
 // herd on a cold key runs the search once. An admission limiter
 // (Config.MaxInflight, Config.MaxWait) bounds concurrent searches: on
 // saturation the excess is shed with 503 + Retry-After instead of
 // queueing without bound, so latency for admitted requests stays pinned.
 //
-// The serving state — index, score vectors, URL table — lives in an
-// immutable Generation behind an atomic pointer. Refresh rebuilds the
-// next generation from the store off the request path and swaps it in
-// RCU-style: in-flight queries keep the generation they loaded, new
-// queries see the new one, and no request ever observes a mix. Cache keys
-// carry the generation id, so a swap invalidates every cached response
-// without racing the readers.
+// The serving state — index, score vectors, URL table, hit fragments —
+// lives in an immutable Generation behind an atomic pointer. Refresh
+// rebuilds the next generation from the store off the request path and
+// swaps it in RCU-style: in-flight queries keep the generation they
+// loaded, new queries see the new one, and no request ever observes a
+// mix. Cache keys carry the generation id, so a swap invalidates every
+// cached response without racing the readers.
 package serving
 
 import (
@@ -32,6 +33,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -64,16 +66,52 @@ type Config struct {
 }
 
 // Generation is one immutable serving state: the eagerly frozen index,
-// the per-document score vectors and the URL table, all derived from a
-// single read of the crawl series. A query loads the current generation
-// exactly once and touches only its fields, so every response is
-// internally consistent even when a refresh swaps generations mid-flight.
+// the per-document score vectors, the URL table and the JSON each hit
+// repeats, all derived from a single read of the crawl series. A query
+// loads the current generation exactly once and touches only its fields,
+// so every response is internally consistent even when a refresh swaps
+// generations mid-flight.
 type Generation struct {
 	ID   uint64
 	ix   *search.Index
 	urls []string // doc id -> canonical URL
 	qual []float64
 	pr   []float64
+	// frag holds every document's two JSON fragments back to back: doc
+	// d's head `{"url":<url>,"score":` is frag[fragOff[2d]:fragOff[2d+1]],
+	// its tail `,"quality":<q>,"pagerank":<pr>}` runs on to fragOff[2d+2].
+	frag    []byte
+	fragOff []int
+}
+
+// newGeneration freezes ix — once, so no reader pays (or races on) the
+// lazy posting-layout build after the swap — and renders what a hit on
+// each document always says: its URL, quality and PageRank. A
+// non-finite score has no JSON form, so it fails the generation instead
+// of every query that ranks the document.
+func newGeneration(id uint64, ix *search.Index, urls []string, qual, pr []float64) (*Generation, error) {
+	ix.Freeze()
+	g := &Generation{ID: id, ix: ix, urls: urls, qual: qual, pr: pr, fragOff: make([]int, 0, 2*len(urls)+1)}
+	for d, u := range urls {
+		// encoding/json escapes the URL, so HTML-escaping, U+2028/2029 and
+		// invalid-UTF-8 replacement are the json.Encoder's own.
+		esc, err := json.Marshal(u)
+		if err != nil {
+			return nil, err
+		}
+		g.fragOff = append(g.fragOff, len(g.frag))
+		g.frag = append(append(append(g.frag, `{"url":`...), esc...), `,"score":`...)
+		g.fragOff = append(g.fragOff, len(g.frag))
+		if g.frag, err = appendJSONFloat(append(g.frag, `,"quality":`...), qual[d]); err != nil {
+			return nil, fmt.Errorf("serving: %s: quality: %w", u, err)
+		}
+		if g.frag, err = appendJSONFloat(append(g.frag, `,"pagerank":`...), pr[d]); err != nil {
+			return nil, fmt.Errorf("serving: %s: pagerank: %w", u, err)
+		}
+		g.frag = append(g.frag, '}')
+	}
+	g.fragOff = append(g.fragOff, len(g.frag))
+	return g, nil
 }
 
 // NumDocs returns the number of indexed documents.
@@ -87,9 +125,6 @@ type Service struct {
 	gen   atomic.Pointer[Generation]
 	cache *queryCache
 	lim   *limiter
-	// bufPool recycles the JSON encoding buffers of cache misses; its
-	// zero value is usable (encodeHits falls back to a fresh buffer).
-	bufPool sync.Pool
 	// searches counts index searches actually executed — cache hits and
 	// coalesced waiters do not add to it, which is what makes singleflight
 	// observable from /stats.
@@ -198,24 +233,22 @@ func LoadGeneration(cfg Config, id uint64) (*Generation, error) {
 		return nil, fmt.Errorf("serving: no documents with label %q in %s", label, cfg.ArchiveDir)
 	}
 
-	g := &Generation{ID: id, ix: search.NewIndex()}
+	ix := search.NewIndex()
+	urls := make([]string, 0, len(docs))
+	qual := make([]float64, 0, len(docs))
+	pr := make([]float64, 0, len(docs))
 	for _, d := range docs {
-		canonical, ai := d.canonical, d.ai
-		doc := g.ix.AddAnalyzed(d.terms)
-		if doc != len(g.urls) {
+		if doc := ix.AddAnalyzed(d.terms); doc != len(urls) {
 			return nil, fmt.Errorf("serving: document id drift")
 		}
-		g.urls = append(g.urls, canonical)
-		g.qual = append(g.qual, est.Q[ai])
-		g.pr = append(g.pr, cur[ai])
+		urls = append(urls, d.canonical)
+		qual = append(qual, est.Q[d.ai])
+		pr = append(pr, cur[d.ai])
 	}
-	if g.ix.NumDocs() == 0 {
+	if ix.NumDocs() == 0 {
 		return nil, fmt.Errorf("serving: no indexable documents matched the common pages")
 	}
-	// Freeze now, once, so no reader ever pays (or races on) the lazy
-	// posting-layout build after the swap.
-	g.ix.Freeze()
-	return g, nil
+	return newGeneration(id, ix, urls, qual, pr)
 }
 
 // Refresh rebuilds the serving state from the store and swaps it in. On
@@ -236,15 +269,6 @@ func (s *Service) Refresh() (*Generation, error) {
 	s.gen.Store(g)
 	s.cache.purge(g.ID)
 	return g, nil
-}
-
-// hitJSON is one search result in the API response.
-type hitJSON struct {
-	URL       string  `json:"url"`
-	Score     float64 `json:"score"`
-	Relevance float64 `json:"relevance"`
-	Quality   float64 `json:"quality"`
-	PageRank  float64 `json:"pagerank"`
 }
 
 func (s *Service) ServeHTTP(w http.ResponseWriter, r *http.Request) {
@@ -373,7 +397,7 @@ func (s *Service) serveSearch(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return nil, err
 		}
-		return s.encodeHits(g, hits)
+		return g.encodeHits(hits)
 	})
 	if err != nil {
 		status := http.StatusInternalServerError
@@ -383,35 +407,74 @@ func (s *Service) serveSearch(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), status)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-Quality-Generation", strconv.FormatUint(g.ID, 10))
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("X-Quality-Generation", strconv.FormatUint(g.ID, 10))
+	// A declared length: a body past net/http's 2 KiB buffer would
+	// otherwise go out chunked.
+	h.Set("Content-Length", strconv.Itoa(len(body)))
 	w.Write(body)
 }
 
-// encodeHits renders the JSON response body through a pooled buffer. The
-// returned slice is a private copy, safe to cache and to hand to
-// concurrent writers.
-func (s *Service) encodeHits(g *Generation, hits []search.Hit) ([]byte, error) {
-	out := make([]hitJSON, 0, len(hits))
+// encodeHits renders hits byte for byte as json.Encoder renders the
+// array of {url, score, relevance, quality, pagerank} objects: per hit
+// the document's head fragment, the score, the relevance and its tail
+// fragment. The numbers are formatted first, into stack scratch, so the
+// body is allocated once at exactly its length — a cached body carries no
+// spare capacity — and is never written again, safe to cache and to hand
+// to concurrent writers.
+func (g *Generation) encodeHits(hits []search.Hit) ([]byte, error) {
+	var scratch [4 << 10]byte
+	// Per hit `<score>,"relevance":<relevance>` and a '\n', which no JSON
+	// number contains; in the body the n newlines become n-1 commas.
+	nums := scratch[:0]
+	size := len("[]\n")
 	for _, h := range hits {
-		out = append(out, hitJSON{
-			URL:       g.urls[h.Doc],
-			Score:     h.Score,
-			Relevance: h.Relevance,
-			Quality:   g.qual[h.Doc],
-			PageRank:  g.pr[h.Doc],
-		})
+		var err error
+		if nums, err = appendJSONFloat(nums, h.Score); err != nil {
+			return nil, err
+		}
+		if nums, err = appendJSONFloat(append(nums, `,"relevance":`...), h.Relevance); err != nil {
+			return nil, err
+		}
+		nums = append(nums, '\n')
+		size += g.fragOff[2*h.Doc+2] - g.fragOff[2*h.Doc]
 	}
-	buf, _ := s.bufPool.Get().(*bytes.Buffer)
-	if buf == nil {
-		buf = new(bytes.Buffer)
+	size += len(nums)
+	if len(hits) > 0 {
+		size--
 	}
-	buf.Reset()
-	err := json.NewEncoder(buf).Encode(out)
-	var body []byte
-	if err == nil {
-		body = append([]byte(nil), buf.Bytes()...)
+	body := append(make([]byte, 0, size), '[')
+	for i, h := range hits {
+		if i > 0 {
+			body = append(body, ',')
+		}
+		n := bytes.IndexByte(nums, '\n')
+		body = append(body, g.frag[g.fragOff[2*h.Doc]:g.fragOff[2*h.Doc+1]]...)
+		body = append(body, nums[:n]...)
+		body = append(body, g.frag[g.fragOff[2*h.Doc+1]:g.fragOff[2*h.Doc+2]]...)
+		nums = nums[n+1:]
 	}
-	s.bufPool.Put(buf)
-	return body, err
+	return append(body, "]\n"...), nil
+}
+
+// appendJSONFloat appends f as encoding/json writes a float64: the
+// shortest form that reads back as f, in 'f' notation unless
+// 0 < |f| < 1e-6 or |f| >= 1e21, where it is 'e' with a one-digit
+// exponent's leading zero dropped (e-07 → e-7). NaN and ±Inf have no
+// JSON form; the error is encoding/json's.
+func appendJSONFloat(b []byte, f float64) ([]byte, error) {
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		return b, fmt.Errorf("json: unsupported value: %s", strconv.FormatFloat(f, 'g', -1, 64))
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if n := len(b); format == 'e' && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1]
+		b = b[:n-1]
+	}
+	return b, nil
 }
