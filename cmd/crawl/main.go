@@ -119,6 +119,9 @@ func run(args []string, out io.Writer) (err error) {
 		},
 	}
 	if *archiveDir != "" {
+		if len(lbl) > pagestore.MaxLabelLen {
+			return fmt.Errorf("label of %d bytes exceeds the archive's %d", len(lbl), pagestore.MaxLabelLen)
+		}
 		arch, openErr := pagestore.Open(*archiveDir, pagestore.Options{})
 		if openErr != nil {
 			return openErr

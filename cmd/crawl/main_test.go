@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"pagequality/internal/crawler"
+	"pagequality/internal/graph"
 	"pagequality/internal/pagestore"
 	"pagequality/internal/snapshot"
 	"pagequality/internal/webcorpus"
@@ -447,13 +448,13 @@ func TestCrawlCLITransientCheckpointRetry(t *testing.T) {
 }
 
 // TestCrawlCLIArchiveFailureFailsRun: a document the archive refuses (a
-// 64 KiB URL, the longest a snapshot holds, whose key "<label>/<url>" is
-// past pagestore's 64 KiB key limit) used to be a line on stdout and exit
-// status 0. The run now fails with the count, after the snapshot — which
-// names the page — is written.
+// URL whose key "<label>/<url>" is past pagestore.MaxKeyLen) used to be a
+// line on stdout and exit status 0. The run now fails with the count,
+// after the snapshot is written. The graph drops the page too, so the
+// snapshot holds the two pages the archive does.
 func TestCrawlCLIArchiveFailureFailsRun(t *testing.T) {
-	var long string
-	ts := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	long := "/" + strings.Repeat("a", pagestore.MaxKeyLen)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		switch r.URL.Path {
 		case "/":
 			fmt.Fprintf(w, `<html><a href="/ok">ok</a> <a href="%s">long</a></html>`, long)
@@ -463,8 +464,6 @@ func TestCrawlCLIArchiveFailureFailsRun(t *testing.T) {
 			http.NotFound(w, r)
 		}
 	}))
-	long = "/" + strings.Repeat("a", 1<<16-len("http://"+ts.Listener.Addr().String())-1)
-	ts.Start()
 	defer ts.Close()
 	dir := t.TempDir()
 	store := filepath.Join(dir, "s.pqs")
@@ -480,8 +479,8 @@ func TestCrawlCLIArchiveFailureFailsRun(t *testing.T) {
 	if err != nil {
 		t.Fatalf("snapshot not written: %v", err)
 	}
-	if n := snaps[0].Graph.NumNodes(); n != 3 {
-		t.Fatalf("snapshot has %d pages, want 3", n)
+	if n := snaps[0].Graph.NumNodes(); n != 2 {
+		t.Fatalf("snapshot has %d pages, want 2", n)
 	}
 	arch, err := pagestore.Open(archive, pagestore.Options{})
 	if err != nil {
@@ -490,5 +489,59 @@ func TestCrawlCLIArchiveFailureFailsRun(t *testing.T) {
 	defer arch.Close()
 	if arch.Len() != 2 {
 		t.Fatalf("archive holds %d documents, want the 2 whose keys fit", arch.Len())
+	}
+}
+
+// TestCrawlCLIArchivesLongestURL is the boundary between the graph's URL
+// limit and the archive's key limit: a page whose URL is graph.MaxURLLen
+// bytes, the longest a snapshot holds, is archived under the default
+// label and reads back; a URL one byte longer is dropped by the crawler,
+// as before. Nothing is refused, so the run succeeds.
+func TestCrawlCLIArchivesLongestURL(t *testing.T) {
+	var longest, over string
+	ts := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case "/":
+			fmt.Fprintf(w, `<html><a href="%s">longest</a> <a href="%s">over</a></html>`, longest, over)
+		case longest, over:
+			fmt.Fprint(w, "<html>leaf</html>")
+		default:
+			http.NotFound(w, r)
+		}
+	}))
+	base := "http://" + ts.Listener.Addr().String()
+	longest = "/" + strings.Repeat("a", graph.MaxURLLen-len(base)-1)
+	over = longest + "b"
+	ts.Start()
+	defer ts.Close()
+	dir := t.TempDir()
+	store := filepath.Join(dir, "s.pqs")
+	archive := filepath.Join(dir, "pages")
+	var buf bytes.Buffer
+	if err := run([]string{"-seed", ts.URL + "/", "-store", store, "-archive", archive}, &buf); err != nil {
+		t.Fatalf("run: %v\n%s", err, buf.String())
+	}
+	snaps, err := snapshot.ReadFile(store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := snaps[0].Graph
+	if len(base+longest) != graph.MaxURLLen || g.NumNodes() != 2 {
+		t.Fatalf("snapshot has %d pages, want the root and the %d-byte URL", g.NumNodes(), len(base+longest))
+	}
+	if _, ok := g.Lookup(base + longest); !ok {
+		t.Fatal("the MaxURLLen-byte URL is not in the snapshot")
+	}
+	if _, ok := g.Lookup(base + over); ok {
+		t.Fatal("a URL past MaxURLLen is in the snapshot")
+	}
+	arch, err := pagestore.Open(archive, pagestore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer arch.Close()
+	_, body, err := arch.Get(snaps[0].Label + "/" + base + longest)
+	if err != nil || string(body) != "<html>leaf</html>" {
+		t.Fatalf("archived body %q, %v", body, err)
 	}
 }

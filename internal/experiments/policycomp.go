@@ -12,7 +12,7 @@ import (
 )
 
 // This file is the experiment the paper proposed but could never run
-// (Section 9.2 / ROADMAP item 3): close the ranking feedback loop and
+// (Section 9.2, the ranking feedback loop): close the loop and
 // measure how the *choice of ranking function* shapes the Web's
 // evolution. Every policy starts from the identical burn-in corpus (the
 // search channel only switches on at t = 0), then the loop runs — the

@@ -224,7 +224,7 @@ func decodeFooterBody(body []byte, footStart int64) (*footer, bool) {
 	prevKey := ""
 	for i := uint64(0); i < count; i++ {
 		klen, ok := uvarint()
-		if !ok || klen > maxKeyLen || klen > uint64(len(body)) {
+		if !ok || klen > MaxKeyLen || klen > uint64(len(body)) {
 			return nil, false
 		}
 		key := string(body[:klen])

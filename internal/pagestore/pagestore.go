@@ -38,6 +38,7 @@ import (
 	"strings"
 	"sync"
 
+	"pagequality/internal/graph"
 	"pagequality/internal/par"
 )
 
@@ -101,8 +102,16 @@ var (
 
 const (
 	defaultMaxSeg = 64 << 20
-	maxKeyLen     = 1 << 16
 	maxBodyLen    = 64 << 20
+)
+
+// MaxLabelLen is the longest crawl label in a crawl archive's
+// "<label>/<url>" keys, and MaxKeyLen the longest key Put accepts: room
+// for such a label in front of the longest URL a link graph holds, so
+// every page a crawl keeps can be archived.
+const (
+	MaxLabelLen = 255
+	MaxKeyLen   = MaxLabelLen + 1 + graph.MaxURLLen // 1 for the slash
 )
 
 // Open opens (or creates) a repository in dir, rebuilding the key index
@@ -376,7 +385,7 @@ func parseRecordAt(data []byte, off int64) (total int64, key []byte, meta Meta, 
 	if !ok {
 		return 0, nil, meta, nil, io.ErrUnexpectedEOF
 	}
-	if klen > maxKeyLen {
+	if klen > MaxKeyLen {
 		return 0, nil, meta, nil, fmt.Errorf("%w: key length %d", ErrCorrupt, klen)
 	}
 	if uint64(len(b)-p) < klen+8 {
@@ -435,7 +444,7 @@ func deflate(body []byte, limit int) ([]byte, error) {
 
 // Put stores (or replaces) the body under key.
 func (s *Store) Put(key string, meta Meta, body []byte) error {
-	if key == "" || len(key) > maxKeyLen {
+	if key == "" || len(key) > MaxKeyLen {
 		return fmt.Errorf("pagestore: invalid key length %d", len(key))
 	}
 	compressed, err := deflate(body, maxBodyLen)

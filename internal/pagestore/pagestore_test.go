@@ -323,7 +323,7 @@ func TestInvalidInputs(t *testing.T) {
 	if err := s.Put("", Meta{}, nil); err == nil {
 		t.Fatal("empty key accepted")
 	}
-	if err := s.Put(strings.Repeat("k", maxKeyLen+1), Meta{}, nil); err == nil {
+	if err := s.Put(strings.Repeat("k", MaxKeyLen+1), Meta{}, nil); err == nil {
 		t.Fatal("oversized key accepted")
 	}
 }

@@ -1,7 +1,7 @@
 // Package ranking defines the pluggable ranking policies that close the
 // paper's feedback loop: a search engine surfaces pages, users discover
 // what is surfaced, and the resulting links feed the next ranking. The
-// paper (and ROADMAP item 3) frames this as the experiment it proposed
+// paper frames this ranking feedback loop as the experiment it proposed
 // but could never run — how does the *choice of ranking function* shape
 // long-run quality discovery and popularity bias?
 //

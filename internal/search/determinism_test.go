@@ -3,6 +3,7 @@ package search
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -38,6 +39,7 @@ func TestScoringDeterministic(t *testing.T) {
 	docs := synthDocs(120)
 	query := "term1 term2 term3 term5 term8 term13 term21 term34 shared common everywhere unique3"
 	terms := Tokenize(query)
+	slices.Sort(terms) // vectorKernel's precondition, as Options.prepare establishes it
 
 	a := buildIndex(docs)
 	b := buildIndex(docs)
@@ -58,7 +60,8 @@ func TestScoringDeterministic(t *testing.T) {
 		sc := f.getScratch()
 		defer f.release(sc)
 		out := make(map[int32]float64)
-		for _, d := range f.vectorKernel(terms, sc) {
+		docs, _ := f.vectorKernel(terms, sc)
+		for _, d := range docs {
 			out[d] = sc.score[d]
 		}
 		return out

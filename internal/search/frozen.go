@@ -9,8 +9,8 @@ import (
 // served from: all postings live in one backing doc-id slice and one
 // term-frequency slice, bucketed per term through start offsets, with the
 // per-term idf values and the per-document tf-idf L2 norms precomputed at
-// freeze time. The layout mirrors graph.CSR and the PageRank kernels of
-// PR 1: pointer-free flat slices the scoring loops stream through.
+// freeze time. The layout mirrors graph.CSR and the PageRank kernels:
+// pointer-free flat slices the scoring loops stream through.
 //
 // A frozen view is immutable once built; any number of Search calls may
 // share it concurrently. Mutating the index (Add) invalidates the view
@@ -30,12 +30,22 @@ type frozen struct {
 
 // scratch holds one query's dense accumulators, recycled through the
 // frozen view's pool so concurrent searches never share state and steady
-// traffic allocates nothing per query. Only the entries listed in touched
-// are dirty; release zeroes exactly those.
+// traffic allocates nothing per query. Only the matched entries of
+// touched are dirty; release zeroes exactly those.
 type scratch struct {
 	score   []float64 // per-doc relevance accumulator
-	seen    []bool    // per-doc touched marker
-	touched []int32   // docs hit by the current query, in first-touch order
+	seen    []uint8   // per-doc matched marker, 0 or 1
+	touched []int32   // numDocs+1 slots; the first matched are the query's docs in first-touch order
+	matched int
+}
+
+// initPool points the view's scratch pool at buffers sized to its
+// documents. Every frozen view, global or shard, builds its scratch here.
+func (f *frozen) initPool() {
+	n := f.numDocs
+	f.pool.New = func() any {
+		return &scratch{score: make([]float64, n), seen: make([]uint8, n), touched: make([]int32, n+1)}
+	}
 }
 
 // frozen returns the current view, building it on first use after a
@@ -96,9 +106,7 @@ func (ix *Index) freeze() *frozen {
 	for i := range f.norm {
 		f.norm[i] = math.Sqrt(f.norm[i])
 	}
-	f.pool.New = func() any {
-		return &scratch{score: make([]float64, n), seen: make([]bool, n)}
-	}
+	f.initPool()
 	return f
 }
 
@@ -111,54 +119,70 @@ func (f *frozen) getScratch() *scratch {
 // scratch to the pool, keeping the per-query reset O(matched docs)
 // instead of O(corpus).
 func (f *frozen) release(sc *scratch) {
-	for _, d := range sc.touched {
+	for _, d := range sc.touched[:sc.matched] {
 		sc.score[d] = 0
-		sc.seen[d] = false
+		sc.seen[d] = 0
 	}
-	sc.touched = sc.touched[:0]
+	sc.matched = 0
 	f.pool.Put(sc)
 }
 
-// touch marks doc d matched, recording it on first contact.
-func (sc *scratch) touch(d int32) {
-	if !sc.seen[d] {
-		sc.seen[d] = true
-		sc.touched = append(sc.touched, d)
-	}
-}
-
 // vectorKernel computes cosine(query, doc) over tf-idf weights into the
-// scratch and returns the matched doc set. Query terms are visited in
-// sorted order so each float accumulation happens in exactly the order
-// the historical map-based scorer used: the resulting scores are bitwise
-// identical to it (pinned by TestSearchMatchesReference).
-func (f *frozen) vectorKernel(terms []string, sc *scratch) []int32 {
-	qCounts := queryCounts(terms)
+// scratch and returns the matched doc set and its largest score. terms
+// must be sorted (Options.prepare sorts them): each run of equal terms is
+// one distinct query term with its count, so each float accumulation
+// happens in exactly the order the historical map-based scorer used and
+// the scores are bitwise identical to it (pinned by
+// TestSearchMatchesReference).
+//
+// The posting loop does not branch on whether a document was already
+// seen — a data-dependent branch the CPU mispredicts. It writes the doc
+// into the next touched slot every time and advances past it only on
+// first contact (touched has one slot more than there are documents for
+// the write after the last advance), so the touched order, and with it
+// every float, is the branchy version's.
+func (f *frozen) vectorKernel(terms []string, sc *scratch) ([]int32, float64) {
+	score, seen, touched := sc.score, sc.seen, sc.touched
+	m := 0
 	qNorm := 0.0
-	for _, t := range sortedKeys(qCounts) {
+	for i := 0; i < len(terms); {
+		t, count := terms[i], 1
+		for i+count < len(terms) && terms[i+count] == t {
+			count++
+		}
+		i += count
 		id, ok := f.termID[t]
 		if !ok {
 			continue // absent term: idf 0, contributes nothing
 		}
 		w := f.idf[id]
-		qw := float64(qCounts[t]) * w
+		qw := float64(count) * w
 		qNorm += qw * qw
-		for i := f.start[id]; i < f.start[id+1]; i++ {
-			d := f.docs[i]
-			sc.touch(d)
-			sc.score[d] += qw * float64(f.tfs[i]) * w
+		lo, hi := f.start[id], f.start[id+1]
+		docs, tfs := f.docs[lo:hi], f.tfs[lo:hi]
+		for p, d := range docs {
+			touched[m] = d
+			m += int(seen[d] ^ 1)
+			seen[d] = 1
+			score[d] += qw * float64(tfs[p]) * w
 		}
 	}
+	sc.matched = m
 	if qNorm == 0 {
 		// No query term appears in the corpus: empty result. (Any
 		// present term has df >= 1, hence idf > 0 and qNorm > 0.)
-		return nil
+		return nil, 0
 	}
 	qn := math.Sqrt(qNorm)
-	for _, d := range sc.touched {
+	maxRel := 0.0
+	matched := touched[:m]
+	for _, d := range matched {
 		if f.norm[d] > 0 {
-			sc.score[d] /= qn * f.norm[d]
+			score[d] /= qn * f.norm[d]
+		}
+		if score[d] > maxRel {
+			maxRel = score[d]
 		}
 	}
-	return sc.touched
+	return matched, maxRel
 }

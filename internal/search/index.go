@@ -9,15 +9,19 @@
 //
 // Queries are served from a frozen, CSR-style posting layout (see
 // frozen.go): flat doc-id and term-frequency slices per sorted term with
-// idf values and norms precomputed, scored through dense pooled
-// accumulators and a bounded top-k heap. The results are bitwise
-// identical to the original map-accumulator scorer, which the regression
-// tests retain as an oracle.
+// idf values and norms precomputed, scored by a branch-free kernel into
+// dense pooled accumulators. Selection offers the matched documents to a
+// bounded top-k heap — in doc order, or, given an AuthorityOrder (see
+// order.go), in descending authority, stopping once no document left can
+// enter the top k. The results are bitwise identical to the original
+// map-accumulator scorer, which the regression tests retain as an
+// oracle.
 package search
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -192,11 +196,18 @@ type Options struct {
 	// set). Weight 1 reproduces the paper's framing exactly: relevance
 	// only selects the set, authority alone orders it.
 	AuthorityWeight float64
+	// Order, when non-nil, must be NewAuthorityOrder(Authority) — built
+	// over this very slice, which must not have changed since. Search
+	// then selects by walking the documents in authority order and stops
+	// at the first one that cannot enter the top k; the hits are the
+	// ones it returns without Order. ShardedIndex checks it and ignores it.
+	Order *AuthorityOrder
 }
 
 // prepare is the query preamble Index.Search and
 // ShardedIndex.SearchContext share: defaults and validation against the
-// corpus size, then the query's tokens, of which there must be one.
+// corpus size, then the query's tokens, of which there must be one,
+// sorted for vectorKernel.
 func (o *Options) prepare(query string, numDocs int) ([]string, error) {
 	if err := o.fill(numDocs); err != nil {
 		return nil, err
@@ -205,6 +216,7 @@ func (o *Options) prepare(query string, numDocs int) ([]string, error) {
 	if len(terms) == 0 {
 		return nil, fmt.Errorf("%w: empty query", ErrBadQuery)
 	}
+	slices.Sort(terms)
 	return terms, nil
 }
 
@@ -229,6 +241,9 @@ func (o *Options) fill(numDocs int) error {
 			return fmt.Errorf("%w: AuthorityWeight=%g", ErrBadQuery, o.AuthorityWeight)
 		}
 	}
+	if o.Order != nil && !o.Order.builtOver(o.Authority) {
+		return fmt.Errorf("%w: authority order not built over Authority", ErrBadQuery)
+	}
 	return nil
 }
 
@@ -244,25 +259,23 @@ func (ix *Index) Search(query string, opts Options) ([]Hit, error) {
 	f := ix.frozen()
 	sc := f.getScratch()
 	defer f.release(sc)
-	docs := f.vectorKernel(terms, sc)
+	docs, maxRel := f.vectorKernel(terms, sc)
 	if len(docs) == 0 {
 		return nil, nil
 	}
-	return blendAndSelect(docs, sc.score, opts), nil
+	if opts.Order != nil {
+		return opts.Order.selectTop(sc, len(docs), maxRel, opts), nil
+	}
+	return blendAndSelect(docs, sc.score, maxRel, opts), nil
 }
 
-// blendAndSelect normalises the relevance scores, blends in the
-// authority signal, and selects the top k hits. The max-reductions are
-// order-independent and the per-doc blend uses exactly the expressions
-// of the historical scorer, so the hit list is bitwise identical to
-// building every hit and fully sorting (see topK).
-func blendAndSelect(docs []int32, rel []float64, opts Options) []Hit {
-	maxRel := 0.0
-	for _, d := range docs {
-		if rel[d] > maxRel {
-			maxRel = rel[d]
-		}
-	}
+// blendAndSelect blends the normalised relevance scores with the
+// authority signal and selects the top k hits, offering every matched
+// document. The max-reductions are order-independent and the per-doc
+// blend uses exactly the expressions of the historical scorer, so the
+// hit list is bitwise identical to building every hit and fully sorting
+// (see topK).
+func blendAndSelect(docs []int32, rel []float64, maxRel float64, opts Options) []Hit {
 	var maxAuth float64
 	if opts.Authority != nil {
 		for _, d := range docs {
@@ -279,9 +292,10 @@ func blendAndSelect(docs []int32, rel []float64, opts Options) []Hit {
 }
 
 // blendHit builds the final hit for one document from its relevance and
-// the corpus-global maxima. The unsharded and sharded paths both rank
-// through this single function, so their per-doc floats cannot diverge:
-// the expressions are exactly the historical scorer's.
+// the corpus-global maxima. The linear pass, the authority-order walk
+// and the sharded path all rank through this single function, so their
+// per-doc floats cannot diverge: the expressions are exactly the
+// historical scorer's.
 func blendHit(doc int, rel, maxRel, maxAuth float64, opts Options) Hit {
 	h := Hit{Doc: doc, Relevance: rel}
 	relNorm := 0.0
@@ -298,26 +312,6 @@ func blendHit(doc int, rel, maxRel, maxAuth float64, opts Options) Hit {
 		h.Score = relNorm
 	}
 	return h
-}
-
-// queryCounts tallies term frequencies of a tokenized query.
-func queryCounts(terms []string) map[string]int {
-	qCounts := make(map[string]int, len(terms))
-	for _, t := range terms {
-		qCounts[t]++
-	}
-	return qCounts
-}
-
-// sortedKeys returns the map's keys in sorted order, the iteration order
-// used wherever float scores are accumulated per term.
-func sortedKeys(m map[string]int) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 // sortedVocab returns every indexed term in sorted order.

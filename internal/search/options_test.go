@@ -1,7 +1,10 @@
 package search
 
 import (
+	"context"
 	"errors"
+	"math"
+	"slices"
 	"testing"
 )
 
@@ -66,4 +69,56 @@ func TestTopKOnEmptyIndex(t *testing.T) {
 	if hits != nil {
 		t.Fatalf("hits on empty index: %v", hits)
 	}
+}
+
+// TestAuthorityOrder pins the order's contract: descending authority,
+// equal values (-0 and 0 included) by ascending doc id; NaN and ±Inf
+// refused by the constructor; and Options.Order accepted only over the
+// very slice it was built from — not a copy, not a reslice, not without
+// Authority — by Index.Search and ShardedIndex alike.
+func TestAuthorityOrder(t *testing.T) {
+	o, err := NewAuthorityOrder([]float64{0.5, 1, 0.5, math.Copysign(0, -1), 0, -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []int32{1, 0, 2, 3, 4, 5}; !slices.Equal(o.docs, want) {
+		t.Fatalf("order %v, want %v", o.docs, want)
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := NewAuthorityOrder([]float64{1, bad, 0}); !errors.Is(err, ErrBadQuery) {
+			t.Fatalf("authority %v: error %v, want ErrBadQuery", bad, err)
+		}
+	}
+
+	ix := corpus() // 5 documents
+	auth := []float64{0, 0.1, 5, 0, 0.1}
+	order := orderOf(auth)
+	sx, err := ix.Shard(2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	copied := append([]float64(nil), auth...)
+	longer := append(append(make([]float64, 0, 6), auth...), 7)
+	for name, opts := range map[string]Options{
+		"another vector": {Authority: copied, Order: order},
+		"no authority":   {Order: order},
+		"a shorter one":  {Authority: auth, Order: orderOf(auth[:4])},
+		"a longer one":   {Authority: longer[:5], Order: orderOf(longer)},
+	} {
+		if _, err := ix.Search("quick", opts); !errors.Is(err, ErrBadQuery) {
+			t.Fatalf("%s: Search error %v, want ErrBadQuery", name, err)
+		}
+		if _, err := sx.SearchContext(context.Background(), "quick", opts); !errors.Is(err, ErrBadQuery) {
+			t.Fatalf("%s: SearchContext error %v, want ErrBadQuery", name, err)
+		}
+	}
+	plain, err := ix.Search("quick", Options{Authority: auth, AuthorityWeight: 0.7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	walked, err := ix.Search("quick", Options{Authority: auth, AuthorityWeight: 0.7, Order: order})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hitsBitwiseEqual(t, "walked", walked, plain)
 }

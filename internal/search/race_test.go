@@ -11,7 +11,8 @@ import (
 // the very first queries, which race to build the frozen view — and
 // checks every result against the serially computed answer, bit for bit.
 // Run under -race this pins the concurrency contract the serving path
-// relies on: a frozen index is safe for unlimited concurrent Search.
+// relies on: a frozen index, and one authority order shared by every
+// goroutine, are safe for unlimited concurrent Search.
 func TestConcurrentSearch(t *testing.T) {
 	docs := synthDocs(150)
 	ix := buildIndex(docs)
@@ -19,6 +20,7 @@ func TestConcurrentSearch(t *testing.T) {
 	for i := range auth {
 		auth[i] = 1 / float64(i%13+1)
 	}
+	order := orderOf(auth)
 	type q struct {
 		query string
 		opts  Options
@@ -29,6 +31,8 @@ func TestConcurrentSearch(t *testing.T) {
 		{"shared everywhere", Options{TopK: 30}},
 		{"term2 unique7 zzz", Options{TopK: 15}},
 		{"unique3", Options{TopK: 5, Authority: auth, AuthorityWeight: 1}},
+		{"shared common term3 term8", Options{TopK: 20, Authority: auth, AuthorityWeight: 0.7, Order: order}},
+		{"everywhere term2", Options{TopK: 5, Authority: auth, AuthorityWeight: 1, Order: order}},
 	}
 	// Serial ground truth from an identical, separately frozen index, so
 	// the index under test is first touched concurrently.

@@ -13,6 +13,26 @@ import (
 	"sort"
 )
 
+// queryCounts tallies term frequencies of a tokenized query.
+func queryCounts(terms []string) map[string]int {
+	qCounts := make(map[string]int, len(terms))
+	for _, t := range terms {
+		qCounts[t]++
+	}
+	return qCounts
+}
+
+// sortedKeys returns the map's keys in sorted order, the iteration order
+// the reference scorer accumulates per-term floats in.
+func sortedKeys(m map[string]int) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
 // idfReference is the smoothed inverse document frequency the
 // reference scorers weigh terms by.
 func (ix *Index) idfReference(term string) float64 {

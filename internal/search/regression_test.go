@@ -26,9 +26,19 @@ func hitsBitwiseEqual(t *testing.T, label string, got, want []Hit) {
 	}
 }
 
+// orderOf is NewAuthorityOrder for a vector a test knows to be finite.
+func orderOf(auth []float64) *AuthorityOrder {
+	o, err := NewAuthorityOrder(auth)
+	if err != nil {
+		panic(err)
+	}
+	return o
+}
+
 // TestSearchMatchesReference is the pin for the flat-kernel rewrite:
 // across truncating and non-truncating TopK values and with and without
-// authority blending, the frozen-postings path must
+// authority blending — offering every match, or walking an authority
+// order — the frozen-postings path must
 // return exactly the hits of the historical map-accumulator scorer —
 // same docs, same order, same Float64bits.
 func TestSearchMatchesReference(t *testing.T) {
@@ -38,6 +48,7 @@ func TestSearchMatchesReference(t *testing.T) {
 	for i := range auth {
 		auth[i] = 1 / float64(i%23+1)
 	}
+	order := orderOf(auth)
 	queries := []string{
 		"term1",
 		"shared",
@@ -59,6 +70,10 @@ func TestSearchMatchesReference(t *testing.T) {
 		{"k-overshoot", Options{TopK: 10 * len(docs)}},
 		{"auth", Options{TopK: 20, Authority: auth}},
 		{"auth-w1", Options{TopK: 20, Authority: auth, AuthorityWeight: 1}},
+		{"order", Options{TopK: 20, Authority: auth, Order: order}},
+		{"order-w1", Options{TopK: 20, Authority: auth, AuthorityWeight: 1, Order: order}},
+		{"order-k1", Options{TopK: 1, Authority: auth, AuthorityWeight: 0.7, Order: order}},
+		{"order-k-all", Options{TopK: len(docs), Authority: auth, AuthorityWeight: 0.7, Order: order}},
 	}
 	for _, q := range queries {
 		for _, v := range variants {
@@ -213,30 +228,56 @@ func TestSearchTopKBeyondRelevantSet(t *testing.T) {
 // fuzzIndex is the small fixed corpus FuzzSearchQuery searches.
 var fuzzIndex = buildIndex(append(synthDocs(60), analyzeSeeds...))
 
-// fuzzAuthority is the fixed authority vector FuzzSearchQuery blends in.
-var fuzzAuthority = func() []float64 {
+// fuzzAuthority and fuzzTies are the fixed authority vectors
+// FuzzSearchQuery blends in, each with its order. fuzzAuthority is
+// positive, repeating every 23 documents. fuzzTies is positive only on
+// every fifth document, all at one value, and 0, -0 or negative
+// elsewhere: a relevant set off those documents has no positive maximum
+// (the walk has no bound), and one on them ties at the bound.
+var (
+	fuzzAuthority = fuzzVector(func(i int) float64 { return 1 / float64(i%23+1) })
+	fuzzTies      = fuzzVector(func(i int) float64 {
+		if i%5 == 0 {
+			return 0.25
+		}
+		return -float64(i % 3)
+	})
+	fuzzAuthorityOrder = orderOf(fuzzAuthority)
+	fuzzTiesOrder      = orderOf(fuzzTies)
+)
+
+func fuzzVector(a func(doc int) float64) []float64 {
 	auth := make([]float64, fuzzIndex.NumDocs())
 	for i := range auth {
-		auth[i] = 1 / float64(i%23+1)
+		auth[i] = a(i)
 	}
 	return auth
-}()
+}
 
 // FuzzSearchQuery: for arbitrary query bytes and k, ranked by relevance
-// alone or blended with a fixed authority vector at weight 0.7 (what
-// /search serves for rank=quality|pagerank), Search never panics, fails
-// exactly when the retained reference scorer fails and only with
-// ErrBadQuery, and otherwise returns the reference's hits bit for bit —
-// at most k of them, in ranking order. The seeds are the committed
-// corpus under testdata/fuzz/FuzzSearchQuery, which runs on every plain
-// `go test`: no token at all, non-ASCII and invalid bytes, repeated and
-// absent terms with and without authority, and k zero (the default),
-// negative, and far beyond the corpus.
+// alone or — blend % 5 from 1 to 4 — through an authority order over
+// fuzzAuthority or fuzzTies at weight 0.7 (what /search serves for
+// rank=quality|pagerank) or 1 (the ranking policies' weight), Search
+// never panics, fails exactly when the retained reference scorer fails
+// and only with ErrBadQuery, and otherwise returns the reference's hits
+// bit for bit — at most k of them, in ranking order. The seeds are the
+// committed corpus under testdata/fuzz/FuzzSearchQuery, which runs on
+// every plain `go test`: no token at all, non-ASCII and invalid bytes,
+// repeated and absent terms under every blend, a relevant set with no
+// positive authority, ties at the walk's bound, and k zero (the
+// default), negative, and far beyond the corpus.
 func FuzzSearchQuery(f *testing.F) {
-	f.Fuzz(func(t *testing.T, query string, withAuthority bool, k int) {
+	f.Fuzz(func(t *testing.T, query string, blend uint8, k int) {
 		opts := Options{TopK: k}
-		if withAuthority {
-			opts.Authority, opts.AuthorityWeight = fuzzAuthority, 0.7
+		if blend %= 5; blend > 0 {
+			opts.Authority, opts.Order = fuzzAuthority, fuzzAuthorityOrder
+			if blend%2 == 0 {
+				opts.Authority, opts.Order = fuzzTies, fuzzTiesOrder
+			}
+			opts.AuthorityWeight = 0.7
+			if blend > 2 {
+				opts.AuthorityWeight = 1
+			}
 		}
 		got, err := fuzzIndex.Search(query, opts)
 		want, refErr := fuzzIndex.searchReference(query, opts)
@@ -259,4 +300,39 @@ func FuzzSearchQuery(f *testing.F) {
 		}
 		hitsBitwiseEqual(t, fmt.Sprintf("Search(%q, %+v)", query, opts), got, want)
 	})
+}
+
+// TestAuthorityWalkTieAtTheBound builds the case the walk's strict
+// comparison exists for: a later, lower-authority match whose bound —
+// and score — equals the heap root's score exactly, and whose smaller
+// doc id wins the tie. At weight 0.5, doc 0 (relevance 1, authority r)
+// and doc 1 (relevance r, authority 1) both score 0.5 + 0.5·r in the
+// same floats. Doc 1 comes first in authority order and fills the k = 1
+// heap; stopping at a bound equal to its score would return it instead
+// of doc 0.
+func TestAuthorityWalkTieAtTheBound(t *testing.T) {
+	ix := buildIndex([]string{"alpha", "alpha beta gamma"})
+	rel, err := ix.Search("alpha", Options{TopK: 2})
+	if err != nil || len(rel) != 2 || rel[0].Doc != 0 {
+		t.Fatalf("relevance ranking %v, %v", rel, err)
+	}
+	auth := []float64{rel[1].Score, 1}
+	both, err := ix.Search("alpha", Options{TopK: 2, Authority: auth, AuthorityWeight: 0.5})
+	if err != nil || math.Float64bits(both[0].Score) != math.Float64bits(both[1].Score) {
+		t.Fatalf("the two documents do not tie: %v, %v", both, err)
+	}
+	opts := Options{TopK: 1, Authority: auth, AuthorityWeight: 0.5}
+	want, err := ix.Search("alpha", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.Order = orderOf(auth)
+	got, err := ix.Search("alpha", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) != 1 || want[0].Doc != 0 {
+		t.Fatalf("linear pass returned %v, want doc 0 on the tie", want)
+	}
+	hitsBitwiseEqual(t, "walk", got, want)
 }

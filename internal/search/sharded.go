@@ -97,9 +97,7 @@ func partitionFrozen(f *frozen, k int) []*frozen {
 			norm:    make([]float64, n),
 			numDocs: n,
 		}
-		p.pool.New = func() any {
-			return &scratch{score: make([]float64, n), seen: make([]bool, n)}
-		}
+		p.initPool()
 		parts[s] = p
 	}
 	for d := 0; d < f.numDocs; d++ {
@@ -138,6 +136,9 @@ type shardResult struct {
 // comparator is a total order, the merged list is exactly the unsharded
 // result.
 //
+// Options.Order is validated and otherwise unused: every shard offers
+// all of its matches.
+//
 // ctx cancellation (a client disconnect, a server shutdown) stops the
 // fan-out between shards: workers finish the shard kernel they are in,
 // skip the rest, and SearchContext returns ctx.Err().
@@ -162,13 +163,8 @@ func (si *ShardedIndex) SearchContext(ctx context.Context, query string, opts Op
 		p := si.parts[s]
 		sc := p.getScratch()
 		results[s].sc = sc
-		docs := p.vectorKernel(terms, sc)
-		results[s].docs = docs
-		for _, d := range docs {
-			if sc.score[d] > results[s].maxRel {
-				results[s].maxRel = sc.score[d]
-			}
-		}
+		docs, maxRel := p.vectorKernel(terms, sc)
+		results[s].docs, results[s].maxRel = docs, maxRel
 		if opts.Authority != nil {
 			for _, d := range docs {
 				if a := opts.Authority[int(d)*k+s]; a > results[s].maxAuth {

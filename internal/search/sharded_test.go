@@ -12,7 +12,8 @@ import (
 
 // shardedQueries is the query mix the parity and race tests drive: short
 // and multi-term queries, absent terms, and authority blends at several
-// weights.
+// weights, one through an authority order (which Index.Search walks and
+// ShardedIndex does not).
 func shardedQueries(numDocs int) (queries []string, opts []Options) {
 	auth := make([]float64, numDocs)
 	for i := range auth {
@@ -25,6 +26,7 @@ func shardedQueries(numDocs int) (queries []string, opts []Options) {
 		"term2 unique7 zzz",
 		"unique3",
 		"term40 term39 term38 term37 term36 shared",
+		"term4 term9 everywhere common",
 	}
 	opts = []Options{
 		{TopK: 20},
@@ -33,6 +35,7 @@ func shardedQueries(numDocs int) (queries []string, opts []Options) {
 		{TopK: 15, Authority: auth, AuthorityWeight: 0.3},
 		{TopK: 5, Authority: auth, AuthorityWeight: 1},
 		{TopK: numDocs},
+		{TopK: 10, Authority: auth, AuthorityWeight: 0.7, Order: orderOf(auth)},
 	}
 	return queries, opts
 }

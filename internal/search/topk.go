@@ -71,6 +71,13 @@ func (t *topK) offer(h Hit) {
 	}
 }
 
+// closedBelow reports whether no hit scoring at most bound can enter any
+// more: the heap is full and bound is strictly below its worst retained
+// score. At equal scores the doc id decides, so equality keeps it open.
+func (t *topK) closedBelow(bound float64) bool {
+	return len(t.hits) == t.k && bound < t.hits[0].Score
+}
+
 // ranked returns the retained hits in final ranking order.
 func (t *topK) ranked() []Hit {
 	slices.SortFunc(t.hits, func(a, b Hit) int {

@@ -10,9 +10,11 @@
 //	GET /healthz
 //
 // The query path is built for load: the index serves every request from
-// a frozen flat posting layout; a response is appended onto JSON
-// fragments each generation renders once per document, so a miss formats
-// only its scores; and an LRU cache keyed on (generation, query, k, rank)
+// a frozen flat posting layout; a blended mode visits the matches in the
+// generation's precomputed authority order and stops once none left can
+// rank; a response is appended onto JSON fragments each generation
+// renders once per document, so a miss formats only its scores; and an
+// LRU cache keyed on (generation, query, k, rank)
 // short-cuts repeated queries, with per-key singleflight so a thundering
 // herd on a cold key runs the search once. An admission limiter
 // (Config.MaxInflight, Config.MaxWait) bounds concurrent searches: on
@@ -66,17 +68,21 @@ type Config struct {
 }
 
 // Generation is one immutable serving state: the eagerly frozen index,
-// the per-document score vectors, the URL table and the JSON each hit
-// repeats, all derived from a single read of the crawl series. A query
-// loads the current generation exactly once and touches only its fields,
-// so every response is internally consistent even when a refresh swaps
-// generations mid-flight.
+// the per-document score vectors and their authority orders, the URL
+// table and the JSON each hit repeats, all derived from a single read of
+// the crawl series. A query loads the current generation exactly once
+// and touches only its fields, so every response is internally
+// consistent even when a refresh swaps generations mid-flight.
 type Generation struct {
 	ID   uint64
 	ix   *search.Index
 	urls []string // doc id -> canonical URL
 	qual []float64
 	pr   []float64
+	// qualOrder and prOrder rank every document by qual and by pr: the
+	// blended modes select by walking them (search.Options.Order).
+	qualOrder *search.AuthorityOrder
+	prOrder   *search.AuthorityOrder
 	// frag holds every document's two JSON fragments back to back: doc
 	// d's head `{"url":<url>,"score":` is frag[fragOff[2d]:fragOff[2d+1]],
 	// its tail `,"quality":<q>,"pagerank":<pr>}` runs on to fragOff[2d+2].
@@ -85,10 +91,10 @@ type Generation struct {
 }
 
 // newGeneration freezes ix — once, so no reader pays (or races on) the
-// lazy posting-layout build after the swap — and renders what a hit on
-// each document always says: its URL, quality and PageRank. A
-// non-finite score has no JSON form, so it fails the generation instead
-// of every query that ranks the document.
+// lazy posting-layout build after the swap — renders what a hit on each
+// document always says: its URL, quality and PageRank, and sorts the
+// documents by each score. A non-finite score has no JSON form, so it
+// fails the generation instead of every query that ranks the document.
 func newGeneration(id uint64, ix *search.Index, urls []string, qual, pr []float64) (*Generation, error) {
 	ix.Freeze()
 	g := &Generation{ID: id, ix: ix, urls: urls, qual: qual, pr: pr, fragOff: make([]int, 0, 2*len(urls)+1)}
@@ -111,6 +117,13 @@ func newGeneration(id uint64, ix *search.Index, urls []string, qual, pr []float6
 		g.frag = append(g.frag, '}')
 	}
 	g.fragOff = append(g.fragOff, len(g.frag))
+	var err error
+	if g.qualOrder, err = search.NewAuthorityOrder(qual); err != nil {
+		return nil, err
+	}
+	if g.prOrder, err = search.NewAuthorityOrder(pr); err != nil {
+		return nil, err
+	}
 	return g, nil
 }
 
@@ -382,10 +395,10 @@ func (s *Service) serveSearch(w http.ResponseWriter, r *http.Request) {
 	opts := search.Options{TopK: k}
 	switch rank {
 	case "quality":
-		opts.Authority = g.qual
+		opts.Authority, opts.Order = g.qual, g.qualOrder
 		opts.AuthorityWeight = 0.7
 	case "pagerank":
-		opts.Authority = g.pr
+		opts.Authority, opts.Order = g.pr, g.prOrder
 		opts.AuthorityWeight = 0.7
 	}
 	// The search does not take the request's context: a leader whose client

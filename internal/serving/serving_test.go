@@ -19,9 +19,9 @@ import (
 	"pagequality/internal/webserver"
 )
 
-// buildFixture grows a corpus, crawls it three times over HTTP (archiving
-// bodies under t1..t3), and writes the snapshot store — the exact inputs
-// qualityserve consumes in production.
+// buildFixture grows a small corpus, crawls it three times over HTTP
+// (archiving bodies under t1..t3), and writes the snapshot store — the
+// exact inputs qualityserve consumes in production.
 func buildFixture(t testing.TB) (storePath, archiveDir string) {
 	t.Helper()
 	cfg := webcorpus.DefaultConfig()
@@ -33,6 +33,13 @@ func buildFixture(t testing.TB) (storePath, archiveDir string) {
 	cfg.BirthRate = 2
 	cfg.BurnInWeeks = 20
 	cfg.Seed = 14
+	return crawlFixture(t, cfg, webcorpus.TextOptions{MinWords: 20, MaxWords: 40})
+}
+
+// crawlFixture grows the corpus cfg describes and crawls it at weeks 0, 4
+// and 8, serving page text generated with text.
+func crawlFixture(t testing.TB, cfg webcorpus.Config, text webcorpus.TextOptions) (storePath, archiveDir string) {
+	t.Helper()
 	sim, err := webcorpus.New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -46,11 +53,10 @@ func buildFixture(t testing.TB) (storePath, archiveDir string) {
 	}
 	defer arch.Close()
 
-	texts := func() []string { return sim.AllTexts(webcorpus.TextOptions{MinWords: 20, MaxWords: 40}) }
 	var snaps []snapshot.Snapshot
 	for k, week := range []float64{0, 4, 8} {
 		sim.AdvanceTo(week)
-		srv, err := webserver.New(sim.Graph().Clone(), texts())
+		srv, err := webserver.New(sim.Graph().Clone(), sim.AllTexts(text))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -85,11 +91,15 @@ func defaultQCfg() quality.Config {
 	return quality.Config{C: 1.0, MinChangeFrac: 0.05, ApplyTrendToDecreasing: true, MaxTrend: 0.3}
 }
 
-// fixtureConfig is qualityserve's default flags over a fresh fixture, with
-// a cache small enough for the tests to fill.
+// fixtureConfig is serviceConfig over a fresh fixture.
 func fixtureConfig(t testing.TB) Config {
 	t.Helper()
-	storePath, archiveDir := buildFixture(t)
+	return serviceConfig(buildFixture(t))
+}
+
+// serviceConfig is qualityserve's default flags over a store and an
+// archive, with a cache small enough for the tests to fill.
+func serviceConfig(storePath, archiveDir string) Config {
 	return Config{
 		StorePath: storePath, ArchiveDir: archiveDir, Snaps: 3, Quality: defaultQCfg(),
 		CacheSize: 64, MaxInflight: 256, MaxWait: 5 * time.Millisecond,
