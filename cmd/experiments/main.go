@@ -5,12 +5,14 @@
 // Usage:
 //
 //	experiments [-run all|table1|figure1|figure2|figure3|figure4|headline|
-//	             figure5|risingstars|ablation-c|ablation-forgetting|
-//	             ablation-window|ablation-estimator|ablation-solver|
-//	             validate-model] [-seed 1] [-sites 154] [-quick] [-csv dir]
+//	             figure5|ablation-c|ablation-forgetting|ablation-window|
+//	             risingstars|ranking-policies|multiseed|ablation-estimator|
+//	             ablation-solver|validate-model] [-seed 1] [-sites 154]
+//	            [-quick] [-csv dir] [-workers 0]
 //
 // -quick shrinks the corpus for a fast smoke run; -csv additionally writes
-// each figure's data as CSV into the given directory.
+// each figure's data as CSV into the given directory; -workers sets the
+// corpus draw-phase fan-out and never changes the output.
 package main
 
 import (

@@ -1,7 +1,7 @@
 // Package metrics implements the evaluation machinery of Section 8: the
 // relative prediction error err(p), its Figure-5 histogram (0.1-wide bins
 // with everything above 1 clamped into the last bin), summary statistics,
-// and the rank-comparison measures (Kendall τ, Spearman ρ, NDCG) used to
+// and the rank-comparison measures (Kendall τ, Spearman ρ) used to
 // compare quality-based and popularity-based rankings.
 package metrics
 

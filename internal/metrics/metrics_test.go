@@ -244,35 +244,6 @@ func TestFractionalRanksTies(t *testing.T) {
 	}
 }
 
-func TestNDCG(t *testing.T) {
-	rel := []float64{3, 2, 1, 0}
-	// Scores that rank items exactly by relevance: NDCG = 1.
-	got, err := NDCG([]float64{10, 9, 8, 7}, rel, 4)
-	if err != nil || math.Abs(got-1) > 1e-12 {
-		t.Fatalf("perfect NDCG = %g (%v)", got, err)
-	}
-	// Worst ordering scores strictly lower.
-	worst, err := NDCG([]float64{1, 2, 3, 4}, rel, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if worst >= got {
-		t.Fatalf("worst NDCG %g >= best %g", worst, got)
-	}
-	if _, err := NDCG([]float64{1, 2}, []float64{0, 0}, 2); !errors.Is(err, ErrBadInput) {
-		t.Fatal("all-zero relevance accepted")
-	}
-	if _, err := NDCG([]float64{1, 2}, []float64{-1, 0}, 2); !errors.Is(err, ErrBadInput) {
-		t.Fatal("negative relevance accepted")
-	}
-	if _, err := NDCG([]float64{1}, []float64{1, 2}, 1); !errors.Is(err, ErrBadInput) {
-		t.Fatal("length mismatch accepted")
-	}
-	if _, err := NDCG([]float64{1, 2}, []float64{1, 2}, 3); !errors.Is(err, ErrBadInput) {
-		t.Fatal("k>n accepted")
-	}
-}
-
 func TestCountInversions(t *testing.T) {
 	cases := []struct {
 		xs   []float64

@@ -184,46 +184,3 @@ func pearson(a, b []float64) (float64, error) {
 	}
 	return cov / math.Sqrt(va*vb), nil
 }
-
-// NDCG computes the normalised discounted cumulative gain at k of a
-// ranking (scores) against non-negative relevance grades: how well the
-// score ordering surfaces the truly relevant items near the top.
-//
-//pqlint:allow floateq exact-tie detection so equal scores fall through to the index tie-break
-func NDCG(scores, relevance []float64, k int) (float64, error) {
-	if len(scores) != len(relevance) {
-		return 0, fmt.Errorf("%w: length mismatch %d != %d", ErrBadInput, len(scores), len(relevance))
-	}
-	if k < 1 || k > len(scores) {
-		return 0, fmt.Errorf("%w: k=%d outside [1,%d]", ErrBadInput, k, len(scores))
-	}
-	for _, r := range relevance {
-		if r < 0 || math.IsNaN(r) {
-			return 0, fmt.Errorf("%w: negative relevance", ErrBadInput)
-		}
-	}
-	order := make([]int, len(scores))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(i, j int) bool {
-		if scores[order[i]] != scores[order[j]] {
-			return scores[order[i]] > scores[order[j]]
-		}
-		return order[i] < order[j]
-	})
-	dcg := 0.0
-	for pos := 0; pos < k; pos++ {
-		dcg += relevance[order[pos]] / math.Log2(float64(pos)+2)
-	}
-	ideal := append([]float64(nil), relevance...)
-	sort.Sort(sort.Reverse(sort.Float64Slice(ideal)))
-	idcg := 0.0
-	for pos := 0; pos < k; pos++ {
-		idcg += ideal[pos] / math.Log2(float64(pos)+2)
-	}
-	if idcg == 0 {
-		return 0, fmt.Errorf("%w: all relevance zero", ErrBadInput)
-	}
-	return dcg / idcg, nil
-}

@@ -156,12 +156,6 @@ func (s *Sim) Awareness() float64 {
 	return float64(len(s.awareList)) / float64(s.cfg.Users)
 }
 
-// Time returns the current simulation time.
-func (s *Sim) Time() float64 { return s.time }
-
-// Visits returns the cumulative number of visits so far.
-func (s *Sim) Visits() int64 { return s.visits }
-
 // Step advances the simulation by one DT tick: draws a Poisson number of
 // visits at the current visit rate, assigns each to a uniformly random
 // user, applies discovery/liking, then applies forgetting.

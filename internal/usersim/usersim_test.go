@@ -38,7 +38,7 @@ func TestInitialState(t *testing.T) {
 	if got := s.Awareness(); math.Abs(got-0.1) > 1e-12 {
 		t.Fatalf("initial awareness = %g, want 0.1", got)
 	}
-	if s.Time() != 0 || s.Visits() != 0 {
+	if s.time != 0 || s.visits != 0 {
 		t.Fatal("initial time or visit count nonzero")
 	}
 }
@@ -184,10 +184,10 @@ func TestVisitAccounting(t *testing.T) {
 	if _, err := s.Run(20, 10); err != nil {
 		t.Fatal(err)
 	}
-	if s.Visits() == 0 {
+	if s.visits == 0 {
 		t.Fatal("no visits recorded")
 	}
-	if s.discovers > s.Visits() {
+	if s.discovers > s.visits {
 		t.Fatal("more discoveries than visits")
 	}
 	// Every aware user beyond the initial seeds was discovered exactly once.
