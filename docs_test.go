@@ -1,8 +1,10 @@
 package pagequality_test
 
 import (
+	"io/fs"
 	"os"
 	"path"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
@@ -52,5 +54,54 @@ func TestDocsCitePathsThatExist(t *testing.T) {
 	}
 	if cited < 100 {
 		t.Fatalf("found only %d cited paths: the scan is broken", cited)
+	}
+}
+
+// backticked matches a fenced block or an inline code span; testName a
+// test, benchmark, fuzz target or example name inside one, and testFunc
+// its declaration.
+var (
+	backticked = regexp.MustCompile("(?s)```.*?```|`[^`]*`")
+	testName   = regexp.MustCompile(`\b(?:Test|Benchmark|Fuzz|Example)[A-Z_]\w*`)
+	testFunc   = regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz|Example)\w*)\(`)
+)
+
+// TestDocsCiteTestsThatExist fails on a document that names, in
+// backticks, a Test, Benchmark, Fuzz or Example function that no
+// _test.go file in the tree declares.
+func TestDocsCiteTestsThatExist(t *testing.T) {
+	declared := map[string]bool{}
+	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
+		if err != nil || !strings.HasSuffix(p, "_test.go") {
+			return err
+		}
+		data, err := os.ReadFile(p)
+		for _, m := range testFunc.FindAllSubmatch(data, -1) {
+			declared[string(m[1])] = true
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cited := 0
+	for _, doc := range citingDocs {
+		data, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		text := string(data)
+		for _, span := range backticked.FindAllStringIndex(text, -1) {
+			for _, name := range testName.FindAllString(text[span[0]:span[1]], -1) {
+				cited++
+				if !declared[name] {
+					t.Errorf("%s:%d cites %s, which no _test.go file declares",
+						doc, strings.Count(text[:span[0]], "\n")+1, name)
+				}
+			}
+		}
+	}
+	if cited < 50 {
+		t.Fatalf("found only %d cited test names: the scan is broken", cited)
 	}
 }

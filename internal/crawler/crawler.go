@@ -218,12 +218,12 @@ func Crawl(cfg Config) (*Result, error) {
 
 	c.mu.Lock()
 	for _, s := range cfg.Seeds {
-		n, err := normalizeURL(s, nil)
+		u, err := resolveURL(s, nil)
 		if err != nil {
 			c.mu.Unlock()
 			return nil, fmt.Errorf("crawler: seed %q: %w", s, err)
 		}
-		c.enqueueLocked(n)
+		c.enqueueLocked(u.String())
 	}
 	c.mu.Unlock()
 
@@ -503,14 +503,25 @@ func parsePageAt(fetchURL string, base *url.URL, body []byte) (page, error) {
 	if pg.canonical == "" {
 		pg.canonical = fetchURL
 	}
-	baseHost := base.Scheme + "://" + base.Host
+	// The same-host test belongs to a link's printed form, the URL the
+	// crawl fetches. Its parsed fields name the same host except in a URL
+	// without a host (the path "//evil/p" prints as http://evil/p) and in
+	// a host that does not survive escaping (a raw byte in an IPv6 zone):
+	// only those links are parsed a second time, from their printed form.
+	exact := hostOf((&url.URL{Scheme: base.Scheme, Host: base.Host}).String()) == base.Scheme+"://"+base.Host
 	for _, h := range hrefs {
-		n, err := normalizeURL(h, base)
+		u, err := resolveURL(h, base)
 		if err != nil {
 			continue // unparseable link: skip, as real crawlers do
 		}
-		// Stay on the crawled server: same scheme+host as the base.
-		if hostOf(n) != baseHost {
+		n := u.String()
+		if u.Host == "" || !exact {
+			if u, err = url.Parse(n); err != nil {
+				continue
+			}
+		}
+		// Stay on the crawled server: same scheme and host as the base.
+		if u.Scheme != base.Scheme || u.Host != base.Host {
 			continue
 		}
 		pg.links = append(pg.links, n)
@@ -543,21 +554,21 @@ func Assemble(docs []Document) (*Result, error) {
 	return assemble(pages, stats)
 }
 
-// normalizeURL resolves ref against base (may be nil for absolute URLs)
-// and strips fragments.
-func normalizeURL(ref string, base *url.URL) (string, error) {
+// resolveURL resolves ref against base (may be nil for absolute URLs)
+// and strips the fragment.
+func resolveURL(ref string, base *url.URL) (*url.URL, error) {
 	u, err := url.Parse(strings.TrimSpace(ref))
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 	if base != nil {
 		u = base.ResolveReference(u)
 	}
 	if !u.IsAbs() {
-		return "", fmt.Errorf("crawler: relative URL %q without base", ref)
+		return nil, fmt.Errorf("crawler: relative URL %q without base", ref)
 	}
 	u.Fragment = ""
-	return u.String(), nil
+	return u, nil
 }
 
 func hostOf(u string) string {
@@ -647,11 +658,11 @@ func FetchSeeds(ctx context.Context, client *http.Client, listURL string) ([]str
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
-		n, err := normalizeURL(line, base)
+		u, err := resolveURL(line, base)
 		if err != nil {
 			return nil, fmt.Errorf("crawler: seed line %q: %w", line, err)
 		}
-		seeds = append(seeds, n)
+		seeds = append(seeds, u.String())
 	}
 	if len(seeds) == 0 {
 		return nil, fmt.Errorf("crawler: empty seed list at %s", listURL)

@@ -18,7 +18,7 @@ import (
 )
 
 // testCorpus grows a small corpus and returns its graph.
-func testCorpus(t *testing.T, seed int64) *webcorpus.Sim {
+func testCorpus(t testing.TB, seed int64) *webcorpus.Sim {
 	t.Helper()
 	cfg := webcorpus.DefaultConfig()
 	cfg.Sites = 8

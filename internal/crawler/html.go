@@ -15,7 +15,7 @@ func ExtractLinks(body string) (hrefs []string, canonical string) {
 		name, attrs, i = nextTag(body, i)
 		switch {
 		case strings.EqualFold(name, "a"):
-			if href := parseAttrs(attrs)["href"]; href != "" {
+			if href := attrValue(attrs, "href"); href != "" {
 				hrefs = append(hrefs, href)
 			}
 		case canonical == "" && strings.EqualFold(name, "link"):
@@ -44,9 +44,8 @@ func Canonical(body string) string {
 // canonicalHref returns the href of a <link> tag's attribute text if its
 // rel is "canonical", else "".
 func canonicalHref(attrs string) string {
-	a := parseAttrs(attrs)
-	if strings.EqualFold(a["rel"], "canonical") {
-		return a["href"]
+	if strings.EqualFold(attrValue(attrs, "rel"), "canonical") {
+		return attrValue(attrs, "href")
 	}
 	return ""
 }
@@ -82,9 +81,12 @@ func isNameByte(c byte) bool {
 	return c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9'
 }
 
-// parseAttrs parses ` key="value" key2='v' key3=v key4 ` fragments.
-func parseAttrs(s string) map[string]string {
-	attrs := make(map[string]string, 4)
+// attrValue returns the value of attribute name (lower case) in a tag's
+// ` key="value" key2='v' key3=v key4 ` text, entity-unescaped, without
+// building a map: keys match case-insensitively, the last duplicate
+// wins, and a valueless or absent attribute reads as "".
+func attrValue(s, name string) string {
+	var val string
 	i := 0
 	for i < len(s) {
 		// skip whitespace and stray slashes
@@ -99,50 +101,51 @@ func parseAttrs(s string) map[string]string {
 		for i < len(s) && s[i] != '=' && s[i] != ' ' && s[i] != '\t' && s[i] != '\n' && s[i] != '\r' {
 			i++
 		}
-		key := strings.ToLower(s[ks:i])
-		if key == "" {
+		if i == ks {
 			i++
 			continue
 		}
+		match := strings.ToLower(s[ks:i]) == name
 		// skip whitespace before '='
 		for i < len(s) && (s[i] == ' ' || s[i] == '\t') {
 			i++
 		}
 		if i >= len(s) || s[i] != '=' {
-			attrs[key] = "" // valueless attribute
+			if match {
+				val = "" // valueless attribute
+			}
 			continue
 		}
 		i++ // past '='
 		for i < len(s) && (s[i] == ' ' || s[i] == '\t') {
 			i++
 		}
-		if i >= len(s) {
-			attrs[key] = ""
-			break
-		}
-		var val string
-		switch s[i] {
-		case '"', '\'':
-			q := s[i]
-			i++
-			vs := i
-			for i < len(s) && s[i] != q {
+		vs, ve := i, i
+		if i < len(s) {
+			switch s[i] {
+			case '"', '\'':
+				q := s[i]
 				i++
+				vs = i
+				for i < len(s) && s[i] != q {
+					i++
+				}
+				ve = i
+				if i < len(s) {
+					i++ // past closing quote
+				}
+			default:
+				for i < len(s) && s[i] != ' ' && s[i] != '\t' && s[i] != '\n' && s[i] != '\r' {
+					i++
+				}
+				ve = i
 			}
-			val = s[vs:i]
-			if i < len(s) {
-				i++ // past closing quote
-			}
-		default:
-			vs := i
-			for i < len(s) && s[i] != ' ' && s[i] != '\t' && s[i] != '\n' && s[i] != '\r' {
-				i++
-			}
-			val = s[vs:i]
 		}
-		attrs[key] = htmlUnescape(val)
+		if match {
+			val = htmlUnescape(s[vs:ve])
+		}
 	}
-	return attrs
+	return val
 }
 
 // htmlUnescape handles the few entities that matter inside URLs.
@@ -150,6 +153,7 @@ func htmlUnescape(s string) string {
 	if !strings.ContainsRune(s, '&') {
 		return s
 	}
-	r := strings.NewReplacer("&amp;", "&", "&lt;", "<", "&gt;", ">", "&quot;", `"`, "&#39;", "'")
-	return r.Replace(s)
+	return entities.Replace(s)
 }
+
+var entities = strings.NewReplacer("&amp;", "&", "&lt;", "<", "&gt;", ">", "&quot;", `"`, "&#39;", "'")

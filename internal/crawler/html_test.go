@@ -1,11 +1,19 @@
 package crawler
 
 import (
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"net/url"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
+	"pagequality/internal/graph"
 	"pagequality/internal/randx"
+	"pagequality/internal/webcorpus"
+	"pagequality/internal/webserver"
 )
 
 func TestExtractLinksBasic(t *testing.T) {
@@ -70,11 +78,12 @@ func TestExtractCanonicalCaseAndFirstWins(t *testing.T) {
 	}
 }
 
+// malformedTags are truncated tags.
+var malformedTags = []string{"<", "<a", "<a href=", `<a href="`, "<a href='x", "< >", "<>", "<a href"}
+
 func TestExtractLinksMalformed(t *testing.T) {
 	// Truncated tags must not panic or loop.
-	for _, body := range []string{
-		"<", "<a", "<a href=", `<a href="`, "<a href='x", "< >", "<>", "<a href",
-	} {
+	for _, body := range malformedTags {
 		ExtractLinks(body)
 	}
 }
@@ -87,49 +96,233 @@ func TestExtractLinksIgnoresNonAnchorHref(t *testing.T) {
 	}
 }
 
+// canonicalFrags are the tag shapes where a scanner could drift: a link
+// inside a comment, a longer tag name, an empty or missing href, a
+// non-canonical rel first, upper case, entities, unterminated tags,
+// duplicate attributes (the last wins, a valueless one reads as "").
+var canonicalFrags = []string{
+	`<link rel="canonical" href="http://a.example/x">`,
+	`<LINK REL="CANONICAL" HREF="http://upper/">`,
+	`<link rel=canonical href=/unquoted>`,
+	`<link href='/href-first' rel='canonical'>`,
+	`<link rel="canonical" href="">`,
+	`<link rel="canonical">`,
+	`<link rel="stylesheet" href="/s.css">`,
+	`<links rel="canonical" href="/not-a-link-tag">`,
+	`<link rel="canonical" href="/q?a=1&amp;b=2">`,
+	`<!-- <link rel="canonical" href="/in-comment"> -->`,
+	`<!-- > <link rel="canonical" href="/after-comment-gt">`,
+	`</link rel="canonical" href="/closing">`,
+	`<a href="/p/1.html" rel="canonical">anchor</a>`,
+	`<li><a href="/p/2.html">x</a></li>`,
+	`<link rel="canonical" href="/unterminated"`,
+	`<link rel="canonical" href="/quote>inside">`,
+	`<`, `>`, `<>`, `< link rel=canonical href=/space>`, "text\n", `<link/rel=canonical href=/slash>`,
+	`<a href="/first" HREF='/last'>dup</a>`, `<a href=/set href>valueless-last</a>`,
+	`<link rel=canonical href=/dup-rel rel=stylesheet>`, `<a href = "/spaced" href=>`,
+}
+
 // TestCanonicalMatchesExtractLinks: Canonical is ExtractLinks' second
-// result, on the shapes where an early-exit scanner could drift — a
-// link inside a comment, a longer tag name, an empty or missing href, a
-// non-canonical rel first, upper case, entities, unterminated tags —
-// and on random splices of those fragments.
+// result, and ExtractLinks the map-based reference's, on canonicalFrags
+// and on random splices of them.
 func TestCanonicalMatchesExtractLinks(t *testing.T) {
-	frags := []string{
-		`<link rel="canonical" href="http://a.example/x">`,
-		`<LINK REL="CANONICAL" HREF="http://upper/">`,
-		`<link rel=canonical href=/unquoted>`,
-		`<link href='/href-first' rel='canonical'>`,
-		`<link rel="canonical" href="">`,
-		`<link rel="canonical">`,
-		`<link rel="stylesheet" href="/s.css">`,
-		`<links rel="canonical" href="/not-a-link-tag">`,
-		`<link rel="canonical" href="/q?a=1&amp;b=2">`,
-		`<!-- <link rel="canonical" href="/in-comment"> -->`,
-		`<!-- > <link rel="canonical" href="/after-comment-gt">`,
-		`</link rel="canonical" href="/closing">`,
-		`<a href="/p/1.html" rel="canonical">anchor</a>`,
-		`<li><a href="/p/2.html">x</a></li>`,
-		`<link rel="canonical" href="/unterminated"`,
-		`<link rel="canonical" href="/quote>inside">`,
-		`<`, `>`, `<>`, `< link rel=canonical href=/space>`, "text\n", `<link/rel=canonical href=/slash>`,
-	}
 	check := func(body string) {
 		t.Helper()
-		_, want := ExtractLinks(body)
+		hrefs, want := ExtractLinks(body)
 		if got := Canonical(body); got != want {
 			t.Fatalf("Canonical(%q) = %q, ExtractLinks says %q", body, got, want)
 		}
+		if refHrefs, refCanonical := extractLinksReference(body); !reflect.DeepEqual(hrefs, refHrefs) || want != refCanonical {
+			t.Fatalf("ExtractLinks(%q) = %q, %q; reference %q, %q", body, hrefs, want, refHrefs, refCanonical)
+		}
 	}
 	check("")
-	for _, f := range frags {
+	for _, f := range canonicalFrags {
 		check(f)
-		check("<html><head>" + f + "</head><body>" + frags[0] + "</body></html>")
+		check("<html><head>" + f + "</head><body>" + canonicalFrags[0] + "</body></html>")
 	}
 	rng := randx.NewStream(7, randx.Key("canonical"), 0)
 	for i := 0; i < 2000; i++ {
 		var b strings.Builder
 		for n := 1 + randx.Intn(&rng, 6); n > 0; n-- {
-			b.WriteString(frags[randx.Intn(&rng, len(frags))])
+			b.WriteString(canonicalFrags[randx.Intn(&rng, len(canonicalFrags))])
 		}
 		check(b.String())
+	}
+}
+
+// parseAttrs is the attribute scanner as it was before attrValue: every
+// ` key="value" key2='v' key3=v key4 ` fragment into a map, keys lower
+// case, the last duplicate winning. It is attrValue's oracle.
+func parseAttrs(s string) map[string]string {
+	attrs := make(map[string]string, 4)
+	i := 0
+	for i < len(s) {
+		// skip whitespace and stray slashes
+		for i < len(s) && (s[i] == ' ' || s[i] == '\t' || s[i] == '\n' || s[i] == '\r' || s[i] == '/') {
+			i++
+		}
+		if i >= len(s) {
+			break
+		}
+		// key
+		ks := i
+		for i < len(s) && s[i] != '=' && s[i] != ' ' && s[i] != '\t' && s[i] != '\n' && s[i] != '\r' {
+			i++
+		}
+		key := strings.ToLower(s[ks:i])
+		if key == "" {
+			i++
+			continue
+		}
+		// skip whitespace before '='
+		for i < len(s) && (s[i] == ' ' || s[i] == '\t') {
+			i++
+		}
+		if i >= len(s) || s[i] != '=' {
+			attrs[key] = "" // valueless attribute
+			continue
+		}
+		i++ // past '='
+		for i < len(s) && (s[i] == ' ' || s[i] == '\t') {
+			i++
+		}
+		if i >= len(s) {
+			attrs[key] = ""
+			break
+		}
+		var val string
+		switch s[i] {
+		case '"', '\'':
+			q := s[i]
+			i++
+			vs := i
+			for i < len(s) && s[i] != q {
+				i++
+			}
+			val = s[vs:i]
+			if i < len(s) {
+				i++ // past closing quote
+			}
+		default:
+			vs := i
+			for i < len(s) && s[i] != ' ' && s[i] != '\t' && s[i] != '\n' && s[i] != '\r' {
+				i++
+			}
+			val = s[vs:i]
+		}
+		attrs[key] = htmlUnescape(val)
+	}
+	return attrs
+}
+
+// extractLinksReference is ExtractLinks over parseAttrs maps.
+func extractLinksReference(body string) (hrefs []string, canonical string) {
+	for i := 0; i < len(body); {
+		var name, attrs string
+		name, attrs, i = nextTag(body, i)
+		switch {
+		case strings.EqualFold(name, "a"):
+			if href := parseAttrs(attrs)["href"]; href != "" {
+				hrefs = append(hrefs, href)
+			}
+		case canonical == "" && strings.EqualFold(name, "link"):
+			if a := parseAttrs(attrs); strings.EqualFold(a["rel"], "canonical") {
+				canonical = a["href"]
+			}
+		}
+	}
+	return hrefs, canonical
+}
+
+// normalizeURL is the link resolution as it was before resolveURL: the
+// resolved URL as a string, which hostOf then parses a second time.
+func normalizeURL(ref string, base *url.URL) (string, error) {
+	u, err := url.Parse(strings.TrimSpace(ref))
+	if err != nil {
+		return "", err
+	}
+	if base != nil {
+		u = base.ResolveReference(u)
+	}
+	if !u.IsAbs() {
+		return "", fmt.Errorf("crawler: relative URL %q without base", ref)
+	}
+	u.Fragment = ""
+	return u.String(), nil
+}
+
+// parsePageReference is parsePageAt as it was before the single parse:
+// map-based attributes, normalizeURL, then the same-host test on
+// hostOf's re-parse of the normalized string.
+func parsePageReference(fetchURL string, base *url.URL, body []byte) page {
+	hrefs, canonical := extractLinksReference(string(body))
+	pg := page{fetchURL: fetchURL, canonical: canonical}
+	if pg.canonical == "" {
+		pg.canonical = fetchURL
+	}
+	baseHost := base.Scheme + "://" + base.Host
+	for _, h := range hrefs {
+		n, err := normalizeURL(h, base)
+		if err != nil || hostOf(n) != baseHost {
+			continue
+		}
+		pg.links = append(pg.links, n)
+	}
+	return pg
+}
+
+// FuzzParsePage: for an arbitrary body and base URL, link extraction
+// without attribute maps and the single parse of each link give the
+// reference's hrefs, canonical URL and same-host links. Seeds are
+// canonicalFrags, the malformed tags, and (testdata/fuzz/FuzzParsePage)
+// hosts that are hard to compare: upper-case scheme, userinfo, ports,
+// IPv6 zones, scheme-relative and %-escaped hosts.
+func FuzzParsePage(f *testing.F) {
+	for _, body := range slices.Concat(canonicalFrags, malformedTags) {
+		f.Add(body, "http://a.example/x/")
+	}
+	f.Fuzz(func(t *testing.T, body, rawBase string) {
+		base, err := url.Parse(rawBase)
+		if err != nil {
+			return
+		}
+		hrefs, canonical := ExtractLinks(body)
+		wantHrefs, wantCanonical := extractLinksReference(body)
+		if !reflect.DeepEqual(hrefs, wantHrefs) || canonical != wantCanonical || Canonical(body) != wantCanonical {
+			t.Fatalf("ExtractLinks(%q) = %q, %q; reference %q, %q", body, hrefs, canonical, wantHrefs, wantCanonical)
+		}
+		got, err := parsePageAt(rawBase, base, []byte(body))
+		if want := parsePageReference(rawBase, base, []byte(body)); err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("base %q, body %q:\n got %+v\nwant %+v (err %v)", rawBase, body, got, want, err)
+		}
+	})
+}
+
+// BenchmarkParsePage extracts the canonical URL and same-host links of
+// served pages, one page per op.
+func BenchmarkParsePage(b *testing.B) {
+	sim := testCorpus(b, 1)
+	srv, err := webserver.New(sim.Graph().Clone(), sim.AllTexts(webcorpus.TextOptions{}))
+	if err != nil {
+		b.Fatal(err)
+	}
+	var bodies [][]byte
+	for id := 0; id < sim.NumPages(); id++ {
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, webserver.PagePath(graph.NodeID(id)), nil))
+		bodies = append(bodies, rec.Body.Bytes())
+	}
+	const fetchURL = "http://127.0.0.1:8080/p/0.html"
+	base, err := url.Parse(fetchURL)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := parsePageAt(fetchURL, base, bodies[i%len(bodies)]); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

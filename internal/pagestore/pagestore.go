@@ -418,28 +418,53 @@ func parseRecordAt(data []byte, off int64) (total int64, key []byte, meta Meta, 
 	return int64(p) + 4, key, meta, compressed, nil
 }
 
-// deflate compresses one body for a record. A body longer than limit
-// on either side of the compressor is refused: the read path rejects
-// such a record as corrupt, so writing it would lose the document.
-func deflate(body []byte, limit int) ([]byte, error) {
+// deflater is the reusable state of one compression, the write side of
+// inflater: a BestSpeed flate writer is ~1.2 MB to build, so writers are
+// Reset (documented equivalent to NewWriter, so the stream is the same
+// bytes) rather than rebuilt, and the record is framed in rec.
+type deflater struct {
+	fw  *flate.Writer // writes to buf
+	buf bytes.Buffer
+	rec []byte
+}
+
+var deflaters = sync.Pool{New: func() any {
+	z := new(deflater)
+	z.fw, _ = flate.NewWriter(&z.buf, flate.BestSpeed) //pqlint:allow droppederr NewWriter fails only on an invalid level
+	return z
+}}
+
+// release returns z to the pool without a buffer over maxPooledScratch.
+func (z *deflater) release() {
+	if z.buf.Cap() > maxPooledScratch {
+		z.buf = bytes.Buffer{}
+	}
+	if cap(z.rec) > maxPooledScratch {
+		z.rec = nil
+	}
+	deflaters.Put(z)
+}
+
+// deflate compresses one body for a record into z.buf and returns a view
+// of it, valid until z's next use. A body longer than limit on either
+// side of the compressor is refused: the read path rejects such a record
+// as corrupt, so writing it would lose the document.
+func (z *deflater) deflate(body []byte, limit int) ([]byte, error) {
 	if len(body) > limit {
 		return nil, fmt.Errorf("pagestore: body of %d bytes exceeds the %d-byte limit", len(body), limit)
 	}
-	var cbuf bytes.Buffer
-	fw, err := flate.NewWriter(&cbuf, flate.BestSpeed)
-	if err != nil {
-		return nil, fmt.Errorf("pagestore: flate: %w", err)
-	}
-	if _, err := fw.Write(body); err != nil {
+	z.buf.Reset()
+	z.fw.Reset(&z.buf)
+	if _, err := z.fw.Write(body); err != nil {
 		return nil, fmt.Errorf("pagestore: compress: %w", err)
 	}
-	if err := fw.Close(); err != nil {
+	if err := z.fw.Close(); err != nil {
 		return nil, fmt.Errorf("pagestore: compress close: %w", err)
 	}
-	if cbuf.Len() > limit {
-		return nil, fmt.Errorf("pagestore: body compresses to %d bytes, over the %d-byte limit", cbuf.Len(), limit)
+	if z.buf.Len() > limit {
+		return nil, fmt.Errorf("pagestore: body compresses to %d bytes, over the %d-byte limit", z.buf.Len(), limit)
 	}
-	return cbuf.Bytes(), nil
+	return z.buf.Bytes(), nil
 }
 
 // Put stores (or replaces) the body under key.
@@ -447,11 +472,14 @@ func (s *Store) Put(key string, meta Meta, body []byte) error {
 	if key == "" || len(key) > MaxKeyLen {
 		return fmt.Errorf("pagestore: invalid key length %d", len(key))
 	}
-	compressed, err := deflate(body, maxBodyLen)
+	z := deflaters.Get().(*deflater)
+	defer z.release()
+	compressed, err := z.deflate(body, maxBodyLen)
 	if err != nil {
 		return err
 	}
-	rec := appendRecord(nil, key, meta, compressed)
+	z.rec = appendRecord(z.rec[:0], key, meta, compressed)
+	rec := z.rec
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -549,8 +577,8 @@ var inflaters = sync.Pool{New: func() any {
 	return &inflater{fr: flate.NewReader(nil), buf: make([]byte, 0, 32<<10)}
 }}
 
-// maxPooledScratch bounds the buffer a pooled inflater keeps, so one
-// huge body does not stay pinned for the life of the process.
+// maxPooledScratch bounds the buffers pooled inflaters and deflaters
+// keep, so one huge body does not stay pinned for the process's life.
 const maxPooledScratch = 1 << 20
 
 // inflate decompresses one record body into a fresh exact-size slice.

@@ -378,6 +378,101 @@ func TestEmptyBody(t *testing.T) {
 	}
 }
 
+// pageBody is a ~9 KB body shaped like a served page: a list of anchors.
+func pageBody(seed int) []byte {
+	var b bytes.Buffer
+	fmt.Fprintf(&b, "<!DOCTYPE html><html><head><title>http://site%d.example/</title></head><body><ul>", seed)
+	for i := 0; b.Len() < 9<<10; i++ {
+		fmt.Fprintf(&b, `<li><a href="/p/%d.html">http://site%d.example/page%d</a></li>`, (seed*7919+i*104729)%5000, i%154, i)
+	}
+	b.WriteString("</ul></body></html>")
+	return b.Bytes()
+}
+
+// TestDeflateMatchesFreshWriter: a pooled writer, Reset between bodies,
+// writes the stream a fresh flate.NewWriter(BestSpeed) does whatever it
+// compressed before — a small body follows a large one — and Put frames
+// exactly the records those fresh streams make.
+func TestDeflateMatchesFreshWriter(t *testing.T) {
+	big := make([]byte, 200<<10)
+	rng := rand.New(rand.NewSource(5))
+	for i := range big {
+		big[i] = "abcdefgh <>/\n"[rng.Intn(13)]
+	}
+	bodies := [][]byte{nil, {'x'}, pageBody(1), big, {'y'}, pageBody(2), nil}
+	dir := t.TempDir()
+	s := open(t, dir, Options{})
+	z := deflaters.Get().(*deflater)
+	defer z.release()
+	var want []byte
+	for i, body := range bodies {
+		fresh := compressBody(t, body)
+		if got, err := z.deflate(body, maxBodyLen); err != nil || !bytes.Equal(got, fresh) {
+			t.Fatalf("body %d (%d bytes): pooled stream differs from a fresh writer's (err %v)", i, len(body), err)
+		}
+		key, meta := fmt.Sprintf("k%d", i), Meta{Status: 200, FetchedAt: float64(i)}
+		if err := s.Put(key, meta, body); err != nil {
+			t.Fatal(err)
+		}
+		want = appendRecord(want, key, meta, fresh)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(s.segPath(s.actID))
+	if err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("segment holds %d bytes, fresh-writer records %d (err %v)", len(got), len(want), err)
+	}
+}
+
+// TestPutAllocs: Put of a page-sized body reuses its compressor and its
+// record buffer (27 allocations when it built a writer per body).
+func TestPutAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop entries at random")
+	}
+	s := open(t, t.TempDir(), Options{})
+	body := pageBody(3)
+	if n := testing.AllocsPerRun(100, func() {
+		if err := s.Put("t1/http://site3.example/", Meta{Status: 200}, body); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 10 {
+		t.Fatalf("Put allocates %v times per page", n)
+	}
+}
+
+// TestConcurrentPutsReadBackIntact: writers sharing the deflater pool
+// never hand each other's streams or records to the segment — under -race
+// too, where the pool drops and refills at random.
+func TestConcurrentPutsReadBackIntact(t *testing.T) {
+	s := open(t, t.TempDir(), Options{MaxSegmentBytes: 64 << 10})
+	body := func(w, i int) []byte {
+		return bytes.Repeat(pageBody(w*100+i), 3)[:(w*977+i*1319)%(20<<10)]
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 30; i++ {
+				if err := s.Put(fmt.Sprintf("w%d-k%d", w, i), Meta{Status: 200}, body(w, i)); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	for w := 0; w < 4; w++ {
+		for i := 0; i < 30; i++ {
+			if _, got, err := s.Get(fmt.Sprintf("w%d-k%d", w, i)); err != nil || !bytes.Equal(got, body(w, i)) {
+				t.Fatalf("w%d-k%d reads back %d bytes, wrote %d (err %v)", w, i, len(got), len(body(w, i)), err)
+			}
+		}
+	}
+}
+
 func BenchmarkPut(b *testing.B) {
 	dir := b.TempDir()
 	s, err := Open(dir, Options{})

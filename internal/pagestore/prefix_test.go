@@ -187,6 +187,12 @@ func zeroStream(t *testing.T, n int) []byte {
 // byte past the limit instead of trusting the stream.
 func TestBodyLimitsHoldOnBothSides(t *testing.T) {
 	const limit = 1000
+	deflate := func(body []byte, limit int) ([]byte, error) {
+		z := deflaters.Get().(*deflater)
+		defer z.release()
+		c, err := z.deflate(body, limit)
+		return bytes.Clone(c), err
+	}
 	if _, err := deflate(make([]byte, limit+1), limit); err == nil {
 		t.Fatal("deflate accepted a body over the limit")
 	}

@@ -16,6 +16,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 
 	"pagequality/internal/graph"
 )
@@ -129,23 +130,53 @@ func (s *Server) serveRobots(w http.ResponseWriter) {
 	}
 }
 
+// pageBufs holds servePage's render buffers. A page is ~9 KB; a buffer
+// over 1 MiB is dropped rather than kept for the life of the process.
+var pageBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// servePage renders the page into one buffer and sends it length-framed,
+// in a single Write.
 func (s *Server) servePage(w http.ResponseWriter, id graph.NodeID) {
+	bp := pageBufs.Get().(*[]byte)
+	b := s.appendPage((*bp)[:0], id)
+	h := w.Header()
+	h.Set("Content-Type", "text/html; charset=utf-8")
+	h.Set("Content-Length", strconv.Itoa(len(b)))
+	w.Write(b)
+	if cap(b) <= 1<<20 {
+		*bp = b
+		pageBufs.Put(bp)
+	}
+}
+
+// appendPage appends page id's HTML: title, canonical link, text and one
+// anchor per out-link.
+func (s *Server) appendPage(b []byte, id graph.NodeID) []byte {
 	pg := s.g.Page(id)
-	w.Header().Set("Content-Type", "text/html; charset=utf-8")
-	fmt.Fprintf(w, "<!DOCTYPE html><html><head><title>%s</title>", html.EscapeString(pg.URL))
+	u := html.EscapeString(pg.URL)
+	b = append(b, "<!DOCTYPE html><html><head><title>"...)
+	b = append(b, u...)
+	b = append(b, "</title>"...)
 	if pg.URL != "" {
-		fmt.Fprintf(w, `<link rel="canonical" href="%s">`, html.EscapeString(pg.URL))
+		b = append(b, `<link rel="canonical" href="`...)
+		b = append(b, u...)
+		b = append(b, `">`...)
 	}
-	fmt.Fprint(w, "</head><body>")
-	fmt.Fprintf(w, "<h1>%s</h1>", html.EscapeString(pg.URL))
+	b = append(b, "</head><body><h1>"...)
+	b = append(b, u...)
+	b = append(b, "</h1>"...)
 	if s.texts != nil {
-		fmt.Fprintf(w, "<p>%s</p>", html.EscapeString(s.texts[id]))
+		b = append(b, "<p>"...)
+		b = append(b, html.EscapeString(s.texts[id])...)
+		b = append(b, "</p>"...)
 	}
-	fmt.Fprint(w, "<ul>")
+	b = append(b, "<ul>"...)
 	for _, to := range s.g.OutLinks(id) {
-		toURL := s.g.Page(to).URL
-		fmt.Fprintf(w, `<li><a href="%s">%s</a></li>`,
-			PagePath(to), html.EscapeString(toURL))
+		b = append(b, `<li><a href="/p/`...)
+		b = strconv.AppendUint(b, uint64(to), 10)
+		b = append(b, `.html">`...)
+		b = append(b, html.EscapeString(s.g.Page(to).URL)...)
+		b = append(b, "</a></li>"...)
 	}
-	fmt.Fprint(w, "</ul></body></html>")
+	return append(b, "</ul></body></html>"...)
 }

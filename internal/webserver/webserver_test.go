@@ -1,15 +1,20 @@
 package webserver
 
 import (
+	"bytes"
 	"context"
+	"fmt"
+	"html"
 	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 
 	"pagequality/internal/graph"
+	"pagequality/internal/webcorpus"
 )
 
 func fixture(t *testing.T) *graph.Graph {
@@ -152,6 +157,127 @@ func TestHTMLEscaping(t *testing.T) {
 	}
 	if strings.Contains(body, "<b>&") {
 		t.Fatalf("unescaped text:\n%s", body)
+	}
+}
+
+// servePageFprintf is the page renderer as it was before appendPage: one
+// Fprintf per fragment, straight to the writer. It is the oracle of the
+// bytes a page must keep.
+func servePageFprintf(w io.Writer, s *Server, id graph.NodeID) {
+	pg := s.g.Page(id)
+	fmt.Fprintf(w, "<!DOCTYPE html><html><head><title>%s</title>", html.EscapeString(pg.URL))
+	if pg.URL != "" {
+		fmt.Fprintf(w, `<link rel="canonical" href="%s">`, html.EscapeString(pg.URL))
+	}
+	fmt.Fprint(w, "</head><body>")
+	fmt.Fprintf(w, "<h1>%s</h1>", html.EscapeString(pg.URL))
+	if s.texts != nil {
+		fmt.Fprintf(w, "<p>%s</p>", html.EscapeString(s.texts[id]))
+	}
+	fmt.Fprint(w, "<ul>")
+	for _, to := range s.g.OutLinks(id) {
+		toURL := s.g.Page(to).URL
+		fmt.Fprintf(w, `<li><a href="%s">%s</a></li>`,
+			PagePath(to), html.EscapeString(toURL))
+	}
+	fmt.Fprint(w, "</ul></body></html>")
+}
+
+// requireServedAsFprintf serves every page of s through the handler and
+// holds each body to the oracle's bytes and its Content-Length header.
+func requireServedAsFprintf(t *testing.T, s *Server) {
+	t.Helper()
+	for id := 0; id < s.g.NumNodes(); id++ {
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, PagePath(graph.NodeID(id)), nil))
+		var want bytes.Buffer
+		servePageFprintf(&want, s, graph.NodeID(id))
+		if got := rec.Body.Bytes(); rec.Code != http.StatusOK || !bytes.Equal(got, want.Bytes()) {
+			t.Fatalf("page %d: status %d, body differs from the Fprintf renderer's\n got %q\nwant %q", id, rec.Code, got, want.Bytes())
+		}
+		if cl := rec.Header().Get("Content-Length"); cl != strconv.Itoa(rec.Body.Len()) {
+			t.Fatalf("page %d: Content-Length %q for a %d-byte body", id, cl, rec.Body.Len())
+		}
+	}
+}
+
+// testCorpus grows a 20-site corpus with page texts.
+func testCorpus(t testing.TB) *webcorpus.Sim {
+	t.Helper()
+	cfg := webcorpus.DefaultConfig()
+	cfg.Sites = 20
+	cfg.InitialPagesPerSite = 6
+	cfg.Users = 2000
+	cfg.VisitRate = 2000
+	cfg.BurnInWeeks = 10
+	cfg.Seed = 3
+	sim, err := webcorpus.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sim
+}
+
+// TestServePageMatchesFprintf: the append renderer serves the oracle's
+// bytes for every page of a corpus with texts, for URLs and texts that
+// need escaping, for an empty URL and without texts; and a real client
+// sees a length-framed body, not a chunked one.
+func TestServePageMatchesFprintf(t *testing.T) {
+	sim := testCorpus(t)
+	g := sim.Graph().Clone()
+	s, err := New(g, sim.AllTexts(webcorpus.TextOptions{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireServedAsFprintf(t, s)
+
+	odd := graph.New(3)
+	odd.MustAddPage(graph.Page{URL: `http://x/<a href="'&'">`, Site: 0})
+	odd.MustAddPage(graph.Page{URL: "", Site: 0})
+	odd.MustAddPage(graph.Page{URL: "http://y/", Site: 1})
+	odd.AddLink(0, 1)
+	odd.AddLink(0, 2)
+	odd.AddLink(1, 0)
+	for _, texts := range [][]string{{`<b>"it's" & more</b>`, "", "plain"}, nil} {
+		s, err := New(odd, texts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireServedAsFprintf(t, s)
+	}
+
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+	resp, err := httpGet(ts.Client(), ts.URL+PagePath(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.ContentLength != int64(len(body)) || len(resp.TransferEncoding) != 0 {
+		t.Fatalf("Content-Length %d, Transfer-Encoding %v for a %d-byte body (err %v)",
+			resp.ContentLength, resp.TransferEncoding, len(body), err)
+	}
+}
+
+// BenchmarkServePage renders every page of the test corpus through the
+// handler, one page per op.
+func BenchmarkServePage(b *testing.B) {
+	sim := testCorpus(b)
+	s, err := New(sim.Graph().Clone(), sim.AllTexts(webcorpus.TextOptions{}))
+	if err != nil {
+		b.Fatal(err)
+	}
+	reqs := make([]*http.Request, s.g.NumNodes())
+	for id := range reqs {
+		reqs[id] = httptest.NewRequest(http.MethodGet, PagePath(graph.NodeID(id)), nil)
+	}
+	rec := httptest.NewRecorder()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rec.Body.Reset()
+		s.ServeHTTP(rec, reqs[i%len(reqs)])
 	}
 }
 
