@@ -1,6 +1,7 @@
 package pagequality_test
 
 import (
+	"encoding/json"
 	"io/fs"
 	"os"
 	"path"
@@ -103,5 +104,55 @@ func TestDocsCiteTestsThatExist(t *testing.T) {
 	}
 	if cited < 50 {
 		t.Fatalf("found only %d cited test names: the scan is broken", cited)
+	}
+}
+
+// metricName matches a `layer.snake_name` citation such as
+// `search.query_us_cold`; one glued to a path or identifier is not one.
+var metricName = regexp.MustCompile(`(?:^|[^\w/.-])([a-z]+)\.([a-z][a-z0-9_]*)\b`)
+
+// TestDocsCiteMetricsThatExist fails on a document that names, in
+// backticks, a metric of a layer BENCHMARK.json measures that
+// BENCHMARK.json does not declare. A Go file name (`search.go`) is not a
+// metric.
+func TestDocsCiteMetricsThatExist(t *testing.T) {
+	data, err := os.ReadFile("BENCHMARK.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bench struct {
+		PerLayer []struct{ Name string } `json:"per_layer"`
+	}
+	if err := json.Unmarshal(data, &bench); err != nil {
+		t.Fatal(err)
+	}
+	declared, layers := map[string]bool{}, map[string]bool{}
+	for _, m := range bench.PerLayer {
+		declared[m.Name] = true
+		layer, _, _ := strings.Cut(m.Name, ".")
+		layers[layer] = true
+	}
+	cited := 0
+	for _, doc := range citingDocs {
+		data, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		text := string(data)
+		for _, span := range backticked.FindAllStringIndex(text, -1) {
+			for _, m := range metricName.FindAllStringSubmatch(text[span[0]:span[1]], -1) {
+				if !layers[m[1]] || m[2] == "go" {
+					continue
+				}
+				cited++
+				if name := m[1] + "." + m[2]; !declared[name] {
+					t.Errorf("%s:%d cites %s, which BENCHMARK.json does not declare",
+						doc, strings.Count(text[:span[0]], "\n")+1, name)
+				}
+			}
+		}
+	}
+	if cited < 10 {
+		t.Fatalf("found only %d cited metrics: the scan is broken", cited)
 	}
 }

@@ -32,6 +32,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strconv"
 	"strings"
 
 	"pagequality/internal/randx"
@@ -145,8 +146,9 @@ type Randomized struct {
 	Epsilon float64
 }
 
-// Name implements Policy.
-func (r Randomized) Name() string { return fmt.Sprintf("randomized-%.2g", r.Epsilon) }
+// Name implements Policy. Epsilon prints in its shortest exact form, so
+// two policies share a name only if they share an epsilon.
+func (r Randomized) Name() string { return "randomized-" + strconv.FormatFloat(r.Epsilon, 'g', -1, 64) }
 
 // randomizedSalt keeps the policy's per-query streams disjoint from
 // every other consumer of the corpus seed.
@@ -164,31 +166,44 @@ func (r Randomized) Rank(ctx *Context, query string, k int) ([]int, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Retrieve the whole relevant set in score order: the deterministic
-	// slots are its prefix, the random slots sample its suffix.
-	all, err := rankByScore(ctx.Index, query, ctx.Index.NumDocs(), scores)
-	if err != nil || len(all) == 0 {
-		return nil, err
-	}
-	if len(all) <= k {
-		return all, nil // fewer relevant docs than slots: show them all
-	}
+	hits, err := ctx.Index.SearchRanks(query, search.Options{Authority: scores, AuthorityWeight: 1},
+		func(m int) []int { return r.shownRanks(ctx, query, k, m) })
+	return hitDocs(hits), err
+}
+
+// shownRanks returns the score-order ranks that k slots show when m
+// documents match, so that only those are selected, not the whole set
+// sorted: the head in order, then a partial Fisher–Yates over the ranks
+// past it, fed by the (seed, query, tick) counter stream — reproducible at
+// any worker count, fresh per tick. The shuffle is replayed on a log of
+// the positions it writes, not on the suffix.
+func (r Randomized) shownRanks(ctx *Context, query string, k, m int) []int {
 	nRand := int(math.Round(r.Epsilon * float64(k)))
-	if nRand == 0 {
-		return all[:k], nil
+	if m <= k {
+		k, nRand = m, 0 // fewer relevant docs than slots: show them all
 	}
-	// Partial Fisher–Yates over the remainder, in place (all is this
-	// call's own slice), fed by the (seed, query, tick) counter stream:
-	// bitwise reproducible at any worker count and fresh per tick, so
-	// repeated identical queries explore differently over time but
-	// identically across runs.
-	rest := all[k-nRand:]
+	head := k - nRand
+	ranks := make([]int, k)
+	for i := range ranks[:head] {
+		ranks[i] = i
+	}
+	type swap struct{ pos, val int }
+	var log []swap // newest last; a position never written holds itself
+	at := func(p int) int {
+		for e := len(log) - 1; e >= 0; e-- {
+			if log[e].pos == p {
+				return log[e].val
+			}
+		}
+		return p
+	}
 	st := randx.NewStream(ctx.Seed, randomizedSalt^randx.Key(query), ctx.Tick)
 	for i := 0; i < nRand; i++ {
-		j := i + randx.Intn(&st, len(rest)-i)
-		rest[i], rest[j] = rest[j], rest[i]
+		j := i + randx.Intn(&st, m-head-i)
+		ranks[head+i] = head + at(j) // position i is final after its swap
+		log = append(log, swap{j, at(i)})
 	}
-	return all[:k], nil
+	return ranks
 }
 
 // rankByScore retrieves the query's relevant set ordered purely by the
@@ -199,17 +214,19 @@ func rankByScore(ix *search.Index, query string, k int, scores []float64) ([]int
 		Authority:       scores,
 		AuthorityWeight: 1,
 	})
-	if err != nil {
-		return nil, err
-	}
+	return hitDocs(hits), err
+}
+
+// hitDocs returns the hits' document ids, nil for no hits.
+func hitDocs(hits []search.Hit) []int {
 	if len(hits) == 0 {
-		return nil, nil
+		return nil
 	}
 	docs := make([]int, len(hits))
 	for i, h := range hits {
 		docs[i] = h.Doc
 	}
-	return docs, nil
+	return docs
 }
 
 func checkK(k int) error {

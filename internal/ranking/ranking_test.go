@@ -3,9 +3,11 @@ package ranking
 import (
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
+	"pagequality/internal/randx"
 	"pagequality/internal/search"
 )
 
@@ -13,10 +15,15 @@ import (
 // PageRank descending in document id and Quality ascending — so the two
 // score-based policies produce opposite orders.
 func buildCtx(t testing.TB, nDocs int) *Context {
+	return buildCtxWith(t, nDocs, func(int) string { return "alpha" })
+}
+
+// buildCtxWith is buildCtx with words(d) in place of "alpha" in document d.
+func buildCtxWith(t testing.TB, nDocs int, words func(d int) string) *Context {
 	t.Helper()
 	ix := search.NewIndex()
 	for d := 0; d < nDocs; d++ {
-		ix.Add(fmt.Sprintf("alpha document %d filler words", d))
+		ix.Add(fmt.Sprintf("%s document %d filler words", words(d), d))
 	}
 	ix.Freeze()
 	pr := make([]float64, nDocs)
@@ -178,6 +185,98 @@ func TestRandomizedConstruction(t *testing.T) {
 	}
 }
 
+// fullSortRandomized is Randomized.Rank as it was before it selected:
+// the whole relevant set in score order, then a partial Fisher–Yates over
+// its suffix, in place. TestRandomizedMatchesFullSort holds Rank to it.
+func fullSortRandomized(ctx *Context, epsilon float64, query string, k int) ([]int, error) {
+	all, err := rankByScore(ctx.Index, query, ctx.Index.NumDocs(), ctx.PageRank)
+	if err != nil || len(all) <= k {
+		return all, err
+	}
+	nRand := int(math.Round(epsilon * float64(k)))
+	rest := all[k-nRand:]
+	st := randx.NewStream(ctx.Seed, randomizedSalt^randx.Key(query), ctx.Tick)
+	for i := 0; i < nRand; i++ {
+		j := i + randx.Intn(&st, len(rest)-i)
+		rest[i], rest[j] = rest[j], rest[i]
+	}
+	return all[:k], nil
+}
+
+// TestRandomizedMatchesFullSort: selecting only the shown ranks returns
+// the full-sort policy's doc lists exactly — at every epsilon, at k below,
+// at and past the relevant set's size, over 50 ticks, on relevant sets of
+// three sizes, with distinct, constant, all-zero and pairwise-equal
+// PageRank (the ties the doc id breaks).
+func TestRandomizedMatchesFullSort(t *testing.T) {
+	base := buildCtxWith(t, 60, func(d int) string {
+		w := ""
+		if d%3 != 0 {
+			w += "alpha "
+		}
+		if d%2 == 0 {
+			w += "beta"
+		}
+		return w
+	})
+	for _, c := range []struct {
+		name string
+		pr   func(d int) float64
+	}{
+		{"distinct", func(d int) float64 { return base.PageRank[d] }},
+		{"constant", func(int) float64 { return 0.3 }},
+		{"zero", func(int) float64 { return 0 }},
+		{"pairwise-tied", func(d int) float64 { return float64(d / 2) }},
+	} {
+		ctx := *base
+		ctx.PageRank = make([]float64, len(base.PageRank))
+		for d := range ctx.PageRank {
+			ctx.PageRank[d] = c.pr(d)
+		}
+		for _, q := range []string{"alpha", "beta", "alpha beta"} {
+			all, err := ByPageRank{}.Rank(&ctx, q, ctx.Index.NumDocs())
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := len(all)
+			for _, k := range []int{1, 2, 10, m - 1, m, m + 1} {
+				for _, eps := range []float64{0, 0.05, 0.2, 0.5, 1} {
+					pol := Randomized{Epsilon: eps}
+					for tick := uint64(0); tick < 50; tick++ {
+						ctx.Tick = tick
+						got, err := pol.Rank(&ctx, q, k)
+						if err != nil {
+							t.Fatal(err)
+						}
+						want, err := fullSortRandomized(&ctx, eps, q, k)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !reflect.DeepEqual(got, want) {
+							t.Fatalf("%s %q k=%d eps=%g tick %d: %v, full sort %v", c.name, q, k, eps, tick, got, want)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestRandomizedNamesDistinct: epsilons that agree to two significant
+// digits used to print as one name.
+func TestRandomizedNamesDistinct(t *testing.T) {
+	for _, pair := range [][2]float64{{0.12, 0.125}, {0.33, 0.333}} {
+		a, b := Randomized{Epsilon: pair[0]}.Name(), Randomized{Epsilon: pair[1]}.Name()
+		if a == b {
+			t.Errorf("epsilon %g and %g are both named %q", pair[0], pair[1], a)
+		}
+	}
+	// The names reports already print (TestParse pins randomized-0.25).
+	if got := (Randomized{Epsilon: 0.2}).Name(); got != "randomized-0.2" {
+		t.Errorf("epsilon 0.2 is named %q", got)
+	}
+}
+
 func TestRandomizedFewerDocsThanSlots(t *testing.T) {
 	ctx := buildCtx(t, 6)
 	docs, err := Randomized{Epsilon: 0.5}.Rank(ctx, "alpha", 10)
@@ -207,16 +306,34 @@ func TestRankValidation(t *testing.T) {
 	}
 }
 
+// BenchmarkRandomizedRank: "wide" matches all 2000 documents, "narrow"
+// every twentieth — about the share of the corpus a topic query matches
+// in the feedback loop.
 func BenchmarkRandomizedRank(b *testing.B) {
-	ctx := buildCtx(b, 2000)
-	pol := Randomized{Epsilon: 0.2}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ctx.Tick = uint64(i)
-		if _, err := pol.Rank(ctx, "alpha", 10); err != nil {
-			b.Fatal(err)
-		}
+	for _, c := range []struct {
+		name  string
+		words func(d int) string
+	}{
+		{"wide", func(int) string { return "alpha" }},
+		{"narrow", func(d int) string {
+			if d%20 == 0 {
+				return "alpha"
+			}
+			return "omega"
+		}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			ctx := buildCtxWith(b, 2000, c.words)
+			pol := Randomized{Epsilon: 0.2}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ctx.Tick = uint64(i)
+				if _, err := pol.Rank(ctx, "alpha", 10); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -13,7 +13,9 @@
 // dense pooled accumulators. Selection offers the matched documents to a
 // bounded top-k heap — in doc order, or, given an AuthorityOrder (see
 // order.go), in descending authority, stopping once no document left can
-// enter the top k. The results are bitwise identical to the original
+// enter the top k. SearchRanks instead quickselects the ranks a caller
+// names out of the whole relevant set (see topk.go). The results are
+// bitwise identical to the original
 // map-accumulator scorer, which the regression tests retain as an
 // oracle.
 package search
@@ -269,6 +271,42 @@ func (ix *Index) Search(query string, opts Options) ([]Hit, error) {
 	return blendAndSelect(docs, sc.score, maxRel, opts), nil
 }
 
+// SearchRanks returns the hits at the ranks pick names in the query's
+// whole relevant set, in pick's order, bitwise equal to what a Search
+// with TopK m holds there. pick is called once with the match count m
+// (never when nothing matches); a rank outside [0, m) panics. The ranks
+// are selected, not sorted into place, so a few ranks of a large set
+// cost about one pass over it. TopK and Order play no part.
+func (ix *Index) SearchRanks(query string, opts Options, pick func(m int) []int) ([]Hit, error) {
+	terms, err := opts.prepare(query, ix.NumDocs())
+	if err != nil {
+		return nil, err
+	}
+	f := ix.frozen()
+	sc := f.getScratch()
+	defer f.release(sc)
+	docs, maxRel := f.vectorKernel(terms, sc)
+	if len(docs) == 0 {
+		return nil, nil
+	}
+	ranks := pick(len(docs))
+	wanted := slices.Clone(ranks)
+	slices.Sort(wanted)
+	wanted = slices.Compact(wanted)
+	maxAuth := matchedMaxAuth(docs, opts)
+	all := sc.hits[:0]
+	for _, d := range docs {
+		all = append(all, blendHit(int(d), sc.score[d], maxRel, maxAuth, opts))
+	}
+	sc.hits = all
+	selectRanks(all, wanted)
+	hits := make([]Hit, len(ranks))
+	for i, r := range ranks {
+		hits[i] = all[r]
+	}
+	return hits, nil
+}
+
 // blendAndSelect blends the normalised relevance scores with the
 // authority signal and selects the top k hits, offering every matched
 // document. The max-reductions are order-independent and the per-doc
@@ -276,6 +314,18 @@ func (ix *Index) Search(query string, opts Options) ([]Hit, error) {
 // hit list is bitwise identical to building every hit and fully sorting
 // (see topK).
 func blendAndSelect(docs []int32, rel []float64, maxRel float64, opts Options) []Hit {
+	maxAuth := matchedMaxAuth(docs, opts)
+	top := newTopK(opts.TopK, len(docs))
+	for _, d := range docs {
+		top.offer(blendHit(int(d), rel[d], maxRel, maxAuth, opts))
+	}
+	return top.ranked()
+}
+
+// matchedMaxAuth is the largest authority over the matched documents, or
+// 0 without an authority vector; blendHit normalises by it only when it
+// is positive.
+func matchedMaxAuth(docs []int32, opts Options) float64 {
 	var maxAuth float64
 	if opts.Authority != nil {
 		for _, d := range docs {
@@ -284,11 +334,7 @@ func blendAndSelect(docs []int32, rel []float64, maxRel float64, opts Options) [
 			}
 		}
 	}
-	top := newTopK(opts.TopK, len(docs))
-	for _, d := range docs {
-		top.offer(blendHit(int(d), rel[d], maxRel, maxAuth, opts))
-	}
-	return top.ranked()
+	return maxAuth
 }
 
 // blendHit builds the final hit for one document from its relevance and

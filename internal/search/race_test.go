@@ -12,7 +12,7 @@ import (
 // checks every result against the serially computed answer, bit for bit.
 // Run under -race this pins the concurrency contract the serving path
 // relies on: a frozen index, and one authority order shared by every
-// goroutine, are safe for unlimited concurrent Search.
+// goroutine, are safe for unlimited concurrent Search and SearchRanks.
 func TestConcurrentSearch(t *testing.T) {
 	docs := synthDocs(150)
 	ix := buildIndex(docs)
@@ -56,7 +56,20 @@ func TestConcurrentSearch(t *testing.T) {
 			defer wg.Done()
 			for it := 0; it < iters; it++ {
 				qi := (w + it) % len(queries)
-				got, err := ix.Search(queries[qi].query, queries[qi].opts)
+				qu := queries[qi]
+				var got []Hit
+				var err error
+				if it%2 == 0 {
+					got, err = ix.Search(qu.query, qu.opts)
+				} else { // the same hits, selected rank by rank
+					got, err = ix.SearchRanks(qu.query, qu.opts, func(m int) []int {
+						ranks := make([]int, min(m, qu.opts.TopK))
+						for r := range ranks {
+							ranks[r] = r
+						}
+						return ranks
+					})
+				}
 				if err != nil {
 					errs <- err
 					return

@@ -28,6 +28,7 @@ import (
 	"pagequality/internal/graph"
 	"pagequality/internal/loadgen"
 	"pagequality/internal/pagerank"
+	"pagequality/internal/par"
 	"pagequality/internal/quality"
 	"pagequality/internal/randx"
 	"pagequality/internal/ranking"
@@ -135,13 +136,19 @@ func (s *Sim) initSearch() error {
 // graph, and derive the live quality estimate from the previous
 // refresh's vector (Equation 1). Pages are never deleted and PageText is
 // pure, so the grown index freezes to the layout a rebuild from AllTexts
-// would have (TestRefreshIncrementalMatchesRebuild). Every stage is
-// bitwise worker-count invariant.
+// would have (TestRefreshIncrementalMatchesRebuild). The new pages are
+// analysed in parallel, each into its own slot, and added in id order.
+// Every stage is bitwise worker-count invariant.
 func (s *Sim) refreshSearch() {
-	for id := s.ix.NumDocs(); id < s.g.NumNodes(); id++ {
-		s.ix.Add(s.PageText(graph.NodeID(id), TextOptions{}))
-		s.docsAnalysed++
+	first := s.ix.NumDocs()
+	docs := make([]search.Analyzed, s.g.NumNodes()-first)
+	par.Do(len(docs), s.cfg.Workers, func(i int) {
+		docs[i] = search.Analyze(s.PageText(graph.NodeID(first+i), TextOptions{}))
+	})
+	for _, a := range docs {
+		s.ix.AddAnalyzed(a)
 	}
+	s.docsAnalysed += int64(len(docs))
 	s.ix.Freeze()
 	s.refreshes++
 	pr, err := pagerank.Compute(graph.Freeze(s.g), pagerank.Options{
