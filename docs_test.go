@@ -156,3 +156,89 @@ func TestDocsCiteMetricsThatExist(t *testing.T) {
 		t.Fatalf("found only %d cited metrics: the scan is broken", cited)
 	}
 }
+
+// goToolFlags are the go command's own flags — go build, test, list and
+// the test binary — as the documents pass them.
+var goToolFlags = map[string]bool{
+	"bench": true, "benchmem": true, "benchtime": true, "c": true, "count": true, "cover": true,
+	"cpu": true, "cpuprofile": true, "e": true, "export": true, "f": true, "failfast": true,
+	"fuzz": true, "fuzztime": true, "gcflags": true, "json": true, "list": true, "memprofile": true,
+	"o": true, "parallel": true, "race": true, "run": true, "short": true, "tags": true,
+	"timeout": true, "v": true, "x": true,
+}
+
+var (
+	// flagDecl matches a flag declared on a flag set or on package flag:
+	// fs.Int("workers", …), flag.BoolVar(&update, "update", …).
+	flagDecl = regexp.MustCompile(`\b(?:fs|flag)\.[A-Z]\w*\((?:&[\w.]+,\s*)?"([\w-]+)"`)
+	// shellSep ends one shell command inside a code span.
+	shellSep = regexp.MustCompile(`\|\|?|&&|;|\$\(`)
+	// citedFlag matches a -flag or --flag standing as its own word.
+	citedFlag = regexp.MustCompile(`(?:^|\s)--?([a-z][\w-]*)`)
+)
+
+// TestDocsCiteFlagsThatExist fails on a document that passes, in
+// backticks, a -flag that no flag set under cmd/ declares and the go
+// command does not take. The flags checked are those of a command that
+// is go or one of cmd/'s, or of a span that starts with the flag; another
+// tool's flags (find -name, wc -l) say nothing about this tree.
+func TestDocsCiteFlagsThatExist(t *testing.T) {
+	declared := map[string]bool{}
+	ours := map[string]bool{"go": true}
+	err := filepath.WalkDir("cmd", func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			ours[d.Name()] = true
+			return nil
+		}
+		if !strings.HasSuffix(p, ".go") {
+			return nil
+		}
+		data, err := os.ReadFile(p)
+		for _, m := range flagDecl.FindAllSubmatch(data, -1) {
+			declared[string(m[1])] = true
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cited := 0
+	for _, doc := range citingDocs {
+		data, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		text := string(data)
+		for _, span := range backticked.FindAllStringIndex(text, -1) {
+			code := strings.ReplaceAll(text[span[0]:span[1]], "\\\n", " ")
+			if !strings.HasPrefix(code, "```") { // an inline span wraps like prose
+				code = strings.ReplaceAll(code, "\n", " ")
+			}
+			for _, line := range strings.Split(strings.Trim(code, "`"), "\n") {
+				for _, cmd := range shellSep.Split(line, -1) {
+					words := strings.Fields(cmd)
+					for len(words) > 0 && strings.Contains(words[0], "=") && !strings.HasPrefix(words[0], "-") {
+						words = words[1:] // an environment assignment
+					}
+					if len(words) == 0 || !strings.HasPrefix(words[0], "-") &&
+						!ours[strings.TrimPrefix(strings.TrimPrefix(words[0], "./"), "cmd/")] {
+						continue
+					}
+					for _, m := range citedFlag.FindAllStringSubmatch(cmd, -1) {
+						cited++
+						if !declared[m[1]] && !goToolFlags[m[1]] {
+							t.Errorf("%s:%d passes -%s, which no command under cmd/ declares",
+								doc, strings.Count(text[:span[0]], "\n")+1, m[1])
+						}
+					}
+				}
+			}
+		}
+	}
+	if cited < 150 {
+		t.Fatalf("found only %d cited flags: the scan is broken", cited)
+	}
+}

@@ -3,6 +3,7 @@ package graph
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"pagequality/internal/bitset"
 )
@@ -53,28 +54,32 @@ func Diff(old, cur *CSR) (*Delta, error) {
 			ErrDelta, cur.NumNodes(), old.NumNodes())
 	}
 	d := &Delta{OldNodes: old.NumNodes(), NewNodes: cur.NumNodes()}
+	// stamp[t] == epoch marks t as a target of the row side last stamped;
+	// each changed row takes two fresh epochs, so no mark is ever cleared.
+	// Row order, not set order, keeps the edge lists deterministic.
+	stamp := make([]uint32, d.NewNodes)
+	epoch := uint32(0)
 	for i := 0; i < d.OldNodes; i++ {
 		id := NodeID(i)
 		or, nr := old.Out(id), cur.Out(id)
-		if nodeIDsEqual(or, nr) {
+		if slices.Equal(or, nr) {
 			continue
 		}
-		os := make(map[NodeID]bool, len(or))
+		epoch++
 		for _, t := range or {
-			os[t] = true
+			stamp[t] = epoch
 		}
-		ns := make(map[NodeID]bool, len(nr))
 		for _, t := range nr {
-			ns[t] = true
-		}
-		// Row order (not map order) keeps the edge lists deterministic.
-		for _, t := range nr {
-			if !os[t] {
+			if stamp[t] != epoch {
 				d.Added = append(d.Added, Edge{From: id, To: t})
 			}
 		}
+		epoch++
+		for _, t := range nr {
+			stamp[t] = epoch
+		}
 		for _, t := range or {
-			if !ns[t] {
+			if stamp[t] != epoch {
 				d.Removed = append(d.Removed, Edge{From: id, To: t})
 			}
 		}
@@ -89,19 +94,6 @@ func Diff(old, cur *CSR) (*Delta, error) {
 		}
 	}
 	return d, nil
-}
-
-// nodeIDsEqual reports whether two adjacency rows are identical.
-func nodeIDsEqual(a, b []NodeID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // Validate checks that the delta plausibly describes the transition into

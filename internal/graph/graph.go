@@ -234,26 +234,72 @@ func (g *Graph) Clone() *Graph {
 	return c
 }
 
-// Subgraph returns a new graph induced by keep (in the iteration order of
-// the slice), together with the mapping old→new id. Links with an endpoint
-// outside keep are dropped. Used to restrict snapshots to the common pages
-// downloaded in every crawl (§8.1 of the paper).
-func (g *Graph) Subgraph(keep []NodeID) (*Graph, map[NodeID]NodeID) {
-	remap := make(map[NodeID]NodeID, len(keep))
-	sub := New(len(keep))
-	for _, old := range keep {
-		id := sub.MustAddPage(g.pages[old])
-		remap[old] = id
+// Subgraph returns a new graph induced by keep: node i of the result is
+// node keep[i] of g, and links with an endpoint outside keep are dropped.
+// keep must hold distinct ids; Align's do, one per common URL. Used to
+// restrict snapshots to the common pages downloaded in every crawl (§8.1
+// of the paper). Rows keep g's order; the in-lists come out in the
+// (from, row) order AddLink would have appended them in.
+func (g *Graph) Subgraph(keep []NodeID) *Graph {
+	remap := make([]NodeID, len(g.pages))
+	for i := range remap {
+		remap[i] = InvalidNode
 	}
-	for _, old := range keep {
-		from := remap[old]
+	sub := New(len(keep))
+	bound := 0
+	for i, old := range keep {
+		remap[old] = NodeID(i)
+		sub.MustAddPage(g.pages[old])
+		bound += len(g.out[old])
+	}
+	targets := make([]NodeID, 0, bound)
+	for i, old := range keep {
+		lo := len(targets)
 		for _, t := range g.out[old] {
-			if to, ok := remap[t]; ok {
-				sub.AddLink(from, to)
+			if to := remap[t]; to != InvalidNode {
+				targets = append(targets, to)
 			}
 		}
+		if n := len(targets); n > lo {
+			sub.out[i] = targets[lo:n:n]
+		}
 	}
-	return sub, remap
+	sub.fillIn()
+	return sub
+}
+
+// fillIn builds every in-list of a graph whose out-rows are set and whose
+// in-lists are empty, and sets the edge count. The rows must hold no
+// duplicate or self link. Sources are appended in (from, row) order, as
+// AddLink appends them, into one packed backing array with each list's
+// capacity capped at its length, as Clone's are.
+func (g *Graph) fillIn() {
+	end := make([]uint32, len(g.pages)) // in-degree, then start, then end of each list
+	for _, row := range g.out {
+		for _, t := range row {
+			end[t]++
+		}
+	}
+	sum := uint32(0)
+	for t, deg := range end {
+		end[t] = sum
+		sum += deg
+	}
+	backing := make([]NodeID, sum)
+	for from, row := range g.out {
+		for _, t := range row {
+			backing[end[t]] = NodeID(from)
+			end[t]++
+		}
+	}
+	lo := uint32(0)
+	for t, hi := range end {
+		if hi > lo {
+			g.in[t] = backing[lo:hi:hi]
+		}
+		lo = hi
+	}
+	g.edges = int(sum)
 }
 
 func sortNodeIDs(s []NodeID) {

@@ -1,12 +1,10 @@
 package graph
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"math"
 )
 
@@ -34,9 +32,6 @@ var ErrBadFormat = errors.New("graph: bad format")
 
 // ErrChecksum is returned when the payload checksum does not match.
 var ErrChecksum = errors.New("graph: checksum mismatch")
-
-// maxPayload bounds allocations driven by untrusted input (1 GiB).
-const maxPayload = 1 << 30
 
 // AppendBinary serialises g into buf (which may be nil) and returns the
 // extended buffer.
@@ -73,142 +68,141 @@ func (g *Graph) appendPayload(b []byte) []byte {
 	return b
 }
 
-// WriteTo serialises g to w, returning the number of bytes written.
-// It implements io.WriterTo.
-func (g *Graph) WriteTo(w io.Writer) (int64, error) {
-	buf := g.AppendBinary(nil)
-	n, err := w.Write(buf)
-	if err != nil {
-		return int64(n), fmt.Errorf("graph: write: %w", err)
-	}
-	return int64(n), nil
-}
-
-// ReadFrom deserialises a graph previously written with WriteTo or
-// AppendBinary. The payload checksum is verified before parsing.
-func ReadFrom(r io.Reader) (*Graph, error) {
-	var head [12]byte
-	if _, err := io.ReadFull(r, head[:]); err != nil {
-		return nil, fmt.Errorf("graph: read header: %w", err)
-	}
-	if *(*[4]byte)(head[:4]) != graphMagic {
-		return nil, fmt.Errorf("%w: magic %q", ErrBadFormat, head[:4])
-	}
-	plen := binary.LittleEndian.Uint64(head[4:12])
-	if plen > maxPayload {
-		return nil, fmt.Errorf("%w: payload length %d too large", ErrBadFormat, plen)
-	}
-	payload := make([]byte, plen)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, fmt.Errorf("graph: read payload: %w", err)
-	}
-	var crcBuf [4]byte
-	if _, err := io.ReadFull(r, crcBuf[:]); err != nil {
-		return nil, fmt.Errorf("graph: read checksum: %w", err)
-	}
-	if got, want := crc32.ChecksumIEEE(payload), binary.LittleEndian.Uint32(crcBuf[:]); got != want {
-		return nil, fmt.Errorf("%w: got %08x want %08x", ErrChecksum, got, want)
-	}
-	return parsePayload(payload)
-}
-
 // DecodeBinary parses a buffer produced by AppendBinary and returns the
-// graph plus the number of bytes consumed.
+// graph plus the number of bytes consumed. It reads buf in place and
+// keeps no reference to it. Every size the header claims is bounded by
+// the bytes present before anything is allocated, so a corrupt or hostile
+// input costs memory in proportion to its length.
 func DecodeBinary(buf []byte) (*Graph, int, error) {
-	if len(buf) < 12 {
+	if len(buf) < 16 {
 		return nil, 0, fmt.Errorf("%w: short buffer", ErrBadFormat)
 	}
-	g, err := ReadFrom(bytes.NewReader(buf))
+	if *(*[4]byte)(buf[:4]) != graphMagic {
+		return nil, 0, fmt.Errorf("%w: magic %q", ErrBadFormat, buf[:4])
+	}
+	plen := binary.LittleEndian.Uint64(buf[4:12])
+	if plen > uint64(len(buf)-16) {
+		return nil, 0, fmt.Errorf("%w: payload length %d exceeds the %d bytes present", ErrBadFormat, plen, len(buf)-16)
+	}
+	end := 12 + int(plen)
+	payload := buf[12:end]
+	if got, want := crc32.ChecksumIEEE(payload), binary.LittleEndian.Uint32(buf[end:]); got != want {
+		return nil, 0, fmt.Errorf("%w: got %08x want %08x", ErrChecksum, got, want)
+	}
+	g, err := parsePayload(payload)
 	if err != nil {
 		return nil, 0, err
 	}
-	plen := binary.LittleEndian.Uint64(buf[4:12])
-	return g, 12 + int(plen) + 4, nil
+	return g, end + 4, nil
 }
 
+// minNodeBytes is the smallest encoded node: URL length, site, two
+// floats and out-degree, with an empty URL and no links.
+const minNodeBytes = 1 + 1 + 16 + 1
+
+// payloadReader walks a checksum-verified payload. A read past the end or
+// a malformed varint sets bad and returns zero.
+type payloadReader struct {
+	b   []byte
+	bad bool
+}
+
+func (r *payloadReader) uvarint() uint64 {
+	v, n := binary.Uvarint(r.b)
+	if n <= 0 {
+		r.bad = true
+		return 0
+	}
+	r.b = r.b[n:]
+	return v
+}
+
+func (r *payloadReader) next(n uint64) []byte {
+	if n > uint64(len(r.b)) {
+		r.bad = true
+		return nil
+	}
+	v := r.b[:n]
+	r.b = r.b[n:]
+	return v
+}
+
+func (r *payloadReader) float() float64 {
+	if b := r.next(8); len(b) == 8 {
+		return math.Float64frombits(binary.LittleEndian.Uint64(b))
+	}
+	return 0
+}
+
+// parsePayload builds the graph straight into packed rows. A row is
+// delta-coded ascending, so a zero delta after its first target is a
+// duplicate and a target equal to the row is a self edge: neither needs
+// a search of the row. The in-lists are filled afterwards in (from, row)
+// order, the order AddLink would have appended them in.
 func parsePayload(payload []byte) (*Graph, error) {
-	br := bytes.NewReader(payload)
-	nodes, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, fmt.Errorf("graph: node count: %w", err)
+	r := &payloadReader{b: payload}
+	nodes, edges := r.uvarint(), r.uvarint()
+	if r.bad {
+		return nil, fmt.Errorf("%w: truncated header", ErrBadFormat)
 	}
-	edges, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, fmt.Errorf("graph: edge count: %w", err)
-	}
-	if nodes > maxPayload/16 {
+	if nodes > uint64(len(payload))/minNodeBytes {
 		return nil, fmt.Errorf("%w: implausible node count %d", ErrBadFormat, nodes)
 	}
 	g := New(int(nodes))
-	var fbuf [8]byte
-	readFloat := func() (float64, error) {
-		if _, err := io.ReadFull(br, fbuf[:]); err != nil {
-			return 0, err
-		}
-		return math.Float64frombits(binary.LittleEndian.Uint64(fbuf[:])), nil
-	}
 	for i := uint64(0); i < nodes; i++ {
-		ulen, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("graph: node %d url len: %w", i, err)
-		}
+		ulen := r.uvarint()
 		if ulen > MaxURLLen {
 			return nil, fmt.Errorf("%w: url length %d", ErrBadFormat, ulen)
 		}
-		urlBytes := make([]byte, ulen)
-		if _, err := io.ReadFull(br, urlBytes); err != nil {
-			return nil, fmt.Errorf("graph: node %d url: %w", i, err)
+		url := r.next(ulen)
+		site, n := binary.Varint(r.b)
+		if n <= 0 {
+			r.bad = true
+		} else {
+			r.b = r.b[n:]
 		}
-		site, err := binary.ReadVarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("graph: node %d site: %w", i, err)
+		created, quality := r.float(), r.float()
+		if r.bad {
+			return nil, fmt.Errorf("%w: node %d truncated", ErrBadFormat, i)
 		}
-		created, err := readFloat()
-		if err != nil {
-			return nil, fmt.Errorf("graph: node %d created: %w", i, err)
-		}
-		quality, err := readFloat()
-		if err != nil {
-			return nil, fmt.Errorf("graph: node %d quality: %w", i, err)
-		}
-		if _, err := g.AddPage(Page{
-			URL:     string(urlBytes),
-			Site:    int32(site),
-			Created: created,
-			Quality: quality,
-		}); err != nil {
+		if _, err := g.AddPage(Page{URL: string(url), Site: int32(site), Created: created, Quality: quality}); err != nil {
 			return nil, err
 		}
 	}
+	// Every target takes at least one byte, so the bytes left bound the
+	// edge count a truthful header can give.
+	targets := make([]NodeID, 0, min(edges, uint64(len(r.b))))
 	for i := uint64(0); i < nodes; i++ {
-		deg, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("graph: node %d degree: %w", i, err)
-		}
+		deg := r.uvarint()
 		if deg > nodes {
 			return nil, fmt.Errorf("%w: degree %d > nodes %d", ErrBadFormat, deg, nodes)
 		}
-		prev := uint64(0)
-		for k := uint64(0); k < deg; k++ {
-			d, err := binary.ReadUvarint(br)
-			if err != nil {
-				return nil, fmt.Errorf("graph: node %d edge %d: %w", i, k, err)
+		lo, prev := len(targets), uint64(0)
+		for k := uint64(0); k < deg && !r.bad; k++ {
+			d := r.uvarint()
+			switch {
+			case r.bad: // reported after the loop
+			case d >= nodes-prev: // prev < nodes, so this cannot overflow
+				return nil, fmt.Errorf("%w: edge target %d+%d out of range", ErrBadFormat, prev, d)
+			case (k > 0 && d == 0) || prev+d == i:
+				return nil, fmt.Errorf("%w: duplicate or self edge %d->%d", ErrBadFormat, i, prev+d)
 			}
-			to := prev + d
-			prev = to
-			if to >= nodes {
-				return nil, fmt.Errorf("%w: edge target %d out of range", ErrBadFormat, to)
-			}
-			if !g.AddLink(NodeID(i), NodeID(to)) {
-				return nil, fmt.Errorf("%w: duplicate or self edge %d->%d", ErrBadFormat, i, to)
-			}
+			prev += d
+			targets = append(targets, NodeID(prev))
+		}
+		if r.bad {
+			return nil, fmt.Errorf("%w: adjacency of node %d truncated", ErrBadFormat, i)
+		}
+		if n := len(targets); n > lo {
+			g.out[i] = targets[lo:n:n]
 		}
 	}
-	if uint64(g.NumEdges()) != edges {
-		return nil, fmt.Errorf("%w: edge count %d, header says %d", ErrBadFormat, g.NumEdges(), edges)
+	if uint64(len(targets)) != edges {
+		return nil, fmt.Errorf("%w: edge count %d, header says %d", ErrBadFormat, len(targets), edges)
 	}
-	if br.Len() != 0 {
-		return nil, fmt.Errorf("%w: %d trailing payload bytes", ErrBadFormat, br.Len())
+	if len(r.b) != 0 {
+		return nil, fmt.Errorf("%w: %d trailing payload bytes", ErrBadFormat, len(r.b))
 	}
+	g.fillIn()
 	return g, nil
 }

@@ -2,9 +2,12 @@ package graph
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -47,17 +50,13 @@ func TestRoundTripSmall(t *testing.T) {
 	g.AddLink(1, 0)
 	g.AddLink(0, 2)
 
-	var buf bytes.Buffer
-	n, err := g.WriteTo(&buf)
+	buf := g.AppendBinary(nil)
+	g2, n, err := DecodeBinary(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != int64(buf.Len()) {
-		t.Fatalf("WriteTo returned %d, wrote %d", n, buf.Len())
-	}
-	g2, err := ReadFrom(&buf)
-	if err != nil {
-		t.Fatal(err)
+	if n != len(buf) {
+		t.Fatalf("DecodeBinary consumed %d of %d bytes", n, len(buf))
 	}
 	if !graphsEqual(g, g2) {
 		t.Fatal("round trip changed the graph")
@@ -128,7 +127,7 @@ func TestBadMagic(t *testing.T) {
 func TestTruncatedStream(t *testing.T) {
 	buf := cycleGraph(5).AppendBinary(nil)
 	for _, cut := range []int{0, 3, 11, len(buf) / 2, len(buf) - 1} {
-		if _, err := ReadFrom(bytes.NewReader(buf[:cut])); err == nil {
+		if _, _, err := DecodeBinary(buf[:cut]); err == nil {
 			t.Fatalf("truncation at %d not detected", cut)
 		}
 	}
@@ -148,7 +147,7 @@ func TestEmptyGraphRoundTrip(t *testing.T) {
 
 // TestURLLengthLimit: the writer refuses what the reader refuses. A URL
 // of MaxURLLen bytes round-trips; AddPage refuses one byte more, so no
-// graph holds a URL that ReadFrom would reject.
+// graph holds a URL that DecodeBinary would reject.
 func TestURLLengthLimit(t *testing.T) {
 	g := New(1)
 	longest := "http://a/" + strings.Repeat("x", MaxURLLen-len("http://a/"))
@@ -165,7 +164,7 @@ func TestURLLengthLimit(t *testing.T) {
 func TestImplausibleLengthRejected(t *testing.T) {
 	buf := append([]byte{}, graphMagic[:]...)
 	buf = append(buf, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f) // huge payload len
-	if _, err := ReadFrom(bytes.NewReader(buf)); !errors.Is(err, ErrBadFormat) {
+	if _, _, err := DecodeBinary(buf); !errors.Is(err, ErrBadFormat) {
 		t.Fatalf("huge payload accepted: %v", err)
 	}
 }
@@ -274,4 +273,104 @@ func TestQuickBitFlipDetected(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// hostileHeaders are inputs whose headers claim far more than they hold:
+// a 16-byte input announcing a 1 GiB payload, and a 22-byte one whose
+// valid checksum covers a payload claiming 60 M nodes.
+func hostileHeaders() map[string][]byte {
+	huge := append([]byte(nil), graphMagic[:]...)
+	huge = binary.LittleEndian.AppendUint64(huge, 1<<30)
+	huge = append(huge, 0, 0, 0, 0)
+	nodes := binary.AppendUvarint(nil, 60_000_000)
+	nodes = append(nodes, 0, 0) // no edges, one stray byte
+	return map[string][]byte{"payload-length": huge, "node-count": reframe(nodes)}
+}
+
+// TestDecodeAllocationBoundedByInput: a header's sizes are bounded by the
+// bytes present before anything is allocated, so neither hostile header
+// allocates a MiB, and both are ErrBadFormat.
+func TestDecodeAllocationBoundedByInput(t *testing.T) {
+	for name, buf := range hostileHeaders() {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, _, err := DecodeBinary(buf)
+		runtime.ReadMemStats(&after)
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+			t.Errorf("%s: a %d-byte input allocated %d MiB", name, len(buf), alloc>>20)
+		}
+		if !errors.Is(err, ErrBadFormat) {
+			t.Errorf("%s: err = %v, want ErrBadFormat", name, err)
+		}
+	}
+}
+
+// rowsPayload encodes nodes URL-less pages followed by the given
+// adjacency rows, each a list of raw deltas, under a header claiming
+// edges links.
+func rowsPayload(nodes, edges int, rows [][]uint64) []byte {
+	p := binary.AppendUvarint(binary.AppendUvarint(nil, uint64(nodes)), uint64(edges))
+	for i := 0; i < nodes; i++ {
+		p = append(p, 0, 0) // empty URL, site 0
+		p = append(p, make([]byte, 16)...)
+	}
+	for i := 0; i < nodes; i++ {
+		var row []uint64
+		if i < len(rows) {
+			row = rows[i]
+		}
+		p = binary.AppendUvarint(p, uint64(len(row)))
+		for _, d := range row {
+			p = binary.AppendUvarint(p, d)
+		}
+	}
+	return p
+}
+
+// badRows are adjacency rows every decoder must refuse, checksum intact.
+var badRows = map[string][]byte{
+	"zero-delta":    rowsPayload(3, 2, [][]uint64{{1, 0}}),
+	"self-edge":     rowsPayload(3, 1, [][]uint64{nil, {1}}),
+	"out-of-range":  rowsPayload(3, 1, [][]uint64{{3}}),
+	"wrapped-delta": rowsPayload(3, 2, [][]uint64{{2, math.MaxUint64}}),
+	"edge-count":    rowsPayload(3, 2, [][]uint64{{1}}),
+}
+
+func TestDecodeRejectsBadRows(t *testing.T) {
+	for name, p := range badRows {
+		if _, _, err := DecodeBinary(reframe(p)); !errors.Is(err, ErrBadFormat) {
+			t.Errorf("%s: err = %v, want ErrBadFormat", name, err)
+		}
+	}
+	if _, _, err := DecodeBinary(reframe(rowsPayload(3, 2, [][]uint64{{1, 1}}))); err != nil {
+		t.Fatalf("the well-formed control row is refused: %v", err)
+	}
+}
+
+// FuzzDecodeBinary: arbitrary bytes never panic the decoder; a graph that
+// decodes is consistent, and encoding it again decodes to the same pages,
+// rows and in-list order. Each input is also tried as a payload behind a
+// valid checksum, which is how mutations reach the row parser.
+func FuzzDecodeBinary(f *testing.F) {
+	f.Add(cycleGraph(5).AppendBinary(nil))
+	f.Add(payloadOf(cycleGraph(5).AppendBinary(nil)))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, buf := range [][]byte{data, reframe(data)} {
+			g, n, err := DecodeBinary(buf)
+			if err != nil {
+				continue
+			}
+			if n > len(buf) {
+				t.Fatalf("consumed %d of %d bytes", n, len(buf))
+			}
+			if err := g.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			again, _, err := DecodeBinary(g.AppendBinary(nil))
+			if err != nil {
+				t.Fatalf("re-encoding does not decode: %v", err)
+			}
+			sameGraph(t, again, g)
+		}
+	})
 }

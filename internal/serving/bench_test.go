@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"pagequality/internal/pagestore"
 	"pagequality/internal/randx"
 	"pagequality/internal/webcorpus"
 )
@@ -50,7 +51,7 @@ func benchCorpus() webcorpus.Config {
 // cached repeats one query against a warm cache, so every request is a
 // hit.
 func BenchmarkServeSearch(b *testing.B) {
-	cfg := serviceConfig(crawlFixture(b, benchCorpus(), webcorpus.TextOptions{}))
+	cfg := serviceConfig(crawlFixture(b, benchCorpus(), webcorpus.TextOptions{}, pagestore.Options{}))
 	service := func(cacheSize int) *Service {
 		c := cfg
 		c.CacheSize = cacheSize
@@ -113,6 +114,21 @@ func BenchmarkServeSearch(b *testing.B) {
 		}
 		serve(b, cached, paths)
 	})
+}
+
+// BenchmarkLoadGeneration times one refresh in process: LoadGeneration on
+// cmd/bench's serving fixture (about 2,000 documents, three crawls, 1 MiB
+// archive segments), built once per run, so ns/op follows op_p50_ms on
+// the refresh workload without the HTTP round trip.
+func BenchmarkLoadGeneration(b *testing.B) {
+	cfg := serviceConfig(crawlFixture(b, benchCorpus(), webcorpus.TextOptions{}, pagestore.Options{MaxSegmentBytes: 1 << 20}))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := LoadGeneration(cfg, uint64(i+1)); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // BenchmarkServeConcurrentClients drives the service over real HTTP with

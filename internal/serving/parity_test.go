@@ -2,7 +2,9 @@ package serving
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"math"
 	"reflect"
 	"testing"
@@ -126,5 +128,33 @@ func TestLoadGenerationMatchesSerialBuild(t *testing.T) {
 	}
 	if hits, err := g.ix.Search("café", search.Options{}); err != nil || len(hits) != 1 {
 		t.Fatalf("the accented body is not served: %d hits, err %v", len(hits), err)
+	}
+}
+
+// TestLoadGenerationBitsPinned holds a generation built on the serving
+// fixture to the exact bits it had before the snapshot decoder, Align's
+// subgraph and graph.Diff stopped building their graphs one AddLink at a
+// time: the served URLs, and the Float64bits of every quality and
+// PageRank score. The CRCs were captured at that parent commit.
+func TestLoadGenerationBitsPinned(t *testing.T) {
+	g, err := LoadGeneration(fixtureConfig(t), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	urls := crc32.NewIEEE()
+	for _, u := range g.urls {
+		urls.Write(append([]byte(u), 0))
+	}
+	bits := func(v []float64) uint32 {
+		h := crc32.NewIEEE()
+		for _, x := range v {
+			h.Write(binary.LittleEndian.AppendUint64(nil, math.Float64bits(x)))
+		}
+		return h.Sum32()
+	}
+	const wantDocs, wantURLs, wantQual, wantPR = 101, 0x2731c211, 0xd8616bf9, 0xf8d6d55d
+	if len(g.urls) != wantDocs || urls.Sum32() != wantURLs || bits(g.qual) != wantQual || bits(g.pr) != wantPR {
+		t.Errorf("%d docs, crc urls %#08x qual %#08x pr %#08x; want %d, %#08x, %#08x, %#08x",
+			len(g.urls), urls.Sum32(), bits(g.qual), bits(g.pr), wantDocs, wantURLs, wantQual, wantPR)
 	}
 }

@@ -33,12 +33,13 @@ func buildFixture(t testing.TB) (storePath, archiveDir string) {
 	cfg.BirthRate = 2
 	cfg.BurnInWeeks = 20
 	cfg.Seed = 14
-	return crawlFixture(t, cfg, webcorpus.TextOptions{MinWords: 20, MaxWords: 40})
+	return crawlFixture(t, cfg, webcorpus.TextOptions{MinWords: 20, MaxWords: 40}, pagestore.Options{})
 }
 
 // crawlFixture grows the corpus cfg describes and crawls it at weeks 0, 4
-// and 8, serving page text generated with text.
-func crawlFixture(t testing.TB, cfg webcorpus.Config, text webcorpus.TextOptions) (storePath, archiveDir string) {
+// and 8, serving page text generated with text, into an archive opened
+// with opts.
+func crawlFixture(t testing.TB, cfg webcorpus.Config, text webcorpus.TextOptions, opts pagestore.Options) (storePath, archiveDir string) {
 	t.Helper()
 	sim, err := webcorpus.New(cfg)
 	if err != nil {
@@ -47,7 +48,7 @@ func crawlFixture(t testing.TB, cfg webcorpus.Config, text webcorpus.TextOptions
 	dir := t.TempDir()
 	storePath = filepath.Join(dir, "web.pqs")
 	archiveDir = filepath.Join(dir, "pages")
-	arch, err := pagestore.Open(archiveDir, pagestore.Options{})
+	arch, err := pagestore.Open(archiveDir, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

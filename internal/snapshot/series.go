@@ -101,8 +101,7 @@ func Align(snaps []Snapshot) (*Aligned, error) {
 			}
 			keep[i] = id
 		}
-		sub, _ := s.Graph.Subgraph(keep)
-		al.Graphs[k] = sub
+		al.Graphs[k] = s.Graph.Subgraph(keep)
 	}
 	return al, nil
 }

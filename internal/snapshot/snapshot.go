@@ -109,11 +109,10 @@ func Decode(data []byte) ([]Snapshot, error) {
 		if err != nil || blen > uint64(br.Len()) {
 			return nil, fmt.Errorf("%w: snapshot %d blob length", ErrBadStore, i)
 		}
-		blob := make([]byte, blen)
-		if _, err := io.ReadFull(br, blob); err != nil {
-			return nil, fmt.Errorf("%w: snapshot %d blob: %v", ErrBadStore, i, err)
-		}
-		g, _, err := graph.DecodeBinary(blob)
+		// The graph decoder reads the blob in place and keeps no reference.
+		pos := len(body) - br.Len()
+		g, _, err := graph.DecodeBinary(body[pos : pos+int(blen)])
+		br.Seek(int64(blen), io.SeekCurrent) // within the bounds checked above
 		if err != nil {
 			return nil, fmt.Errorf("snapshot: snapshot %d graph: %w", i, err)
 		}
