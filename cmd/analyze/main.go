@@ -40,21 +40,9 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if len(snaps) == 0 {
-		return fmt.Errorf("store %s is empty", *in)
-	}
-	snap := snaps[len(snaps)-1]
-	if *label != "" {
-		found := false
-		for _, s := range snaps {
-			if s.Label == *label {
-				snap, found = s, true
-				break
-			}
-		}
-		if !found {
-			return fmt.Errorf("no snapshot labelled %q in %s", *label, *in)
-		}
+	snap, err := snapshot.Select(snaps, *label)
+	if err != nil {
+		return fmt.Errorf("%s: %w", *in, err)
 	}
 	c := graph.Freeze(snap.Graph)
 	fmt.Fprintf(out, "snapshot %s (week %.1f): %d pages, %d links\n",

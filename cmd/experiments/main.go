@@ -21,6 +21,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"sync"
 	"time"
 
 	"pagequality/internal/experiments"
@@ -96,6 +97,18 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 
+	// The corpus-backed steps share one crawl of the configured corpus,
+	// built the first time one of them runs.
+	shared := sync.OnceValues(func() (*experiments.Crawl, error) { return experiments.NewCrawl(cfg) })
+	withCrawl := func(fn func(*experiments.Crawl) error) func() error {
+		return func() error {
+			c, err := shared()
+			if err != nil {
+				return err
+			}
+			return fn(c)
+		}
+	}
 	steps := []struct {
 		name string
 		fn   func() error
@@ -105,12 +118,12 @@ func run(args []string, out io.Writer) error {
 		{"figure2", func() error { return figure2(out, writeCSV) }},
 		{"figure3", func() error { return figure3(out, writeCSV) }},
 		{"figure4", func() error { return figure4(out) }},
-		{"headline", func() error { return headline(out, cfg, writeCSV) }},
-		{"figure5", func() error { return figure5(out, cfg, writeCSV) }},
-		{"ablation-c", func() error { return ablationC(out, cfg, writeCSV) }},
-		{"ablation-forgetting", func() error { return ablationForgetting(out, cfg) }},
+		{"headline", withCrawl(func(c *experiments.Crawl) error { return headline(out, c, writeCSV) })},
+		{"figure5", withCrawl(func(c *experiments.Crawl) error { return figure5(out, c, writeCSV) })},
+		{"ablation-c", withCrawl(func(c *experiments.Crawl) error { return ablationC(out, c, writeCSV) })},
+		{"ablation-forgetting", withCrawl(func(c *experiments.Crawl) error { return ablationForgetting(out, c) })},
 		{"ablation-window", func() error { return ablationWindow(out, cfg, writeCSV) }},
-		{"risingstars", func() error { return risingStars(out, cfg) }},
+		{"risingstars", withCrawl(func(c *experiments.Crawl) error { return risingStars(out, c) })},
 		{"ranking-policies", func() error { return rankingPolicies(out, cfg, *quick, writeCSV) }},
 		{"multiseed", func() error { return multiSeed(out, cfg) }},
 		{"ablation-estimator", func() error { return ablationEstimator(out, cfg) }},
@@ -213,9 +226,9 @@ func figure4(out io.Writer) error {
 	return nil
 }
 
-func headline(out io.Writer, cfg experiments.HeadlineConfig, writeCSV csvSink) error {
+func headline(out io.Writer, c *experiments.Crawl, writeCSV csvSink) error {
 	fmt.Fprintln(out, "running the Section-8 experiment (corpus growth + 4 crawls)...")
-	res, err := experiments.RunHeadline(cfg)
+	res, err := c.Headline()
 	if err != nil {
 		return err
 	}
@@ -240,8 +253,8 @@ func headline(out io.Writer, cfg experiments.HeadlineConfig, writeCSV csvSink) e
 	})
 }
 
-func figure5(out io.Writer, cfg experiments.HeadlineConfig, writeCSV csvSink) error {
-	res, err := experiments.RunHeadline(cfg)
+func figure5(out io.Writer, c *experiments.Crawl, writeCSV csvSink) error {
+	res, err := c.Headline()
 	if err != nil {
 		return err
 	}
@@ -265,12 +278,12 @@ func figure5(out io.Writer, cfg experiments.HeadlineConfig, writeCSV csvSink) er
 	})
 }
 
-func ablationC(out io.Writer, cfg experiments.HeadlineConfig, writeCSV csvSink) error {
+func ablationC(out io.Writer, c *experiments.Crawl, writeCSV csvSink) error {
 	// C=0 is the pure-popularity endpoint: Q degenerates to PR, so its
 	// row doubles as a sanity check that avgErr(Q) == avgErr(PR) there.
 	cs := []float64{0, 0.01, 0.1, 0.5, 1.0, 1.5, 2.0, 3.0}
 	fmt.Fprintln(out, "Ablation A: estimator constant C (paper tuned C=0.1 to its crawl; our corpus tunes to 1.0)")
-	pts, err := experiments.AblationC(cfg, cs)
+	pts, err := c.AblationC(cs)
 	if err != nil {
 		return err
 	}
@@ -288,10 +301,10 @@ func ablationC(out io.Writer, cfg experiments.HeadlineConfig, writeCSV csvSink) 
 	})
 }
 
-func ablationForgetting(out io.Writer, cfg experiments.HeadlineConfig) error {
+func ablationForgetting(out io.Writer, c *experiments.Crawl) error {
 	fmt.Fprintln(out, "Ablation B: forgetting explains decreasing popularity (§9.1)")
 	fmt.Fprintln(out, "(in-degree evolution classes; the clean model can only add links)")
-	res, err := experiments.AblationForgetting(cfg, 0.01, 0.01)
+	res, err := c.AblationForgetting()
 	if err != nil {
 		return err
 	}
@@ -331,9 +344,9 @@ func multiSeed(out io.Writer, cfg experiments.HeadlineConfig) error {
 	return nil
 }
 
-func risingStars(out io.Writer, cfg experiments.HeadlineConfig) error {
+func risingStars(out io.Writer, c *experiments.Crawl) error {
 	fmt.Fprintln(out, "Rising stars: young high-quality pages under both rankings (the paper's motivation)")
-	res, err := experiments.RunRisingStars(cfg, 20)
+	res, err := c.RisingStars(20)
 	if err != nil {
 		return err
 	}

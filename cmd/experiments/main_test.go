@@ -92,6 +92,37 @@ func TestAblationsQuick(t *testing.T) {
 	}
 }
 
+// TestQuickSectionsMatchRunAll: each corpus-backed step run alone prints
+// exactly its section of -run all, whatever the steps before it in -run
+// all built or shared.
+func TestQuickSectionsMatchRunAll(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs every experiment on the quick corpus")
+	}
+	var all bytes.Buffer
+	if err := run([]string{"-quick"}, &all); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"headline", "figure5", "ablation-c", "ablation-forgetting", "risingstars"} {
+		var alone bytes.Buffer
+		if err := run([]string{"-run", name, "-quick"}, &alone); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		header := "\n================ " + name + " ================\n"
+		start := strings.Index(all.String(), header)
+		if start < 0 {
+			t.Fatalf("-run all printed no %s section", name)
+		}
+		section := all.String()[start:]
+		if end := strings.Index(section[len(header):], "\n================ "); end >= 0 {
+			section = section[:len(header)+end]
+		}
+		if alone.String() != section {
+			t.Errorf("%s alone:\n%s--- its section of -run all:\n%s", name, alone.String(), section)
+		}
+	}
+}
+
 func TestCSVExport(t *testing.T) {
 	dir := t.TempDir()
 	var buf bytes.Buffer

@@ -16,6 +16,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -24,7 +25,7 @@ import (
 	"strings"
 
 	"pagequality/internal/corpus"
-	"pagequality/internal/metrics"
+	"pagequality/internal/experiments"
 	"pagequality/internal/pagerank"
 	"pagequality/internal/pagestore"
 	"pagequality/internal/quality"
@@ -119,34 +120,17 @@ func run(args []string, out io.Writer) error {
 
 	// If a future snapshot exists, score like §8.2.
 	if al.NumSnapshots() > *snapsN {
-		future := ranks[len(ranks)-1]
-		var errsQ, errsPR []float64
-		for i := range est.Q {
-			if !est.Changed[i] || future[i] == 0 {
-				continue
-			}
-			eq, errQ := metrics.RelativeError(est.Q[i], future[i])
-			ep, errP := metrics.RelativeError(cur[i], future[i])
-			if errQ != nil || errP != nil {
-				continue // zero truth; already filtered above, but stay safe
-			}
-			errsQ = append(errsQ, eq)
-			errsPR = append(errsPR, ep)
+		res, err := experiments.Evaluate(est, cur, ranks[len(ranks)-1], nil)
+		if errors.Is(err, experiments.ErrNoChangedPages) {
+			return nil
 		}
-		if len(errsQ) > 0 {
-			sq, err := metrics.Summarize(errsQ)
-			if err != nil {
-				return err
-			}
-			sp, err := metrics.Summarize(errsPR)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(out, "\nprediction of %s over %d changed pages:\n",
-				al.Labels[len(ranks)-1], len(errsQ))
-			fmt.Fprintf(out, "  avg rel. error  Q(p): %.3f   PR(now): %.3f\n", sq.Mean, sp.Mean)
-			fmt.Fprintf(out, "  median          Q(p): %.3f   PR(now): %.3f\n", sq.Median, sp.Median)
+		if err != nil {
+			return err
 		}
+		fmt.Fprintf(out, "\nprediction of %s over %d changed pages:\n",
+			al.Labels[len(ranks)-1], res.PagesScored)
+		fmt.Fprintf(out, "  avg rel. error  Q(p): %.3f   PR(now): %.3f\n", res.AvgErrQ, res.AvgErrPR)
+		fmt.Fprintf(out, "  median          Q(p): %.3f   PR(now): %.3f\n", res.MedianErrQ, res.MedianErrPR)
 	}
 	return nil
 }

@@ -76,6 +76,51 @@ func TestQualityCLI(t *testing.T) {
 	}
 }
 
+// TestQualityCLIStdoutPinned pins the whole report byte for byte: with a
+// future snapshot (-snaps 3, so t4 is scored as in §8.2) and without one.
+func TestQualityCLIStdoutPinned(t *testing.T) {
+	path := fixture(t)
+	const table3 = `
+rank        Q(p)     PR(now)  class        url
+   1      1.9867      1.6867  increasing   http://s/p7
+   2      1.3756      1.3756  stable       http://s/p0
+   3      1.0926      1.1851  decreasing   http://s/p5
+   4      1.0665      0.9530  increasing   http://s/p1
+   5      0.7734      0.7734  fluctuating  http://s/p2
+   6      0.7490      0.9608  decreasing   http://s/p4
+   7      0.6684      0.3684  increasing   http://s/p6
+   8      0.3970      0.6970  decreasing   http://s/p3
+`
+	const table4 = `
+rank        Q(p)     PR(now)  class        url
+   1      2.6333      2.3333  increasing   http://s/p7
+   2      1.1073      1.1073  fluctuating  http://s/p0
+   3      0.9158      0.9158  fluctuating  http://s/p1
+   4      0.8344      0.8344  fluctuating  http://s/p2
+   5      0.7999      0.7999  fluctuating  http://s/p3
+   6      0.7452      0.4452  increasing   http://s/p6
+   7      0.4852      0.7852  decreasing   http://s/p4
+   8      0.4789      0.7789  decreasing   http://s/p5
+`
+	for _, tc := range []struct{ snaps, want string }{
+		{"3", "4 snapshots, 8 common pages\n" +
+			"classes: increasing=3 decreasing=3 fluctuating=1 stable=1 (changed>5%: 7)\n" + table3 +
+			"\nprediction of t4 over 7 changed pages:\n" +
+			"  avg rel. error  Q(p): 0.263   PR(now): 0.205\n" +
+			"  median          Q(p): 0.165   PR(now): 0.173\n"},
+		{"4", "4 snapshots, 8 common pages\n" +
+			"classes: increasing=2 decreasing=2 fluctuating=4 stable=0 (changed>5%: 8)\n" + table4},
+	} {
+		var buf bytes.Buffer
+		if err := run([]string{"-in", path, "-snaps", tc.snaps, "-top", "8"}, &buf); err != nil {
+			t.Fatal(err)
+		}
+		if buf.String() != tc.want {
+			t.Errorf("-snaps %s:\n--- got ---\n%s--- want ---\n%s", tc.snaps, buf.String(), tc.want)
+		}
+	}
+}
+
 func TestQualityCLIWithoutFuture(t *testing.T) {
 	path := fixture(t)
 	var buf bytes.Buffer

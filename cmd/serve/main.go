@@ -83,21 +83,9 @@ func newHandler(storePath, label string) (http.Handler, string, error) {
 	if err != nil {
 		return nil, "", err
 	}
-	if len(snaps) == 0 {
-		return nil, "", fmt.Errorf("store %s is empty", storePath)
-	}
-	snap := snaps[len(snaps)-1]
-	if label != "" {
-		found := false
-		for _, s := range snaps {
-			if s.Label == label {
-				snap, found = s, true
-				break
-			}
-		}
-		if !found {
-			return nil, "", fmt.Errorf("no snapshot labelled %q in %s", label, storePath)
-		}
+	snap, err := snapshot.Select(snaps, label)
+	if err != nil {
+		return nil, "", fmt.Errorf("%s: %w", storePath, err)
 	}
 	srv, err := webserver.New(snap.Graph, nil)
 	if err != nil {

@@ -2,6 +2,9 @@ package pagequality_test
 
 import (
 	"encoding/json"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io/fs"
 	"os"
 	"path"
@@ -28,7 +31,8 @@ var citedPath = regexp.MustCompile(`(?:^|[^\w/.-])(?:\./)?((?:internal|cmd|examp
 
 // TestDocsCitePathsThatExist fails on a document that names a package,
 // command or file the tree no longer has. In the `pkg.Ident` form only
-// the package directory must exist; identifiers are not checked.
+// the package directory must exist here; TestDocsCiteIdentifiersThatExist
+// checks the identifier.
 func TestDocsCitePathsThatExist(t *testing.T) {
 	cited := 0
 	for _, doc := range citingDocs {
@@ -240,5 +244,117 @@ func TestDocsCiteFlagsThatExist(t *testing.T) {
 	}
 	if cited < 150 {
 		t.Fatalf("found only %d cited flags: the scan is broken", cited)
+	}
+}
+
+// citedIdent matches `pkg.Ident`, `pkg.Type.Method`, `pkg.(*Type).Method`
+// and `internal/pkg.Ident`, with an optional trailing `*` for a prefix;
+// one glued to a longer path or selector is not one.
+var citedIdent = regexp.MustCompile(`(?:^|[^\w./])(?:internal/)?([a-z][a-z0-9]*)\.(?:\(\*)?([A-Z]\w*)\)?(?:\.([A-Z]\w*))?(\*)?`)
+
+// internalDecls maps each internal package to the names its files, tests
+// included, declare: "Ident" for a function, type, variable or constant,
+// "Type.Name" for a method, struct field or interface method, and "Name"
+// for a method too, the short form the documents also cite.
+func internalDecls(t *testing.T) map[string]map[string]bool {
+	files, err := filepath.Glob("internal/*/*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	decls := map[string]map[string]bool{}
+	fset := token.NewFileSet()
+	for _, p := range files {
+		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pkg := filepath.Base(filepath.Dir(p))
+		if decls[pkg] == nil {
+			decls[pkg] = map[string]bool{}
+		}
+		for _, d := range f.Decls {
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				name := d.Name.Name
+				if d.Recv != nil {
+					recv := d.Recv.List[0].Type
+					if star, ok := recv.(*ast.StarExpr); ok {
+						recv = star.X
+					}
+					switch generic := recv.(type) {
+					case *ast.IndexExpr:
+						recv = generic.X
+					case *ast.IndexListExpr:
+						recv = generic.X
+					}
+					decls[pkg][name] = true
+					name = recv.(*ast.Ident).Name + "." + name
+				}
+				decls[pkg][name] = true
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					switch spec := spec.(type) {
+					case *ast.ValueSpec:
+						for _, n := range spec.Names {
+							decls[pkg][n.Name] = true
+						}
+					case *ast.TypeSpec:
+						decls[pkg][spec.Name.Name] = true
+						members := new(ast.FieldList)
+						switch typ := spec.Type.(type) {
+						case *ast.StructType:
+							members = typ.Fields
+						case *ast.InterfaceType:
+							members = typ.Methods
+						}
+						for _, member := range members.List {
+							for _, n := range member.Names {
+								decls[pkg][spec.Name.Name+"."+n.Name] = true
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	return decls
+}
+
+// TestDocsCiteIdentifiersThatExist fails on a document that names, in
+// backticks, an identifier of an internal package that the package does
+// not declare. `pkg.Ident*` matches any declaration starting with Ident.
+func TestDocsCiteIdentifiersThatExist(t *testing.T) {
+	decls := internalDecls(t)
+	cited := 0
+	for _, doc := range citingDocs {
+		data, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		text := string(data)
+		for _, span := range backticked.FindAllStringIndex(text, -1) {
+			for _, m := range citedIdent.FindAllStringSubmatch(text[span[0]:span[1]], -1) {
+				pkg := decls[m[1]]
+				if pkg == nil {
+					continue
+				}
+				cited++
+				name := m[2]
+				if m[3] != "" {
+					name += "." + m[3]
+				}
+				found := pkg[name]
+				for decl := range pkg {
+					found = found || m[4] == "*" && strings.HasPrefix(decl, name)
+				}
+				if !found {
+					t.Errorf("%s:%d cites %s.%s%s, which internal/%s does not declare",
+						doc, strings.Count(text[:span[0]], "\n")+1, m[1], name, m[4], m[1])
+				}
+			}
+		}
+	}
+	if cited < 100 {
+		t.Fatalf("found only %d cited identifiers: the scan is broken", cited)
 	}
 }

@@ -282,7 +282,11 @@ func TestHeadlineAcrossSeeds(t *testing.T) {
 		cfg.Corpus.Sites = 30
 		cfg.Corpus.BirthRate = 6
 		cfg.Corpus.Seed = seed
-		res, err := experiments.RunHeadline(cfg)
+		c, err := experiments.NewCrawl(cfg)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		res, err := c.Headline()
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

@@ -6,7 +6,6 @@ import (
 
 	"pagequality/internal/par"
 	"pagequality/internal/quality"
-	"pagequality/internal/snapshot"
 	"pagequality/internal/usersim"
 	"pagequality/internal/webcorpus"
 )
@@ -18,43 +17,26 @@ type CPoint struct {
 	AvgErrPR float64 // constant across C, repeated for convenience
 }
 
-// AblationC sweeps the estimator constant C over one corpus run,
-// reproducing the paper's footnote 6: "The value 0.1 showed the best
-// result out of all values that we tested. Small variations in the
-// constant did not affect our result significantly."
-func AblationC(cfg HeadlineConfig, cs []float64) ([]CPoint, error) {
+// AblationC sweeps the estimator constant C over the crawl, reproducing
+// the paper's footnote 6: "The value 0.1 showed the best result out of all
+// values that we tested. Small variations in the constant did not affect
+// our result significantly."
+func (c *Crawl) AblationC(cs []float64) ([]CPoint, error) {
 	if len(cs) == 0 {
 		return nil, fmt.Errorf("experiments: empty C sweep")
 	}
-	cfg.fill()
-	sim, err := webcorpus.New(cfg.Corpus)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: corpus: %w", err)
-	}
-	snaps, err := sim.RunSchedule(cfg.Schedule)
-	if err != nil {
-		return nil, err
-	}
-	al, err := snapshot.Align(snaps)
-	if err != nil {
-		return nil, err
-	}
-	truth, err := sim.TrueQualities(al.URLs)
-	if err != nil {
-		return nil, err
-	}
 	out := make([]CPoint, 0, len(cs))
-	for _, c := range cs {
-		if c < 0 {
-			return nil, fmt.Errorf("experiments: C sweep value %g must be non-negative", c)
+	for _, cv := range cs {
+		if cv < 0 {
+			return nil, fmt.Errorf("experiments: C sweep value %g must be non-negative", cv)
 		}
-		run := cfg
-		run.Estimator.C = c
-		res, err := EvaluateHeadline(al, truth, snaps[len(snaps)-1].Graph.NumNodes(), run)
+		est := c.cfg.Estimator
+		est.C = cv
+		res, err := c.evaluate(est)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, CPoint{C: c, AvgErrQ: res.AvgErrQ, AvgErrPR: res.AvgErrPR})
+		out = append(out, CPoint{C: cv, AvgErrQ: res.AvgErrQ, AvgErrPR: res.AvgErrPR})
 	}
 	return out, nil
 }
@@ -71,56 +53,36 @@ type ForgettingResult struct {
 	// forgetting, no noise): decreasing pages are (nearly) absent because
 	// links are only ever added.
 	ClassesClean map[quality.Class]int
-	// ClassesForgetting are the counts with forgetting and churn on:
-	// decreasing and fluctuating pages appear, matching what the paper
-	// observed in its real crawl data.
+	// ClassesForgetting are the counts of the crawl itself, with its
+	// corpus's forgetting and churn on: decreasing and fluctuating pages
+	// appear, matching what the paper observed in its real crawl data.
 	ClassesForgetting map[quality.Class]int
 }
 
-// AblationForgetting runs the corpus twice — once clean, once with
-// forgetting and churn — and tallies in-degree evolution classes.
-func AblationForgetting(cfg HeadlineConfig, forgetRate, noiseRate float64) (*ForgettingResult, error) {
-	cfg.fill()
-	runOnce := func(forget, noise float64) (map[quality.Class]int, error) {
-		run := cfg
-		run.Corpus.ForgetRate = forget
-		run.Corpus.NoiseRate = noise
-		sim, err := webcorpus.New(run.Corpus)
-		if err != nil {
-			return nil, err
-		}
-		snaps, err := sim.RunSchedule(run.Schedule)
-		if err != nil {
-			return nil, err
-		}
-		al, err := snapshot.Align(snaps)
-		if err != nil {
-			return nil, err
-		}
-		series := al.InDegreeSeries()
-		est, err := quality.EstimateFromSeries(series[:run.EstimationSnaps], run.Estimator)
+// AblationForgetting tallies in-degree evolution classes on the crawl and
+// on a clean rerun of its corpus with forgetting and churn off.
+func (c *Crawl) AblationForgetting() (*ForgettingResult, error) {
+	corpus := c.cfg.Corpus
+	corpus.ForgetRate, corpus.NoiseRate = 0, 0
+	clean, err := crawl(corpus, c.cfg.Schedule)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: clean run: %w", err)
+	}
+	classes := func(run *Crawl) (map[quality.Class]int, error) {
+		est, err := quality.EstimateFromSeries(run.al.InDegreeSeries()[:c.cfg.EstimationSnaps], c.cfg.Estimator)
 		if err != nil {
 			return nil, err
 		}
 		return est.Counts, nil
 	}
-	// The two corpora are independent simulations; run them concurrently.
-	runs := [2]struct {
-		name          string
-		forget, noise float64
-	}{{"clean", 0, 0}, {"forgetting", forgetRate, noiseRate}}
-	var counts [2]map[quality.Class]int
-	err := par.DoErr(len(runs), 0, func(i int) error {
-		var err error
-		if counts[i], err = runOnce(runs[i].forget, runs[i].noise); err != nil {
-			return fmt.Errorf("experiments: %s run: %w", runs[i].name, err)
-		}
-		return nil
-	})
-	if err != nil {
+	res := &ForgettingResult{}
+	if res.ClassesClean, err = classes(clean); err != nil {
 		return nil, err
 	}
-	return &ForgettingResult{ClassesClean: counts[0], ClassesForgetting: counts[1]}, nil
+	if res.ClassesForgetting, err = classes(c); err != nil {
+		return nil, err
+	}
+	return res, nil
 }
 
 // WindowPoint is one row of the measurement-window ablation.
@@ -159,19 +121,11 @@ func AblationWindow(cfg HeadlineConfig, gaps []float64, futureWeek float64) ([]W
 	}
 	times = append(times, futureWeek)
 	labels = append(labels, "future")
-	sim, err := webcorpus.New(cfg.Corpus)
+	c, err := crawl(cfg.Corpus, webcorpus.Schedule{Times: times, Labels: labels})
 	if err != nil {
 		return nil, err
 	}
-	snaps, err := sim.RunSchedule(webcorpus.Schedule{Times: times, Labels: labels})
-	if err != nil {
-		return nil, err
-	}
-	al, err := snapshot.Align(snaps)
-	if err != nil {
-		return nil, err
-	}
-	ranks, err := al.PageRankSeries(cfg.PageRank)
+	ranks, err := c.al.PageRankSeries(cfg.PageRank)
 	if err != nil {
 		return nil, err
 	}

@@ -8,7 +8,6 @@ import (
 	"pagequality/internal/graph"
 	"pagequality/internal/pagerank"
 	"pagequality/internal/quality"
-	"pagequality/internal/snapshot"
 	"pagequality/internal/webcorpus"
 )
 
@@ -46,19 +45,11 @@ func AblationEstimator(cfg HeadlineConfig, estimationCrawls int, gapWeeks, futur
 	sched.Times = append(sched.Times, futureWeek)
 	sched.Labels = append(sched.Labels, "future")
 
-	sim, err := webcorpus.New(cfg.Corpus)
+	c, err := crawl(cfg.Corpus, sched)
 	if err != nil {
 		return nil, err
 	}
-	snaps, err := sim.RunSchedule(sched)
-	if err != nil {
-		return nil, err
-	}
-	al, err := snapshot.Align(snaps)
-	if err != nil {
-		return nil, err
-	}
-	ranks, err := al.PageRankSeries(cfg.PageRank)
+	ranks, err := c.al.PageRankSeries(cfg.PageRank)
 	if err != nil {
 		return nil, err
 	}
@@ -74,28 +65,28 @@ func AblationEstimator(cfg HeadlineConfig, estimationCrawls int, gapWeeks, futur
 	if err != nil {
 		return nil, err
 	}
-
-	out := &EstimatorComparison{Crawls: estimationCrawls}
-	var sumE, sumR float64
-	n, fluct := 0, 0
-	for i := range cur {
-		if !endpoint.Changed[i] || future[i] == 0 {
-			continue
-		}
-		sumE += abs(future[i]-endpoint.Q[i]) / future[i]
-		sumR += abs(future[i]-regression.Q[i]) / future[i]
-		if endpoint.Class[i] == quality.ClassFluctuating {
+	// Both are scored over the same pages: the two estimators share one
+	// classification, so they agree on which pages changed.
+	e, err := Evaluate(endpoint, cur, future, nil)
+	if err != nil {
+		return nil, err
+	}
+	r, err := Evaluate(regression, cur, future, nil)
+	if err != nil {
+		return nil, err
+	}
+	fluct := 0
+	for i, cls := range endpoint.Class {
+		if cls == quality.ClassFluctuating && endpoint.Changed[i] && future[i] != 0 {
 			fluct++
 		}
-		n++
 	}
-	if n == 0 {
-		return nil, fmt.Errorf("experiments: no changed pages")
-	}
-	out.AvgErrEndpoint = sumE / float64(n)
-	out.AvgErrRegression = sumR / float64(n)
-	out.FluctuatingFrac = float64(fluct) / float64(n)
-	return out, nil
+	return &EstimatorComparison{
+		Crawls:           estimationCrawls,
+		AvgErrEndpoint:   e.AvgErrQ,
+		AvgErrRegression: r.AvgErrQ,
+		FluctuatingFrac:  float64(fluct) / float64(e.PagesScored),
+	}, nil
 }
 
 // SolverPoint is one row of the PageRank-solver ablation.

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -16,6 +17,16 @@ func testHeadlineConfig(seed int64) HeadlineConfig {
 	cfg.Corpus.BirthRate = 6
 	cfg.Corpus.Seed = seed
 	return cfg
+}
+
+// testCrawl crawls testHeadlineConfig(seed)'s corpus.
+func testCrawl(t testing.TB, seed int64) *Crawl {
+	t.Helper()
+	c, err := NewCrawl(testHeadlineConfig(seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
 }
 
 func TestFigure1ReproducesPaperShape(t *testing.T) {
@@ -120,7 +131,7 @@ func TestTable1(t *testing.T) {
 // first histogram bin — and both rankings correlate positively with the
 // ground-truth quality, with Q at least as good.
 func TestHeadlineShape(t *testing.T) {
-	res, err := RunHeadline(testHeadlineConfig(1))
+	res, err := testCrawl(t, 1).Headline()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,11 +162,11 @@ func TestHeadlineShape(t *testing.T) {
 }
 
 func TestHeadlineDeterministic(t *testing.T) {
-	a, err := RunHeadline(testHeadlineConfig(7))
+	a, err := testCrawl(t, 7).Headline()
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunHeadline(testHeadlineConfig(7))
+	b, err := testCrawl(t, 7).Headline()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,8 +178,31 @@ func TestHeadlineDeterministic(t *testing.T) {
 func TestHeadlineScheduleValidation(t *testing.T) {
 	cfg := testHeadlineConfig(1)
 	cfg.EstimationSnaps = 4 // no future snapshot left
-	if _, err := RunHeadline(cfg); err == nil {
+	if _, err := NewCrawl(cfg); err == nil {
 		t.Fatal("schedule without future snapshot accepted")
+	}
+	cfg.EstimationSnaps = 1 // no trend to measure
+	if _, err := NewCrawl(cfg); err == nil {
+		t.Fatal("a single estimation snapshot accepted")
+	}
+}
+
+// Evaluate scores only the changed pages with a positive future
+// PageRank; an estimate with none is ErrNoChangedPages.
+func TestEvaluateNeedsChangedPages(t *testing.T) {
+	est, err := quality.EstimateFromSeries([][]float64{{1, 2}, {1, 4}}, quality.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Evaluate(est, est.Q, []float64{1, 0}, nil); !errors.Is(err, ErrNoChangedPages) {
+		t.Fatalf("no scorable page: err = %v", err)
+	}
+	res, err := Evaluate(est, []float64{1, 4}, []float64{1, 8}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.PagesCommon != 2 || res.PagesChanged != 1 || res.PagesScored != 1 || res.AvgErrPR != 0.5 {
+		t.Fatalf("scored %+v", res)
 	}
 }
 
@@ -177,9 +211,9 @@ func TestHeadlineScheduleValidation(t *testing.T) {
 // errors (the paper's "small variations ... did not affect our result
 // significantly").
 func TestAblationC(t *testing.T) {
-	cfg := testHeadlineConfig(2)
+	c := testCrawl(t, 2)
 	cs := []float64{0, 0.5, 1.0, 1.5}
-	pts, err := AblationC(cfg, cs)
+	pts, err := c.AblationC(cs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,10 +234,14 @@ func TestAblationC(t *testing.T) {
 	if pts[2].AvgErrQ/pts[1].AvgErrQ > 1.5 || pts[1].AvgErrQ/pts[2].AvgErrQ > 1.5 {
 		t.Fatalf("C curve not smooth: %.3f vs %.3f", pts[1].AvgErrQ, pts[2].AvgErrQ)
 	}
-	if _, err := AblationC(cfg, nil); err == nil {
+	// The sweep point at the crawl's own C is its headline.
+	if h, err := c.Headline(); err != nil || h.AvgErrQ != pts[2].AvgErrQ { //pqlint:allow floateq the sweep and the headline must be one computation
+		t.Fatalf("headline %v (%v) differs from the C=1.0 sweep point %v", h, err, pts[2])
+	}
+	if _, err := c.AblationC(nil); err == nil {
 		t.Fatal("empty sweep accepted")
 	}
-	if _, err := AblationC(cfg, []float64{-1}); err == nil {
+	if _, err := c.AblationC([]float64{-1}); err == nil {
 		t.Fatal("negative C accepted")
 	}
 }
@@ -214,8 +252,7 @@ func TestAblationC(t *testing.T) {
 // observation that "many pages in our dataset showed consistent decrease
 // in their PageRanks".
 func TestAblationForgetting(t *testing.T) {
-	cfg := testHeadlineConfig(3)
-	res, err := AblationForgetting(cfg, 0.01, 0.01)
+	res, err := testCrawl(t, 3).AblationForgetting()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,10 +327,8 @@ func TestValidateModel(t *testing.T) {
 }
 
 func BenchmarkHeadlineSmall(b *testing.B) {
-	cfg := testHeadlineConfig(1)
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := RunHeadline(cfg); err != nil {
+		if _, err := testCrawl(b, 1).Headline(); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -348,7 +383,7 @@ func TestAblationPageRankSolver(t *testing.T) {
 // sampling fluke: the paired 95% bootstrap CI of errQ - errPR lies
 // entirely below zero.
 func TestHeadlineSignificance(t *testing.T) {
-	res, err := RunHeadline(testHeadlineConfig(1))
+	res, err := testCrawl(t, 1).Headline()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,8 +398,8 @@ func TestHeadlineSignificance(t *testing.T) {
 // Rising stars: young high-quality pages rank at least as well under the
 // quality estimate as under raw PageRank — the paper's motivating claim.
 func TestRisingStars(t *testing.T) {
-	cfg := testHeadlineConfig(1)
-	res, err := RunRisingStars(cfg, 20)
+	c := testCrawl(t, 1)
+	res, err := c.RisingStars(20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,7 +416,7 @@ func TestRisingStars(t *testing.T) {
 		t.Fatalf("stars did not rise: future %.3f vs current %.3f",
 			res.MeanPercentileFuture, res.MeanPercentilePR)
 	}
-	if _, err := RunRisingStars(cfg, -1); err == nil {
+	if _, err := c.RisingStars(-1); err == nil {
 		t.Fatal("negative age window accepted")
 	}
 }
@@ -423,7 +458,7 @@ func TestHeadlineMultiSeed(t *testing.T) {
 }
 
 // The multi-seed fan-out must produce bitwise the same per-seed factors as
-// running each seed through RunHeadline sequentially — parallelism may only
+// crawling and scoring each seed sequentially — parallelism may only
 // change wall-clock, never results.
 func TestMultiSeedMatchesSequential(t *testing.T) {
 	if testing.Short() {
@@ -438,7 +473,11 @@ func TestMultiSeedMatchesSequential(t *testing.T) {
 	for i, seed := range seeds {
 		run := cfg
 		run.Corpus.Seed = seed
-		h, err := RunHeadline(run)
+		c, err := NewCrawl(run)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, err := c.Headline()
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -72,7 +72,7 @@ func TestWriteFigureCSVs(t *testing.T) {
 }
 
 func TestWriteHeadlineAndFigure5CSV(t *testing.T) {
-	res, err := RunHeadline(testHeadlineConfig(1))
+	res, err := testCrawl(t, 1).Headline()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -39,7 +40,7 @@ type HeadlineConfig struct {
 // crawl ("the value 0.1 showed the best result out of all values that we
 // tested"): C = 1.0 absorbs the popularity→PageRank scale factor of the
 // synthetic link graph, and MaxTrend = 0.3 is the §9.1 noise guard. Run
-// AblationC to regenerate the sweep that picks these.
+// Crawl.AblationC to regenerate the sweep that picks these.
 func DefaultHeadlineConfig() HeadlineConfig {
 	corpus := webcorpus.DefaultConfig()
 	corpus.BurnInWeeks = 40
@@ -65,6 +66,7 @@ type HeadlineResult struct {
 	PagesCrawled int // pages in the final snapshot
 	PagesCommon  int // pages present in every snapshot
 	PagesChanged int // common pages whose PR changed > MinChangeFrac
+	PagesScored  int // changed pages with a positive future PR: the ones scored
 
 	// Average relative error predicting PR(t4) (paper: 0.32 vs 0.78).
 	AvgErrQ  float64
@@ -113,18 +115,31 @@ func (c *HeadlineConfig) fill() {
 	}
 }
 
-// RunHeadline executes the experiment end to end.
-func RunHeadline(cfg HeadlineConfig) (*HeadlineResult, error) {
-	cfg.fill()
-	if len(cfg.Schedule.Times) < cfg.EstimationSnaps+1 {
-		return nil, fmt.Errorf("experiments: schedule has %d snapshots, need %d estimation + 1 future",
-			len(cfg.Schedule.Times), cfg.EstimationSnaps)
-	}
-	sim, err := webcorpus.New(cfg.Corpus)
+// Crawl is the first half of the Section-8 pipeline, run once: the corpus
+// grown and crawled on the schedule, the crawls aligned on the pages
+// common to all of them, their PageRank series and each common page's
+// true quality. The headline, the C sweep, the forgetting ablation and
+// the rising stars all read one Crawl, so cmd/experiments simulates the
+// default corpus once.
+type Crawl struct {
+	cfg     HeadlineConfig
+	sim     *webcorpus.Sim
+	al      *snapshot.Aligned
+	crawled int         // pages in the final snapshot
+	ranks   [][]float64 // ranks[k][i]: PageRank of aligned page i at crawl k
+	truth   []float64   // truth[i]: true quality of aligned page i
+}
+
+// crawl grows the corpus and crawls it on sched, aligned on the common
+// pages: the one implementation of the pipeline's first step. The Crawl
+// it returns holds the simulator and the aligned crawls; NewCrawl adds
+// the rest.
+func crawl(corpus webcorpus.Config, sched webcorpus.Schedule) (*Crawl, error) {
+	sim, err := webcorpus.New(corpus)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: corpus: %w", err)
 	}
-	snaps, err := sim.RunSchedule(cfg.Schedule)
+	snaps, err := sim.RunSchedule(sched)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: schedule: %w", err)
 	}
@@ -132,28 +147,63 @@ func RunHeadline(cfg HeadlineConfig) (*HeadlineResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("experiments: align: %w", err)
 	}
-	truth, err := sim.TrueQualities(al.URLs)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: truth: %w", err)
-	}
-	return EvaluateHeadline(al, truth, snaps[len(snaps)-1].Graph.NumNodes(), cfg)
+	return &Crawl{sim: sim, al: al, crawled: snaps[len(snaps)-1].Graph.NumNodes()}, nil
 }
 
-// EvaluateHeadline runs the estimation/evaluation half of the experiment
-// on an already-aligned series (exposed separately so cmd/quality can
-// score stored snapshot files).
-func EvaluateHeadline(al *snapshot.Aligned, truth []float64, crawled int, cfg HeadlineConfig) (*HeadlineResult, error) {
+// NewCrawl runs the crawl cfg describes and computes its PageRank series
+// and true qualities.
+func NewCrawl(cfg HeadlineConfig) (*Crawl, error) {
 	cfg.fill()
-	est, ranks, err := quality.FromAligned(al, cfg.EstimationSnaps, cfg.PageRank, cfg.Estimator)
+	if cfg.EstimationSnaps < 2 || len(cfg.Schedule.Times) < cfg.EstimationSnaps+1 {
+		return nil, fmt.Errorf("experiments: schedule has %d snapshots, need %d estimation + 1 future",
+			len(cfg.Schedule.Times), cfg.EstimationSnaps)
+	}
+	c, err := crawl(cfg.Corpus, cfg.Schedule)
+	if err != nil {
+		return nil, err
+	}
+	c.cfg = cfg
+	if c.truth, err = c.sim.TrueQualities(c.al.URLs); err != nil {
+		return nil, fmt.Errorf("experiments: truth: %w", err)
+	}
+	if c.ranks, err = c.al.PageRankSeries(cfg.PageRank); err != nil {
+		return nil, fmt.Errorf("experiments: pagerank: %w", err)
+	}
+	return c, nil
+}
+
+// Headline estimates quality from the first EstimationSnaps crawls and
+// scores it against the last crawl's PageRank: the §8.2 experiment.
+func (c *Crawl) Headline() (*HeadlineResult, error) {
+	return c.evaluate(c.cfg.Estimator)
+}
+
+// evaluate runs the estimator under cfg on the crawl and scores it.
+func (c *Crawl) evaluate(cfg quality.Config) (*HeadlineResult, error) {
+	est, err := quality.EstimateFromSeries(c.ranks[:c.cfg.EstimationSnaps], cfg)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: estimate: %w", err)
 	}
-	future := ranks[len(ranks)-1]
-	current := ranks[cfg.EstimationSnaps-1]
+	res, err := Evaluate(est, c.ranks[c.cfg.EstimationSnaps-1], c.ranks[len(c.ranks)-1], c.truth)
+	if err != nil {
+		return nil, err
+	}
+	res.PagesCrawled = c.crawled
+	return res, nil
+}
 
+// ErrNoChangedPages reports an estimate with no changed page to score.
+var ErrNoChangedPages = errors.New("experiments: no changed pages to evaluate (corpus too static)")
+
+// Evaluate is the §8.2 scorer. Over the pages est counts as changed whose
+// future popularity is positive, it measures how well est.Q and the
+// current popularity predict the future one: mean and median relative
+// error, the paired bootstrap CI of their difference and the Figure-5
+// histograms. With a non-nil truth it also ranks both against the true
+// quality. PagesCrawled is the caller's to fill.
+func Evaluate(est *quality.Result, current, future, truth []float64) (*HeadlineResult, error) {
 	res := &HeadlineResult{
-		PagesCrawled: crawled,
-		PagesCommon:  al.NumPages(),
+		PagesCommon:  len(est.Q),
 		PagesChanged: est.NumChanged,
 		HistQ:        metrics.Figure5Histogram(),
 		HistPR:       metrics.Figure5Histogram(),
@@ -183,8 +233,9 @@ func EvaluateHeadline(al *snapshot.Aligned, truth []float64, crawled int, cfg He
 		}
 	}
 	if len(errsQ) == 0 {
-		return nil, fmt.Errorf("experiments: no changed pages to evaluate (corpus too static)")
+		return nil, ErrNoChangedPages
 	}
+	res.PagesScored = len(errsQ)
 	sq, err := metrics.Summarize(errsQ)
 	if err != nil {
 		return nil, err
@@ -249,11 +300,13 @@ func RunHeadlineMultiSeed(cfg HeadlineConfig, seeds []int64) (*MultiSeedResult, 
 	err := par.DoErr(len(seeds), 0, func(i int) error {
 		run := cfg
 		run.Corpus.Seed = seeds[i]
-		h, err := RunHeadline(run)
+		c, err := NewCrawl(run)
+		if err == nil {
+			headlines[i], err = c.Headline()
+		}
 		if err != nil {
 			return fmt.Errorf("seed %d: %w", seeds[i], err)
 		}
-		headlines[i] = h
 		return nil
 	})
 	if err != nil {

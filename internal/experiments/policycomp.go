@@ -211,8 +211,8 @@ func runPolicy(cfg PolicyComparisonConfig, pol ranking.Policy) (*PolicyOutcome, 
 	return out, nil
 }
 
-// topQuartile returns the 75th-percentile value of xs (the threshold
-// convention of RunRisingStars).
+// topQuartile returns the 75th-percentile value of xs: the rising-star
+// threshold of Crawl.RisingStars and the policy comparison.
 func topQuartile(xs []float64) float64 {
 	sorted := append([]float64(nil), xs...)
 	sort.Float64s(sorted)

@@ -5,8 +5,6 @@ import (
 	"sort"
 
 	"pagequality/internal/quality"
-	"pagequality/internal/snapshot"
-	"pagequality/internal/webcorpus"
 )
 
 // RisingStarsResult quantifies the paper's motivating claim: the quality
@@ -32,47 +30,26 @@ type RisingStarsResult struct {
 	TopDecileQ  int
 }
 
-// RunRisingStars runs the corpus + crawl pipeline and measures the
-// ranking of young high-quality pages under both metrics.
-func RunRisingStars(cfg HeadlineConfig, maxAgeWeeks float64) (*RisingStarsResult, error) {
+// RisingStars measures the ranking of the crawl's young high-quality
+// pages under both metrics.
+func (c *Crawl) RisingStars(maxAgeWeeks float64) (*RisingStarsResult, error) {
 	if maxAgeWeeks <= 0 {
 		return nil, fmt.Errorf("experiments: maxAgeWeeks=%g must be positive", maxAgeWeeks)
 	}
-	cfg.fill()
-	sim, err := webcorpus.New(cfg.Corpus)
+	est, err := quality.EstimateFromSeries(c.ranks[:c.cfg.EstimationSnaps], c.cfg.Estimator)
 	if err != nil {
 		return nil, err
 	}
-	snaps, err := sim.RunSchedule(cfg.Schedule)
-	if err != nil {
-		return nil, err
-	}
-	al, err := snapshot.Align(snaps)
-	if err != nil {
-		return nil, err
-	}
-	est, ranks, err := quality.FromAligned(al, cfg.EstimationSnaps, cfg.PageRank, cfg.Estimator)
-	if err != nil {
-		return nil, err
-	}
-	truth, err := sim.TrueQualities(al.URLs)
-	if err != nil {
-		return nil, err
-	}
-
-	// Top-quartile quality threshold.
-	sortedQ := append([]float64(nil), truth...)
-	sort.Float64s(sortedQ)
-	qThreshold := sortedQ[len(sortedQ)*3/4]
 
 	// Identify the stars: young at t1 and top-quartile quality.
+	qThreshold := topQuartile(c.truth)
 	var stars []int
-	for i, url := range al.URLs {
-		id, ok := sim.Graph().Lookup(url)
+	for i, url := range c.al.URLs {
+		id, ok := c.sim.Graph().Lookup(url)
 		if !ok {
 			return nil, fmt.Errorf("experiments: %q vanished", url)
 		}
-		pg := sim.Graph().Page(id)
+		pg := c.sim.Graph().Page(id)
 		if pg.Created > -maxAgeWeeks && pg.Quality >= qThreshold {
 			stars = append(stars, i)
 		}
@@ -81,8 +58,8 @@ func RunRisingStars(cfg HeadlineConfig, maxAgeWeeks float64) (*RisingStarsResult
 		return nil, fmt.Errorf("experiments: no rising stars in this corpus (increase birth rate or age window)")
 	}
 
-	cur := ranks[cfg.EstimationSnaps-1]
-	future := ranks[len(ranks)-1]
+	cur := c.ranks[c.cfg.EstimationSnaps-1]
+	future := c.ranks[len(c.ranks)-1]
 	res := &RisingStarsResult{Stars: len(stars)}
 	prPct := percentiles(cur)
 	qPct := percentiles(est.Q)

@@ -199,11 +199,11 @@ func decodeFooterBody(body []byte, footStart int64) (*footer, bool) {
 		return nil, false
 	}
 	count, ok := uvarint()
-	if !ok || count > uint64(footStart) { // each entry spans >= 1 record byte
+	if !ok {
 		return nil, false
 	}
 	dataLen, ok := uvarint()
-	if !ok || int64(dataLen) != footStart {
+	if !ok || footStart < 0 || dataLen != uint64(footStart) {
 		return nil, false
 	}
 	bloomK, ok := uvarint()
@@ -212,6 +212,12 @@ func decodeFooterBody(body []byte, footStart int64) (*footer, bool) {
 	}
 	bloomLen, ok := uvarint()
 	if !ok || bloomLen > uint64(len(body)) || bloomLen&(bloomLen-1) != 0 || bloomLen < 8 {
+		return nil, false
+	}
+	// Each entry takes >= 3 body bytes (key length, a non-empty key, its
+	// offset), so the count is bounded by the bytes present before the
+	// entries are allocated.
+	if count > (uint64(len(body))-bloomLen)/3 {
 		return nil, false
 	}
 	ft := &footer{
@@ -224,13 +230,13 @@ func decodeFooterBody(body []byte, footStart int64) (*footer, bool) {
 	prevKey := ""
 	for i := uint64(0); i < count; i++ {
 		klen, ok := uvarint()
-		if !ok || klen > MaxKeyLen || klen > uint64(len(body)) {
+		if !ok || klen == 0 || klen > MaxKeyLen || klen > uint64(len(body)) {
 			return nil, false
 		}
 		key := string(body[:klen])
 		body = body[klen:]
 		off, ok := uvarint()
-		if !ok || int64(off) >= ft.dataLen {
+		if !ok || off >= dataLen {
 			return nil, false
 		}
 		if i > 0 && key <= prevKey {

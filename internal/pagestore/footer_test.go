@@ -3,10 +3,14 @@ package pagestore
 import (
 	"bytes"
 	"compress/flate"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
+	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -528,6 +532,80 @@ func TestReadLivePartition(t *testing.T) {
 	if _, err := s.ReadLive(1); !errors.Is(err, ErrClosed) {
 		t.Fatal("ReadLive on closed store accepted")
 	}
+}
+
+// hostileFooter is a checksummed footer that is well formed up to its
+// bloom filter and claims one fence entry per record byte of a dataLen
+// segment, but carries none. On a 64 MiB segment it is 36 bytes long.
+func hostileFooter(dataLen int64) []byte {
+	body := binary.AppendUvarint(nil, footVersion)
+	body = binary.AppendUvarint(body, uint64(dataLen)) // count
+	body = binary.AppendUvarint(body, uint64(dataLen))
+	body = binary.AppendUvarint(body, bloomHashes)
+	body = binary.AppendUvarint(body, 8)
+	body = append(body, make([]byte, 8)...)
+	out := append([]byte{footMagic}, body...)
+	out = binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(body))
+	out = binary.LittleEndian.AppendUint32(out, uint32(len(body)))
+	return append(out, footTrailer[:]...)
+}
+
+// TestFooterAllocationBoundedByInput: the entry count is bounded by the
+// footer bytes present before anything is allocated, so the hostile
+// footer at the end of a default-size (sparse) segment allocates less
+// than a MiB and sends Open to the record scan.
+func TestFooterAllocationBoundedByInput(t *testing.T) {
+	const dataLen = defaultMaxSeg
+	foot := hostileFooter(dataLen)
+	f, err := os.Create(filepath.Join(t.TempDir(), "seg-000001.dat"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := f.WriteAt(foot, dataLen); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	ft, evidence, err := readFooter(f, dataLen+int64(len(foot)))
+	runtime.ReadMemStats(&after)
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Errorf("a %d-byte footer allocated %d MiB", len(foot), alloc>>20)
+	}
+	if ft != nil || !evidence || err != nil {
+		t.Fatalf("readFooter = %v, %v, %v; want the scan fallback (nil, true, nil)", ft, evidence, err)
+	}
+}
+
+// FuzzDecodeFooter: arbitrary bytes as a footer body never panic the
+// decoder, which allocates at most a constant times the body. A body that
+// decodes has non-empty, strictly sorted keys and offsets below dataLen,
+// and encodeFooter's footer for those entries decodes back to them.
+func FuzzDecodeFooter(f *testing.F) {
+	f.Fuzz(func(t *testing.T, body []byte, dataLen int64) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		ft, ok := decodeFooterBody(body, dataLen)
+		runtime.ReadMemStats(&after)
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 64<<10+32*uint64(len(body)) {
+			t.Fatalf("a %d-byte body allocated %d bytes", len(body), alloc)
+		}
+		if !ok {
+			return
+		}
+		entries := make(map[string]int64, len(ft.entries))
+		for i, e := range ft.entries {
+			if e.key == "" || i > 0 && e.key <= ft.entries[i-1].key || e.off < 0 || e.off >= dataLen {
+				t.Fatalf("entry %d (%q at %d) of %d accepted with dataLen %d", i, e.key, e.off, len(ft.entries), dataLen)
+			}
+			entries[e.key] = e.off
+		}
+		foot, _ := encodeFooter(entries, dataLen)
+		again, ok := decodeFooterBody(foot[1:len(foot)-footTrailerLen], dataLen)
+		if !ok || !reflect.DeepEqual(again.entries, ft.entries) {
+			t.Fatalf("re-encoded footer decodes to %v, %v; want %v", again, ok, ft.entries)
+		}
+	})
 }
 
 // TestFooterDecodeRejectsGarbage fuzzes the decoder lightly: random and

@@ -140,6 +140,44 @@ type Result struct {
 // trend measured from the first positive snapshot — see the Class
 // constants for the exact policy.
 func EstimateFromSeries(ranks [][]float64, cfg Config) (*Result, error) {
+	res, err := classifySeries(ranks, cfg)
+	if err != nil {
+		return nil, err
+	}
+	last := len(ranks) - 1
+	for i := range res.Q {
+		first := ranks[0][i]
+		cur := ranks[last][i]
+		switch cls := res.Class[i]; {
+		case cls == ClassIncreasing,
+			cls == ClassDecreasing && cfg.ApplyTrendToDecreasing:
+			// Q(p) = C · (PR(t3) - PR(t1))/PR(t1) + PR(t3)
+			base := first
+			if base == 0 {
+				// Born page (increasing from a zero baseline): measure the
+				// relative increase from its first positive snapshot. If
+				// only the last snapshot is positive the trend is zero and
+				// Q degenerates to the current popularity.
+				for k := 1; k <= last; k++ {
+					if ranks[k][i] > 0 {
+						base = ranks[k][i]
+						break
+					}
+				}
+			}
+			res.Q[i] = cfg.equation1((cur-base)/base, cur)
+		default:
+			// Stable and fluctuating pages: I := 0, Q = current popularity.
+			res.Q[i] = cur
+		}
+	}
+	return res, nil
+}
+
+// classifySeries validates a popularity series and fills the bookkeeping
+// every estimator shares — Class, Counts, Changed and NumChanged — leaving
+// Q allocated for the estimator's trend.
+func classifySeries(ranks [][]float64, cfg Config) (*Result, error) {
 	if err := cfg.fill(); err != nil {
 		return nil, err
 	}
@@ -176,37 +214,22 @@ func EstimateFromSeries(ranks [][]float64, cfg Config) (*Result, error) {
 		if res.Changed[i] {
 			res.NumChanged++
 		}
-		switch {
-		case cls == ClassIncreasing,
-			cls == ClassDecreasing && cfg.ApplyTrendToDecreasing:
-			// Q(p) = C · (PR(t3) - PR(t1))/PR(t1) + PR(t3)
-			base := first
-			if base == 0 {
-				// Born page (increasing from a zero baseline): measure the
-				// relative increase from its first positive snapshot. If
-				// only the last snapshot is positive the trend is zero and
-				// Q degenerates to the current popularity.
-				for k := 1; k <= last; k++ {
-					if ranks[k][i] > 0 {
-						base = ranks[k][i]
-						break
-					}
-				}
-			}
-			trend := (cur - base) / base
-			if cfg.MaxTrend > 0 {
-				trend = math.Max(-cfg.MaxTrend, math.Min(cfg.MaxTrend, trend))
-			}
-			res.Q[i] = cfg.C*trend + cur
-			if res.Q[i] < 0 {
-				res.Q[i] = 0 // a quality estimate cannot be negative
-			}
-		default:
-			// Stable and fluctuating pages: I := 0, Q = current popularity.
-			res.Q[i] = cur
-		}
 	}
 	return res, nil
+}
+
+// equation1 is the tail of Equation 1 every estimator shares: the §9.1
+// trend cap, Q = C·trend + PR, and the clamp at zero. The clamp compares
+// rather than calling math.Max, so -0 and NaN keep their bits.
+func (c Config) equation1(trend, cur float64) float64 {
+	if c.MaxTrend > 0 {
+		trend = math.Max(-c.MaxTrend, math.Min(c.MaxTrend, trend))
+	}
+	q := c.C*trend + cur
+	if q < 0 {
+		q = 0 // a quality estimate cannot be negative
+	}
+	return q
 }
 
 // classify determines the evolution class of page i.

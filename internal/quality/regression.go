@@ -1,9 +1,6 @@
 package quality
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // EstimateWithRegression is the smoothed variant of the estimator that
 // §9.1's statistical-noise discussion motivates: instead of the raw
@@ -19,9 +16,6 @@ import (
 // the crawl time of ranks[k]; at least three snapshots are required (two
 // points determine a line exactly, recovering the endpoint estimator).
 func EstimateWithRegression(ranks [][]float64, times []float64, cfg Config) (*Result, error) {
-	if err := cfg.fill(); err != nil {
-		return nil, err
-	}
 	if len(ranks) < 3 {
 		return nil, fmt.Errorf("%w: regression needs >= 3 snapshots, got %d", ErrBadInput, len(ranks))
 	}
@@ -33,18 +27,9 @@ func EstimateWithRegression(ranks [][]float64, times []float64, cfg Config) (*Re
 			return nil, fmt.Errorf("%w: times not strictly increasing at %d", ErrBadInput, k)
 		}
 	}
-	n := len(ranks[0])
-	for k, r := range ranks {
-		if len(r) != n {
-			return nil, fmt.Errorf("%w: snapshot %d has %d pages, want %d", ErrBadInput, k, len(r), n)
-		}
-	}
-
-	res := &Result{
-		Q:       make([]float64, n),
-		Class:   make([]Class, n),
-		Changed: make([]bool, n),
-		Counts:  make(map[Class]int),
+	res, err := classifySeries(ranks, cfg)
+	if err != nil {
+		return nil, err
 	}
 	last := len(ranks) - 1
 
@@ -57,20 +42,10 @@ func EstimateWithRegression(ranks [][]float64, times []float64, cfg Config) (*Re
 	}
 	den := k*sumTT - sumT*sumT
 
-	for i := 0; i < n; i++ {
+	for i := range res.Q {
 		first := ranks[0][i]
 		cur := ranks[last][i]
-		cls := classify(ranks, i, cfg.MinChangeFrac)
-		res.Class[i] = cls
-		res.Counts[cls]++
-		if first > 0 {
-			res.Changed[i] = math.Abs(cur-first)/first > cfg.MinChangeFrac
-		}
-		if res.Changed[i] {
-			res.NumChanged++
-		}
-
-		if cls == ClassStable || first <= 0 {
+		if res.Class[i] == ClassStable || first <= 0 {
 			res.Q[i] = cur
 			continue
 		}
@@ -85,25 +60,14 @@ func EstimateWithRegression(ranks [][]float64, times []float64, cfg Config) (*Re
 		a := (sumY - b*sumT) / k
 		fitFirst := a + b*times[0]
 		fitLast := a + b*times[last]
-		if fitFirst <= 0 {
-			// Degenerate fit (line crosses zero inside the window): fall
-			// back to the current popularity, as the paper does for
-			// unmeasurable trends.
+		// A degenerate fit (the line crosses zero inside the window) falls
+		// back to the current popularity, as the paper does for
+		// unmeasurable trends; so does a decreasing page with the trend off.
+		if fitFirst <= 0 || res.Class[i] == ClassDecreasing && !cfg.ApplyTrendToDecreasing {
 			res.Q[i] = cur
 			continue
 		}
-		trend := (fitLast - fitFirst) / fitFirst
-		if cfg.MaxTrend > 0 {
-			trend = math.Max(-cfg.MaxTrend, math.Min(cfg.MaxTrend, trend))
-		}
-		if cls == ClassDecreasing && !cfg.ApplyTrendToDecreasing {
-			res.Q[i] = cur
-			continue
-		}
-		res.Q[i] = cfg.C*trend + cur
-		if res.Q[i] < 0 {
-			res.Q[i] = 0
-		}
+		res.Q[i] = cfg.equation1((fitLast-fitFirst)/fitFirst, cur)
 	}
 	return res, nil
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -117,6 +118,52 @@ func TestRegressionTrendCapAndDecreasingPolicy(t *testing.T) {
 	}
 	if res.Q[0] != 1.0 {
 		t.Fatalf("decreasing page with trend off = %g, want 1.0", res.Q[0])
+	}
+}
+
+// TestEstimatorsShareClassification: the two estimators differ only in the
+// trend they plug into Equation 1, never in what they report as changed.
+// Random series mix zero entries in, so some pages are born during the
+// window (0 → positive), which Result.Changed counts as changed.
+func TestEstimatorsShareClassification(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	const pages = 500
+	times := []float64{0, 1, 3, 4}
+	ranks := make([][]float64, len(times))
+	for k := range ranks {
+		ranks[k] = make([]float64, pages)
+		for i := range ranks[k] {
+			if rng.Intn(4) > 0 {
+				ranks[k][i] = rng.Float64()
+			}
+		}
+	}
+	cfg := DefaultConfig()
+	end, err := EstimateFromSeries(ranks, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg, err := EstimateWithRegression(ranks, times, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	born := 0
+	for i := 0; i < pages; i++ {
+		if ranks[0][i] <= 0 && ranks[len(times)-1][i] > 0 {
+			born++
+		}
+		if end.Class[i] != reg.Class[i] || end.Changed[i] != reg.Changed[i] {
+			t.Fatalf("page %d %v: endpoint (%v, changed %v), regression (%v, changed %v)", i,
+				[]float64{ranks[0][i], ranks[1][i], ranks[2][i], ranks[3][i]},
+				end.Class[i], end.Changed[i], reg.Class[i], reg.Changed[i])
+		}
+	}
+	if born == 0 {
+		t.Fatal("fixture has no born pages")
+	}
+	if end.NumChanged != reg.NumChanged || !reflect.DeepEqual(end.Counts, reg.Counts) {
+		t.Fatalf("endpoint %d changed %v, regression %d changed %v",
+			end.NumChanged, end.Counts, reg.NumChanged, reg.Counts)
 	}
 }
 

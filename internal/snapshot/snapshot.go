@@ -31,6 +31,23 @@ type Snapshot struct {
 	Graph *graph.Graph
 }
 
+// Select returns the snapshot labelled label, or the last one when label
+// is empty — the choice every single-snapshot command offers.
+func Select(snaps []Snapshot, label string) (Snapshot, error) {
+	if len(snaps) == 0 {
+		return Snapshot{}, errors.New("store is empty")
+	}
+	if label == "" {
+		return snaps[len(snaps)-1], nil
+	}
+	for _, s := range snaps {
+		if s.Label == label {
+			return s, nil
+		}
+	}
+	return Snapshot{}, fmt.Errorf("no snapshot labelled %q", label)
+}
+
 // Store file format
 //
 //	magic   [4]byte "PQS1"

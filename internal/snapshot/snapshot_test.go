@@ -121,6 +121,21 @@ func TestReadFileMissing(t *testing.T) {
 	}
 }
 
+func TestSelect(t *testing.T) {
+	snaps := alignFixture()
+	for label, want := range map[string]string{"": "t3", "t1": "t1", "t2": "t2"} {
+		if s, err := Select(snaps, label); err != nil || s.Label != want {
+			t.Errorf("Select(%q) = %q, %v; want %q", label, s.Label, err, want)
+		}
+	}
+	if _, err := Select(snaps, "t9"); err == nil {
+		t.Error("unknown label selected")
+	}
+	if _, err := Select(nil, ""); err == nil {
+		t.Error("empty store selected")
+	}
+}
+
 // alignFixture builds three snapshots where pages a,b,c exist everywhere,
 // page d only in later snapshots, and page e only in the first.
 func alignFixture() []Snapshot {
