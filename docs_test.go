@@ -247,6 +247,91 @@ func TestDocsCiteFlagsThatExist(t *testing.T) {
 	}
 }
 
+var (
+	// readmePackage matches a package line of README's architecture block,
+	// parenthetical a parenthesis of its command list; designPackage a row
+	// of DESIGN.md's inventory table, designCommand a command of the
+	// paragraph after it.
+	readmePackage = regexp.MustCompile(`(?m)^  ([a-z]+) `)
+	parenthetical = regexp.MustCompile(`\([^)]*\)`)
+	designPackage = regexp.MustCompile("(?m)^\\| `(internal/[a-z]+)` \\|")
+	designCommand = regexp.MustCompile("`(cmd/[a-z]+)`")
+)
+
+// docSection returns the text of doc from the first line starting with
+// from up to the next one starting with to.
+func docSection(t *testing.T, doc, from, to string) string {
+	t.Helper()
+	data, err := os.ReadFile(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, text, ok := strings.Cut(string(data), "\n"+from)
+	text, _, ok2 := strings.Cut(text, "\n"+to)
+	if !ok || !ok2 {
+		t.Fatalf("%s has no section from %q to %q", doc, from, to)
+	}
+	return text
+}
+
+// TestDocsTablesListEveryPackage fails when README's architecture block
+// or DESIGN.md's system inventory omits an internal package or a command,
+// or lists one the tree does not have.
+func TestDocsTablesListEveryPackage(t *testing.T) {
+	var all []string
+	exists := map[string]bool{}
+	for _, pattern := range []string{"internal/*", "cmd/*"} {
+		dirs, err := filepath.Glob(pattern)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range dirs {
+			if fi, err := os.Stat(d); err == nil && fi.IsDir() {
+				all = append(all, filepath.ToSlash(d))
+				exists[filepath.ToSlash(d)] = true
+			}
+		}
+	}
+	check := func(doc string, listed []string) {
+		t.Helper()
+		seen := map[string]bool{}
+		for _, p := range listed {
+			seen[p] = true
+			if !exists[p] {
+				t.Errorf("%s lists %s, which does not exist", doc, p)
+			}
+		}
+		for _, p := range all {
+			if !seen[p] {
+				t.Errorf("%s omits %s", doc, p)
+			}
+		}
+	}
+
+	block, cmds, _ := strings.Cut(docSection(t, "README.md", "## Architecture", "## Library tour"), "\ncmd/")
+	cmds, _, _ = strings.Cut(cmds, "```")
+	var listed []string
+	for _, m := range readmePackage.FindAllStringSubmatch(block, -1) {
+		listed = append(listed, "internal/"+m[1])
+	}
+	for _, name := range strings.Split(parenthetical.ReplaceAllString(cmds, ""), ",") {
+		listed = append(listed, "cmd/"+strings.TrimSpace(name))
+	}
+	check("README.md", listed)
+
+	inventory := docSection(t, "DESIGN.md", "## 3.", "## 4.")
+	table, executables, _ := strings.Cut(inventory, "\nExecutables:")
+	executables, _, _ = strings.Cut(executables, "\n\n")
+	listed = nil
+	for _, m := range designPackage.FindAllStringSubmatch(table, -1) {
+		listed = append(listed, m[1])
+	}
+	for _, m := range designCommand.FindAllStringSubmatch(executables, -1) {
+		listed = append(listed, m[1])
+	}
+	check("DESIGN.md", listed)
+}
+
 // citedIdent matches `pkg.Ident`, `pkg.Type.Method`, `pkg.(*Type).Method`
 // and `internal/pkg.Ident`, with an optional trailing `*` for a prefix;
 // one glued to a longer path or selector is not one.

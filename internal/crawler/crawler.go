@@ -394,7 +394,8 @@ func (c *crawl) enqueueLocked(u string) {
 	if err != nil {
 		return
 	}
-	if !c.robotsForLocked(hostOf(u)).allowed(pu.Path) {
+	host := pu.Scheme + "://" + pu.Host // hostOf(u), the key refundLocked and Resume use
+	if !c.robotsForLocked(host).allowed(pu.Path) {
 		c.stats.SkippedRobots++
 		return
 	}
@@ -406,12 +407,11 @@ func (c *crawl) enqueueLocked(u string) {
 		return
 	}
 	if c.cfg.MaxPagesPerSite > 0 {
-		h := hostOf(u)
-		if c.perSite[h] >= c.cfg.MaxPagesPerSite {
+		if c.perSite[host] >= c.cfg.MaxPagesPerSite {
 			c.stats.SkippedCaps++
 			return
 		}
-		c.perSite[h]++
+		c.perSite[host]++
 	}
 	c.visited[u] = true
 	c.admitted++
@@ -469,7 +469,7 @@ func fetch(client *http.Client, u string, timeout time.Duration) (page, []byte, 
 		io.Copy(io.Discard, io.LimitReader(resp.Body, maxBodyBytes))
 		return page{}, nil, &HTTPError{URL: u, Status: resp.StatusCode, RetryAfter: parseRetryAfter(resp)}
 	}
-	body, err := io.ReadAll(io.LimitReader(resp.Body, maxBodyBytes))
+	body, err := readBody(resp)
 	if err != nil {
 		return page{}, nil, err
 	}
@@ -481,6 +481,18 @@ func fetch(client *http.Client, u string, timeout time.Duration) (page, []byte, 
 		return page{}, nil, err
 	}
 	return pg, body, nil
+}
+
+// readBody reads at most maxBodyBytes of a response. A declared length
+// within the limit is read into one slice of exactly that size; the
+// transport fails a body shorter than it declares, as io.ReadAll would.
+func readBody(resp *http.Response) ([]byte, error) {
+	if n := resp.ContentLength; n >= 0 && n <= maxBodyBytes {
+		body := make([]byte, n)
+		_, err := io.ReadFull(resp.Body, body)
+		return body, err
+	}
+	return io.ReadAll(io.LimitReader(resp.Body, maxBodyBytes))
 }
 
 // parsePage extracts the canonical URL and same-host links of a document
@@ -508,8 +520,18 @@ func parsePageAt(fetchURL string, base *url.URL, body []byte) (page, error) {
 	// without a host (the path "//evil/p" prints as http://evil/p) and in
 	// a host that does not survive escaping (a raw byte in an IPv6 zone):
 	// only those links are parsed a second time, from their printed form.
-	exact := hostOf((&url.URL{Scheme: base.Scheme, Host: base.Host}).String()) == base.Scheme+"://"+base.Host
+	origin := (&url.URL{Scheme: base.Scheme, Host: base.Host}).String()
+	exact := hostOf(origin) == base.Scheme+"://"+base.Host
+	// net/url resolves and prints a plain rooted path unchanged behind the
+	// printed origin, so on an exact base that concatenation is the link,
+	// byte for byte. A base without a scheme resolves no link, and one with
+	// userinfo prints it.
+	fast := exact && base.Scheme != "" && base.Host != "" && base.User == nil
 	for _, h := range hrefs {
+		if fast && plainRootedPath(h) {
+			pg.links = append(pg.links, origin+h)
+			continue
+		}
 		u, err := resolveURL(h, base)
 		if err != nil {
 			continue // unparseable link: skip, as real crawlers do
@@ -527,6 +549,26 @@ func parsePageAt(fetchURL string, base *url.URL, body []byte) (page, error) {
 		pg.links = append(pg.links, n)
 	}
 	return pg, nil
+}
+
+// plainRootedPath reports whether h is one '/' followed by non-empty
+// segments of unreserved bytes, none starting with '.': a path no step of
+// resolution (trimming, escaping, dot removal, query or fragment) touches.
+func plainRootedPath(h string) bool {
+	if len(h) < 2 || h[0] != '/' || h[len(h)-1] == '/' {
+		return false
+	}
+	for i := 1; i < len(h); i++ {
+		switch c := h[i]; {
+		case c == '/' || c == '.':
+			if h[i-1] == '/' {
+				return false // empty or dot-led segment
+			}
+		case !isNameByte(c) && c != '-' && c != '_' && c != '~':
+			return false
+		}
+	}
+	return true
 }
 
 // Document is one archived crawl document for offline re-extraction.

@@ -4,11 +4,16 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"runtime"
+	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"pagequality/internal/graph"
@@ -398,6 +403,117 @@ func TestFetchSeedsErrors(t *testing.T) {
 	}
 	if len(seeds) != 2 || seeds[0] != srv.URL+"/p/0.html" {
 		t.Fatalf("seeds = %v", seeds)
+	}
+}
+
+// claimTransport answers every request with status 200, a Content-Length
+// it only claims, and body.
+type claimTransport struct {
+	length int64
+	body   string
+}
+
+func (c claimTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	return &http.Response{StatusCode: http.StatusOK, Header: http.Header{}, ContentLength: c.length,
+		Body: io.NopCloser(strings.NewReader(c.body)), Request: req}, nil
+}
+
+// TestFetchBodyLength: fetch reads a declared length into a slice of
+// exactly that size, and keeps the connection for the next fetch. A
+// chunked body, one declared above maxBodyBytes and one shorter than its
+// declaration read as io.ReadAll(io.LimitReader(…)) reads them, and a
+// length a transport only claims is never allocated.
+func TestFetchBodyLength(t *testing.T) {
+	page := strings.Repeat(`<a href="/p/1.html">x</a>`, 400)
+	big := strings.Repeat("x", maxBodyBytes+100)
+	srv := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case "/declared":
+			w.Header().Set("Content-Length", strconv.Itoa(len(page)))
+			io.WriteString(w, page)
+		case "/chunked":
+			io.WriteString(w, page[:len(page)/2])
+			w.(http.Flusher).Flush()
+			io.WriteString(w, page[len(page)/2:])
+		case "/oversized":
+			w.Header().Set("Content-Length", strconv.Itoa(len(big)))
+			io.WriteString(w, big)
+		case "/short":
+			conn, buf, err := w.(http.Hijacker).Hijack()
+			if err != nil {
+				panic(err)
+			}
+			buf.WriteString("HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\n0123456789")
+			buf.Flush()
+			conn.Close()
+		}
+	}))
+	var conns atomic.Int64
+	srv.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+		if s == http.StateNew {
+			conns.Add(1)
+		}
+	}
+	srv.Start()
+	defer srv.Close()
+	get := func(path string) ([]byte, error) {
+		_, body, err := fetch(srv.Client(), srv.URL+path, 0)
+		return body, err
+	}
+	// raw is the response fetch reads, for reading it the way fetch used to.
+	raw := func(path string) *http.Response {
+		t.Helper()
+		req, err := http.NewRequestWithContext(context.Background(), http.MethodGet, srv.URL+path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := srv.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+
+	for i := 0; i < 3; i++ {
+		body, err := get("/declared")
+		if err != nil || string(body) != page || len(body) != cap(body) {
+			t.Fatalf("declared: %d bytes, cap %d, err %v; want the %d served bytes, len == cap", len(body), cap(body), err, len(page))
+		}
+	}
+	if n := conns.Load(); n != 1 {
+		t.Fatalf("three declared-length fetches opened %d connections, want 1", n)
+	}
+	resp := raw("/chunked")
+	resp.Body.Close()
+	if resp.ContentLength != -1 {
+		t.Fatalf("chunked fixture declares Content-Length %d", resp.ContentLength)
+	}
+	if body, err := get("/chunked"); err != nil || string(body) != page {
+		t.Fatalf("chunked: %d bytes, err %v; want the %d served bytes", len(body), err, len(page))
+	}
+	if body, err := get("/oversized"); err != nil || string(body) != big[:maxBodyBytes] {
+		t.Fatalf("oversized: %d bytes, err %v; want the first %d", len(body), err, maxBodyBytes)
+	}
+
+	_, err := get("/short")
+	resp = raw("/short")
+	_, want := io.ReadAll(io.LimitReader(resp.Body, maxBodyBytes))
+	resp.Body.Close()
+	if err == nil || want == nil || classify(err) != classify(want) {
+		t.Fatalf("short: err %v (class %d); io.ReadAll gives %v (class %d)", err, classify(err), want, classify(want))
+	}
+
+	const served = `<a href="/p">x</a>`
+	client := &http.Client{Transport: claimTransport{length: 1 << 40, body: served}}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, body, err := fetch(client, "http://claim.example/", 0)
+	runtime.ReadMemStats(&after)
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Errorf("a claimed 1 TiB body allocated %d MiB", alloc>>20)
+	}
+	if err != nil || string(body) != served {
+		t.Fatalf("claimed length: body %q, err %v; want %q", body, err, served)
 	}
 }
 

@@ -273,11 +273,14 @@ func parsePageReference(fetchURL string, base *url.URL, body []byte) page {
 }
 
 // FuzzParsePage: for an arbitrary body and base URL, link extraction
-// without attribute maps and the single parse of each link give the
-// reference's hrefs, canonical URL and same-host links. Seeds are
-// canonicalFrags, the malformed tags, and (testdata/fuzz/FuzzParsePage)
-// hosts that are hard to compare: upper-case scheme, userinfo, ports,
-// IPv6 zones, scheme-relative and %-escaped hosts.
+// without attribute maps, the rooted-href fast path (origin plus href, no
+// net/url) and the single parse of every other link give the reference's
+// hrefs, canonical URL and same-host links. Seeds are canonicalFrags, the
+// malformed tags, and (testdata/fuzz/FuzzParsePage) hosts that are hard to
+// compare: upper-case scheme, userinfo, ports, IPv6 zones, scheme-relative
+// and %-escaped hosts; and the fast path's boundary: rooted hrefs with dot
+// or empty segments, escapes, queries, fragments, non-ASCII bytes or
+// spaces, on bases without a scheme or host, or with userinfo.
 func FuzzParsePage(f *testing.F) {
 	for _, body := range slices.Concat(canonicalFrags, malformedTags) {
 		f.Add(body, "http://a.example/x/")

@@ -39,7 +39,8 @@ func parseRobots(body string) *robotsRules {
 	// directives; the group applies to us if any of its agents is "*".
 	applies := false
 	inAgentRun := false
-	for _, line := range strings.Split(body, "\n") {
+	// A line ends at LF, CR or CRLF (RFC 9309).
+	for _, line := range strings.Split(strings.ReplaceAll(body, "\r", "\n"), "\n") {
 		if i := strings.IndexByte(line, '#'); i >= 0 {
 			line = line[:i]
 		}

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -12,8 +14,9 @@ import (
 	"pagequality/internal/webserver"
 )
 
-func TestParseRobots(t *testing.T) {
-	body := `
+// robotsBasic, robotsGroups, lenientRobots and robotsTable are the bodies
+// of the TestParseRobots* tests; they seed FuzzParseRobots.
+const robotsBasic = `
 # comment
 User-agent: *
 Disallow: /private/
@@ -22,7 +25,9 @@ Disallow: /tmp
 User-agent: googlebot
 Disallow: /only-for-google
 `
-	r := parseRobots(body)
+
+func TestParseRobots(t *testing.T) {
+	r := parseRobots(robotsBasic)
 	if len(r.disallow) != 2 {
 		t.Fatalf("disallow = %v", r.disallow)
 	}
@@ -34,10 +39,7 @@ Disallow: /only-for-google
 	}
 }
 
-func TestParseRobotsGroupSemantics(t *testing.T) {
-	// Our rules come only from groups containing *; consecutive agent
-	// lines share one group.
-	body := `
+const robotsGroups = `
 User-agent: googlebot
 User-agent: *
 Disallow: /both
@@ -45,18 +47,24 @@ Disallow: /both
 User-agent: bingbot
 Disallow: /bing-only
 `
-	r := parseRobots(body)
+
+func TestParseRobotsGroupSemantics(t *testing.T) {
+	// Our rules come only from groups containing *; consecutive agent
+	// lines share one group.
+	r := parseRobots(robotsGroups)
 	if len(r.disallow) != 1 || r.disallow[0] != "/both" {
 		t.Fatalf("disallow = %v", r.disallow)
 	}
 }
 
+var lenientRobots = []string{
+	"", "garbage without colon", "Disallow: /orphan",
+	"User-agent: *\nDisallow:", // empty disallow = allow all
+	"Crawl-delay: 5\nUser-agent: *\nDisallow: /x",
+}
+
 func TestParseRobotsLenient(t *testing.T) {
-	for _, body := range []string{
-		"", "garbage without colon", "Disallow: /orphan",
-		"User-agent: *\nDisallow:", // empty disallow = allow all
-		"Crawl-delay: 5\nUser-agent: *\nDisallow: /x",
-	} {
+	for _, body := range lenientRobots {
 		r := parseRobots(body)
 		if r == nil {
 			t.Fatalf("nil rules for %q", body)
@@ -67,77 +75,84 @@ func TestParseRobotsLenient(t *testing.T) {
 	}
 }
 
-// TestParseRobotsTable drives the parser through the syntax corners a
-// lenient crawler must survive: multi-agent groups, comments, CRLF line
-// endings, Allow lines (ignored), empty Disallow, case and whitespace.
+// robotsTable holds the syntax corners a lenient crawler must survive:
+// multi-agent groups, comments, CRLF line endings, Allow lines (ignored),
+// empty Disallow, case and whitespace.
+var robotsTable = []struct {
+	name     string
+	body     string
+	disallow []string // expected prefixes, in order
+}{
+	{
+		name:     "basic star group",
+		body:     "User-agent: *\nDisallow: /private/\nDisallow: /tmp\n",
+		disallow: []string{"/private/", "/tmp"},
+	},
+	{
+		name:     "crlf line endings",
+		body:     "User-agent: *\r\nDisallow: /a\r\nDisallow: /b\r\n",
+		disallow: []string{"/a", "/b"},
+	},
+	{
+		name:     "bare cr line endings",
+		body:     "User-agent: *\rDisallow: /a\rDisallow: /b\r",
+		disallow: []string{"/a", "/b"},
+	},
+	{
+		name:     "multi-agent group shares rules",
+		body:     "User-agent: googlebot\nUser-agent: *\nUser-agent: bingbot\nDisallow: /shared\n",
+		disallow: []string{"/shared"},
+	},
+	{
+		name:     "multiple star groups accumulate",
+		body:     "User-agent: *\nDisallow: /one\n\nUser-agent: *\nDisallow: /two\n",
+		disallow: []string{"/one", "/two"},
+	},
+	{
+		name:     "foreign group ignored",
+		body:     "User-agent: googlebot\nDisallow: /google-only\n\nUser-agent: *\nDisallow: /ours\n",
+		disallow: []string{"/ours"},
+	},
+	{
+		name:     "comments stripped mid-line and whole-line",
+		body:     "# preamble\nUser-agent: * # us\nDisallow: /x # why\n# Disallow: /commented-out\n",
+		disallow: []string{"/x"},
+	},
+	{
+		name:     "allow lines ignored leniently",
+		body:     "User-agent: *\nAllow: /public\nDisallow: /x\nAllow: /also\n",
+		disallow: []string{"/x"},
+	},
+	{
+		name:     "empty disallow allows all",
+		body:     "User-agent: *\nDisallow:\n",
+		disallow: nil,
+	},
+	{
+		name:     "case-insensitive keys, padded values",
+		body:     "USER-AGENT:   *  \nDISALLOW:   /caps  \n",
+		disallow: []string{"/caps"},
+	},
+	{
+		name:     "directive after unknown key still applies",
+		body:     "User-agent: *\nCrawl-delay: 5\nDisallow: /after-unknown\n",
+		disallow: []string{"/after-unknown"},
+	},
+	{
+		name:     "malformed lines skipped",
+		body:     "User-agent: *\nthis line has no colon\nDisallow: /kept\n",
+		disallow: []string{"/kept"},
+	},
+	{
+		name:     "agent run reset by directive",
+		body:     "User-agent: *\nDisallow: /a\nUser-agent: googlebot\nDisallow: /google\n",
+		disallow: []string{"/a"},
+	},
+}
+
+// TestParseRobotsTable drives the parser through robotsTable.
 func TestParseRobotsTable(t *testing.T) {
-	cases := []struct {
-		name     string
-		body     string
-		disallow []string // expected prefixes, in order
-	}{
-		{
-			name:     "basic star group",
-			body:     "User-agent: *\nDisallow: /private/\nDisallow: /tmp\n",
-			disallow: []string{"/private/", "/tmp"},
-		},
-		{
-			name:     "crlf line endings",
-			body:     "User-agent: *\r\nDisallow: /a\r\nDisallow: /b\r\n",
-			disallow: []string{"/a", "/b"},
-		},
-		{
-			name:     "multi-agent group shares rules",
-			body:     "User-agent: googlebot\nUser-agent: *\nUser-agent: bingbot\nDisallow: /shared\n",
-			disallow: []string{"/shared"},
-		},
-		{
-			name:     "multiple star groups accumulate",
-			body:     "User-agent: *\nDisallow: /one\n\nUser-agent: *\nDisallow: /two\n",
-			disallow: []string{"/one", "/two"},
-		},
-		{
-			name:     "foreign group ignored",
-			body:     "User-agent: googlebot\nDisallow: /google-only\n\nUser-agent: *\nDisallow: /ours\n",
-			disallow: []string{"/ours"},
-		},
-		{
-			name:     "comments stripped mid-line and whole-line",
-			body:     "# preamble\nUser-agent: * # us\nDisallow: /x # why\n# Disallow: /commented-out\n",
-			disallow: []string{"/x"},
-		},
-		{
-			name:     "allow lines ignored leniently",
-			body:     "User-agent: *\nAllow: /public\nDisallow: /x\nAllow: /also\n",
-			disallow: []string{"/x"},
-		},
-		{
-			name:     "empty disallow allows all",
-			body:     "User-agent: *\nDisallow:\n",
-			disallow: nil,
-		},
-		{
-			name:     "case-insensitive keys, padded values",
-			body:     "USER-AGENT:   *  \nDISALLOW:   /caps  \n",
-			disallow: []string{"/caps"},
-		},
-		{
-			name:     "directive after unknown key still applies",
-			body:     "User-agent: *\nCrawl-delay: 5\nDisallow: /after-unknown\n",
-			disallow: []string{"/after-unknown"},
-		},
-		{
-			name:     "malformed lines skipped",
-			body:     "User-agent: *\nthis line has no colon\nDisallow: /kept\n",
-			disallow: []string{"/kept"},
-		},
-		{
-			name:     "agent run reset by directive",
-			body:     "User-agent: *\nDisallow: /a\nUser-agent: googlebot\nDisallow: /google\n",
-			disallow: []string{"/a"},
-		},
-	}
-	for _, c := range cases {
+	for _, c := range robotsTable {
 		t.Run(c.name, func(t *testing.T) {
 			r := parseRobots(c.body)
 			if len(r.disallow) != len(c.disallow) {
@@ -150,6 +165,46 @@ func TestParseRobotsTable(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzParseRobots: arbitrary bytes never panic parseRobots, which
+// allocates at most a constant times the body. Every disallow value is a
+// non-empty, trimmed substring of the body with no '#' and no line break,
+// and allowed agrees with a plain prefix loop over the parsed list.
+func FuzzParseRobots(f *testing.F) {
+	for _, body := range append([]string{robotsBasic, robotsGroups}, lenientRobots...) {
+		f.Add(body)
+	}
+	for _, c := range robotsTable {
+		f.Add(c.body)
+	}
+	f.Fuzz(func(t *testing.T, body string) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		r := parseRobots(body)
+		runtime.ReadMemStats(&after)
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 64<<10+32*uint64(len(body)) {
+			t.Fatalf("a %d-byte body allocated %d bytes", len(body), alloc)
+		}
+		paths := []string{"", "/", body}
+		for _, d := range r.disallow {
+			if d == "" || d != strings.TrimSpace(d) || strings.ContainsAny(d, "#\r\n") || !strings.Contains(body, d) {
+				t.Fatalf("body %q: disallow %q", body, d)
+			}
+			paths = append(paths, d, d[:len(d)-1], d+"/x")
+		}
+		for _, p := range paths {
+			want := true
+			for _, d := range r.disallow {
+				if len(p) >= len(d) && p[:len(d)] == d {
+					want = false
+				}
+			}
+			if got := r.allowed(p); got != want {
+				t.Fatalf("body %q: allowed(%q) = %v, prefix loop over %q says %v", body, p, got, r.disallow, want)
+			}
+		}
+	})
 }
 
 func TestNilRulesAllowAll(t *testing.T) {
