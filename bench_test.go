@@ -112,7 +112,7 @@ func BenchmarkAlignAndPageRankSeries(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := al.PageRankSeries(pagerank.Options{Variant: pagerank.VariantPaper}); err != nil {
+		if _, err := al.PageRankSeries(); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -344,43 +344,6 @@ func BenchmarkPageRankKernel(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkPageRankSeries times the aligned-series PageRank fan-out: four
-// 100k-node snapshots, comparing the single-snapshot-at-a-time worker
-// budget against the parallel fan-out. Each sub-benchmark freezes its
-// CSRs once before the timer starts — the cache means a real experiment
-// pays that cost once too — so the measured op is the series computation
-// itself.
-func BenchmarkPageRankSeries(b *testing.B) {
-	graphs := make([]*graph.Graph, 4)
-	times := make([]float64, 4)
-	labels := make([]string, 4)
-	for k := range graphs {
-		g, err := graph.GeneratePreferentialAttachment(
-			graph.PreferentialAttachmentConfig{Nodes: 100_000, OutPerNode: 4 + k}, newRand(int64(k+1)))
-		if err != nil {
-			b.Fatal(err)
-		}
-		graphs[k] = g
-		times[k] = float64(k)
-		labels[k] = "t" + string(rune('1'+k))
-	}
-	for _, bench := range []struct {
-		name    string
-		workers int
-	}{{"workers=1", 1}, {"workers=max", 0}} {
-		b.Run(bench.name, func(b *testing.B) {
-			al := &snapshot.Aligned{Times: times, Labels: labels, Graphs: graphs}
-			al.CSRs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := al.PageRankSeries(pagerank.Options{Tol: 1e-8, Workers: bench.workers}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }
 
 // benchSearchIndex builds the webcorpus-scale index used by the query

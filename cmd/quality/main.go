@@ -26,7 +26,6 @@ import (
 
 	"pagequality/internal/corpus"
 	"pagequality/internal/experiments"
-	"pagequality/internal/pagerank"
 	"pagequality/internal/pagestore"
 	"pagequality/internal/quality"
 	"pagequality/internal/snapshot"
@@ -91,7 +90,7 @@ func run(args []string, out io.Writer) error {
 		ApplyTrendToDecreasing: true,
 		MaxTrend:               *maxTrend,
 	}
-	est, ranks, err := quality.FromAligned(al, *snapsN, pagerank.Options{Variant: pagerank.VariantPaper}, cfg)
+	est, ranks, err := quality.FromAligned(al, *snapsN, cfg)
 	if err != nil {
 		return err
 	}

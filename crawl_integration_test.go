@@ -7,7 +7,6 @@ import (
 
 	"pagequality/internal/crawler"
 	"pagequality/internal/metrics"
-	"pagequality/internal/pagerank"
 	"pagequality/internal/quality"
 	"pagequality/internal/snapshot"
 	"pagequality/internal/webcorpus"
@@ -81,7 +80,6 @@ func TestCrawledPipeline(t *testing.T) {
 		t.Fatalf("only %d common pages across crawls", al.NumPages())
 	}
 	est, ranks, err := quality.FromAligned(al, 3,
-		pagerank.Options{Variant: pagerank.VariantPaper},
 		quality.Config{C: 1.0, MinChangeFrac: 0.05, ApplyTrendToDecreasing: true, MaxTrend: 0.3})
 	if err != nil {
 		t.Fatal(err)

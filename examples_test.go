@@ -8,7 +8,6 @@ import (
 	"fmt"
 
 	"pagequality/internal/metrics"
-	"pagequality/internal/pagerank"
 	"pagequality/internal/quality"
 	"pagequality/internal/search"
 	"pagequality/internal/snapshot"
@@ -66,7 +65,7 @@ func Example_risingStar() {
 	if err != nil {
 		panic(err)
 	}
-	ranks, err := al.PageRankSeries(pagerank.Options{Variant: pagerank.VariantPaper})
+	ranks, err := al.PageRankSeries()
 	if err != nil {
 		panic(err)
 	}
@@ -135,7 +134,6 @@ func Example_searchEngine() {
 		panic(err)
 	}
 	est, ranks, err := quality.FromAligned(al, 3,
-		pagerank.Options{Variant: pagerank.VariantPaper},
 		quality.Config{C: 1.0, MinChangeFrac: 0.05, ApplyTrendToDecreasing: true, MaxTrend: 0.3})
 	if err != nil {
 		panic(err)

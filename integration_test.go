@@ -66,7 +66,6 @@ func TestPipelinePersistReloadEstimate(t *testing.T) {
 		t.Fatal(err)
 	}
 	est, ranks, err := quality.FromAligned(al, 3,
-		pagerank.Options{Variant: pagerank.VariantPaper},
 		quality.Config{C: 1.0, MinChangeFrac: 0.05, ApplyTrendToDecreasing: true, MaxTrend: 0.3})
 	if err != nil {
 		t.Fatal(err)

@@ -105,7 +105,6 @@ func AblationWindow(cfg HeadlineConfig, gaps []float64, futureWeek float64) ([]W
 	if len(gaps) == 0 {
 		return nil, fmt.Errorf("experiments: empty gap sweep")
 	}
-	cfg.fill()
 	// One simulation with snapshots at every needed time.
 	times := []float64{0}
 	labels := []string{"t1"}
@@ -121,14 +120,13 @@ func AblationWindow(cfg HeadlineConfig, gaps []float64, futureWeek float64) ([]W
 	}
 	times = append(times, futureWeek)
 	labels = append(labels, "future")
-	c, err := crawl(cfg.Corpus, webcorpus.Schedule{Times: times, Labels: labels})
+	cfg.Schedule = webcorpus.Schedule{Times: times, Labels: labels}
+	cfg.EstimationSnaps = len(times) - 1
+	c, err := NewCrawl(cfg)
 	if err != nil {
 		return nil, err
 	}
-	ranks, err := c.al.PageRankSeries(cfg.PageRank)
-	if err != nil {
-		return nil, err
-	}
+	ranks := c.ranks
 	future := ranks[len(ranks)-1]
 
 	// Each window point reads only the shared rank series; evaluate the
@@ -136,7 +134,7 @@ func AblationWindow(cfg HeadlineConfig, gaps []float64, futureWeek float64) ([]W
 	out := make([]WindowPoint, len(gaps))
 	err = par.DoErr(len(gaps), 0, func(gi int) error {
 		series := [][]float64{ranks[0], ranks[gi+1]}
-		est, err := quality.EstimateFromSeries(series, cfg.Estimator)
+		est, err := quality.EstimateFromSeries(series, c.cfg.Estimator)
 		if err != nil {
 			return err
 		}

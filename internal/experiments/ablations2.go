@@ -36,7 +36,6 @@ func AblationEstimator(cfg HeadlineConfig, estimationCrawls int, gapWeeks, futur
 		return nil, fmt.Errorf("experiments: gaps %g x %d do not fit before future week %g",
 			gapWeeks, estimationCrawls-1, futureWeek)
 	}
-	cfg.fill()
 	sched := webcorpus.Schedule{}
 	for k := 0; k < estimationCrawls; k++ {
 		sched.Times = append(sched.Times, float64(k)*gapWeeks)
@@ -45,23 +44,22 @@ func AblationEstimator(cfg HeadlineConfig, estimationCrawls int, gapWeeks, futur
 	sched.Times = append(sched.Times, futureWeek)
 	sched.Labels = append(sched.Labels, "future")
 
-	c, err := crawl(cfg.Corpus, sched)
+	cfg.Schedule = sched
+	cfg.EstimationSnaps = estimationCrawls
+	c, err := NewCrawl(cfg)
 	if err != nil {
 		return nil, err
 	}
-	ranks, err := c.al.PageRankSeries(cfg.PageRank)
-	if err != nil {
-		return nil, err
-	}
+	ranks := c.ranks
 	est := ranks[:estimationCrawls]
 	future := ranks[len(ranks)-1]
 	cur := ranks[estimationCrawls-1]
 
-	endpoint, err := quality.EstimateFromSeries(est, cfg.Estimator)
+	endpoint, err := quality.EstimateFromSeries(est, c.cfg.Estimator)
 	if err != nil {
 		return nil, err
 	}
-	regression, err := quality.EstimateWithRegression(est, sched.Times[:estimationCrawls], cfg.Estimator)
+	regression, err := quality.EstimateWithRegression(est, sched.Times[:estimationCrawls], c.cfg.Estimator)
 	if err != nil {
 		return nil, err
 	}

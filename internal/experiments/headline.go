@@ -6,7 +6,6 @@ import (
 	"math"
 
 	"pagequality/internal/metrics"
-	"pagequality/internal/pagerank"
 	"pagequality/internal/par"
 	"pagequality/internal/quality"
 	"pagequality/internal/snapshot"
@@ -28,9 +27,6 @@ type HeadlineConfig struct {
 	// Estimator configures the quality estimator (defaults to the paper's
 	// C = 0.1 and 5 % filter).
 	Estimator quality.Config
-	// PageRank configures the popularity computation (defaults to the
-	// paper's variant with initial value 1).
-	PageRank pagerank.Options
 }
 
 // DefaultHeadlineConfig mirrors the paper's experimental setup on the
@@ -55,7 +51,6 @@ func DefaultHeadlineConfig() HeadlineConfig {
 		Schedule:        webcorpus.PaperSchedule(),
 		EstimationSnaps: 3,
 		Estimator:       est,
-		PageRank:        pagerank.Options{Variant: pagerank.VariantPaper},
 	}
 }
 
@@ -166,7 +161,7 @@ func NewCrawl(cfg HeadlineConfig) (*Crawl, error) {
 	if c.truth, err = c.sim.TrueQualities(c.al.URLs); err != nil {
 		return nil, fmt.Errorf("experiments: truth: %w", err)
 	}
-	if c.ranks, err = c.al.PageRankSeries(cfg.PageRank); err != nil {
+	if c.ranks, err = c.al.PageRankSeries(); err != nil {
 		return nil, fmt.Errorf("experiments: pagerank: %w", err)
 	}
 	return c, nil

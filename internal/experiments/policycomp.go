@@ -39,10 +39,6 @@ type PolicyComparisonConfig struct {
 	// Weeks is the post-burn-in horizon (default 26, the paper's
 	// six-month crawl span).
 	Weeks float64
-	// NewbornWindowWeeks restricts the newborn cohort to pages born in
-	// [0, NewbornWindowWeeks) so late arrivals with no time to be found
-	// don't dilute the time-to-first-visit statistic (default Weeks/2).
-	NewbornWindowWeeks float64
 }
 
 func (c *PolicyComparisonConfig) fill() {
@@ -66,9 +62,6 @@ func (c *PolicyComparisonConfig) fill() {
 	if c.Weeks == 0 {
 		c.Weeks = 26
 	}
-	if c.NewbornWindowWeeks == 0 {
-		c.NewbornWindowWeeks = c.Weeks / 2
-	}
 }
 
 // PolicyOutcome is one policy's long-run numbers at the horizon.
@@ -84,7 +77,7 @@ type PolicyOutcome struct {
 	// the fraction of the corpus' quality mass that users have found.
 	QualityWeightedDiscovery float64
 	// HighQNewborns counts the cohort the paper worries about: pages born
-	// in the newborn window with top-quartile true quality.
+	// in the first half of the horizon with top-quartile true quality.
 	HighQNewborns int
 	// NewbornDiscovery is QualityWeightedDiscovery restricted to that
 	// cohort — the acceptance metric (randomized >= pure PageRank here
@@ -172,24 +165,25 @@ func runPolicy(cfg PolicyComparisonConfig, pol ranking.Policy) (*PolicyOutcome, 
 	var qSum, qFound float64
 	for p := 0; p < n; p++ {
 		qSum += truth[p]
-		qFound += truth[p] * sim.Awareness(graph.NodeID(p))
+		qFound += float64(truth[p] * sim.Awareness(graph.NodeID(p)))
 	}
 	if qSum > 0 {
 		out.QualityWeightedDiscovery = qFound / qSum
 	}
 
-	// The high-quality newborn cohort: born in the newborn window with
-	// top-quartile true quality.
+	// The high-quality newborn cohort: born in the first half of the
+	// horizon with top-quartile true quality. Later arrivals have had no
+	// time to be found and would dilute the time-to-first-visit statistic.
 	qThreshold := topQuartile(truth)
 	var cqSum, cqFound, ttfvSum float64
 	for p := 0; p < n; p++ {
 		pg := g.Page(graph.NodeID(p))
-		if pg.Created < 0 || pg.Created >= cfg.NewbornWindowWeeks || pg.Quality < qThreshold {
+		if pg.Created < 0 || pg.Created >= cfg.Weeks/2 || pg.Quality < qThreshold {
 			continue
 		}
 		out.HighQNewborns++
 		cqSum += pg.Quality
-		cqFound += pg.Quality * sim.Awareness(graph.NodeID(p))
+		cqFound += float64(pg.Quality * sim.Awareness(graph.NodeID(p)))
 		if week, ok := sim.FirstDiscoveryWeek(graph.NodeID(p)); ok {
 			out.NewbornsFound++
 			ttfvSum += week - pg.Created

@@ -32,7 +32,7 @@ func BootstrapMeanCI(xs []float64, resamples int, confidence float64, seed int64
 		means[b] = sum / float64(n)
 	}
 	sort.Float64s(means)
-	alpha := (1 - confidence) / 2
+	alpha := float64((1 - confidence) / 2)
 	lo = quantileSorted(means, alpha)
 	hi = quantileSorted(means, 1-alpha)
 	return lo, hi, nil

@@ -30,7 +30,7 @@ func Gini(xs []float64) (float64, error) {
 	var sum, weighted float64
 	for i, x := range sorted {
 		sum += x
-		weighted += float64(i+1) * x
+		weighted += float64(float64(i+1) * x)
 	}
 	if sum == 0 {
 		return 0, nil // everyone equally has nothing

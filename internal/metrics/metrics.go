@@ -54,7 +54,7 @@ func Summarize(xs []float64) (Summary, error) {
 	varSum := 0.0
 	for _, x := range xs {
 		d := x - s.Mean
-		varSum += d * d
+		varSum += float64(d * d)
 	}
 	s.StdDev = math.Sqrt(varSum / float64(len(xs)))
 	sorted := append([]float64(nil), xs...)
@@ -69,14 +69,14 @@ func quantileSorted(sorted []float64, q float64) float64 {
 	if len(sorted) == 1 {
 		return sorted[0]
 	}
-	pos := q * float64(len(sorted)-1)
+	pos := float64(q * float64(len(sorted)-1))
 	lo := int(math.Floor(pos))
 	hi := int(math.Ceil(pos))
 	if lo == hi {
 		return sorted[lo]
 	}
 	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
+	return float64(sorted[lo]*(1-frac)) + float64(sorted[hi]*frac)
 }
 
 // Histogram is the Figure-5 style error histogram: Bins[i] counts values

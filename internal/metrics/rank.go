@@ -175,9 +175,9 @@ func pearson(a, b []float64) (float64, error) {
 	var cov, va, vb float64
 	for i := range a {
 		da, db := a[i]-ma, b[i]-mb
-		cov += da * db
-		va += da * da
-		vb += db * db
+		cov += float64(da * db)
+		va += float64(da * da)
+		vb += float64(db * db)
 	}
 	if va == 0 || vb == 0 {
 		return 0, fmt.Errorf("%w: constant input", ErrBadInput)

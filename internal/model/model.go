@@ -55,7 +55,7 @@ func (p Params) rate() float64 { return p.R / p.N * p.Q }
 //	P(p,t) = Q / (1 + [Q/P(p,0) - 1] · e^(-(r/n)Q·t))
 func (p Params) PopularityAt(t float64) float64 {
 	c := p.Q/p.P0 - 1
-	return p.Q / (1 + c*math.Exp(-p.rate()*t))
+	return p.Q / (1 + float64(c*math.Exp(-p.rate()*t)))
 }
 
 // AwarenessAt evaluates the user awareness A(p,t) = P(p,t)/Q (Lemma 1).

@@ -95,7 +95,7 @@ func ComputeAdaptive(c *graph.CSR, o AdaptiveOptions) (*AdaptiveResult, error) {
 			for _, j := range c.In(graph.NodeID(i)) {
 				sum += cur[j] / float64(c.OutDegree(j))
 			}
-			next[i] = base + follow*sum
+			next[i] = base + float64(follow*sum)
 			sumNext += next[i]
 		}
 		for i := 0; i < n; i++ {

@@ -77,7 +77,7 @@ func HITS(c *graph.CSR) *HITSResult {
 func normalizeL2(v []float64) {
 	sum := 0.0
 	for _, x := range v {
-		sum += x * x
+		sum += float64(x * x)
 	}
 	if sum == 0 {
 		return

@@ -174,7 +174,7 @@ func ComputeIncremental(c *graph.CSR, prev []float64, d *graph.Delta, opts Incre
 			gather += curS[inFrom[e]]
 		}
 		gather += share
-		r[i] = base + follow*gather - cur[i]
+		r[i] = base + float64(follow*gather) - cur[i]
 		frontier.Set(i)
 	}
 	// MaxIter bounds the localized sweeps too; the polish phase runs
@@ -199,7 +199,7 @@ func ComputeIncremental(c *graph.CSR, prev []float64, d *graph.Delta, opts Incre
 				// other pages through the share, which the polish settles.
 				return true
 			}
-			push := follow * ch * inv
+			push := float64(follow * ch * inv)
 			for _, w := range c.Out(graph.NodeID(i)) {
 				r[w] += push
 				if math.Abs(r[w]) > frontierTol {

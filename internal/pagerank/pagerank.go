@@ -179,7 +179,7 @@ func (k *kernelState) sweepNext(chunk, lo, hi int) {
 				sum += curS[inFrom[e]]
 			}
 		}
-		v := base + follow*sum
+		v := base + float64(follow*sum)
 		next[i] = v
 		s += v
 		inv := invOut[i]
@@ -199,7 +199,7 @@ func (k *kernelState) sweepDelta(chunk, lo, hi int) {
 	ic, in := k.invSumCur, k.invSumNext
 	d := 0.0
 	for i := lo; i < hi; i++ {
-		d += math.Abs(next[i]*in - cur[i]*ic)
+		d += math.Abs(float64(next[i]*in) - float64(cur[i]*ic))
 	}
 	k.partDelta[chunk] = d
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"pagequality/internal/graph"
-	"pagequality/internal/pagerank"
 	"pagequality/internal/quality"
 	"pagequality/internal/snapshot"
 )
@@ -66,8 +65,7 @@ func ExampleFromAligned() {
 	if err != nil {
 		panic(err)
 	}
-	est, ranks, err := quality.FromAligned(al, 3,
-		pagerank.Options{Variant: pagerank.VariantPaper}, quality.DefaultConfig())
+	est, ranks, err := quality.FromAligned(al, 3, quality.DefaultConfig())
 	if err != nil {
 		panic(err)
 	}

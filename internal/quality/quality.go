@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"math"
 
-	"pagequality/internal/pagerank"
 	"pagequality/internal/snapshot"
 )
 
@@ -225,7 +224,7 @@ func (c Config) equation1(trend, cur float64) float64 {
 	if c.MaxTrend > 0 {
 		trend = math.Max(-c.MaxTrend, math.Min(c.MaxTrend, trend))
 	}
-	q := c.C*trend + cur
+	q := float64(c.C*trend) + cur
 	if q < 0 {
 		q = 0 // a quality estimate cannot be negative
 	}
@@ -280,40 +279,18 @@ func classify(ranks [][]float64, i int, minChange float64) Class {
 }
 
 // FromAligned runs the full Section-8 pipeline on an aligned snapshot
-// series: computes PageRank for every snapshot with the given options,
-// then applies the estimator to the first estimationSnaps of them. It
-// returns the estimate and the whole rank series; the ranks past
-// estimationSnaps (if any) are the caller's "future" reference — the
-// paper estimated from t1..t3 and evaluated against t4.
-func FromAligned(al *snapshot.Aligned, estimationSnaps int, prOpts pagerank.Options, cfg Config) (*Result, [][]float64, error) {
+// series: the paper-variant PageRank of every snapshot
+// (Aligned.PageRankSeries), then the estimator over the first
+// estimationSnaps of them. It returns the estimate and the whole rank
+// series; the ranks past estimationSnaps (if any) are the caller's
+// "future" reference — the paper estimated from t1..t3 and evaluated
+// against t4.
+func FromAligned(al *snapshot.Aligned, estimationSnaps int, cfg Config) (*Result, [][]float64, error) {
 	if estimationSnaps < 2 || estimationSnaps > al.NumSnapshots() {
 		return nil, nil, fmt.Errorf("%w: estimationSnaps=%d with %d snapshots",
 			ErrBadInput, estimationSnaps, al.NumSnapshots())
 	}
-	ranks, err := al.PageRankSeries(prOpts)
-	if err != nil {
-		return nil, nil, err
-	}
-	res, err := EstimateFromSeries(ranks[:estimationSnaps], cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	return res, ranks, nil
-}
-
-// FromAlignedIncremental is FromAligned with the PageRank series chained
-// through pagerank.ComputeIncremental: each snapshot's solve re-seeds
-// from the previous snapshot's fixed point (see
-// Aligned.PageRankSeriesIncremental). The estimate agrees with
-// FromAligned's within the PageRank convergence tolerance. This is the
-// variant the serving refresh path uses, where the previous generation's
-// vectors are already in memory and rebuild latency is what matters.
-func FromAlignedIncremental(al *snapshot.Aligned, estimationSnaps int, prOpts pagerank.IncrementalOptions, cfg Config) (*Result, [][]float64, error) {
-	if estimationSnaps < 2 || estimationSnaps > al.NumSnapshots() {
-		return nil, nil, fmt.Errorf("%w: estimationSnaps=%d with %d snapshots",
-			ErrBadInput, estimationSnaps, al.NumSnapshots())
-	}
-	ranks, err := al.PageRankSeriesIncremental(prOpts)
+	ranks, err := al.PageRankSeries()
 	if err != nil {
 		return nil, nil, err
 	}

@@ -8,7 +8,6 @@ import (
 
 	"pagequality/internal/graph"
 	"pagequality/internal/model"
-	"pagequality/internal/pagerank"
 	"pagequality/internal/snapshot"
 )
 
@@ -333,7 +332,7 @@ func alignedFixture(t *testing.T) *snapshot.Aligned {
 
 func TestFromAligned(t *testing.T) {
 	al := alignedFixture(t)
-	res, ranks, err := FromAligned(al, 3, pagerank.Options{Variant: pagerank.VariantPaper}, DefaultConfig())
+	res, ranks, err := FromAligned(al, 3, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,41 +353,11 @@ func TestFromAligned(t *testing.T) {
 		t.Fatalf("estimate %g not closer to future %g than current %g",
 			res.Q[e], future, ranks[2][e])
 	}
-	if _, _, err := FromAligned(al, 1, pagerank.Options{}, DefaultConfig()); !errors.Is(err, ErrBadInput) {
+	if _, _, err := FromAligned(al, 1, DefaultConfig()); !errors.Is(err, ErrBadInput) {
 		t.Fatal("estimationSnaps=1 accepted")
 	}
-	if _, _, err := FromAligned(al, 9, pagerank.Options{}, DefaultConfig()); !errors.Is(err, ErrBadInput) {
+	if _, _, err := FromAligned(al, 9, DefaultConfig()); !errors.Is(err, ErrBadInput) {
 		t.Fatal("estimationSnaps beyond series accepted")
-	}
-}
-
-// TestFromAlignedIncremental pins the incremental pipeline's estimate to
-// the full pipeline's within the PageRank convergence tolerance.
-func TestFromAlignedIncremental(t *testing.T) {
-	al := alignedFixture(t)
-	opts := pagerank.Options{Variant: pagerank.VariantPaper}
-	full, fullRanks, err := FromAligned(al, 3, opts, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	inc, incRanks, err := FromAlignedIncremental(al, 3, pagerank.IncrementalOptions{Options: opts}, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(incRanks) != len(fullRanks) || len(inc.Q) != len(full.Q) {
-		t.Fatalf("shapes differ: %d/%d snapshots, %d/%d pages",
-			len(incRanks), len(fullRanks), len(inc.Q), len(full.Q))
-	}
-	for i := range full.Q {
-		if d := math.Abs(inc.Q[i] - full.Q[i]); d > 1e-6 {
-			t.Fatalf("Q[%d] differs by %g (%g vs %g)", i, d, inc.Q[i], full.Q[i])
-		}
-		if inc.Class[i] != full.Class[i] {
-			t.Fatalf("Class[%d] differs: %v vs %v", i, inc.Class[i], full.Class[i])
-		}
-	}
-	if _, _, err := FromAlignedIncremental(al, 1, pagerank.IncrementalOptions{}, DefaultConfig()); !errors.Is(err, ErrBadInput) {
-		t.Fatal("estimationSnaps=1 accepted")
 	}
 }
 

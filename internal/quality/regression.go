@@ -38,9 +38,9 @@ func EstimateWithRegression(ranks [][]float64, times []float64, cfg Config) (*Re
 	var sumT, sumTT float64
 	for _, t := range times {
 		sumT += t
-		sumTT += t * t
+		sumTT += float64(t * t)
 	}
-	den := k*sumTT - sumT*sumT
+	den := float64(k*sumTT) - float64(sumT*sumT)
 
 	for i := range res.Q {
 		first := ranks[0][i]
@@ -54,12 +54,12 @@ func EstimateWithRegression(ranks [][]float64, times []float64, cfg Config) (*Re
 		for kk, t := range times {
 			y := ranks[kk][i]
 			sumY += y
-			sumTY += t * y
+			sumTY += float64(t * y)
 		}
-		b := (k*sumTY - sumT*sumY) / den
-		a := (sumY - b*sumT) / k
-		fitFirst := a + b*times[0]
-		fitLast := a + b*times[last]
+		b := (float64(k*sumTY) - float64(sumT*sumY)) / den
+		a := (sumY - float64(b*sumT)) / k
+		fitFirst := a + float64(b*times[0])
+		fitLast := a + float64(b*times[last])
 		// A degenerate fit (the line crosses zero inside the window) falls
 		// back to the current popularity, as the paper does for
 		// unmeasurable trends; so does a decreasing page with the trend off.

@@ -82,7 +82,7 @@ func (s *Stream) Uint64() uint64 {
 
 // Float64 returns a uniform variate in [0,1) with 53 random bits.
 func Float64[S Source](src S) float64 {
-	return float64(src.Uint64()>>11) * 0x1p-53
+	return float64(float64(src.Uint64()>>11) * 0x1p-53)
 }
 
 // Intn returns a uniform variate in [0,n). It panics if n <= 0, matching
@@ -113,9 +113,9 @@ func uint64n[S Source](src S, n uint64) uint64 {
 // approximation cutoffs), and statelessness keeps Stream a pure counter.
 func NormFloat64[S Source](src S) float64 {
 	for {
-		u := 2*Float64(src) - 1
-		v := 2*Float64(src) - 1
-		q := u*u + v*v
+		u := float64(2*Float64(src)) - 1
+		v := float64(2*Float64(src)) - 1
+		q := float64(u*u) + float64(v*v)
 		if q == 0 || q >= 1 {
 			continue
 		}
@@ -147,7 +147,7 @@ func Poisson[S Source](src S, lambda float64) int {
 			k++
 		}
 	}
-	v := lambda + math.Sqrt(lambda)*NormFloat64(src)
+	v := lambda + float64(math.Sqrt(lambda)*NormFloat64(src))
 	if v < 0 {
 		return 0
 	}
@@ -177,9 +177,9 @@ func Binomial[S Source](src S, n int, p float64) int {
 		}
 		return k
 	}
-	mean := float64(n) * p
+	mean := float64(float64(n) * p)
 	sd := math.Sqrt(mean * (1 - p))
-	v := int(math.Round(mean + sd*NormFloat64(src)))
+	v := int(math.Round(mean + float64(sd*NormFloat64(src))))
 	if v < 0 {
 		v = 0
 	}
@@ -203,16 +203,16 @@ func Gamma[S Source](src S, shape float64) float64 {
 	c := 1 / math.Sqrt(9*d)
 	for {
 		x := NormFloat64(src)
-		v := 1 + c*x
+		v := 1 + float64(c*x)
 		if v <= 0 {
 			continue
 		}
-		v = v * v * v
+		v = float64(v * v * v)
 		u := Float64(src)
-		if u < 1-0.0331*x*x*x*x {
+		if u < 1-float64(0.0331*x*x*x*x) {
 			return d * v
 		}
-		if u > 0 && math.Log(u) < 0.5*x*x+d*(1-v+math.Log(v)) {
+		if u > 0 && math.Log(u) < float64(0.5*x*x)+float64(d*(1-v+math.Log(v))) {
 			return d * v
 		}
 	}

@@ -100,7 +100,7 @@ func (ix *Index) freeze() *frozen {
 			f.docs = append(f.docs, p.doc)
 			f.tfs = append(f.tfs, float32(p.tf))
 			x := float64(p.tf) * w
-			f.norm[p.doc] += x * x
+			f.norm[p.doc] += float64(x * x)
 		}
 		f.start[i+1] = int32(len(f.docs))
 	}
@@ -158,14 +158,14 @@ func (f *frozen) vectorKernel(terms []string, sc *scratch) ([]int32, float64) {
 		}
 		w := f.idf[id]
 		qw := float64(count) * w
-		qNorm += qw * qw
+		qNorm += float64(qw * qw)
 		lo, hi := f.start[id], f.start[id+1]
 		docs, tfs := f.docs[lo:hi], f.tfs[lo:hi]
 		for p, d := range docs {
 			touched[m] = d
 			m += int(seen[d] ^ 1)
 			seen[d] = 1
-			score[d] += qw * float64(tfs[p]) * w
+			score[d] += float64(qw * float64(tfs[p]) * w)
 		}
 	}
 	sc.matched = m

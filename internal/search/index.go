@@ -353,7 +353,7 @@ func blendHit(doc int, rel, maxRel, maxAuth float64, opts Options) Hit {
 		if maxAuth > 0 {
 			authNorm = opts.Authority[doc] / maxAuth
 		}
-		h.Score = (1-opts.AuthorityWeight)*relNorm + opts.AuthorityWeight*authNorm
+		h.Score = float64((1-opts.AuthorityWeight)*relNorm) + float64(opts.AuthorityWeight*authNorm)
 	} else {
 		h.Score = relNorm
 	}

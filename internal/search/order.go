@@ -94,7 +94,7 @@ func (o *AuthorityOrder) selectTop(sc *scratch, matched int, maxRel float64, opt
 		}
 		matched -= n
 		for _, d := range chunk[:n] {
-			if maxAuth > 0 && top.closedBelow((1-w)+w*(o.auth[d]/maxAuth)) {
+			if maxAuth > 0 && top.closedBelow((1-w)+float64(w*(o.auth[d]/maxAuth))) {
 				return top.ranked()
 			}
 			top.offer(blendHit(int(d), sc.score[d], maxRel, maxAuth, opts))

@@ -46,7 +46,6 @@ import (
 
 	"pagequality/internal/corpus"
 	"pagequality/internal/crawler"
-	"pagequality/internal/pagerank"
 	"pagequality/internal/pagestore"
 	"pagequality/internal/quality"
 	"pagequality/internal/search"
@@ -186,11 +185,7 @@ func LoadGeneration(cfg Config, id uint64) (*Generation, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Snaps < 2 || cfg.Snaps > al.NumSnapshots() {
-		return nil, fmt.Errorf("serving: snaps=%d with %d snapshots", cfg.Snaps, al.NumSnapshots())
-	}
-	est, ranks, err := quality.FromAlignedIncremental(al, cfg.Snaps,
-		pagerank.IncrementalOptions{Options: pagerank.Options{Variant: pagerank.VariantPaper}}, cfg.Quality)
+	est, ranks, err := quality.FromAligned(al, cfg.Snaps, cfg.Quality)
 	if err != nil {
 		return nil, err
 	}

@@ -3,9 +3,7 @@ package snapshot
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
 
 	"pagequality/internal/graph"
 	"pagequality/internal/pagerank"
@@ -14,7 +12,7 @@ import (
 
 // Aligned is a series of snapshots restricted to the pages present in
 // every snapshot, with one consistent NodeID space: node i refers to
-// URLs[i] in every Graphs[k]. This mirrors §8.1 of the paper, where the
+// URLs[i] in every CSRs()[k]. This mirrors §8.1 of the paper, where the
 // 2.7 M pages common to all four crawls form the analysis subgraph.
 type Aligned struct {
 	// URLs[i] is the address of node i in every aligned graph.
@@ -23,15 +21,9 @@ type Aligned struct {
 	Times []float64
 	// Labels[k] names snapshot k.
 	Labels []string
-	// Graphs[k] is snapshot k's subgraph induced by the common pages.
-	Graphs []*graph.Graph
 
-	// frozen caches one CSR per aligned graph so PageRankSeries and
-	// InDegreeSeries (and repeated calls to either) stop re-freezing the
-	// same immutable graphs. Built lazily; Aligned must not be copied
-	// after first use.
-	frozenOnce sync.Once
-	frozen     []*graph.CSR
+	// csrs[k] is snapshot k's subgraph induced by the common pages, frozen.
+	csrs []*graph.CSR
 }
 
 // ErrAlign reports snapshots that cannot be aligned.
@@ -88,20 +80,27 @@ func Align(snaps []Snapshot) (*Aligned, error) {
 		URLs:   common,
 		Times:  make([]float64, len(snaps)),
 		Labels: make([]string, len(snaps)),
-		Graphs: make([]*graph.Graph, len(snaps)),
+		csrs:   make([]*graph.CSR, len(snaps)),
 	}
 	for k, s := range snaps {
 		al.Times[k] = s.Time
 		al.Labels[k] = s.Label
+	}
+	err := par.DoErr(len(snaps), 0, func(k int) error {
+		g := snaps[k].Graph
 		keep := make([]graph.NodeID, len(common))
 		for i, url := range common {
-			id, ok := s.Graph.Lookup(url)
+			id, ok := g.Lookup(url)
 			if !ok {
-				return nil, fmt.Errorf("%w: %q vanished during alignment", ErrAlign, url)
+				return fmt.Errorf("%w: %q vanished during alignment", ErrAlign, url)
 			}
 			keep[i] = id
 		}
-		al.Graphs[k] = s.Graph.Subgraph(keep)
+		al.csrs[k] = graph.Freeze(g.Subgraph(keep))
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return al, nil
 }
@@ -110,75 +109,24 @@ func Align(snaps []Snapshot) (*Aligned, error) {
 func (a *Aligned) NumPages() int { return len(a.URLs) }
 
 // NumSnapshots returns the number of snapshots in the series.
-func (a *Aligned) NumSnapshots() int { return len(a.Graphs) }
+func (a *Aligned) NumSnapshots() int { return len(a.csrs) }
 
-// CSRs returns the frozen CSR view of every aligned graph, building and
-// caching them on first use. The aligned graphs are treated as immutable
-// once alignment has produced them; callers must not mutate them after
-// calling any series method. Safe for concurrent use.
-func (a *Aligned) CSRs() []*graph.CSR {
-	a.frozenOnce.Do(func() {
-		a.frozen = make([]*graph.CSR, len(a.Graphs))
-		par.Do(len(a.Graphs), 0, func(k int) {
-			a.frozen[k] = graph.Freeze(a.Graphs[k])
-		})
-	})
-	return a.frozen
-}
+// CSRs returns every aligned snapshot's subgraph, frozen: node i of each
+// is URLs[i]. The graphs are shared, not copied.
+func (a *Aligned) CSRs() []*graph.CSR { return a.csrs }
 
-// PageRankSeries computes the PageRank of every common page in every
-// snapshot with the given options, returning ranks[k][i] = PR of page i at
-// snapshot k. Snapshots are computed concurrently, bounded by
-// opts.Workers (GOMAXPROCS when 0): the worker budget is split between
-// snapshot-level parallelism and the parallel sweeps inside each
-// pagerank.Compute call. Results are identical to the sequential order —
-// Compute itself is deterministic for every worker count.
-func (a *Aligned) PageRankSeries(opts pagerank.Options) ([][]float64, error) {
-	csrs := a.CSRs()
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	outer := min(workers, len(csrs))
-	if outer < 1 {
-		outer = 1
-	}
-	inner := opts
-	inner.Workers = max(1, workers/outer)
-
-	ranks := make([][]float64, len(csrs))
-	err := par.DoErr(len(csrs), outer, func(k int) error {
-		res, err := pagerank.Compute(csrs[k], inner)
-		if err != nil {
-			return fmt.Errorf("snapshot %s: %w", a.Labels[k], err)
-		}
-		if !res.Converged {
-			return fmt.Errorf("snapshot %s: PageRank did not converge (delta %g after %d iters)",
-				a.Labels[k], res.Delta, res.Iterations)
-		}
-		ranks[k] = res.Rank
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return ranks, nil
-}
-
-// PageRankSeriesIncremental computes the same series as PageRankSeries
-// but chains the snapshots: snapshot 0 is computed from a cold start,
-// every later snapshot re-seeds from the previous snapshot's converged
-// vector via pagerank.ComputeIncremental over the graph.Diff between the
-// two freezes. Aligned snapshots share one node space, so each diff is
-// pure edge churn — exactly the regime where the incremental path wins.
-// The per-snapshot results agree with PageRankSeries within the
-// convergence tolerance (the fixed points are identical; the iterates
-// differ below Tol). Snapshots are inherently sequential here, so
-// opts.Workers parallelises only the sweeps inside each solve.
-func (a *Aligned) PageRankSeriesIncremental(opts pagerank.IncrementalOptions) ([][]float64, error) {
-	csrs := a.CSRs()
-	ranks := make([][]float64, len(csrs))
-	res, err := pagerank.Compute(csrs[0], opts.Options)
+// PageRankSeries computes the paper-variant PageRank of every common page
+// in every snapshot, returning ranks[k][i] = PR of page i at snapshot k.
+// Snapshot 0 is solved from a cold start; every later snapshot re-seeds
+// from the previous one's converged vector via pagerank.ComputeIncremental
+// over the graph.Diff between the two. Aligned snapshots share one node
+// space, so each diff is pure edge churn. Each solve converges to the
+// same fixed point a cold start reaches, to within the convergence
+// tolerance, and the result is bitwise identical for every GOMAXPROCS:
+// the sweeps inside each solve are parallel, the snapshots sequential.
+func (a *Aligned) PageRankSeries() ([][]float64, error) {
+	ranks := make([][]float64, len(a.csrs))
+	res, err := pagerank.Compute(a.csrs[0], pagerank.Options{})
 	if err != nil {
 		return nil, fmt.Errorf("snapshot %s: %w", a.Labels[0], err)
 	}
@@ -187,12 +135,12 @@ func (a *Aligned) PageRankSeriesIncremental(opts pagerank.IncrementalOptions) ([
 			a.Labels[0], res.Delta, res.Iterations)
 	}
 	ranks[0] = res.Rank
-	for k := 1; k < len(csrs); k++ {
-		d, err := graph.Diff(csrs[k-1], csrs[k])
+	for k := 1; k < len(a.csrs); k++ {
+		d, err := graph.Diff(a.csrs[k-1], a.csrs[k])
 		if err != nil {
 			return nil, fmt.Errorf("snapshot %s: %w", a.Labels[k], err)
 		}
-		inc, err := pagerank.ComputeIncremental(csrs[k], ranks[k-1], d, opts)
+		inc, err := pagerank.ComputeIncremental(a.csrs[k], ranks[k-1], d, pagerank.IncrementalOptions{})
 		if err != nil {
 			return nil, fmt.Errorf("snapshot %s: %w", a.Labels[k], err)
 		}
@@ -208,9 +156,8 @@ func (a *Aligned) PageRankSeriesIncremental(opts pagerank.IncrementalOptions) ([
 // InDegreeSeries returns the in-degree of every common page in every
 // snapshot — the footnote-4 alternative popularity measure.
 func (a *Aligned) InDegreeSeries() [][]float64 {
-	csrs := a.CSRs()
-	out := make([][]float64, len(csrs))
-	for k, c := range csrs {
+	out := make([][]float64, len(a.csrs))
+	for k, c := range a.csrs {
 		out[k] = pagerank.InDegree(c)
 	}
 	return out

@@ -7,12 +7,10 @@
 package snapshot
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -85,7 +83,15 @@ func Encode(snaps []Snapshot) ([]byte, error) {
 	return out, nil
 }
 
-// Decode parses a store produced by Encode.
+// minRecordBytes is the smallest encoded snapshot: a one-byte label
+// length and no label, the time, a one-byte blob length and the 16-byte
+// minimum graph blob graph.DecodeBinary accepts.
+const minRecordBytes = 1 + 8 + 1 + 16
+
+// Decode parses a store produced by Encode. Every size a store claims is
+// bounded by the bytes present before anything is allocated, so a corrupt
+// or hostile store costs memory in proportion to its length, and a store
+// that decodes encodes back to the same bytes.
 func Decode(data []byte) ([]Snapshot, error) {
 	if len(data) < 12 {
 		return nil, fmt.Errorf("%w: too short", ErrBadStore)
@@ -98,47 +104,55 @@ func Decode(data []byte) ([]Snapshot, error) {
 	if got := crc32.ChecksumIEEE(body); got != want {
 		return nil, fmt.Errorf("%w: checksum %08x != %08x", ErrBadStore, got, want)
 	}
-	br := bytes.NewReader(body)
-	var cntBuf [4]byte
-	if _, err := io.ReadFull(br, cntBuf[:]); err != nil {
-		return nil, fmt.Errorf("%w: count: %v", ErrBadStore, err)
-	}
-	count := binary.LittleEndian.Uint32(cntBuf[:])
-	if count > 1<<16 {
-		return nil, fmt.Errorf("%w: implausible snapshot count %d", ErrBadStore, count)
+	count := binary.LittleEndian.Uint32(body)
+	rest := body[4:]
+	if uint64(count)*minRecordBytes > uint64(len(rest)) {
+		return nil, fmt.Errorf("%w: %d snapshots claimed in %d bytes", ErrBadStore, count, len(rest))
 	}
 	snaps := make([]Snapshot, 0, count)
-	var fbuf [8]byte
 	for i := uint32(0); i < count; i++ {
-		llen, err := binary.ReadUvarint(br)
-		if err != nil || llen > 1<<12 {
+		llen, ok := uvarint(&rest)
+		if !ok || llen > uint64(len(rest)) {
 			return nil, fmt.Errorf("%w: snapshot %d label length", ErrBadStore, i)
 		}
-		label := make([]byte, llen)
-		if _, err := io.ReadFull(br, label); err != nil {
-			return nil, fmt.Errorf("%w: snapshot %d label: %v", ErrBadStore, i, err)
+		label := string(rest[:llen])
+		rest = rest[llen:]
+		if len(rest) < 8 {
+			return nil, fmt.Errorf("%w: snapshot %d time", ErrBadStore, i)
 		}
-		if _, err := io.ReadFull(br, fbuf[:]); err != nil {
-			return nil, fmt.Errorf("%w: snapshot %d time: %v", ErrBadStore, i, err)
-		}
-		ts := math.Float64frombits(binary.LittleEndian.Uint64(fbuf[:]))
-		blen, err := binary.ReadUvarint(br)
-		if err != nil || blen > uint64(br.Len()) {
+		ts := math.Float64frombits(binary.LittleEndian.Uint64(rest))
+		rest = rest[8:]
+		blen, ok := uvarint(&rest)
+		if !ok || blen > uint64(len(rest)) {
 			return nil, fmt.Errorf("%w: snapshot %d blob length", ErrBadStore, i)
 		}
 		// The graph decoder reads the blob in place and keeps no reference.
-		pos := len(body) - br.Len()
-		g, _, err := graph.DecodeBinary(body[pos : pos+int(blen)])
-		br.Seek(int64(blen), io.SeekCurrent) // within the bounds checked above
+		g, n, err := graph.DecodeBinary(rest[:blen])
 		if err != nil {
 			return nil, fmt.Errorf("snapshot: snapshot %d graph: %w", i, err)
 		}
-		snaps = append(snaps, Snapshot{Label: string(label), Time: ts, Graph: g})
+		if uint64(n) != blen {
+			return nil, fmt.Errorf("%w: snapshot %d: %d bytes after its graph", ErrBadStore, i, blen-uint64(n))
+		}
+		rest = rest[blen:]
+		snaps = append(snaps, Snapshot{Label: label, Time: ts, Graph: g})
 	}
-	if br.Len() != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadStore, br.Len())
+	if len(rest) != 0 {
+		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadStore, len(rest))
 	}
 	return snaps, nil
+}
+
+// uvarint reads a minimally encoded uvarint off the front of *b. An
+// overlong encoding is refused: it would decode to a value Encode writes
+// in fewer bytes.
+func uvarint(b *[]byte) (uint64, bool) {
+	v, n := binary.Uvarint(*b)
+	if n <= 0 || n > 1 && (*b)[n-1] == 0 {
+		return 0, false
+	}
+	*b = (*b)[n:]
+	return v, true
 }
 
 // WriteFile atomically persists the snapshots to path: it writes to a

@@ -252,5 +252,5 @@ func (s *Sim) FirstDiscoveryWeek(p graph.NodeID) (float64, bool) {
 		return 0, false
 	}
 	// The discovery landed during tick t, i.e. by the end-of-tick clock.
-	return float64(t+1)*s.cfg.DT - s.cfg.BurnInWeeks, true
+	return float64(float64(t+1)*s.cfg.DT) - s.cfg.BurnInWeeks, true
 }

@@ -432,7 +432,7 @@ func (s *Sim) Step() {
 	// The clock is derived, not accumulated: tick counts stay exact at any
 	// horizon instead of drifting by one ulp per step.
 	s.tick++
-	s.time = float64(s.tick)*cfg.DT - cfg.BurnInWeeks
+	s.time = float64(float64(s.tick)*cfg.DT) - cfg.BurnInWeeks
 }
 
 // growScratch sizes the per-page scratch slices for this tick, with 50%
