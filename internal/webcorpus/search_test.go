@@ -2,7 +2,9 @@ package webcorpus
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"math"
 	"testing"
 
@@ -174,6 +176,48 @@ func TestSearchedCorpusWorkerInvariance(t *testing.T) {
 			if sim.firstDisc[p] != refSim.firstDisc[p] {
 				t.Fatalf("page %d firstDisc with Workers=%d: %d vs %d",
 					p, workers, sim.firstDisc[p], refSim.firstDisc[p])
+			}
+		}
+	}
+}
+
+// TestSearchedCorpusBitsPinned pins the corpus the simulate benchmark
+// evolves — the default 154-site web, 1500 sessions a week at top-10
+// under Randomized{0.2}, six weeks — at every worker count: page and link
+// counts, the CRC32 of the graph's binary form, the search counters, and
+// a CRC32 over the Float64bits of every page's aware and likes. A kernel
+// change that keeps the corpus must keep every one of these numbers.
+func TestSearchedCorpusBitsPinned(t *testing.T) {
+	type outcome struct {
+		pages, links                  int
+		graphCRC, userCRC             uint32
+		sessions, visits, discoveries int64
+	}
+	pins := map[int64]outcome{
+		1: {1909, 238482, 0x8b608635, 0xb5ef33b1, 8836, 88360, 8813},
+		7: {1911, 227746, 0x98d5fca0, 0xa1592b28, 8947, 89470, 9683},
+	}
+	for _, seed := range []int64{1, 7} {
+		for _, workers := range []int{1, 2, 0} { // 0 = GOMAXPROCS
+			cfg := DefaultConfig()
+			cfg.Seed = seed
+			cfg.Workers = workers
+			cfg.Search = SearchConfig{SessionsPerWeek: 1500, TopK: 10, Policy: ranking.Randomized{Epsilon: 0.2}}
+			s, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.AdvanceTo(6)
+			var user []byte
+			for p := range s.aware {
+				user = binary.LittleEndian.AppendUint64(user, math.Float64bits(s.aware[p]))
+				user = binary.LittleEndian.AppendUint64(user, math.Float64bits(s.likes[p]))
+			}
+			got := outcome{pages: s.NumPages(), links: s.NumLinks(),
+				graphCRC: crc32.ChecksumIEEE(s.Graph().AppendBinary(nil)), userCRC: crc32.ChecksumIEEE(user)}
+			got.sessions, got.visits, got.discoveries = s.SearchStats()
+			if got != pins[seed] {
+				t.Errorf("seed %d Workers=%d: %+v, want %+v", seed, workers, got, pins[seed])
 			}
 		}
 	}
