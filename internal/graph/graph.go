@@ -39,7 +39,7 @@ type Page struct {
 // Graph is a mutable directed Web graph. It is a builder: freeze it into a
 // CSR with Freeze before running PageRank-style computations.
 //
-// Graph is not safe for concurrent mutation.
+// Graph is not safe for concurrent mutation (but see AddInLink).
 type Graph struct {
 	pages []Page
 	out   [][]NodeID
@@ -174,6 +174,32 @@ func (g *Graph) RemoveLink(from, to NodeID) bool {
 	removeFrom(&g.in[to], from)
 	g.edges--
 	return true
+}
+
+// AddInLink, RemoveInLinkAt and CommitOut split AddLink and RemoveLink:
+// the in-halves edit only to's in-list, CommitOut later the out-list and
+// edge count; committed in batch order, every list ends as AddLink and
+// RemoveLink in that order leave it. In between, only out-lists and the
+// edited in-lists may be read, and only distinct in-lists edited at once.
+// AddInLink is AddLink's in-half, for a link known to be new.
+func (g *Graph) AddInLink(from, to NodeID) { g.in[to] = append(g.in[to], from) }
+
+// RemoveInLinkAt is RemoveLink(InLinks(to)[i], to)'s in-half; it returns the source.
+func (g *Graph) RemoveInLinkAt(to NodeID, i int) NodeID {
+	from := g.in[to][i]
+	removeFrom(&g.in[to], from)
+	return from
+}
+
+// CommitOut applies the out-half of an edit of from → to.
+func (g *Graph) CommitOut(from, to NodeID, add bool) {
+	if add {
+		g.out[from] = append(g.out[from], to)
+		g.edges++
+		return
+	}
+	removeFrom(&g.out[from], to)
+	g.edges--
 }
 
 func removeFrom(s *[]NodeID, v NodeID) bool {

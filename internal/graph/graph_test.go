@@ -1,9 +1,11 @@
 package graph
 
 import (
+	"bytes"
 	"errors"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 )
 
@@ -90,6 +92,141 @@ func TestRemoveLink(t *testing.T) {
 	}
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestTwoPhaseEditsMatchOneAtATime applies random edit batches two ways —
+// AddLink/RemoveLink one at a time in page order, and the in-halves of
+// each page's edits followed by CommitOut in page order — and requires
+// byte-identical AppendBinary. A batch holds, per target page, link
+// attempts (among them self-links and duplicates), removals of a drawn
+// in-list entry, and removals that re-add the removed source. The
+// two-phase side decides existence the way the corpus draw pass does:
+// the page's own newest edit naming the source, else the batch-start
+// out-list. Its in-halves run on four goroutines that own distinct pages,
+// so -race checks the ownership rule.
+func TestTwoPhaseEditsMatchOneAtATime(t *testing.T) {
+	type op struct {
+		kind int // 0: link from; 1: remove entry r; 2: remove entry r, then re-add its source
+		from NodeID
+		r    int
+	}
+	type edit struct {
+		from, to NodeID
+		add      bool
+	}
+	const n, workers = 30, 4
+	rng := rand.New(rand.NewSource(11))
+	var selfs, dups, readds int
+	for round := 0; round < 40; round++ {
+		base := New(n)
+		base.AddNodes(n)
+		for i := 0; i < 120; i++ {
+			base.AddLink(NodeID(rng.Intn(n)), NodeID(rng.Intn(n)))
+		}
+		batch := make([][]op, n)
+		for p := range batch {
+			for k := rng.Intn(6); k > 0; k-- {
+				o := op{kind: rng.Intn(3), from: NodeID(rng.Intn(n)), r: rng.Intn(1 << 20)}
+				switch rng.Intn(4) {
+				case 0:
+					o.from = NodeID(p)
+				case 1:
+					if in := base.InLinks(NodeID(p)); len(in) > 0 {
+						o.from = in[0]
+					}
+				}
+				batch[p] = append(batch[p], o)
+			}
+		}
+
+		ref := base.Clone()
+		for p, ops := range batch {
+			to := NodeID(p)
+			for _, o := range ops {
+				if o.kind == 0 {
+					if !ref.AddLink(o.from, to) {
+						if o.from == to {
+							selfs++
+						} else {
+							dups++
+						}
+					}
+					continue
+				}
+				in := ref.InLinks(to)
+				if len(in) == 0 {
+					continue
+				}
+				from := in[o.r%len(in)]
+				ref.RemoveLink(from, to)
+				if o.kind == 2 {
+					ref.AddLink(from, to)
+					readds++
+				}
+			}
+		}
+
+		two := base.Clone()
+		edits := make([][]edit, n)
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for p := w; p < n; p += workers {
+					to := NodeID(p)
+					var own []edit
+					link := func(from NodeID) {
+						if from == to {
+							return
+						}
+						linked := two.HasLink(from, to)
+						for i := len(own) - 1; i >= 0; i-- {
+							if own[i].from == from {
+								linked = own[i].add
+								break
+							}
+						}
+						if !linked {
+							two.AddInLink(from, to)
+							own = append(own, edit{from, to, true})
+						}
+					}
+					for _, o := range batch[p] {
+						if o.kind == 0 {
+							link(o.from)
+							continue
+						}
+						deg := two.InDegree(to)
+						if deg == 0 {
+							continue
+						}
+						from := two.RemoveInLinkAt(to, o.r%deg)
+						own = append(own, edit{from, to, false})
+						if o.kind == 2 {
+							link(from)
+						}
+					}
+					edits[p] = own
+				}
+			}()
+		}
+		wg.Wait()
+		for _, own := range edits {
+			for _, e := range own {
+				two.CommitOut(e.from, e.to, e.add)
+			}
+		}
+		if err := two.Validate(); err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		if !bytes.Equal(two.AppendBinary(nil), ref.AppendBinary(nil)) {
+			t.Fatalf("round %d: two-phase edits differ from AddLink/RemoveLink", round)
+		}
+	}
+	if selfs == 0 || dups == 0 || readds == 0 {
+		t.Fatalf("batches missed a case: %d self-links, %d duplicates, %d re-adds", selfs, dups, readds)
 	}
 }
 

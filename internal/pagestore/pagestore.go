@@ -375,10 +375,12 @@ func parseRecordAt(data []byte, off int64) (total int64, key []byte, meta Meta, 
 	}
 	p := 1
 	// uvarint reads the next varint field; ok is false when it runs past
-	// the end of the buffer.
+	// the end of the buffer; overlong marks a padded one (last byte 0).
+	overlong := false
 	uvarint := func() (v uint64, ok bool) {
 		v, n := binary.Uvarint(b[p:])
 		p += n
+		overlong = overlong || n > 1 && b[p-1] == 0
 		return v, n > 0
 	}
 	klen, ok := uvarint()
@@ -412,6 +414,9 @@ func parseRecordAt(data []byte, off int64) (total int64, key []byte, meta Meta, 
 	}
 	compressed = b[p : p+int(blen)]
 	p += int(blen)
+	if overlong {
+		return 0, nil, meta, nil, fmt.Errorf("%w: overlong varint", ErrCorrupt)
+	}
 	if crc32.ChecksumIEEE(b[1:p]) != binary.LittleEndian.Uint32(b[p:]) {
 		return 0, nil, meta, nil, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
 	}

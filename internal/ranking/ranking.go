@@ -78,7 +78,8 @@ func qualityScores(c *Context) []float64  { return c.Quality }
 
 // Policy orders the documents relevant to a query. Implementations must
 // be deterministic: the same (Context, query, k) always yields the same
-// document list.
+// document list. Rank must be safe for concurrent calls on one Context,
+// which it only reads: the corpus simulator ranks sessions in parallel.
 type Policy interface {
 	// Name identifies the policy in reports and flags.
 	Name() string

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"sync"
 	"testing"
 
 	"pagequality/internal/randx"
@@ -100,6 +101,72 @@ func TestRankNoHits(t *testing.T) {
 		docs, err := pol.Rank(ctx, "nosuchterm", 3)
 		if err != nil || docs != nil {
 			t.Fatalf("%s on empty query: %v, %v", pol.Name(), docs, err)
+		}
+	}
+}
+
+// TestPoliciesConcurrentRank holds every built-in policy to the Policy
+// contract the corpus simulator relies on: Rank called from 8 goroutines
+// on one Context returns what the serial call returns, and under -race
+// no call writes what another reads.
+func TestPoliciesConcurrentRank(t *testing.T) {
+	ctx := buildCtxWith(t, 300, func(d int) string {
+		if d%3 == 0 {
+			return "alpha beta"
+		}
+		return "alpha"
+	})
+	policies := []Policy{None{}, ByPageRank{}, ByQuality{},
+		Randomized{Epsilon: 0}, Randomized{Epsilon: 0.2}, Randomized{Epsilon: 1}}
+	queries := []string{"alpha", "beta", "alpha beta", "document 7", "nosuchterm"}
+	type call struct {
+		pol   Policy
+		query string
+		k     int
+	}
+	var calls []call
+	var want [][]int
+	for _, pol := range policies {
+		for _, q := range queries {
+			for _, k := range []int{1, 10, 500} {
+				docs, err := pol.Rank(ctx, q, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				calls = append(calls, call{pol, q, k})
+				want = append(want, docs)
+			}
+		}
+	}
+	const goroutines = 8
+	got := make([][][]int, goroutines)
+	errs := make([]error, goroutines)
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[g] = make([][]int, len(calls))
+			// Each goroutine walks the calls from its own offset, so the
+			// same call runs concurrently with different ones.
+			for n := range calls {
+				i := (n + g*7) % len(calls)
+				var err error
+				if got[g][i], err = calls[i].pol.Rank(ctx, calls[i].query, calls[i].k); err != nil {
+					errs[g] = err
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for g := range got {
+		if errs[g] != nil {
+			t.Fatalf("goroutine %d: %v", g, errs[g])
+		}
+		for i, c := range calls {
+			if !reflect.DeepEqual(got[g][i], want[i]) {
+				t.Fatalf("goroutine %d: %s.Rank(%q, %d) = %v, serial %v", g, c.pol.Name(), c.query, c.k, got[g][i], want[i])
+			}
 		}
 	}
 }

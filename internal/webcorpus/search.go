@@ -13,13 +13,13 @@ package webcorpus
 // choice (pure PageRank, the paper's Q(p), or Pandey/Cho's partially
 // randomized ranking) now shapes which pages get rich.
 //
-// Determinism: sessions are tick-level serial events like births and
-// churn, drawn from their own (seed, keySearch, tick) stream; queries
-// come from the loadgen workload stream (pure in (seed, session index));
-// the randomized policy draws from (seed, query, tick) streams; and the
-// refresh pipeline (index freeze, PageRank, live quality) is bitwise
-// worker-count invariant. A searched corpus therefore evolves bitwise
-// identically at every Workers setting.
+// Determinism: sessions are tick-level events like births and churn,
+// counted and visited serially from their own (seed, keySearch, tick)
+// stream; queries come from the loadgen workload stream (pure in (seed,
+// session index)); each ranking, run in parallel into its session's
+// slot, is pure in (frozen context, query, tick); and the refresh
+// pipeline is bitwise worker-count invariant. A searched corpus
+// therefore evolves bitwise identically at every Workers setting.
 
 import (
 	"fmt"
@@ -45,6 +45,7 @@ type SearchConfig struct {
 	// TopK is how many results each session visits (default 10).
 	TopK int
 	// Policy is the active ranking policy (default ranking.ByPageRank).
+	// A tick's sessions call its Rank concurrently on one Context.
 	Policy ranking.Policy
 }
 
@@ -174,9 +175,9 @@ func (s *Sim) refreshSearch() {
 	s.nextRefresh = s.tick + s.refreshTicks
 }
 
-// stepSearch runs the tick's query sessions: a serial tick-level event
-// (like births and churn) drawn from its own per-tick stream, so the
-// draw-phase worker count cannot influence it.
+// stepSearch runs the tick's query sessions, a tick-level event drawn
+// serially from its own stream. Rankings read only the context frozen at
+// the last refresh, so they run in parallel before the serial visits.
 func (s *Sim) stepSearch() {
 	sc := &s.cfg.Search
 	if s.time < -timeSlack {
@@ -188,14 +189,17 @@ func (s *Sim) stepSearch() {
 	s.rank.Tick = s.tick // keys the randomized policy's per-query streams
 	st := randx.NewStream(s.cfg.Seed, keySearch, s.tick)
 	sessions := randx.Poisson(&st, sc.SessionsPerWeek*s.cfg.DT)
-	for i := 0; i < sessions; i++ {
-		query := s.workload.Query(s.searchSeq)
-		s.searchSeq++
-		docs, err := sc.Policy.Rank(s.rank, query, sc.TopK)
-		if err != nil {
-			// The context and k are constructed here and always valid.
-			panic("webcorpus: policy rank: " + err.Error())
-		}
+	ranked := make([][]int, sessions)
+	err := par.DoErr(sessions, s.cfg.Workers, func(i int) (err error) {
+		ranked[i], err = sc.Policy.Rank(s.rank, s.workload.Query(s.searchSeq+uint64(i)), sc.TopK)
+		return err
+	})
+	if err != nil {
+		// The context and k are constructed here and always valid.
+		panic("webcorpus: policy rank: " + err.Error())
+	}
+	s.searchSeq += uint64(sessions)
+	for _, docs := range ranked {
 		s.searchSessions++
 		for _, d := range docs {
 			s.searchVisit(&st, graph.NodeID(d))

@@ -157,7 +157,7 @@ func TestSearchedCorpusWorkerInvariance(t *testing.T) {
 	if refSess == 0 {
 		t.Fatal("search channel idle in invariance test")
 	}
-	for _, workers := range []int{2, 0} { // 0 = GOMAXPROCS
+	for _, workers := range []int{2, 3, 0} { // 3 deals the chunks unevenly; 0 = GOMAXPROCS
 		got, sim := run(workers)
 		if !bytes.Equal(got, ref) {
 			t.Fatalf("searched snapshots with Workers=%d differ from Workers=1", workers)
@@ -219,6 +219,38 @@ func TestSearchedCorpusBitsPinned(t *testing.T) {
 			if got != pins[seed] {
 				t.Errorf("seed %d Workers=%d: %+v, want %+v", seed, workers, got, pins[seed])
 			}
+		}
+	}
+}
+
+// TestSearchedCorpusListOrderPinned pins what AppendBinary cannot see:
+// the order of every out-list and in-list of the simulate corpus, as
+// CRC32s over the lists in page order. AppendBinary sorts out-lists, but
+// a rendered page lists its links in out-list order and PageRank sums
+// in-lists in theirs, so the tick's replay must keep both orders.
+func TestSearchedCorpusListOrderPinned(t *testing.T) {
+	pins := map[int64][2]uint32{1: {0x2058f250, 0xa1e5ca49}, 7: {0x378e724b, 0x20846cfc}}
+	for seed, want := range pins {
+		cfg := DefaultConfig()
+		cfg.Seed = seed
+		cfg.Search = SearchConfig{SessionsPerWeek: 1500, TopK: 10, Policy: ranking.Randomized{Epsilon: 0.2}}
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.AdvanceTo(6)
+		var out, in []byte
+		for p := 0; p < s.NumPages(); p++ {
+			for _, x := range s.Graph().OutLinks(graph.NodeID(p)) {
+				out = binary.LittleEndian.AppendUint32(out, uint32(x))
+			}
+			for _, x := range s.Graph().InLinks(graph.NodeID(p)) {
+				in = binary.LittleEndian.AppendUint32(in, uint32(x))
+			}
+			out, in = append(out, 0xff), append(in, 0xff)
+		}
+		if got := [2]uint32{crc32.ChecksumIEEE(out), crc32.ChecksumIEEE(in)}; got != want {
+			t.Errorf("seed %d: list-order CRCs %#x, want %#x", seed, got, want)
 		}
 	}
 }

@@ -16,13 +16,13 @@
 // real crawl could only approximate with future PageRank.
 //
 // The per-tick hot path is a sharded two-phase kernel (see DESIGN.md §7):
-// a draw phase partitions the pages into fixed contiguous chunks processed
+// a draw pass partitions the pages into fixed contiguous chunks processed
 // by a Workers pool, each page drawing its visit/discovery/like/forget
-// counts from its own counter-based randx.Stream keyed on (corpus seed,
-// page id, tick); a serial apply phase then consumes the per-page event
-// counts in page order to mutate the shared graph. Because no draw depends
-// on scheduling, the evolved corpus is bitwise identical for every Workers
-// setting.
+// counts and then deciding its own link edits from its own counter-based
+// randx.Stream keyed on (corpus seed, page id, tick), editing only its own
+// in-list; a short serial replay then applies the out-list halves of
+// those edits in page order. Because no draw depends on scheduling, the
+// evolved corpus is bitwise identical for every Workers setting.
 package webcorpus
 
 import (
@@ -82,10 +82,10 @@ type Config struct {
 	BurnInWeeks float64
 	// Seed makes the corpus deterministic.
 	Seed int64
-	// Workers is the parallelism of the per-tick draw phase; 0 means
-	// GOMAXPROCS (mirroring pagerank.Options.Workers). The evolved corpus
-	// is bitwise identical for every setting: each page draws from its own
-	// counter-based stream, so no result depends on scheduling.
+	// Workers is the parallelism of the per-tick draw pass and rankings;
+	// 0 means GOMAXPROCS (mirroring pagerank.Options.Workers). The evolved
+	// corpus is bitwise identical for every setting: each page draws from
+	// its own counter-based stream and shared writes replay in page order.
 	Workers int
 	// Search configures the search-discovery channel (see search.go); the
 	// zero value disables it and the corpus evolves exactly as before.
@@ -185,10 +185,10 @@ type Sim struct {
 	pageSeq   int
 	urlBuf    []byte
 
-	// Draw-phase scratch, indexed by NodeID and regrown as pages are born.
-	linkAdds []int32        // links to create toward the page this tick
-	linkDels []int32        // links to withdraw from the page this tick
-	streams  []randx.Stream // per-page stream state after the draw phase
+	// Draw-pass scratch: each page's stream, indexed by NodeID and regrown
+	// as pages are born, and each chunk's link edits in page order.
+	streams []randx.Stream
+	edits   [][]linkEvent
 
 	// Search-discovery channel state (see search.go); nil/zero when the
 	// channel is disabled.
@@ -306,14 +306,13 @@ func appendPadded(buf []byte, v, width int) []byte {
 	return strconv.AppendInt(buf, int64(v), 10)
 }
 
-// createLinkTo adds one in-link to page p from a source chosen with the
-// configured same-site bias; duplicates and self-links are silently
-// skipped after a few attempts (the like still counts — the user simply
-// linked to a page that already linked there).
-func (s *Sim) createLinkTo(src randx.Source, p graph.NodeID) {
-	site := int(s.g.Page(p).Site)
+// linkSource draws up to eight sources for a new in-link of p with the
+// configured same-site bias and returns the first that is neither p nor
+// linked; InvalidNode if all fail (the like still counts — the user simply
+// linked to a page that already linked there). Both link paths use it.
+func (s *Sim) linkSource(src randx.Source, p graph.NodeID, linked func(from graph.NodeID) bool) graph.NodeID {
+	cand := s.sitePages[s.g.Page(p).Site]
 	numNodes := s.g.NumNodes()
-	cand := s.sitePages[site]
 	for attempt := 0; attempt < 8; attempt++ {
 		var from graph.NodeID
 		if randx.Float64(src) < s.cfg.SameSiteBias && len(cand) > 1 {
@@ -321,23 +320,25 @@ func (s *Sim) createLinkTo(src randx.Source, p graph.NodeID) {
 		} else {
 			from = graph.NodeID(randx.Intn(src, numNodes))
 		}
-		if from == p {
-			continue
+		if from != p && !linked(from) {
+			return from
 		}
-		if s.g.AddLink(from, p) {
-			return
-		}
+	}
+	return graph.InvalidNode
+}
+
+// createLinkTo adds one in-link to page p from a source linkSource draws.
+func (s *Sim) createLinkTo(src randx.Source, p graph.NodeID) {
+	if from := s.linkSource(src, p, func(from graph.NodeID) bool { return s.g.HasLink(from, p) }); from != graph.InvalidNode {
+		s.g.AddLink(from, p)
 	}
 }
 
 // removeLinkTo removes one random in-link of p, if any.
 func (s *Sim) removeLinkTo(src randx.Source, p graph.NodeID) {
-	in := s.g.InLinks(p)
-	if len(in) == 0 {
-		return
+	if in := s.g.InLinks(p); len(in) > 0 {
+		s.g.RemoveLink(in[randx.Intn(src, len(in))], p)
 	}
-	from := in[randx.Intn(src, len(in))]
-	s.g.RemoveLink(from, p)
 }
 
 // Time returns the current simulation time in weeks (0 = first crawl).
@@ -363,43 +364,50 @@ func (s *Sim) Awareness(p graph.NodeID) float64 {
 // use SnapshotNow for a stable copy.
 func (s *Sim) Graph() *graph.Graph { return s.g }
 
-// drawChunk is the fixed shard width of the draw phase. Chunk boundaries
+// drawChunk is the fixed shard width of the draw pass. Chunk boundaries
 // depend only on the page count, never on the worker count, which is one
 // half of the bitwise worker-invariance argument (the other half is the
-// per-page streams).
-const drawChunk = 1024
+// per-page streams). Older pages carry most of the events, so the chunks
+// are narrow enough that the last ones do not leave a worker idle.
+const drawChunk = 256
+
+// linkEvent is one link edit of the draw pass: from → to added or removed.
+type linkEvent struct {
+	from, to graph.NodeID
+	add      bool
+}
 
 // Step advances the simulation by one DT tick using the two-phase kernel:
-// a (possibly parallel) draw phase computes every page's awareness/like
-// deltas and link event counts from its own counter-based stream, then a
-// serial apply phase mutates the graph in page order, followed by the
-// tick-level churn and birth events.
+// a (possibly parallel) draw pass computes every page's awareness/like
+// deltas and decides its link edits from its own counter-based stream,
+// then a serial replay applies the edits' out-list halves in page order,
+// followed by the tick-level churn, birth and search events.
 func (s *Sim) Step() {
 	cfg := &s.cfg
 	nPages := s.g.NumNodes()
-	s.growScratch(nPages)
+	chunks := (nPages + drawChunk - 1) / drawChunk
+	// Draw-pass scratch, with 50% headroom for the trickle of births.
+	if cap(s.streams) < nPages {
+		s.streams = make([]randx.Stream, nPages, nPages+nPages/2)
+	}
+	s.streams = s.streams[:nPages]
+	for len(s.edits) < chunks {
+		s.edits = append(s.edits, nil)
+	}
 
-	// (1) Draw phase, fanned out over fixed contiguous chunks. Workers own
-	// disjoint page ranges, so the per-page slices are written race-free;
-	// the graph is not touched.
-	par.Do((nPages+drawChunk-1)/drawChunk, cfg.Workers, func(c int) {
+	// (1) Draw pass, fanned out over fixed contiguous chunks. Workers own
+	// disjoint page ranges, so the per-page slices and in-lists are
+	// written race-free; no out-list is written.
+	par.Do(chunks, cfg.Workers, func(c int) {
 		lo := c * drawChunk
-		s.drawRange(lo, min(lo+drawChunk, nPages))
+		s.edits[c] = s.drawRange(lo, min(lo+drawChunk, nPages), s.edits[c][:0])
 	})
 
-	// (2) Apply phase: serial, in page order, continuing each page's
-	// stream where the draw phase left it.
-	for p := 0; p < nPages; p++ {
-		adds, dels := s.linkAdds[p], s.linkDels[p]
-		if adds == 0 && dels == 0 {
-			continue
-		}
-		st := &s.streams[p]
-		for k := int32(0); k < adds; k++ {
-			s.createLinkTo(st, graph.NodeID(p))
-		}
-		for k := int32(0); k < dels; k++ {
-			s.removeLinkTo(st, graph.NodeID(p))
+	// (2) Replay: serial, chunk by chunk, so the out-lists see the edits
+	// in page order and end as the one-edit-at-a-time loop left them.
+	for _, edits := range s.edits[:chunks] {
+		for _, e := range edits {
+			s.g.CommitOut(e.from, e.to, e.add)
 		}
 	}
 
@@ -435,26 +443,11 @@ func (s *Sim) Step() {
 	s.time = float64(float64(s.tick)*cfg.DT) - cfg.BurnInWeeks
 }
 
-// growScratch sizes the per-page scratch slices for this tick, with 50%
-// headroom so the steady trickle of births doesn't reallocate every tick.
-func (s *Sim) growScratch(nPages int) {
-	if cap(s.linkAdds) < nPages {
-		newCap := nPages + nPages/2
-		s.linkAdds = make([]int32, nPages, newCap)
-		s.linkDels = make([]int32, nPages, newCap)
-		s.streams = make([]randx.Stream, nPages, newCap)
-	} else {
-		s.linkAdds = s.linkAdds[:nPages]
-		s.linkDels = s.linkDels[:nPages]
-		s.streams = s.streams[:nPages]
-	}
-}
-
-// drawRange runs the draw phase for pages [lo, hi): visits, discoveries,
-// likes and forgetting, accumulating only per-page state plus link event
-// counts. Every draw comes from the page's own (seed, page, tick) stream,
-// so the results are independent of how ranges map to workers.
-func (s *Sim) drawRange(lo, hi int) {
+// drawRange runs the draw pass for pages [lo, hi): visits, discoveries,
+// likes and forgetting, then the link edits it appends to edits. Every
+// draw comes from the page's own (seed, page, tick) stream, so the results
+// are independent of how ranges map to workers.
+func (s *Sim) drawRange(lo, hi int, edits []linkEvent) []linkEvent {
 	cfg := &s.cfg
 	n := float64(cfg.Users)
 	aware, likes, quality := s.aware, s.likes, s.quality
@@ -513,8 +506,39 @@ func (s *Sim) drawRange(lo, hi int) {
 				}
 			}
 		}
-		s.linkAdds[p], s.linkDels[p] = adds, dels
+		if adds > 0 || dels > 0 {
+			edits = s.decideLinks(st, graph.NodeID(p), adds, dels, edits)
+		}
 	}
+	return edits
+}
+
+// decideLinks appends p's adds and dels to edits, drawing as createLinkTo
+// and removeLinkTo would, and applies their in-halves. Only p's edits
+// change in[p] and no out-list changes before the replay, so p's newest
+// edit naming from, else the tick-start out[from], says if from → p exists.
+func (s *Sim) decideLinks(st *randx.Stream, p graph.NodeID, adds, dels int32, edits []linkEvent) []linkEvent {
+	own := len(edits)
+	linked := func(from graph.NodeID) bool {
+		for i := len(edits) - 1; i >= own; i-- {
+			if edits[i].from == from {
+				return edits[i].add
+			}
+		}
+		return s.g.HasLink(from, p)
+	}
+	for ; adds > 0; adds-- {
+		if from := s.linkSource(st, p, linked); from != graph.InvalidNode {
+			s.g.AddInLink(from, p)
+			edits = append(edits, linkEvent{from, p, true})
+		}
+	}
+	for ; dels > 0; dels-- {
+		if n := s.g.InDegree(p); n > 0 {
+			edits = append(edits, linkEvent{s.g.RemoveInLinkAt(p, randx.Intn(st, n)), p, false})
+		}
+	}
+	return edits
 }
 
 // AdvanceTo steps the simulation until the clock reaches t. The step

@@ -315,7 +315,7 @@ func TestStepWorkerCountInvariance(t *testing.T) {
 		t.Fatalf("corpus has %d pages; need > drawChunk=%d to exercise the parallel path",
 			refSim.NumPages(), drawChunk)
 	}
-	for _, workers := range []int{2, 0} { // 0 = GOMAXPROCS
+	for _, workers := range []int{2, 3, 0} { // 3 deals the chunks unevenly; 0 = GOMAXPROCS
 		got, sim := run(workers)
 		if !bytes.Equal(got, ref) {
 			t.Fatalf("snapshots with Workers=%d differ from Workers=1", workers)
