@@ -6,7 +6,8 @@ import (
 	"fmt"
 	"io/fs"
 	"os"
-	"path/filepath"
+
+	"pagequality/internal/pagestore"
 )
 
 // Checkpoint captures a crawl's progress so an interrupted crawl (the
@@ -31,33 +32,14 @@ type Checkpoint struct {
 	Stats Stats `json:"stats"`
 }
 
-// Save atomically persists the checkpoint as JSON.
+// Save atomically persists the checkpoint as JSON
+// (pagestore.WriteFileAtomic).
 func (c *Checkpoint) Save(path string) error {
 	data, err := json.Marshal(c)
 	if err != nil {
 		return fmt.Errorf("crawler: marshal checkpoint: %w", err)
 	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".ckpt-*")
-	if err != nil {
-		return fmt.Errorf("crawler: checkpoint temp: %w", err)
-	}
-	name := tmp.Name()
-	defer os.Remove(name)
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return fmt.Errorf("crawler: write checkpoint: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("crawler: sync checkpoint: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("crawler: close checkpoint: %w", err)
-	}
-	if err := os.Rename(name, path); err != nil {
-		return fmt.Errorf("crawler: commit checkpoint: %w", err)
-	}
-	return nil
+	return pagestore.WriteFileAtomic(path, data)
 }
 
 // LoadCheckpoint reads a checkpoint; a missing file returns (nil, nil) so

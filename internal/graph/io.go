@@ -109,13 +109,18 @@ type payloadReader struct {
 
 func (r *payloadReader) uvarint() uint64 {
 	v, n := binary.Uvarint(r.b)
-	if n <= 0 {
+	if n <= 0 || padded(r.b, n) {
 		r.bad = true
 		return 0
 	}
 	r.b = r.b[n:]
 	return v
 }
+
+// padded reports whether the n-byte varint at the front of b ends in a
+// zero byte: an overlong encoding AppendBinary never writes, which would
+// decode to a graph that encodes to other bytes.
+func padded(b []byte, n int) bool { return n > 1 && b[n-1] == 0 }
 
 func (r *payloadReader) next(n uint64) []byte {
 	if n > uint64(len(r.b)) {
@@ -156,7 +161,7 @@ func parsePayload(payload []byte) (*Graph, error) {
 		}
 		url := r.next(ulen)
 		site, n := binary.Varint(r.b)
-		if n <= 0 {
+		if n <= 0 || padded(r.b, n) || site != int64(int32(site)) {
 			r.bad = true
 		} else {
 			r.b = r.b[n:]

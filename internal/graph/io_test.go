@@ -348,9 +348,10 @@ func TestDecodeRejectsBadRows(t *testing.T) {
 }
 
 // FuzzDecodeBinary: arbitrary bytes never panic the decoder; a graph that
-// decodes is consistent, and encoding it again decodes to the same pages,
-// rows and in-list order. Each input is also tried as a payload behind a
-// valid checksum, which is how mutations reach the row parser.
+// decodes is consistent, encodes back to the bytes it was decoded from,
+// and that encoding decodes to the same pages, rows and in-list order.
+// Each input is also tried as a payload behind a valid checksum, which is
+// how mutations reach the row parser.
 func FuzzDecodeBinary(f *testing.F) {
 	f.Add(cycleGraph(5).AppendBinary(nil))
 	f.Add(payloadOf(cycleGraph(5).AppendBinary(nil)))
@@ -365,6 +366,9 @@ func FuzzDecodeBinary(f *testing.F) {
 			}
 			if err := g.Validate(); err != nil {
 				t.Fatal(err)
+			}
+			if enc := g.AppendBinary(nil); !bytes.Equal(enc, buf[:n]) {
+				t.Fatalf("graph re-encodes to %x, want %x", enc, buf[:n])
 			}
 			again, _, err := DecodeBinary(g.AppendBinary(nil))
 			if err != nil {

@@ -250,18 +250,3 @@ func decodeFooterBody(body []byte, footStart int64) (*footer, bool) {
 	}
 	return ft, true
 }
-
-// sealFile appends a footer to an open segment file and syncs it,
-// returning the footer's bloom filter. After sealing, the segment is
-// immutable: Open indexes it from the footer and new records go to a
-// fresh segment.
-func sealFile(f *os.File, entries map[string]int64, dataLen int64) (segBloom, error) {
-	foot, bloom := encodeFooter(entries, dataLen)
-	if _, err := f.Write(foot); err != nil {
-		return segBloom{}, fmt.Errorf("pagestore: write footer: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		return segBloom{}, fmt.Errorf("pagestore: sync footer: %w", err)
-	}
-	return bloom, nil
-}

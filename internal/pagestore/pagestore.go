@@ -54,16 +54,13 @@ type Meta struct {
 // Store is a page repository rooted at a directory. It is safe for
 // concurrent use.
 type Store struct {
-	mu         sync.Mutex
-	dir        string
-	active     *os.File         // current segment, opened for append
-	actID      int              // numeric id of the active segment
-	actLen     int64            // current size of the active segment
-	actEntries map[string]int64 // latest offset per key in the active segment (footer material)
-	maxSeg     int64            // rotation threshold
-	index      map[string]location
-	blooms     map[int]segBloom // per sealed segment, from its footer
-	closed     bool
+	mu     sync.Mutex
+	dir    string
+	active segWriter // the unsealed segment Puts append to
+	maxSeg int64     // rotation threshold
+	index  map[string]location
+	blooms map[int]segBloom // per sealed segment, from its footer
+	closed bool
 
 	// openStats records how the index was rebuilt; tests use it to pin
 	// the O(index) cold-start contract.
@@ -131,46 +128,148 @@ func Open(dir string, opts Options) (*Store, error) {
 		return nil, fmt.Errorf("pagestore: mkdir: %w", err)
 	}
 	s := &Store{
-		dir:        dir,
-		maxSeg:     opts.MaxSegmentBytes,
-		index:      make(map[string]location),
-		actEntries: make(map[string]int64),
-		blooms:     make(map[int]segBloom),
+		dir:    dir,
+		maxSeg: opts.MaxSegmentBytes,
+		index:  make(map[string]location),
+		blooms: make(map[int]segBloom),
 	}
 	segs, err := listSegments(dir)
 	if err != nil {
 		return nil, err
 	}
-	lastSealed, err := s.rebuildIndex(segs, 0)
+	tail, err := s.rebuildIndex(segs, 0)
 	if err != nil {
 		return nil, err
 	}
-	// Open (or create) the active segment: the last existing one if it is
-	// still appendable, otherwise a fresh one after the sealed tail.
-	s.actID = 1
-	if len(segs) > 0 {
-		s.actID = segs[len(segs)-1]
-		if lastSealed {
-			s.actID++
-			s.actEntries = make(map[string]int64)
+	// Appends go to the last existing segment if it is still unsealed,
+	// otherwise to a fresh one after the sealed tail.
+	id := 1
+	if n := len(segs); n > 0 {
+		id = segs[n-1]
+		if tail == nil {
+			id++
 		}
 	}
-	f, err := os.OpenFile(s.segPath(s.actID), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("pagestore: open active segment: %w", err)
-	}
-	st, err := f.Stat()
-	if err != nil {
-		f.Close()
+	if s.active, err = s.openSegment(id, tail == nil); err != nil {
 		return nil, err
 	}
-	s.active = f
-	s.actLen = st.Size()
+	if tail != nil {
+		st, err := s.active.f.Stat()
+		if err != nil {
+			s.active.f.Close()
+			return nil, err
+		}
+		s.active.size, s.active.entries = st.Size(), tail
+	}
 	return s, nil
 }
 
 func (s *Store) segPath(id int) string {
 	return filepath.Join(s.dir, fmt.Sprintf("seg-%06d.dat", id))
+}
+
+// segWriter is one unsealed segment open for append: the store's active
+// segment, or a compaction output. Every record and footer the store
+// writes goes through one.
+type segWriter struct {
+	f       *os.File
+	id      int
+	size    int64            // bytes written so far
+	entries map[string]int64 // latest offset per key (footer material)
+}
+
+// openSegment opens segment id for append. A fresh segment must not
+// exist yet (O_EXCL) and starts empty; an existing one is the caller's
+// to size.
+func (s *Store) openSegment(id int, fresh bool) (segWriter, error) {
+	flag := os.O_CREATE | os.O_WRONLY | os.O_APPEND
+	if fresh {
+		flag |= os.O_EXCL
+	}
+	f, err := os.OpenFile(s.segPath(id), flag, 0o644)
+	if err != nil {
+		return segWriter{}, fmt.Errorf("pagestore: open segment %d: %w", id, err)
+	}
+	return segWriter{f: f, id: id, entries: make(map[string]int64)}, nil
+}
+
+// append writes one encoded record and returns its offset.
+func (w *segWriter) append(key string, rec []byte) (int64, error) {
+	off := w.size
+	if _, err := w.f.Write(rec); err != nil {
+		return 0, fmt.Errorf("pagestore: append: %w", err)
+	}
+	w.size += int64(len(rec))
+	w.entries[key] = off
+	return off, nil
+}
+
+// write appends rec to w, first rolling a non-empty w over (its bloom
+// filter into blooms) when rec would push it past the rotation
+// threshold. Put and Compact both write through it, so compaction makes
+// the segments Putting the live records would.
+func (s *Store) write(w *segWriter, key string, rec []byte, blooms map[int]segBloom) (location, error) {
+	if w.size > 0 && w.size+int64(len(rec)) > s.maxSeg {
+		if err := s.rollover(w, blooms); err != nil {
+			return location{}, err
+		}
+	}
+	off, err := w.append(key, rec)
+	return location{seg: w.id, offset: off}, err
+}
+
+// rollover seals w — syncs its records, then appends and syncs the
+// footer that indexes them, so a footer never claims records the disk
+// may not hold — closes it, and reopens w on a fresh segment w.id+1.
+// A sealed segment is immutable: Open indexes it from the footer. On a
+// failure w keeps its id; its file may already be closed.
+func (s *Store) rollover(w *segWriter, blooms map[int]segBloom) error {
+	if err := w.f.Sync(); err != nil {
+		return fmt.Errorf("pagestore: sync before seal: %w", err)
+	}
+	foot, bloom := encodeFooter(w.entries, w.size)
+	if _, err := w.f.Write(foot); err != nil {
+		return fmt.Errorf("pagestore: write footer: %w", err)
+	}
+	if err := w.f.Sync(); err != nil {
+		return fmt.Errorf("pagestore: sync footer: %w", err)
+	}
+	if err := w.f.Close(); err != nil {
+		return fmt.Errorf("pagestore: close sealed segment: %w", err)
+	}
+	blooms[w.id] = bloom
+	next, err := s.openSegment(w.id+1, true)
+	if err != nil {
+		return err
+	}
+	*w = next
+	return nil
+}
+
+// WriteFileAtomic replaces path with data so that a reader sees the old
+// file or the new one, never a partial write: the bytes go to a
+// temporary file in the same directory, which is synced, closed and
+// renamed over path. The temporary file is removed on failure.
+func WriteFileAtomic(path string, data []byte) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+".tmp-*")
+	if err != nil {
+		return fmt.Errorf("pagestore: create temp: %w", err)
+	}
+	defer os.Remove(tmp.Name()) // no-op after the rename
+	_, err = tmp.Write(data)
+	if err == nil {
+		err = tmp.Sync()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err != nil {
+		return fmt.Errorf("pagestore: write %s: %w", path, err)
+	}
+	return nil
 }
 
 // listSegments returns the numeric ids of existing segments, ascending.
@@ -242,8 +341,9 @@ type segLoad struct {
 // read from their footers without touching record bodies; unsealed (or
 // corrupt-footer) segments fall back to a record scan. Errors are reported for the
 // earliest failing segment regardless of which worker hit it first.
-// Returns whether the newest segment is sealed.
-func (s *Store) rebuildIndex(segs []int, workers int) (lastSealed bool, err error) {
+// Returns the newest segment's latest offset per key (its footer
+// material) when it is unsealed, nil otherwise.
+func (s *Store) rebuildIndex(segs []int, workers int) (tail map[string]int64, err error) {
 	loads := make([]segLoad, len(segs))
 	err = par.DoErr(len(segs), workers, func(i int) error {
 		var err error
@@ -251,7 +351,7 @@ func (s *Store) rebuildIndex(segs []int, workers int) (lastSealed bool, err erro
 		return err
 	})
 	if err != nil {
-		return false, err
+		return nil, err
 	}
 	for i, id := range segs {
 		for _, e := range loads[i].entries {
@@ -264,17 +364,13 @@ func (s *Store) rebuildIndex(segs []int, workers int) (lastSealed bool, err erro
 			s.openStats.scannedSegments++
 		}
 	}
-	if n := len(segs); n > 0 {
-		lastSealed = loads[n-1].sealed
-		if !lastSealed {
-			// The newest segment stays active: seed its footer material
-			// so a later rotation can seal it.
-			for _, e := range loads[n-1].entries {
-				s.actEntries[e.key] = e.off
-			}
+	if n := len(segs); n > 0 && !loads[n-1].sealed {
+		tail = make(map[string]int64, len(loads[n-1].entries))
+		for _, e := range loads[n-1].entries {
+			tail[e.key] = e.off
 		}
 	}
-	return lastSealed, nil
+	return tail, nil
 }
 
 // loadSegmentIndex indexes one segment: footer fast path when the seal
@@ -306,18 +402,14 @@ func (s *Store) loadSegmentIndex(id int, last bool) (segLoad, error) {
 }
 
 // scanSegmentFile replays one segment, returning its records in file
-// order — the fallback when no valid footer exists. Recovery rules at a
-// parse failure, in order:
-//
-//   - the failing byte is footMagic: a footer starts here (its checksum
-//     or trailer failed validation, or an earlier corruption made us
-//     scan a healthy sealed segment); index what was scanned. For the
-//     newest segment the debris is truncated so appends can resume.
-//   - footerEvidence (a footer trailer exists at EOF but failed
-//     validation): the unparseable tail is seal debris, same handling.
-//   - newest segment, clean end-of-buffer overrun: a torn tail write;
-//     truncate it away.
-//   - anything else is corruption and fails the open.
+// order — the fallback when no valid footer exists. The scan ends at a
+// footMagic byte (a footer whose checksum or trailer failed validation,
+// or a healthy one an earlier corruption made us scan), at a record that
+// does not parse when footerEvidence (a trailer at EOF that failed
+// validation) marks it seal debris, or at a torn tail write on the
+// newest segment; any other parse failure fails the open. On the newest
+// segment everything past the last record is then cut away, so appends
+// resume after it.
 func (s *Store) scanSegmentFile(id int, last, footerEvidence bool) ([]segEntry, error) {
 	path := s.segPath(id)
 	data, err := os.ReadFile(path)
@@ -326,36 +418,21 @@ func (s *Store) scanSegmentFile(id int, last, footerEvidence bool) ([]segEntry, 
 	}
 	var ents []segEntry
 	off := int64(0)
-	for off < int64(len(data)) {
-		if data[off] == footMagic {
-			if last {
-				if terr := os.Truncate(path, off); terr != nil {
-					return nil, fmt.Errorf("pagestore: truncate footer debris: %w", terr)
-				}
-			}
-			return ents, nil
-		}
+	for off < int64(len(data)) && data[off] != footMagic {
 		recLen, key, _, _, err := parseRecordAt(data, off)
 		if err != nil {
-			if footerEvidence {
-				if last {
-					if terr := os.Truncate(path, off); terr != nil {
-						return nil, fmt.Errorf("pagestore: truncate footer debris: %w", terr)
-					}
-				}
-				return ents, nil
-			}
-			if last && errors.Is(err, io.ErrUnexpectedEOF) {
-				// crash recovery: drop the torn tail
-				if terr := os.Truncate(path, off); terr != nil {
-					return nil, fmt.Errorf("pagestore: truncate torn tail: %w", terr)
-				}
-				return ents, nil
+			if footerEvidence || last && errors.Is(err, io.ErrUnexpectedEOF) {
+				break
 			}
 			return nil, fmt.Errorf("pagestore: segment %d offset %d: %w", id, off, err)
 		}
 		ents = append(ents, segEntry{key: string(key), off: off})
 		off += recLen
+	}
+	if last && off < int64(len(data)) {
+		if err := os.Truncate(path, off); err != nil {
+			return nil, fmt.Errorf("pagestore: truncate segment %d: %w", id, err)
+		}
 	}
 	return ents, nil
 }
@@ -491,43 +568,11 @@ func (s *Store) Put(key string, meta Meta, body []byte) error {
 	if s.closed {
 		return ErrClosed
 	}
-	if s.actLen > 0 && s.actLen+int64(len(rec)) > s.maxSeg {
-		if err := s.rotateLocked(); err != nil {
-			return err
-		}
-	}
-	offset := s.actLen
-	if _, err := s.active.Write(rec); err != nil {
-		return fmt.Errorf("pagestore: append: %w", err)
-	}
-	s.actLen += int64(len(rec))
-	s.index[key] = location{seg: s.actID, offset: offset}
-	s.actEntries[key] = offset
-	return nil
-}
-
-// rotateLocked seals the active segment — appends its footer so future
-// Opens index it without a scan — and starts a fresh one.
-func (s *Store) rotateLocked() error {
-	if err := s.active.Sync(); err != nil {
-		return fmt.Errorf("pagestore: sync before rotate: %w", err)
-	}
-	bloom, err := sealFile(s.active, s.actEntries, s.actLen)
+	loc, err := s.write(&s.active, key, rec, s.blooms)
 	if err != nil {
 		return err
 	}
-	if err := s.active.Close(); err != nil {
-		return fmt.Errorf("pagestore: close before rotate: %w", err)
-	}
-	s.blooms[s.actID] = bloom
-	s.actID++
-	f, err := os.OpenFile(s.segPath(s.actID), os.O_CREATE|os.O_WRONLY|os.O_APPEND|os.O_EXCL, 0o644)
-	if err != nil {
-		return fmt.Errorf("pagestore: rotate: %w", err)
-	}
-	s.active = f
-	s.actLen = 0
-	s.actEntries = make(map[string]int64)
+	s.index[key] = loc
 	return nil
 }
 
@@ -754,7 +799,7 @@ func (s *Store) Sync() error {
 	if s.closed {
 		return ErrClosed
 	}
-	return s.active.Sync()
+	return s.active.f.Sync()
 }
 
 // Close syncs and closes the store. Further operations fail with
@@ -766,11 +811,11 @@ func (s *Store) Close() error {
 		return nil
 	}
 	s.closed = true
-	if err := s.active.Sync(); err != nil {
-		s.active.Close()
+	if err := s.active.f.Sync(); err != nil {
+		s.active.f.Close()
 		return err
 	}
-	return s.active.Close()
+	return s.active.f.Close()
 }
 
 // Compact rewrites every live record into fresh segments and removes the
@@ -808,83 +853,47 @@ func (s *Store) Compact() error {
 	if err != nil {
 		return err
 	}
-	oldActID := s.actID
-	if err := s.active.Sync(); err != nil {
+	if err := s.active.f.Sync(); err != nil {
 		return err
 	}
-	if err := s.active.Close(); err != nil {
+	if err := s.active.f.Close(); err != nil {
 		// The handle is in an unknown state; fall through to the
 		// recovery path, which reopens the segment for append.
-		return s.compactFailLocked(nil, nil, oldActID, err)
+		return s.compactFailLocked(nil, err)
 	}
 
-	var (
-		out        *os.File
-		outID      = s.actID
-		outLen     int64
-		outEntries map[string]int64
-		created    []int
-		newIndex   = make(map[string]location, len(s.index))
-		newBlooms  = make(map[int]segBloom)
-	)
-	openOut := func() error {
-		outID++
-		f, err := os.OpenFile(s.segPath(outID), os.O_CREATE|os.O_WRONLY|os.O_APPEND|os.O_EXCL, 0o644)
-		if err != nil {
-			return fmt.Errorf("pagestore: compact segment: %w", err)
-		}
-		out = f
-		outLen = 0
-		outEntries = make(map[string]int64)
-		created = append(created, outID)
-		return nil
+	// Output ids start past the old active id, so the two sets never
+	// overlap; the output's seals go to a fresh bloom set.
+	out, err := s.openSegment(s.active.id+1, true)
+	if err != nil {
+		return s.compactFailLocked(nil, err)
 	}
-	if err := openOut(); err != nil {
-		return s.compactFailLocked(nil, created, oldActID, err)
-	}
+	newIndex := make(map[string]location, len(s.index))
+	newBlooms := make(map[int]segBloom)
 	for _, sid := range srcIDs {
 		data, err := os.ReadFile(s.segPath(sid))
 		if err != nil {
-			return s.compactFailLocked(out, created, oldActID, err)
+			return s.compactFailLocked(&out, err)
 		}
 		for _, e := range bySeg[sid] {
 			recLen, _, _, _, err := parseRecordAt(data, e.off)
 			if err != nil {
-				return s.compactFailLocked(out, created, oldActID, err)
+				return s.compactFailLocked(&out, err)
 			}
-			rec := data[e.off : e.off+recLen]
-			if outLen > 0 && outLen+int64(len(rec)) > s.maxSeg {
-				bloom, err := sealFile(out, outEntries, outLen)
-				if err != nil {
-					return s.compactFailLocked(out, created, oldActID, err)
-				}
-				if err := out.Close(); err != nil {
-					return s.compactFailLocked(nil, created, oldActID, err)
-				}
-				newBlooms[outID] = bloom
-				if err := openOut(); err != nil {
-					return s.compactFailLocked(nil, created, oldActID, err)
-				}
+			loc, err := s.write(&out, e.key, data[e.off:e.off+recLen], newBlooms)
+			if err != nil {
+				return s.compactFailLocked(&out, err)
 			}
-			if _, err := out.Write(rec); err != nil {
-				return s.compactFailLocked(out, created, oldActID, fmt.Errorf("pagestore: compact write: %w", err))
-			}
-			newIndex[e.key] = location{seg: outID, offset: outLen}
-			outEntries[e.key] = outLen
-			outLen += int64(len(rec))
+			newIndex[e.key] = loc
 		}
 		// data is released here: the next iteration re-binds it, and
 		// nothing retains the previous segment's bytes.
 	}
-	if err := out.Sync(); err != nil {
-		return s.compactFailLocked(out, created, oldActID, err)
+	if err := out.f.Sync(); err != nil {
+		return s.compactFailLocked(&out, err)
 	}
-	// Swap in the new state, delete the old segments. Output ids start
-	// past the old active id, so the two sets never overlap.
+	// Swap in the new state, delete the old segments.
 	s.active = out
-	s.actID = outID
-	s.actLen = outLen
-	s.actEntries = outEntries
 	s.index = newIndex
 	s.blooms = newBlooms
 	for _, id := range oldSegs {
@@ -895,26 +904,29 @@ func (s *Store) Compact() error {
 	return nil
 }
 
-// compactFailLocked unwinds a failed compaction: closes and removes any
-// partial output segments, then reopens the previous active segment for
-// append so the store keeps accepting Puts. The index is untouched (it
-// still points at the old segments, which are never deleted on failure).
-func (s *Store) compactFailLocked(out *os.File, created []int, oldActID int, err error) error {
+// compactFailLocked unwinds a failed compaction: closes out unless a
+// failed seal already closed it, removes every output segment (ids past
+// the active one, up to out's), then reopens the active segment for
+// append so the store keeps accepting Puts. The index, the blooms and
+// the active segment's size and footer material are untouched: they
+// still describe the old segments, which are never deleted on failure.
+func (s *Store) compactFailLocked(out *segWriter, err error) error {
+	last := s.active.id
 	if out != nil {
-		if cerr := out.Close(); cerr != nil {
+		if cerr := out.f.Close(); cerr != nil && !errors.Is(cerr, os.ErrClosed) {
 			err = errors.Join(err, cerr)
 		}
+		last = out.id
 	}
-	for _, id := range created {
+	for id := s.active.id + 1; id <= last; id++ {
 		if rerr := os.Remove(s.segPath(id)); rerr != nil {
 			err = errors.Join(err, rerr)
 		}
 	}
-	f, rerr := os.OpenFile(s.segPath(oldActID), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	w, rerr := s.openSegment(s.active.id, false)
 	if rerr != nil {
 		return errors.Join(err, fmt.Errorf("pagestore: reopen active after failed compact: %w", rerr))
 	}
-	s.active = f
-	s.actID = oldActID
+	s.active.f = w.f
 	return err
 }

@@ -419,7 +419,7 @@ func TestDeflateMatchesFreshWriter(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := os.ReadFile(s.segPath(s.actID))
+	got, err := os.ReadFile(s.segPath(s.active.id))
 	if err != nil || !bytes.Equal(got, want) {
 		t.Fatalf("segment holds %d bytes, fresh-writer records %d (err %v)", len(got), len(want), err)
 	}
@@ -508,5 +508,40 @@ func BenchmarkGet(b *testing.B) {
 		if _, _, err := s.Get(fmt.Sprintf("k%d", i%100)); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestWriteFileAtomicFailure: when the rename cannot happen — the target
+// is a directory — WriteFileAtomic fails, the target is untouched and no
+// temporary file is left in the directory.
+func TestWriteFileAtomicFailure(t *testing.T) {
+	dir := t.TempDir()
+	target := filepath.Join(dir, "web.pqs")
+	if err := os.Mkdir(target, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	inside := filepath.Join(target, "keep")
+	if err := os.WriteFile(inside, []byte("kept"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteFileAtomic(target, []byte("new bytes")); err == nil {
+		t.Fatal("WriteFileAtomic replaced a directory")
+	}
+	if st, err := os.Stat(target); err != nil || !st.IsDir() {
+		t.Fatalf("target is no longer the directory: %v", err)
+	}
+	if got, err := os.ReadFile(inside); err != nil || string(got) != "kept" {
+		t.Fatalf("directory contents changed: %q, %v", got, err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != "web.pqs" {
+		names := make([]string, len(entries))
+		for i, e := range entries {
+			names[i] = e.Name()
+		}
+		t.Fatalf("directory holds %v after the failed write, want only the target", names)
 	}
 }

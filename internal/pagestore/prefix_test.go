@@ -221,8 +221,8 @@ func TestBodyLimitsHoldOnBothSides(t *testing.T) {
 	if err := s.Put("big", Meta{}, make([]byte, maxBodyLen+1)); err == nil {
 		t.Fatal("Put accepted a body over maxBodyLen")
 	}
-	if s.Len() != 0 || s.actLen != 0 {
-		t.Fatalf("refused Put left %d keys, %d bytes", s.Len(), s.actLen)
+	if s.Len() != 0 || s.active.size != 0 {
+		t.Fatalf("refused Put left %d keys, %d bytes", s.Len(), s.active.size)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)

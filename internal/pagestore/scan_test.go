@@ -52,7 +52,7 @@ func buildMultiSegmentFixture(t *testing.T) (string, map[string]string) {
 // scanIndex runs Open's index rebuild alone at a chosen worker count;
 // Open itself always scans with GOMAXPROCS workers.
 func scanIndex(dir string, workers int) (*Store, error) {
-	s := &Store{dir: dir, index: map[string]location{}, actEntries: map[string]int64{}, blooms: map[int]segBloom{}}
+	s := &Store{dir: dir, index: map[string]location{}, blooms: map[int]segBloom{}}
 	segs, err := listSegments(dir)
 	if err != nil {
 		return nil, err

@@ -16,18 +16,25 @@ func frame(body []byte) []byte {
 	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(body))
 }
 
-// hostileStores claim more than their bytes hold, each behind a valid
-// checksum: 65,536 snapshots in a 12-byte store, and a 4,096-byte label
-// in a one-snapshot store that ends after the label length.
+// hostileStores are malformed behind a valid checksum: two claim more
+// than their bytes hold — 65,536 snapshots in a 12-byte store, and a
+// 4,096-byte label in a one-snapshot store that ends after the label
+// length — and one holds a two-page graph whose node count is padded to
+// 0x82 0x00, which would decode and then encode to other bytes.
 func hostileStores() map[string][]byte {
 	count := binary.LittleEndian.AppendUint32(nil, 1<<16)
 	label := binary.AppendUvarint(binary.LittleEndian.AppendUint32(nil, 1), 1<<12)
-	return map[string][]byte{"count": frame(count), "label-length": frame(label)}
+	payload := append([]byte{0x82, 0x00, 0}, make([]byte, 2*18+2)...) // two empty pages, no links
+	blob := binary.LittleEndian.AppendUint64([]byte("PQG1"), uint64(len(payload)))
+	blob = binary.LittleEndian.AppendUint32(append(blob, payload...), crc32.ChecksumIEEE(payload))
+	padded := append(binary.LittleEndian.AppendUint32(nil, 1), 2, 't', '1')
+	padded = binary.AppendUvarint(append(padded, make([]byte, 8)...), uint64(len(blob)))
+	return map[string][]byte{"count": frame(count), "label-length": frame(label), "padded-graph": frame(append(padded, blob...))}
 }
 
 // TestDecodeStoreAllocationBoundedByInput: a store's snapshot count and
 // label length are bounded by the bytes present before anything is
-// allocated, so neither hostile store allocates 64 KiB, and both are
+// allocated, so no hostile store allocates 64 KiB, and each is
 // ErrBadStore.
 func TestDecodeStoreAllocationBoundedByInput(t *testing.T) {
 	for name, buf := range hostileStores() {

@@ -13,9 +13,9 @@ import (
 	"hash/crc32"
 	"math"
 	"os"
-	"path/filepath"
 
 	"pagequality/internal/graph"
+	"pagequality/internal/pagestore"
 )
 
 // Snapshot is one crawl of the Web at a point in time.
@@ -129,7 +129,7 @@ func Decode(data []byte) ([]Snapshot, error) {
 		// The graph decoder reads the blob in place and keeps no reference.
 		g, n, err := graph.DecodeBinary(rest[:blen])
 		if err != nil {
-			return nil, fmt.Errorf("snapshot: snapshot %d graph: %w", i, err)
+			return nil, fmt.Errorf("%w: snapshot %d graph: %w", ErrBadStore, i, err)
 		}
 		if uint64(n) != blen {
 			return nil, fmt.Errorf("%w: snapshot %d: %d bytes after its graph", ErrBadStore, i, blen-uint64(n))
@@ -155,36 +155,14 @@ func uvarint(b *[]byte) (uint64, bool) {
 	return v, true
 }
 
-// WriteFile atomically persists the snapshots to path: it writes to a
-// temporary file in the same directory, fsyncs, then renames over the
-// destination, so readers never observe a partial store.
+// WriteFile atomically persists the snapshots to path
+// (pagestore.WriteFileAtomic), so readers never observe a partial store.
 func WriteFile(path string, snaps []Snapshot) error {
 	data, err := Encode(snaps)
 	if err != nil {
 		return err
 	}
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".pqsnap-*")
-	if err != nil {
-		return fmt.Errorf("snapshot: create temp: %w", err)
-	}
-	tmpName := tmp.Name()
-	defer os.Remove(tmpName) // no-op after successful rename
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return fmt.Errorf("snapshot: write temp: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("snapshot: sync temp: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("snapshot: close temp: %w", err)
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		return fmt.Errorf("snapshot: rename: %w", err)
-	}
-	return nil
+	return pagestore.WriteFileAtomic(path, data)
 }
 
 // ReadFile loads a store written by WriteFile.
