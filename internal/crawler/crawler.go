@@ -41,7 +41,8 @@ type Config struct {
 	MaxPagesPerSite int
 	// MaxPages caps the total fetched pages. Zero means unlimited.
 	MaxPages int
-	// Concurrency is the number of parallel fetchers (default 8).
+	// Concurrency is the number of parallel fetchers (default 8), and of
+	// the goroutines that hand their bodies to OnFetch.
 	Concurrency int
 	// Client performs the requests (default http.DefaultClient).
 	Client *http.Client
@@ -57,8 +58,12 @@ type Config struct {
 	// checkpoint instead of burning the page caps. Zero disables degrading.
 	MaxHostErrors int
 	// OnFetch, when non-nil, receives every successfully fetched document
-	// (e.g. to archive it into a pagestore). It is called from multiple
-	// goroutines and must be safe for concurrent use.
+	// (e.g. to archive it into a pagestore). It runs on the archive stage:
+	// a fetcher queues its body (at most Concurrency wait) and fetches
+	// again, while Concurrency archive goroutines call OnFetch, so it must
+	// be safe for concurrent use. Every call has returned before Crawl
+	// returns, interrupted or not. An OnFetch that blocks fills the queue
+	// and so holds the fetchers back.
 	OnFetch func(fetchURL string, body []byte)
 	// Interrupt, when non-nil, stops the crawl gracefully once closed:
 	// in-flight fetches finish, the remaining frontier is returned in
@@ -169,6 +174,11 @@ type crawl struct {
 	failedTransient []string // exhausted retries or degraded host: requeue
 	failedPermanent []string // never retry
 	interrupted     bool
+
+	// archive carries fetched bodies to OnFetch; nil without one. Its
+	// capacity, Concurrency, gives each archiver a body ready behind the
+	// one it is on, and caps what a blocked OnFetch leaves waiting.
+	archive chan Document
 }
 
 // Crawl performs a full crawl and reconstructs the link graph.
@@ -227,6 +237,21 @@ func Crawl(cfg Config) (*Result, error) {
 	}
 	c.mu.Unlock()
 
+	// Two stages overlap: the fetchers queue each body and fetch again,
+	// and as many archivers drain the queue into OnFetch.
+	var archivers sync.WaitGroup
+	if cfg.OnFetch != nil {
+		c.archive = make(chan Document, cfg.Concurrency)
+		for w := 0; w < cfg.Concurrency; w++ {
+			archivers.Add(1)
+			go func() {
+				defer archivers.Done()
+				for d := range c.archive {
+					cfg.OnFetch(d.FetchURL, d.Body)
+				}
+			}()
+		}
+	}
 	var wg sync.WaitGroup
 	for w := 0; w < cfg.Concurrency; w++ {
 		wg.Add(1)
@@ -243,8 +268,12 @@ func Crawl(cfg Config) (*Result, error) {
 		}()
 	}
 	wg.Wait()
+	if c.archive != nil {
+		close(c.archive)
+	}
 
 	res, err := assemble(c.pages, c.stats)
+	archivers.Wait() // the graph is built while the archive drains
 	if err != nil {
 		return nil, err
 	}
@@ -321,8 +350,8 @@ func (c *crawl) fetchWithRetry(u string) (page, []byte, error) {
 // error budget, and are remembered for checkpoint requeue (transient) or
 // permanently skipped.
 func (c *crawl) complete(u string, pg page, body []byte, err error) {
-	if err == nil && c.cfg.OnFetch != nil {
-		c.cfg.OnFetch(u, body)
+	if err == nil && c.archive != nil {
+		c.archive <- Document{FetchURL: u, Body: body}
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -626,41 +655,47 @@ func hostOf(u string) string {
 // (they were never downloaded, so the crawl cannot know their content).
 // A page whose canonical URL the graph cannot store is dropped the same
 // way, as if it had never been fetched.
+//
+// Nodes are the sorted canonical URLs, and sorting the pages by canonical
+// URL also groups each node's pages together. A link costs one map lookup,
+// fetch URL to node; a stamp per target drops a source's repeated links.
+// The in-lists fill in ascending source order and the out-lists are their
+// transpose, so both come out sorted whatever the fetch order was: the
+// graph equals its own AppendBinary/DecodeBinary round trip.
 func assemble(pages []page, stats Stats) (*Result, error) {
 	pages = slices.DeleteFunc(pages, func(p page) bool { return len(p.canonical) > graph.MaxURLLen })
-	// fetchURL -> canonical, for link resolution.
-	canonOf := make(map[string]string, len(pages))
-	for _, p := range pages {
-		canonOf[p.fetchURL] = p.canonical
+	order := make([]int, len(pages))
+	for i := range order {
+		order[i] = i
 	}
-	// Deterministic node order: sorted canonical URLs.
-	canonSet := make(map[string]bool, len(pages))
-	for _, p := range pages {
-		canonSet[p.canonical] = true
-	}
-	canons := make([]string, 0, len(canonSet))
-	for c := range canonSet {
-		canons = append(canons, c)
-	}
-	sort.Strings(canons)
-
-	g := graph.New(len(canons))
-	ids := make(map[string]graph.NodeID, len(canons))
-	for _, c := range canons {
-		id, err := g.AddPage(graph.Page{URL: c, Site: -1})
-		if err != nil {
-			return nil, err
-		}
-		ids[c] = id
-	}
-	for _, p := range pages {
-		from := ids[p.canonical]
-		for _, link := range p.links {
-			tc, ok := canonOf[link]
-			if !ok {
-				continue // target never fetched
+	slices.SortFunc(order, func(a, b int) int { return strings.Compare(pages[a].canonical, pages[b].canonical) })
+	g := graph.New(len(pages))
+	nodeOf := make([]graph.NodeID, len(pages))
+	for k, i := range order {
+		if k == 0 || pages[i].canonical != pages[order[k-1]].canonical {
+			if _, err := g.AddPage(graph.Page{URL: pages[i].canonical, Site: -1}); err != nil {
+				return nil, err
 			}
-			g.AddLink(from, ids[tc])
+		}
+		nodeOf[i] = graph.NodeID(g.NumNodes() - 1)
+	}
+	idOf := make(map[string]graph.NodeID, len(pages)) // fetch URL -> node
+	for i, p := range pages {
+		idOf[p.fetchURL] = nodeOf[i]
+	}
+	stamp := make([]graph.NodeID, g.NumNodes()) // stamp[to] == from+1: from -> to is in
+	for _, i := range order {
+		from := nodeOf[i]
+		for _, link := range pages[i].links {
+			if to, ok := idOf[link]; ok && to != from && stamp[to] != from+1 {
+				stamp[to] = from + 1
+				g.AddInLink(from, to)
+			}
+		}
+	}
+	for to := graph.NodeID(0); int(to) < g.NumNodes(); to++ {
+		for _, from := range g.InLinks(to) {
+			g.CommitOut(from, to, true)
 		}
 	}
 	return &Result{Graph: g, Stats: stats}, nil

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -156,6 +157,14 @@ func TestCrawlDeterministicGraph(t *testing.T) {
 	// identical regardless of fetch order.
 	if string(a.Graph.AppendBinary(nil)) != string(b.Graph.AppendBinary(nil)) {
 		t.Fatal("crawl graph depends on fetch concurrency")
+	}
+	// So must the adjacency lists themselves, in their order: PageRank
+	// sums over them.
+	for id := graph.NodeID(0); int(id) < a.Graph.NumNodes(); id++ {
+		if !slices.Equal(a.Graph.InLinks(id), b.Graph.InLinks(id)) || !slices.Equal(a.Graph.OutLinks(id), b.Graph.OutLinks(id)) {
+			t.Fatalf("node %d: in %v out %v at Concurrency 8, in %v out %v at 1", id,
+				a.Graph.InLinks(id), a.Graph.OutLinks(id), b.Graph.InLinks(id), b.Graph.OutLinks(id))
+		}
 	}
 }
 

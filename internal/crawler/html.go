@@ -42,10 +42,12 @@ func Canonical(body string) string {
 }
 
 // canonicalHref returns the href of a <link> tag's attribute text if its
-// rel is "canonical", else "".
+// rel is "canonical", else "". The href is a copy: a substring would pin
+// the whole body for as long as the crawled graph or a served generation
+// keeps the page's URL.
 func canonicalHref(attrs string) string {
 	if strings.EqualFold(attrValue(attrs, "rel"), "canonical") {
-		return attrValue(attrs, "href")
+		return strings.Clone(attrValue(attrs, "href"))
 	}
 	return ""
 }

@@ -9,6 +9,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"pagequality/internal/graph"
 	"pagequality/internal/randx"
@@ -148,6 +149,30 @@ func TestCanonicalMatchesExtractLinks(t *testing.T) {
 			b.WriteString(canonicalFrags[randx.Intn(&rng, len(canonicalFrags))])
 		}
 		check(b.String())
+	}
+}
+
+// TestCanonicalDoesNotPinBody: the canonical URL Canonical and
+// ExtractLinks return is a copy, not a window into the body, so a graph
+// node or a served URL does not keep its page's whole body alive.
+func TestCanonicalDoesNotPinBody(t *testing.T) {
+	found := 0
+	for _, f := range canonicalFrags {
+		body := "<html><head>" + f + "</head><body>" + strings.Repeat("text ", 20) + "</body></html>"
+		_, extracted := ExtractLinks(body)
+		for _, c := range []string{Canonical(body), extracted} {
+			if c == "" {
+				continue
+			}
+			found++
+			start := uintptr(unsafe.Pointer(unsafe.StringData(body)))
+			if p := uintptr(unsafe.Pointer(unsafe.StringData(c))); p >= start && p < start+uintptr(len(body)) {
+				t.Errorf("canonical %q of %q points into the body", c, f)
+			}
+		}
+	}
+	if found == 0 {
+		t.Fatal("no fragment has a canonical URL")
 	}
 }
 
