@@ -17,22 +17,35 @@ func tokenizeCounts(text string) map[string]int32 {
 	return counts
 }
 
-// requireAnalyzeMatchesTokenize fails unless Analyze(text) has
-// Tokenize's term→tf multiset and no repeated term.
-func requireAnalyzeMatchesTokenize(t *testing.T, text string) {
+// termCounts maps a document's ids back through the vocabulary of the
+// index that analysed it: the term→tf multiset, failing on a repeated
+// term or an id outside the intern table.
+func termCounts(t *testing.T, a Analyzed) map[string]int32 {
 	t.Helper()
-	a := Analyze(text)
-	want := tokenizeCounts(text)
-	if len(a.Terms) != len(a.TFs) {
-		t.Fatalf("Analyze(%q): %d terms, %d tfs", text, len(a.Terms), len(a.TFs))
+	if len(a.ids) != len(a.tfs) {
+		t.Fatalf("%d ids, %d tfs", len(a.ids), len(a.tfs))
 	}
-	got := make(map[string]int32, len(a.Terms))
-	for i, term := range a.Terms {
-		if _, dup := got[term]; dup {
-			t.Fatalf("Analyze(%q) lists %q twice", text, term)
+	a.ix.mu.Lock()
+	defer a.ix.mu.Unlock()
+	got := make(map[string]int32, len(a.ids))
+	for i, id := range a.ids {
+		if int(id) >= len(a.ix.terms) {
+			t.Fatalf("id %d outside a vocabulary of %d", id, len(a.ix.terms))
 		}
-		got[term] = a.TFs[i]
+		term := a.ix.terms[id]
+		if _, dup := got[term]; dup {
+			t.Fatalf("%q listed twice", term)
+		}
+		got[term] = a.tfs[i]
 	}
+	return got
+}
+
+// requireAnalyzeMatchesTokenize fails unless ix.Analyze(text) has
+// Tokenize's term→tf multiset and no repeated term.
+func requireAnalyzeMatchesTokenize(t *testing.T, ix *Index, text string) {
+	t.Helper()
+	got, want := termCounts(t, ix.Analyze(text)), tokenizeCounts(text)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("Analyze(%q) counts %v, Tokenize counts %v", text, got, want)
 	}
@@ -60,38 +73,45 @@ var analyzeSeeds = []string{
 	"١٢ 12 Ⅰ",
 }
 
-// TestAnalyzeMatchesTokenize runs the oracle over the seeds and pins the
-// first-occurrence order AddAnalyzed's callers may rely on.
+// TestAnalyzeMatchesTokenize runs the oracle over the seeds, each on a
+// fresh index and again on one index that has interned every seed
+// before it, so cached and newly interned terms are both checked.
 func TestAnalyzeMatchesTokenize(t *testing.T) {
+	shared := NewIndex()
 	for _, s := range analyzeSeeds {
-		requireAnalyzeMatchesTokenize(t, s)
+		requireAnalyzeMatchesTokenize(t, NewIndex(), s)
+		requireAnalyzeMatchesTokenize(t, shared, s)
 	}
-	a := Analyze("b A b c a B")
-	if want := (Analyzed{Terms: []string{"b", "a", "c"}, TFs: []int32{3, 2, 1}}); !reflect.DeepEqual(a, want) {
-		t.Fatalf("Analyze = %+v, want %+v", a, want)
-	}
+	requireAnalyzeMatchesTokenize(t, shared, "b A b c a B")
 }
 
 // FuzzAnalyze: for arbitrary bytes, the single-pass analyser and the
-// reference tokenizer agree. The committed corpus under
-// testdata/fuzz/FuzzAnalyze runs on every plain `go test`.
+// reference tokenizer agree, on a fresh index and on one shared by every
+// input. The committed corpus under testdata/fuzz/FuzzAnalyze runs on
+// every plain `go test`.
 func FuzzAnalyze(f *testing.F) {
 	for _, s := range analyzeSeeds {
 		f.Add(s)
 	}
+	shared := NewIndex()
 	f.Fuzz(func(t *testing.T, s string) {
-		requireAnalyzeMatchesTokenize(t, s)
+		requireAnalyzeMatchesTokenize(t, NewIndex(), s)
+		requireAnalyzeMatchesTokenize(t, shared, s)
 	})
 }
 
 // addByTokenize is the historical Add, kept as the oracle of the build
-// path: Tokenize, count into a map, append one posting per counted term
-// in map order.
+// path: Tokenize, count into a map, intern and append one posting per
+// counted term in map order.
+//
+//pqlint:allow detrange map order is the historical build this oracle keeps; freeze must not depend on it
 func addByTokenize(ix *Index, text string) {
+	a, an := Analyzed{ix: ix}, &analyzer{cache: make(map[string]int32)}
 	for t, c := range tokenizeCounts(text) {
-		ix.postings[t] = append(ix.postings[t], posting{doc: int32(ix.numDocs), tf: c})
+		a.ids = append(a.ids, an.intern(ix, []byte(t)))
+		a.tfs = append(a.tfs, c)
 	}
-	ix.numDocs++
+	ix.AddAnalyzed(a)
 }
 
 // TestAddMatchesHistoricalBuild: the index Add builds through
@@ -106,13 +126,29 @@ func TestAddMatchesHistoricalBuild(t *testing.T) {
 		}
 		addByTokenize(old, d)
 	}
-	if ix.NumDocs() != old.NumDocs() || ix.NumTerms() != old.NumTerms() {
-		t.Fatalf("stats differ: %d/%d docs, %d/%d terms", ix.NumDocs(), old.NumDocs(), ix.NumTerms(), old.NumTerms())
+	requireSameFrozen(t, ix, old)
+}
+
+// requireSameFrozen fails unless the two indexes agree on their
+// statistics and freeze to the same posting layout and vocabulary, with
+// the same Float64bits of every idf and norm.
+func requireSameFrozen(t *testing.T, a, b *Index) {
+	t.Helper()
+	if a.NumDocs() != b.NumDocs() || a.NumTerms() != b.NumTerms() {
+		t.Fatalf("stats differ: %d/%d docs, %d/%d terms", a.NumDocs(), b.NumDocs(), a.NumTerms(), b.NumTerms())
 	}
-	fa, fb := ix.frozen(), old.frozen()
+	fa, fb := a.frozen(), b.frozen()
 	if !reflect.DeepEqual(fa.start, fb.start) || !reflect.DeepEqual(fa.docs, fb.docs) ||
 		!reflect.DeepEqual(fa.tfs, fb.tfs) || !reflect.DeepEqual(fa.termID, fb.termID) {
 		t.Fatal("frozen posting layout differs")
+	}
+	if len(fa.termID) != a.NumTerms() {
+		t.Fatalf("%d frozen terms, NumTerms %d", len(fa.termID), a.NumTerms())
+	}
+	for i := range fa.idf {
+		if math.Float64bits(fa.idf[i]) != math.Float64bits(fb.idf[i]) {
+			t.Fatalf("term %d: idf %v/%v", i, fa.idf[i], fb.idf[i])
+		}
 	}
 	for d := range fa.norm {
 		if math.Float64bits(fa.norm[d]) != math.Float64bits(fb.norm[d]) {

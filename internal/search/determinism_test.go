@@ -30,11 +30,10 @@ func buildIndex(docs []string) *Index {
 
 // TestScoringDeterministic runs the scoring kernel twice — within one
 // frozen view (two kernel invocations) and across two independently
-// built and frozen indexes (two map iterations over the vocabulary,
-// differently randomized by the runtime) — and demands bitwise-identical
-// floats. This is the regression test for map-iteration order leaks: the
-// freeze iterates the postings map through sortedVocab, so norms, idf
-// tables and scores must never vary run to run.
+// built and frozen indexes — and demands bitwise-identical floats. This
+// is the regression test for order leaks: the freeze lays the interned
+// vocabulary out in sorted order, so norms, idf tables and scores must
+// never vary run to run.
 func TestScoringDeterministic(t *testing.T) {
 	docs := synthDocs(120)
 	query := "term1 term2 term3 term5 term8 term13 term21 term34 shared common everywhere unique3"

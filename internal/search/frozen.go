@@ -2,6 +2,8 @@ package search
 
 import (
 	"math"
+	"slices"
+	"strings"
 	"sync"
 )
 
@@ -67,20 +69,25 @@ func (ix *Index) frozen() *frozen {
 	return f
 }
 
-// freeze flattens the postings map into the CSR layout. Terms are laid
-// out in sorted order and the norms accumulated term by term in that
-// order — the exact summation order the incremental map-based scorer
-// used — so every precomputed float is bitwise identical to what the
-// historical ensureNorms produced. Postings within a term are already in
-// ascending doc order because Add assigns ids sequentially and touches
-// each term at most once per document.
+// freeze flattens the postings into the CSR layout. The terms that have
+// postings are laid out in sorted order and the norms accumulated term by
+// term in that order — the exact summation order the incremental
+// map-based scorer used — so every precomputed float is bitwise identical
+// to what the historical ensureNorms produced, whatever order the terms
+// were interned in. Postings within a term are already in ascending doc
+// order because AddAnalyzed assigns ids sequentially and touches each
+// term at most once per document.
 func (ix *Index) freeze() *frozen {
-	vocab := ix.sortedVocab()
+	vocab := make([]int32, 0, len(ix.postings))
 	n := ix.numDocs
 	total := 0
-	for _, t := range vocab {
-		total += len(ix.postings[t])
+	for id, plist := range ix.postings {
+		if len(plist) > 0 {
+			vocab = append(vocab, int32(id))
+			total += len(plist)
+		}
 	}
+	slices.SortFunc(vocab, func(a, b int32) int { return strings.Compare(ix.terms[a], ix.terms[b]) })
 	f := &frozen{
 		termID:  make(map[string]int32, len(vocab)),
 		start:   make([]int32, len(vocab)+1),
@@ -90,9 +97,9 @@ func (ix *Index) freeze() *frozen {
 		norm:    make([]float64, n),
 		numDocs: n,
 	}
-	for i, t := range vocab {
-		f.termID[t] = int32(i)
-		plist := ix.postings[t]
+	for i, id := range vocab {
+		f.termID[ix.terms[id]] = int32(i)
+		plist := ix.postings[id]
 		df := float64(len(plist))
 		w := math.Log(1 + float64(n)/df)
 		f.idf[i] = w

@@ -24,7 +24,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -54,6 +53,11 @@ type posting struct {
 // uses graph.NodeID values as document ids by adding documents in node
 // order.
 //
+// Every term is interned once, in arrival order: one table from term to
+// id and the postings per id. Analyze may run concurrently with Analyze
+// and AddAnalyzed; ids depend on the schedule but never leave the index,
+// and the freeze lays terms out in sorted order.
+//
 // Once built, an Index is safe for any number of concurrent Search
 // calls: the first query freezes the postings into an immutable flat
 // layout that all queries share. Adding documents concurrently with
@@ -66,89 +70,127 @@ type posting struct {
 // Anything sized to the old document count — an Options.Authority
 // vector, a ranking.Context — must not outlive the refresh.
 type Index struct {
-	postings map[string][]posting
-	numDocs  int
-
-	mu sync.Mutex             // serialises freeze after a mutation
-	fz atomic.Pointer[frozen] // current frozen view; nil after mutation
+	mu        sync.Mutex       // guards the intern table and postings; serialises freeze
+	ids       map[string]int32 // term -> id, in arrival order
+	terms     []string         // id -> term
+	postings  [][]posting      // per id; empty for a term analysed but never added
+	numDocs   int
+	fz        atomic.Pointer[frozen] // current frozen view; nil after mutation
+	analyzers sync.Pool              // *analyzer
 }
 
 // NewIndex returns an empty index.
 func NewIndex() *Index {
-	return &Index{postings: make(map[string][]posting)}
+	ix := &Index{ids: make(map[string]int32)}
+	ix.analyzers.New = func() any { return &analyzer{cache: make(map[string]int32)} }
+	return ix
 }
 
-// Analyzed is one tokenized document, ready for AddAnalyzed: its distinct
-// terms in first-occurrence order and each term's frequency. It is a
-// plain value, so documents can be analysed concurrently (a map phase)
-// and added in order afterwards.
+// Analyzed is one tokenized document, ready for AddAnalyzed on the index
+// that analysed it: its distinct term ids in first-occurrence order and
+// their frequencies. Analyse concurrently (a map phase), add in order.
 type Analyzed struct {
-	Terms []string
-	TFs   []int32 // TFs[i] is the number of occurrences of Terms[i]
+	ix  *Index
+	ids []int32
+	tfs []int32 // tfs[i] is the number of occurrences of term ids[i]
+}
+
+// analyzer is one worker's pooled Analyze scratch: a private cache of
+// interned terms, so only a term new to the worker takes the index lock.
+type analyzer struct {
+	cache   map[string]int32 // interned term -> id
+	tf      []int32          // by id; nonzero only at touched ids
+	touched []int32          // the document's ids in first-occurrence order
+}
+
+func (an *analyzer) count(ix *Index, tok []byte) {
+	id, ok := an.cache[string(tok)] // no allocation: lookup-only conversion
+	if !ok {
+		id = an.intern(ix, tok)
+	}
+	if int(id) >= len(an.tf) {
+		an.tf = append(an.tf, make([]int32, int(id)+1-len(an.tf))...)
+	}
+	if an.tf[id] == 0 {
+		an.touched = append(an.touched, id)
+	}
+	an.tf[id]++
+}
+
+// intern looks tok up in the index's table under its lock, adding it on
+// first arrival (one string per term per index), and caches that copy.
+func (an *analyzer) intern(ix *Index, tok []byte) int32 {
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+	id, ok := ix.ids[string(tok)]
+	if !ok {
+		id = int32(len(ix.terms))
+		ix.terms = append(ix.terms, string(tok))
+		ix.ids[ix.terms[id]] = id
+		ix.postings = append(ix.postings, nil)
+	}
+	an.cache[ix.terms[id]] = id
+	return id
 }
 
 // Analyze tokenizes a document exactly as Tokenize does and counts its
-// terms. A pure-ASCII document takes a single pass that lower-cases
-// token by token and allocates a string only the first time the document
-// sees a term: below 0x80 unicode.IsLetter/IsDigit are the ASCII letters
-// and digits and strings.ToLower touches only 'A'-'Z', so the tokens are
-// Tokenize's. Any byte >= 0x80 sends the whole document through Tokenize
-// itself.
-func Analyze(text string) Analyzed {
-	distinct := len(text) / 24 // a guess that spares most regrowth, nothing more
-	a := Analyzed{Terms: make([]string, 0, distinct), TFs: make([]int32, 0, distinct)}
-	slot := make(map[string]int32, distinct) // term -> index in a.Terms
-	count := func(tok []byte) {
-		i, seen := slot[string(tok)] // no allocation: lookup-only conversion
-		if !seen {
-			i = int32(len(a.Terms))
-			term := string(tok)
-			slot[term] = i
-			a.Terms = append(a.Terms, term)
-			a.TFs = append(a.TFs, 0)
-		}
-		a.TFs[i]++
-	}
+// terms by id. A pure-ASCII document takes a single pass that lower-cases
+// token by token: below 0x80 unicode.IsLetter/IsDigit are the ASCII
+// letters and digits and strings.ToLower touches only 'A'-'Z', so the
+// tokens are Tokenize's. Any byte >= 0x80 sends the whole document
+// through Tokenize itself. Only the two output slices are allocated.
+func (ix *Index) Analyze(text string) Analyzed {
+	an := ix.analyzers.Get().(*analyzer)
+	defer ix.analyzers.Put(an)
 	tok := make([]byte, 0, 64) // the token being lower-cased
 	for i := 0; i < len(text); i++ {
 		switch c := text[i]; {
 		case c >= 0x80:
-			a = Analyzed{}
-			clear(slot)
+			clear(an.tf) // O(vocabulary), but Tokenize costs more
+			an.touched, tok, i = an.touched[:0], nil, len(text)
 			for _, t := range Tokenize(text) {
-				count([]byte(t))
+				an.count(ix, []byte(t))
 			}
-			return a
 		case c >= 'A' && c <= 'Z':
 			tok = append(tok, c+('a'-'A'))
 		case c >= 'a' && c <= 'z' || c >= '0' && c <= '9':
 			tok = append(tok, c)
 		case len(tok) > 0:
-			count(tok)
+			an.count(ix, tok)
 			tok = tok[:0]
 		}
 	}
 	if len(tok) > 0 {
-		count(tok)
+		an.count(ix, tok)
 	}
+	a := Analyzed{ix: ix, ids: slices.Clone(an.touched), tfs: make([]int32, len(an.touched))}
+	for i, id := range an.touched {
+		a.tfs[i], an.tf[id] = an.tf[id], 0
+	}
+	an.touched = an.touched[:0]
 	return a
 }
 
 // Add indexes one document and returns its id (sequential from 0).
-func (ix *Index) Add(text string) int { return ix.AddAnalyzed(Analyze(text)) }
+func (ix *Index) Add(text string) int { return ix.AddAnalyzed(ix.Analyze(text)) }
 
-// AddAnalyzed indexes one analysed document and returns its id
-// (sequential from 0). A term's postings are in ascending doc order
-// whatever order the terms arrive in, so the frozen layout does not
-// depend on it.
+// AddAnalyzed indexes one document this index analysed and returns its
+// id (sequential from 0); another index's document panics. A term's
+// postings are in ascending doc order whatever order the terms arrive
+// in, so the frozen layout does not depend on it.
 func (ix *Index) AddAnalyzed(a Analyzed) int {
-	id := ix.numDocs
-	for i, t := range a.Terms {
-		ix.postings[t] = append(ix.postings[t], posting{doc: int32(id), tf: a.TFs[i]})
+	if a.ix != ix {
+		panic("search: AddAnalyzed of a document another index analysed")
+	}
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+	doc := ix.numDocs
+	for i, id := range a.ids {
+		ix.postings[id] = append(ix.postings[id], posting{doc: int32(doc), tf: a.tfs[i]})
 	}
 	ix.numDocs++
 	ix.fz.Store(nil)
-	return id
+	return doc
 }
 
 // AddAll indexes the documents in order; document ids equal slice indices.
@@ -169,8 +211,8 @@ func (ix *Index) NumDocs() int { return ix.numDocs }
 // index. Idempotent until the next Add.
 func (ix *Index) Freeze() { ix.frozen() }
 
-// NumTerms returns the vocabulary size.
-func (ix *Index) NumTerms() int { return len(ix.postings) }
+// NumTerms returns the frozen vocabulary size: the terms of added documents.
+func (ix *Index) NumTerms() int { return len(ix.frozen().termID) }
 
 // Hit is one search result.
 type Hit struct {
@@ -358,14 +400,4 @@ func blendHit(doc int, rel, maxRel, maxAuth float64, opts Options) Hit {
 		h.Score = relNorm
 	}
 	return h
-}
-
-// sortedVocab returns every indexed term in sorted order.
-func (ix *Index) sortedVocab() []string {
-	terms := make([]string, 0, len(ix.postings))
-	for t := range ix.postings {
-		terms = append(terms, t)
-	}
-	sort.Strings(terms)
-	return terms
 }

@@ -33,10 +33,25 @@ func sortedKeys(m map[string]int) []string {
 	return keys
 }
 
+// termPostings rebuilds the term-keyed postings the reference scorers
+// read from the intern table: every term of an added document, and no
+// term that was only analysed.
+func (ix *Index) termPostings() map[string][]posting {
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+	byTerm := make(map[string][]posting)
+	for id, plist := range ix.postings {
+		if len(plist) > 0 {
+			byTerm[ix.terms[id]] = plist
+		}
+	}
+	return byTerm
+}
+
 // idfReference is the smoothed inverse document frequency the
 // reference scorers weigh terms by.
-func (ix *Index) idfReference(term string) float64 {
-	df := len(ix.postings[term])
+func (ix *Index) idfReference(byTerm map[string][]posting, term string) float64 {
+	df := len(byTerm[term])
 	if df == 0 {
 		return 0
 	}
@@ -47,10 +62,16 @@ func (ix *Index) idfReference(term string) float64 {
 // the old ensureNorms did: terms visited in sorted order, so each norm is
 // the same ordered float sum.
 func (ix *Index) normsReference() []float64 {
+	byTerm := ix.termPostings()
+	vocab := make([]string, 0, len(byTerm))
+	for t := range byTerm {
+		vocab = append(vocab, t)
+	}
+	sort.Strings(vocab)
 	norm := make([]float64, ix.numDocs)
-	for _, term := range ix.sortedVocab() {
-		w := ix.idfReference(term)
-		for _, p := range ix.postings[term] {
+	for _, term := range vocab {
+		w := ix.idfReference(byTerm, term)
+		for _, p := range byTerm[term] {
 			x := float64(p.tf) * w
 			norm[p.doc] += x * x
 		}
@@ -64,17 +85,18 @@ func (ix *Index) normsReference() []float64 {
 // vectorScoresReference is the historical cosine scorer.
 func (ix *Index) vectorScoresReference(terms []string) map[int32]float64 {
 	norm := ix.normsReference()
+	byTerm := ix.termPostings()
 	qCounts := queryCounts(terms)
 	scores := make(map[int32]float64)
 	qNorm := 0.0
 	for _, t := range sortedKeys(qCounts) {
-		w := ix.idfReference(t)
+		w := ix.idfReference(byTerm, t)
 		if w == 0 {
 			continue
 		}
 		qw := float64(qCounts[t]) * w
 		qNorm += qw * qw
-		for _, p := range ix.postings[t] {
+		for _, p := range byTerm[t] {
 			scores[p.doc] += qw * float64(p.tf) * w
 		}
 	}

@@ -218,6 +218,7 @@ func LoadGeneration(cfg Config, id uint64) (*Generation, error) {
 		terms     search.Analyzed
 		ai        int
 	}
+	ix := search.NewIndex()
 	docs, err := corpus.Extract(arch, func(d corpus.Doc) (indexable, bool) {
 		l, fetchURL, ok := corpus.SplitKey(d.Key)
 		if !ok || l != label {
@@ -232,7 +233,7 @@ func LoadGeneration(cfg Config, id uint64) (*Generation, error) {
 		if !ok {
 			return indexable{}, false // page not common to every crawl: no quality estimate
 		}
-		return indexable{canonical: canonical, terms: search.Analyze(body), ai: ai}, true
+		return indexable{canonical: canonical, terms: ix.Analyze(body), ai: ai}, true
 	}, corpus.Options{KeyPrefix: label + "/"})
 	if err != nil {
 		return nil, err
@@ -241,7 +242,6 @@ func LoadGeneration(cfg Config, id uint64) (*Generation, error) {
 		return nil, fmt.Errorf("serving: no documents with label %q in %s", label, cfg.ArchiveDir)
 	}
 
-	ix := search.NewIndex()
 	urls := make([]string, 0, len(docs))
 	qual := make([]float64, 0, len(docs))
 	pr := make([]float64, 0, len(docs))

@@ -144,7 +144,7 @@ func (s *Sim) refreshSearch() {
 	first := s.ix.NumDocs()
 	docs := make([]search.Analyzed, s.g.NumNodes()-first)
 	par.Do(len(docs), s.cfg.Workers, func(i int) {
-		docs[i] = search.Analyze(s.PageText(graph.NodeID(first+i), TextOptions{}))
+		docs[i] = s.ix.Analyze(s.PageText(graph.NodeID(first+i), TextOptions{}))
 	})
 	for _, a := range docs {
 		s.ix.AddAnalyzed(a)
