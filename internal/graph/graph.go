@@ -181,13 +181,17 @@ func (g *Graph) RemoveLink(from, to NodeID) bool {
 // edge count; committed in batch order, every list ends as AddLink and
 // RemoveLink in that order leave it. In between, only out-lists and the
 // edited in-lists may be read, and only distinct in-lists edited at once.
+// In-lists mirror out-lists at batch start, so in[to] read before its
+// first edit holds exactly the from with HasLink(from, to) until commit.
 // AddInLink is AddLink's in-half, for a link known to be new.
 func (g *Graph) AddInLink(from, to NodeID) { g.in[to] = append(g.in[to], from) }
 
-// RemoveInLinkAt is RemoveLink(InLinks(to)[i], to)'s in-half; it returns the source.
+// RemoveInLinkAt is RemoveLink(InLinks(to)[i], to)'s in-half; it returns
+// the source. Links are unique, so the swap-remove at i is removeFrom's.
 func (g *Graph) RemoveInLinkAt(to NodeID, i int) NodeID {
-	from := g.in[to][i]
-	removeFrom(&g.in[to], from)
+	in := g.in[to]
+	from := in[i]
+	in[i], g.in[to] = in[len(in)-1], in[:len(in)-1]
 	return from
 }
 

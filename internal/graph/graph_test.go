@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -92,6 +93,32 @@ func TestRemoveLink(t *testing.T) {
 	}
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRemoveInLinkAtMatchesRemoveLink removes each in-list entry in turn,
+// the last one included, and requires the returned source and the
+// in-list order RemoveLink leaves.
+func TestRemoveInLinkAtMatchesRemoveLink(t *testing.T) {
+	const to = NodeID(0)
+	base := New(8)
+	base.AddNodes(8)
+	for _, from := range []NodeID{5, 2, 7, 1, 4} {
+		base.AddLink(from, to)
+	}
+	base.AddLink(3, 6)
+	for i, want := range base.InLinks(to) {
+		ref, got := base.Clone(), base.Clone()
+		ref.RemoveLink(want, to)
+		if from := got.RemoveInLinkAt(to, i); from != want {
+			t.Fatalf("RemoveInLinkAt(%d) = %d, want %d", i, from, want)
+		}
+		if a, b := got.InLinks(to), ref.InLinks(to); !slices.Equal(a, b) {
+			t.Fatalf("RemoveInLinkAt(%d) left %v, RemoveLink %v", i, a, b)
+		}
+		if a, b := got.InLinks(6), ref.InLinks(6); !slices.Equal(a, b) {
+			t.Fatalf("RemoveInLinkAt(%d) touched another in-list: %v vs %v", i, a, b)
+		}
 	}
 }
 

@@ -138,24 +138,30 @@ func (s *Sim) initSearch() error {
 // refresh's vector (Equation 1). Pages are never deleted and PageText is
 // pure, so the grown index freezes to the layout a rebuild from AllTexts
 // would have (TestRefreshIncrementalMatchesRebuild). The new pages are
-// analysed in parallel, each into its own slot, and added in id order.
-// Every stage is bitwise worker-count invariant.
+// analysed in parallel, each into its own slot; then the index half (add
+// in id order, freeze) and the PageRank half (freeze the graph, solve)
+// share no data and run side by side, inline in that order at one
+// worker. Every stage is bitwise worker-count invariant.
 func (s *Sim) refreshSearch() {
 	first := s.ix.NumDocs()
 	docs := make([]search.Analyzed, s.g.NumNodes()-first)
 	par.Do(len(docs), s.cfg.Workers, func(i int) {
 		docs[i] = s.ix.Analyze(s.PageText(graph.NodeID(first+i), TextOptions{}))
 	})
-	for _, a := range docs {
-		s.ix.AddAnalyzed(a)
-	}
-	s.docsAnalysed += int64(len(docs))
-	s.ix.Freeze()
-	s.refreshes++
-	pr, err := pagerank.Compute(graph.Freeze(s.g), pagerank.Options{
-		Variant: pagerank.VariantPaper,
-		Workers: s.cfg.Workers,
+	var pr *pagerank.Result
+	var err error
+	par.Do(2, s.cfg.Workers, func(half int) {
+		if half == 0 {
+			for _, a := range docs {
+				s.ix.AddAnalyzed(a)
+			}
+			s.ix.Freeze()
+			return
+		}
+		pr, err = pagerank.Compute(graph.Freeze(s.g), pagerank.Options{Variant: pagerank.VariantPaper, Workers: s.cfg.Workers})
 	})
+	s.docsAnalysed += int64(len(docs))
+	s.refreshes++
 	if err != nil {
 		// Options are fixed and valid and the graph is well-formed by
 		// construction; a failure here is a programming error.

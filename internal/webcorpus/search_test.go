@@ -157,7 +157,9 @@ func TestSearchedCorpusWorkerInvariance(t *testing.T) {
 	if refSess == 0 {
 		t.Fatal("search channel idle in invariance test")
 	}
-	for _, workers := range []int{2, 3, 0} { // 3 deals the chunks unevenly; 0 = GOMAXPROCS
+	// 3 deals the chunks unevenly; 8 runs more workers, and so more live
+	// mark arrays, than most machines have CPUs; 0 = GOMAXPROCS.
+	for _, workers := range []int{2, 3, 8, 0} {
 		got, sim := run(workers)
 		if !bytes.Equal(got, ref) {
 			t.Fatalf("searched snapshots with Workers=%d differ from Workers=1", workers)
@@ -322,5 +324,26 @@ func TestAdvanceToTickExact(t *testing.T) {
 	}
 	if math.Float64bits(split.Time()) != math.Float64bits(oneShot.Time()) {
 		t.Fatalf("clocks differ: %v vs %v", split.Time(), oneShot.Time())
+	}
+}
+
+// BenchmarkSimulateRep is one repetition of cmd/bench's simulate workload
+// in process: the 154-site seed-1 corpus under Pandey et al.'s ε = 0.2
+// randomized ranking at 1,500 sessions a week, built, then advanced one
+// week at a time for six weeks. Its ns/op follows that workload's
+// op_p50_ms.
+func BenchmarkSimulateRep(b *testing.B) {
+	cfg := DefaultConfig()
+	cfg.Sites, cfg.Seed = 154, 1
+	cfg.Search = SearchConfig{SessionsPerWeek: 1500, TopK: 10, Policy: ranking.Randomized{Epsilon: 0.2}}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		s, err := New(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for week := 1; week <= 6; week++ {
+			s.AdvanceTo(float64(week))
+		}
 	}
 }

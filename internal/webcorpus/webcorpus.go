@@ -30,6 +30,7 @@ import (
 	"fmt"
 	"math"
 	"strconv"
+	"sync"
 
 	"pagequality/internal/graph"
 	"pagequality/internal/loadgen"
@@ -377,6 +378,27 @@ type linkEvent struct {
 	add      bool
 }
 
+// linkMarks holds one page's in-list as stamps: stamp[from] == epoch
+// exactly when from is in it. A new epoch per page replaces clearing.
+type linkMarks struct {
+	stamp []uint32
+	epoch uint32
+}
+
+// markPool holds the idle mark arrays; no more live than busy workers.
+var markPool = sync.Pool{New: func() any { return new(linkMarks) }}
+
+// mark stamps in, the in-list of one page among n.
+func (m *linkMarks) mark(in []graph.NodeID, n int) {
+	if m.epoch++; len(m.stamp) < n || m.epoch == 0 {
+		// Headroom for births; a wrapped epoch could match stale stamps.
+		m.stamp, m.epoch = make([]uint32, n+n/2), 1
+	}
+	for _, from := range in {
+		m.stamp[from] = m.epoch
+	}
+}
+
 // Step advances the simulation by one DT tick using the two-phase kernel:
 // a (possibly parallel) draw pass computes every page's awareness/like
 // deltas and decides its link edits from its own counter-based stream,
@@ -399,8 +421,10 @@ func (s *Sim) Step() {
 	// disjoint page ranges, so the per-page slices and in-lists are
 	// written race-free; no out-list is written.
 	par.Do(chunks, cfg.Workers, func(c int) {
+		m := markPool.Get().(*linkMarks)
 		lo := c * drawChunk
-		s.edits[c] = s.drawRange(lo, min(lo+drawChunk, nPages), s.edits[c][:0])
+		s.edits[c] = s.drawRange(lo, min(lo+drawChunk, nPages), m, s.edits[c][:0])
+		markPool.Put(m)
 	})
 
 	// (2) Replay: serial, chunk by chunk, so the out-lists see the edits
@@ -447,7 +471,7 @@ func (s *Sim) Step() {
 // likes and forgetting, then the link edits it appends to edits. Every
 // draw comes from the page's own (seed, page, tick) stream, so the results
 // are independent of how ranges map to workers.
-func (s *Sim) drawRange(lo, hi int, edits []linkEvent) []linkEvent {
+func (s *Sim) drawRange(lo, hi int, m *linkMarks, edits []linkEvent) []linkEvent {
 	cfg := &s.cfg
 	n := float64(cfg.Users)
 	aware, likes, quality := s.aware, s.likes, s.quality
@@ -507,7 +531,7 @@ func (s *Sim) drawRange(lo, hi int, edits []linkEvent) []linkEvent {
 			}
 		}
 		if adds > 0 || dels > 0 {
-			edits = s.decideLinks(st, graph.NodeID(p), adds, dels, edits)
+			edits = s.decideLinks(st, graph.NodeID(p), adds, dels, m, edits)
 		}
 	}
 	return edits
@@ -515,17 +539,21 @@ func (s *Sim) drawRange(lo, hi int, edits []linkEvent) []linkEvent {
 
 // decideLinks appends p's adds and dels to edits, drawing as createLinkTo
 // and removeLinkTo would, and applies their in-halves. Only p's edits
-// change in[p] and no out-list changes before the replay, so p's newest
-// edit naming from, else the tick-start out[from], says if from → p exists.
-func (s *Sim) decideLinks(st *randx.Stream, p graph.NodeID, adds, dels int32, edits []linkEvent) []linkEvent {
+// change in[p] during the pass and in-lists mirror out-lists at tick start,
+// so p's newest edit naming from, else p's tick-start in-list, marked in m
+// before p's first edit, says in O(1) if from → p exists.
+func (s *Sim) decideLinks(st *randx.Stream, p graph.NodeID, adds, dels int32, m *linkMarks, edits []linkEvent) []linkEvent {
 	own := len(edits)
+	if adds > 0 {
+		m.mark(s.g.InLinks(p), s.g.NumNodes())
+	}
 	linked := func(from graph.NodeID) bool {
 		for i := len(edits) - 1; i >= own; i-- {
 			if edits[i].from == from {
 				return edits[i].add
 			}
 		}
-		return s.g.HasLink(from, p)
+		return m.stamp[from] == m.epoch
 	}
 	for ; adds > 0; adds-- {
 		if from := s.linkSource(st, p, linked); from != graph.InvalidNode {

@@ -335,6 +335,41 @@ func TestStepWorkerCountInvariance(t *testing.T) {
 	}
 }
 
+// TestLinkedMatchesHasLink holds the draw pass's in-list marks to the
+// out-lists they stand in for: on a searched corpus part-way through its
+// run, at tick start, every page with in-links is marked and must answer
+// every candidate source as HasLink does. One array serves every page, as
+// a worker's serves its chunks, and its epoch starts just below the wrap.
+func TestLinkedMatchesHasLink(t *testing.T) {
+	cfg := searchedConfig()
+	cfg.Sites = 30
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.AdvanceTo(2)
+	n := s.NumPages()
+	m := &linkMarks{}
+	m.mark(nil, n)
+	m.epoch = math.MaxUint32 - 2
+	marked := 0
+	for p := graph.NodeID(0); int(p) < n; p++ {
+		if s.g.InDegree(p) == 0 {
+			continue
+		}
+		m.mark(s.g.InLinks(p), n)
+		marked++
+		for from := graph.NodeID(0); int(from) < n; from++ {
+			if got, want := m.stamp[from] == m.epoch, s.g.HasLink(from, p); got != want {
+				t.Fatalf("page %d, source %d: marked %v, HasLink %v", p, from, got, want)
+			}
+		}
+	}
+	if marked < 3 {
+		t.Fatalf("only %d pages marked; the epoch never wrapped", marked)
+	}
+}
+
 // Regression test for the normal-approximation overshoot: with a tiny user
 // population and a huge visit rate, the unclamped draw phase pushed aware
 // and likes past Users, so Popularity() exceeded 1. Drive that regime hard
