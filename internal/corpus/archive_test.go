@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"pagequality/internal/crawler"
@@ -89,6 +90,28 @@ func TestSplitKey(t *testing.T) {
 			t.Errorf("SplitKey(%q) = (%q, %q, %v), want (%q, %q, %v)", tc.key, label, url, ok, tc.label, tc.url, tc.ok)
 		}
 	}
+}
+
+// FuzzSplitKey: a key splits exactly when it holds a '/' and does not
+// start with one; the label is then non-empty and '/'-free, and label,
+// '/' and url rebuild the key. A key that does not split yields empty
+// parts.
+func FuzzSplitKey(f *testing.F) {
+	f.Fuzz(func(t *testing.T, key string) {
+		label, url, ok := SplitKey(key)
+		if want := strings.Contains(key, "/") && key[0] != '/'; ok != want {
+			t.Fatalf("SplitKey(%q) ok = %v, want %v", key, ok, want)
+		}
+		if !ok {
+			if label != "" || url != "" {
+				t.Fatalf("SplitKey(%q) = (%q, %q) without ok", key, label, url)
+			}
+			return
+		}
+		if label == "" || strings.Contains(label, "/") || label+"/"+url != key {
+			t.Fatalf("SplitKey(%q) = (%q, %q)", key, label, url)
+		}
+	})
 }
 
 func TestArchiveLabels(t *testing.T) {

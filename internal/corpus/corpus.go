@@ -15,8 +15,8 @@
 //     share nothing, so for any pure projection the output is bitwise
 //     identical at every worker count.
 //   - The final output is sorted by key, which makes it independent of
-//     the physical segment layout too: compaction may rehome every
-//     record without changing the result.
+//     the physical segment layout too: the same records written at any
+//     segment size give the same result.
 package corpus
 
 import (

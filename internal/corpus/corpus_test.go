@@ -16,17 +16,22 @@ import (
 	"pagequality/internal/pagestore"
 )
 
+// bigSeg is a segment size the fixture fills less than once.
+const bigSeg = 64 << 20
+
 // buildStore writes a multi-segment fixture with overwrites across
 // segment boundaries, returning the store and the expected latest body
 // per key.
 func buildStore(t testing.TB, tiny bool) (*pagestore.Store, map[string]string) {
 	t.Helper()
-	return buildStoreAt(t, t.TempDir(), tiny)
+	return buildStoreAt(t, t.TempDir(), tiny, 4096)
 }
 
-func buildStoreAt(t testing.TB, dir string, tiny bool) (*pagestore.Store, map[string]string) {
+// buildStoreAt writes the fixture into dir in segments of maxSeg bytes:
+// at 4 KiB it spans several, at bigSeg one.
+func buildStoreAt(t testing.TB, dir string, tiny bool, maxSeg int64) (*pagestore.Store, map[string]string) {
 	t.Helper()
-	s, err := pagestore.Open(dir, pagestore.Options{MaxSegmentBytes: 4096})
+	s, err := pagestore.Open(dir, pagestore.Options{MaxSegmentBytes: maxSeg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,8 +64,8 @@ func buildStoreAt(t testing.TB, dir string, tiny bool) (*pagestore.Store, map[st
 			want[key] = body
 		}
 	}
-	if !tiny && len(s.SegmentIDs()) < 3 {
-		t.Fatalf("fixture spans only %d segments", len(s.SegmentIDs()))
+	if n := len(s.SegmentIDs()); !tiny && (n < 3) != (maxSeg == bigSeg) {
+		t.Fatalf("fixture spans %d segments of %d bytes", n, maxSeg)
 	}
 	return s, want
 }
@@ -105,31 +110,25 @@ func TestExtractMatchesKeyWalk(t *testing.T) {
 
 // TestExtractLayoutInvariant: Extract's output is a function of the
 // live document set alone — the same at workers 1, 2 and GOMAXPROCS,
-// and across a compaction that rehomes every record.
+// and for the same Puts into 4 KiB segments or into one segment.
 func TestExtractLayoutInvariant(t *testing.T) {
-	s, _ := buildStore(t, false)
 	proj := func(d Doc) (string, bool) { return d.Key + ":" + string(d.Body), true }
-	before, err := Extract(s, proj, Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	check := func(when string) {
-		t.Helper()
+	var want []string
+	for _, maxSeg := range []int64{4096, bigSeg} {
+		s, _ := buildStoreAt(t, t.TempDir(), false, maxSeg)
 		for _, workers := range []int{1, 2, 0} {
 			got, err := Extract(s, proj, Options{Workers: workers})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(got, before) {
-				t.Fatalf("%s, workers=%d: Extract output changed", when, workers)
+			if want == nil {
+				want = got
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%d-byte segments, workers=%d: Extract output changed", maxSeg, workers)
 			}
 		}
 	}
-	check("before Compact")
-	if err := s.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	check("after Compact")
 }
 
 // TestMapSegmentPartition: every live doc is projected exactly once —
@@ -167,7 +166,7 @@ func TestMapSegmentPartition(t *testing.T) {
 // earliest failing segment's error wins, whichever worker hit it first.
 func TestMapError(t *testing.T) {
 	dir := t.TempDir()
-	s, _ := buildStoreAt(t, dir, false)
+	s, _ := buildStoreAt(t, dir, false, 4096)
 	ids := s.SegmentIDs()
 	first, last := ids[0], ids[len(ids)-2] // both sealed; the active segment stays writable
 	for _, id := range []int{first, last} {
@@ -208,12 +207,13 @@ func TestVerbsOnTinyStore(t *testing.T) {
 
 // TestExtractKeyPrefix: a pass with Options.KeyPrefix equals the
 // unrestricted pass with the same test inside the projection — at every
-// worker count, before and after a compaction rehomes every record.
+// worker count, and for the same Puts into 4 KiB segments or into one
+// segment.
 func TestExtractKeyPrefix(t *testing.T) {
-	s, _ := buildStore(t, false)
 	line := func(d Doc) string { return fmt.Sprintf("%s %v %s", d.Key, d.Meta, d.Body) }
-	check := func(when string) {
-		t.Helper()
+	wants := map[string][]string{}
+	for _, maxSeg := range []int64{4096, bigSeg} {
+		s, _ := buildStoreAt(t, t.TempDir(), false, maxSeg)
 		for _, prefix := range []string{"", "t1/", "t2/", "t2/site-00", "t", "none/"} {
 			want, err := Extract(s, func(d Doc) (string, bool) {
 				return line(d), strings.HasPrefix(d.Key, prefix)
@@ -222,8 +222,12 @@ func TestExtractKeyPrefix(t *testing.T) {
 				t.Fatal(err)
 			}
 			if (len(want) == 0) != (prefix == "none/") {
-				t.Fatalf("%s: prefix %q selects %d documents", when, prefix, len(want))
+				t.Fatalf("%d-byte segments: prefix %q selects %d documents", maxSeg, prefix, len(want))
 			}
+			if first, ok := wants[prefix]; ok && !reflect.DeepEqual(want, first) {
+				t.Fatalf("prefix %q: the two layouts select different documents", prefix)
+			}
+			wants[prefix] = want
 			for _, workers := range []int{1, 2, 8} {
 				got, err := Extract(s, func(d Doc) (string, bool) { return line(d), true },
 					Options{Workers: workers, KeyPrefix: prefix})
@@ -231,16 +235,11 @@ func TestExtractKeyPrefix(t *testing.T) {
 					t.Fatal(err)
 				}
 				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s, prefix %q, workers=%d: %d documents, want %d (or they differ)", when, prefix, workers, len(got), len(want))
+					t.Fatalf("%d-byte segments, prefix %q, workers=%d: %d documents, want %d (or they differ)", maxSeg, prefix, workers, len(got), len(want))
 				}
 			}
 		}
 	}
-	check("before Compact")
-	if err := s.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	check("after Compact")
 }
 
 // TestExtractKeyPrefixSkipsSegments: segments holding no key under the

@@ -6,24 +6,19 @@ import (
 	"hash/crc32"
 	"os"
 	"sort"
-
-	"pagequality/internal/randx"
 )
 
-// Segment footer. When a segment fills up (rotation) or is produced by
-// compaction, a self-describing footer is appended after its last record
-// and the file is never written again. The footer carries everything
-// Open needs to index the segment without touching record bodies:
+// Segment footer. When a segment fills up, a self-describing footer is
+// appended after its last record and the file is never written again.
+// The footer carries everything Open needs to index the segment without
+// touching record bodies:
 //
 //	footMagic  byte 0xF5          (distinct from recMagic 0xA7, so a
 //	                               record scan stops cleanly at a footer)
 //	body:
-//	  version  uvarint  (1)
+//	  version  uvarint  (2)
 //	  count    uvarint  (number of fence entries)
 //	  dataLen  uvarint  (bytes of record data; == footer start offset)
-//	  bloomK   uvarint  (hash functions in the bloom filter)
-//	  bloomLen uvarint  (bloom bitset length in bytes; power of two)
-//	  bloom    bytes
 //	  entries, sorted by key (the fence pointers, one per live-at-seal
 //	  key; within-segment superseded versions are already resolved):
 //	    keyLen uvarint, key bytes, offset uvarint
@@ -34,14 +29,15 @@ import (
 // The trailer is found by reading the last 16 bytes of the file, so a
 // sealed segment is indexed with two small ReadAts — O(index) instead of
 // O(data). Any failure to validate (missing trailer, truncated body, crc
-// mismatch, inconsistent dataLen/offsets) falls back to the full record
-// scan, which rebuilds an identical index from the records themselves.
+// mismatch, another version, inconsistent dataLen/offsets) falls back to
+// the full record scan, which rebuilds an identical index from the
+// records themselves. Version 1 put a bloom filter between dataLen and
+// the entries; its records are the same bytes, so such a segment is
+// simply scanned.
 const (
-	footMagic       = 0xF5
-	footVersion     = 1
-	footTrailerLen  = 16 // crc32 + bodyLen + trailer magic
-	bloomHashes     = 4
-	bloomBitsPerKey = 10
+	footMagic      = 0xF5
+	footVersion    = 2
+	footTrailerLen = 16 // crc32 + bodyLen + trailer magic
 )
 
 var footTrailer = [8]byte{'P', 'Q', 'S', 'F', 'O', 'O', 'T', '1'}
@@ -50,76 +46,20 @@ var footTrailer = [8]byte{'P', 'Q', 'S', 'F', 'O', 'O', 'T', '1'}
 type footer struct {
 	dataLen int64
 	entries []segEntry // sorted by key
-	bloom   []byte
-	bloomK  int
-}
-
-// bloomSize returns the bitset length in bytes for n keys: a power of
-// two holding ~bloomBitsPerKey bits per key (~1% false positives at
-// k=4), at least 8 bytes so tiny segments still get a well-formed filter.
-func bloomSize(n int) int {
-	bits := n * bloomBitsPerKey
-	size := 8
-	for size*8 < bits {
-		size *= 2
-	}
-	return size
-}
-
-// bloomHash derives the i-th probe bit for key via double hashing on the
-// splitmix64-finalized FNV of the key. The second hash is forced odd so
-// the probe sequence walks the full power-of-two bitset.
-func bloomProbe(b []byte, key string, i int) (byteIdx int, mask byte) {
-	h1 := randx.Key(key)
-	h2 := h1
-	h2 ^= h2 >> 30
-	h2 *= 0xbf58476d1ce4e5b9
-	h2 ^= h2 >> 27
-	h2 *= 0x94d049bb133111eb
-	h2 ^= h2 >> 31
-	h2 |= 1
-	bit := (h1 + uint64(i)*h2) & uint64(len(b)*8-1)
-	return int(bit >> 3), 1 << (bit & 7)
-}
-
-func bloomAdd(b []byte, key string) {
-	for i := 0; i < bloomHashes; i++ {
-		idx, mask := bloomProbe(b, key, i)
-		b[idx] |= mask
-	}
-}
-
-func bloomMayContain(b []byte, k int, key string) bool {
-	for i := 0; i < k; i++ {
-		idx, mask := bloomProbe(b, key, i)
-		if b[idx]&mask == 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // encodeFooter builds the footer bytes for a segment whose records span
-// [0, dataLen) and whose latest version per key is entries. The bloom
-// filter baked into the footer is also returned so the sealer can keep
-// it in memory without re-deriving it.
-func encodeFooter(entries map[string]int64, dataLen int64) ([]byte, segBloom) {
+// [0, dataLen) and whose latest version per key is entries.
+func encodeFooter(entries map[string]int64, dataLen int64) []byte {
 	keys := make([]string, 0, len(entries))
 	for k := range entries {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	bloom := make([]byte, bloomSize(len(keys)))
-	for _, k := range keys {
-		bloomAdd(bloom, k)
-	}
 	var body []byte
 	body = binary.AppendUvarint(body, footVersion)
 	body = binary.AppendUvarint(body, uint64(len(keys)))
 	body = binary.AppendUvarint(body, uint64(dataLen))
-	body = binary.AppendUvarint(body, bloomHashes)
-	body = binary.AppendUvarint(body, uint64(len(bloom)))
-	body = append(body, bloom...)
 	for _, k := range keys {
 		body = binary.AppendUvarint(body, uint64(len(k)))
 		body = append(body, k...)
@@ -132,7 +72,7 @@ func encodeFooter(entries map[string]int64, dataLen int64) ([]byte, segBloom) {
 	out = binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(body))
 	out = binary.LittleEndian.AppendUint32(out, uint32(len(body)))
 	out = append(out, footTrailer[:]...)
-	return out, segBloom{bits: bloom, k: bloomHashes}
+	return out
 }
 
 // readFooter validates and decodes the footer of the segment file f
@@ -144,7 +84,7 @@ func encodeFooter(entries map[string]int64, dataLen int64) ([]byte, segBloom) {
 //	                       the caller must fall back to a record scan and
 //	                       may treat unparseable tail bytes as footer
 //	                       debris rather than record corruption.
-//	ft == nil, !evidence — no footer (unsealed or legacy segment).
+//	ft == nil, !evidence — no footer (an unsealed or pre-footer segment).
 //
 // Only I/O failures are returned as errors; every malformed-footer case
 // degrades to the scan path.
@@ -184,11 +124,13 @@ func readFooter(f *os.File, size int64) (ft *footer, evidence bool, err error) {
 
 // decodeFooterBody parses the checksummed footer body. footStart is the
 // file offset of the footMagic byte; a well-formed footer's dataLen must
-// equal it exactly (records end where the footer begins).
+// equal it exactly (records end where the footer begins). Only the body
+// encodeFooter writes is accepted: a padded varint is refused, so an
+// accepted body re-encodes to the same bytes.
 func decodeFooterBody(body []byte, footStart int64) (*footer, bool) {
 	uvarint := func() (uint64, bool) {
 		v, n := binary.Uvarint(body)
-		if n <= 0 {
+		if n <= 0 || n > 1 && body[n-1] == 0 {
 			return 0, false
 		}
 		body = body[n:]
@@ -206,27 +148,13 @@ func decodeFooterBody(body []byte, footStart int64) (*footer, bool) {
 	if !ok || footStart < 0 || dataLen != uint64(footStart) {
 		return nil, false
 	}
-	bloomK, ok := uvarint()
-	if !ok || bloomK == 0 || bloomK > 16 {
-		return nil, false
-	}
-	bloomLen, ok := uvarint()
-	if !ok || bloomLen > uint64(len(body)) || bloomLen&(bloomLen-1) != 0 || bloomLen < 8 {
-		return nil, false
-	}
 	// Each entry takes >= 3 body bytes (key length, a non-empty key, its
 	// offset), so the count is bounded by the bytes present before the
 	// entries are allocated.
-	if count > (uint64(len(body))-bloomLen)/3 {
+	if count > uint64(len(body))/3 {
 		return nil, false
 	}
-	ft := &footer{
-		dataLen: int64(dataLen),
-		bloom:   append([]byte(nil), body[:bloomLen]...),
-		bloomK:  int(bloomK),
-		entries: make([]segEntry, 0, count),
-	}
-	body = body[bloomLen:]
+	ft := &footer{dataLen: int64(dataLen), entries: make([]segEntry, 0, count)}
 	prevKey := ""
 	for i := uint64(0); i < count; i++ {
 		klen, ok := uvarint()

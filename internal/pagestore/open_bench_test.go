@@ -6,9 +6,9 @@ import (
 	"testing"
 )
 
-// buildBenchStore writes a corpus that rotates through many segments:
-// nSegs-ish segments of ~segBytes each, with one round of overwrites so
-// compaction has dead records to drop. Bodies are incompressible so the
+// buildBenchStore writes a corpus that rotates through many segments of
+// ~segBytes each; rounds past the second overwrite keys, so Open's merge
+// has superseded versions to resolve. Bodies are incompressible so the
 // on-disk size tracks the write volume.
 func buildBenchStore(b *testing.B, dir string, segBytes int64, nKeys, rounds int) {
 	b.Helper()
@@ -65,28 +65,4 @@ func BenchmarkOpen(b *testing.B) {
 	}
 	b.Run("footered", func(b *testing.B) { run(b, false) })
 	b.Run("fullscan", func(b *testing.B) { run(b, true) })
-}
-
-// BenchmarkCompact measures one full compaction of the bench corpus.
-// B/op is the interesting number: it bounds the peak working set the
-// copy loop holds while rewriting live records.
-func BenchmarkCompact(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		dir := b.TempDir()
-		buildBenchStore(b, dir, 1<<20, 512, 5)
-		s, err := Open(dir, Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.StartTimer()
-		if err := s.Compact(); err != nil {
-			b.Fatal(err)
-		}
-		b.StopTimer()
-		if err := s.Close(); err != nil {
-			b.Fatal(err)
-		}
-	}
 }

@@ -8,19 +8,18 @@
 //     loses at most the torn tail record (recovered and truncated on open);
 //   - an in-memory key index rebuilt on open (latest version of a key
 //     wins, enabling re-crawls of the same URL);
-//   - self-indexing sealed segments: rotation and compaction append a
-//     checksummed footer (key→offset fence pointers, a bloom filter,
-//     record count and data length) so Open indexes sealed segments in
-//     O(index) without reading record bodies — only the unsealed active
-//     tail is scanned. A missing, truncated or corrupt footer falls back
-//     to the full record scan and yields an identical index;
-//   - flate compression of bodies;
-//   - compaction that streams live records segment by segment (peak
-//     memory one source segment, not the store) and drops superseded
-//     versions.
+//   - self-indexing sealed segments: rotation appends a checksummed
+//     footer (key→offset fence pointers, record count and data length)
+//     so Open indexes sealed segments in O(index) without reading record
+//     bodies — only the unsealed active tail is scanned. A missing,
+//     truncated, corrupt or older-version footer falls back to the full
+//     record scan and yields an identical index;
+//   - flate compression of bodies.
 //
 // Keys are arbitrary strings; the crawl pipeline uses
 // "<snapshotLabel>/<canonicalURL>" so one repository holds every crawl.
+// Each crawl writes under a fresh label and never rewrites a page, so
+// the store has no dead records to reclaim and does not compact.
 package pagestore
 
 import (
@@ -59,7 +58,6 @@ type Store struct {
 	active segWriter // the unsealed segment Puts append to
 	maxSeg int64     // rotation threshold
 	index  map[string]location
-	blooms map[int]segBloom // per sealed segment, from its footer
 	closed bool
 
 	// openStats records how the index was rebuilt; tests use it to pin
@@ -68,13 +66,6 @@ type Store struct {
 		footerSegments  int // indexed from a valid footer, no record reads
 		scannedSegments int // indexed by replaying records
 	}
-}
-
-// segBloom is a sealed segment's bloom filter, kept in memory for
-// cross-segment membership prefilters (e.g. the multi-store merge).
-type segBloom struct {
-	bits []byte
-	k    int
 }
 
 // location points at one record.
@@ -131,7 +122,6 @@ func Open(dir string, opts Options) (*Store, error) {
 		dir:    dir,
 		maxSeg: opts.MaxSegmentBytes,
 		index:  make(map[string]location),
-		blooms: make(map[int]segBloom),
 	}
 	segs, err := listSegments(dir)
 	if err != nil {
@@ -168,9 +158,9 @@ func (s *Store) segPath(id int) string {
 	return filepath.Join(s.dir, fmt.Sprintf("seg-%06d.dat", id))
 }
 
-// segWriter is one unsealed segment open for append: the store's active
-// segment, or a compaction output. Every record and footer the store
-// writes goes through one.
+// segWriter is the store's active segment: the one unsealed segment,
+// open for append. Every record and footer the store writes goes
+// through it.
 type segWriter struct {
 	f       *os.File
 	id      int
@@ -204,13 +194,11 @@ func (w *segWriter) append(key string, rec []byte) (int64, error) {
 	return off, nil
 }
 
-// write appends rec to w, first rolling a non-empty w over (its bloom
-// filter into blooms) when rec would push it past the rotation
-// threshold. Put and Compact both write through it, so compaction makes
-// the segments Putting the live records would.
-func (s *Store) write(w *segWriter, key string, rec []byte, blooms map[int]segBloom) (location, error) {
+// write appends rec to w, first rolling a non-empty w over when rec
+// would push it past the rotation threshold. Put is its only caller.
+func (s *Store) write(w *segWriter, key string, rec []byte) (location, error) {
 	if w.size > 0 && w.size+int64(len(rec)) > s.maxSeg {
-		if err := s.rollover(w, blooms); err != nil {
+		if err := s.rollover(w); err != nil {
 			return location{}, err
 		}
 	}
@@ -223,11 +211,11 @@ func (s *Store) write(w *segWriter, key string, rec []byte, blooms map[int]segBl
 // may not hold — closes it, and reopens w on a fresh segment w.id+1.
 // A sealed segment is immutable: Open indexes it from the footer. On a
 // failure w keeps its id; its file may already be closed.
-func (s *Store) rollover(w *segWriter, blooms map[int]segBloom) error {
+func (s *Store) rollover(w *segWriter) error {
 	if err := w.f.Sync(); err != nil {
 		return fmt.Errorf("pagestore: sync before seal: %w", err)
 	}
-	foot, bloom := encodeFooter(w.entries, w.size)
+	foot := encodeFooter(w.entries, w.size)
 	if _, err := w.f.Write(foot); err != nil {
 		return fmt.Errorf("pagestore: write footer: %w", err)
 	}
@@ -237,7 +225,6 @@ func (s *Store) rollover(w *segWriter, blooms map[int]segBloom) error {
 	if err := w.f.Close(); err != nil {
 		return fmt.Errorf("pagestore: close sealed segment: %w", err)
 	}
-	blooms[w.id] = bloom
 	next, err := s.openSegment(w.id+1, true)
 	if err != nil {
 		return err
@@ -331,7 +318,6 @@ type segEntry struct {
 type segLoad struct {
 	entries []segEntry // replay order (scan) or key order (footer)
 	sealed  bool       // indexed from a valid footer
-	bloom   segBloom   // only when sealed
 }
 
 // rebuildIndex indexes the segments (fanning the per-file loads out over
@@ -358,7 +344,6 @@ func (s *Store) rebuildIndex(segs []int, workers int) (tail map[string]int64, er
 			s.index[e.key] = location{seg: id, offset: e.off}
 		}
 		if loads[i].sealed {
-			s.blooms[id] = loads[i].bloom
 			s.openStats.footerSegments++
 		} else {
 			s.openStats.scannedSegments++
@@ -392,7 +377,7 @@ func (s *Store) loadSegmentIndex(id int, last bool) (segLoad, error) {
 		return segLoad{}, err
 	}
 	if ft != nil {
-		return segLoad{entries: ft.entries, sealed: true, bloom: segBloom{bits: ft.bloom, k: ft.bloomK}}, nil
+		return segLoad{entries: ft.entries, sealed: true}, nil
 	}
 	ents, err := s.scanSegmentFile(id, last, evidence)
 	if err != nil {
@@ -568,7 +553,7 @@ func (s *Store) Put(key string, meta Meta, body []byte) error {
 	if s.closed {
 		return ErrClosed
 	}
-	loc, err := s.write(&s.active, key, rec, s.blooms)
+	loc, err := s.write(&s.active, key, rec)
 	if err != nil {
 		return err
 	}
@@ -695,9 +680,8 @@ func (s *Store) SegmentIDs() []int {
 // ReadLive returns the live records homed in segment seg in record
 // (offset) order, bodies decompressed. It reads the segment file once;
 // peak memory is the segment plus its decompressed live bodies. The
-// live set is snapshotted at call time: a concurrent Compact may remove
-// the segment underneath the read, which reports an error rather than
-// partial data.
+// live set is snapshotted at call time; a segment file that cannot be
+// read reports an error rather than partial data.
 func (s *Store) ReadLive(seg int) ([]Record, error) { return s.ReadLivePrefix(seg, "") }
 
 // ReadLivePrefix is ReadLive restricted to the keys that start with
@@ -735,30 +719,6 @@ func (s *Store) ReadLivePrefix(seg int, prefix string) ([]Record, error) {
 		recs = append(recs, Record{Key: e.key, Meta: meta, Body: body})
 	}
 	return recs, nil
-}
-
-// MayContain reports whether segment seg can hold a record for key,
-// consulting the sealed segment's bloom filter. False positives are
-// possible (~1% at the footer's sizing); false negatives are not.
-// Unsealed segments (and segments without an in-memory filter) answer
-// true. This is the cross-store prefilter for merge workloads: a key
-// lookup can skip every sealed segment whose filter excludes it.
-func (s *Store) MayContain(seg int, key string) bool {
-	s.mu.Lock()
-	b, ok := s.blooms[seg]
-	s.mu.Unlock()
-	if !ok {
-		return true
-	}
-	return bloomMayContain(b.bits, b.k, key)
-}
-
-// Has reports whether key is stored.
-func (s *Store) Has(key string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, ok := s.index[key]
-	return ok
 }
 
 // Len returns the number of live keys.
@@ -816,117 +776,4 @@ func (s *Store) Close() error {
 		return err
 	}
 	return s.active.f.Close()
-}
-
-// Compact rewrites every live record into fresh segments and removes the
-// old files, dropping superseded versions. Live records are streamed one
-// source segment at a time — read, copied in offset order, released — so
-// peak memory is one segment, not the store. Output segments are rotated
-// at the store's segment-size threshold and sealed (footered) as they
-// fill; the final, partial one stays unsealed as the new active segment.
-// The store stays usable afterwards — including after a failed compact,
-// which restores the previous active segment and removes any partial
-// output.
-func (s *Store) Compact() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
-	// Group live locations by their home segment; copy order is
-	// (segment, offset) ascending.
-	bySeg := make(map[int][]segEntry)
-	for k, loc := range s.index {
-		bySeg[loc.seg] = append(bySeg[loc.seg], segEntry{key: k, off: loc.offset})
-	}
-	srcIDs := make([]int, 0, len(bySeg))
-	for id := range bySeg {
-		srcIDs = append(srcIDs, id)
-	}
-	sort.Ints(srcIDs)
-	for _, id := range srcIDs {
-		ents := bySeg[id]
-		sort.Slice(ents, func(a, b int) bool { return ents[a].off < ents[b].off })
-	}
-
-	oldSegs, err := listSegments(s.dir)
-	if err != nil {
-		return err
-	}
-	if err := s.active.f.Sync(); err != nil {
-		return err
-	}
-	if err := s.active.f.Close(); err != nil {
-		// The handle is in an unknown state; fall through to the
-		// recovery path, which reopens the segment for append.
-		return s.compactFailLocked(nil, err)
-	}
-
-	// Output ids start past the old active id, so the two sets never
-	// overlap; the output's seals go to a fresh bloom set.
-	out, err := s.openSegment(s.active.id+1, true)
-	if err != nil {
-		return s.compactFailLocked(nil, err)
-	}
-	newIndex := make(map[string]location, len(s.index))
-	newBlooms := make(map[int]segBloom)
-	for _, sid := range srcIDs {
-		data, err := os.ReadFile(s.segPath(sid))
-		if err != nil {
-			return s.compactFailLocked(&out, err)
-		}
-		for _, e := range bySeg[sid] {
-			recLen, _, _, _, err := parseRecordAt(data, e.off)
-			if err != nil {
-				return s.compactFailLocked(&out, err)
-			}
-			loc, err := s.write(&out, e.key, data[e.off:e.off+recLen], newBlooms)
-			if err != nil {
-				return s.compactFailLocked(&out, err)
-			}
-			newIndex[e.key] = loc
-		}
-		// data is released here: the next iteration re-binds it, and
-		// nothing retains the previous segment's bytes.
-	}
-	if err := out.f.Sync(); err != nil {
-		return s.compactFailLocked(&out, err)
-	}
-	// Swap in the new state, delete the old segments.
-	s.active = out
-	s.index = newIndex
-	s.blooms = newBlooms
-	for _, id := range oldSegs {
-		if err := os.Remove(s.segPath(id)); err != nil {
-			return fmt.Errorf("pagestore: remove old segment: %w", err)
-		}
-	}
-	return nil
-}
-
-// compactFailLocked unwinds a failed compaction: closes out unless a
-// failed seal already closed it, removes every output segment (ids past
-// the active one, up to out's), then reopens the active segment for
-// append so the store keeps accepting Puts. The index, the blooms and
-// the active segment's size and footer material are untouched: they
-// still describe the old segments, which are never deleted on failure.
-func (s *Store) compactFailLocked(out *segWriter, err error) error {
-	last := s.active.id
-	if out != nil {
-		if cerr := out.f.Close(); cerr != nil && !errors.Is(cerr, os.ErrClosed) {
-			err = errors.Join(err, cerr)
-		}
-		last = out.id
-	}
-	for id := s.active.id + 1; id <= last; id++ {
-		if rerr := os.Remove(s.segPath(id)); rerr != nil {
-			err = errors.Join(err, rerr)
-		}
-	}
-	w, rerr := s.openSegment(s.active.id, false)
-	if rerr != nil {
-		return errors.Join(err, fmt.Errorf("pagestore: reopen active after failed compact: %w", rerr))
-	}
-	s.active.f = w.f
-	return err
 }

@@ -39,11 +39,8 @@ func TestPutGetRoundTrip(t *testing.T) {
 	if !bytes.Equal(gotBody, body) {
 		t.Fatalf("body = %q", gotBody)
 	}
-	if !s.Has("t1/http://a/") || s.Has("missing") {
-		t.Fatal("Has wrong")
-	}
-	if s.Len() != 1 {
-		t.Fatalf("Len = %d", s.Len())
+	if keys := s.Keys(); len(keys) != 1 || keys[0] != "t1/http://a/" {
+		t.Fatalf("Keys = %q", keys)
 	}
 }
 
@@ -168,11 +165,11 @@ func TestCrashRecoveryTruncatesTornTail(t *testing.T) {
 
 	s2 := open(t, dir, Options{})
 	// The torn record ("b") is gone; "a" survives.
-	if !s2.Has("a") {
-		t.Fatal("intact record lost")
+	if _, body, err := s2.Get("a"); err != nil || string(body) != "first" {
+		t.Fatalf("intact record lost: %q, %v", body, err)
 	}
-	if s2.Has("b") {
-		t.Fatal("torn record resurrected")
+	if _, _, err := s2.Get("b"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("torn record resurrected: %v", err)
 	}
 	// The store remains writable and the recovered tail is clean.
 	if err := s2.Put("c", Meta{Status: 200}, []byte("third")); err != nil {
@@ -208,66 +205,6 @@ func TestCorruptMiddleRecordRejected(t *testing.T) {
 	if _, err := Open(dir, Options{}); err == nil {
 		t.Fatal("corrupt middle record accepted")
 	}
-}
-
-func TestCompact(t *testing.T) {
-	dir := t.TempDir()
-	s := open(t, dir, Options{MaxSegmentBytes: 4096})
-	// Many overwrites: lots of dead records.
-	for round := 0; round < 10; round++ {
-		for i := 0; i < 10; i++ {
-			key := fmt.Sprintf("k%d", i)
-			if err := s.Put(key, Meta{FetchedAt: float64(round)}, bytes.Repeat([]byte("y"), 300)); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	sizeBefore := dirSize(t, dir)
-	if err := s.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	sizeAfter := dirSize(t, dir)
-	if sizeAfter >= sizeBefore {
-		t.Fatalf("compaction did not shrink: %d -> %d", sizeBefore, sizeAfter)
-	}
-	if s.Len() != 10 {
-		t.Fatalf("Len after compact = %d", s.Len())
-	}
-	for i := 0; i < 10; i++ {
-		meta, _, err := s.Get(fmt.Sprintf("k%d", i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if meta.FetchedAt != 9 {
-			t.Fatalf("k%d version = %g, want latest (9)", i, meta.FetchedAt)
-		}
-	}
-	// Still writable after compaction, and reopenable.
-	if err := s.Put("new", Meta{}, []byte("post-compact")); err != nil {
-		t.Fatal(err)
-	}
-	s.Close()
-	s2 := open(t, dir, Options{})
-	if s2.Len() != 11 {
-		t.Fatalf("Len after compact+reopen = %d", s2.Len())
-	}
-}
-
-func dirSize(t *testing.T, dir string) int64 {
-	t.Helper()
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var total int64
-	for _, e := range entries {
-		info, err := e.Info()
-		if err != nil {
-			t.Fatal(err)
-		}
-		total += info.Size()
-	}
-	return total
 }
 
 func TestKeysAndPrefix(t *testing.T) {
@@ -309,9 +246,6 @@ func TestClosedStore(t *testing.T) {
 	}
 	if err := s.Sync(); !errors.Is(err, ErrClosed) {
 		t.Fatal("Sync on closed store accepted")
-	}
-	if err := s.Compact(); !errors.Is(err, ErrClosed) {
-		t.Fatal("Compact on closed store accepted")
 	}
 }
 

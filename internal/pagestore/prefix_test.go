@@ -14,13 +14,13 @@ import (
 )
 
 // buildLabelledFixture writes three crawl labels one after the other
-// into 2 KiB segments (so early segments hold t1 only), then re-Puts
-// part of t1 so its live records are split across both ends of the
-// store. It returns the directory, still closed.
-func buildLabelledFixture(t *testing.T) string {
+// into segments of maxSeg bytes (at 2 KiB early segments hold t1 only),
+// then re-Puts part of t1 so its live records are split across both ends
+// of the store. It returns the directory, still closed.
+func buildLabelledFixture(t *testing.T, maxSeg int64) string {
 	t.Helper()
 	dir := t.TempDir()
-	s := open(t, dir, Options{MaxSegmentBytes: 2048})
+	s := open(t, dir, Options{MaxSegmentBytes: maxSeg})
 	rng := rand.New(rand.NewSource(11))
 	put := func(label string, i, version int) {
 		filler := make([]byte, 150)
@@ -73,15 +73,35 @@ func requirePrefixIsFilter(t *testing.T, s *Store, stage string) {
 }
 
 // TestReadLivePrefix: the prefixed read is the filtered unprefixed read,
-// before and after compaction rehomes every record.
+// and what it streams is a function of the live set, not of the layout:
+// the same Puts into 2 KiB segments and into one 64 MiB segment stream
+// the same records under every prefix.
 func TestReadLivePrefix(t *testing.T) {
-	s := open(t, buildLabelledFixture(t), Options{MaxSegmentBytes: 2048})
-	defer s.Close()
-	requirePrefixIsFilter(t, s, "as written")
-	if err := s.Compact(); err != nil {
-		t.Fatal(err)
+	var layouts [2]map[string][]Record
+	for i, maxSeg := range []int64{2048, 64 << 20} {
+		s := open(t, buildLabelledFixture(t, maxSeg), Options{MaxSegmentBytes: maxSeg})
+		stage := fmt.Sprintf("%d-byte segments", maxSeg)
+		requirePrefixIsFilter(t, s, stage)
+		layouts[i] = map[string][]Record{}
+		for _, prefix := range []string{"", "t1/", "t2/", "t3/p1", "zz/"} {
+			for _, seg := range s.SegmentIDs() {
+				recs, err := s.ReadLivePrefix(seg, prefix)
+				if err != nil {
+					t.Fatal(err)
+				}
+				layouts[i][prefix] = append(layouts[i][prefix], recs...)
+			}
+		}
+		if n := len(s.SegmentIDs()); (n > 1) != (maxSeg == 2048) {
+			t.Fatalf("%s: the live records span %d segments", stage, n)
+		}
 	}
-	requirePrefixIsFilter(t, s, "compacted")
+	if !reflect.DeepEqual(layouts[0], layouts[1]) {
+		t.Fatal("the two layouts stream different records")
+	}
+	if len(layouts[0][""]) != 60 {
+		t.Fatalf("streamed %d live records, want 60", len(layouts[0][""]))
+	}
 }
 
 // TestReadLivePrefixTouchesOnlyMatches proves the filter runs before any
@@ -90,7 +110,7 @@ func TestReadLivePrefix(t *testing.T) {
 // unprefixed read reports both — and a damaged record inside the prefix
 // still fails the prefixed read.
 func TestReadLivePrefixTouchesOnlyMatches(t *testing.T) {
-	dir := buildLabelledFixture(t)
+	dir := buildLabelledFixture(t, 2048)
 	s := open(t, dir, Options{MaxSegmentBytes: 2048})
 	defer s.Close()
 
