@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"pagequality/internal/pagerank"
 	"pagequality/internal/quality"
 	"pagequality/internal/usersim"
 )
@@ -158,6 +159,24 @@ func TestHeadlineShape(t *testing.T) {
 	}
 	if res.TauQTruth <= 0 || res.TauPRTruth <= 0 {
 		t.Fatalf("rank correlations with truth not positive: %g, %g", res.TauQTruth, res.TauPRTruth)
+	}
+}
+
+// TestPageRankSeriesIsColdCompute holds the crawl's PageRank series to
+// one cold pagerank.Compute per aligned snapshot, bit for bit: the
+// headline, the figures and the ablations all read this series.
+func TestPageRankSeriesIsColdCompute(t *testing.T) {
+	c := testCrawl(t, 1)
+	for k, csr := range c.al.CSRs() {
+		cold, err := pagerank.Compute(csr, pagerank.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, v := range cold.Rank {
+			if math.Float64bits(c.ranks[k][i]) != math.Float64bits(v) {
+				t.Fatalf("snapshot %d rank[%d] = %g, cold Compute gives %g", k, i, c.ranks[k][i], v)
+			}
+		}
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 
 	"pagequality/internal/corpus"
 	"pagequality/internal/crawler"
+	"pagequality/internal/pagerank"
 	"pagequality/internal/pagestore"
 	"pagequality/internal/search"
 	"pagequality/internal/snapshot"
@@ -128,6 +129,36 @@ func TestLoadGenerationMatchesSerialBuild(t *testing.T) {
 	}
 	if hits, err := g.ix.Search("café", search.Options{}); err != nil || len(hits) != 1 {
 		t.Fatalf("the accented body is not served: %d hits, err %v", len(hits), err)
+	}
+}
+
+// TestPageRankSeriesIsColdCompute holds the PageRank series a
+// generation serves from to one cold pagerank.Compute per aligned crawl
+// of the serving fixture, bit for bit.
+func TestPageRankSeriesIsColdCompute(t *testing.T) {
+	storePath, _ := buildFixture(t)
+	snaps, err := snapshot.ReadFile(storePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	al, err := snapshot.Align(snaps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	series, err := al.PageRankSeries()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, csr := range al.CSRs() {
+		cold, err := pagerank.Compute(csr, pagerank.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, v := range cold.Rank {
+			if math.Float64bits(series[k][i]) != math.Float64bits(v) {
+				t.Fatalf("crawl %s rank[%d] = %g, cold Compute gives %g", al.Labels[k], i, series[k][i], v)
+			}
+		}
 	}
 }
 
