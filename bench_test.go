@@ -1,6 +1,5 @@
 // Kernel benchmarks of the pipeline stages at sizes no cmd/bench
-// workload reaches (100k-node PageRank, the incremental solve under
-// graded churn, the corpus tick). The tables and figures themselves are
+// workload reaches (100k-node PageRank, the corpus tick). The tables and figures themselves are
 // regenerated and diffed by CI (`go run ./cmd/experiments | diff -
 // experiments_output.txt`); end-to-end performance is cmd/bench's job.
 package pagequality_test
@@ -172,103 +171,6 @@ func BenchmarkPageRank100k(b *testing.B) {
 
 // newRand is a tiny helper keeping the benchmark imports tidy.
 func newRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
-
-// BenchmarkIncrementalPageRank is the before/after benchmark of the
-// delta-aware refresh path: a 100k-node preferential-attachment web with
-// ~1% churn (new nodes plus edge adds and removals), solved by
-// ComputeIncremental seeded from the pre-churn fixed point versus a cold
-// full Compute. The setup asserts the two fixed points agree on the sum-1
-// normalised vectors and that churn stays below the fallback threshold,
-// so both sub-benchmarks time real converged solves of the same problem.
-func BenchmarkIncrementalPageRank(b *testing.B) {
-	const nodes = 100_000
-	rng := newRand(1)
-	g, err := graph.GeneratePreferentialAttachment(
-		graph.PreferentialAttachmentConfig{Nodes: nodes, OutPerNode: 8}, rng)
-	if err != nil {
-		b.Fatal(err)
-	}
-	old := graph.Freeze(g)
-
-	// ~1% churn: 300 removals, 500 additions, 100 new pages.
-	for removed := 0; removed < 300; {
-		from := graph.NodeID(rng.Intn(nodes))
-		if outs := g.OutLinks(from); len(outs) > 1 {
-			if g.RemoveLink(from, outs[rng.Intn(len(outs))]) {
-				removed++
-			}
-		}
-	}
-	for added := 0; added < 500; {
-		if g.AddLink(graph.NodeID(rng.Intn(nodes)), graph.NodeID(rng.Intn(nodes))) {
-			added++
-		}
-	}
-	first := g.AddNodes(100)
-	for i := 0; i < 100; i++ {
-		g.AddLink(graph.NodeID(rng.Intn(nodes)), first+graph.NodeID(i))
-		g.AddLink(first+graph.NodeID(i), graph.NodeID(rng.Intn(nodes)))
-	}
-	cur := graph.Freeze(g)
-	d, err := graph.Diff(old, cur)
-	if err != nil {
-		b.Fatal(err)
-	}
-
-	opts := pagerank.Options{Tol: 1e-8}
-	incOpts := pagerank.IncrementalOptions{Options: opts}
-	prev, err := pagerank.Compute(old, opts)
-	if err != nil || !prev.Converged {
-		b.Fatalf("pre-churn solve: %v", err)
-	}
-	full, err := pagerank.Compute(cur, opts)
-	if err != nil || !full.Converged {
-		b.Fatalf("full solve: %v", err)
-	}
-	inc, err := pagerank.ComputeIncremental(cur, prev.Rank, d, incOpts)
-	if err != nil || !inc.Converged {
-		b.Fatalf("incremental solve: %v", err)
-	}
-	if inc.FullRecompute {
-		b.Fatalf("churn fallback tripped: %d dirty of %d nodes", inc.Dirty, cur.NumNodes())
-	}
-	sumF, sumI, l1 := 0.0, 0.0, 0.0
-	for i := range full.Rank {
-		sumF += full.Rank[i]
-		sumI += inc.Rank[i]
-	}
-	for i := range full.Rank {
-		l1 += math.Abs(inc.Rank[i]/sumI - full.Rank[i]/sumF)
-	}
-	if l1 > 10*opts.Tol {
-		b.Fatalf("incremental diverges from full recompute: normalised L1 = %g", l1)
-	}
-
-	b.Run("incremental", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			res, err := pagerank.ComputeIncremental(cur, prev.Rank, d, incOpts)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if !res.Converged || res.FullRecompute {
-				b.Fatalf("bad solve: %+v", res)
-			}
-		}
-	})
-	b.Run("full", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			res, err := pagerank.Compute(cur, opts)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if !res.Converged {
-				b.Fatal("did not converge")
-			}
-		}
-	})
-}
 
 // benchGraph100k builds the 100k-node preferential-attachment graph used
 // by the kernel benchmarks, with extra guaranteed dangling nodes so the

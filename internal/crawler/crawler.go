@@ -217,13 +217,22 @@ func Crawl(cfg Config) (*Result, error) {
 		}
 	}
 	if cfg.Interrupt != nil {
+		// The watcher leaves before Crawl returns, so an Interrupt that is
+		// never closed does not keep it blocked.
+		done, left := make(chan struct{}), make(chan struct{})
 		go func() {
-			<-cfg.Interrupt
+			defer close(left)
+			select {
+			case <-cfg.Interrupt:
+			case <-done:
+				return
+			}
 			c.mu.Lock()
 			c.interrupted = true
 			c.cond.Broadcast()
 			c.mu.Unlock()
 		}()
+		defer func() { close(done); <-left }()
 	}
 
 	c.mu.Lock()

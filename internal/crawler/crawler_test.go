@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"regexp"
 	"runtime"
 	"slices"
 	"strconv"
@@ -257,6 +258,47 @@ func TestCrawlFragmentAndCycleHandling(t *testing.T) {
 	// the graph layer).
 	if res.Graph.NumEdges() != 2 {
 		t.Fatalf("edges = %d, want 2 (/->a, a->/)", res.Graph.NumEdges())
+	}
+}
+
+// crawlGoroutines reports every live goroutine whose stack runs or was
+// started by Crawl.
+func crawlGoroutines() []string {
+	buf := make([]byte, 1<<20)
+	var live []string
+	for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+		if crawlFrame.MatchString(g) {
+			live = append(live, g)
+		}
+	}
+	return live
+}
+
+var crawlFrame = regexp.MustCompile(`internal/crawler\.Crawl\b`)
+
+// TestCrawlInterruptWatcherExits: a Crawl given an Interrupt that is
+// never closed leaves no goroutine behind, whether it finishes the crawl
+// or fails on a seed.
+func TestCrawlInterruptWatcherExits(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		fmt.Fprint(w, `<a href="/a">a</a>`)
+	}))
+	defer srv.Close()
+	open := make(chan struct{})
+	for _, seed := range []string{srv.URL + "/", "/relative"} {
+		res, err := Crawl(Config{Seeds: []string{seed}, Client: srv.Client(), Interrupt: open})
+		if err == nil && res.Interrupted {
+			t.Fatalf("seed %q: crawl reports an interrupt that never came", seed)
+		}
+		// A watcher that has signalled its exit may still be unwinding.
+		live := crawlGoroutines()
+		for i := 0; i < 1000 && len(live) > 0; i++ {
+			runtime.Gosched()
+			live = crawlGoroutines()
+		}
+		if len(live) > 0 {
+			t.Fatalf("seed %q: %d goroutines outlive Crawl:\n%s", seed, len(live), strings.Join(live, "\n\n"))
+		}
 	}
 }
 

@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-
-	"pagequality/internal/bitset"
 )
 
 // Edge is one directed link, used by Delta to record structural changes
@@ -22,10 +20,8 @@ type Edge struct {
 // appended (the crawler, the corpus simulator and snapshot alignment all
 // preserve this).
 //
-// A Delta is the input contract of pagerank.ComputeIncremental: it
-// bounds the set of nodes whose fixed-point value can have moved, so the
-// power iteration can re-seed from the previous converged vector and
-// restrict per-iteration work to the affected region of the graph.
+// pagerank.ComputeIncremental takes a Delta and checks that it describes
+// the transition into the graph it solves.
 type Delta struct {
 	// OldNodes and NewNodes are the node counts of the two freezes.
 	// Nodes [OldNodes, NewNodes) are new.
@@ -34,11 +30,6 @@ type Delta struct {
 	// every edge of a new node, in (from, then row) order of the freeze
 	// they were observed in.
 	Added, Removed []Edge
-	// OutDegreeChanged lists the old nodes whose out-degree differs
-	// between the freezes, in ascending order. Their 1/outdeg scaling
-	// changed, so every one of their current out-neighbours receives a
-	// different contribution even when its own in-list is untouched.
-	OutDegreeChanged []NodeID
 }
 
 // ErrDelta reports freezes that cannot be diffed or a delta that does not
@@ -83,9 +74,6 @@ func Diff(old, cur *CSR) (*Delta, error) {
 				d.Removed = append(d.Removed, Edge{From: id, To: t})
 			}
 		}
-		if len(or) != len(nr) {
-			d.OutDegreeChanged = append(d.OutDegreeChanged, id)
-		}
 	}
 	for i := d.OldNodes; i < d.NewNodes; i++ {
 		id := NodeID(i)
@@ -96,72 +84,5 @@ func Diff(old, cur *CSR) (*Delta, error) {
 	return d, nil
 }
 
-// Validate checks that the delta plausibly describes the transition into
-// c: node counts line up and every recorded edge endpoint is in range.
-func (d *Delta) Validate(c *CSR) error {
-	if d.NewNodes != c.NumNodes() {
-		return fmt.Errorf("%w: delta targets %d nodes, CSR has %d", ErrDelta, d.NewNodes, c.NumNodes())
-	}
-	if d.OldNodes < 0 || d.OldNodes > d.NewNodes {
-		return fmt.Errorf("%w: OldNodes %d outside [0, %d]", ErrDelta, d.OldNodes, d.NewNodes)
-	}
-	n := NodeID(d.NewNodes)
-	for _, e := range d.Added {
-		if e.From >= n || e.To >= n {
-			return fmt.Errorf("%w: added edge %d->%d out of range", ErrDelta, e.From, e.To)
-		}
-	}
-	oldN := NodeID(d.OldNodes)
-	for _, e := range d.Removed {
-		if e.From >= oldN || e.To >= oldN {
-			return fmt.Errorf("%w: removed edge %d->%d outside old node range", ErrDelta, e.From, e.To)
-		}
-	}
-	for _, id := range d.OutDegreeChanged {
-		if id >= oldN {
-			return fmt.Errorf("%w: out-degree change on new node %d", ErrDelta, id)
-		}
-	}
-	return nil
-}
-
 // NumChanges returns the total number of recorded edge changes.
 func (d *Delta) NumChanges() int { return len(d.Added) + len(d.Removed) }
-
-// DirtyNodes returns, in ascending order, every node of c whose PageRank
-// update rule or inputs changed under the delta:
-//
-//   - targets of added and removed edges (their in-list changed),
-//   - current out-neighbours of nodes whose out-degree changed (the
-//     1/outdeg contribution they receive changed),
-//   - the out-degree-changed nodes themselves (their danglingness may
-//     have flipped, which changes their own update under DanglingSelf),
-//   - every new node.
-//
-// Everything outside this set holds its previous fixed-point value up to
-// the global dangling-mass and normalisation coupling, which the caller
-// settles with full polish sweeps.
-func (d *Delta) DirtyNodes(c *CSR) []NodeID {
-	dirty := bitset.New(d.NewNodes)
-	for _, e := range d.Added {
-		dirty.Set(int(e.To))
-	}
-	for _, e := range d.Removed {
-		dirty.Set(int(e.To))
-	}
-	for _, id := range d.OutDegreeChanged {
-		dirty.Set(int(id))
-		for _, t := range c.Out(id) {
-			dirty.Set(int(t))
-		}
-	}
-	for i := d.OldNodes; i < d.NewNodes; i++ {
-		dirty.Set(i)
-	}
-	out := make([]NodeID, 0, dirty.Count())
-	dirty.ForEach(func(i int) bool {
-		out = append(out, NodeID(i))
-		return true
-	})
-	return out
-}

@@ -17,8 +17,8 @@ func deltaFixture(t *testing.T) (old, cur *CSR) {
 	g.AddLink(2, 3)
 	old = Freeze(g)
 
-	g.RemoveLink(2, 3) // 2's out-degree changes
-	g.AddLink(0, 3)    // 0's out-degree changes
+	g.RemoveLink(2, 3)
+	g.AddLink(0, 3)
 	first := g.AddNodes(2)
 	g.AddLink(first, 0)
 	g.AddLink(3, first+1)
@@ -47,35 +47,8 @@ func TestDiff(t *testing.T) {
 	if len(d.Removed) != 1 || d.Removed[0] != (Edge{2, 3}) {
 		t.Fatalf("Removed = %v, want [{2 3}]", d.Removed)
 	}
-	// 0 gained an out-link, 2 lost one, 3 gained one.
-	wantDeg := []NodeID{0, 2, 3}
-	if len(d.OutDegreeChanged) != len(wantDeg) {
-		t.Fatalf("OutDegreeChanged = %v, want %v", d.OutDegreeChanged, wantDeg)
-	}
-	for i, id := range wantDeg {
-		if d.OutDegreeChanged[i] != id {
-			t.Fatalf("OutDegreeChanged = %v, want %v", d.OutDegreeChanged, wantDeg)
-		}
-	}
 	if d.NumChanges() != 4 {
 		t.Fatalf("NumChanges = %d, want 4", d.NumChanges())
-	}
-	if err := d.Validate(cur); err != nil {
-		t.Fatalf("Validate: %v", err)
-	}
-
-	// Dirty: edge targets {3, 5, 0}, out-neighbours of out-degree-changed
-	// nodes 0 (-> 1, 3), 2 (-> 0), 3 (-> 5) plus themselves, new nodes
-	// {4, 5}.
-	want := []NodeID{0, 1, 2, 3, 4, 5}
-	got := d.DirtyNodes(cur)
-	if len(got) != len(want) {
-		t.Fatalf("DirtyNodes = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("DirtyNodes = %v, want %v", got, want)
-		}
 	}
 }
 
@@ -85,11 +58,8 @@ func TestDiffIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.NumChanges() != 0 || len(d.OutDegreeChanged) != 0 {
+	if d.NumChanges() != 0 {
 		t.Fatalf("identical freezes produced changes: %+v", d)
-	}
-	if dirty := d.DirtyNodes(old); len(dirty) != 0 {
-		t.Fatalf("identical freezes produced dirty nodes %v", dirty)
 	}
 }
 
@@ -97,36 +67,5 @@ func TestDiffRejectsShrinking(t *testing.T) {
 	old, cur := deltaFixture(t)
 	if _, err := Diff(cur, old); !errors.Is(err, ErrDelta) {
 		t.Fatalf("shrinking diff accepted: %v", err)
-	}
-}
-
-func TestDeltaValidate(t *testing.T) {
-	old, cur := deltaFixture(t)
-	d, err := Diff(old, cur)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Validate(old); !errors.Is(err, ErrDelta) {
-		t.Fatalf("wrong-CSR Validate accepted: %v", err)
-	}
-	bad := *d
-	bad.Added = append([]Edge{{From: 99, To: 0}}, d.Added...)
-	if err := bad.Validate(cur); !errors.Is(err, ErrDelta) {
-		t.Fatalf("out-of-range added edge accepted: %v", err)
-	}
-	bad = *d
-	bad.Removed = []Edge{{From: 5, To: 0}} // new node cannot have removed edges
-	if err := bad.Validate(cur); !errors.Is(err, ErrDelta) {
-		t.Fatalf("removed edge outside old range accepted: %v", err)
-	}
-	bad = *d
-	bad.OutDegreeChanged = []NodeID{5}
-	if err := bad.Validate(cur); !errors.Is(err, ErrDelta) {
-		t.Fatalf("out-degree change on new node accepted: %v", err)
-	}
-	bad = *d
-	bad.OldNodes = 7
-	if err := bad.Validate(cur); !errors.Is(err, ErrDelta) {
-		t.Fatalf("OldNodes > NewNodes accepted: %v", err)
 	}
 }

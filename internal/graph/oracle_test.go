@@ -147,9 +147,6 @@ func diffOracle(old, cur *CSR) *Delta {
 				d.Removed = append(d.Removed, Edge{From: id, To: t})
 			}
 		}
-		if len(or) != len(nr) {
-			d.OutDegreeChanged = append(d.OutDegreeChanged, id)
-		}
 	}
 	for i := d.OldNodes; i < d.NewNodes; i++ {
 		for _, t := range cur.Out(NodeID(i)) {
@@ -292,8 +289,7 @@ func TestSubgraphMatchesOracle(t *testing.T) {
 }
 
 // TestDiffMatchesMapOracle holds Diff to the map-based one: the same
-// Added, Removed and OutDegreeChanged slices, in the same order, across
-// churn and growth.
+// Added and Removed slices, in the same order, across churn and growth.
 func TestDiffMatchesMapOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
 	for trial := 0; trial < 60; trial++ {

@@ -214,27 +214,15 @@ func sumChunks(parts []float64) float64 {
 	return s
 }
 
-// Compute runs the PageRank power iteration over c.
+// Compute runs the PageRank power iteration over c, starting from the
+// variant's uniform vector.
 func Compute(c *graph.CSR, opts Options) (*Result, error) {
 	if err := opts.fill(); err != nil {
 		return nil, err
 	}
-	return computeFrom(c, opts, nil)
-}
-
-// computeFrom runs the power iteration with an optional warm-start
-// vector. opts must already be filled. When warm is nil the iteration
-// starts from the variant's uniform vector with closed-form initial sums
-// (the historical Compute path, bitwise unchanged); otherwise it starts
-// from warm — whose ownership passes to computeFrom — which is how
-// ComputeIncremental re-seeds the iteration from a previous fixed point.
-func computeFrom(c *graph.CSR, opts Options, warm []float64) (*Result, error) {
 	n := c.NumNodes()
 	if n == 0 {
 		return &Result{Rank: nil, Converged: true}, nil
-	}
-	if warm != nil && len(warm) != n {
-		return nil, fmt.Errorf("%w: warm-start vector has %d entries for %d nodes", ErrBadOptions, len(warm), n)
 	}
 
 	inOff, inFrom := c.InLists()
@@ -255,10 +243,7 @@ func computeFrom(c *graph.CSR, opts Options, warm []float64) (*Result, error) {
 		follow: 1 - opts.Jump,
 	}
 
-	cur := warm
-	if cur == nil {
-		cur = make([]float64, n)
-	}
+	cur := make([]float64, n)
 	next := make([]float64, n)
 	curS := make([]float64, n)
 	nextS := make([]float64, n)
@@ -268,8 +253,7 @@ func computeFrom(c *graph.CSR, opts Options, warm []float64) (*Result, error) {
 	// sumCur, the dangling mass and the scaled vector curS are carried
 	// across iterations (each sweep produces the next iteration's values as
 	// fused reductions). The uniform start vector has closed-form sums;
-	// recompute is needed for a warm start and after an extrapolation step
-	// mutates cur.
+	// recompute is needed only after an extrapolation step mutates cur.
 	recompute := func() (sum, dmass float64) {
 		for i, v := range cur {
 			sum += v
@@ -280,39 +264,16 @@ func computeFrom(c *graph.CSR, opts Options, warm []float64) (*Result, error) {
 		}
 		return sum, dmass
 	}
-	var sumCur, dmass float64
-	if warm == nil {
-		init := total / float64(n)
-		ndang := 0
-		for i := range cur {
-			cur[i] = init
-			curS[i] = init * invOut[i]
-			if outDegs[i] == 0 {
-				ndang++
-			}
-		}
-		sumCur, dmass = init*float64(n), init*float64(ndang)
-	} else {
-		sumCur, dmass = recompute()
-		// Rescale the warm start to the variant's total mass. The sum of
-		// the iterates evolves autonomously (s' = Jump·total + (1-Jump)·s:
-		// all mass is either passed along edges or redistributed) with
-		// fixed point `total`, converging at the
-		// damping factor — the slowest mode of the whole iteration. A warm
-		// start with the wrong total would spend ~log(Tol)/log(1-Jump)
-		// iterations just draining the excess mass; rescaling removes that
-		// mode in one step and costs nothing (the final vector is rescaled
-		// to `total` anyway).
-		if sumCur > 0 {
-			scale := total / sumCur
-			for i := range cur {
-				cur[i] *= scale
-				curS[i] *= scale
-			}
-			dmass *= scale
-			sumCur = total
+	init := total / float64(n)
+	ndang := 0
+	for i := range cur {
+		cur[i] = init
+		curS[i] = init * invOut[i]
+		if outDegs[i] == 0 {
+			ndang++
 		}
 	}
+	sumCur, dmass := init*float64(n), init*float64(ndang)
 
 	var prev1, prev2 []float64
 	if opts.Extrapolate {

@@ -117,38 +117,21 @@ func (a *Aligned) CSRs() []*graph.CSR { return a.csrs }
 
 // PageRankSeries computes the paper-variant PageRank of every common page
 // in every snapshot, returning ranks[k][i] = PR of page i at snapshot k.
-// Snapshot 0 is solved from a cold start; every later snapshot re-seeds
-// from the previous one's converged vector via pagerank.ComputeIncremental
-// over the graph.Diff between the two. Aligned snapshots share one node
-// space, so each diff is pure edge churn. Each solve converges to the
-// same fixed point a cold start reaches, to within the convergence
-// tolerance, and the result is bitwise identical for every GOMAXPROCS:
-// the sweeps inside each solve are parallel, the snapshots sequential.
+// Each snapshot is solved cold with pagerank.Compute, so ranks[k] is
+// Compute(CSRs()[k]) bit for bit, for every GOMAXPROCS: the sweeps inside
+// each solve are parallel, the snapshots sequential.
 func (a *Aligned) PageRankSeries() ([][]float64, error) {
 	ranks := make([][]float64, len(a.csrs))
-	res, err := pagerank.Compute(a.csrs[0], pagerank.Options{})
-	if err != nil {
-		return nil, fmt.Errorf("snapshot %s: %w", a.Labels[0], err)
-	}
-	if !res.Converged {
-		return nil, fmt.Errorf("snapshot %s: PageRank did not converge (delta %g after %d iters)",
-			a.Labels[0], res.Delta, res.Iterations)
-	}
-	ranks[0] = res.Rank
-	for k := 1; k < len(a.csrs); k++ {
-		d, err := graph.Diff(a.csrs[k-1], a.csrs[k])
+	for k, c := range a.csrs {
+		res, err := pagerank.Compute(c, pagerank.Options{})
 		if err != nil {
 			return nil, fmt.Errorf("snapshot %s: %w", a.Labels[k], err)
 		}
-		inc, err := pagerank.ComputeIncremental(a.csrs[k], ranks[k-1], d, pagerank.IncrementalOptions{})
-		if err != nil {
-			return nil, fmt.Errorf("snapshot %s: %w", a.Labels[k], err)
+		if !res.Converged {
+			return nil, fmt.Errorf("snapshot %s: PageRank did not converge (delta %g after %d iters)",
+				a.Labels[k], res.Delta, res.Iterations)
 		}
-		if !inc.Converged {
-			return nil, fmt.Errorf("snapshot %s: incremental PageRank did not converge (delta %g after %d iters)",
-				a.Labels[k], inc.Delta, inc.Iterations)
-		}
-		ranks[k] = inc.Rank
+		ranks[k] = res.Rank
 	}
 	return ranks, nil
 }
