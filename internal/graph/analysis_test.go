@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"hash/crc32"
 	"math"
 	"math/rand"
 	"testing"
@@ -195,5 +196,35 @@ func TestPowerLawAlphaDegenerate(t *testing.T) {
 	// kmin < 1 is clamped to 1.
 	if _, n := PowerLawAlpha([]int{2, 3}, 0); n != 2 {
 		t.Fatal("kmin clamp failed")
+	}
+}
+
+// TestBowTieBitsPinned pins BowTie's region vector (CRC32 over one byte
+// per node) and Reciprocity's bits on a generated bow tie with three
+// extra disconnected nodes, so every region and both BFS directions are
+// covered.
+func TestBowTieBitsPinned(t *testing.T) {
+	g, err := GenerateBowTie(BowTieConfig{Core: 60, In: 25, Out: 35, Tendrils: 14, AvgDegree: 4}, rand.New(rand.NewSource(17)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := NodeID(g.NumNodes())
+	g.AddNodes(3)
+	g.AddLink(first, first+1)
+	c := Freeze(g)
+	res := BowTie(c)
+	region := make([]byte, len(res.Region))
+	for v, r := range res.Region {
+		region[v] = byte(r)
+	}
+	const (
+		wantRegionCRC   = uint32(0xc4bfe305)
+		wantReciprocity = uint64(0x3f94cab88725af6e)
+	)
+	if got := crc32.ChecksumIEEE(region); got != wantRegionCRC {
+		t.Errorf("region crc %#08x, want %#08x (counts %v)", got, wantRegionCRC, res.Counts)
+	}
+	if got := math.Float64bits(Reciprocity(c)); got != wantReciprocity {
+		t.Errorf("reciprocity bits %#016x (%g), want %#016x", got, Reciprocity(c), wantReciprocity)
 	}
 }

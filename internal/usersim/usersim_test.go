@@ -1,7 +1,9 @@
 package usersim
 
 import (
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"math"
 	"testing"
 
@@ -326,5 +328,39 @@ func TestTickCountDriftFree10k(t *testing.T) {
 	}
 	if math.Abs(tr.T[len(tr.T)-1]-tMax) > 1e-9 {
 		t.Fatalf("trajectory ends at %v, want %v", tr.T[len(tr.T)-1], tMax)
+	}
+}
+
+// TestForgettingBitsPinned pins a run with forgetting on, so removeAware
+// and the like-clearing path are exercised: the CRC32 of every sample's
+// time and popularity bits, the sample count and the final awareness
+// bits. Any change to the draw order or to the awareness bookkeeping
+// moves them.
+func TestForgettingBitsPinned(t *testing.T) {
+	s, err := New(Config{Users: 3000, VisitRate: 3000, Quality: 0.6, InitialLikes: 30, ForgetRate: 0.4, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := s.Run(20, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := crc32.NewIEEE()
+	var buf []byte
+	for i := range tr.P {
+		buf = binary.LittleEndian.AppendUint64(buf[:0], math.Float64bits(tr.T[i]))
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(tr.P[i]))
+		h.Write(buf)
+	}
+	const (
+		wantSamples   = 59
+		wantCRC       = uint32(0x110c24ce)
+		wantAwareness = uint64(0x3fd1c54a6921735f)
+	)
+	if len(tr.P) != wantSamples || h.Sum32() != wantCRC {
+		t.Errorf("trajectory: %d samples, crc %#08x; want %d, %#08x", len(tr.P), h.Sum32(), wantSamples, wantCRC)
+	}
+	if got := math.Float64bits(s.Awareness()); got != wantAwareness {
+		t.Errorf("awareness bits %#016x (%g), want %#016x", got, s.Awareness(), wantAwareness)
 	}
 }
