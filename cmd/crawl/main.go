@@ -208,9 +208,9 @@ func run(args []string, out io.Writer) (err error) {
 			return err
 		}
 	}
-	fmt.Fprintf(out, "fetched %d pages (%d errors, %d retries, %d timeouts, %d rate-limited, %d hosts degraded, %d skipped by caps): %d nodes, %d links\n",
+	fmt.Fprintf(out, "fetched %d pages (%d errors, %d retries, %d timeouts, %d rate-limited, %d hosts degraded, %d skipped by caps, %d skipped by robots.txt): %d nodes, %d links\n",
 		res.Stats.Fetched, res.Stats.Errors, res.Stats.Retries, res.Stats.Timeouts,
-		res.Stats.RateLimited, res.Stats.HostsDegraded, res.Stats.SkippedCaps,
+		res.Stats.RateLimited, res.Stats.HostsDegraded, res.Stats.SkippedCaps, res.Stats.SkippedRobots,
 		res.Graph.NumNodes(), res.Graph.NumEdges())
 
 	snaps = append(snaps, snapshot.Snapshot{Label: lbl, Time: wk, Graph: res.Graph})

@@ -545,3 +545,32 @@ func TestCrawlCLIArchivesLongestURL(t *testing.T) {
 		t.Fatalf("archived body %q, %v", body, err)
 	}
 }
+
+// TestCrawlCLIReportsRobotsSkips checks that the summary line counts the
+// links robots.txt disallowed: page 1 is linked from pages 0 and 2 and
+// disallowed, so it is skipped twice and never fetched.
+func TestCrawlCLIReportsRobotsSkips(t *testing.T) {
+	g := graph.New(3)
+	for i := 0; i < 3; i++ {
+		if _, err := g.AddPage(graph.Page{URL: fmt.Sprintf("http://s.example/p/%d.html", i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g.AddLink(0, 1)
+	g.AddLink(0, 2)
+	g.AddLink(2, 1)
+	srv, err := webserver.New(g, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.SetRobots([]string{"/p/1.html"})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	var buf bytes.Buffer
+	if err := run([]string{"-seed", ts.URL + "/p/0.html", "-store", filepath.Join(t.TempDir(), "s.pqs")}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), "0 skipped by caps, 2 skipped by robots.txt): 2 nodes, 1 links") {
+		t.Fatalf("robots skips not reported:\n%s", buf.String())
+	}
+}

@@ -183,9 +183,9 @@ func BowTie(c *CSR) BowTieResult {
 			seeds = append(seeds, NodeID(v))
 		}
 	}
-	reachFwd := bfs(c, seeds, false)  // reachable FROM core
-	reachBwd := bfs(c, seeds, true)   // can REACH core
-	weak := weaklyReachable(c, seeds) // in the core's weak component
+	reachFwd := bfs(c, seeds, true, false) // reachable FROM core
+	reachBwd := bfs(c, seeds, false, true) // can REACH core
+	weak := bfs(c, seeds, true, true)      // in the core's weak component
 
 	res := BowTieResult{
 		Region: make([]Region, n),
@@ -212,60 +212,28 @@ func BowTie(c *CSR) BowTieResult {
 }
 
 // bfs returns the set of nodes reachable from seeds following out-links
-// (reverse=false) or in-links (reverse=true). Seeds themselves are marked.
-func bfs(c *CSR, seeds []NodeID, reverse bool) []bool {
+// (out), in-links (in) or both (ignoring direction). Seeds themselves are
+// marked.
+func bfs(c *CSR, seeds []NodeID, out, in bool) []bool {
 	seen := make([]bool, c.NumNodes())
 	queue := make([]NodeID, 0, len(seeds))
-	for _, s := range seeds {
-		if !seen[s] {
-			seen[s] = true
-			queue = append(queue, s)
+	visit := func(ws []NodeID) {
+		for _, w := range ws {
+			if !seen[w] {
+				seen[w] = true
+				queue = append(queue, w)
+			}
 		}
 	}
+	visit(seeds)
 	for len(queue) > 0 {
 		v := queue[0]
 		queue = queue[1:]
-		var next []NodeID
-		if reverse {
-			next = c.In(v)
-		} else {
-			next = c.Out(v)
+		if out {
+			visit(c.Out(v))
 		}
-		for _, w := range next {
-			if !seen[w] {
-				seen[w] = true
-				queue = append(queue, w)
-			}
-		}
-	}
-	return seen
-}
-
-// weaklyReachable returns the set of nodes connected to seeds ignoring
-// edge direction.
-func weaklyReachable(c *CSR, seeds []NodeID) []bool {
-	seen := make([]bool, c.NumNodes())
-	queue := make([]NodeID, 0, len(seeds))
-	for _, s := range seeds {
-		if !seen[s] {
-			seen[s] = true
-			queue = append(queue, s)
-		}
-	}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		for _, w := range c.Out(v) {
-			if !seen[w] {
-				seen[w] = true
-				queue = append(queue, w)
-			}
-		}
-		for _, w := range c.In(v) {
-			if !seen[w] {
-				seen[w] = true
-				queue = append(queue, w)
-			}
+		if in {
+			visit(c.In(v))
 		}
 	}
 	return seen

@@ -1,6 +1,9 @@
 package graph
 
-import "math/rand"
+import (
+	"math/rand"
+	"slices"
+)
 
 // Reciprocity returns the fraction of directed edges whose reverse edge
 // also exists — a standard Web-graph statistic (the real Web is weakly
@@ -12,21 +15,12 @@ func Reciprocity(c *CSR) float64 {
 	recip := 0
 	for v := 0; v < c.NumNodes(); v++ {
 		for _, w := range c.Out(NodeID(v)) {
-			if containsLinear(c.Out(w), NodeID(v)) {
+			if slices.Contains(c.Out(w), NodeID(v)) {
 				recip++
 			}
 		}
 	}
 	return float64(recip) / float64(c.NumEdges())
-}
-
-func containsLinear(s []NodeID, v NodeID) bool {
-	for _, x := range s {
-		if x == v {
-			return true
-		}
-	}
-	return false
 }
 
 // ClusteringCoefficient estimates the average local clustering coefficient

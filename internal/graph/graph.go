@@ -12,6 +12,7 @@ package graph
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -337,8 +338,8 @@ func sortNodeIDs(s []NodeID) {
 }
 
 // Validate checks internal consistency: in/out adjacency mirror each other,
-// no self-links, no duplicates, edge count matches. It is used by tests and
-// by the snapshot reader to reject corrupt files.
+// no self-links, no duplicates, edge count matches. Only tests call it;
+// DecodeBinary rejects a corrupt file while it parses.
 func (g *Graph) Validate() error {
 	n := NodeID(len(g.pages))
 	count := 0
@@ -355,7 +356,7 @@ func (g *Graph) Validate() error {
 				return fmt.Errorf("graph: duplicate edge %d->%d", from, to)
 			}
 			seen[to] = true
-			if !contains(g.in[to], from) {
+			if !slices.Contains(g.in[to], from) {
 				return fmt.Errorf("graph: edge %d->%d missing from in-list", from, to)
 			}
 			count++
@@ -367,7 +368,7 @@ func (g *Graph) Validate() error {
 			if from >= n {
 				return fmt.Errorf("graph: in-edge %d<-%d source out of range", to, from)
 			}
-			if !contains(g.out[from], to) {
+			if !slices.Contains(g.out[from], to) {
 				return fmt.Errorf("graph: in-edge %d<-%d missing from out-list", to, from)
 			}
 			inCount++
@@ -377,13 +378,4 @@ func (g *Graph) Validate() error {
 		return fmt.Errorf("graph: edge count mismatch: out=%d in=%d cached=%d", count, inCount, g.edges)
 	}
 	return nil
-}
-
-func contains(s []NodeID, v NodeID) bool {
-	for _, x := range s {
-		if x == v {
-			return true
-		}
-	}
-	return false
 }

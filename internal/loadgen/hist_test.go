@@ -78,7 +78,7 @@ func TestHistQuantile(t *testing.T) {
 func TestHistMergeDeterministic(t *testing.T) {
 	samples := make([]time.Duration, 0, 3000)
 	for i := 0; i < 3000; i++ {
-		samples = append(samples, time.Duration((i*2654435761)%50_000_000))
+		samples = append(samples, time.Duration((int64(i)*2654435761)%50_000_000))
 	}
 	var whole Hist
 	for _, s := range samples {

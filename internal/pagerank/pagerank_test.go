@@ -561,7 +561,7 @@ func TestComputeBitsPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const wantCRC, wantIters = 0xed03bb6c, 18
+	const wantCRC, wantIters = uint32(0xed03bb6c), 18
 	if got := rankCRC(inc.Rank); got != wantCRC || inc.Iterations != wantIters {
 		t.Errorf("incremental: crc %#08x after %d iterations, want %#08x after %d",
 			got, inc.Iterations, wantCRC, wantIters)

@@ -183,7 +183,8 @@ func TestLoadGenerationBitsPinned(t *testing.T) {
 		}
 		return h.Sum32()
 	}
-	const wantDocs, wantURLs, wantQual, wantPR = 101, 0x2731c211, 0xd8616bf9, 0xf8d6d55d
+	const wantDocs = 101
+	const wantURLs, wantQual, wantPR uint32 = 0x2731c211, 0xd8616bf9, 0xf8d6d55d
 	if len(g.urls) != wantDocs || urls.Sum32() != wantURLs || bits(g.qual) != wantQual || bits(g.pr) != wantPR {
 		t.Errorf("%d docs, crc urls %#08x qual %#08x pr %#08x; want %d, %#08x, %#08x, %#08x",
 			len(g.urls), urls.Sum32(), bits(g.qual), bits(g.pr), wantDocs, wantURLs, wantQual, wantPR)

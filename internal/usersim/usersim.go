@@ -14,7 +14,6 @@ import (
 	"math"
 	"math/rand"
 
-	"pagequality/internal/bitset"
 	"pagequality/internal/model"
 	"pagequality/internal/randx"
 )
@@ -79,12 +78,11 @@ func (c Config) ModelParams() model.Params {
 type Sim struct {
 	cfg   Config
 	rng   *rand.Rand
-	aware *bitset.Set
-	likes *bitset.Set
-	// awareList mirrors the aware bitset for O(1) random removal when
+	likes []bool // likes[u]: user u likes the page (only aware users do)
+	// awareList holds the aware users, for O(1) random removal when
 	// forgetting is enabled.
 	awareList []int32
-	// pos[u] is the index of user u in awareList, or -1.
+	// pos[u] is u's index in awareList, or -1: the one record of awareness.
 	pos       []int32
 	nLikes    int
 	tick      uint64 // completed steps; the clock is derived as tick*DT
@@ -101,8 +99,7 @@ func New(cfg Config) (*Sim, error) {
 	s := &Sim{
 		cfg:   cfg,
 		rng:   rand.New(rand.NewSource(cfg.Seed)),
-		aware: bitset.New(cfg.Users),
-		likes: bitset.New(cfg.Users),
+		likes: make([]bool, cfg.Users),
 		pos:   make([]int32, cfg.Users),
 	}
 	for i := range s.pos {
@@ -112,7 +109,7 @@ func New(cfg Config) (*Sim, error) {
 	// they are is irrelevant under the random-visit hypothesis.
 	for u := 0; u < cfg.InitialLikes; u++ {
 		s.addAware(int32(u))
-		s.likes.Set(u)
+		s.likes[u] = true
 		s.nLikes++
 	}
 	return s, nil
@@ -122,7 +119,6 @@ func (s *Sim) addAware(u int32) {
 	if s.pos[u] >= 0 {
 		return
 	}
-	s.aware.Set(int(u))
 	s.pos[u] = int32(len(s.awareList))
 	s.awareList = append(s.awareList, u)
 }
@@ -137,9 +133,8 @@ func (s *Sim) removeAware(u int32) {
 	s.pos[last] = p
 	s.awareList = s.awareList[:len(s.awareList)-1]
 	s.pos[u] = -1
-	s.aware.Clear(int(u))
-	if s.likes.Test(int(u)) {
-		s.likes.Clear(int(u))
+	if s.likes[u] {
+		s.likes[u] = false
 		s.nLikes--
 	}
 }
@@ -171,7 +166,7 @@ func (s *Sim) Step() {
 		s.discovers++
 		s.addAware(u)
 		if s.rng.Float64() < s.cfg.Quality {
-			s.likes.Set(int(u))
+			s.likes[u] = true
 			s.nLikes++
 		}
 	}
