@@ -225,6 +225,53 @@ func TestSearchedCorpusBitsPinned(t *testing.T) {
 	}
 }
 
+// TestQualityRankedCorpusBitsPinned pins the searched corpus under
+// ByQuality, the policy that reads the live quality estimate (the
+// Randomized pins above never do): the same six weeks as
+// TestSearchedCorpusBitsPinned, with the counts, the graph and user-state
+// CRC32s, the search counters, and a CRC32 over the Float64bits of the
+// last refresh's Q vector. A change to how a refresh estimates Q that
+// keeps its bits must keep every one of these numbers.
+func TestQualityRankedCorpusBitsPinned(t *testing.T) {
+	type outcome struct {
+		pages, links                  int
+		graphCRC, userCRC, qCRC       uint32
+		sessions, visits, discoveries int64
+	}
+	pins := map[int64]outcome{
+		1: {1909, 238463, 0x333d8887, 0x22654155, 0x46b8c51d, 8836, 88360, 1302},
+		7: {1911, 227636, 0x08841f42, 0x28bba78c, 0xea2ab7d6, 8947, 89470, 1343},
+	}
+	for _, seed := range []int64{1, 7} {
+		for _, workers := range []int{1, 0} { // 0 = GOMAXPROCS
+			cfg := DefaultConfig()
+			cfg.Seed = seed
+			cfg.Workers = workers
+			cfg.Search = SearchConfig{SessionsPerWeek: 1500, TopK: 10, Policy: ranking.ByQuality{}}
+			s, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.AdvanceTo(6)
+			var user, q []byte
+			for p := range s.aware {
+				user = binary.LittleEndian.AppendUint64(user, math.Float64bits(s.aware[p]))
+				user = binary.LittleEndian.AppendUint64(user, math.Float64bits(s.likes[p]))
+			}
+			for _, x := range s.rank.Quality {
+				q = binary.LittleEndian.AppendUint64(q, math.Float64bits(x))
+			}
+			got := outcome{pages: s.NumPages(), links: s.NumLinks(),
+				graphCRC: crc32.ChecksumIEEE(s.Graph().AppendBinary(nil)),
+				userCRC:  crc32.ChecksumIEEE(user), qCRC: crc32.ChecksumIEEE(q)}
+			got.sessions, got.visits, got.discoveries = s.SearchStats()
+			if got != pins[seed] {
+				t.Errorf("seed %d Workers=%d: %+v, want %+v", seed, workers, got, pins[seed])
+			}
+		}
+	}
+}
+
 // TestSearchedCorpusListOrderPinned pins what AppendBinary cannot see:
 // the order of every out-list and in-list of the simulate corpus, as
 // CRC32s over the lists in page order. AppendBinary sorts out-lists, but
