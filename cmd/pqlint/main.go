@@ -18,8 +18,8 @@
 //
 //	0  no un-suppressed diagnostics
 //	1  at least one un-suppressed diagnostic (printed to stdout)
-//	2  usage or load error, a package that does not type-check
-//	   included (printed to stderr)
+//	2  usage or load error (printed to stderr); a package that does not
+//	   type-check is a load error, and the message names the first one
 //
 // With -json, stdout is a JSON array of diagnostic objects — empty for a
 // clean tree — so CI can parse findings without scraping text.
@@ -77,18 +77,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	pkgs, err := analysis.LoadModule(root, *tests)
 	if err != nil {
 		fmt.Fprintf(stderr, "pqlint: %v\n", err)
-		return 2
-	}
-	// The rules degrade silently on partial type information, so a tree
-	// that does not type-check must not lint clean.
-	broken := false
-	for _, p := range pkgs {
-		if len(p.TypeErrors) > 0 {
-			fmt.Fprintf(stderr, "pqlint: %s: %v\n", p.Path, p.TypeErrors[0])
-			broken = true
-		}
-	}
-	if broken {
 		return 2
 	}
 	pkgs, err = filterPackages(pkgs, fs.Args(), root)

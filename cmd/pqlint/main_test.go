@@ -144,9 +144,9 @@ func TestRunUsageErrors(t *testing.T) {
 	}
 }
 
-// TestRunTypeErrorExitsTwo: the rules degrade silently on partial type
-// information, so a module that does not type-check is a load error (exit
-// 2, first error of each broken package on stderr), never a clean pass.
+// TestRunTypeErrorExitsTwo: the rules need full type information, so a
+// module that does not type-check is a load error (exit 2, the first
+// broken package and its first error on stderr), never a clean pass.
 func TestRunTypeErrorExitsTwo(t *testing.T) {
 	root := writeModule(t)
 	broken := `package broken

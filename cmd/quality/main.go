@@ -40,14 +40,15 @@ func main() {
 
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("quality", flag.ContinueOnError)
+	def := quality.CorpusConfig()
 	var (
 		in       = fs.String("in", "web.pqs", "snapshot store path")
 		archive  = fs.String("archive", "", "crawl archive directory (replaces -in: snapshots re-extracted per label)")
 		labels   = fs.String("labels", "", "comma-separated archive labels, in time order (default: all, time-sorted)")
 		snapsN   = fs.Int("snaps", 3, "number of leading snapshots used for estimation")
-		c        = fs.Float64("c", 1.0, "estimator constant C")
-		maxTrend = fs.Float64("maxtrend", 0.3, "trend cap (0 disables)")
-		minCh    = fs.Float64("minchange", 0.05, "stable-page threshold")
+		c        = fs.Float64("c", def.C, "estimator constant C")
+		maxTrend = fs.Float64("maxtrend", def.MaxTrend, "trend cap (0 disables)")
+		minCh    = fs.Float64("minchange", def.MinChangeFrac, "stable-page threshold")
 		top      = fs.Int("top", 20, "number of pages to print")
 	)
 	if err := fs.Parse(args); err != nil {

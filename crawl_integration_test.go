@@ -79,8 +79,7 @@ func TestCrawledPipeline(t *testing.T) {
 	if al.NumPages() < 50 {
 		t.Fatalf("only %d common pages across crawls", al.NumPages())
 	}
-	est, ranks, err := quality.FromAligned(al, 3,
-		quality.Config{C: 1.0, MinChangeFrac: 0.05, ApplyTrendToDecreasing: true, MaxTrend: 0.3})
+	est, ranks, err := quality.FromAligned(al, 3, quality.CorpusConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -83,7 +83,7 @@ func Example_risingStar() {
 	n := len(al.URLs)
 	fmt.Printf("star %s (quality %.2f): true-quality rank %d of %d\n", starURL, truth[star], rankOf(truth, star), n)
 	fmt.Printf("%-6s  %7s  %6s\n", "crawl", "PR rank", "Q rank")
-	est := quality.Config{C: 1.0, MinChangeFrac: 0.05, ApplyTrendToDecreasing: true, MaxTrend: 0.3}
+	est := quality.CorpusConfig()
 	for k := 2; k < len(ranks); k++ {
 		res, err := quality.EstimateFromSeries(ranks[k-2:k+1], est)
 		if err != nil {
@@ -133,8 +133,7 @@ func Example_searchEngine() {
 	if err != nil {
 		panic(err)
 	}
-	est, ranks, err := quality.FromAligned(al, 3,
-		quality.Config{C: 1.0, MinChangeFrac: 0.05, ApplyTrendToDecreasing: true, MaxTrend: 0.3})
+	est, ranks, err := quality.FromAligned(al, 3, quality.CorpusConfig())
 	if err != nil {
 		panic(err)
 	}

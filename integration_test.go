@@ -65,8 +65,7 @@ func TestPipelinePersistReloadEstimate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	est, ranks, err := quality.FromAligned(al, 3,
-		quality.Config{C: 1.0, MinChangeFrac: 0.05, ApplyTrendToDecreasing: true, MaxTrend: 0.3})
+	est, ranks, err := quality.FromAligned(al, 3, quality.CorpusConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,8 +231,7 @@ func TestInDegreeSeriesAsPopularity(t *testing.T) {
 		t.Fatal(err)
 	}
 	series := al.InDegreeSeries()
-	est, err := quality.EstimateFromSeries(series[:3],
-		quality.Config{C: 1.0, MinChangeFrac: 0.05, ApplyTrendToDecreasing: true, MaxTrend: 0.3})
+	est, err := quality.EstimateFromSeries(series[:3], quality.CorpusConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -80,6 +80,20 @@ func (p *Pass) Reportf(pos token.Pos, rule, format string, args ...any) {
 	p.report(pos, rule, fmt.Sprintf(format, args...))
 }
 
+// pkgOf returns the import path of the package that sel.X names ("time"
+// for time.Now), or "" when sel.X is not a package name.
+func (p *Pass) pkgOf(sel *ast.SelectorExpr) string {
+	id, ok := sel.X.(*ast.Ident)
+	if !ok {
+		return ""
+	}
+	pn, ok := p.TypesInfo.Uses[id].(*types.PkgName)
+	if !ok {
+		return ""
+	}
+	return pn.Imported().Path()
+}
+
 // Inspector returns the filtered traversal of the package's files.
 func (p *Pass) Inspector() *Inspector {
 	return &Inspector{files: p.Files}

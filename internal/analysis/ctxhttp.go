@@ -40,19 +40,14 @@ func runCtxHTTP(pass *Pass) {
 			if !ok {
 				return true
 			}
-			if id, ok := sel.X.(*ast.Ident); ok {
-				if pn, ok := pass.TypesInfo.Uses[id].(*types.PkgName); ok {
-					switch pn.Imported().Path() {
-					case "net/http":
-						reportHTTPPkgCall(pass, call, sel)
-						return true
-					case "context":
-						reportHandlerContext(pass, call, sel, stack)
-						return true
-					}
-				}
+			switch pass.pkgOf(sel) {
+			case "net/http":
+				reportHTTPPkgCall(pass, call, sel)
+			case "context":
+				reportHandlerContext(pass, call, sel, stack)
+			default:
+				reportClientCall(pass, call, sel)
 			}
-			reportClientCall(pass, call, sel)
 			return true
 		})
 }
@@ -82,7 +77,7 @@ func reportClientCall(pass *Pass, call *ast.CallExpr, sel *ast.SelectorExpr) {
 		return
 	}
 	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil || !isHTTPClient(sig.Recv().Type()) {
+	if !ok || sig.Recv() == nil || !isHTTPPointer(sig.Recv().Type(), "Client") {
 		return
 	}
 	pass.Reportf(call.Pos(), "ctxhttp",
@@ -125,27 +120,17 @@ func funcTakesRequest(pass *Pass, ft *ast.FuncType) bool {
 		return false
 	}
 	for _, field := range ft.Params.List {
-		tv, ok := pass.TypesInfo.Types[field.Type]
-		if !ok || tv.Type == nil {
-			continue
-		}
-		ptr, ok := tv.Type.(*types.Pointer)
-		if !ok {
-			continue
-		}
-		if named, ok := ptr.Elem().(*types.Named); ok {
-			obj := named.Obj()
-			if obj.Name() == "Request" && obj.Pkg() != nil && obj.Pkg().Path() == "net/http" {
-				return true
-			}
+		if isHTTPPointer(pass.TypesInfo.Types[field.Type].Type, "Request") {
+			return true
 		}
 	}
 	return false
 }
 
-// isHTTPClient reports whether t is *net/http.Client (the method
-// receiver type of the convenience calls).
-func isHTTPClient(t types.Type) bool {
+// isHTTPPointer reports whether t is a pointer to the net/http type name
+// (*http.Client, the convenience calls' receiver; *http.Request). A nil t,
+// from an expression with no recorded type, is not.
+func isHTTPPointer(t types.Type, name string) bool {
 	ptr, ok := t.(*types.Pointer)
 	if !ok {
 		return false
@@ -155,5 +140,5 @@ func isHTTPClient(t types.Type) bool {
 		return false
 	}
 	obj := named.Obj()
-	return obj.Name() == "Client" && obj.Pkg() != nil && obj.Pkg().Path() == "net/http"
+	return obj.Name() == name && obj.Pkg() != nil && obj.Pkg().Path() == "net/http"
 }

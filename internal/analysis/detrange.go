@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"strings"
 )
 
 // DetRangeAnalyzer flags map iterations that leak Go's randomized map
@@ -30,32 +31,10 @@ func runDetRange(pass *Pass) {
 			}
 			// The innermost enclosing function gives the post-loop sort
 			// check its scope to search.
-			var encl ast.Node
-			for i := len(stack) - 2; i >= 0; i-- {
-				switch stack[i].(type) {
-				case *ast.FuncDecl, *ast.FuncLit:
-					encl = stack[i]
-				}
-				if encl != nil {
-					break
-				}
-			}
-			checkMapRange(pass, rng, encl)
+			body, _ := enclosingFunc(stack)
+			checkMapRange(pass, rng, body)
 			return true
 		})
-}
-
-func childBody(n ast.Node) ast.Node {
-	switch n := n.(type) {
-	case *ast.FuncDecl:
-		if n.Body == nil {
-			return &ast.BlockStmt{}
-		}
-		return n.Body
-	case *ast.FuncLit:
-		return n.Body
-	}
-	return n
 }
 
 func isMapType(pass *Pass, e ast.Expr) bool {
@@ -71,7 +50,7 @@ func isMapType(pass *Pass, e ast.Expr) bool {
 // whose target is indexed by the range key itself (m2[k] = ..., or
 // lists[k] = append(lists[k], ...)) happen exactly once per key and are
 // therefore order-independent; those are skipped.
-func checkMapRange(pass *Pass, rng *ast.RangeStmt, enclosing ast.Node) {
+func checkMapRange(pass *Pass, rng *ast.RangeStmt, body *ast.BlockStmt) {
 	key := rangeKeyObject(pass, rng)
 	var appendPos []token.Pos
 	ast.Inspect(rng.Body, func(n ast.Node) bool {
@@ -86,10 +65,11 @@ func checkMapRange(pass *Pass, rng *ast.RangeStmt, enclosing ast.Node) {
 					if indexedByKey(pass, lhs, key) {
 						continue
 					}
-					if typeIsFloat(pass, lhs) {
+					info := basicInfo(pass.TypesInfo.Types[lhs])
+					if info&types.IsFloat != 0 {
 						pass.Reportf(n.Pos(), "detrange",
 							"float accumulation inside map iteration: result bits depend on map order; iterate sorted keys")
-					} else if n.Tok == token.ADD_ASSIGN && typeIsString(pass, lhs) {
+					} else if n.Tok == token.ADD_ASSIGN && info&types.IsString != 0 {
 						pass.Reportf(n.Pos(), "detrange",
 							"string concatenation inside map iteration: output order depends on map order; iterate sorted keys")
 					}
@@ -114,7 +94,7 @@ func checkMapRange(pass *Pass, rng *ast.RangeStmt, enclosing ast.Node) {
 	}
 	// An append is fine if the function sorts something afterwards — the
 	// canonical collect-keys-then-sort pattern.
-	if enclosing != nil && sortCallAfter(pass, enclosing, rng.End()) {
+	if sortCallAfter(pass, body, rng.End()) {
 		return
 	}
 	for _, pos := range appendPos {
@@ -153,34 +133,13 @@ func indexedByKey(pass *Pass, e ast.Expr, key types.Object) bool {
 	return pass.TypesInfo.Uses[id] == key
 }
 
-func typeIsFloat(pass *Pass, e ast.Expr) bool {
-	tv, ok := pass.TypesInfo.Types[e]
-	if !ok || tv.Type == nil {
-		return false
-	}
-	b, ok := tv.Type.Underlying().(*types.Basic)
-	return ok && b.Info()&types.IsFloat != 0
-}
-
-func typeIsString(pass *Pass, e ast.Expr) bool {
-	tv, ok := pass.TypesInfo.Types[e]
-	if !ok || tv.Type == nil {
-		return false
-	}
-	b, ok := tv.Type.Underlying().(*types.Basic)
-	return ok && b.Info()&types.IsString != 0
-}
-
 func isBuiltinAppend(pass *Pass, call *ast.CallExpr) bool {
 	id, ok := call.Fun.(*ast.Ident)
 	if !ok || id.Name != "append" {
 		return false
 	}
-	if obj, ok := pass.TypesInfo.Uses[id]; ok {
-		_, isBuiltin := obj.(*types.Builtin)
-		return isBuiltin
-	}
-	return true // partial type info: assume the predeclared append
+	_, isBuiltin := pass.TypesInfo.Uses[id].(*types.Builtin)
+	return isBuiltin
 }
 
 // orderedOutputWriters are method names that emit to an ordered sink.
@@ -199,40 +158,39 @@ func orderedOutputCall(pass *Pass, call *ast.CallExpr) (string, bool) {
 		return "", false
 	}
 	name := sel.Sel.Name
-	if id, ok := sel.X.(*ast.Ident); ok {
-		if obj, ok := pass.TypesInfo.Uses[id]; ok {
-			if pn, ok := obj.(*types.PkgName); ok {
-				if pn.Imported().Path() == "fmt" &&
-					(hasAnyPrefix(name, "Print", "Fprint") ||
-						name == "Println" || name == "Fprintln") {
-					return "fmt." + name, true
-				}
-				return "", false // other package function, not a write sink
-			}
+	switch pass.pkgOf(sel) {
+	case "":
+		// Method call on some value: Write*-style names are sinks.
+		if orderedOutputWriters[name] {
+			return "." + name, true
 		}
-	}
-	if orderedOutputWriters[name] {
-		// Method call on some value; only count receivers that are
-		// plausibly sinks (anything but a map/slice element write).
-		return "." + name, true
+	case "fmt":
+		if strings.HasPrefix(name, "Print") || strings.HasPrefix(name, "Fprint") {
+			return "fmt." + name, true
+		}
 	}
 	return "", false
 }
 
-func hasAnyPrefix(s string, prefixes ...string) bool {
-	for _, p := range prefixes {
-		if len(s) >= len(p) && s[:len(p)] == p {
-			return true
-		}
-	}
-	return false
+// sortFuncs are the package sort functions that sort their argument in
+// place; slices sorts with every function named Sort*.
+var sortFuncs = map[string]bool{
+	"Sort":        true,
+	"Stable":      true,
+	"Slice":       true,
+	"SliceStable": true,
+	"Strings":     true,
+	"Ints":        true,
+	"Float64s":    true,
 }
 
-// sortCallAfter reports whether any sort.*/slices.Sort* call or .Sort()
-// method call occurs after pos within the enclosing function node.
-func sortCallAfter(pass *Pass, enclosing ast.Node, pos token.Pos) bool {
+// sortCallAfter reports whether a sorting call — sort.Sort/Stable/Slice/
+// SliceStable/Strings/Ints/Float64s, slices.Sort*, or a .Sort() method —
+// occurs after pos within body. Other calls into sort and slices
+// (sort.SearchStrings, slices.Contains) order nothing.
+func sortCallAfter(pass *Pass, body *ast.BlockStmt, pos token.Pos) bool {
 	found := false
-	ast.Inspect(childBody(enclosing), func(n ast.Node) bool {
+	ast.Inspect(body, func(n ast.Node) bool {
 		if found {
 			return false
 		}
@@ -245,22 +203,13 @@ func sortCallAfter(pass *Pass, enclosing ast.Node, pos token.Pos) bool {
 			return true
 		}
 		name := sel.Sel.Name
-		if id, ok := sel.X.(*ast.Ident); ok {
-			if obj, ok := pass.TypesInfo.Uses[id]; ok {
-				if pn, ok := obj.(*types.PkgName); ok {
-					p := pn.Imported().Path()
-					if p == "sort" || p == "slices" {
-						found = true
-					}
-					return true
-				}
-			} else if id.Name == "sort" || id.Name == "slices" {
-				found = true // partial type info fallback
-				return true
-			}
-		}
-		if name == "Sort" {
-			found = true
+		switch pass.pkgOf(sel) {
+		case "":
+			found = name == "Sort"
+		case "sort":
+			found = sortFuncs[name]
+		case "slices":
+			found = strings.HasPrefix(name, "Sort")
 		}
 		return true
 	})

@@ -34,7 +34,7 @@ func runFloatEq(pass *Pass) {
 		if x.Value != nil || y.Value != nil {
 			return
 		}
-		if !isFloatTV(x) && !isFloatTV(y) {
+		if (basicInfo(x)|basicInfo(y))&types.IsFloat == 0 {
 			return
 		}
 		pass.Reportf(be.OpPos, "floateq",
@@ -43,10 +43,14 @@ func runFloatEq(pass *Pass) {
 	})
 }
 
-func isFloatTV(tv types.TypeAndValue) bool {
+// basicInfo returns the properties of tv's underlying basic type, and none
+// when the type is not basic or was not recorded (a nil Type).
+func basicInfo(tv types.TypeAndValue) types.BasicInfo {
 	if tv.Type == nil {
-		return false
+		return 0
 	}
-	b, ok := tv.Type.Underlying().(*types.Basic)
-	return ok && b.Info()&types.IsFloat != 0
+	if b, ok := tv.Type.Underlying().(*types.Basic); ok {
+		return b.Info()
+	}
+	return 0
 }

@@ -66,3 +66,20 @@ func (in *Inspector) WithStack(types []ast.Node, f func(n ast.Node, push bool, s
 		})
 	}
 }
+
+// enclosingFunc returns, for a WithStack stack, the body of the innermost
+// function declaration or literal around the matched node, and whether a
+// for or range statement lies between the two.
+func enclosingFunc(stack []ast.Node) (body *ast.BlockStmt, inLoop bool) {
+	for i := len(stack) - 2; i >= 0; i-- {
+		switch n := stack[i].(type) {
+		case *ast.ForStmt, *ast.RangeStmt:
+			inLoop = true
+		case *ast.FuncDecl:
+			return n.Body, inLoop
+		case *ast.FuncLit:
+			return n.Body, inLoop
+		}
+	}
+	return nil, inLoop
+}

@@ -17,11 +17,9 @@ import (
 	"strings"
 )
 
-// A Package is one parsed and type-checked module package ready for
-// analysis. Type checking is best-effort: TypeErrors collects anything
-// the checker complained about (e.g. an import that could not be
-// resolved) without aborting the load, because the analyzers degrade
-// gracefully on partial type information.
+// A Package is one parsed and fully type-checked module package ready
+// for analysis: a package that does not type-check fails the load, so the
+// analyzers always see complete type information.
 type Package struct {
 	Path string // import path ("path_test" for external test packages)
 	Dir  string
@@ -36,12 +34,11 @@ type Package struct {
 	// _test.go files.
 	TestGoFiles map[string]bool
 	// IsCommand is true for package main and its test variants.
-	IsCommand  bool
-	Fset       *token.FileSet
-	Files      []*ast.File
-	Types      *types.Package
-	Info       *types.Info
-	TypeErrors []error
+	IsCommand bool
+	Fset      *token.FileSet
+	Files     []*ast.File
+	Types     *types.Package
+	Info      *types.Info
 }
 
 // ModulePath reads the module path from the go.mod at root.
@@ -146,17 +143,18 @@ func (im unitImporter) Import(path string) (*types.Package, error) {
 	if dep.checking {
 		return nil, fmt.Errorf("import cycle through %s", path)
 	}
-	im.ld.check(dep)
+	if err := im.ld.check(dep); err != nil {
+		return nil, err
+	}
 	return dep.pkg.Types, nil
 }
 
-// check type-checks u once, collecting what the checker complains about
-// in TypeErrors: a partially checked package is still analyzable, and the
-// caller decides whether it is acceptable.
-func (ld *loader) check(u *unit) {
+// check type-checks u once. The error names u's import path and the first
+// type error; a dependency's failure surfaces as the failure to import it.
+func (ld *loader) check(u *unit) error {
 	p := u.pkg
 	if p.Types != nil {
-		return
+		return nil
 	}
 	u.checking = true
 	p.Info = &types.Info{
@@ -165,13 +163,14 @@ func (ld *loader) check(u *unit) {
 		Uses:       make(map[*ast.Ident]types.Object),
 		Selections: make(map[*ast.SelectorExpr]*types.Selection),
 	}
-	conf := types.Config{
-		Importer:    unitImporter{ld: ld, u: u},
-		FakeImportC: true,
-		Error:       func(err error) { p.TypeErrors = append(p.TypeErrors, err) },
-	}
-	p.Types, _ = conf.Check(p.Path, p.Fset, p.Files, p.Info) //pqlint:allow droppederr the same error is collected via conf.Error into TypeErrors
+	conf := types.Config{Importer: unitImporter{ld: ld, u: u}, FakeImportC: true}
+	var err error
+	p.Types, err = conf.Check(p.Path, p.Fset, p.Files, p.Info)
 	u.checking = false
+	if err != nil {
+		return fmt.Errorf("analysis: %s: %w", p.Path, err)
+	}
+	return nil
 }
 
 // parseDir parses the Go files of dir that this platform's build
@@ -225,7 +224,8 @@ func newPackage(fset *token.FileSet, path, dir, forTest string, files []*ast.Fil
 // form their own external test package importing the variant. Imports from
 // outside the module are read from compiler export data, so the go tool
 // must be on PATH. Packages come back sorted by import path (plain before
-// test variant before external test package).
+// test variant before external test package). A package that does not
+// type-check fails the load, and the error names the first one.
 func LoadModule(root string, tests bool) ([]*Package, error) {
 	modPath, err := ModulePath(root)
 	if err != nil {
@@ -310,7 +310,9 @@ func LoadModule(root string, tests bool) ([]*Package, error) {
 	})
 	pkgs := make([]*Package, len(units))
 	for i, u := range units {
-		ld.check(u)
+		if err := ld.check(u); err != nil {
+			return nil, err
+		}
 		pkgs[i] = u.pkg
 	}
 	return pkgs, nil
@@ -318,7 +320,8 @@ func LoadModule(root string, tests bool) ([]*Package, error) {
 
 // LoadDir parses and type-checks the single package in dir under the
 // given import path, resolving its imports through export data like
-// LoadModule. Used by the analyzer test harness on testdata packages.
+// LoadModule; a type error fails the load. Used by the analyzer test
+// harness on testdata packages.
 func LoadDir(dir, importPath string) (*Package, error) {
 	fset := token.NewFileSet()
 	files, err := parseDir(fset, dir, true)
@@ -333,6 +336,8 @@ func LoadDir(dir, importPath string) (*Package, error) {
 		return nil, err
 	}
 	u := &unit{pkg: newPackage(fset, importPath, dir, "", files)}
-	ld.check(u)
+	if err := ld.check(u); err != nil {
+		return nil, err
+	}
 	return u.pkg, nil
 }

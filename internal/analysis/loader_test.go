@@ -93,8 +93,8 @@ func main() { fmt.Println(core.Double(21)) }
 
 // TestLoadModuleShapes checks the package universe the loader produces:
 // plain packages, test variants, external test packages, command
-// detection, import-path order, no build-excluded file, and clean
-// type-checking for all of them.
+// detection, import-path order, no build-excluded file, and type
+// information for all of them (a type error would have failed the load).
 func TestLoadModuleShapes(t *testing.T) {
 	root := writeTestModule(t)
 	pkgs, err := analysis.LoadModule(root, true)
@@ -108,9 +108,6 @@ func TestLoadModuleShapes(t *testing.T) {
 	}
 	var got []shape
 	for _, p := range pkgs {
-		if len(p.TypeErrors) > 0 {
-			t.Errorf("%s: type errors: %v", p.Path, p.TypeErrors)
-		}
 		if p.Types == nil || p.Info == nil {
 			t.Errorf("%s: missing type info", p.Path)
 		}
@@ -157,6 +154,29 @@ func TestLoadModuleNoGoTool(t *testing.T) {
 	}
 	if !strings.HasPrefix(err.Error(), "analysis: go list -export: ") {
 		t.Fatalf("error does not name the command: %v", err)
+	}
+}
+
+// TestLoadTypeErrorFails pins that a type error fails the load rather
+// than handing the rules partial type information: LoadModule names the
+// broken package even when a dependent is what checks it first, and
+// LoadDir names the package it was given.
+func TestLoadTypeErrorFails(t *testing.T) {
+	root := writeTestModule(t)
+	bad := "package core\n\nvar broken int = \"s\"\n"
+	if err := os.WriteFile(filepath.Join(root, "core", "bad.go"), []byte(bad), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	pkgs, err := analysis.LoadModule(root, true)
+	if err == nil {
+		t.Fatalf("LoadModule on a type error returned %d packages and no error", len(pkgs))
+	}
+	if !strings.Contains(err.Error(), "loadertest.example/m/core: ") || !strings.Contains(err.Error(), "bad.go:3:") {
+		t.Errorf("error does not name the broken package and position: %v", err)
+	}
+	if _, err := analysis.LoadDir(filepath.Join(root, "core"), "pqlint.test/core"); err == nil ||
+		!strings.HasPrefix(err.Error(), "analysis: pqlint.test/core: ") {
+		t.Errorf("LoadDir error = %v, want it to name pqlint.test/core", err)
 	}
 }
 

@@ -26,22 +26,7 @@ func runLoopRoutine(pass *Pass) {
 			if !push {
 				return true
 			}
-			// Find the innermost enclosing function and whether a loop
-			// sits between it and the go statement.
-			var encl ast.Node
-			inLoop := false
-			for i := len(stack) - 2; i >= 0 && encl == nil; i-- {
-				switch stack[i].(type) {
-				case *ast.ForStmt, *ast.RangeStmt:
-					inLoop = true
-				case *ast.FuncDecl, *ast.FuncLit:
-					encl = stack[i]
-				}
-			}
-			if !inLoop || encl == nil {
-				return true
-			}
-			if hasJoin(childBody(encl)) {
+			if body, inLoop := enclosingFunc(stack); !inLoop || hasJoin(body) {
 				return true
 			}
 			pass.Reportf(n.Pos(), "looproutine",

@@ -3,6 +3,8 @@ package detrangecase
 import (
 	"fmt"
 	"io"
+	"slices"
+	"sort"
 	"strings"
 )
 
@@ -35,4 +37,14 @@ func emit(w io.Writer, m map[string]int) {
 		out += k                        // want detrange "string concatenation inside map iteration"
 	}
 	fmt.Fprint(w, out, sb.String())
+}
+
+// searchNotSort calls into sort and slices after the loop, but searching
+// and membership order nothing: the slice keeps map order.
+func searchNotSort(m map[string]int) ([]string, bool, int) {
+	var keys []string
+	for k := range m {
+		keys = append(keys, k) // want detrange "append inside map iteration"
+	}
+	return keys, slices.Contains(keys, "x"), sort.SearchStrings(keys, "x")
 }

@@ -1,10 +1,6 @@
 package analysis
 
-import (
-	"go/ast"
-	"go/types"
-	"strings"
-)
+import "go/ast"
 
 // WallTimeAnalyzer forbids reading the wall clock in deterministic
 // library code: time.Now, time.Sleep, time.Since and friends make a
@@ -42,53 +38,12 @@ func runWallTime(pass *Pass) {
 	if pass.IsCommand {
 		return
 	}
-	// Per-file fallback import names for partially type-checked files.
-	timeNames := make(map[*ast.File]map[string]bool, len(pass.Files))
-	for _, f := range pass.Files {
-		names := map[string]bool{}
-		for _, spec := range f.Imports {
-			if strings.Trim(spec.Path.Value, `"`) != "time" {
-				continue
-			}
-			name := "time"
-			if spec.Name != nil {
-				name = spec.Name.Name
-			}
-			if name != "_" && name != "." {
-				names[name] = true
-			}
-		}
-		timeNames[f] = names
-	}
-	pass.Inspector().WithStack([]ast.Node{(*ast.SelectorExpr)(nil)},
-		func(n ast.Node, push bool, stack []ast.Node) bool {
-			if !push {
-				return true
-			}
-			sel := n.(*ast.SelectorExpr)
-			if !wallClockFuncs[sel.Sel.Name] {
-				return true
-			}
-			id, ok := sel.X.(*ast.Ident)
-			if !ok {
-				return true
-			}
-			isTimePkg := false
-			if obj, ok := pass.TypesInfo.Uses[id]; ok {
-				pn, ok := obj.(*types.PkgName)
-				if !ok {
-					return true // a value named `time`, not the package
-				}
-				isTimePkg = pn.Imported().Path() == "time"
-			} else if f, ok := stack[0].(*ast.File); ok {
-				isTimePkg = timeNames[f][id.Name]
-			}
-			if !isTimePkg {
-				return true
-			}
+	pass.Inspector().Preorder([]ast.Node{(*ast.SelectorExpr)(nil)}, func(n ast.Node) {
+		sel := n.(*ast.SelectorExpr)
+		if wallClockFuncs[sel.Sel.Name] && pass.pkgOf(sel) == "time" {
 			pass.Reportf(sel.Pos(), "walltime",
 				"wall-clock time.%s in deterministic library code; inject a clock, or //pqlint:allow walltime at a real time boundary",
 				sel.Sel.Name)
-			return true
-		})
+		}
+	})
 }

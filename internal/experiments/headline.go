@@ -31,26 +31,22 @@ type HeadlineConfig struct {
 
 // DefaultHeadlineConfig mirrors the paper's experimental setup on the
 // synthetic corpus. The corpus is aged so the crawl window sees pages in
-// every life stage (long burn-in, steady births), and the estimator
-// constants are tuned to this corpus the same way the paper tuned C to its
-// crawl ("the value 0.1 showed the best result out of all values that we
-// tested"): C = 1.0 absorbs the popularity→PageRank scale factor of the
-// synthetic link graph, and MaxTrend = 0.3 is the §9.1 noise guard. Run
-// Crawl.AblationC to regenerate the sweep that picks these.
+// every life stage (long burn-in, steady births), and the estimator is
+// quality.CorpusConfig, tuned to this corpus the same way the paper tuned
+// C to its crawl ("the value 0.1 showed the best result out of all values
+// that we tested"). Run Crawl.AblationC to regenerate the sweep that picks
+// its C.
 func DefaultHeadlineConfig() HeadlineConfig {
 	corpus := webcorpus.DefaultConfig()
 	corpus.BurnInWeeks = 40
 	corpus.BirthRate = 30
 	corpus.NoiseRate = 0.01
 	corpus.ForgetRate = 0.01
-	est := quality.DefaultConfig()
-	est.C = 1.0
-	est.MaxTrend = 0.3
 	return HeadlineConfig{
 		Corpus:          corpus,
 		Schedule:        webcorpus.PaperSchedule(),
 		EstimationSnaps: 3,
-		Estimator:       est,
+		Estimator:       quality.CorpusConfig(),
 	}
 }
 

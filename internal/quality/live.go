@@ -14,6 +14,11 @@ import "fmt"
 // The classification, change filter, trend cap and negative clamp are the
 // ones of EstimateFromSeries with a two-snapshot window, so the live
 // estimate and the snapshot-series estimate cannot drift apart.
+//
+// No code in the module calls Live: the searched corpus's refresh pads
+// and calls EstimateFromSeries itself. The benchmark's workload table
+// (cmd/bench/README.md) still names it, so it goes with the next change
+// to the benchmark.
 func Live(prev, cur []float64, cfg Config) ([]float64, error) {
 	if err := cfg.fill(); err != nil {
 		return nil, err

@@ -94,6 +94,16 @@ func DefaultConfig() Config {
 	return Config{C: 0.1, MinChangeFrac: 0.05, ApplyTrendToDecreasing: true}
 }
 
+// CorpusConfig returns the estimator tuned to the synthetic corpus, the
+// one the headline experiment, the searched corpus's live estimate and
+// the quality CLIs' flag defaults use: C = 1.0 absorbs the
+// popularity→PageRank scale factor of the synthetic link graph, MaxTrend
+// = 0.3 is the §9.1 noise guard, and the change filter and the trend on
+// decreasing pages are the paper's.
+func CorpusConfig() Config {
+	return Config{C: 1.0, MinChangeFrac: 0.05, ApplyTrendToDecreasing: true, MaxTrend: 0.3}
+}
+
 // ErrBadInput reports invalid estimator input.
 var ErrBadInput = errors.New("quality: bad input")
 

@@ -13,7 +13,7 @@
 //   - ByPageRank: the relevant set ordered purely by current PageRank —
 //     the "rich get richer" status quo the paper criticises.
 //   - ByQuality: ordered by the paper's Q(p) estimator (Equation 1
-//     applied live between index refreshes, see quality.Live).
+//     applied live between index refreshes, see webcorpus.refreshSearch).
 //   - Randomized: Pandey/Cho's partially randomized ranking ("Shuffling
 //     a Stacked Deck"): the top (1-ε)·k slots go to the highest-PageRank
 //     results, the remaining ε·k slots are drawn uniformly from the rest

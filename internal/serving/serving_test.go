@@ -89,7 +89,7 @@ func crawlFixture(t testing.TB, cfg webcorpus.Config, text webcorpus.TextOptions
 }
 
 func defaultQCfg() quality.Config {
-	return quality.Config{C: 1.0, MinChangeFrac: 0.05, ApplyTrendToDecreasing: true, MaxTrend: 0.3}
+	return quality.CorpusConfig()
 }
 
 // fixtureConfig is serviceConfig over a fresh fixture.

@@ -67,8 +67,8 @@ const (
 )
 
 // liveEstimator configures the live Q(p) computed at each refresh for the
-// quality policy: the corpus-tuned DefaultHeadlineConfig constants.
-var liveEstimator = quality.Config{C: 1.0, MinChangeFrac: 0.05, ApplyTrendToDecreasing: true, MaxTrend: 0.3}
+// quality policy.
+var liveEstimator = quality.CorpusConfig()
 
 // enabled reports whether the channel is on at all.
 func (sc *SearchConfig) enabled() bool { return sc.SessionsPerWeek > 0 }
@@ -167,9 +167,20 @@ func (s *Sim) refreshSearch() {
 		// construction; a failure here is a programming error.
 		panic("webcorpus: refresh pagerank: " + err.Error())
 	}
-	q, err := quality.Live(s.prevPR, pr.Rank, liveEstimator)
-	if err != nil {
-		panic("webcorpus: refresh live quality: " + err.Error())
+	// Equation 1 over the two-snapshot window {last refresh, this one}.
+	// Pages are never deleted, so the previous vector is a prefix of this
+	// one; pages born since are padded with popularity 0 and so score
+	// their current PageRank, as a 0→positive page does in any series.
+	// The first refresh has no history: Q is the current PageRank.
+	q := pr.Rank
+	if s.prevPR != nil {
+		prev := make([]float64, len(pr.Rank))
+		copy(prev, s.prevPR)
+		est, err := quality.EstimateFromSeries([][]float64{prev, pr.Rank}, liveEstimator)
+		if err != nil {
+			panic("webcorpus: refresh live quality: " + err.Error())
+		}
+		q = est.Q
 	}
 	s.prevPR = pr.Rank
 	s.rank = &ranking.Context{
