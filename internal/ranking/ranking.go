@@ -21,19 +21,23 @@
 //     result slots on exploration so new high-quality pages get a chance
 //     to be seen.
 //
-// Every policy is deterministic. The ordered retrieval rides the frozen
-// search kernel (bitwise identical at every worker count), and the
-// Randomized draw comes from a randx counter stream keyed on
-// (seed, query, tick) — so a searched corpus evolves bitwise identically
-// no matter how the draw phase is scheduled.
+// Every policy is deterministic. Rank fills a memo in the Context: a
+// query's whole relevant set in score order, retrieved once per refresh
+// from the frozen search kernel (bitwise identical at every worker
+// count), because queries repeat within a refresh. The Randomized draw
+// comes from a randx counter stream keyed on (seed, query, tick) — so a
+// searched corpus evolves bitwise identically no matter how the draw
+// phase is scheduled.
 package ranking
 
 import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
+	"sync"
 
 	"pagequality/internal/randx"
 	"pagequality/internal/search"
@@ -45,6 +49,11 @@ var ErrBadPolicy = errors.New("ranking: bad policy")
 // Context is the frozen state a policy ranks against. It is rebuilt
 // periodically (the index refresh) while the underlying corpus keeps
 // evolving — mirroring a real engine whose crawl lags the live Web.
+//
+// Rank memoises each query's relevant set in the Context, so after the
+// first Rank a Context must not be copied (vet's copylocks check reports
+// a copy) and nothing in it may change but Tick, which the memo does not
+// depend on.
 type Context struct {
 	// Index is the frozen inverted index over the corpus texts. Document
 	// ids are dense and correspond to page NodeIDs at freeze time.
@@ -57,29 +66,48 @@ type Context struct {
 	// draw for (seed, query, tick) is a pure function of the three.
 	Seed int64
 	Tick uint64
+
+	// memo[v] maps a query to its relevant set ordered by score vector v,
+	// as a []int of doc ids.
+	memo [2]sync.Map
 }
 
-// validate checks the pieces a score-based policy needs and returns the
-// selected score vector. Selection happens here, after the nil check, so
-// a nil Context is an error rather than a panic.
-func (c *Context) validate(sel func(*Context) []float64) ([]float64, error) {
+// The score vectors a relevant set is ordered by, indexing memo.
+const pageRankVec, qualityVec = 0, 1
+
+// ranked returns the query's whole relevant set, best first, ordered by
+// score vector v alone (authority weight 1), from the memo, which the
+// first call for (v, query) fills; callers must not modify the list.
+// Calls racing on a cold entry compute equal lists and keep one, so no
+// result depends on the schedule. A nil Context is an error.
+func (c *Context) ranked(v int, query string) ([]int, error) {
 	if c == nil || c.Index == nil {
 		return nil, fmt.Errorf("%w: nil context or index", ErrBadPolicy)
 	}
-	scores := sel(c)
-	if len(scores) != c.Index.NumDocs() {
-		return nil, fmt.Errorf("%w: %d scores for %d docs", ErrBadPolicy, len(scores), c.Index.NumDocs())
+	scores, n := [2][]float64{c.PageRank, c.Quality}[v], c.Index.NumDocs()
+	if len(scores) != n {
+		return nil, fmt.Errorf("%w: %d scores for %d docs", ErrBadPolicy, len(scores), n)
 	}
-	return scores, nil
+	if docs, ok := c.memo[v].Load(query); ok {
+		return docs.([]int), nil
+	}
+	hits, err := c.Index.Search(query, search.Options{TopK: n, Authority: scores, AuthorityWeight: 1})
+	if err != nil {
+		return nil, err
+	}
+	docs := make([]int, 0, len(hits))
+	for _, h := range hits {
+		docs = append(docs, h.Doc)
+	}
+	stored, _ := c.memo[v].LoadOrStore(query, docs)
+	return stored.([]int), nil
 }
-
-func pageRankScores(c *Context) []float64 { return c.PageRank }
-func qualityScores(c *Context) []float64  { return c.Quality }
 
 // Policy orders the documents relevant to a query. Implementations must
 // be deterministic: the same (Context, query, k) always yields the same
-// document list. Rank must be safe for concurrent calls on one Context,
-// which it only reads: the corpus simulator ranks sessions in parallel.
+// document list. Rank must be safe for concurrent calls on one Context:
+// the corpus simulator ranks sessions in parallel. The built-in policies
+// only read the Context but for its memo, which they fill.
 type Policy interface {
 	// Name identifies the policy in reports and flags.
 	Name() string
@@ -108,14 +136,7 @@ func (ByPageRank) Name() string { return "pagerank" }
 
 // Rank implements Policy.
 func (ByPageRank) Rank(ctx *Context, query string, k int) ([]int, error) {
-	if err := checkK(k); err != nil {
-		return nil, err
-	}
-	scores, err := ctx.validate(pageRankScores)
-	if err != nil {
-		return nil, err
-	}
-	return rankByScore(ctx.Index, query, k, scores)
+	return topK(ctx, pageRankVec, query, k)
 }
 
 // ByQuality orders the relevant set by the live quality estimate — the
@@ -127,14 +148,20 @@ func (ByQuality) Name() string { return "quality" }
 
 // Rank implements Policy.
 func (ByQuality) Rank(ctx *Context, query string, k int) ([]int, error) {
+	return topK(ctx, qualityVec, query, k)
+}
+
+// topK returns the first k of the query's relevant set under v, as a
+// slice of the caller's own.
+func topK(ctx *Context, v int, query string, k int) ([]int, error) {
 	if err := checkK(k); err != nil {
 		return nil, err
 	}
-	scores, err := ctx.validate(qualityScores)
-	if err != nil {
+	all, err := ctx.ranked(v, query)
+	if err != nil || len(all) == 0 {
 		return nil, err
 	}
-	return rankByScore(ctx.Index, query, k, scores)
+	return slices.Clone(all[:min(k, len(all))]), nil
 }
 
 // Randomized is Pandey/Cho's partially randomized ranking: of the k
@@ -163,21 +190,23 @@ func (r Randomized) Rank(ctx *Context, query string, k int) ([]int, error) {
 	if r.Epsilon < 0 || r.Epsilon > 1 || math.IsNaN(r.Epsilon) {
 		return nil, fmt.Errorf("%w: epsilon %g outside [0,1]", ErrBadPolicy, r.Epsilon)
 	}
-	scores, err := ctx.validate(pageRankScores)
-	if err != nil {
+	all, err := ctx.ranked(pageRankVec, query)
+	if err != nil || len(all) == 0 {
 		return nil, err
 	}
-	hits, err := ctx.Index.SearchRanks(query, search.Options{Authority: scores, AuthorityWeight: 1},
-		func(m int) []int { return r.shownRanks(ctx, query, k, m) })
-	return hitDocs(hits), err
+	docs := r.shownRanks(ctx, query, k, len(all))
+	for i, rank := range docs {
+		docs[i] = all[rank]
+	}
+	return docs, nil
 }
 
 // shownRanks returns the score-order ranks that k slots show when m
-// documents match, so that only those are selected, not the whole set
-// sorted: the head in order, then a partial Fisher–Yates over the ranks
-// past it, fed by the (seed, query, tick) counter stream — reproducible at
-// any worker count, fresh per tick. The shuffle is replayed on a log of
-// the positions it writes, not on the suffix.
+// documents match: the head in order, then a partial Fisher–Yates over
+// the ranks past it, fed by the (seed, query, tick) counter stream —
+// reproducible at any worker count, fresh per tick. The shuffle is
+// replayed on a log of the positions it writes, so the memoised list it
+// draws from is neither copied nor touched.
 func (r Randomized) shownRanks(ctx *Context, query string, k, m int) []int {
 	nRand := int(math.Round(r.Epsilon * float64(k)))
 	if m <= k {
@@ -205,29 +234,6 @@ func (r Randomized) shownRanks(ctx *Context, query string, k, m int) []int {
 		log = append(log, swap{j, at(i)})
 	}
 	return ranks
-}
-
-// rankByScore retrieves the query's relevant set ordered purely by the
-// authority vector (weight 1), returning document ids best-first.
-func rankByScore(ix *search.Index, query string, k int, scores []float64) ([]int, error) {
-	hits, err := ix.Search(query, search.Options{
-		TopK:            k,
-		Authority:       scores,
-		AuthorityWeight: 1,
-	})
-	return hitDocs(hits), err
-}
-
-// hitDocs returns the hits' document ids, nil for no hits.
-func hitDocs(hits []search.Hit) []int {
-	if len(hits) == 0 {
-		return nil
-	}
-	docs := make([]int, len(hits))
-	for i, h := range hits {
-		docs[i] = h.Doc
-	}
-	return docs
 }
 
 func checkK(k int) error {

@@ -36,6 +36,12 @@ func buildCtxWith(t testing.TB, nDocs int, words func(d int) string) *Context {
 	return &Context{Index: ix, PageRank: pr, Quality: q, Seed: 42, Tick: 7}
 }
 
+// fresh returns a Context over c's index, vectors, seed and tick with an
+// empty memo: a Context may not be copied once it has ranked.
+func fresh(c *Context) *Context {
+	return &Context{Index: c.Index, PageRank: c.PageRank, Quality: c.Quality, Seed: c.Seed, Tick: c.Tick}
+}
+
 func TestParse(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -105,20 +111,32 @@ func TestRankNoHits(t *testing.T) {
 	}
 }
 
-// TestPoliciesConcurrentRank holds every built-in policy to the Policy
-// contract the corpus simulator relies on: Rank called from 8 goroutines
-// on one Context returns what the serial call returns, and under -race
-// no call writes what another reads.
-func TestPoliciesConcurrentRank(t *testing.T) {
-	ctx := buildCtxWith(t, 300, func(d int) string {
+// policies is every built-in policy, at the epsilons that matter:
+// degenerate, the benchmark's and all-random.
+var policies = []Policy{None{}, ByPageRank{}, ByQuality{},
+	Randomized{Epsilon: 0}, Randomized{Epsilon: 0.2}, Randomized{Epsilon: 1}}
+
+// alphaBetaCtx matches "alpha" in 300 documents and "beta" in every
+// third; queries are the ones its tests rank.
+func alphaBetaCtx(t testing.TB) *Context {
+	return buildCtxWith(t, 300, func(d int) string {
 		if d%3 == 0 {
 			return "alpha beta"
 		}
 		return "alpha"
 	})
-	policies := []Policy{None{}, ByPageRank{}, ByQuality{},
-		Randomized{Epsilon: 0}, Randomized{Epsilon: 0.2}, Randomized{Epsilon: 1}}
-	queries := []string{"alpha", "beta", "alpha beta", "document 7", "nosuchterm"}
+}
+
+var queries = []string{"alpha", "beta", "alpha beta", "document 7", "nosuchterm"}
+
+// TestPoliciesConcurrentRank holds every built-in policy to the Policy
+// contract the corpus simulator relies on: Rank called from 8 goroutines
+// on one Context returns what the serial call returns, and under -race
+// no call writes what another reads — on a Context whose memo the
+// serial calls filled, and on fresh ones where all 8 goroutines rank
+// the same cold query at once.
+func TestPoliciesConcurrentRank(t *testing.T) {
+	ctx := alphaBetaCtx(t)
 	type call struct {
 		pol   Policy
 		query string
@@ -166,6 +184,58 @@ func TestPoliciesConcurrentRank(t *testing.T) {
 		for i, c := range calls {
 			if !reflect.DeepEqual(got[g][i], want[i]) {
 				t.Fatalf("goroutine %d: %s.Rank(%q, %d) = %v, serial %v", g, c.pol.Name(), c.query, c.k, got[g][i], want[i])
+			}
+		}
+	}
+
+	for i, c := range calls {
+		cold := fresh(ctx)
+		var start sync.WaitGroup
+		start.Add(1)
+		for g := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				start.Wait()
+				got[g][i], errs[g] = c.pol.Rank(cold, c.query, c.k)
+			}()
+		}
+		start.Done()
+		wg.Wait()
+		for g := range got {
+			if errs[g] != nil || !reflect.DeepEqual(got[g][i], want[i]) {
+				t.Fatalf("cold, goroutine %d: %s.Rank(%q, %d) = %v, %v; serial %v", g, c.pol.Name(), c.query, c.k, got[g][i], errs[g], want[i])
+			}
+		}
+	}
+}
+
+// TestRankMemoMatchesFreshContext: every policy, ranking every query at
+// several k on one Context across 20 ticks, returns exactly what it
+// returns on a fresh Context for the same call, and a caller that
+// overwrites a returned list changes no later result.
+func TestRankMemoMatchesFreshContext(t *testing.T) {
+	ctx := alphaBetaCtx(t)
+	for tick := uint64(0); tick < 20; tick++ {
+		ctx.Tick = tick
+		for _, pol := range policies {
+			for _, q := range queries {
+				for _, k := range []int{1, 10, 150} {
+					got, err := pol.Rank(ctx, q, k)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, err := pol.Rank(fresh(ctx), q, k)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("tick %d %s.Rank(%q, %d) = %v, fresh Context %v", tick, pol.Name(), q, k, got, want)
+					}
+					for i := range got {
+						got[i] = -1
+					}
+				}
 			}
 		}
 	}
@@ -239,9 +309,9 @@ func TestRandomizedConstruction(t *testing.T) {
 	// must shuffle differently.
 	varied := false
 	for tick := uint64(0); tick < 8 && !varied; tick++ {
-		other := *ctx
+		other := fresh(ctx)
 		other.Tick = 1000 + tick
-		got, err := Randomized{Epsilon: epsilon}.Rank(&other, "alpha", k)
+		got, err := Randomized{Epsilon: epsilon}.Rank(other, "alpha", k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -256,9 +326,16 @@ func TestRandomizedConstruction(t *testing.T) {
 // the whole relevant set in score order, then a partial Fisher–Yates over
 // its suffix, in place. TestRandomizedMatchesFullSort holds Rank to it.
 func fullSortRandomized(ctx *Context, epsilon float64, query string, k int) ([]int, error) {
-	all, err := rankByScore(ctx.Index, query, ctx.Index.NumDocs(), ctx.PageRank)
-	if err != nil || len(all) <= k {
-		return all, err
+	hits, err := ctx.Index.Search(query, search.Options{TopK: ctx.Index.NumDocs(), Authority: ctx.PageRank, AuthorityWeight: 1})
+	if err != nil || len(hits) == 0 {
+		return nil, err
+	}
+	all := make([]int, len(hits))
+	for i, h := range hits {
+		all[i] = h.Doc
+	}
+	if len(all) <= k {
+		return all, nil
 	}
 	nRand := int(math.Round(epsilon * float64(k)))
 	rest := all[k-nRand:]
@@ -295,13 +372,13 @@ func TestRandomizedMatchesFullSort(t *testing.T) {
 		{"zero", func(int) float64 { return 0 }},
 		{"pairwise-tied", func(d int) float64 { return float64(d / 2) }},
 	} {
-		ctx := *base
+		ctx := fresh(base)
 		ctx.PageRank = make([]float64, len(base.PageRank))
 		for d := range ctx.PageRank {
 			ctx.PageRank[d] = c.pr(d)
 		}
 		for _, q := range []string{"alpha", "beta", "alpha beta"} {
-			all, err := ByPageRank{}.Rank(&ctx, q, ctx.Index.NumDocs())
+			all, err := ByPageRank{}.Rank(ctx, q, ctx.Index.NumDocs())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -311,11 +388,11 @@ func TestRandomizedMatchesFullSort(t *testing.T) {
 					pol := Randomized{Epsilon: eps}
 					for tick := uint64(0); tick < 50; tick++ {
 						ctx.Tick = tick
-						got, err := pol.Rank(&ctx, q, k)
+						got, err := pol.Rank(ctx, q, k)
 						if err != nil {
 							t.Fatal(err)
 						}
-						want, err := fullSortRandomized(&ctx, eps, q, k)
+						want, err := fullSortRandomized(ctx, eps, q, k)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -363,9 +440,9 @@ func TestRankValidation(t *testing.T) {
 	if _, err := (ByPageRank{}).Rank(nil, "alpha", 3); !errors.Is(err, ErrBadPolicy) {
 		t.Errorf("nil ctx: %v", err)
 	}
-	short := *ctx
+	short := fresh(ctx)
 	short.PageRank = short.PageRank[:3]
-	if _, err := (ByPageRank{}).Rank(&short, "alpha", 3); !errors.Is(err, ErrBadPolicy) {
+	if _, err := (ByPageRank{}).Rank(short, "alpha", 3); !errors.Is(err, ErrBadPolicy) {
 		t.Errorf("score length mismatch: %v", err)
 	}
 	if _, err := (Randomized{Epsilon: 1.5}).Rank(ctx, "alpha", 3); !errors.Is(err, ErrBadPolicy) {
@@ -375,7 +452,9 @@ func TestRankValidation(t *testing.T) {
 
 // BenchmarkRandomizedRank: "wide" matches all 2000 documents, "narrow"
 // every twentieth — about the share of the corpus a topic query matches
-// in the feedback loop.
+// in the feedback loop. "warm" ranks on one Context, so every call after
+// the first reads the memo; "cold" ranks on a fresh Context each time,
+// so every call retrieves and orders the relevant set.
 func BenchmarkRandomizedRank(b *testing.B) {
 	for _, c := range []struct {
 		name  string
@@ -389,18 +468,27 @@ func BenchmarkRandomizedRank(b *testing.B) {
 			return "omega"
 		}},
 	} {
-		b.Run(c.name, func(b *testing.B) {
-			ctx := buildCtxWith(b, 2000, c.words)
-			pol := Randomized{Epsilon: 0.2}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				ctx.Tick = uint64(i)
-				if _, err := pol.Rank(ctx, "alpha", 10); err != nil {
-					b.Fatal(err)
-				}
+		for _, cold := range []bool{false, true} {
+			name := c.name + "/warm"
+			if cold {
+				name = c.name + "/cold"
 			}
-		})
+			b.Run(name, func(b *testing.B) {
+				ctx := buildCtxWith(b, 2000, c.words)
+				pol := Randomized{Epsilon: 0.2}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if cold {
+						ctx = fresh(ctx)
+					}
+					ctx.Tick = uint64(i)
+					if _, err := pol.Rank(ctx, "alpha", 10); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }
 

@@ -85,6 +85,36 @@ func TestAnalyzeMatchesTokenize(t *testing.T) {
 	requireAnalyzeMatchesTokenize(t, shared, "b A b c a B")
 }
 
+// TestLexiconMatchesAnalyze: a document given as a title and slots of a
+// lexicon is counted as Analyze counts the title and the slots' words
+// joined by spaces: the same ids in the same order, so the same term→tf
+// multiset. Every seed serves as a word (words of several tokens, of
+// none, and of non-ASCII text) and as a title, on a fresh index and on
+// one that holds every seed already.
+func TestLexiconMatchesAnalyze(t *testing.T) {
+	warm := NewIndex()
+	warm.AddAll(analyzeSeeds)
+	for _, ix := range []*Index{NewIndex(), warm} {
+		lx := ix.Lexicon(analyzeSeeds)
+		for i, title := range analyzeSeeds {
+			var slots []int
+			words := []string{title}
+			for j := 0; j < 3*len(analyzeSeeds); j++ {
+				w := (i*j + j/2) % len(analyzeSeeds)
+				slots = append(slots, w)
+				words = append(words, analyzeSeeds[w])
+			}
+			got, want := lx.Analyze(title, slots), ix.Analyze(strings.Join(words, " "))
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("title %q slots %v: lexicon %v, Analyze %v", title, slots, termCounts(t, got), termCounts(t, want))
+			}
+		}
+	}
+	if got := NewIndex().Lexicon(nil).Analyze("Title 1.", nil); !reflect.DeepEqual(termCounts(t, got), tokenizeCounts("Title 1.")) {
+		t.Fatalf("title alone: %v", termCounts(t, got))
+	}
+}
+
 // FuzzAnalyze: for arbitrary bytes, the single-pass analyser and the
 // reference tokenizer agree, on a fresh index and on one shared by every
 // input. The committed corpus under testdata/fuzz/FuzzAnalyze runs on

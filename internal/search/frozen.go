@@ -39,7 +39,6 @@ type scratch struct {
 	seen    []uint8   // per-doc matched marker, 0 or 1
 	touched []int32   // numDocs+1 slots; the first matched are the query's docs in first-touch order
 	matched int
-	hits    []Hit // SearchRanks' whole relevant set, grown on demand
 }
 
 // initPool points the view's scratch pool at buffers sized to its

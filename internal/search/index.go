@@ -13,9 +13,7 @@
 // dense pooled accumulators. Selection offers the matched documents to a
 // bounded top-k heap — in doc order, or, given an AuthorityOrder (see
 // order.go), in descending authority, stopping once no document left can
-// enter the top k. SearchRanks instead quickselects the ranks a caller
-// names out of the whole relevant set (see topk.go). The results are
-// bitwise identical to the original
+// enter the top k. The results are bitwise identical to the original
 // map-accumulator scorer, which the regression tests retain as an
 // oracle.
 package search
@@ -108,6 +106,10 @@ func (an *analyzer) count(ix *Index, tok []byte) {
 	if !ok {
 		id = an.intern(ix, tok)
 	}
+	an.add(id)
+}
+
+func (an *analyzer) add(id int32) {
 	if int(id) >= len(an.tf) {
 		an.tf = append(an.tf, make([]int32, int(id)+1-len(an.tf))...)
 	}
@@ -142,6 +144,12 @@ func (an *analyzer) intern(ix *Index, tok []byte) int32 {
 func (ix *Index) Analyze(text string) Analyzed {
 	an := ix.analyzers.Get().(*analyzer)
 	defer ix.analyzers.Put(an)
+	an.scan(ix, text)
+	return an.done(ix)
+}
+
+// scan counts the tokens of text, which must start the document.
+func (an *analyzer) scan(ix *Index, text string) {
 	tok := make([]byte, 0, 64) // the token being lower-cased
 	for i := 0; i < len(text); i++ {
 		switch c := text[i]; {
@@ -163,12 +171,53 @@ func (ix *Index) Analyze(text string) Analyzed {
 	if len(tok) > 0 {
 		an.count(ix, tok)
 	}
+}
+
+// done returns the counted document and leaves the scratch empty.
+func (an *analyzer) done(ix *Index) Analyzed {
 	a := Analyzed{ix: ix, ids: slices.Clone(an.touched), tfs: make([]int32, len(an.touched))}
 	for i, id := range an.touched {
 		a.tfs[i], an.tf[id] = an.tf[id], 0
 	}
 	an.touched = an.touched[:0]
 	return a
+}
+
+// Lexicon is a word list interned into one index once, so that documents
+// written in its words are counted without the tokenizer.
+type Lexicon struct {
+	ix  *Index
+	ids [][]int32 // per word, the term ids of its tokens in order
+}
+
+// Lexicon interns the tokens of every word. A word may hold any number
+// of tokens; interning a term adds nothing to the index until a document
+// holding it is added.
+func (ix *Index) Lexicon(words []string) *Lexicon {
+	an := ix.analyzers.Get().(*analyzer)
+	defer ix.analyzers.Put(an)
+	lx := &Lexicon{ix: ix, ids: make([][]int32, len(words))}
+	for w, word := range words {
+		for _, t := range Tokenize(word) {
+			lx.ids[w] = append(lx.ids[w], an.intern(ix, []byte(t)))
+		}
+	}
+	return lx
+}
+
+// Analyze is the index's Analyze of the text title followed by the words
+// at slots, each after a space: the same term ids with the same counts in
+// the same order. Only the title is tokenized.
+func (lx *Lexicon) Analyze(title string, slots []int) Analyzed {
+	an := lx.ix.analyzers.Get().(*analyzer)
+	defer lx.ix.analyzers.Put(an)
+	an.scan(lx.ix, title)
+	for _, w := range slots {
+		for _, id := range lx.ids[w] {
+			an.add(id)
+		}
+	}
+	return an.done(lx.ix)
 }
 
 // Add indexes one document and returns its id (sequential from 0).
@@ -311,42 +360,6 @@ func (ix *Index) Search(query string, opts Options) ([]Hit, error) {
 		return opts.Order.selectTop(sc, len(docs), maxRel, opts), nil
 	}
 	return blendAndSelect(docs, sc.score, maxRel, opts), nil
-}
-
-// SearchRanks returns the hits at the ranks pick names in the query's
-// whole relevant set, in pick's order, bitwise equal to what a Search
-// with TopK m holds there. pick is called once with the match count m
-// (never when nothing matches); a rank outside [0, m) panics. The ranks
-// are selected, not sorted into place, so a few ranks of a large set
-// cost about one pass over it. TopK and Order play no part.
-func (ix *Index) SearchRanks(query string, opts Options, pick func(m int) []int) ([]Hit, error) {
-	terms, err := opts.prepare(query, ix.NumDocs())
-	if err != nil {
-		return nil, err
-	}
-	f := ix.frozen()
-	sc := f.getScratch()
-	defer f.release(sc)
-	docs, maxRel := f.vectorKernel(terms, sc)
-	if len(docs) == 0 {
-		return nil, nil
-	}
-	ranks := pick(len(docs))
-	wanted := slices.Clone(ranks)
-	slices.Sort(wanted)
-	wanted = slices.Compact(wanted)
-	maxAuth := matchedMaxAuth(docs, opts)
-	all := sc.hits[:0]
-	for _, d := range docs {
-		all = append(all, blendHit(int(d), sc.score[d], maxRel, maxAuth, opts))
-	}
-	sc.hits = all
-	selectRanks(all, wanted)
-	hits := make([]Hit, len(ranks))
-	for i, r := range ranks {
-		hits[i] = all[r]
-	}
-	return hits, nil
 }
 
 // blendAndSelect blends the normalised relevance scores with the

@@ -12,7 +12,7 @@ import (
 // checks every result against the serially computed answer, bit for bit.
 // Run under -race this pins the concurrency contract the serving path
 // relies on: a frozen index, and one authority order shared by every
-// goroutine, are safe for unlimited concurrent Search and SearchRanks.
+// goroutine, are safe for unlimited concurrent Search calls.
 func TestConcurrentSearch(t *testing.T) {
 	docs := synthDocs(150)
 	ix := buildIndex(docs)
@@ -57,19 +57,7 @@ func TestConcurrentSearch(t *testing.T) {
 			for it := 0; it < iters; it++ {
 				qi := (w + it) % len(queries)
 				qu := queries[qi]
-				var got []Hit
-				var err error
-				if it%2 == 0 {
-					got, err = ix.Search(qu.query, qu.opts)
-				} else { // the same hits, selected rank by rank
-					got, err = ix.SearchRanks(qu.query, qu.opts, func(m int) []int {
-						ranks := make([]int, min(m, qu.opts.TopK))
-						for r := range ranks {
-							ranks[r] = r
-						}
-						return ranks
-					})
-				}
+				got, err := ix.Search(qu.query, qu.opts)
 				if err != nil {
 					errs <- err
 					return

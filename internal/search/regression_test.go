@@ -4,9 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 	"runtime"
-	"slices"
 	"sort"
 	"testing"
 )
@@ -175,108 +173,6 @@ func TestTopKSelection(t *testing.T) {
 			}
 			hitsBitwiseEqual(t, fmt.Sprintf("%s k=%d", p.name, k), top.ranked(), full[:min(k, n)])
 		}
-	}
-}
-
-// TestSelectRanksMatchesSort holds the selection primitive to a full
-// slices.SortFunc under ranksAfter: random hits whose scores take one of
-// three values (heavy ties, so the doc id decides most comparisons),
-// each rank alone — the ends included — then random rank sets, then
-// every rank at once.
-func TestSelectRanksMatchesSort(t *testing.T) {
-	rng := rand.New(rand.NewSource(29))
-	for _, m := range []int{0, 1, 2, 13, 200} {
-		for trial := 0; trial < 5; trial++ {
-			hits := make([]Hit, m)
-			for i, d := range rng.Perm(m) {
-				hits[i] = Hit{Doc: d, Score: float64(rng.Intn(3)) / 2, Relevance: rng.Float64()}
-			}
-			sorted := slices.Clone(hits)
-			slices.SortFunc(sorted, func(a, b Hit) int {
-				switch {
-				case ranksAfter(b, a):
-					return -1
-				case ranksAfter(a, b):
-					return 1
-				}
-				return 0
-			})
-			check := func(ranks []int) {
-				t.Helper()
-				got := slices.Clone(hits)
-				selectRanks(got, ranks)
-				for _, r := range ranks {
-					if got[r] != sorted[r] {
-						t.Fatalf("m=%d trial %d ranks %v: rank %d holds %+v, sort puts %+v there", m, trial, ranks, r, got[r], sorted[r])
-					}
-				}
-			}
-			for r := 0; r < m; r++ {
-				check([]int{r})
-			}
-			for s := 0; s < 10 && m > 0; s++ {
-				ranks := rng.Perm(m)[:rng.Intn(m)+1]
-				slices.Sort(ranks)
-				check(ranks)
-			}
-			all := make([]int, m)
-			for r := range all {
-				all[r] = r
-			}
-			check(all)
-		}
-	}
-}
-
-// TestSearchRanksMatchesSearch: the hits SearchRanks returns at any ranks,
-// in any order and with repeats, are the ones a Search for the whole
-// relevant set holds there, bit for bit — by relevance alone, blended,
-// and at weight 1 over an authority vector that ties and has no positive
-// maximum on some relevant sets. pick is not called when nothing matches.
-func TestSearchRanksMatchesSearch(t *testing.T) {
-	docs := synthDocs(150)
-	ix := buildIndex(docs)
-	auth := make([]float64, len(docs))
-	ties := make([]float64, len(docs))
-	for i := range auth {
-		auth[i] = 1 / float64(i%23+1)
-		ties[i] = -float64(i % 2)
-	}
-	queries := []string{"term1", "shared", "shared common everywhere unique3 term7", "term1 term1 term1 shared", "unique5"}
-	for _, q := range queries {
-		for _, opts := range []Options{{}, {Authority: auth, AuthorityWeight: 0.7}, {Authority: ties, AuthorityWeight: 1}} {
-			label := fmt.Sprintf("%q %+v", q, opts.AuthorityWeight)
-			full := opts
-			full.TopK = len(docs)
-			want, err := ix.Search(q, full)
-			if err != nil {
-				t.Fatal(err)
-			}
-			m := len(want)
-			for _, ranks := range [][]int{{0}, {m - 1}, {m - 1, 0, m / 2, 0}, {m / 3, 1 % m, m - 1, m / 2}} {
-				got, err := ix.SearchRanks(q, opts, func(n int) []int {
-					if n != m {
-						t.Fatalf("%s: pick got m=%d, Search matched %d", label, n, m)
-					}
-					return ranks
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				at := make([]Hit, len(ranks))
-				for i, r := range ranks {
-					at[i] = want[r]
-				}
-				hitsBitwiseEqual(t, fmt.Sprintf("%s ranks %v", label, ranks), got, at)
-			}
-		}
-	}
-	hits, err := ix.SearchRanks("zzz-absent", Options{}, func(int) []int {
-		t.Fatal("pick called on an empty relevant set")
-		return nil
-	})
-	if hits != nil || err != nil {
-		t.Fatalf("no match: %v, %v", hits, err)
 	}
 }
 

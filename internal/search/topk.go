@@ -1,9 +1,6 @@
 package search
 
-import (
-	"math/bits"
-	"slices"
-)
+import "slices"
 
 // topK selects the best k hits under the ranking order — score
 // descending, then doc id ascending — without sorting the full candidate
@@ -96,43 +93,4 @@ func compareHits(a, b Hit) int {
 		return 1
 	}
 	return 0
-}
-
-// selectRanks reorders hits so that hits[r] is the hit of rank r for
-// every r in ranks (ascending, distinct, each below len(hits)), as a full
-// sort would place it, by quickselect: only the parts holding a wanted
-// rank are partitioned further. The order is total, so each rank's hit is
-// unique whatever the pivots. A part past the depth budget is sorted.
-func selectRanks(hits []Hit, ranks []int) {
-	selectIn(hits, 0, ranks, 2*bits.Len(uint(len(hits))))
-}
-
-// selectIn is selectRanks on hits = whole[off:off+len(hits)], with ranks
-// given as indices into whole.
-func selectIn(hits []Hit, off int, ranks []int, depth int) {
-	if len(ranks) == 0 {
-		return
-	}
-	if len(hits) <= 12 || depth == 0 {
-		slices.SortFunc(hits, compareHits)
-		return
-	}
-	// Lomuto partition around the middle hit.
-	last := len(hits) - 1
-	hits[last/2], hits[last] = hits[last], hits[last/2]
-	p := 0
-	for i := range hits[:last] {
-		if ranksAfter(hits[last], hits[i]) {
-			hits[i], hits[p] = hits[p], hits[i]
-			p++
-		}
-	}
-	hits[p], hits[last] = hits[last], hits[p]
-	lo, found := slices.BinarySearch(ranks, off+p)
-	hi := lo
-	if found {
-		hi++
-	}
-	selectIn(hits[:p], off, ranks[:lo], depth-1)
-	selectIn(hits[p+1:], off+p+1, ranks[hi:], depth-1)
 }

@@ -3,9 +3,12 @@ package webcorpus
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
+	"pagequality/internal/graph"
+	"pagequality/internal/ranking"
 	"pagequality/internal/search"
 )
 
@@ -86,6 +89,30 @@ func TestRefreshIncrementalMatchesRebuild(t *testing.T) {
 	}
 }
 
+// TestLexiconMatchesPageText: for every page of the simulate corpora on
+// seeds 1 and 9, the refresh's analysis of the drawn words through the
+// lexicon is Analyze of the rendered PageText — the same term ids with the same
+// counts in the same order, hence the same (term, tf) multiset.
+func TestLexiconMatchesPageText(t *testing.T) {
+	for _, seed := range []int64{1, 9} {
+		cfg := DefaultConfig()
+		cfg.Seed = seed
+		cfg.Search = SearchConfig{SessionsPerWeek: 1500, TopK: 10, Policy: ranking.Randomized{Epsilon: 0.2}}
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.AdvanceTo(6)
+		for p := 0; p < s.NumPages(); p++ {
+			id := graph.NodeID(p)
+			got, want := s.lex.Analyze(s.pageWords(id, TextOptions{})), s.ix.Analyze(s.PageText(id, TextOptions{}))
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d page %d: drawn words analyse to %+v, PageText to %+v", seed, p, got, want)
+			}
+		}
+	}
+}
+
 // TestPageTextWordBounds: a MinWords above the default MaxWords (or any
 // MaxWords below MinWords) used to reach rand.Intn with a non-positive
 // argument and panic; the bounds now clamp to exactly MinWords words.
@@ -120,6 +147,7 @@ func BenchmarkSearchRefresh(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			s.ix, s.prevPR = search.NewIndex(), nil
+			s.lex = s.ix.Lexicon(pageVocab)
 			s.refreshSearch()
 		}
 	})

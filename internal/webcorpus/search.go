@@ -106,7 +106,7 @@ func (s *Sim) QueryVocab(wordsPerTopic int) []string {
 	}
 	for w := 0; w < wordsPerTopic; w++ {
 		for t := 0; t < nTopics; t++ {
-			vocab = append(vocab, topicWords[t*topicVocabSize+w%topicVocabSize])
+			vocab = append(vocab, pageVocab[topicSlot(t)+w%topicVocabSize])
 		}
 	}
 	return vocab
@@ -125,6 +125,7 @@ func (s *Sim) initSearch() error {
 	}
 	s.workload = wl
 	s.ix = search.NewIndex()
+	s.lex = s.ix.Lexicon(pageVocab)
 	s.refreshTicks = uint64(math.Round(refreshWeeks / s.cfg.DT))
 	if s.refreshTicks < 1 {
 		s.refreshTicks = 1
@@ -135,10 +136,11 @@ func (s *Sim) initSearch() error {
 // refreshSearch refreezes the engine's view of the corpus: index the
 // pages born since the last refresh, compute PageRank on the frozen
 // graph, and derive the live quality estimate from the previous
-// refresh's vector (Equation 1). Pages are never deleted and PageText is
-// pure, so the grown index freezes to the layout a rebuild from AllTexts
-// would have (TestRefreshIncrementalMatchesRebuild). The new pages are
-// analysed in parallel, each into its own slot; then the index half (add
+// refresh's vector (Equation 1). Pages are never deleted and their words
+// are pure, so the grown index freezes to the layout a rebuild from
+// AllTexts would have (TestRefreshIncrementalMatchesRebuild). The new
+// pages are analysed in parallel, each into its own slot, from their
+// drawn words, not their rendered text; then the index half (add
 // in id order, freeze) and the PageRank half (freeze the graph, solve)
 // share no data and run side by side, inline in that order at one
 // worker. Every stage is bitwise worker-count invariant.
@@ -146,7 +148,7 @@ func (s *Sim) refreshSearch() {
 	first := s.ix.NumDocs()
 	docs := make([]search.Analyzed, s.g.NumNodes()-first)
 	par.Do(len(docs), s.cfg.Workers, func(i int) {
-		docs[i] = s.ix.Analyze(s.PageText(graph.NodeID(first+i), TextOptions{}))
+		docs[i] = s.lex.Analyze(s.pageWords(graph.NodeID(first+i), TextOptions{}))
 	})
 	var pr *pagerank.Result
 	var err error

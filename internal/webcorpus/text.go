@@ -1,10 +1,10 @@
 package webcorpus
 
 import (
-	"fmt"
 	"math/rand"
 	"strconv"
 	"strings"
+	"sync"
 
 	"pagequality/internal/graph"
 )
@@ -30,21 +30,23 @@ const topicVocabSize = 40
 // backgroundVocabSize is the size of the shared background vocabulary.
 const backgroundVocabSize = 400
 
-// topicWords[t*topicVocabSize+w] is the w-th word of topic t's
-// vocabulary, e.g. "astronomy17"; backgroundWords[w] is the w-th
-// background word, e.g. "common123". Built once: page text is generated
-// on the tick hot path.
-var topicWords, backgroundWords = func() (tw, bw []string) {
+// pageVocab is every word a page draws after its title: at w the w-th
+// background word, e.g. "common123", and at topicSlot(t)+w the w-th word
+// of topic t's vocabulary, e.g. "astronomy17". Built once: page words are
+// drawn on the tick hot path.
+var pageVocab = func() (v []string) {
+	for w := 0; w < backgroundVocabSize; w++ {
+		v = append(v, "common"+strconv.Itoa(w))
+	}
 	for _, topic := range topics {
 		for w := 0; w < topicVocabSize; w++ {
-			tw = append(tw, topic+strconv.Itoa(w))
+			v = append(v, topic+strconv.Itoa(w))
 		}
 	}
-	for w := 0; w < backgroundVocabSize; w++ {
-		bw = append(bw, "common"+strconv.Itoa(w))
-	}
-	return tw, bw
+	return v
 }()
+
+func topicSlot(t int) int { return backgroundVocabSize + t*topicVocabSize }
 
 // SiteTopic returns the topic name assigned to a site.
 func SiteTopic(site int) string {
@@ -82,25 +84,41 @@ func (o *TextOptions) fill() {
 // is seeded from the corpus seed and the page id, so repeated calls (and
 // repeated crawls) see identical documents.
 func (s *Sim) PageText(id graph.NodeID, opts TextOptions) string {
-	opts.fill()
-	pg := s.g.Page(id)
-	mix := uint64(s.cfg.Seed) ^ uint64(id+1)*0x9E3779B97F4A7C15
-	rng := rand.New(rand.NewSource(int64(mix)))
-	t := int(pg.Site) % len(topics) // SiteTopic's round-robin; a page's site is never negative
-	n := opts.MinWords + rng.Intn(opts.MaxWords-opts.MinWords+1)
+	title, slots := s.pageWords(id, opts)
 	var b strings.Builder
-	b.Grow(n * 10)
-	// Title line: the topic plus the page number, always retrievable.
-	fmt.Fprintf(&b, "%s page %d.", topics[t], id)
-	for w := 0; w < n; w++ {
+	b.Grow(len(title) + len(slots)*10)
+	b.WriteString(title)
+	for _, w := range slots {
 		b.WriteByte(' ')
-		if rng.Float64() < opts.TopicFrac {
-			b.WriteString(topicWords[t*topicVocabSize+rng.Intn(topicVocabSize)])
-		} else {
-			b.WriteString(backgroundWords[rng.Intn(backgroundVocabSize)])
-		}
+		b.WriteString(pageVocab[w])
 	}
 	return b.String()
+}
+
+// pageRNGs recycles page text generators: reseeding one yields the
+// sequence a new one would, without allocating its 4.9 KB of state.
+var pageRNGs = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
+
+// pageWords makes every draw of page id's text: its title, the topic plus
+// the page number so that every page is retrievable, and in order the
+// slot in pageVocab of each word after it. PageText renders them and the
+// refresh indexes them (Lexicon.Analyze), so the two cannot disagree.
+func (s *Sim) pageWords(id graph.NodeID, opts TextOptions) (title string, slots []int) {
+	opts.fill()
+	mix := uint64(s.cfg.Seed) ^ uint64(id+1)*0x9E3779B97F4A7C15
+	rng := pageRNGs.Get().(*rand.Rand)
+	defer pageRNGs.Put(rng)
+	rng.Seed(int64(mix))
+	t := int(s.g.Page(id).Site) % len(topics) // SiteTopic's round-robin; a page's site is never negative
+	slots = make([]int, opts.MinWords+rng.Intn(opts.MaxWords-opts.MinWords+1))
+	for w := range slots {
+		if rng.Float64() < opts.TopicFrac {
+			slots[w] = topicSlot(t) + rng.Intn(topicVocabSize)
+		} else {
+			slots[w] = rng.Intn(backgroundVocabSize)
+		}
+	}
+	return topics[t] + " page " + strconv.Itoa(int(id)) + ".", slots
 }
 
 // AllTexts generates the text of every page, indexed by NodeID.

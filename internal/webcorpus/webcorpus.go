@@ -194,7 +194,8 @@ type Sim struct {
 	// Search-discovery channel state (see search.go); nil/zero when the
 	// channel is disabled.
 	workload                                        *loadgen.Workload
-	ix                                              *search.Index // grown by each refresh, never rebuilt
+	ix                                              *search.Index   // grown by each refresh, never rebuilt
+	lex                                             *search.Lexicon // pageVocab interned into ix
 	refreshes, docsAnalysed                         int64
 	rank                                            *ranking.Context
 	prevPR                                          []float64 // PageRank vector of the previous refresh
