@@ -54,13 +54,14 @@ func Line(w io.Writer, title string, series []Series, width, height int) error {
 	if points == 0 {
 		return fmt.Errorf("%w: no finite points", ErrBadPlot)
 	}
-	//pqlint:allow floateq a degenerate axis is exactly min==max after math.Min/Max folding; widen it by 1
+	// Widen a degenerate axis by 1 around its value, so the value plots mid-axis.
+	//pqlint:allow floateq a degenerate axis is exactly min==max after math.Min/Max folding
 	if maxX == minX {
-		maxX = minX + 1
+		minX, maxX = minX-0.5, maxX+0.5
 	}
-	//pqlint:allow floateq a degenerate axis is exactly min==max after math.Min/Max folding; widen it by 1
+	//pqlint:allow floateq a degenerate axis is exactly min==max after math.Min/Max folding
 	if maxY == minY {
-		maxY = minY + 1
+		minY, maxY = minY-0.5, maxY+0.5
 	}
 	grid := make([][]rune, height)
 	for r := range grid {

@@ -44,16 +44,28 @@ func TestLineMultiSeries(t *testing.T) {
 	}
 }
 
+// TestLineDegenerateRanges: an axis with one value is widened around it,
+// so a flat series is drawn along the middle row and a single point in
+// the middle of the chart, under the value's own row label.
 func TestLineDegenerateRanges(t *testing.T) {
-	var buf bytes.Buffer
-	flat := Series{Name: "flat", X: []float64{0, 1, 2}, Y: []float64{5, 5, 5}}
-	if err := Line(&buf, "", []Series{flat}, 20, 5); err != nil {
-		t.Fatalf("flat series: %v", err)
-	}
-	single := Series{Name: "dot", X: []float64{3}, Y: []float64{4}}
-	buf.Reset()
-	if err := Line(&buf, "", []Series{single}, 20, 5); err != nil {
-		t.Fatalf("single point: %v", err)
+	for _, c := range []struct {
+		name string
+		s    Series
+		row  string // the middle of five rows
+	}{
+		{"flat", Series{X: []float64{0, 1, 2}, Y: []float64{5, 5, 5}}, "         5 |*        *         *|"},
+		{"single point", Series{X: []float64{3}, Y: []float64{4}}, "         4 |         *          |"},
+	} {
+		var buf bytes.Buffer
+		if err := Line(&buf, "", []Series{c.s}, 20, 5); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		rows := strings.Split(buf.String(), "\n")[:5]
+		for r, row := range rows {
+			if r == 2 && row != c.row || r != 2 && strings.Contains(row, "*") {
+				t.Fatalf("%s: row %d is %q:\n%s", c.name, r, row, buf.String())
+			}
+		}
 	}
 }
 
