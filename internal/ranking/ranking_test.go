@@ -117,7 +117,7 @@ var policies = []Policy{None{}, ByPageRank{}, ByQuality{},
 	Randomized{Epsilon: 0}, Randomized{Epsilon: 0.2}, Randomized{Epsilon: 1}}
 
 // alphaBetaCtx matches "alpha" in 300 documents and "beta" in every
-// third; queries are the ones its tests rank.
+// third.
 func alphaBetaCtx(t testing.TB) *Context {
 	return buildCtxWith(t, 300, func(d int) string {
 		if d%3 == 0 {
@@ -127,6 +127,8 @@ func alphaBetaCtx(t testing.TB) *Context {
 	})
 }
 
+// queries are what the tests rank on alphaBetaCtx: a wide and a narrow
+// relevant set, their union, one every document's text shares, and none.
 var queries = []string{"alpha", "beta", "alpha beta", "document 7", "nosuchterm"}
 
 // TestPoliciesConcurrentRank holds every built-in policy to the Policy
