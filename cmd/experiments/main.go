@@ -26,8 +26,10 @@ import (
 	"time"
 
 	"pagequality/internal/experiments"
+	"pagequality/internal/model"
 	"pagequality/internal/textplot"
 	"pagequality/internal/usersim"
+	"pagequality/internal/webcorpus"
 )
 
 // csvSink optionally persists one experiment's data as CSV.
@@ -148,7 +150,7 @@ func run(args []string, out io.Writer) error {
 
 func table1(out io.Writer) error {
 	fmt.Fprintln(out, "Table 1: notation summary")
-	for _, s := range experiments.Table1() {
+	for _, s := range model.Table1() {
 		fmt.Fprintf(out, "  %-8s %s\n", s.Name, s.Meaning)
 	}
 	return nil
@@ -228,7 +230,7 @@ func figure3(out io.Writer, writeCSV csvSink) error {
 }
 
 func figure4(out io.Writer) error {
-	sched := experiments.Figure4()
+	sched := webcorpus.PaperSchedule()
 	fmt.Fprintln(out, "Figure 4: snapshot timeline")
 	for i, t := range sched.Times {
 		fmt.Fprintf(out, "  %-3s week %5.1f\n", sched.Labels[i], t)

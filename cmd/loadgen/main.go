@@ -13,7 +13,7 @@
 // Usage:
 //
 //	loadgen -addr http://127.0.0.1:8088 -rate 2000 -requests 20000 \
-//	        [-topics 40 | -queries file] [-zipf 1.1] [-seed 1] \
+//	        [-topics 20 | -queries file] [-zipf 1.1] [-seed 1] \
 //	        [-k 10] [-rank quality] [-timeout 5s] [-json]
 //
 // With -json the full report is emitted as one JSON object on stdout;
@@ -49,7 +49,7 @@ func run(args []string, out io.Writer) error {
 		addr     = fs.String("addr", "http://127.0.0.1:8088", "base URL of the qualityserve instance")
 		rate     = fs.Float64("rate", 1000, "offered arrival rate, requests/second")
 		requests = fs.Int("requests", 10000, "total arrivals to schedule")
-		topics   = fs.Int("topics", 40, "query vocabulary: first N webcorpus topics (ignored with -queries)")
+		topics   = fs.Int("topics", webcorpus.NumTopics, "query vocabulary: first N webcorpus topics (ignored with -queries)")
 		queries  = fs.String("queries", "", "file with one query per line (overrides -topics)")
 		zipfS    = fs.Float64("zipf", 1.1, "zipf exponent of query popularity (0 = uniform)")
 		seed     = fs.Int64("seed", 1, "workload seed; same seed replays the same query stream")
@@ -80,8 +80,8 @@ func run(args []string, out io.Writer) error {
 			return err
 		}
 	} else {
-		if *topics < 1 {
-			return fmt.Errorf("-topics must be >= 1, got %d", *topics)
+		if *topics < 1 || *topics > webcorpus.NumTopics {
+			return fmt.Errorf("-topics must be in [1, %d], the webcorpus topic count, got %d", webcorpus.NumTopics, *topics)
 		}
 		for i := 0; i < *topics; i++ {
 			vocab = append(vocab, webcorpus.SiteTopic(i))

@@ -3,14 +3,18 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"pagequality/internal/loadgen"
+	"pagequality/internal/webcorpus"
 )
 
 // stubSearch answers every /search with an empty 200 JSON body.
@@ -40,6 +44,47 @@ func TestRunFlagValidation(t *testing.T) {
 		if err := run(args, &out); err == nil {
 			t.Fatalf("args %v: want error", args)
 		}
+	}
+}
+
+// SiteTopic wraps after webcorpus.NumTopics topics, so a larger -topics
+// would give one word two zipf ranks: it is refused, and the default
+// vocabulary is every topic once.
+func TestRunTopicsBound(t *testing.T) {
+	var mu sync.Mutex
+	var counts map[string]int // query -> requests the server saw
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		counts[r.URL.Query().Get("q")]++
+		mu.Unlock()
+		if _, err := w.Write([]byte(`{"hits":[]}`)); err != nil {
+			t.Error(err)
+		}
+	}))
+	defer ts.Close()
+	stream := func(args ...string) (map[string]int, error) {
+		mu.Lock()
+		counts = map[string]int{}
+		mu.Unlock()
+		var out bytes.Buffer
+		err := run(append([]string{"-addr", ts.URL, "-rate", "5000", "-requests", "200"}, args...), &out)
+		mu.Lock()
+		defer mu.Unlock()
+		return counts, err
+	}
+	if _, err := stream("-topics", strconv.Itoa(webcorpus.NumTopics+1)); err == nil || !strings.Contains(err.Error(), strconv.Itoa(webcorpus.NumTopics)) {
+		t.Fatalf("-topics %d: err = %v, want a refusal naming the topic count", webcorpus.NumTopics+1, err)
+	}
+	def, err := stream()
+	if err != nil {
+		t.Fatal(err)
+	}
+	all, err := stream("-topics", strconv.Itoa(webcorpus.NumTopics))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !maps.Equal(def, all) {
+		t.Fatalf("default stream %v differs from -topics %d's %v", def, webcorpus.NumTopics, all)
 	}
 }
 

@@ -64,12 +64,11 @@ func run(args []string, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(out, "PageRank converged in %d iterations (delta %.2g)\n",
-			res.Iterations, res.Delta)
+		fmt.Fprintf(out, "PageRank %s (delta %.2g)\n", convergedIn(res.Converged, res.Iterations), res.Delta)
 		score = res.Rank
 	case "hits":
 		res := pagerank.HITS(c)
-		fmt.Fprintf(out, "HITS converged in %d iterations; ranking by authority\n", res.Iterations)
+		fmt.Fprintf(out, "HITS %s; ranking by authority\n", convergedIn(res.Converged, res.Iterations))
 		score = res.Authorities
 	case "indegree":
 		score = pagerank.InDegree(c)
@@ -94,6 +93,15 @@ func run(args []string, out io.Writer) error {
 			i+1, score[id], c.InDegree(id), c.OutDegree(id), url)
 	}
 	return nil
+}
+
+// convergedIn says how many iterations a solver ran and whether it
+// converged in them.
+func convergedIn(converged bool, iters int) string {
+	if converged {
+		return fmt.Sprintf("converged in %d iterations", iters)
+	}
+	return fmt.Sprintf("did not converge in %d iterations", iters)
 }
 
 // argsortDesc returns indices sorted by descending score (stable on ties).

@@ -105,3 +105,56 @@ func TestPageRankCLIMissingFile(t *testing.T) {
 		t.Fatal("missing store accepted")
 	}
 }
+
+// writeGraph stores g as the single snapshot of a new store.
+func writeGraph(t *testing.T, g *graph.Graph) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "web.pqs")
+	if err := snapshot.WriteFile(path, []snapshot.Snapshot{{Label: "t1", Graph: g}}); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// The solvers' status lines say whether they converged: a periodic graph
+// with almost no random jump keeps PageRank oscillating past MaxIter, and
+// two stars of 10 and 9 in-links leave HITS's authority iteration shrinking
+// its error by only 0.9 a step.
+func TestCLIReportsNonConvergence(t *testing.T) {
+	cycle := graph.New(3)
+	for i := 0; i < 3; i++ {
+		cycle.MustAddPage(graph.Page{URL: fmt.Sprintf("http://s/p%d", i)})
+	}
+	cycle.AddLink(0, 1)
+	cycle.AddLink(2, 1)
+	cycle.AddLink(1, 0)
+	cycle.AddLink(1, 2)
+	stars := graph.New(21)
+	for i := 0; i < 21; i++ {
+		stars.MustAddPage(graph.Page{URL: fmt.Sprintf("http://s/p%d", i)})
+	}
+	for i := 1; i <= 10; i++ {
+		stars.AddLink(graph.NodeID(i), 0)
+	}
+	for i := 12; i <= 20; i++ {
+		stars.AddLink(graph.NodeID(i), 11)
+	}
+	for _, tc := range []struct {
+		g          *graph.Graph
+		args       []string
+		want, deny string
+	}{
+		{cycle, []string{"-jump", "0.0001"}, "PageRank did not converge in 200 iterations", "PageRank converged"},
+		{cycle, nil, "PageRank converged in", "did not converge"},
+		{stars, []string{"-metric", "hits"}, "HITS did not converge in 100 iterations", "HITS converged"},
+		{cycle, []string{"-metric", "hits"}, "HITS converged in", "did not converge"},
+	} {
+		var buf bytes.Buffer
+		if err := run(append([]string{"-in", writeGraph(t, tc.g)}, tc.args...), &buf); err != nil {
+			t.Fatal(err)
+		}
+		if out := buf.String(); !strings.Contains(out, tc.want) || strings.Contains(out, tc.deny) {
+			t.Errorf("%v: want %q and no %q in:\n%s", tc.args, tc.want, tc.deny, out)
+		}
+	}
+}

@@ -79,7 +79,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "pqlint: %v\n", err)
 		return 2
 	}
-	pkgs, err = filterPackages(pkgs, fs.Args(), root)
+	pkgs, err = filterPackages(pkgs, fs.Args())
 	if err != nil {
 		fmt.Fprintf(stderr, "pqlint: %v\n", err)
 		return 2
@@ -172,7 +172,7 @@ func moduleRoot() (string, error) {
 // filterPackages restricts the loaded module to the requested patterns.
 // "./..." (or no pattern) keeps everything; a directory pattern keeps the
 // package rooted there, and dir/... keeps its subtree.
-func filterPackages(pkgs []*analysis.Package, patterns []string, root string) ([]*analysis.Package, error) {
+func filterPackages(pkgs []*analysis.Package, patterns []string) ([]*analysis.Package, error) {
 	if len(patterns) == 0 {
 		return pkgs, nil
 	}

@@ -61,9 +61,7 @@ func (d Diagnostic) String() string {
 
 // A Pass carries one type-checked package through the analyzers.
 type Pass struct {
-	Fset      *token.FileSet
 	Files     []*ast.File
-	Pkg       *types.Package
 	TypesInfo *types.Info
 
 	// IsCommand is true for package main and its test variants. Rules
@@ -102,7 +100,6 @@ func (p *Pass) Inspector() *Inspector {
 // An Analyzer is one named rule.
 type Analyzer struct {
 	Name string
-	Doc  string
 	// Run walks the package and reports what the rule finds.
 	Run func(*Pass)
 }
@@ -301,9 +298,7 @@ func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 				report(pos, rule, fmt.Sprintf(format, args...))
 			})
 		pass := &Pass{
-			Fset:      pkg.Fset,
 			Files:     pkg.Files,
-			Pkg:       pkg.Types,
 			TypesInfo: pkg.Info,
 			IsCommand: pkg.IsCommand,
 			report:    report,

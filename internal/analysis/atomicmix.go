@@ -17,7 +17,6 @@ import (
 // goroutine starts) document themselves with //pqlint:allow atomicmix.
 var AtomicMixAnalyzer = &Analyzer{
 	Name: "atomicmix",
-	Doc:  "flag fields accessed via sync/atomic in one place and plain loads/stores elsewhere",
 	Run:  runAtomicMix,
 }
 

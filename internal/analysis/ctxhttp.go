@@ -16,7 +16,6 @@ import (
 // r.Context() is already there.
 var CtxHTTPAnalyzer = &Analyzer{
 	Name: "ctxhttp",
-	Doc:  "flag HTTP requests without context and handlers ignoring r.Context()",
 	Run:  runCtxHTTP,
 }
 

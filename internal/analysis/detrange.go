@@ -15,7 +15,6 @@ import (
 // so the iteration order changes the bits of the result).
 var DetRangeAnalyzer = &Analyzer{
 	Name: "detrange",
-	Doc:  "flag map iteration whose order leaks into ordered or float-accumulated output",
 	Run:  runDetRange,
 }
 

@@ -13,7 +13,6 @@ import (
 // one turns a loud failure into a silently wrong figure.
 var DroppedErrAnalyzer = &Analyzer{
 	Name: "droppederr",
-	Doc:  "flag blank-discarded errors and dead `_ = x` assignments",
 	Run:  runDroppedErr,
 }
 

@@ -15,7 +15,6 @@ import (
 // sentinel values, which IEEE 754 represents and propagates exactly.
 var FloatEqAnalyzer = &Analyzer{
 	Name: "floateq",
-	Doc:  "flag ==/!= between non-constant floating-point operands",
 	Run:  runFloatEq,
 }
 

@@ -13,7 +13,6 @@ import (
 // (rand.New, rand.NewSource, rand.NewZipf) stay legal.
 var GlobalRandAnalyzer = &Analyzer{
 	Name: "globalrand",
-	Doc:  "forbid package-level math/rand functions; inject a seeded *rand.Rand",
 	Run:  runGlobalRand,
 }
 

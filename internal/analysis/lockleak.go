@@ -22,7 +22,6 @@ import (
 // bare `if err != nil { return err }` between Lock and Unlock is caught.
 var LockLeakAnalyzer = &Analyzer{
 	Name: "lockleak",
-	Doc:  "flag mutex Lock without a deferred or path-covering Unlock",
 	Run:  runLockLeak,
 }
 

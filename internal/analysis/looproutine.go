@@ -16,7 +16,6 @@ import (
 // mechanism document themselves with //pqlint:allow looproutine.
 var LoopRoutineAnalyzer = &Analyzer{
 	Name: "looproutine",
-	Doc:  "flag goroutines launched in a loop with no WaitGroup/errgroup/channel join in scope",
 	Run:  runLoopRoutine,
 }
 

@@ -14,7 +14,6 @@ import "go/ast"
 // //pqlint:allow walltime directive naming themselves.
 var WallTimeAnalyzer = &Analyzer{
 	Name: "walltime",
-	Doc:  "forbid wall-clock reads (time.Now/Sleep/Since/...) in library code; inject clocks",
 	Run:  runWallTime,
 }
 

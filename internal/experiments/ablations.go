@@ -187,7 +187,6 @@ func abs(x float64) float64 {
 
 // ModelValidation compares the agent simulation against Theorem 1.
 type ModelValidation struct {
-	Config usersim.Config
 	// MaxAbsDiff is the sup-norm distance between the simulated and
 	// analytic popularity trajectories.
 	MaxAbsDiff float64
@@ -212,7 +211,7 @@ func ValidateModel(cfg usersim.Config, tMax float64) (*ModelValidation, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	v := &ModelValidation{Config: cfg}
+	v := &ModelValidation{}
 	for i, t := range tr.T {
 		want := p.PopularityAt(t)
 		if d := abs(tr.P[i] - want); d > v.MaxAbsDiff {

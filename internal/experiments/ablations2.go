@@ -106,7 +106,6 @@ type SolverPoint struct {
 // timing inject one (commands pass time.Now), and a nil clock leaves
 // every Elapsed zero so the library itself stays deterministic.
 func AblationPageRankSolver(cfg HeadlineConfig, nodes int, clock func() time.Time) ([]SolverPoint, error) {
-	cfg.fill()
 	if nodes <= 0 {
 		nodes = 100_000
 	}
@@ -142,7 +141,7 @@ func AblationPageRankSolver(cfg HeadlineConfig, nodes int, clock func() time.Tim
 	})
 
 	start = now()
-	adaptive, err := pagerank.ComputeAdaptive(c, pagerank.AdaptiveOptions{Tol: tol, MaxIter: 1000})
+	adaptive, err := pagerank.ComputeAdaptive(c, pagerank.Options{Tol: tol, MaxIter: 1000})
 	if err != nil {
 		return nil, err
 	}

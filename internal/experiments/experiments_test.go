@@ -5,9 +5,11 @@ import (
 	"math"
 	"testing"
 
+	"pagequality/internal/model"
 	"pagequality/internal/pagerank"
 	"pagequality/internal/quality"
 	"pagequality/internal/usersim"
+	"pagequality/internal/webcorpus"
 )
 
 // testHeadlineConfig shrinks the corpus so the full pipeline runs in
@@ -111,7 +113,7 @@ func TestFigure3FlatAtQ(t *testing.T) {
 }
 
 func TestFigure4Timeline(t *testing.T) {
-	sched := Figure4()
+	sched := webcorpus.PaperSchedule()
 	if len(sched.Times) != 4 {
 		t.Fatalf("timeline has %d crawls", len(sched.Times))
 	}
@@ -122,8 +124,8 @@ func TestFigure4Timeline(t *testing.T) {
 }
 
 func TestTable1(t *testing.T) {
-	if len(Table1()) != 8 {
-		t.Fatalf("Table 1 has %d rows", len(Table1()))
+	if len(model.Table1()) != 8 {
+		t.Fatalf("Table 1 has %d rows", len(model.Table1()))
 	}
 }
 
@@ -203,6 +205,14 @@ func TestHeadlineScheduleValidation(t *testing.T) {
 	cfg.EstimationSnaps = 1 // no trend to measure
 	if _, err := NewCrawl(cfg); err == nil {
 		t.Fatal("a single estimation snapshot accepted")
+	}
+}
+
+// DefaultHeadlineConfig is the §8 experiment's one default: a zero
+// config is refused, not crawled with a second set of defaults.
+func TestZeroHeadlineConfigRefused(t *testing.T) {
+	if _, err := NewCrawl(HeadlineConfig{}); err == nil {
+		t.Fatal("NewCrawl(HeadlineConfig{}) crawled")
 	}
 }
 

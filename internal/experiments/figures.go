@@ -10,7 +10,6 @@ import (
 	"fmt"
 
 	"pagequality/internal/model"
-	"pagequality/internal/webcorpus"
 )
 
 // Figure1Result reproduces Figure 1: the sigmoidal popularity evolution of
@@ -97,16 +96,4 @@ func Figure3() (*Figure3Result, error) {
 		res.Sum[i] = f2.I[i] + f2.P[i]
 	}
 	return res, nil
-}
-
-// Figure4 returns the snapshot timeline of the paper's experiment
-// (Figure 4): four crawls at weeks 0, 4, 8 and 26.
-func Figure4() webcorpus.Schedule {
-	return webcorpus.PaperSchedule()
-}
-
-// Table1 re-exports the notation table so cmd/experiments renders it from
-// the same source of truth as the model package.
-func Table1() []model.Symbol {
-	return model.Table1()
 }

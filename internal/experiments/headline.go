@@ -14,18 +14,17 @@ import (
 
 // HeadlineConfig parameterises the Section-8 experiment: grow a corpus,
 // crawl it on the Figure-4 schedule, estimate quality from the first three
-// snapshots, evaluate against the fourth.
+// snapshots, evaluate against the fourth. It has no defaults of its own:
+// start from DefaultHeadlineConfig and change what the experiment varies.
 type HeadlineConfig struct {
-	// Corpus configures the synthetic Web (defaults to
-	// webcorpus.DefaultConfig).
+	// Corpus configures the synthetic Web.
 	Corpus webcorpus.Config
-	// Schedule is the crawl timetable (defaults to the paper's Figure 4).
+	// Schedule is the crawl timetable.
 	Schedule webcorpus.Schedule
 	// EstimationSnaps is how many leading snapshots feed the estimator
-	// (default 3, i.e. t1..t3); the last snapshot is the future reference.
+	// (at least 2); the last snapshot is the future reference.
 	EstimationSnaps int
-	// Estimator configures the quality estimator (defaults to the paper's
-	// C = 0.1 and 5 % filter).
+	// Estimator configures the quality estimator.
 	Estimator quality.Config
 }
 
@@ -88,24 +87,6 @@ type HeadlineResult struct {
 	Classes map[quality.Class]int
 }
 
-func (c *HeadlineConfig) fill() {
-	if c.Corpus.Sites == 0 {
-		c.Corpus = webcorpus.DefaultConfig()
-	}
-	if len(c.Schedule.Times) == 0 {
-		c.Schedule = webcorpus.PaperSchedule()
-	}
-	if c.EstimationSnaps == 0 {
-		c.EstimationSnaps = len(c.Schedule.Times) - 1
-	}
-	// Only a wholly zero estimator config counts as "unset": an explicit
-	// C = 0 alongside any other setting is the caller's pure-popularity
-	// baseline (the C → 0 endpoint of Ablation A) and must be respected.
-	if c.Estimator == (quality.Config{}) {
-		c.Estimator = quality.DefaultConfig()
-	}
-}
-
 // Crawl is the first half of the Section-8 pipeline, run once: the corpus
 // grown and crawled on the schedule, the crawls aligned on the pages
 // common to all of them, their PageRank series and each common page's
@@ -144,7 +125,6 @@ func crawl(corpus webcorpus.Config, sched webcorpus.Schedule) (*Crawl, error) {
 // NewCrawl runs the crawl cfg describes and computes its PageRank series
 // and true qualities.
 func NewCrawl(cfg HeadlineConfig) (*Crawl, error) {
-	cfg.fill()
 	if cfg.EstimationSnaps < 2 || len(cfg.Schedule.Times) < cfg.EstimationSnaps+1 {
 		return nil, fmt.Errorf("experiments: schedule has %d snapshots, need %d estimation + 1 future",
 			len(cfg.Schedule.Times), cfg.EstimationSnaps)
@@ -286,7 +266,6 @@ func RunHeadlineMultiSeed(cfg HeadlineConfig, seeds []int64) (*MultiSeedResult, 
 	if len(seeds) == 0 {
 		return nil, fmt.Errorf("experiments: no seeds")
 	}
-	cfg.fill()
 	headlines := make([]*HeadlineResult, len(seeds))
 	err := par.DoErr(len(seeds), 0, func(i int) error {
 		run := cfg

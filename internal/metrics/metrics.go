@@ -26,12 +26,8 @@ func RelativeError(estimate, truth float64) (float64, error) {
 
 // Summary holds the summary statistics of a sample.
 type Summary struct {
-	N        int
-	Mean     float64
-	Median   float64
-	Min, Max float64
-	StdDev   float64
-	P90      float64 // 90th percentile
+	Mean   float64
+	Median float64
 }
 
 // Summarize computes summary statistics. An empty sample is an error.
@@ -39,29 +35,13 @@ func Summarize(xs []float64) (Summary, error) {
 	if len(xs) == 0 {
 		return Summary{}, fmt.Errorf("%w: empty sample", ErrBadInput)
 	}
-	s := Summary{N: len(xs), Min: xs[0], Max: xs[0]}
 	sum := 0.0
 	for _, x := range xs {
 		sum += x
-		if x < s.Min {
-			s.Min = x
-		}
-		if x > s.Max {
-			s.Max = x
-		}
 	}
-	s.Mean = sum / float64(len(xs))
-	varSum := 0.0
-	for _, x := range xs {
-		d := x - s.Mean
-		varSum += float64(d * d)
-	}
-	s.StdDev = math.Sqrt(varSum / float64(len(xs)))
 	sorted := append([]float64(nil), xs...)
 	sort.Float64s(sorted)
-	s.Median = quantileSorted(sorted, 0.5)
-	s.P90 = quantileSorted(sorted, 0.9)
-	return s, nil
+	return Summary{Mean: sum / float64(len(xs)), Median: quantileSorted(sorted, 0.5)}, nil
 }
 
 // quantileSorted interpolates the q-quantile of an ascending sample.

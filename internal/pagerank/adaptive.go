@@ -6,19 +6,6 @@ import (
 	"pagequality/internal/graph"
 )
 
-// AdaptiveOptions configures ComputeAdaptive, the adaptive power method of
-// Kamvar, Haveliwala & Golub ("Adaptive methods for the computation of
-// PageRank", reference [11] of the paper): pages whose value has already
-// converged are frozen and their outgoing contributions reused, which
-// skips most of the work in the tail of the iteration where only a few
-// slow pages still move.
-type AdaptiveOptions struct {
-	// Tol, MaxIter as in Options (same defaults); the jump probability
-	// and the normalisation are Options' defaults too.
-	Tol     float64
-	MaxIter int
-}
-
 // AdaptiveResult extends Result with adaptivity accounting.
 type AdaptiveResult struct {
 	Result
@@ -35,12 +22,15 @@ type AdaptiveResult struct {
 // refreeze within one iteration.
 const refreshPeriod = 10
 
-// ComputeAdaptive runs the adaptive power iteration. It reaches the same
-// fixed point as Compute (within tolerance) while skipping updates for
-// frozen pages.
-func ComputeAdaptive(c *graph.CSR, o AdaptiveOptions) (*AdaptiveResult, error) {
+// ComputeAdaptive runs the adaptive power method of Kamvar, Haveliwala &
+// Golub ("Adaptive methods for the computation of PageRank", reference
+// [11] of the paper): pages whose value has already converged are frozen
+// and their outgoing contributions reused, which skips most of the work
+// in the tail of the iteration where only a few slow pages still move.
+// It reaches the same fixed point as Compute (within tolerance). It
+// accepts the same Options; Workers and Extrapolate are ignored.
+func ComputeAdaptive(c *graph.CSR, opts Options) (*AdaptiveResult, error) {
 	n := c.NumNodes()
-	opts := Options{Tol: o.Tol, MaxIter: o.MaxIter}
 	if err := opts.fill(); err != nil {
 		return nil, err
 	}

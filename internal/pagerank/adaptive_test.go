@@ -19,7 +19,7 @@ func TestAdaptiveMatchesPlain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	adaptive, err := ComputeAdaptive(c, AdaptiveOptions{Tol: 1e-10, MaxIter: 500})
+	adaptive, err := ComputeAdaptive(c, Options{Tol: 1e-10, MaxIter: 500})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestAdaptiveActuallySkipsWork(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := graph.Freeze(g)
-	res, err := ComputeAdaptive(c, AdaptiveOptions{Tol: 1e-10, MaxIter: 500})
+	res, err := ComputeAdaptive(c, Options{Tol: 1e-10, MaxIter: 500})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,18 +60,18 @@ func TestAdaptiveActuallySkipsWork(t *testing.T) {
 }
 
 func TestAdaptiveEmptyAndValidation(t *testing.T) {
-	res, err := ComputeAdaptive(graph.Freeze(graph.New(0)), AdaptiveOptions{})
+	res, err := ComputeAdaptive(graph.Freeze(graph.New(0)), Options{})
 	if err != nil || !res.Converged {
 		t.Fatalf("empty graph: %+v, %v", res, err)
 	}
 	c := cycle(4)
-	if _, err := ComputeAdaptive(c, AdaptiveOptions{MaxIter: -1}); !errors.Is(err, ErrBadOptions) {
+	if _, err := ComputeAdaptive(c, Options{MaxIter: -1}); !errors.Is(err, ErrBadOptions) {
 		t.Fatal("negative MaxIter accepted")
 	}
 }
 
 func TestAdaptiveCycleUniform(t *testing.T) {
-	res, err := ComputeAdaptive(cycle(10), AdaptiveOptions{})
+	res, err := ComputeAdaptive(cycle(10), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func BenchmarkAdaptivePageRank10k(b *testing.B) {
 	c := graph.Freeze(g)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ComputeAdaptive(c, AdaptiveOptions{Tol: 1e-8}); err != nil {
+		if _, err := ComputeAdaptive(c, Options{Tol: 1e-8}); err != nil {
 			b.Fatal(err)
 		}
 	}

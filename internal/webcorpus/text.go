@@ -17,12 +17,16 @@ import (
 // (Section 4's relevance-versus-quality discussion).
 
 // topics is the pool of topic names sites draw from (round-robin).
-var topics = []string{
+var topics = [...]string{
 	"astronomy", "databases", "cycling", "cooking", "gardening",
 	"photography", "sailing", "chess", "volcanoes", "typography",
 	"cryptography", "orchids", "meteorology", "railways", "beekeeping",
 	"calligraphy", "robotics", "genomics", "economics", "linguistics",
 }
+
+// NumTopics is the number of distinct topic names: SiteTopic(site) and
+// SiteTopic(site+NumTopics) are the same topic.
+const NumTopics = len(topics)
 
 // topicVocabSize is how many distinct topic words each topic has.
 const topicVocabSize = 40
