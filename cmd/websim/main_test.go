@@ -2,11 +2,14 @@ package main
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"pagequality/internal/snapshot"
+	"pagequality/internal/webcorpus"
 )
 
 func TestWebsimEndToEnd(t *testing.T) {
@@ -55,6 +58,31 @@ func TestWebsimBadFlags(t *testing.T) {
 	var buf bytes.Buffer
 	if err := run([]string{"-sites", "0"}, &buf); err == nil {
 		t.Fatal("zero sites accepted")
+	}
+}
+
+// TestWebsimRefusesNonFiniteFlags runs three float flags at values that
+// pass a plain < or <= bound: each must end in ErrBadConfig. An infinite
+// session rate used to panic sizing a slice, a NaN burn-in wrote an
+// unburnt corpus and an infinite birth rate grew no pages.
+func TestWebsimRefusesNonFiniteFlags(t *testing.T) {
+	for _, args := range [][]string{
+		{"-sessions-per-week", "Inf"},
+		{"-burnin", "NaN"},
+		{"-birth", "Inf"},
+	} {
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("%v: panic %v", args, r)
+				}
+			}()
+			out := filepath.Join(t.TempDir(), "web.pqs")
+			err := run(append([]string{"-out", out, "-sites", "5", "-burnin", "1", "-schedule", "0,1"}, args...), io.Discard)
+			if !errors.Is(err, webcorpus.ErrBadConfig) {
+				t.Errorf("%v: error %v, want ErrBadConfig", args, err)
+			}
+		}()
 	}
 }
 

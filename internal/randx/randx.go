@@ -5,20 +5,16 @@
 // Beta and Gamma samplers that previously existed as per-package copies in
 // webcorpus and usersim.
 //
-// The samplers are generic over the minimal Source interface, which both
-// *Stream and math/rand's *rand.Rand satisfy; instantiating them at a
-// concrete type keeps the per-draw cost free of interface dispatch.
+// The samplers take a *Stream, so every draw is a direct call the compiler
+// can inline: a type parameter would not do, because gc compiles one body
+// for all pointer type arguments and reaches Uint64 through a dictionary.
+// usersim, which draws from a seeded *rand.Rand, keeps its own Poisson.
 package randx
 
 import (
 	"math"
 	"math/bits"
 )
-
-// Source is the minimal generator contract the samplers draw from.
-type Source interface {
-	Uint64() uint64
-}
 
 // Stream is a splitmix64 counter-based generator. Unlike a shared
 // *rand.Rand, a Stream is a value: constructing one per (entity, tick) key
@@ -81,13 +77,13 @@ func (s *Stream) Uint64() uint64 {
 }
 
 // Float64 returns a uniform variate in [0,1) with 53 random bits.
-func Float64[S Source](src S) float64 {
+func Float64(src *Stream) float64 {
 	return float64(float64(src.Uint64()>>11) * 0x1p-53)
 }
 
 // Intn returns a uniform variate in [0,n). It panics if n <= 0, matching
 // math/rand.
-func Intn[S Source](src S, n int) int {
+func Intn(src *Stream, n int) int {
 	if n <= 0 {
 		panic("randx: Intn with n <= 0")
 	}
@@ -96,7 +92,7 @@ func Intn[S Source](src S, n int) int {
 
 // uint64n returns a bias-free uniform variate in [0,n) using Lemire's
 // multiply-shift method with rejection of the short low interval.
-func uint64n[S Source](src S, n uint64) uint64 {
+func uint64n(src *Stream, n uint64) uint64 {
 	hi, lo := bits.Mul64(src.Uint64(), n)
 	if lo < n {
 		thresh := -n % n
@@ -111,7 +107,7 @@ func uint64n[S Source](src S, n uint64) uint64 {
 // method. One variate of each accepted pair is returned and the other
 // discarded: the samplers draw normals rarely (only above the
 // approximation cutoffs), and statelessness keeps Stream a pure counter.
-func NormFloat64[S Source](src S) float64 {
+func NormFloat64(src *Stream) float64 {
 	for {
 		u := float64(2*Float64(src)) - 1
 		v := float64(2*Float64(src)) - 1
@@ -131,7 +127,7 @@ const poissonNormalCutoff = 30
 
 // Poisson returns a Poisson(lambda) variate: Knuth's product method for
 // small lambda, normal approximation (rounded, clamped at 0) for large.
-func Poisson[S Source](src S, lambda float64) int {
+func Poisson(src *Stream, lambda float64) int {
 	if lambda <= 0 {
 		return 0
 	}
@@ -161,7 +157,7 @@ const binomialExactMax = 50
 
 // Binomial returns a Binomial(n, p) variate: exact Bernoulli loop for
 // small n, normal approximation for large n.
-func Binomial[S Source](src S, n int, p float64) int {
+func Binomial(src *Stream, n int, p float64) int {
 	if n <= 0 || p <= 0 {
 		return 0
 	}
@@ -191,7 +187,7 @@ func Binomial[S Source](src S, n int, p float64) int {
 
 // Gamma returns a Gamma(shape, 1) variate with the Marsaglia–Tsang method
 // (boosted for shape < 1).
-func Gamma[S Source](src S, shape float64) float64 {
+func Gamma(src *Stream, shape float64) float64 {
 	if shape < 1 {
 		u := Float64(src)
 		for u == 0 {
@@ -219,7 +215,7 @@ func Gamma[S Source](src S, shape float64) float64 {
 }
 
 // Beta returns a Beta(a, b) variate via two Gamma variates.
-func Beta[S Source](src S, a, b float64) float64 {
+func Beta(src *Stream, a, b float64) float64 {
 	x := Gamma(src, a)
 	y := Gamma(src, b)
 	return x / (x + y)

@@ -2,13 +2,8 @@ package randx
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 )
-
-// *rand.Rand must satisfy Source so the legacy seeded generators can feed
-// the shared samplers.
-var _ Source = (*rand.Rand)(nil)
 
 func TestStreamDeterministic(t *testing.T) {
 	a := NewStream(1, 7, 3)
@@ -228,21 +223,6 @@ func TestGammaMoments(t *testing.T) {
 	}
 }
 
-// The samplers must accept a *rand.Rand, reproducing the historical usage
-// sites in usersim and webcorpus.
-func TestSamplersAcceptRand(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	if v := Poisson(rng, 4); v < 0 {
-		t.Fatalf("poisson via rand: %d", v)
-	}
-	if v := Binomial(rng, 20, 0.5); v < 0 || v > 20 {
-		t.Fatalf("binomial via rand: %d", v)
-	}
-	if v := Beta(rng, 2, 3); v < 0 || v > 1 {
-		t.Fatalf("beta via rand: %g", v)
-	}
-}
-
 func BenchmarkStreamUint64(b *testing.B) {
 	s := NewStream(1, 2, 3)
 	var sink uint64
@@ -262,5 +242,14 @@ func BenchmarkPoissonLargeLambda(b *testing.B) {
 	s := NewStream(1, 2, 3)
 	for i := 0; i < b.N; i++ {
 		Poisson(&s, 500)
+	}
+}
+
+// BenchmarkBinomialExact times the exact Bernoulli loop below the n = 50
+// cutoff: forty trials, one uniform each.
+func BenchmarkBinomialExact(b *testing.B) {
+	s := NewStream(1, 2, 3)
+	for i := 0; i < b.N; i++ {
+		Binomial(&s, 40, 0.4)
 	}
 }

@@ -15,7 +15,6 @@ import (
 	"math/rand"
 
 	"pagequality/internal/model"
-	"pagequality/internal/randx"
 )
 
 // Config parameterises a single-page simulation.
@@ -46,18 +45,19 @@ func (c *Config) fill() error {
 	if c.DT == 0 {
 		c.DT = 0.05
 	}
+	// Each float bound is written so that NaN and ±Inf fail it.
 	switch {
 	case c.Users < 2:
 		return fmt.Errorf("%w: Users=%d", ErrBadConfig, c.Users)
-	case c.VisitRate <= 0:
+	case !(c.VisitRate > 0 && c.VisitRate <= math.MaxFloat64):
 		return fmt.Errorf("%w: VisitRate=%g", ErrBadConfig, c.VisitRate)
 	case !(c.Quality > 0 && c.Quality <= 1):
 		return fmt.Errorf("%w: Quality=%g", ErrBadConfig, c.Quality)
 	case c.InitialLikes < 1 || c.InitialLikes > c.Users:
 		return fmt.Errorf("%w: InitialLikes=%d", ErrBadConfig, c.InitialLikes)
-	case c.ForgetRate < 0:
+	case !(c.ForgetRate >= 0 && c.ForgetRate <= math.MaxFloat64):
 		return fmt.Errorf("%w: ForgetRate=%g", ErrBadConfig, c.ForgetRate)
-	case c.DT <= 0:
+	case !(c.DT > 0 && c.DT <= math.MaxFloat64):
 		return fmt.Errorf("%w: DT=%g", ErrBadConfig, c.DT)
 	}
 	return nil
@@ -156,7 +156,7 @@ func (s *Sim) Awareness() float64 {
 // user, applies discovery/liking, then applies forgetting.
 func (s *Sim) Step() {
 	lam := s.cfg.VisitRate * s.Popularity() * s.cfg.DT
-	visits := randx.Poisson(s.rng, lam)
+	visits := poisson(s.rng, lam)
 	for v := 0; v < visits; v++ {
 		s.visits++
 		u := int32(s.rng.Intn(s.cfg.Users))
@@ -171,7 +171,7 @@ func (s *Sim) Step() {
 		}
 	}
 	if s.cfg.ForgetRate > 0 && len(s.awareList) > 0 {
-		forgets := randx.Poisson(s.rng, s.cfg.ForgetRate*float64(len(s.awareList))*s.cfg.DT)
+		forgets := poisson(s.rng, s.cfg.ForgetRate*float64(len(s.awareList))*s.cfg.DT)
 		for f := 0; f < forgets && len(s.awareList) > 0; f++ {
 			u := s.awareList[s.rng.Intn(len(s.awareList))]
 			s.removeAware(u)
@@ -211,4 +211,29 @@ func (s *Sim) Run(tMax float64, sampleEvery int) (model.Trajectory, error) {
 		}
 	}
 	return tr, nil
+}
+
+// poisson draws a Poisson(lambda) variate from rng bit for bit as
+// randx.Poisson draws from a Stream: Knuth's product below λ = 30, the
+// polar normal above, each uniform the top 53 bits of one Uint64. randx's
+// samplers take only *Stream, so that their draws are direct calls.
+func poisson(rng *rand.Rand, lambda float64) int {
+	uniform := func() float64 { return float64(float64(rng.Uint64()>>11) * 0x1p-53) }
+	if lambda <= 0 {
+		return 0
+	}
+	if lambda < 30 {
+		l, k := math.Exp(-lambda), 0
+		for p := uniform(); p > l; p *= uniform() {
+			k++
+		}
+		return k
+	}
+	for {
+		u, v := float64(2*uniform())-1, float64(2*uniform())-1
+		if q := float64(u*u) + float64(v*v); q != 0 && q < 1 {
+			x := lambda + float64(math.Sqrt(lambda)*(u*math.Sqrt(-2*math.Log(q)/q)))
+			return int(math.Round(max(x, 0)))
+		}
+	}
 }

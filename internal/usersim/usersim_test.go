@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"pagequality/internal/model"
-	"pagequality/internal/randx"
 )
 
 func TestConfigValidation(t *testing.T) {
@@ -25,6 +24,30 @@ func TestConfigValidation(t *testing.T) {
 	for i, c := range bad {
 		if _, err := New(c); !errors.Is(err, ErrBadConfig) {
 			t.Errorf("case %d: config %+v accepted", i, c)
+		}
+	}
+}
+
+// TestConfigRefusesNonFinite sets each float field to NaN, +Inf and -Inf
+// in turn: every one must be refused, though NaN and +Inf pass a plain <
+// or <= bound.
+func TestConfigRefusesNonFinite(t *testing.T) {
+	fields := []struct {
+		name  string
+		field func(*Config) *float64
+	}{
+		{"VisitRate", func(c *Config) *float64 { return &c.VisitRate }},
+		{"Quality", func(c *Config) *float64 { return &c.Quality }},
+		{"ForgetRate", func(c *Config) *float64 { return &c.ForgetRate }},
+		{"DT", func(c *Config) *float64 { return &c.DT }},
+	}
+	for _, f := range fields {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			cfg := Config{Users: 10, VisitRate: 1, Quality: 0.5, InitialLikes: 1}
+			*f.field(&cfg) = v
+			if err := cfg.fill(); !errors.Is(err, ErrBadConfig) {
+				t.Errorf("%s = %g: error %v, want ErrBadConfig", f.name, v, err)
+			}
 		}
 	}
 }
@@ -225,7 +248,7 @@ func TestPoissonMoments(t *testing.T) {
 		const trials = 20000
 		sum, sumSq := 0.0, 0.0
 		for i := 0; i < trials; i++ {
-			x := float64(randx.Poisson(s.rng, lambda))
+			x := float64(poisson(s.rng, lambda))
 			sum += x
 			sumSq += x * x
 		}

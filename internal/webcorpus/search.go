@@ -74,10 +74,10 @@ var liveEstimator = quality.CorpusConfig()
 func (sc *SearchConfig) enabled() bool { return sc.SessionsPerWeek > 0 }
 
 func (sc *SearchConfig) fill() error {
+	if !(sc.SessionsPerWeek >= 0 && sc.SessionsPerWeek <= math.MaxFloat64) {
+		return fmt.Errorf("%w: SessionsPerWeek=%g", ErrBadConfig, sc.SessionsPerWeek)
+	}
 	if !sc.enabled() {
-		if sc.SessionsPerWeek < 0 {
-			return fmt.Errorf("%w: SessionsPerWeek=%g", ErrBadConfig, sc.SessionsPerWeek)
-		}
 		return nil
 	}
 	if sc.TopK == 0 {
@@ -231,7 +231,7 @@ func (s *Sim) stepSearch() {
 // an organic one — discovery if the user was unaware, liking with
 // probability Q(p), a published link with probability LinkProb — under
 // the same likes <= aware <= Users clamps as the draw phase.
-func (s *Sim) searchVisit(st randx.Source, p graph.NodeID) {
+func (s *Sim) searchVisit(st *randx.Stream, p graph.NodeID) {
 	s.searchVisits++
 	n := float64(s.cfg.Users)
 	unawareFrac := 1 - s.aware[p]/n

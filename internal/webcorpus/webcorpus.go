@@ -122,6 +122,7 @@ func (c *Config) fill() error {
 	if c.DT == 0 {
 		c.DT = 0.25
 	}
+	// Each float bound is written so that NaN and ±Inf fail it.
 	switch {
 	case c.Sites < 1:
 		return fmt.Errorf("%w: Sites=%d", ErrBadConfig, c.Sites)
@@ -129,23 +130,24 @@ func (c *Config) fill() error {
 		return fmt.Errorf("%w: InitialPagesPerSite=%d", ErrBadConfig, c.InitialPagesPerSite)
 	case c.Users < 10:
 		return fmt.Errorf("%w: Users=%d", ErrBadConfig, c.Users)
-	case c.VisitRate <= 0:
+	case !(c.VisitRate > 0 && c.VisitRate <= math.MaxFloat64):
 		return fmt.Errorf("%w: VisitRate=%g", ErrBadConfig, c.VisitRate)
-	case c.LinkProb <= 0 || c.LinkProb > 1:
+	case !(c.LinkProb > 0 && c.LinkProb <= 1):
 		return fmt.Errorf("%w: LinkProb=%g", ErrBadConfig, c.LinkProb)
-	case c.SameSiteBias < 0 || c.SameSiteBias > 1:
+	case !(c.SameSiteBias >= 0 && c.SameSiteBias <= 1):
 		return fmt.Errorf("%w: SameSiteBias=%g", ErrBadConfig, c.SameSiteBias)
-	case c.QualityAlpha <= 0 || c.QualityBeta <= 0:
+	case !(c.QualityAlpha > 0 && c.QualityAlpha <= math.MaxFloat64) ||
+		!(c.QualityBeta > 0 && c.QualityBeta <= math.MaxFloat64):
 		return fmt.Errorf("%w: quality Beta(%g,%g)", ErrBadConfig, c.QualityAlpha, c.QualityBeta)
-	case c.BirthRate < 0:
+	case !(c.BirthRate >= 0 && c.BirthRate <= math.MaxFloat64):
 		return fmt.Errorf("%w: BirthRate=%g", ErrBadConfig, c.BirthRate)
-	case c.ForgetRate < 0:
+	case !(c.ForgetRate >= 0 && c.ForgetRate <= math.MaxFloat64):
 		return fmt.Errorf("%w: ForgetRate=%g", ErrBadConfig, c.ForgetRate)
-	case c.NoiseRate < 0:
+	case !(c.NoiseRate >= 0 && c.NoiseRate <= math.MaxFloat64):
 		return fmt.Errorf("%w: NoiseRate=%g", ErrBadConfig, c.NoiseRate)
-	case c.DT <= 0:
+	case !(c.DT > 0 && c.DT <= math.MaxFloat64):
 		return fmt.Errorf("%w: DT=%g", ErrBadConfig, c.DT)
-	case c.BurnInWeeks < 0:
+	case !(c.BurnInWeeks >= 0 && c.BurnInWeeks <= math.MaxFloat64):
 		return fmt.Errorf("%w: BurnInWeeks=%g", ErrBadConfig, c.BurnInWeeks)
 	case c.Workers < 0:
 		return fmt.Errorf("%w: Workers=%d", ErrBadConfig, c.Workers)
@@ -186,10 +188,8 @@ type Sim struct {
 	pageSeq   int
 	urlBuf    []byte
 
-	// Draw-pass scratch: each page's stream, indexed by NodeID and regrown
-	// as pages are born, and each chunk's link edits in page order.
-	streams []randx.Stream
-	edits   [][]linkEvent
+	// Draw-pass scratch: each chunk's link edits in page order.
+	edits [][]linkEvent
 
 	// Search-discovery channel state (see search.go); nil/zero when the
 	// channel is disabled.
@@ -258,7 +258,7 @@ func (s *Sim) BirthPage(site int, q float64) (graph.NodeID, error) {
 
 // birthPage creates one page on the given site with a Beta-distributed
 // quality and one seed user who likes it.
-func (s *Sim) birthPage(src randx.Source, site int, created float64) graph.NodeID {
+func (s *Sim) birthPage(src *randx.Stream, site int, created float64) graph.NodeID {
 	q := randx.Beta(src, s.cfg.QualityAlpha, s.cfg.QualityBeta)
 	// Clamp away from 0 so the page can be visited at all (P0 = 1/n > 0).
 	if q < 0.01 {
@@ -267,7 +267,7 @@ func (s *Sim) birthPage(src randx.Source, site int, created float64) graph.NodeI
 	return s.birthPageQ(src, site, created, q)
 }
 
-func (s *Sim) birthPageQ(src randx.Source, site int, created, q float64) graph.NodeID {
+func (s *Sim) birthPageQ(src *randx.Stream, site int, created, q float64) graph.NodeID {
 	s.urlBuf = appendPageURL(s.urlBuf[:0], site, s.pageSeq)
 	s.pageSeq++
 	id := s.g.MustAddPage(graph.Page{
@@ -312,7 +312,7 @@ func appendPadded(buf []byte, v, width int) []byte {
 // configured same-site bias and returns the first that is neither p nor
 // linked; InvalidNode if all fail (the like still counts — the user simply
 // linked to a page that already linked there). Both link paths use it.
-func (s *Sim) linkSource(src randx.Source, p graph.NodeID, linked func(from graph.NodeID) bool) graph.NodeID {
+func (s *Sim) linkSource(src *randx.Stream, p graph.NodeID, linked func(from graph.NodeID) bool) graph.NodeID {
 	cand := s.sitePages[s.g.Page(p).Site]
 	numNodes := s.g.NumNodes()
 	for attempt := 0; attempt < 8; attempt++ {
@@ -330,14 +330,14 @@ func (s *Sim) linkSource(src randx.Source, p graph.NodeID, linked func(from grap
 }
 
 // createLinkTo adds one in-link to page p from a source linkSource draws.
-func (s *Sim) createLinkTo(src randx.Source, p graph.NodeID) {
+func (s *Sim) createLinkTo(src *randx.Stream, p graph.NodeID) {
 	if from := s.linkSource(src, p, func(from graph.NodeID) bool { return s.g.HasLink(from, p) }); from != graph.InvalidNode {
 		s.g.AddLink(from, p)
 	}
 }
 
 // removeLinkTo removes one random in-link of p, if any.
-func (s *Sim) removeLinkTo(src randx.Source, p graph.NodeID) {
+func (s *Sim) removeLinkTo(src *randx.Stream, p graph.NodeID) {
 	if in := s.g.InLinks(p); len(in) > 0 {
 		s.g.RemoveLink(in[randx.Intn(src, len(in))], p)
 	}
@@ -409,11 +409,6 @@ func (s *Sim) Step() {
 	cfg := &s.cfg
 	nPages := s.g.NumNodes()
 	chunks := (nPages + drawChunk - 1) / drawChunk
-	// Draw-pass scratch, with 50% headroom for the trickle of births.
-	if cap(s.streams) < nPages {
-		s.streams = make([]randx.Stream, nPages, nPages+nPages/2)
-	}
-	s.streams = s.streams[:nPages]
 	for len(s.edits) < chunks {
 		s.edits = append(s.edits, nil)
 	}
@@ -479,14 +474,10 @@ func (s *Sim) drawRange(lo, hi int, m *linkMarks, edits []linkEvent) []linkEvent
 	visitRate := cfg.VisitRate * cfg.DT
 	forgetRate := cfg.ForgetRate * cfg.DT
 	for p := lo; p < hi; p++ {
-		// The stream lives in the per-page slice from the start: taking the
-		// address of a stack local here would escape it through the generic
-		// sampler calls, costing one heap allocation per page per tick.
-		s.streams[p] = randx.NewStream(cfg.Seed, uint64(p), s.tick)
-		st := &s.streams[p]
+		st := randx.NewStream(cfg.Seed, uint64(p), s.tick)
 		var adds, dels int32
 		if pop := likes[p] / n; pop > 0 {
-			if visits := randx.Poisson(st, visitRate*pop); visits > 0 {
+			if visits := randx.Poisson(&st, visitRate*pop); visits > 0 {
 				unawareFrac := 1 - aware[p]/n
 				if unawareFrac < 0 {
 					unawareFrac = 0
@@ -497,7 +488,7 @@ func (s *Sim) drawRange(lo, hi int, m *linkMarks, edits []linkEvent) []linkEvent
 				// approximations can overshoot the finite user pool, so
 				// clamp discoveries to the remaining unaware users and
 				// likes to the aware count — Popularity() stays <= 1.
-				discoveries := randx.Binomial(st, visits, unawareFrac)
+				discoveries := randx.Binomial(&st, visits, unawareFrac)
 				if room := int(n - aware[p]); discoveries > room {
 					discoveries = room
 				}
@@ -507,32 +498,32 @@ func (s *Sim) drawRange(lo, hi int, m *linkMarks, edits []linkEvent) []linkEvent
 						// Per-page slot in a worker-disjoint range: race-free.
 						s.firstDisc[p] = int64(s.tick)
 					}
-					newLikes := randx.Binomial(st, discoveries, quality[p])
+					newLikes := randx.Binomial(&st, discoveries, quality[p])
 					if room := int(aware[p] - likes[p]); newLikes > room {
 						newLikes = room
 					}
 					likes[p] += float64(newLikes)
-					adds = int32(randx.Binomial(st, newLikes, cfg.LinkProb))
+					adds = int32(randx.Binomial(&st, newLikes, cfg.LinkProb))
 				}
 			}
 		}
 		// Forgetting (§9.1): aware users forget; forgetting likers
 		// withdraw their links.
 		if forgetRate > 0 && aware[p] > 1 {
-			forgets := randx.Poisson(st, forgetRate*aware[p])
+			forgets := randx.Poisson(&st, forgetRate*aware[p])
 			for k := 0; k < forgets && aware[p] > 1; k++ {
 				likerFrac := likes[p] / aware[p]
 				aware[p]--
-				if randx.Float64(st) < likerFrac && likes[p] > 1 {
+				if randx.Float64(&st) < likerFrac && likes[p] > 1 {
 					likes[p]--
-					if randx.Float64(st) < cfg.LinkProb {
+					if randx.Float64(&st) < cfg.LinkProb {
 						dels++
 					}
 				}
 			}
 		}
 		if adds > 0 || dels > 0 {
-			edits = s.decideLinks(st, graph.NodeID(p), adds, dels, m, edits)
+			edits = s.decideLinks(&st, graph.NodeID(p), adds, dels, m, edits)
 		}
 	}
 	return edits

@@ -51,6 +51,37 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+// TestConfigRefusesNonFinite sets each float field to NaN, +Inf and -Inf
+// in turn: every one must be refused. NaN and +Inf pass a plain < or <=
+// bound, and a corpus built from one panics, hangs or silently misbehaves.
+func TestConfigRefusesNonFinite(t *testing.T) {
+	fields := []struct {
+		name  string
+		field func(*Config) *float64
+	}{
+		{"VisitRate", func(c *Config) *float64 { return &c.VisitRate }},
+		{"LinkProb", func(c *Config) *float64 { return &c.LinkProb }},
+		{"SameSiteBias", func(c *Config) *float64 { return &c.SameSiteBias }},
+		{"QualityAlpha", func(c *Config) *float64 { return &c.QualityAlpha }},
+		{"QualityBeta", func(c *Config) *float64 { return &c.QualityBeta }},
+		{"BirthRate", func(c *Config) *float64 { return &c.BirthRate }},
+		{"ForgetRate", func(c *Config) *float64 { return &c.ForgetRate }},
+		{"NoiseRate", func(c *Config) *float64 { return &c.NoiseRate }},
+		{"DT", func(c *Config) *float64 { return &c.DT }},
+		{"BurnInWeeks", func(c *Config) *float64 { return &c.BurnInWeeks }},
+		{"SessionsPerWeek", func(c *Config) *float64 { return &c.Search.SessionsPerWeek }},
+	}
+	for _, f := range fields {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			cfg := DefaultConfig()
+			*f.field(&cfg) = v
+			if err := cfg.fill(); !errors.Is(err, ErrBadConfig) {
+				t.Errorf("%s = %g: error %v, want ErrBadConfig", f.name, v, err)
+			}
+		}
+	}
+}
+
 func TestCorpusShape(t *testing.T) {
 	s, err := New(smallConfig())
 	if err != nil {
@@ -368,6 +399,26 @@ func TestLinkedMatchesHasLink(t *testing.T) {
 	if marked < 3 {
 		t.Fatalf("only %d pages marked; the epoch never wrapped", marked)
 	}
+}
+
+// TestStepAllocsBelowOnePerTenPages guards the draw pass against a
+// per-page heap allocation: each page's stream is a stack local, so a
+// Step on the default corpus allocates a few dozen times in all, not once
+// for each of its ~1,650 pages. Births are off so every run sees the same
+// corpus size.
+func TestStepAllocsBelowOnePerTenPages(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.BirthRate = 0
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pages := s.NumPages()
+	allocs := testing.AllocsPerRun(20, s.Step)
+	if allocs >= float64(pages)/10 {
+		t.Fatalf("Step allocates %.0f times on %d pages, want below %d", allocs, pages, pages/10)
+	}
+	t.Logf("%.0f allocations a Step on %d pages", allocs, pages)
 }
 
 // Regression test for the normal-approximation overshoot: with a tiny user
