@@ -158,3 +158,67 @@ func TestCLIReportsNonConvergence(t *testing.T) {
 		}
 	}
 }
+
+// TestPageRankCLIStdoutPinned pins the whole table byte for byte on a
+// graph made of two tie groups: each even page links to its two
+// neighbours on a ring of 14, so the seven odd pages tie on in-degree and
+// on PageRank, and so do the seven even ones. Equal scores print in page
+// order, which an unstable sort of 14 scores does not keep.
+func TestPageRankCLIStdoutPinned(t *testing.T) {
+	g := graph.New(14)
+	for i := 0; i < 14; i++ {
+		g.MustAddPage(graph.Page{URL: fmt.Sprintf("http://s/p%d", i)})
+	}
+	for i := 0; i < 14; i += 2 {
+		g.AddLink(graph.NodeID(i), graph.NodeID((i+13)%14))
+		g.AddLink(graph.NodeID(i), graph.NodeID(i+1))
+	}
+	path := writeGraph(t, g)
+	const indegree = `snapshot t1 (week 0.0): 14 pages, 14 links
+rank         score    in-deg   out-deg  url
+   1       2.00000         2         0  http://s/p1
+   2       2.00000         2         0  http://s/p3
+   3       2.00000         2         0  http://s/p5
+   4       2.00000         2         0  http://s/p7
+   5       2.00000         2         0  http://s/p9
+   6       2.00000         2         0  http://s/p11
+   7       2.00000         2         0  http://s/p13
+   8       0.00000         0         2  http://s/p0
+   9       0.00000         0         2  http://s/p2
+  10       0.00000         0         2  http://s/p4
+  11       0.00000         0         2  http://s/p6
+  12       0.00000         0         2  http://s/p8
+  13       0.00000         0         2  http://s/p10
+  14       0.00000         0         2  http://s/p12
+`
+	const pr = `snapshot t1 (week 0.0): 14 pages, 14 links
+PageRank converged in 25 iterations (delta 5.1e-10)
+rank         score    in-deg   out-deg  url
+   1       1.29825         2         0  http://s/p1
+   2       1.29825         2         0  http://s/p3
+   3       1.29825         2         0  http://s/p5
+   4       1.29825         2         0  http://s/p7
+   5       1.29825         2         0  http://s/p9
+   6       1.29825         2         0  http://s/p11
+   7       1.29825         2         0  http://s/p13
+   8       0.70175         0         2  http://s/p0
+   9       0.70175         0         2  http://s/p2
+  10       0.70175         0         2  http://s/p4
+  11       0.70175         0         2  http://s/p6
+  12       0.70175         0         2  http://s/p8
+  13       0.70175         0         2  http://s/p10
+  14       0.70175         0         2  http://s/p12
+`
+	for _, tc := range []struct{ metric, want string }{
+		{"indegree", indegree},
+		{"pagerank", pr},
+	} {
+		var buf bytes.Buffer
+		if err := run([]string{"-in", path, "-metric", tc.metric}, &buf); err != nil {
+			t.Fatal(err)
+		}
+		if buf.String() != tc.want {
+			t.Errorf("-metric %s:\n--- got ---\n%s--- want ---\n%s", tc.metric, buf.String(), tc.want)
+		}
+	}
+}
