@@ -12,9 +12,9 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 
 	"pagequality/internal/graph"
+	"pagequality/internal/metrics"
 	"pagequality/internal/pagerank"
 	"pagequality/internal/snapshot"
 )
@@ -76,7 +76,7 @@ func run(args []string, out io.Writer) error {
 		return fmt.Errorf("unknown metric %q", *metric)
 	}
 
-	order := argsortDesc(score)
+	order := metrics.BestFirst(score)
 	k := *top
 	if k > len(order) {
 		k = len(order)
@@ -102,21 +102,4 @@ func convergedIn(converged bool, iters int) string {
 		return fmt.Sprintf("converged in %d iterations", iters)
 	}
 	return fmt.Sprintf("did not converge in %d iterations", iters)
-}
-
-// argsortDesc returns indices sorted by descending score (stable on ties).
-//
-//pqlint:allow floateq exact-tie detection so equal scores fall through to the index tie-break
-func argsortDesc(score []float64) []int {
-	idx := make([]int, len(score))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		if score[idx[a]] != score[idx[b]] {
-			return score[idx[a]] > score[idx[b]]
-		}
-		return idx[a] < idx[b]
-	})
-	return idx
 }

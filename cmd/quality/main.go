@@ -21,11 +21,11 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"strings"
 
 	"pagequality/internal/corpus"
 	"pagequality/internal/experiments"
+	"pagequality/internal/metrics"
 	"pagequality/internal/pagestore"
 	"pagequality/internal/quality"
 	"pagequality/internal/snapshot"
@@ -101,11 +101,7 @@ func run(args []string, out io.Writer) error {
 		*minCh*100, est.NumChanged)
 
 	// Top pages by estimated quality.
-	order := make([]int, len(est.Q))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool { return est.Q[order[a]] > est.Q[order[b]] })
+	order := metrics.BestFirst(est.Q)
 	k := *top
 	if k > len(order) {
 		k = len(order)

@@ -71,18 +71,36 @@ func TestWebsimRefusesNonFiniteFlags(t *testing.T) {
 		{"-burnin", "NaN"},
 		{"-birth", "Inf"},
 	} {
-		func() {
-			defer func() {
-				if r := recover(); r != nil {
-					t.Errorf("%v: panic %v", args, r)
-				}
-			}()
-			out := filepath.Join(t.TempDir(), "web.pqs")
-			err := run(append([]string{"-out", out, "-sites", "5", "-burnin", "1", "-schedule", "0,1"}, args...), io.Discard)
-			if !errors.Is(err, webcorpus.ErrBadConfig) {
-				t.Errorf("%v: error %v, want ErrBadConfig", args, err)
-			}
-		}()
+		wantBadConfig(t, args)
+	}
+}
+
+// TestWebsimRefusesHugeRates runs two rates at a finite value whose
+// per-tick mean passes randx.MaxMean: each must end in ErrBadConfig. The
+// session rate used to panic sizing a slice and the birth rate grew no
+// pages, because the Poisson draw's float overflowed the int conversion.
+func TestWebsimRefusesHugeRates(t *testing.T) {
+	for _, args := range [][]string{
+		{"-sessions-per-week", "1e300"},
+		{"-birth", "1e300"},
+	} {
+		wantBadConfig(t, args)
+	}
+}
+
+// wantBadConfig runs websim on a tiny corpus with args appended and fails
+// unless the run ends in ErrBadConfig without a panic.
+func wantBadConfig(t *testing.T, args []string) {
+	t.Helper()
+	defer func() {
+		if r := recover(); r != nil {
+			t.Errorf("%v: panic %v", args, r)
+		}
+	}()
+	out := filepath.Join(t.TempDir(), "web.pqs")
+	err := run(append([]string{"-out", out, "-sites", "5", "-burnin", "1", "-schedule", "0,1"}, args...), io.Discard)
+	if !errors.Is(err, webcorpus.ErrBadConfig) {
+		t.Errorf("%v: error %v, want ErrBadConfig", args, err)
 	}
 }
 

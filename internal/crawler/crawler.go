@@ -730,7 +730,7 @@ func FetchSeeds(ctx context.Context, client *http.Client, listURL string) ([]str
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("crawler: seeds %s: status %d", listURL, resp.StatusCode)
 	}
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
+	body, err := readBody(resp)
 	if err != nil {
 		return nil, err
 	}

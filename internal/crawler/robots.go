@@ -104,7 +104,7 @@ func fetchRobots(client *http.Client, host string, timeout time.Duration) *robot
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<16))
 		return &robotsRules{}
 	}
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
+	body, err := readBody(resp)
 	if err != nil {
 		return &robotsRules{}
 	}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"pagequality/internal/par"
@@ -147,7 +148,7 @@ func AblationWindow(cfg HeadlineConfig, gaps []float64, futureWeek float64) ([]W
 			if !est.Changed[i] || future[i] == 0 {
 				continue
 			}
-			e := abs((future[i] - est.Q[i]) / future[i])
+			e := math.Abs((future[i] - est.Q[i]) / future[i])
 			if cur[i] <= med {
 				lowSum += e
 				lowN++
@@ -176,13 +177,6 @@ func medianOf(xs []float64) float64 {
 	cp := append([]float64(nil), xs...)
 	sort.Float64s(cp)
 	return cp[len(cp)/2]
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }
 
 // ModelValidation compares the agent simulation against Theorem 1.
@@ -214,7 +208,7 @@ func ValidateModel(cfg usersim.Config, tMax float64) (*ModelValidation, error) {
 	v := &ModelValidation{}
 	for i, t := range tr.T {
 		want := p.PopularityAt(t)
-		if d := abs(tr.P[i] - want); d > v.MaxAbsDiff {
+		if d := math.Abs(tr.P[i] - want); d > v.MaxAbsDiff {
 			v.MaxAbsDiff = d
 		}
 	}

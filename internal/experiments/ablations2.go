@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"time"
 
@@ -155,7 +156,7 @@ func AblationPageRankSolver(cfg HeadlineConfig, nodes int, clock func() time.Tim
 func maxDiff(a, b []float64) float64 {
 	d := 0.0
 	for i := range a {
-		if x := abs(a[i] - b[i]); x > d {
+		if x := math.Abs(a[i] - b[i]); x > d {
 			d = x
 		}
 	}

@@ -450,17 +450,6 @@ func TestRisingStars(t *testing.T) {
 	}
 }
 
-func TestPercentiles(t *testing.T) {
-	p := percentiles([]float64{10, 30, 20, 30})
-	// 10 -> rank 0, 20 -> rank 1, the two 30s share ranks 2,3 -> 2.5.
-	want := []float64{0, 2.5 / 3, 1.0 / 3, 2.5 / 3}
-	for i := range want {
-		if math.Abs(p[i]-want[i]) > 1e-12 {
-			t.Fatalf("percentiles = %v, want %v", p, want)
-		}
-	}
-}
-
 // Multi-seed robustness: the §8.2 shape holds with statistical
 // significance for every corpus draw tested.
 func TestHeadlineMultiSeed(t *testing.T) {

@@ -2,8 +2,8 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 
+	"pagequality/internal/metrics"
 	"pagequality/internal/quality"
 )
 
@@ -61,9 +61,9 @@ func (c *Crawl) RisingStars(maxAgeWeeks float64) (*RisingStarsResult, error) {
 	cur := c.ranks[c.cfg.EstimationSnaps-1]
 	future := c.ranks[len(c.ranks)-1]
 	res := &RisingStarsResult{Stars: len(stars)}
-	prPct := percentiles(cur)
-	qPct := percentiles(est.Q)
-	fuPct := percentiles(future)
+	prPct := metrics.RankPercentiles(cur)
+	qPct := metrics.RankPercentiles(est.Q)
+	fuPct := metrics.RankPercentiles(future)
 	for _, i := range stars {
 		res.MeanPercentilePR += prPct[i]
 		res.MeanPercentileQ += qPct[i]
@@ -80,30 +80,4 @@ func (c *Crawl) RisingStars(maxAgeWeeks float64) (*RisingStarsResult, error) {
 	res.MeanPercentileQ /= n
 	res.MeanPercentileFuture /= n
 	return res, nil
-}
-
-// percentiles converts scores into rank percentiles in [0,1]: 1 means the
-// highest score (average rank over ties).
-//
-//pqlint:allow floateq tie groups are exactly-equal scores by definition
-func percentiles(scores []float64) []float64 {
-	n := len(scores)
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool { return scores[idx[a]] < scores[idx[b]] })
-	out := make([]float64, n)
-	for i := 0; i < n; {
-		j := i
-		for j < n && scores[idx[j]] == scores[idx[i]] {
-			j++
-		}
-		avg := (float64(i) + float64(j-1)) / 2
-		for k := i; k < j; k++ {
-			out[idx[k]] = avg / float64(n-1)
-		}
-		i = j
-	}
-	return out
 }

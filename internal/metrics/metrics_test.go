@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -234,6 +235,28 @@ func TestFractionalRanksTies(t *testing.T) {
 		if r[i] != want[i] { //pqlint:allow floateq fractional ranks are exact half-integers by construction
 			t.Fatalf("ranks = %v, want %v", r, want)
 		}
+	}
+}
+
+func TestRankPercentiles(t *testing.T) {
+	p := RankPercentiles([]float64{10, 30, 20, 30})
+	// 10 -> rank 0, 20 -> rank 1, the two 30s share ranks 2,3 -> 2.5.
+	want := []float64{0, 2.5 / 3, 1.0 / 3, 2.5 / 3}
+	for i := range want {
+		if math.Abs(p[i]-want[i]) > 1e-12 {
+			t.Fatalf("percentiles = %v, want %v", p, want)
+		}
+	}
+}
+
+// TestBestFirstTies: equal scores keep index order. Fifteen scores are
+// more than the twelve a sort may order by insertion, so an unstable sort
+// would be free to shuffle the twelve tied 1s.
+func TestBestFirstTies(t *testing.T) {
+	score := []float64{1, 3, 1, 1, 1, 1, 3, 1, 1, 1, 1, 1, 1, 1, 2}
+	want := []int{1, 6, 14, 0, 2, 3, 4, 5, 7, 8, 9, 10, 11, 12, 13}
+	if got := BestFirst(score); !slices.Equal(got, want) {
+		t.Fatalf("BestFirst = %v, want %v", got, want)
 	}
 }
 

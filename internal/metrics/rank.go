@@ -164,6 +164,28 @@ func fractionalRanks(xs []float64) []float64 {
 	return ranks
 }
 
+// RankPercentiles maps each score to its rank percentile in [0,1]: 0 for
+// the lowest score, 1 for the highest, ties sharing their average rank.
+func RankPercentiles(xs []float64) []float64 {
+	pct := fractionalRanks(xs)
+	top := float64(len(xs) - 1)
+	for i := range pct {
+		pct[i] = (pct[i] - 1) / top
+	}
+	return pct
+}
+
+// BestFirst returns the indices of score ordered highest score first,
+// equal scores in index order.
+func BestFirst(score []float64) []int {
+	idx := make([]int, len(score))
+	for i := range idx {
+		idx[i] = i
+	}
+	sort.SliceStable(idx, func(a, b int) bool { return score[idx[a]] > score[idx[b]] })
+	return idx
+}
+
 func pearson(a, b []float64) (float64, error) {
 	n := float64(len(a))
 	var sa, sb float64

@@ -125,8 +125,15 @@ func NormFloat64(src *Stream) float64 {
 // on both sides of the cutoff.
 const poissonNormalCutoff = 30
 
+// MaxMean bounds the mean a caller may ask of Poisson, and with it every
+// count a sampler returns: a count up to it fits an int on every platform
+// the module builds for, 32-bit ones included. Configurations whose
+// per-tick means could pass it are refused where they are filled.
+const MaxMean = math.MaxInt32
+
 // Poisson returns a Poisson(lambda) variate: Knuth's product method for
-// small lambda, normal approximation (rounded, clamped at 0) for large.
+// small lambda, normal approximation (rounded, clamped to [0, MaxMean])
+// for large.
 func Poisson(src *Stream, lambda float64) int {
 	if lambda <= 0 {
 		return 0
@@ -143,9 +150,18 @@ func Poisson(src *Stream, lambda float64) int {
 			k++
 		}
 	}
-	v := lambda + float64(math.Sqrt(lambda)*NormFloat64(src))
-	if v < 0 {
+	return count(lambda+float64(math.Sqrt(lambda)*NormFloat64(src)), MaxMean)
+}
+
+// count rounds a normal-approximation draw to an int in [0, hi]. The
+// bounds are applied to the float, because converting a float beyond the
+// int range to an int is implementation-defined; NaN counts as 0.
+func count(v float64, hi int) int {
+	if !(v > 0) {
 		return 0
+	}
+	if v >= float64(hi) {
+		return hi
 	}
 	return int(math.Round(v))
 }
@@ -175,14 +191,7 @@ func Binomial(src *Stream, n int, p float64) int {
 	}
 	mean := float64(float64(n) * p)
 	sd := math.Sqrt(mean * (1 - p))
-	v := int(math.Round(mean + float64(sd*NormFloat64(src))))
-	if v < 0 {
-		v = 0
-	}
-	if v > n {
-		v = n
-	}
-	return v
+	return count(mean+float64(sd*NormFloat64(src)), n)
 }
 
 // Gamma returns a Gamma(shape, 1) variate with the Marsaglia–Tsang method

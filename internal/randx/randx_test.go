@@ -198,6 +198,39 @@ func TestPoissonEdgeCases(t *testing.T) {
 	}
 }
 
+// TestSamplersStayInRange: a Poisson draw at MaxMean, or past it, lands in
+// [0, MaxMean], and half the draws at MaxMean cross it before the clamp. A
+// binomial draw at n = MaxMean and p near 1 lands in [0, n] although its
+// normal approximation crosses n often; on a 32-bit platform such a draw
+// used to overflow the int conversion and come back as 0 or negative.
+func TestSamplersStayInRange(t *testing.T) {
+	s := NewStream(3, 0, 0)
+	atBound := 0
+	for _, lambda := range []float64{MaxMean, 1e300, math.Inf(1)} {
+		for i := 0; i < 1000; i++ {
+			v := Poisson(&s, lambda)
+			if v < 0 || v > MaxMean {
+				t.Fatalf("Poisson(%g) = %d outside [0, %d]", lambda, v, MaxMean)
+			}
+			if v == MaxMean {
+				atBound++
+			}
+		}
+	}
+	if atBound < 2000 {
+		t.Fatalf("%d of 3000 draws at or past the bound clamped to it", atBound)
+	}
+	if v := Poisson(&s, math.NaN()); v != 0 {
+		t.Fatalf("Poisson(NaN) = %d, want 0", v)
+	}
+	const n = MaxMean
+	for i := 0; i < 1000; i++ {
+		if v := Binomial(&s, n, 1-1e-9); v < n-100 || v > n {
+			t.Fatalf("Binomial(%d, 1-1e-9) = %d outside [%d, %d]", n, v, n-100, n)
+		}
+	}
+}
+
 func TestBetaMoments(t *testing.T) {
 	a, b := 2.0, 3.0
 	s := NewStream(3, 0, 0)

@@ -31,14 +31,17 @@ import (
 // ErrBadQuery reports an unusable query or configuration.
 var ErrBadQuery = errors.New("search: bad query")
 
-// Tokenize lowercases the text and splits it into maximal alphanumeric
-// runs. It is the single tokenizer used for both documents and queries so
+// Tokenize lowercases the text and splits it into maximal runs of term
+// runes. It is the single tokenizer used for both documents and queries so
 // the two can never disagree.
 func Tokenize(text string) []string {
-	return strings.FieldsFunc(strings.ToLower(text), func(r rune) bool {
-		return !unicode.IsLetter(r) && !unicode.IsDigit(r)
-	})
+	return strings.FieldsFunc(strings.ToLower(text), func(r rune) bool { return !IsTermRune(r) })
 }
+
+// IsTermRune reports whether r belongs to a term: a letter or a digit.
+// Lowercasing maps no rune across this line, so text holds a term exactly
+// when it holds a term rune.
+func IsTermRune(r rune) bool { return unicode.IsLetter(r) || unicode.IsDigit(r) }
 
 // posting records one document containing a term.
 type posting struct {
@@ -137,8 +140,8 @@ func (an *analyzer) intern(ix *Index, tok []byte) int32 {
 
 // Analyze tokenizes a document exactly as Tokenize does and counts its
 // terms by id. A pure-ASCII document takes a single pass that lower-cases
-// token by token: below 0x80 unicode.IsLetter/IsDigit are the ASCII
-// letters and digits and strings.ToLower touches only 'A'-'Z', so the
+// token by token: below 0x80 IsTermRune holds for the ASCII letters and
+// digits alone and strings.ToLower touches only 'A'-'Z', so the
 // tokens are Tokenize's. Any byte >= 0x80 sends the whole document
 // through Tokenize itself. Only the two output slices are allocated.
 func (ix *Index) Analyze(text string) Analyzed {

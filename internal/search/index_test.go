@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unicode"
 )
 
 func TestTokenize(t *testing.T) {
@@ -18,6 +19,17 @@ func TestTokenize(t *testing.T) {
 	}
 	if Tokenize("...") != nil && len(Tokenize("...")) != 0 {
 		t.Fatal("punctuation-only text tokenized to something")
+	}
+}
+
+// TestTermRuneMatchesTokenizer: serving refuses a query with no term
+// before admission by scanning for IsTermRune instead of tokenizing. That
+// is only sound while the two agree on every rune.
+func TestTermRuneMatchesTokenizer(t *testing.T) {
+	for r := rune(0); r <= unicode.MaxRune; r++ {
+		if got, want := IsTermRune(r), len(Tokenize(string(r))) > 0; got != want {
+			t.Fatalf("%U: IsTermRune %v, Tokenize finds a term: %v", r, got, want)
+		}
 	}
 }
 

@@ -3,8 +3,8 @@ package serving
 import (
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"testing"
-	"unicode"
 
 	"pagequality/internal/search"
 )
@@ -12,7 +12,10 @@ import (
 // FuzzSearchParams feeds arbitrary bytes to /search as the raw query
 // string. Whatever they are, the handler does not panic, answers 200 or
 // 400, takes an admission permit for exactly the requests it answers 200
-// — a 400 is decided before admission — and holds none afterwards.
+// — a 400 is decided before admission — and holds none afterwards. A
+// query string that is one q holding a term search.Tokenize finds is
+// answered 200, so the pre-admission term check can neither pass a query
+// search refuses nor refuse one it serves.
 func FuzzSearchParams(f *testing.F) {
 	svc := syntheticService(20, 4)
 	f.Fuzz(func(t *testing.T, raw string) {
@@ -34,19 +37,12 @@ func FuzzSearchParams(f *testing.F) {
 		default:
 			t.Fatalf("%q: status %d: %s", raw, rec.Code, rec.Body)
 		}
+		if vals, err := url.ParseQuery(raw); err == nil && len(vals) == 1 && len(vals["q"]) == 1 &&
+			len(search.Tokenize(vals.Get("q"))) > 0 && rec.Code != http.StatusOK {
+			t.Fatalf("%q: one q with a term answered %d", raw, rec.Code)
+		}
 		if shed != 0 || svc.lim.inflight() != 0 {
 			t.Fatalf("%q: shed %d, inflight %d after the request", raw, shed, svc.lim.inflight())
 		}
 	})
-}
-
-// TestTermRuneMatchesTokenizer: serveSearch refuses a query with no term
-// before admission by scanning for isTermRune instead of tokenizing. That
-// is only sound while the two agree on every rune.
-func TestTermRuneMatchesTokenizer(t *testing.T) {
-	for r := rune(0); r <= unicode.MaxRune; r++ {
-		if got, want := isTermRune(r), len(search.Tokenize(string(r))) > 0; got != want {
-			t.Fatalf("%U: isTermRune %v, Tokenize finds a term: %v", r, got, want)
-		}
-	}
 }

@@ -42,7 +42,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-	"unicode"
 
 	"pagequality/internal/corpus"
 	"pagequality/internal/crawler"
@@ -334,9 +333,6 @@ func (s *Service) serveRefresh(w http.ResponseWriter) {
 	})
 }
 
-// isTermRune is search.Tokenize's rule for a rune that belongs to a term.
-func isTermRune(r rune) bool { return unicode.IsLetter(r) || unicode.IsDigit(r) }
-
 func (s *Service) serveSearch(w http.ResponseWriter, r *http.Request) {
 	// Validate before admission: a malformed request is answered 400
 	// whatever the load and never holds a permit.
@@ -346,7 +342,7 @@ func (s *Service) serveSearch(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, `missing query parameter "q"`, http.StatusBadRequest)
 		return
 	}
-	if !strings.ContainsFunc(q, isTermRune) {
+	if !strings.ContainsFunc(q, search.IsTermRune) {
 		http.Error(w, "search: bad query: empty query", http.StatusBadRequest)
 		return
 	}

@@ -15,6 +15,7 @@ import (
 	"math/rand"
 
 	"pagequality/internal/model"
+	"pagequality/internal/randx"
 )
 
 // Config parameterises a single-page simulation.
@@ -45,20 +46,22 @@ func (c *Config) fill() error {
 	if c.DT == 0 {
 		c.DT = 0.05
 	}
-	// Each float bound is written so that NaN and ±Inf fail it.
+	// Each float bound is written so that NaN and ±Inf fail it. A rate
+	// bound caps a step's Poisson mean at randx.MaxMean: visits
+	// (popularity <= 1) and forgets (awareness <= Users).
 	switch {
+	case !(c.DT > 0 && c.DT <= math.MaxFloat64):
+		return fmt.Errorf("%w: DT=%g", ErrBadConfig, c.DT)
 	case c.Users < 2:
 		return fmt.Errorf("%w: Users=%d", ErrBadConfig, c.Users)
-	case !(c.VisitRate > 0 && c.VisitRate <= math.MaxFloat64):
+	case !(c.VisitRate > 0 && c.VisitRate*c.DT <= randx.MaxMean):
 		return fmt.Errorf("%w: VisitRate=%g", ErrBadConfig, c.VisitRate)
 	case !(c.Quality > 0 && c.Quality <= 1):
 		return fmt.Errorf("%w: Quality=%g", ErrBadConfig, c.Quality)
 	case c.InitialLikes < 1 || c.InitialLikes > c.Users:
 		return fmt.Errorf("%w: InitialLikes=%d", ErrBadConfig, c.InitialLikes)
-	case !(c.ForgetRate >= 0 && c.ForgetRate <= math.MaxFloat64):
+	case !(c.ForgetRate >= 0 && c.ForgetRate*c.DT*float64(c.Users) <= randx.MaxMean):
 		return fmt.Errorf("%w: ForgetRate=%g", ErrBadConfig, c.ForgetRate)
-	case !(c.DT > 0 && c.DT <= math.MaxFloat64):
-		return fmt.Errorf("%w: DT=%g", ErrBadConfig, c.DT)
 	}
 	return nil
 }
@@ -233,7 +236,7 @@ func poisson(rng *rand.Rand, lambda float64) int {
 		u, v := float64(2*uniform())-1, float64(2*uniform())-1
 		if q := float64(u*u) + float64(v*v); q != 0 && q < 1 {
 			x := lambda + float64(math.Sqrt(lambda)*(u*math.Sqrt(-2*math.Log(q)/q)))
-			return int(math.Round(max(x, 0)))
+			return int(math.Round(min(max(x, 0), randx.MaxMean)))
 		}
 	}
 }

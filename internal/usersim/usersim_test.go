@@ -30,19 +30,25 @@ func TestConfigValidation(t *testing.T) {
 
 // TestConfigRefusesNonFinite sets each float field to NaN, +Inf and -Inf
 // in turn: every one must be refused, though NaN and +Inf pass a plain <
-// or <= bound.
+// or <= bound. A rate, or the step that scales it, set to a huge finite
+// value must be refused too: its per-step mean passes randx.MaxMean.
 func TestConfigRefusesNonFinite(t *testing.T) {
 	fields := []struct {
 		name  string
+		rate  bool // sets the mean of a step's Poisson draw
 		field func(*Config) *float64
 	}{
-		{"VisitRate", func(c *Config) *float64 { return &c.VisitRate }},
-		{"Quality", func(c *Config) *float64 { return &c.Quality }},
-		{"ForgetRate", func(c *Config) *float64 { return &c.ForgetRate }},
-		{"DT", func(c *Config) *float64 { return &c.DT }},
+		{"VisitRate", true, func(c *Config) *float64 { return &c.VisitRate }},
+		{"Quality", false, func(c *Config) *float64 { return &c.Quality }},
+		{"ForgetRate", true, func(c *Config) *float64 { return &c.ForgetRate }},
+		{"DT", true, func(c *Config) *float64 { return &c.DT }},
 	}
 	for _, f := range fields {
-		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		values := []float64{math.NaN(), math.Inf(1), math.Inf(-1)}
+		if f.rate {
+			values = append(values, 1e300, math.MaxFloat64)
+		}
+		for _, v := range values {
 			cfg := Config{Users: 10, VisitRate: 1, Quality: 0.5, InitialLikes: 1}
 			*f.field(&cfg) = v
 			if err := cfg.fill(); !errors.Is(err, ErrBadConfig) {

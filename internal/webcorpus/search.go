@@ -73,8 +73,10 @@ var liveEstimator = quality.CorpusConfig()
 // enabled reports whether the channel is on at all.
 func (sc *SearchConfig) enabled() bool { return sc.SessionsPerWeek > 0 }
 
-func (sc *SearchConfig) fill() error {
-	if !(sc.SessionsPerWeek >= 0 && sc.SessionsPerWeek <= math.MaxFloat64) {
+// fill checks the channel against the corpus step dt, which sets the
+// mean of a tick's session count.
+func (sc *SearchConfig) fill(dt float64) error {
+	if !(sc.SessionsPerWeek >= 0 && sc.SessionsPerWeek*dt <= randx.MaxMean) {
 		return fmt.Errorf("%w: SessionsPerWeek=%g", ErrBadConfig, sc.SessionsPerWeek)
 	}
 	if !sc.enabled() {

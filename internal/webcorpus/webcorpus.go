@@ -122,15 +122,21 @@ func (c *Config) fill() error {
 	if c.DT == 0 {
 		c.DT = 0.25
 	}
-	// Each float bound is written so that NaN and ±Inf fail it.
+	// Each float bound is written so that NaN and ±Inf fail it. A rate
+	// bound caps a tick's Poisson mean at randx.MaxMean: visits to a page
+	// (popularity <= 1), forgets on a page (awareness <= Users), births,
+	// and noise events (at least one page a site; randx clamps a later,
+	// larger corpus's draw).
 	switch {
+	case !(c.DT > 0 && c.DT <= math.MaxFloat64):
+		return fmt.Errorf("%w: DT=%g", ErrBadConfig, c.DT)
 	case c.Sites < 1:
 		return fmt.Errorf("%w: Sites=%d", ErrBadConfig, c.Sites)
 	case c.InitialPagesPerSite < 1:
 		return fmt.Errorf("%w: InitialPagesPerSite=%d", ErrBadConfig, c.InitialPagesPerSite)
 	case c.Users < 10:
 		return fmt.Errorf("%w: Users=%d", ErrBadConfig, c.Users)
-	case !(c.VisitRate > 0 && c.VisitRate <= math.MaxFloat64):
+	case !(c.VisitRate > 0 && c.VisitRate*c.DT <= randx.MaxMean):
 		return fmt.Errorf("%w: VisitRate=%g", ErrBadConfig, c.VisitRate)
 	case !(c.LinkProb > 0 && c.LinkProb <= 1):
 		return fmt.Errorf("%w: LinkProb=%g", ErrBadConfig, c.LinkProb)
@@ -139,20 +145,18 @@ func (c *Config) fill() error {
 	case !(c.QualityAlpha > 0 && c.QualityAlpha <= math.MaxFloat64) ||
 		!(c.QualityBeta > 0 && c.QualityBeta <= math.MaxFloat64):
 		return fmt.Errorf("%w: quality Beta(%g,%g)", ErrBadConfig, c.QualityAlpha, c.QualityBeta)
-	case !(c.BirthRate >= 0 && c.BirthRate <= math.MaxFloat64):
+	case !(c.BirthRate >= 0 && c.BirthRate*c.DT <= randx.MaxMean):
 		return fmt.Errorf("%w: BirthRate=%g", ErrBadConfig, c.BirthRate)
-	case !(c.ForgetRate >= 0 && c.ForgetRate <= math.MaxFloat64):
+	case !(c.ForgetRate >= 0 && c.ForgetRate*c.DT*float64(c.Users) <= randx.MaxMean):
 		return fmt.Errorf("%w: ForgetRate=%g", ErrBadConfig, c.ForgetRate)
-	case !(c.NoiseRate >= 0 && c.NoiseRate <= math.MaxFloat64):
+	case !(c.NoiseRate >= 0 && c.NoiseRate*c.DT*float64(c.Sites) <= randx.MaxMean):
 		return fmt.Errorf("%w: NoiseRate=%g", ErrBadConfig, c.NoiseRate)
-	case !(c.DT > 0 && c.DT <= math.MaxFloat64):
-		return fmt.Errorf("%w: DT=%g", ErrBadConfig, c.DT)
 	case !(c.BurnInWeeks >= 0 && c.BurnInWeeks <= math.MaxFloat64):
 		return fmt.Errorf("%w: BurnInWeeks=%g", ErrBadConfig, c.BurnInWeeks)
 	case c.Workers < 0:
 		return fmt.Errorf("%w: Workers=%d", ErrBadConfig, c.Workers)
 	}
-	return c.Search.fill()
+	return c.Search.fill(c.DT)
 }
 
 // Stream-key space of the corpus. Page ids are dense uint32 values, so

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"pagequality/internal/graph"
+	"pagequality/internal/randx"
 	"pagequality/internal/snapshot"
 )
 
@@ -54,31 +55,45 @@ func TestConfigValidation(t *testing.T) {
 // TestConfigRefusesNonFinite sets each float field to NaN, +Inf and -Inf
 // in turn: every one must be refused. NaN and +Inf pass a plain < or <=
 // bound, and a corpus built from one panics, hangs or silently misbehaves.
+// A rate, or the step that scales it, set to a huge finite value must be
+// refused too: its per-tick mean passes randx.MaxMean. A mean exactly at
+// the bound is accepted.
 func TestConfigRefusesNonFinite(t *testing.T) {
 	fields := []struct {
 		name  string
+		rate  bool // sets the mean of a tick's Poisson draw
 		field func(*Config) *float64
 	}{
-		{"VisitRate", func(c *Config) *float64 { return &c.VisitRate }},
-		{"LinkProb", func(c *Config) *float64 { return &c.LinkProb }},
-		{"SameSiteBias", func(c *Config) *float64 { return &c.SameSiteBias }},
-		{"QualityAlpha", func(c *Config) *float64 { return &c.QualityAlpha }},
-		{"QualityBeta", func(c *Config) *float64 { return &c.QualityBeta }},
-		{"BirthRate", func(c *Config) *float64 { return &c.BirthRate }},
-		{"ForgetRate", func(c *Config) *float64 { return &c.ForgetRate }},
-		{"NoiseRate", func(c *Config) *float64 { return &c.NoiseRate }},
-		{"DT", func(c *Config) *float64 { return &c.DT }},
-		{"BurnInWeeks", func(c *Config) *float64 { return &c.BurnInWeeks }},
-		{"SessionsPerWeek", func(c *Config) *float64 { return &c.Search.SessionsPerWeek }},
+		{"VisitRate", true, func(c *Config) *float64 { return &c.VisitRate }},
+		{"LinkProb", false, func(c *Config) *float64 { return &c.LinkProb }},
+		{"SameSiteBias", false, func(c *Config) *float64 { return &c.SameSiteBias }},
+		{"QualityAlpha", false, func(c *Config) *float64 { return &c.QualityAlpha }},
+		{"QualityBeta", false, func(c *Config) *float64 { return &c.QualityBeta }},
+		{"BirthRate", true, func(c *Config) *float64 { return &c.BirthRate }},
+		{"ForgetRate", true, func(c *Config) *float64 { return &c.ForgetRate }},
+		{"NoiseRate", true, func(c *Config) *float64 { return &c.NoiseRate }},
+		{"DT", true, func(c *Config) *float64 { return &c.DT }},
+		{"BurnInWeeks", false, func(c *Config) *float64 { return &c.BurnInWeeks }},
+		{"SessionsPerWeek", true, func(c *Config) *float64 { return &c.Search.SessionsPerWeek }},
 	}
 	for _, f := range fields {
-		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		values := []float64{math.NaN(), math.Inf(1), math.Inf(-1)}
+		if f.rate {
+			values = append(values, 1e300, math.MaxFloat64)
+		}
+		for _, v := range values {
 			cfg := DefaultConfig()
 			*f.field(&cfg) = v
 			if err := cfg.fill(); !errors.Is(err, ErrBadConfig) {
 				t.Errorf("%s = %g: error %v, want ErrBadConfig", f.name, v, err)
 			}
 		}
+	}
+	cfg := DefaultConfig()
+	cfg.BirthRate = randx.MaxMean / cfg.DT
+	cfg.Search.SessionsPerWeek = randx.MaxMean / cfg.DT
+	if err := cfg.fill(); err != nil {
+		t.Errorf("means at randx.MaxMean refused: %v", err)
 	}
 }
 
