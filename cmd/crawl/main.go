@@ -213,11 +213,11 @@ func run(args []string, out io.Writer) (err error) {
 		res.Stats.RateLimited, res.Stats.HostsDegraded, res.Stats.SkippedCaps, res.Stats.SkippedRobots,
 		res.Graph.NumNodes(), res.Graph.NumEdges())
 
-	snaps = append(snaps, snapshot.Snapshot{Label: lbl, Time: wk, Graph: res.Graph})
-	if err := snapshot.WriteFile(*store, snaps); err != nil {
+	total, err := snapshot.AppendFile(*store, snapshot.Snapshot{Label: lbl, Time: wk, Graph: res.Graph})
+	if err != nil {
 		return err
 	}
 	fmt.Fprintf(out, "appended snapshot %s (week %.1f) to %s (%d snapshots total)\n",
-		lbl, wk, *store, len(snaps))
+		lbl, wk, *store, total)
 	return nil
 }

@@ -59,32 +59,21 @@ func run(args []string, out io.Writer) error {
 
 	// One corpus pass re-extracts the label's snapshot, stamped with the
 	// archived fetch time unless -week overrides it.
-	extracted, err := corpus.SnapshotsFromArchive(arch, []string{*label}, corpus.Options{})
+	snap, err := corpus.SnapshotFromArchive(arch, *label)
 	if err != nil {
 		return fmt.Errorf("%s: %w", *archiveDir, err)
 	}
-	snap := extracted[0]
 	if *week >= 0 {
 		snap.Time = *week
 	}
 	fmt.Fprintf(out, "extracted %s: %d nodes, %d links\n",
 		snap.Label, snap.Graph.NumNodes(), snap.Graph.NumEdges())
 
-	var snaps []snapshot.Snapshot
-	if _, err := os.Stat(*store); err == nil {
-		snaps, err = snapshot.ReadFile(*store)
-		if err != nil {
-			return fmt.Errorf("existing store: %w", err)
-		}
-	}
-	if n := len(snaps); n > 0 && snap.Time <= snaps[n-1].Time {
-		return fmt.Errorf("snapshot week %g does not follow the last stored snapshot (%g)", snap.Time, snaps[n-1].Time)
-	}
-	snaps = append(snaps, snap)
-	if err := snapshot.WriteFile(*store, snaps); err != nil {
+	total, err := snapshot.AppendFile(*store, snap)
+	if err != nil {
 		return err
 	}
 	fmt.Fprintf(out, "appended snapshot %s (week %.1f) to %s (%d snapshots total)\n",
-		snap.Label, snap.Time, *store, len(snaps))
+		snap.Label, snap.Time, *store, total)
 	return nil
 }

@@ -7,12 +7,9 @@
 // Usage:
 //
 //	quality -in web.pqs [-snaps 3] [-c 1.0] [-maxtrend 0.3] [-top 20]
-//	quality -archive pages/ [-labels t1,t2,t3] [...]
 //
-// With -archive, snapshots are re-extracted straight from a crawl
-// archive (one corpus pass per label) instead of a snapshot store; the
-// estimate and the report are identical to extracting each label with
-// cmd/extract and running the -in route on the result.
+// A crawl archive is read by extracting each label into the store with
+// cmd/extract first.
 package main
 
 import (
@@ -21,12 +18,9 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
-	"pagequality/internal/corpus"
 	"pagequality/internal/experiments"
 	"pagequality/internal/metrics"
-	"pagequality/internal/pagestore"
 	"pagequality/internal/quality"
 	"pagequality/internal/snapshot"
 )
@@ -40,41 +34,21 @@ func main() {
 
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("quality", flag.ContinueOnError)
-	def := quality.CorpusConfig()
+	cfg := quality.CorpusConfig()
 	var (
 		in       = fs.String("in", "web.pqs", "snapshot store path")
-		archive  = fs.String("archive", "", "crawl archive directory (replaces -in: snapshots re-extracted per label)")
-		labels   = fs.String("labels", "", "comma-separated archive labels, in time order (default: all, time-sorted)")
 		snapsN   = fs.Int("snaps", 3, "number of leading snapshots used for estimation")
-		c        = fs.Float64("c", def.C, "estimator constant C")
-		maxTrend = fs.Float64("maxtrend", def.MaxTrend, "trend cap (0 disables)")
-		minCh    = fs.Float64("minchange", def.MinChangeFrac, "stable-page threshold")
+		c        = fs.Float64("c", cfg.C, "estimator constant C")
+		maxTrend = fs.Float64("maxtrend", cfg.MaxTrend, "trend cap (0 disables)")
+		minCh    = fs.Float64("minchange", cfg.MinChangeFrac, "stable-page threshold")
 		top      = fs.Int("top", 20, "number of pages to print")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	var snaps []snapshot.Snapshot
-	if *archive != "" {
-		arch, err := pagestore.Open(*archive, pagestore.Options{})
-		if err != nil {
-			return err
-		}
-		defer arch.Close()
-		want := strings.Split(*labels, ",")
-		if *labels == "" {
-			if want, err = corpus.ArchiveLabels(arch, corpus.Options{}); err != nil {
-				return err
-			}
-		}
-		if snaps, err = corpus.SnapshotsFromArchive(arch, want, corpus.Options{}); err != nil {
-			return err
-		}
-	} else {
-		var err error
-		if snaps, err = snapshot.ReadFile(*in); err != nil {
-			return err
-		}
+	snaps, err := snapshot.ReadFile(*in)
+	if err != nil {
+		return err
 	}
 	if len(snaps) < 2 {
 		return fmt.Errorf("store has %d snapshots; need at least 2", len(snaps))
@@ -85,12 +59,7 @@ func run(args []string, out io.Writer) error {
 	}
 	fmt.Fprintf(out, "%d snapshots, %d common pages\n", al.NumSnapshots(), al.NumPages())
 
-	cfg := quality.Config{
-		C:                      *c,
-		MinChangeFrac:          *minCh,
-		ApplyTrendToDecreasing: true,
-		MaxTrend:               *maxTrend,
-	}
+	cfg.C, cfg.MinChangeFrac, cfg.MaxTrend = *c, *minCh, *maxTrend
 	est, ranks, err := quality.FromAligned(al, *snapsN, cfg)
 	if err != nil {
 		return err

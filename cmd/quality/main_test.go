@@ -7,9 +7,7 @@ import (
 	"strings"
 	"testing"
 
-	"pagequality/internal/crawler"
 	"pagequality/internal/graph"
-	"pagequality/internal/pagestore"
 	"pagequality/internal/snapshot"
 )
 
@@ -144,97 +142,5 @@ func TestQualityCLIErrors(t *testing.T) {
 	}
 	if err := run([]string{"-in", path, "-c", "-4"}, &buf); err == nil {
 		t.Fatal("negative C accepted")
-	}
-}
-
-// htmlArchive writes three crawls of a small evolving graph as raw HTML
-// bodies under labels t1..t3.
-func htmlArchive(t *testing.T) string {
-	t.Helper()
-	dir := t.TempDir()
-	st, err := pagestore.Open(dir, pagestore.Options{MaxSegmentBytes: 2048})
-	if err != nil {
-		t.Fatal(err)
-	}
-	url := func(i int) string { return fmt.Sprintf("http://s.test/p%d", i) }
-	for week := 1; week <= 3; week++ {
-		label := fmt.Sprintf("t%d", week)
-		for i := 0; i < 8; i++ {
-			body := fmt.Sprintf(`<html><a href="%s">n</a>`, url((i+1)%8))
-			if i < week { // riser gains links over time
-				body += fmt.Sprintf(`<a href="%s">r</a>`, url(7))
-			}
-			body += `</html>`
-			err := st.Put(label+"/"+url(i), pagestore.Meta{FetchedAt: float64(week), Status: 200}, []byte(body))
-			if err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return dir
-}
-
-// TestQualityCLIArchiveRouteMatchesStoreRoute pins the -archive flag to
-// the pre-refactor route: extract every label with the KeysWithPrefix
-// walk, write a snapshot store, and compare stdout byte for byte.
-func TestQualityCLIArchiveRouteMatchesStoreRoute(t *testing.T) {
-	dir := htmlArchive(t)
-
-	// Pre-refactor route: per-label key walk -> Assemble -> store file.
-	st, err := pagestore.Open(dir, pagestore.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var snaps []snapshot.Snapshot
-	for _, label := range []string{"t1", "t2", "t3"} {
-		prefix := label + "/"
-		var docs []crawler.Document
-		week := -1.0
-		for _, k := range st.KeysWithPrefix(prefix) {
-			meta, body, err := st.Get(k)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if week < 0 {
-				week = meta.FetchedAt
-			}
-			docs = append(docs, crawler.Document{FetchURL: k[len(prefix):], Body: body})
-		}
-		res, err := crawler.Assemble(docs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		snaps = append(snaps, snapshot.Snapshot{Label: label, Time: week, Graph: res.Graph})
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "web.pqs")
-	if err := snapshot.WriteFile(path, snaps); err != nil {
-		t.Fatal(err)
-	}
-
-	var fromStore, fromArchive, fromArchiveLabels bytes.Buffer
-	if err := run([]string{"-in", path, "-snaps", "2", "-top", "8"}, &fromStore); err != nil {
-		t.Fatal(err)
-	}
-	if err := run([]string{"-archive", dir, "-snaps", "2", "-top", "8"}, &fromArchive); err != nil {
-		t.Fatal(err)
-	}
-	if err := run([]string{"-archive", dir, "-labels", "t1,t2,t3", "-snaps", "2", "-top", "8"}, &fromArchiveLabels); err != nil {
-		t.Fatal(err)
-	}
-	if fromStore.String() != fromArchive.String() {
-		t.Fatalf("archive route differs from store route:\n--- store ---\n%s--- archive ---\n%s",
-			fromStore.String(), fromArchive.String())
-	}
-	if fromArchive.String() != fromArchiveLabels.String() {
-		t.Fatal("-labels changed the default-label output")
-	}
-	if err := run([]string{"-archive", dir, "-labels", "nope"}, &fromArchive); err == nil {
-		t.Fatal("unknown label accepted")
 	}
 }

@@ -41,14 +41,14 @@ func main() {
 // returns nil after a drain that ctx's cancellation started.
 func run(ctx context.Context, args []string, out io.Writer, listen func(context.Context, string, http.Handler) error) error {
 	fs := flag.NewFlagSet("qualityserve", flag.ContinueOnError)
-	def := quality.CorpusConfig()
+	qcfg := quality.CorpusConfig()
 	var (
 		store       = fs.String("store", "web.pqs", "snapshot store with the crawl series")
 		archive     = fs.String("archive", "", "pagestore directory with archived page bodies")
 		label       = fs.String("label", "", "archive label of the crawl to index (default: last estimation snapshot)")
 		snapsN      = fs.Int("snaps", 3, "number of leading snapshots used for quality estimation")
-		c           = fs.Float64("c", def.C, "estimator constant C")
-		cap_        = fs.Float64("maxtrend", def.MaxTrend, "trend cap")
+		c           = fs.Float64("c", qcfg.C, "estimator constant C")
+		cap_        = fs.Float64("maxtrend", qcfg.MaxTrend, "trend cap")
 		addr        = fs.String("addr", "127.0.0.1:8088", "listen address")
 		cacheSize   = fs.Int("cachesize", 4096, "query cache capacity in entries (0 disables caching)")
 		refresh     = fs.Duration("refresh-interval", 0, "rebuild the index from the store at this interval (0 disables; /refresh always works)")
@@ -70,14 +70,13 @@ func run(ctx context.Context, args []string, out io.Writer, listen func(context.
 	if *maxWait < 0 {
 		return fmt.Errorf("-max-wait must be >= 0, got %v", *maxWait)
 	}
+	qcfg.C, qcfg.MaxTrend = *c, *cap_
 	svc, err := serving.New(serving.Config{
-		StorePath:  *store,
-		ArchiveDir: *archive,
-		Label:      *label,
-		Snaps:      *snapsN,
-		Quality: quality.Config{
-			C: *c, MinChangeFrac: 0.05, ApplyTrendToDecreasing: true, MaxTrend: *cap_,
-		},
+		StorePath:   *store,
+		ArchiveDir:  *archive,
+		Label:       *label,
+		Snaps:       *snapsN,
+		Quality:     qcfg,
 		CacheSize:   *cacheSize,
 		MaxInflight: *maxInflight,
 		MaxWait:     *maxWait,

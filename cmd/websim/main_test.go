@@ -88,9 +88,28 @@ func TestWebsimRefusesHugeRates(t *testing.T) {
 	}
 }
 
+// TestWebsimRefusesHugeHorizons runs a burn-in and a schedule time whose
+// tick count passes the horizon bound: each must end in ErrBadConfig
+// naming the field. Both used to write a store, at week -1e300 and at
+// week 0, because the float tick count overflowed the int conversion.
+func TestWebsimRefusesHugeHorizons(t *testing.T) {
+	for _, tc := range []struct {
+		args  []string
+		field string
+	}{
+		{[]string{"-burnin", "1e300"}, "BurnInWeeks"},
+		{[]string{"-schedule", "0,1e300"}, "Times[1]"},
+	} {
+		if err := wantBadConfig(t, tc.args); err != nil && !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%v: error %v does not name %s", tc.args, err, tc.field)
+		}
+	}
+}
+
 // wantBadConfig runs websim on a tiny corpus with args appended and fails
-// unless the run ends in ErrBadConfig without a panic.
-func wantBadConfig(t *testing.T, args []string) {
+// unless the run ends in ErrBadConfig without a panic. It returns the
+// error.
+func wantBadConfig(t *testing.T, args []string) (err error) {
 	t.Helper()
 	defer func() {
 		if r := recover(); r != nil {
@@ -98,10 +117,11 @@ func wantBadConfig(t *testing.T, args []string) {
 		}
 	}()
 	out := filepath.Join(t.TempDir(), "web.pqs")
-	err := run(append([]string{"-out", out, "-sites", "5", "-burnin", "1", "-schedule", "0,1"}, args...), io.Discard)
+	err = run(append([]string{"-out", out, "-sites", "5", "-burnin", "1", "-schedule", "0,1"}, args...), io.Discard)
 	if !errors.Is(err, webcorpus.ErrBadConfig) {
 		t.Errorf("%v: error %v, want ErrBadConfig", args, err)
 	}
+	return err
 }
 
 func TestParseSchedule(t *testing.T) {

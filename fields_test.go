@@ -6,12 +6,12 @@ package pagequality_test
 // struct declared in non-test code under internal/ must be read by some
 // non-test file outside cmd/bench, or sit on the allow-list below with
 // its reason. A read is any use of the field outside a statement that
-// assigns it with a plain =, so neither the assignment's own target nor
-// the running minimum of `if x < s.Min { s.Min = x }` counts, and a keyed
-// composite literal only writes. x.f++ and x.f += v do read x.f, so a
-// counter that only tests look at passes. Fields of a struct used as a
-// map key are read by every lookup, and an embedded field is read through
-// what it promotes, so both count as read.
+// assigns it (=, op=, ++ or --), so neither the assignment's own target,
+// nor the counter of x.f++ or x.f += v, nor the running minimum of
+// `if x < s.Min { s.Min = x }` counts, and a keyed composite literal only
+// writes: a counter that only tests look at needs an entry. Fields of a
+// struct used as a map key are read by every lookup, and an embedded
+// field is read through what it promotes, so both count as read.
 
 import (
 	"fmt"
@@ -46,8 +46,13 @@ var unreadAllowed = map[string]string{
 	"graph.Edge.To":   "as From; goes with ROADMAP item 22",
 
 	// State only tests observe.
-	"serving.Generation.urls":  "the URL table the hit fragments are rendered from; the parity and encoder tests rebuild responses from it",
-	"pagestore.footer.dataLen": "the footer's record-data length, checked against the footer's offset while decoding; the footer tests cut and corrupt segments at it",
+	"usersim.Sim.visits":                     "counted at every visit; only TestVisitAccounting reads it, as the ceiling on discoveries",
+	"usersim.Sim.discovers":                  "counted at every first visit; only TestVisitAccounting reads it, against the count the awareness implies",
+	"pagerank.AdaptiveResult.SkippedUpdates": "only TestAdaptiveActuallySkipsWork reads it, to show that the adaptive method skips frozen pages",
+	"pagestore.Store.footerSegments":         "only the footer tests read it: TestOpenUsesFooters, and TestOpenMatchesLegacyScan for a store without footers",
+	"pagestore.Store.scannedSegments":        "only the footer tests read it; TestOpenFooterFallback's scan check is what notices a footer accepted without its CRC",
+	"serving.Generation.urls":                "the URL table the hit fragments are rendered from; the parity and encoder tests rebuild responses from it",
+	"pagestore.footer.dataLen":               "the footer's record-data length, checked against the footer's offset while decoding; the footer tests cut and corrupt segments at it",
 }
 
 func TestEveryFieldHasAReader(t *testing.T) {
@@ -121,16 +126,20 @@ func TestEveryFieldHasAReader(t *testing.T) {
 			}
 			return nil
 		}
-		// assigns reports whether stmt assigns field v with a plain =.
+		// assigns reports whether stmt assigns field v: with =, with an
+		// op= or with ++ or --.
 		assigns := func(stmt ast.Node, v *types.Var) (found bool) {
 			if stmt == nil {
 				return false
 			}
 			ast.Inspect(stmt, func(n ast.Node) bool {
-				if as, ok := n.(*ast.AssignStmt); ok && as.Tok == token.ASSIGN {
-					for _, lhs := range as.Lhs {
+				switch n := n.(type) {
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
 						found = found || field(lhs) == v
 					}
+				case *ast.IncDecStmt:
+					found = found || field(n.X) == v
 				}
 				return !found
 			})

@@ -3,7 +3,6 @@ package corpus
 import (
 	"bytes"
 	"fmt"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -41,7 +40,7 @@ func buildTestArchive(t *testing.T) *pagestore.Store {
 	return st
 }
 
-// keyWalkSnapshots is the route the archive readers replaced: a
+// keyWalkSnapshots is the route the archive reader replaced: a
 // KeysWithPrefix+Get walk per label (what cmd/extract did), the first
 // document's fetch time as the snapshot time.
 func keyWalkSnapshots(t *testing.T, st *pagestore.Store, labels []string) []snapshot.Snapshot {
@@ -114,42 +113,32 @@ func FuzzSplitKey(f *testing.F) {
 	})
 }
 
-func TestArchiveLabels(t *testing.T) {
-	st := buildTestArchive(t)
-	labels, err := ArchiveLabels(st, Options{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(labels, []string{"t1", "t2", "t3"}) {
-		t.Fatalf("labels = %v", labels)
-	}
-}
-
+// TestSnapshotsFromArchiveMatchExtract: every label's snapshot, read
+// under its key prefix, equals the key walk's. An unknown label is
+// refused, and so are the empty label and one holding a '/', which no
+// archive key splits into.
 func TestSnapshotsFromArchiveMatchExtract(t *testing.T) {
 	st := buildTestArchive(t)
-	// A subset, out of time order: the result follows the given order and
-	// holds nothing of the unwanted label.
-	labels := []string{"t3", "t1"}
+	labels := []string{"t1", "t2", "t3"}
 	want := keyWalkSnapshots(t, st, labels)
-	for _, workers := range []int{1, 2, 0} {
-		snaps, err := SnapshotsFromArchive(st, labels, Options{Workers: workers})
+	for k, label := range labels {
+		snap, err := SnapshotFromArchive(st, label)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(snaps) != len(want) {
-			t.Fatalf("workers=%d: %d snapshots, want %d", workers, len(snaps), len(want))
+		if snap.Label != want[k].Label || snap.Time != want[k].Time { //pqlint:allow floateq both routes copy the same stored fetch time
+			t.Fatalf("snapshot %q = (%q, %g), want (%q, %g)", label, snap.Label, snap.Time, want[k].Label, want[k].Time)
 		}
-		for k := range snaps {
-			if snaps[k].Label != want[k].Label || snaps[k].Time != want[k].Time { //pqlint:allow floateq both routes copy the same stored fetch time
-				t.Fatalf("workers=%d: snapshot %d = (%q, %g), want (%q, %g)",
-					workers, k, snaps[k].Label, snaps[k].Time, want[k].Label, want[k].Time)
-			}
-			if !bytes.Equal(snaps[k].Graph.AppendBinary(nil), want[k].Graph.AppendBinary(nil)) {
-				t.Fatalf("workers=%d: snapshot %q graph differs from the key walk's", workers, snaps[k].Label)
-			}
+		if !bytes.Equal(snap.Graph.AppendBinary(nil), want[k].Graph.AppendBinary(nil)) {
+			t.Fatalf("snapshot %q graph differs from the key walk's", label)
 		}
 	}
-	if _, err := SnapshotsFromArchive(st, []string{"t1", "nope"}, Options{}); err == nil {
-		t.Fatal("unknown label accepted")
+	if err := st.Put("x/y/http://site.test/p00", pagestore.Meta{FetchedAt: 4, Status: 200}, []byte("<html></html>")); err != nil {
+		t.Fatal(err)
+	}
+	for _, label := range []string{"nope", "", "x/y"} {
+		if _, err := SnapshotFromArchive(st, label); err == nil {
+			t.Fatalf("label %q accepted", label)
+		}
 	}
 }

@@ -1,6 +1,6 @@
 // Package corpus is the deterministic whole-archive read path over the
-// pagestore — the substrate every whole-corpus analysis (archive-driven
-// quality estimation, the serving index build, per-label stats) shares
+// pagestore — the substrate every whole-corpus analysis (per-label
+// snapshot extraction, the serving index build, per-label stats) shares
 // instead of hand-rolling its own walk — and the one place that knows
 // the crawl-archive key format (see SplitKey).
 //

@@ -74,11 +74,11 @@ func indexSnapshot(t *testing.T, dir string, opts Options) map[string]location {
 func TestOpenUsesFooters(t *testing.T) {
 	dir, want := buildMultiSegmentFixture(t)
 	s := open(t, dir, Options{MaxSegmentBytes: 2048})
-	if s.openStats.footerSegments == 0 {
+	if s.footerSegments == 0 {
 		t.Fatal("no segment was indexed from its footer")
 	}
-	if s.openStats.scannedSegments > 1 {
-		t.Fatalf("%d segments scanned; only the active tail may be", s.openStats.scannedSegments)
+	if s.scannedSegments > 1 {
+		t.Fatalf("%d segments scanned; only the active tail may be", s.scannedSegments)
 	}
 	for k, body := range want {
 		_, got, err := s.Get(k)
@@ -155,8 +155,8 @@ func TestOpenFooterFallback(t *testing.T) {
 			}
 
 			s := open(t, dir, Options{MaxSegmentBytes: 2048})
-			if s.openStats.scannedSegments < 2 { // damaged segment + active tail
-				t.Fatalf("damaged segment was not scan-indexed (scanned=%d)", s.openStats.scannedSegments)
+			if s.scannedSegments < 2 { // damaged segment + active tail
+				t.Fatalf("damaged segment was not scan-indexed (scanned=%d)", s.scannedSegments)
 			}
 			s.mu.Lock()
 			got := make(map[string]location, len(s.index))
@@ -187,7 +187,7 @@ func TestOpenMatchesLegacyScan(t *testing.T) {
 	footered := indexSnapshot(t, dir, Options{MaxSegmentBytes: 2048})
 	stripFooters(t, dir)
 	s := open(t, dir, Options{MaxSegmentBytes: 2048})
-	if s.openStats.footerSegments != 0 {
+	if s.footerSegments != 0 {
 		t.Fatal("stripped store still claims footer segments")
 	}
 	s.mu.Lock()
@@ -284,8 +284,8 @@ func TestOpenVersion1Footers(t *testing.T) {
 	}
 
 	s := open(t, dir, opts)
-	if s.openStats.footerSegments != 0 {
-		t.Fatalf("%d version-1 footers decoded", s.openStats.footerSegments)
+	if s.footerSegments != 0 {
+		t.Fatalf("%d version-1 footers decoded", s.footerSegments)
 	}
 	if !reflect.DeepEqual(s.index, v2) {
 		t.Fatal("the version-1 store's index differs from the version-2 store's")

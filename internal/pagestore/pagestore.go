@@ -60,12 +60,10 @@ type Store struct {
 	index  map[string]location
 	closed bool
 
-	// openStats records how the index was rebuilt; tests use it to pin
-	// the O(index) cold-start contract.
-	openStats struct {
-		footerSegments  int // indexed from a valid footer, no record reads
-		scannedSegments int // indexed by replaying records
-	}
+	// How Open rebuilt the index, in segments; tests use the counts to
+	// pin the O(index) cold-start contract.
+	footerSegments  int // indexed from a valid footer, no record reads
+	scannedSegments int // indexed by replaying records
 }
 
 // location points at one record.
@@ -344,9 +342,9 @@ func (s *Store) rebuildIndex(segs []int, workers int) (tail map[string]int64, er
 			s.index[e.key] = location{seg: id, offset: e.off}
 		}
 		if loads[i].sealed {
-			s.openStats.footerSegments++
+			s.footerSegments++
 		} else {
-			s.openStats.scannedSegments++
+			s.scannedSegments++
 		}
 	}
 	if n := len(segs); n > 0 && !loads[n-1].sealed {

@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io/fs"
 	"math"
 	"os"
 
@@ -163,6 +164,27 @@ func WriteFile(path string, snaps []Snapshot) error {
 		return err
 	}
 	return pagestore.WriteFileAtomic(path, data)
+}
+
+// AppendFile appends s to the store at path, creating the store if the
+// file does not exist, and returns how many snapshots the store then
+// holds. It reads the store at write time, so a snapshot another process
+// appended earlier is kept; nothing locks the file between that read and
+// the write. A week that does not strictly follow the last stored
+// snapshot's is refused, and the file is left as it was.
+func AppendFile(path string, s Snapshot) (total int, err error) {
+	snaps, err := ReadFile(path)
+	if err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return 0, fmt.Errorf("existing store: %w", err)
+	}
+	if n := len(snaps); n > 0 && s.Time <= snaps[n-1].Time {
+		return 0, fmt.Errorf("snapshot week %g does not follow the last stored snapshot (%g)", s.Time, snaps[n-1].Time)
+	}
+	snaps = append(snaps, s)
+	if err := WriteFile(path, snaps); err != nil {
+		return 0, err
+	}
+	return len(snaps), nil
 }
 
 // ReadFile loads a store written by WriteFile.

@@ -1,6 +1,7 @@
 package snapshot
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math"
@@ -118,6 +119,32 @@ func TestWriteReadFileAtomic(t *testing.T) {
 func TestReadFileMissing(t *testing.T) {
 	if _, err := ReadFile(filepath.Join(t.TempDir(), "nope.pqs")); err == nil {
 		t.Fatal("missing file accepted")
+	}
+}
+
+// TestAppendFile: a missing file becomes a one-snapshot store, and a
+// week that does not strictly follow the last stored one is refused
+// without touching the file.
+func TestAppendFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "web.pqs")
+	if total, err := AppendFile(path, Snapshot{Label: "t1", Time: 4, Graph: chain(3)}); err != nil || total != 1 {
+		t.Fatalf("append to a missing file: total %d, %v; want 1", total, err)
+	}
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, week := range []float64{4, 0} { // equal, then earlier
+		if total, err := AppendFile(path, Snapshot{Label: "t2", Time: week, Graph: chain(3)}); err == nil {
+			t.Fatalf("week %g after week 4 accepted: total %d", week, total)
+		}
+		after, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(before, after) {
+			t.Fatalf("refused week %g changed the file", week)
+		}
 	}
 }
 

@@ -1,6 +1,9 @@
 package webcorpus
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Schedule is a crawl timetable: when to capture each snapshot, in weeks
 // relative to the first crawl (t = 0). It reifies the paper's Figure 4.
@@ -23,7 +26,7 @@ func PaperSchedule() Schedule {
 }
 
 // Validate checks the schedule is well-formed: equal-length slices,
-// non-decreasing times, non-empty labels.
+// finite non-decreasing times, non-empty labels.
 func (s Schedule) Validate() error {
 	if len(s.Times) == 0 {
 		return fmt.Errorf("%w: empty schedule", ErrBadConfig)
@@ -34,6 +37,9 @@ func (s Schedule) Validate() error {
 	for i, l := range s.Labels {
 		if l == "" {
 			return fmt.Errorf("%w: empty label at %d", ErrBadConfig, i)
+		}
+		if math.IsNaN(s.Times[i]) || math.IsInf(s.Times[i], 0) {
+			return fmt.Errorf("%w: Times[%d]=%g", ErrBadConfig, i, s.Times[i])
 		}
 		if i > 0 && s.Times[i] < s.Times[i-1] {
 			return fmt.Errorf("%w: times not non-decreasing at %d", ErrBadConfig, i)

@@ -151,7 +151,7 @@ func (c *Config) fill() error {
 		return fmt.Errorf("%w: ForgetRate=%g", ErrBadConfig, c.ForgetRate)
 	case !(c.NoiseRate >= 0 && c.NoiseRate*c.DT*float64(c.Sites) <= randx.MaxMean):
 		return fmt.Errorf("%w: NoiseRate=%g", ErrBadConfig, c.NoiseRate)
-	case !(c.BurnInWeeks >= 0 && c.BurnInWeeks <= math.MaxFloat64):
+	case !(c.BurnInWeeks >= 0 && c.BurnInWeeks/c.DT <= maxTicks):
 		return fmt.Errorf("%w: BurnInWeeks=%g", ErrBadConfig, c.BurnInWeeks)
 	case c.Workers < 0:
 		return fmt.Errorf("%w: Workers=%d", ErrBadConfig, c.Workers)
@@ -171,6 +171,11 @@ const (
 // timeSlack absorbs FP rounding when comparing times derived from the
 // exact tick clock against caller-supplied targets.
 const timeSlack = 1e-9
+
+// maxTicks bounds the ticks one advance may take — the burn-in, or a
+// schedule's reach from the clock — so the count fits an int on every
+// platform the module builds for, 32-bit ones included.
+const maxTicks = math.MaxInt32
 
 // Sim is a running corpus simulation. The underlying graph only ever
 // grows nodes (pages are never deleted, matching a crawler that keeps
@@ -569,10 +574,14 @@ func (s *Sim) decideLinks(st *randx.Stream, p graph.NodeID, adds, dels int32, m 
 // count is computed up front from the drift-free tick clock, so the
 // number of ticks taken to reach any horizon is exactly
 // ceil((t - time)/DT) regardless of how the horizon is split across
-// calls.
+// calls. It panics when t is NaN or more than maxTicks ticks ahead; a
+// validated Config and Schedule never ask for that.
 func (s *Sim) AdvanceTo(t float64) {
-	steps := int(math.Ceil((t - s.time) / s.cfg.DT * (1 - timeSlack)))
-	for i := 0; i < steps; i++ {
+	steps := math.Ceil((t - s.time) / s.cfg.DT * (1 - timeSlack))
+	if !(steps <= maxTicks) {
+		panic(fmt.Sprintf("webcorpus: AdvanceTo(%g) is %g ticks ahead, past the bound of %d", t, steps, maxTicks))
+	}
+	for i := 0; float64(i) < steps; i++ {
 		s.Step()
 	}
 }
@@ -584,15 +593,19 @@ func (s *Sim) SnapshotNow(label string) snapshot.Snapshot {
 }
 
 // RunSchedule advances through the schedule, capturing one snapshot per
-// entry. Times are in weeks relative to t = 0 and must be non-decreasing
-// and not in the past.
+// entry. Times are in weeks relative to t = 0 and must be non-decreasing,
+// not in the past, and at most maxTicks ticks ahead.
 func (s *Sim) RunSchedule(sched Schedule) ([]snapshot.Snapshot, error) {
 	if err := sched.Validate(); err != nil {
 		return nil, err
 	}
-	if len(sched.Times) > 0 && sched.Times[0] < s.time-1e-9 {
+	if sched.Times[0] < s.time-1e-9 {
 		return nil, fmt.Errorf("%w: schedule starts at %g but simulation is at %g",
 			ErrBadConfig, sched.Times[0], s.time)
+	}
+	if last := len(sched.Times) - 1; (sched.Times[last]-s.time)/s.cfg.DT > maxTicks {
+		return nil, fmt.Errorf("%w: Times[%d]=%g is more than %d ticks ahead of week %g",
+			ErrBadConfig, last, sched.Times[last], maxTicks, s.time)
 	}
 	snaps := make([]snapshot.Snapshot, 0, len(sched.Times))
 	for i, t := range sched.Times {

@@ -242,6 +242,8 @@ func TestScheduleValidation(t *testing.T) {
 		{Times: []float64{0, 1}, Labels: []string{"a"}},
 		{Times: []float64{0}, Labels: []string{""}},
 		{Times: []float64{4, 0}, Labels: []string{"a", "b"}},
+		{Times: []float64{0, math.NaN()}, Labels: []string{"a", "b"}},
+		{Times: []float64{0, math.Inf(1)}, Labels: []string{"a", "b"}},
 	}
 	for i, s := range bad {
 		if err := s.Validate(); !errors.Is(err, ErrBadConfig) {
@@ -250,6 +252,41 @@ func TestScheduleValidation(t *testing.T) {
 	}
 	if g := (Schedule{Times: []float64{1}, Labels: []string{"x"}}).Gaps(); g != nil {
 		t.Fatal("single snapshot has gaps")
+	}
+}
+
+// TestHorizonBound: a burn-in of maxTicks ticks is accepted, and one
+// past it is refused, as is a schedule time past it, before any tick is
+// taken. AdvanceTo panics rather than convert a NaN or out-of-range tick
+// count.
+func TestHorizonBound(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.BurnInWeeks = maxTicks * cfg.DT
+	if err := cfg.fill(); err != nil {
+		t.Errorf("burn-in of maxTicks ticks refused: %v", err)
+	}
+	cfg.BurnInWeeks = (maxTicks + 1) * cfg.DT
+	if err := cfg.fill(); !errors.Is(err, ErrBadConfig) {
+		t.Errorf("burn-in past maxTicks: error %v, want ErrBadConfig", err)
+	}
+	s, err := New(smallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tick := s.tick
+	far := Schedule{Times: []float64{0, 1e300}, Labels: []string{"a", "b"}}
+	if _, err := s.RunSchedule(far); !errors.Is(err, ErrBadConfig) || s.tick != tick {
+		t.Errorf("schedule past maxTicks: error %v after %d ticks, want ErrBadConfig after none", err, s.tick-tick)
+	}
+	for _, horizon := range []float64{math.NaN(), 1e300} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("AdvanceTo(%g) did not panic", horizon)
+				}
+			}()
+			s.AdvanceTo(horizon)
+		}()
 	}
 }
 

@@ -43,6 +43,8 @@ var allowed = map[string]string{
 	"webcorpus.TextOptions.MinWords":    "every caller passes TextOptions{}, cmd/bench included, which pins the parameter; goes with ROADMAP item 7",
 	"webcorpus.TextOptions.MaxWords":    "as MinWords; goes with ROADMAP item 7",
 	"webcorpus.TextOptions.TopicFrac":   "as MinWords; goes with ROADMAP item 7",
+
+	"quality.Config.ApplyTrendToDecreasing": "only cmd/bench sets it, and every constructor sets it true; goes with ROADMAP item 22",
 }
 
 // benchDir holds the one writer that does not count: the benchmark pins
