@@ -30,6 +30,7 @@ import (
 	"time"
 
 	"pagequality/internal/graph"
+	"pagequality/internal/search"
 )
 
 // Config parameterises a crawl.
@@ -602,7 +603,7 @@ func plainRootedPath(h string) bool {
 			if h[i-1] == '/' {
 				return false // empty or dot-led segment
 			}
-		case !isNameByte(c) && c != '-' && c != '_' && c != '~':
+		case !search.IsNameByte(c) && c != '-' && c != '_' && c != '~':
 			return false
 		}
 	}

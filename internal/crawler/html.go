@@ -1,6 +1,10 @@
 package crawler
 
-import "strings"
+import (
+	"strings"
+
+	"pagequality/internal/search"
+)
 
 // This file is a minimal, dependency-free HTML scanner extracting exactly
 // what the crawler needs: anchor hrefs and the rel=canonical link. It
@@ -73,14 +77,10 @@ func nextTag(body string, i int) (name, attrs string, next int) {
 	}
 	// Tag name: leading run of letters/digits.
 	j := 0
-	for j < len(content) && isNameByte(content[j]) {
+	for j < len(content) && search.IsNameByte(content[j]) {
 		j++
 	}
 	return content[:j], content[j:], next
-}
-
-func isNameByte(c byte) bool {
-	return c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9'
 }
 
 // attrValue returns the value of attribute name (lower case) in a tag's

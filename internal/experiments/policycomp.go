@@ -41,7 +41,9 @@ type PolicyComparisonConfig struct {
 	Weeks float64
 }
 
-func (c *PolicyComparisonConfig) fill() {
+// fill sets the defaults, and refuses a horizon the corpus may not
+// advance to before any corpus is built.
+func (c *PolicyComparisonConfig) fill() error {
 	if c.Corpus.Sites == 0 {
 		c.Corpus = DefaultHeadlineConfig().Corpus
 	}
@@ -62,6 +64,7 @@ func (c *PolicyComparisonConfig) fill() {
 	if c.Weeks == 0 {
 		c.Weeks = 26
 	}
+	return webcorpus.CheckHorizon(c.Weeks, c.Corpus.DT)
 }
 
 // PolicyOutcome is one policy's long-run numbers at the horizon.
@@ -112,7 +115,9 @@ type PolicyComparisonResult struct {
 // the result is identical to running them sequentially, and bitwise
 // identical across repeated runs and worker counts.
 func RankingPolicyComparison(cfg PolicyComparisonConfig) (*PolicyComparisonResult, error) {
-	cfg.fill()
+	if err := cfg.fill(); err != nil {
+		return nil, fmt.Errorf("experiments: policy comparison: %w", err)
+	}
 	res := &PolicyComparisonResult{
 		Seed:     cfg.Corpus.Seed,
 		Weeks:    cfg.Weeks,

@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"bytes"
+	"errors"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -55,6 +57,19 @@ func TestPolicyComparisonDeterministic(t *testing.T) {
 		}
 		if out.Sessions == 0 || out.SearchVisits == 0 {
 			t.Fatalf("policy %s: search channel idle (%d sessions)", out.Policy, out.Sessions)
+		}
+	}
+}
+
+// TestPolicyComparisonRefusesHorizon: a horizon that is NaN, infinite,
+// negative or past webcorpus' tick bound is refused with ErrBadConfig,
+// before any corpus is built, where AdvanceTo would panic or go nowhere.
+func TestPolicyComparisonRefusesHorizon(t *testing.T) {
+	for _, weeks := range []float64{1e300, math.NaN(), math.Inf(1), -1} {
+		cfg := quickPolicyConfig()
+		cfg.Weeks = weeks
+		if res, err := RankingPolicyComparison(cfg); !errors.Is(err, webcorpus.ErrBadConfig) {
+			t.Errorf("Weeks=%g: result %v, error %v; want ErrBadConfig", weeks, res, err)
 		}
 	}
 }

@@ -1,13 +1,16 @@
 package search
 
 import (
+	"html"
 	"math"
 	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 )
 
-// tokenizeCounts is the oracle Analyze is held to: Tokenize, then count.
+// tokenizeCounts is Tokenize, then count: Analyze's multiset for a
+// document holding no '<' and no '&'.
 func tokenizeCounts(text string) map[string]int32 {
 	toks := Tokenize(text)
 	counts := make(map[string]int32, len(toks))
@@ -16,6 +19,49 @@ func tokenizeCounts(text string) map[string]int32 {
 	}
 	return counts
 }
+
+// caseless matches word in any ASCII case and no other: RE2's (?i)
+// would also fold s to the long s and k to the Kelvin sign.
+func caseless(word string) string {
+	var b strings.Builder
+	for _, c := range word {
+		b.WriteString("[" + string(c) + strings.ToUpper(string(c)) + "]")
+	}
+	return b.String()
+}
+
+// element matches an element whose text is skipped: the open tag, then
+// through the '>' of the next close tag of the name; a missing '>' or
+// close tag runs to the end.
+func element(name string) string {
+	const rest = `(?:[^0-9A-Za-z>][^>]*)?` // after the name: a non-name byte, then up to '>'
+	n := caseless(name)
+	return `<` + n + rest + `(?:>(?:.*?</` + n + rest + `(?:>|$)|.*$)|$)`
+}
+
+// markup matches every piece of markup the analyser skips, written out
+// independently of skipMarkup: a comment, an <a>, <script> or <style>
+// element, or any other '<' through the next '>'.
+var markup = regexp.MustCompile(`(?s)<!--.*?(?:-->|$)|` + element("a") + `|` +
+	element("script") + `|` + element("style") + `|<[^>]*(?:>|$)`)
+
+// visibleReference is the oracle's extractor: the runs of text between
+// the pieces of markup, each entity-decoded, one space for each piece.
+func visibleReference(doc string) string {
+	var b strings.Builder
+	last := 0
+	for _, m := range markup.FindAllStringIndex(doc, -1) {
+		b.WriteString(html.UnescapeString(doc[last:m[0]]))
+		b.WriteByte(' ')
+		last = m[1]
+	}
+	b.WriteString(html.UnescapeString(doc[last:]))
+	return b.String()
+}
+
+// visibleCounts is the oracle Analyze is held to: Tokenize of the
+// reference extractor's visible text, then count.
+func visibleCounts(doc string) map[string]int32 { return tokenizeCounts(visibleReference(doc)) }
 
 // termCounts maps a document's ids back through the vocabulary of the
 // index that analysed it: the term→tf multiset, failing on a repeated
@@ -41,21 +87,37 @@ func termCounts(t *testing.T, a Analyzed) map[string]int32 {
 	return got
 }
 
-// requireAnalyzeMatchesTokenize fails unless ix.Analyze(text) has
-// Tokenize's term→tf multiset and no repeated term.
-func requireAnalyzeMatchesTokenize(t *testing.T, ix *Index, text string) {
+// requireAnalyze fails unless ix.Analyze(text) has the term→tf
+// multiset want and no repeated term.
+func requireAnalyze(t *testing.T, ix *Index, text string, want map[string]int32) {
 	t.Helper()
-	got, want := termCounts(t, ix.Analyze(text)), tokenizeCounts(text)
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("Analyze(%q) counts %v, Tokenize counts %v", text, got, want)
+	if got := termCounts(t, ix.Analyze(text)); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Analyze(%q) counts %v, want %v", text, got, want)
 	}
 }
 
-// analyzeSeeds are the inputs the two tokenizer paths could disagree
-// on: case folding, digits glued to letters, separators at both ends,
-// tokens longer than the lower-casing buffer's first capacity, and the
+// unmarkup makes text markup-free: each '<' and '&' a space.
+var unmarkup = strings.NewReplacer("<", " ", "&", " ")
+
+// requireAnalyzeMatchesTokenize holds ix.Analyze to the oracle on text,
+// and to its two properties: markup-free text gives exactly Tokenize's
+// multiset, and so does text escaped as the web server escapes it.
+func requireAnalyzeMatchesTokenize(t *testing.T, ix *Index, text string) {
+	t.Helper()
+	requireAnalyze(t, ix, text, visibleCounts(text))
+	plain := unmarkup.Replace(text)
+	requireAnalyze(t, ix, plain, tokenizeCounts(plain))
+	requireAnalyze(t, ix, html.EscapeString(text), tokenizeCounts(text))
+}
+
+// analyzeSeeds are the inputs the analyser's paths could disagree on:
+// case folding, digits glued to letters, separators at both ends,
+// tokens longer than the lower-casing buffer's first capacity, the
 // non-ASCII documents (invalid UTF-8, İ whose lower case is two runes,
-// combining marks, a non-ASCII byte after ASCII tokens were counted).
+// combining marks, a non-ASCII byte after ASCII tokens were counted),
+// and markup: a page's link list, a comment holding '>', scripts and
+// styles, an anchor in upper case, an unclosed '<', entities, and text
+// after an anchor.
 var analyzeSeeds = []string{
 	"",
 	"...",
@@ -66,16 +128,25 @@ var analyzeSeeds = []string{
 	strings.Repeat("Ab0", 40) + " " + strings.Repeat("ab0", 40) + " x",
 	strings.Repeat("z", 64) + "-" + strings.Repeat("Z", 65),
 	"café CAFÉ cafe",
-	"İstanbul istanbul İ",
-	"é é e",
+	"İstanbul istanbul I\u0307", // combining marks are escaped so they stay decomposed
+	"e\u0301 é e",               // e + combining acute
 	"ascii first then \xff\xfe broken \xc3",
 	"K\u212a k", // Kelvin sign lower-cases to ASCII k
 	"١٢ 12 Ⅰ",
+	"kept<!-- hidden > still hidden -->kept too",
+	"a<script>var hidden = 1 < 2;</script>b<STYLE type=x>p { hidden: 0 }</Style >c",
+	"<A HREF=\"/p/3.html\">HIDDEN</A>shown",
+	"<title>Kept Title</title><h1>Head</h1>",
+	"before <unclosed hidden text",
+	"fish &amp; chips, it&#39;s caf&eacute; &#9 &ampere; &bogus;",
+	"<a href=/x>hidden</a> after the anchor <a>hidden</abbr> still hidden</a > shown",
+	"<!DOCTYPE html><p>x</p><a>never closed",
 }
 
-// TestAnalyzeMatchesTokenize runs the oracle over the seeds, each on a
-// fresh index and again on one index that has interned every seed
-// before it, so cached and newly interned terms are both checked.
+// TestAnalyzeMatchesTokenize holds Analyze to Tokenize of the reference
+// extractor's visible text over the seeds, each on a fresh index and
+// again on one index that has interned every seed before it, so cached
+// and newly interned terms are both checked.
 func TestAnalyzeMatchesTokenize(t *testing.T) {
 	shared := NewIndex()
 	for _, s := range analyzeSeeds {
@@ -83,26 +154,35 @@ func TestAnalyzeMatchesTokenize(t *testing.T) {
 		requireAnalyzeMatchesTokenize(t, shared, s)
 	}
 	requireAnalyzeMatchesTokenize(t, shared, "b A b c a B")
+	requireAnalyze(t, shared, "<p>Shown</p><a href=\"/p/1.html\">http://hidden.example/</a> &lt;b&gt; caf&eacute;",
+		map[string]int32{"shown": 1, "b": 1, "café": 1})
 }
 
-// TestLexiconMatchesAnalyze: a document given as a title and slots of a
-// lexicon is counted as Analyze counts the title and the slots' words
-// joined by spaces: the same ids in the same order, so the same term→tf
-// multiset. Every seed serves as a word (words of several tokens, of
-// none, and of non-ASCII text) and as a title, on a fresh index and on
-// one that holds every seed already.
+// TestLexiconMatchesAnalyze: a document given as a markup-free title
+// and slots of a lexicon of markup-free words (no '<', no '&') is counted
+// as Analyze counts the title and the slots' words joined by spaces: the
+// same ids in the same order, so the same term→tf multiset. Every
+// markup-free seed serves as a word (words of several tokens, of none,
+// and of non-ASCII text) and as a title, on a fresh index and on one
+// that holds every seed already.
 func TestLexiconMatchesAnalyze(t *testing.T) {
+	var plain []string
+	for _, s := range analyzeSeeds {
+		if !strings.ContainsAny(s, "<&") {
+			plain = append(plain, s)
+		}
+	}
 	warm := NewIndex()
 	warm.AddAll(analyzeSeeds)
 	for _, ix := range []*Index{NewIndex(), warm} {
-		lx := ix.Lexicon(analyzeSeeds)
-		for i, title := range analyzeSeeds {
+		lx := ix.Lexicon(plain)
+		for i, title := range plain {
 			var slots []int
 			words := []string{title}
-			for j := 0; j < 3*len(analyzeSeeds); j++ {
-				w := (i*j + j/2) % len(analyzeSeeds)
+			for j := 0; j < 3*len(plain); j++ {
+				w := (i*j + j/2) % len(plain)
 				slots = append(slots, w)
-				words = append(words, analyzeSeeds[w])
+				words = append(words, plain[w])
 			}
 			got, want := lx.Analyze(title, slots), ix.Analyze(strings.Join(words, " "))
 			if !reflect.DeepEqual(got, want) {
@@ -115,9 +195,10 @@ func TestLexiconMatchesAnalyze(t *testing.T) {
 	}
 }
 
-// FuzzAnalyze: for arbitrary bytes, the single-pass analyser and the
-// reference tokenizer agree, on a fresh index and on one shared by every
-// input. The committed corpus under testdata/fuzz/FuzzAnalyze runs on
+// FuzzAnalyze: for arbitrary bytes, the analyser agrees with Tokenize of
+// the reference extractor's visible text, and with Tokenize itself on
+// the bytes made markup-free and on the bytes escaped, on a fresh index
+// and on one shared by every input. The committed corpus under testdata/fuzz/FuzzAnalyze runs on
 // every plain `go test`.
 func FuzzAnalyze(f *testing.F) {
 	for _, s := range analyzeSeeds {
@@ -131,13 +212,14 @@ func FuzzAnalyze(f *testing.F) {
 }
 
 // addByTokenize is the historical Add, kept as the oracle of the build
-// path: Tokenize, count into a map, intern and append one posting per
-// counted term in map order.
+// path: the reference extractor's visible text through Tokenize, counted
+// into a map, interned, and one posting appended per counted term in map
+// order.
 //
 //pqlint:allow detrange map order is the historical build this oracle keeps; freeze must not depend on it
 func addByTokenize(ix *Index, text string) {
 	a, an := Analyzed{ix: ix}, &analyzer{cache: make(map[string]int32)}
-	for t, c := range tokenizeCounts(text) {
+	for t, c := range visibleCounts(text) {
 		a.ids = append(a.ids, an.intern(ix, []byte(t)))
 		a.tfs = append(a.tfs, c)
 	}

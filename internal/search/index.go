@@ -7,6 +7,10 @@
 // design: the query selects the relevant set, the authority vector orders
 // it.
 //
+// A query is tokenized as text; a document is tokenized as the text a
+// reader sees in it, with its markup, comments, scripts, styles and
+// anchor text skipped (see Analyze).
+//
 // Queries are served from a frozen, CSR-style posting layout (see
 // frozen.go): flat doc-id and term-frequency slices per sorted term with
 // idf values and norms precomputed, scored by a branch-free kernel into
@@ -21,6 +25,7 @@ package search
 import (
 	"errors"
 	"fmt"
+	"html"
 	"slices"
 	"strings"
 	"sync"
@@ -32,8 +37,9 @@ import (
 var ErrBadQuery = errors.New("search: bad query")
 
 // Tokenize lowercases the text and splits it into maximal runs of term
-// runes. It is the single tokenizer used for both documents and queries so
-// the two can never disagree.
+// runes. It is the single tokenizer: a query is tokenized as it stands
+// and a document as its visible text (Analyze), so the two can never
+// disagree on a term.
 func Tokenize(text string) []string {
 	return strings.FieldsFunc(strings.ToLower(text), func(r rune) bool { return !IsTermRune(r) })
 }
@@ -138,12 +144,22 @@ func (an *analyzer) intern(ix *Index, tok []byte) int32 {
 	return id
 }
 
-// Analyze tokenizes a document exactly as Tokenize does and counts its
-// terms by id. A pure-ASCII document takes a single pass that lower-cases
-// token by token: below 0x80 IsTermRune holds for the ASCII letters and
-// digits alone and strings.ToLower touches only 'A'-'Z', so the
-// tokens are Tokenize's. Any byte >= 0x80 sends the whole document
-// through Tokenize itself. Only the two output slices are allocated.
+// Analyze counts the terms of a document's visible text: Tokenize of the
+// runs of text between its pieces of markup, each run entity-decoded as
+// html.UnescapeString decodes it and each piece a term break. A piece
+// runs from '<' to the next '>', attributes and all; a comment from
+// "<!--" to "-->"; an <a>, <script> or <style> element, in any case, to
+// the '>' of the next close tag of its name; and to the end of the
+// document when its end is missing. Anchor text is skipped because on the
+// served pages it is the linked page's URL. A document holding no '<' and
+// no '&' is tokenized exactly as Tokenize does.
+//
+// An ASCII document with no '&' in its visible text takes one pass that
+// skips the markup and lower-cases token by token: below 0x80 IsTermRune
+// holds for the ASCII letters and digits alone and strings.ToLower
+// touches only 'A'-'Z', so the tokens are Tokenize's. A visible '&' or
+// any byte >= 0x80 sends the whole document through Tokenize of
+// visibleText. Only the two output slices are allocated.
 func (ix *Index) Analyze(text string) Analyzed {
 	an := ix.analyzers.Get().(*analyzer)
 	defer ix.analyzers.Put(an)
@@ -151,29 +167,96 @@ func (ix *Index) Analyze(text string) Analyzed {
 	return an.done(ix)
 }
 
-// scan counts the tokens of text, which must start the document.
+// scan counts the visible tokens of text, which must start the document.
 func (an *analyzer) scan(ix *Index, text string) {
 	tok := make([]byte, 0, 64) // the token being lower-cased
 	for i := 0; i < len(text); i++ {
 		switch c := text[i]; {
-		case c >= 0x80:
+		case c >= 0x80 || c == '&':
 			clear(an.tf) // O(vocabulary), but Tokenize costs more
-			an.touched, tok, i = an.touched[:0], nil, len(text)
-			for _, t := range Tokenize(text) {
+			an.touched = an.touched[:0]
+			for _, t := range Tokenize(visibleText(text)) {
 				an.count(ix, []byte(t))
 			}
+			return
 		case c >= 'A' && c <= 'Z':
 			tok = append(tok, c+('a'-'A'))
 		case c >= 'a' && c <= 'z' || c >= '0' && c <= '9':
 			tok = append(tok, c)
-		case len(tok) > 0:
-			an.count(ix, tok)
-			tok = tok[:0]
+		default:
+			if len(tok) > 0 {
+				an.count(ix, tok)
+				tok = tok[:0]
+			}
+			if c == '<' {
+				i = skipMarkup(text, i) - 1
+			}
 		}
 	}
 	if len(tok) > 0 {
 		an.count(ix, tok)
 	}
+}
+
+// visibleText is the text Analyze tokenizes: each run of doc between
+// pieces of markup, entity-decoded, with one space for each piece.
+func visibleText(doc string) string {
+	var b strings.Builder
+	for i := 0; i < len(doc); {
+		lt := strings.IndexByte(doc[i:], '<')
+		if lt < 0 {
+			lt = len(doc) - i
+		}
+		b.WriteString(html.UnescapeString(doc[i : i+lt]))
+		if i += lt; i < len(doc) {
+			b.WriteByte(' ')
+			i = skipMarkup(doc, i)
+		}
+	}
+	return b.String()
+}
+
+// skipMarkup returns the index just past the piece of markup that starts
+// at doc[i] == '<', as Analyze defines the pieces.
+func skipMarkup(doc string, i int) int {
+	if strings.HasPrefix(doc[i:], "<!--") {
+		return after(doc, i+4, "-->")
+	}
+	end := after(doc, i+1, ">")
+	n := i + 1
+	for n < end && IsNameByte(doc[n]) {
+		n++
+	}
+	name := doc[i+1 : n]
+	if !strings.EqualFold(name, "a") && !strings.EqualFold(name, "script") && !strings.EqualFold(name, "style") {
+		return end
+	}
+	for j := end; ; {
+		k := strings.Index(doc[j:], "</")
+		if k < 0 {
+			return len(doc)
+		}
+		j += k + 2
+		if rest := doc[j:]; len(rest) >= len(name) && strings.EqualFold(rest[:len(name)], name) &&
+			(len(rest) == len(name) || !IsNameByte(rest[len(name)])) {
+			return after(doc, j, ">")
+		}
+	}
+}
+
+// after returns the index just past the first sep in doc at or after i,
+// or len(doc) if there is none.
+func after(doc string, i int, sep string) int {
+	if k := strings.Index(doc[i:], sep); k >= 0 {
+		return i + k + len(sep)
+	}
+	return len(doc)
+}
+
+// IsNameByte reports whether c belongs to a tag name: an ASCII letter or
+// digit. Analyze and the crawler's tag reader both read names by it.
+func IsNameByte(c byte) bool {
+	return c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9'
 }
 
 // done returns the counted document and leaves the scratch empty.
@@ -210,7 +293,8 @@ func (ix *Index) Lexicon(words []string) *Lexicon {
 
 // Analyze is the index's Analyze of the text title followed by the words
 // at slots, each after a space: the same term ids with the same counts in
-// the same order. Only the title is tokenized.
+// the same order, when the title and the words hold no '<' and no '&'.
+// Only the title is tokenized.
 func (lx *Lexicon) Analyze(title string, slots []int) Analyzed {
 	an := lx.ix.analyzers.Get().(*analyzer)
 	defer lx.ix.analyzers.Put(an)

@@ -24,6 +24,14 @@ import (
 // exact inputs qualityserve consumes in production.
 func buildFixture(t testing.TB) (storePath, archiveDir string) {
 	t.Helper()
+	return crawlFixture(t, fixtureCorpus(), fixtureText, pagestore.Options{})
+}
+
+// fixtureText is the page text buildFixture's web server renders.
+var fixtureText = webcorpus.TextOptions{MinWords: 20, MaxWords: 40}
+
+// fixtureCorpus is the corpus buildFixture grows.
+func fixtureCorpus() webcorpus.Config {
 	cfg := webcorpus.DefaultConfig()
 	cfg.Sites = 10
 	cfg.InitialPagesPerSite = 6
@@ -33,7 +41,7 @@ func buildFixture(t testing.TB) (storePath, archiveDir string) {
 	cfg.BirthRate = 2
 	cfg.BurnInWeeks = 20
 	cfg.Seed = 14
-	return crawlFixture(t, cfg, webcorpus.TextOptions{MinWords: 20, MaxWords: 40}, pagestore.Options{})
+	return cfg
 }
 
 // crawlFixture grows the corpus cfg describes and crawls it at weeks 0, 4

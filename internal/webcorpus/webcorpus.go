@@ -109,7 +109,7 @@ func DefaultConfig() Config {
 		BirthRate:           8,
 		ForgetRate:          0.01,
 		NoiseRate:           0.02,
-		DT:                  0.25,
+		DT:                  defaultDT,
 		BurnInWeeks:         30,
 		Seed:                1,
 	}
@@ -118,9 +118,12 @@ func DefaultConfig() Config {
 // ErrBadConfig reports invalid corpus configuration.
 var ErrBadConfig = errors.New("webcorpus: bad config")
 
+// defaultDT is the tick, in weeks, of a Config whose DT is 0.
+const defaultDT = 0.25
+
 func (c *Config) fill() error {
 	if c.DT == 0 {
-		c.DT = 0.25
+		c.DT = defaultDT
 	}
 	// Each float bound is written so that NaN and ±Inf fail it. A rate
 	// bound caps a tick's Poisson mean at randx.MaxMean: visits to a page
@@ -151,12 +154,26 @@ func (c *Config) fill() error {
 		return fmt.Errorf("%w: ForgetRate=%g", ErrBadConfig, c.ForgetRate)
 	case !(c.NoiseRate >= 0 && c.NoiseRate*c.DT*float64(c.Sites) <= randx.MaxMean):
 		return fmt.Errorf("%w: NoiseRate=%g", ErrBadConfig, c.NoiseRate)
-	case !(c.BurnInWeeks >= 0 && c.BurnInWeeks/c.DT <= maxTicks):
+	case !(c.BurnInWeeks >= 0 && inReach(c.BurnInWeeks, c.DT)):
 		return fmt.Errorf("%w: BurnInWeeks=%g", ErrBadConfig, c.BurnInWeeks)
 	case c.Workers < 0:
 		return fmt.Errorf("%w: Workers=%d", ErrBadConfig, c.Workers)
 	}
 	return c.Search.fill(c.DT)
+}
+
+// CheckHorizon returns an error unless a Sim whose tick is dt weeks (0
+// for the default) may advance from week 0 to week t: t is neither NaN
+// nor negative and at most maxTicks ticks ahead, past which AdvanceTo
+// panics. dt itself is New's to check.
+func CheckHorizon(t, dt float64) error {
+	if dt == 0 {
+		dt = defaultDT
+	}
+	if !(t >= 0 && inReach(t, dt)) {
+		return fmt.Errorf("%w: horizon of %g weeks, want 0 to %d ticks of %g", ErrBadConfig, t, maxTicks, dt)
+	}
+	return nil
 }
 
 // Stream-key space of the corpus. Page ids are dense uint32 values, so
@@ -176,6 +193,10 @@ const timeSlack = 1e-9
 // schedule's reach from the clock — so the count fits an int on every
 // platform the module builds for, 32-bit ones included.
 const maxTicks = math.MaxInt32
+
+// inReach reports whether weeks is at most maxTicks ticks of dt; it is
+// false for NaN weeks.
+func inReach(weeks, dt float64) bool { return weeks/dt <= maxTicks }
 
 // Sim is a running corpus simulation. The underlying graph only ever
 // grows nodes (pages are never deleted, matching a crawler that keeps
@@ -603,7 +624,7 @@ func (s *Sim) RunSchedule(sched Schedule) ([]snapshot.Snapshot, error) {
 		return nil, fmt.Errorf("%w: schedule starts at %g but simulation is at %g",
 			ErrBadConfig, sched.Times[0], s.time)
 	}
-	if last := len(sched.Times) - 1; (sched.Times[last]-s.time)/s.cfg.DT > maxTicks {
+	if last := len(sched.Times) - 1; !inReach(sched.Times[last]-s.time, s.cfg.DT) {
 		return nil, fmt.Errorf("%w: Times[%d]=%g is more than %d ticks ahead of week %g",
 			ErrBadConfig, last, sched.Times[last], maxTicks, s.time)
 	}

@@ -255,19 +255,25 @@ func TestScheduleValidation(t *testing.T) {
 	}
 }
 
-// TestHorizonBound: a burn-in of maxTicks ticks is accepted, and one
-// past it is refused, as is a schedule time past it, before any tick is
-// taken. AdvanceTo panics rather than convert a NaN or out-of-range tick
-// count.
+// TestHorizonBound: a burn-in or a CheckHorizon horizon of maxTicks
+// ticks is accepted, and one past it is refused, as is a schedule time
+// past it, before any tick is taken. AdvanceTo panics rather than
+// convert a NaN or out-of-range tick count.
 func TestHorizonBound(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.BurnInWeeks = maxTicks * cfg.DT
 	if err := cfg.fill(); err != nil {
 		t.Errorf("burn-in of maxTicks ticks refused: %v", err)
 	}
+	if err := CheckHorizon(maxTicks*defaultDT, 0); err != nil {
+		t.Errorf("horizon of maxTicks default ticks refused: %v", err)
+	}
 	cfg.BurnInWeeks = (maxTicks + 1) * cfg.DT
 	if err := cfg.fill(); !errors.Is(err, ErrBadConfig) {
 		t.Errorf("burn-in past maxTicks: error %v, want ErrBadConfig", err)
+	}
+	if err := CheckHorizon((maxTicks+1)*defaultDT, 0); !errors.Is(err, ErrBadConfig) {
+		t.Errorf("horizon past maxTicks default ticks: error %v, want ErrBadConfig", err)
 	}
 	s, err := New(smallConfig())
 	if err != nil {
