@@ -6,10 +6,11 @@
 //
 // The execution model is map over segments, ordered reduce:
 //
-//   - Extract projects one pagestore segment per call on the
+//   - ExtractStored projects one pagestore segment per call on the
 //     internal/par fan-out. A segment's live records arrive in record
-//     (offset) order with bodies decompressed — every live record in
-//     exactly one call.
+//     (offset) order, checksum verified, bodies still compressed —
+//     every live record in exactly one call. Extract is the same walk
+//     with each body decompressed before the projection sees it.
 //   - Results are folded in ascending segment-id order, regardless of
 //     which worker finished first. Projections over disjoint segments
 //     share nothing, so for any pure projection the output is bitwise
@@ -53,6 +54,22 @@ type Options struct {
 // error aborts the pass; the earliest segment's error is reported
 // regardless of which worker hit it first.
 func Extract[R any](st *pagestore.Store, proj func(Doc) (R, bool), opts Options) ([]R, error) {
+	return ExtractStored(st, func(r pagestore.StoredRecord) (R, bool, error) {
+		body, err := r.Inflate()
+		if err != nil {
+			var zero R
+			return zero, false, err
+		}
+		v, ok := proj(Doc{Key: r.Key, Meta: r.Meta, Body: body})
+		return v, ok, nil
+	}, opts)
+}
+
+// ExtractStored is the walk under Extract: proj receives each record
+// checked but still compressed, so a projection that does not need a
+// body never inflates it (r.Inflate), and an error from proj aborts the
+// pass as a read error does. r.Flate is a view into the segment as read.
+func ExtractStored[R any](st *pagestore.Store, proj func(pagestore.StoredRecord) (R, bool, error), opts Options) ([]R, error) {
 	// keyed carries a projection with the key that orders it.
 	type keyed struct {
 		key string
@@ -61,13 +78,17 @@ func Extract[R any](st *pagestore.Store, proj func(Doc) (R, bool), opts Options)
 	ids := st.SegmentIDs()
 	parts := make([][]keyed, len(ids))
 	err := par.DoErr(len(ids), opts.Workers, func(i int) error {
-		docs, err := st.ReadLivePrefix(ids[i], opts.KeyPrefix)
+		recs, err := st.ReadStoredPrefix(ids[i], opts.KeyPrefix)
 		if err != nil {
 			return err
 		}
-		for _, d := range docs {
-			if v, ok := proj(d); ok {
-				parts[i] = append(parts[i], keyed{key: d.Key, val: v})
+		for _, r := range recs {
+			v, ok, err := proj(r)
+			if err != nil {
+				return err
+			}
+			if ok {
+				parts[i] = append(parts[i], keyed{key: r.Key, val: v})
 			}
 		}
 		return nil

@@ -422,14 +422,15 @@ func (s *Store) scanSegmentFile(id int, last, footerEvidence bool) ([]segEntry, 
 
 // parseRecordAt checks the record starting at data[off] — structure,
 // length limits and CRC — and returns its total length and its fields as
-// views into data; nothing is copied. Structural damage inside the
-// buffer is ErrCorrupt; running past the end is io.ErrUnexpectedEOF (a
-// torn write).
+// views into data; nothing is copied. It is the one check of a record:
+// the open-time scan, Get and every live read make it. An offset at or
+// past the end, or structural damage inside the buffer, is ErrCorrupt;
+// running past the end is io.ErrUnexpectedEOF (a torn write).
 func parseRecordAt(data []byte, off int64) (total int64, key []byte, meta Meta, compressed []byte, err error) {
-	b := data[off:]
-	if len(b) == 0 {
-		return 0, nil, meta, nil, io.ErrUnexpectedEOF
+	if off >= int64(len(data)) {
+		return 0, nil, meta, nil, fmt.Errorf("%w: offset beyond segment", ErrCorrupt)
 	}
+	b := data[off:]
 	if b[0] != recMagic {
 		return 0, nil, meta, nil, fmt.Errorf("%w: magic 0x%02x", ErrCorrupt, b[0])
 	}
@@ -585,9 +586,6 @@ func (s *Store) readAt(loc location) (Meta, []byte, error) {
 // decodeRecordAt verifies the record at data[off] and returns its
 // metadata and decompressed body.
 func decodeRecordAt(data []byte, off int64) (Meta, []byte, error) {
-	if off >= int64(len(data)) {
-		return Meta{}, nil, fmt.Errorf("%w: offset beyond segment", ErrCorrupt)
-	}
 	_, _, meta, compressed, err := parseRecordAt(data, off)
 	if err != nil {
 		return Meta{}, nil, err
@@ -657,6 +655,24 @@ type Record struct {
 	Body []byte
 }
 
+// StoredRecord is one live record as its segment holds it, checksum
+// verified: its key, its metadata and its body's flate stream. Flate is a
+// view into the segment as read, so holding it holds that read.
+type StoredRecord struct {
+	Key   string
+	Meta  Meta
+	Flate []byte
+}
+
+// Inflate decompresses the record's body into a fresh slice.
+func (r StoredRecord) Inflate() ([]byte, error) {
+	body, err := inflate(r.Flate, maxBodyLen)
+	if err != nil {
+		err = fmt.Errorf("pagestore: %q: %w", r.Key, err)
+	}
+	return body, err
+}
+
 // SegmentIDs returns the distinct segments currently holding at least
 // one live record, ascending. Together with ReadLive it partitions the
 // live record set: every live record is homed in exactly one segment.
@@ -683,11 +699,29 @@ func (s *Store) SegmentIDs() []int {
 func (s *Store) ReadLive(seg int) ([]Record, error) { return s.ReadLivePrefix(seg, "") }
 
 // ReadLivePrefix is ReadLive restricted to the keys that start with
-// prefix. The filter runs on the in-memory key index before any I/O: a
-// segment holding no such key is not opened, and a record outside the
-// prefix is neither CRC-checked nor inflated. Every record returned is
-// verified exactly as ReadLive verifies it.
+// prefix: ReadStoredPrefix, each body inflated.
 func (s *Store) ReadLivePrefix(seg int, prefix string) ([]Record, error) {
+	stored, err := s.ReadStoredPrefix(seg, prefix)
+	if len(stored) == 0 {
+		return nil, err
+	}
+	recs := make([]Record, len(stored))
+	for i, r := range stored {
+		body, err := r.Inflate()
+		if err != nil {
+			return nil, err
+		}
+		recs[i] = Record{Key: r.Key, Meta: r.Meta, Body: body}
+	}
+	return recs, nil
+}
+
+// ReadStoredPrefix returns the live records homed in segment seg whose
+// keys start with prefix, in record (offset) order, each checked as Get
+// checks it (parseRecordAt) and its body left compressed. The filter
+// runs on the in-memory key index before any I/O: a segment holding no
+// such key is not opened, and a record outside the prefix is not checked.
+func (s *Store) ReadStoredPrefix(seg int, prefix string) ([]StoredRecord, error) {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -708,13 +742,13 @@ func (s *Store) ReadLivePrefix(seg int, prefix string) ([]Record, error) {
 	if err != nil {
 		return nil, fmt.Errorf("pagestore: read segment %d: %w", seg, err)
 	}
-	recs := make([]Record, 0, len(ents))
-	for _, e := range ents {
-		meta, body, err := decodeRecordAt(data, e.off)
+	recs := make([]StoredRecord, len(ents))
+	for i, e := range ents {
+		_, _, meta, compressed, err := parseRecordAt(data, e.off)
 		if err != nil {
 			return nil, fmt.Errorf("pagestore: segment %d offset %d: %w", seg, e.off, err)
 		}
-		recs = append(recs, Record{Key: e.key, Meta: meta, Body: body})
+		recs[i] = StoredRecord{Key: e.key, Meta: meta, Flate: compressed}
 	}
 	return recs, nil
 }

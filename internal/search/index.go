@@ -307,6 +307,27 @@ func (lx *Lexicon) Analyze(title string, slots []int) Analyzed {
 	return an.done(lx.ix)
 }
 
+// Reintern returns a, which another index analysed, as a document of
+// this index: each term interned here by its string, with its count, in
+// a's order. It equals this index's Analyze of the text a was analysed
+// from, so a document analysed once can be added to every later index
+// without reading its text again. Like Analyze, it may run concurrently.
+func (ix *Index) Reintern(a Analyzed) Analyzed {
+	a.ix.mu.Lock()
+	terms := a.ix.terms // append-only: the entries a names never change
+	a.ix.mu.Unlock()
+	an := ix.analyzers.Get().(*analyzer)
+	defer ix.analyzers.Put(an)
+	ids := make([]int32, len(a.ids))
+	for i, id := range a.ids {
+		var ok bool
+		if ids[i], ok = an.cache[terms[id]]; !ok {
+			ids[i] = an.intern(ix, []byte(terms[id]))
+		}
+	}
+	return Analyzed{ix: ix, ids: ids, tfs: a.tfs}
+}
+
 // Add indexes one document and returns its id (sequential from 0).
 func (ix *Index) Add(text string) int { return ix.AddAnalyzed(ix.Analyze(text)) }
 

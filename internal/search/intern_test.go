@@ -3,6 +3,7 @@ package search
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -120,6 +121,39 @@ func TestAnalyzeConcurrentWithAdd(t *testing.T) {
 		ix.AddAnalyzed(a)
 	}
 	requireSameFrozen(t, ix, want)
+}
+
+// TestReinternEqualsAnalyze moves documents analysed by one index into
+// another, whose terms are interned in a different order, under par.Do
+// beside fresh Analyze calls: each moved document equals the new index's
+// Analyze of its page, and the index freezes as a serial Add of the
+// pages does.
+func TestReinternEqualsAnalyze(t *testing.T) {
+	pages := webPages(200, 11)
+	want := NewIndex()
+	want.AddAll(pages)
+	old := NewIndex()
+	old.Analyze("Onlyold first " + pages[len(pages)-1])
+	moved := make([]Analyzed, len(pages))
+	par.Do(len(pages), 0, func(i int) { moved[i] = old.Analyze(pages[i]) })
+	for _, workers := range []int{1, 2, 8} {
+		ix := NewIndex()
+		docs := make([]Analyzed, len(pages))
+		par.Do(len(pages), workers, func(i int) {
+			if i%3 == 0 {
+				docs[i] = ix.Analyze(pages[i])
+			} else {
+				docs[i] = ix.Reintern(moved[i])
+			}
+		})
+		for i, a := range docs {
+			if !reflect.DeepEqual(a, ix.Analyze(pages[i])) {
+				t.Fatalf("workers=%d: page %d re-interned differs from its analysis", workers, i)
+			}
+			ix.AddAnalyzed(a)
+		}
+		requireSameFrozen(t, ix, want)
+	}
 }
 
 // TestAddAnalyzedForeignPanics: ids mean nothing outside the index that

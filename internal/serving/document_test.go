@@ -27,7 +27,7 @@ import (
 func TestDocumentsAreVisibleText(t *testing.T) {
 	cfg := fixtureCorpus()
 	storePath, archiveDir := crawlFixture(t, cfg, fixtureText, pagestore.Options{})
-	g, err := LoadGeneration(serviceConfig(storePath, archiveDir), 1)
+	g, err := LoadGeneration(serviceConfig(storePath, archiveDir), 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,14 +120,24 @@ func TestDocumentsAreVisibleText(t *testing.T) {
 
 // TestSearchBodiesPinned pins the bytes /search answers on the fixture:
 // one CRC-32 over the bodies of a fixed list of queries, each in the
-// quality, pagerank and relevance modes. Queries hold topic words, words
-// every topic shares, the tokens of a page's own URL and terms no
-// document holds.
+// quality, pagerank and relevance modes (searchBodies).
 func TestSearchBodiesPinned(t *testing.T) {
 	svc, err := New(fixtureConfig(t))
 	if err != nil {
 		t.Fatal(err)
 	}
+	const want = uint32(0xb8b2e512)
+	if got := searchBodies(t, svc); got != want {
+		t.Errorf("crc of /search bodies %#08x, want %#08x", got, want)
+	}
+}
+
+// searchBodies is one CRC-32 over the /search bodies svc answers to a
+// fixed list of queries, each in the quality, pagerank and relevance
+// modes. Queries hold topic words, words every topic shares, the tokens
+// of a page's own URL and terms no document holds.
+func searchBodies(t testing.TB, svc *Service) uint32 {
+	t.Helper()
 	queries := []string{
 		"astronomy", "databases cycling", "cooking page", "common3 common17 common40",
 		"page000012", "site002 example", "http", "href li", "chess photography sailing common5",
@@ -147,8 +157,5 @@ func TestSearchBodiesPinned(t *testing.T) {
 			crc.Write(body)
 		}
 	}
-	const want = uint32(0xb8b2e512)
-	if got := crc.Sum32(); got != want {
-		t.Errorf("crc of /search bodies %#08x, want %#08x", got, want)
-	}
+	return crc.Sum32()
 }

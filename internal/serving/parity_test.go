@@ -90,7 +90,7 @@ func TestLoadGenerationMatchesSerialBuild(t *testing.T) {
 		webcorpus.SiteTopic(0), webcorpus.SiteTopic(1) + " " + webcorpus.SiteTopic(2),
 		"href li a html", "site000 example page", "café", "CAFÉ istanbul", "i̇stanbul école", "naïve nosuchterm", "zzzz",
 	}
-	g, err := LoadGeneration(Config{StorePath: storePath, ArchiveDir: archiveDir, Snaps: 3, Quality: defaultQCfg()}, 1)
+	g, err := LoadGeneration(Config{StorePath: storePath, ArchiveDir: archiveDir, Snaps: 3, Quality: defaultQCfg()}, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestPageRankSeriesIsColdCompute(t *testing.T) {
 // time: the served URLs, and the Float64bits of every quality and
 // PageRank score. The CRCs were captured at that parent commit.
 func TestLoadGenerationBitsPinned(t *testing.T) {
-	g, err := LoadGeneration(fixtureConfig(t), 1)
+	g, err := LoadGeneration(fixtureConfig(t), 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

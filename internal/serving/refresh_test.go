@@ -260,6 +260,11 @@ func TestServiceRefresh(t *testing.T) {
 		t.Fatalf("after a failed refresh: generation %d, refresh_failures %d, last_refresh_error %q; want 2, 1, the error",
 			stats["generation"], stats["refresh_failures"], lastErr)
 	}
+	// The counts are the live generation's: generation 2 reused every record.
+	if a := stats["refresh_archived"]; a == 0 || stats["refresh_reused"] != a || stats["refresh_analysed"] != 0 {
+		t.Fatalf("after a failed refresh: archived %d, reused %d, analysed %d; want generation 2's, all reused",
+			a, stats["refresh_reused"], stats["refresh_analysed"])
+	}
 	if again := search("2"); !bytes.Equal(again, served) {
 		t.Fatalf("generation 2 answers differently after the failed refresh:\n%s\n%s", served, again)
 	}
@@ -275,6 +280,10 @@ func TestServiceRefresh(t *testing.T) {
 	if stats["generation"] != 3 || stats["refresh_failures"] != 1 || lastErr != "" {
 		t.Fatalf("after the repair: generation %d, refresh_failures %d, last_refresh_error %q; want 3, 1, empty",
 			stats["generation"], stats["refresh_failures"], lastErr)
+	}
+	if a := stats["refresh_archived"]; stats["refresh_reused"] != a || stats["refresh_analysed"] != 0 {
+		t.Fatalf("after the repair: archived %d, reused %d, analysed %d; want every record reused from generation 2",
+			a, stats["refresh_reused"], stats["refresh_analysed"])
 	}
 }
 

@@ -27,7 +27,11 @@
 // swaps it in RCU-style: in-flight queries keep the generation they
 // loaded, new queries see the new one, and no request ever observes a
 // mix. Cache keys carry the generation id, so a swap invalidates every
-// cached response without racing the readers.
+// cached response without racing the readers. A generation also keeps
+// each archived record it read, as stored, with what it derived from it,
+// so the next refresh of the same label inflates and analyses only the
+// records that changed and still checks every record's checksum; /stats
+// counts both kinds.
 package serving
 
 import (
@@ -86,6 +90,25 @@ type Generation struct {
 	// its tail `,"quality":<q>,"pagerank":<pr>}` runs on to fragOff[2d+2].
 	frag    []byte
 	fragOff []int
+
+	// archive is every record under the label as this build read it, by
+	// archive key: what the next build may take over instead of reading
+	// the body again.
+	archive map[string]record
+	// The build's counts (/stats): the records under the label, those
+	// not common to every crawl, and those taken over unread from the
+	// previous generation; it inflated and analysed the rest.
+	archived, dropped, reused int
+}
+
+// record is one record under a generation's label as its build read it:
+// the body's checksum-verified flate bytes, as stored, and what the build
+// derived from them alone, the canonical URL and the analysis, interned
+// in the generation's index whether or not the page is served.
+type record struct {
+	stored    []byte
+	canonical string
+	terms     search.Analyzed
 }
 
 // newGeneration freezes ix — once, so no reader pays (or races on) the
@@ -155,7 +178,7 @@ func New(cfg Config) (*Service, error) {
 	if cfg.MaxInflight < 1 {
 		return nil, fmt.Errorf("serving: max in-flight must be >= 1, got %d", cfg.MaxInflight)
 	}
-	g, err := LoadGeneration(cfg, 1)
+	g, err := LoadGeneration(cfg, 1, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -174,8 +197,11 @@ func (s *Service) Generation() *Generation { return s.gen.Load() }
 // LoadGeneration reads the snapshot store and the page archive and builds
 // one complete, frozen generation. It is a pure function of the files
 // cfg names: nothing it does is visible to any reader until a caller
-// swaps the result in.
-func LoadGeneration(cfg Config, id uint64) (*Generation, error) {
+// swaps the result in. prev, the generation being served (nil for the
+// first), only saves work: a record whose key and stored bytes equal
+// those prev read is neither inflated nor analysed again, and the result
+// is the one a build without prev gives.
+func LoadGeneration(cfg Config, id uint64, prev *Generation) (*Generation, error) {
 	snaps, err := snapshot.ReadFile(cfg.StorePath)
 	if err != nil {
 		return nil, err
@@ -205,57 +231,84 @@ func LoadGeneration(cfg Config, id uint64) (*Generation, error) {
 	for i, u := range al.URLs {
 		byURL[u] = i
 	}
+	var prevArchive map[string]record
+	if prev != nil {
+		prevArchive = prev.archive
+	}
 
-	// One corpus pass projects every indexable document under the label;
-	// the key prefix keeps the other crawls' records unread. The canonical
-	// link, the common-page filter and the tokenizer all run in the
-	// parallel map phase; Extract returns key order, so the sequential
-	// index build below — posting appends only — sees the same documents
-	// in the same order the old KeysWithPrefix+Get walk produced.
-	type indexable struct {
-		canonical string
-		terms     search.Analyzed
-		ai        int
+	// One corpus pass reads every record under the label (the key prefix
+	// keeps the other crawls' records unread) and checks each against its
+	// checksum. A record whose key and stored bytes prev read takes over
+	// prev's canonical URL and analysis, re-interned into the new index;
+	// any other is inflated, canonicalised and analysed. All of it runs in
+	// the parallel map phase; ExtractStored returns key order, so the
+	// sequential index build below — posting appends only — adds the
+	// documents in key order.
+	type loaded struct {
+		key    string
+		doc    record
+		reused bool
 	}
 	ix := search.NewIndex()
-	docs, err := corpus.Extract(arch, func(d corpus.Doc) (indexable, bool) {
-		l, fetchURL, ok := corpus.SplitKey(d.Key)
+	recs, err := corpus.ExtractStored(arch, func(r pagestore.StoredRecord) (loaded, bool, error) {
+		l, fetchURL, ok := corpus.SplitKey(r.Key)
 		if !ok || l != label {
-			return indexable{}, false
+			return loaded{}, false, nil
 		}
-		body := string(d.Body)
-		canonical := crawler.Canonical(body)
-		if canonical == "" {
-			canonical = fetchURL
+		if old, ok := prevArchive[r.Key]; ok && bytes.Equal(old.stored, r.Flate) {
+			old.terms = ix.Reintern(old.terms)
+			return loaded{key: r.Key, doc: old, reused: true}, true, nil
 		}
-		ai, ok := byURL[canonical]
-		if !ok {
-			return indexable{}, false // page not common to every crawl: no quality estimate
+		b, err := r.Inflate()
+		if err != nil {
+			return loaded{}, false, err
 		}
-		return indexable{canonical: canonical, terms: ix.Analyze(body), ai: ai}, true
+		body := string(b)
+		doc := record{stored: bytes.Clone(r.Flate), canonical: crawler.Canonical(body), terms: ix.Analyze(body)}
+		if doc.canonical == "" {
+			doc.canonical = fetchURL
+		}
+		return loaded{key: r.Key, doc: doc}, true, nil
 	}, corpus.Options{KeyPrefix: label + "/"})
 	if err != nil {
 		return nil, err
 	}
-	if len(docs) == 0 && len(arch.KeysWithPrefix(label+"/")) == 0 {
+	if len(recs) == 0 {
 		return nil, fmt.Errorf("serving: no documents with label %q in %s", label, cfg.ArchiveDir)
 	}
 
-	urls := make([]string, 0, len(docs))
-	qual := make([]float64, 0, len(docs))
-	pr := make([]float64, 0, len(docs))
-	for _, d := range docs {
-		if doc := ix.AddAnalyzed(d.terms); doc != len(urls) {
+	urls := make([]string, 0, len(recs))
+	qual := make([]float64, 0, len(recs))
+	pr := make([]float64, 0, len(recs))
+	archive := make(map[string]record, len(recs))
+	dropped, reused := 0, 0
+	for _, d := range recs {
+		archive[d.key] = d.doc
+		if d.reused {
+			reused++
+		}
+		ai, ok := byURL[d.doc.canonical]
+		if !ok {
+			dropped++ // not common to every crawl: no quality estimate
+			continue
+		}
+		if doc := ix.AddAnalyzed(d.doc.terms); doc != len(urls) {
 			return nil, fmt.Errorf("serving: document id drift")
 		}
-		urls = append(urls, d.canonical)
-		qual = append(qual, est.Q[d.ai])
-		pr = append(pr, cur[d.ai])
+		urls = append(urls, d.doc.canonical)
+		qual = append(qual, est.Q[ai])
+		pr = append(pr, cur[ai])
 	}
 	if ix.NumDocs() == 0 {
 		return nil, fmt.Errorf("serving: no indexable documents matched the common pages")
 	}
-	return newGeneration(id, ix, urls, qual, pr)
+	g, err := newGeneration(id, ix, urls, qual, pr)
+	if err != nil {
+		return nil, err
+	}
+	g.archive = archive
+	g.archived, g.dropped, g.reused = len(recs), dropped, reused
+	return g, nil
 }
 
 // Refresh rebuilds the serving state from the store and swaps it in. On
@@ -266,7 +319,8 @@ func LoadGeneration(cfg Config, id uint64) (*Generation, error) {
 func (s *Service) Refresh() (*Generation, error) {
 	s.refreshMu.Lock()
 	defer s.refreshMu.Unlock()
-	g, err := LoadGeneration(s.cfg, s.gen.Load().ID+1)
+	cur := s.gen.Load()
+	g, err := LoadGeneration(s.cfg, cur.ID+1, cur)
 	if err != nil {
 		s.refreshFailures.Add(1)
 		s.lastRefreshErr.Store(err.Error())
@@ -317,6 +371,11 @@ func (s *Service) serveStats(w http.ResponseWriter) {
 		"cache_evictions":    evictions,
 		"cache_entries":      s.cache.entries(),
 		"cache_capacity":     s.cache.capacity(),
+
+		"refresh_archived":           g.archived,
+		"refresh_dropped_not_common": g.dropped,
+		"refresh_reused":             g.reused,
+		"refresh_analysed":           g.archived - g.reused,
 	})
 }
 

@@ -17,7 +17,8 @@ import (
 
 // TestSoakSearchRefreshShed overlaps the three things a loaded service
 // does at once (run under -race): searches over more keys than the cache
-// holds, generation swaps, and shedding — the test takes every admission
+// holds, generation swaps by refreshes that reuse every record of the
+// generation being searched, and shedding — the test takes every admission
 // slot itself for a while, so sheds are certain rather than likely. No
 // request may see anything but 200 or 503, and at rest the permits must
 // balance: every admission was a 200 or one of the test's own, every shed
@@ -37,8 +38,13 @@ func TestSoakSearchRefreshShed(t *testing.T) {
 	go func() {
 		defer close(refreshed)
 		for i := 0; i < refreshes; i++ {
-			if _, err := svc.Refresh(); err != nil {
+			g, err := svc.Refresh()
+			if err != nil {
 				t.Error(err)
+				return
+			}
+			if g.reused != g.archived {
+				t.Errorf("generation %d reused %d of %d records", g.ID, g.reused, g.archived)
 				return
 			}
 		}
