@@ -27,6 +27,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"pagequality/internal/corpus"
 	"pagequality/internal/crawler"
 	"pagequality/internal/pagestore"
 	"pagequality/internal/snapshot"
@@ -66,24 +67,8 @@ func run(args []string, out io.Writer) (err error) {
 	// timeout covers the seed-list fetch below.
 	client := &http.Client{Timeout: *timeout}
 
-	var seeds []string
-	switch {
-	case *seedList != "" && *seed != "":
-		return fmt.Errorf("pass either -seeds or -seed, not both")
-	case *seedList != "":
-		var err error
-		seeds, err = crawler.FetchSeeds(context.Background(), client, *seedList)
-		if err != nil {
-			return err
-		}
-	case *seed != "":
-		seeds = strings.Split(*seed, ",")
-	default:
-		return fmt.Errorf("one of -seeds or -seed is required")
-	}
-
-	// Determine the snapshot identity up front: the archive keys bodies by
-	// "<label>/<url>".
+	// Determine the snapshot identity before any fetch: the archive keys
+	// bodies by label and URL (corpus.ArchiveKey).
 	var snaps []snapshot.Snapshot
 	if _, err := os.Stat(*store); err == nil {
 		snaps, err = snapshot.ReadFile(*store)
@@ -102,6 +87,25 @@ func run(args []string, out io.Writer) (err error) {
 	if n := len(snaps); n > 0 && wk <= snaps[n-1].Time {
 		return fmt.Errorf("snapshot week %g does not follow the last stored snapshot (%g)", wk, snaps[n-1].Time)
 	}
+	if err := corpus.CheckLabel(lbl); err != nil && *archiveDir != "" {
+		return err
+	}
+
+	var seeds []string
+	switch {
+	case *seedList != "" && *seed != "":
+		return fmt.Errorf("pass either -seeds or -seed, not both")
+	case *seedList != "":
+		var err error
+		seeds, err = crawler.FetchSeeds(context.Background(), client, *seedList)
+		if err != nil {
+			return err
+		}
+	case *seed != "":
+		seeds = strings.Split(*seed, ",")
+	default:
+		return fmt.Errorf("one of -seeds or -seed is required")
+	}
 
 	cfg := crawler.Config{
 		Seeds:           seeds,
@@ -119,9 +123,6 @@ func run(args []string, out io.Writer) (err error) {
 		},
 	}
 	if *archiveDir != "" {
-		if len(lbl) > pagestore.MaxLabelLen {
-			return fmt.Errorf("label of %d bytes exceeds the archive's %d", len(lbl), pagestore.MaxLabelLen)
-		}
 		arch, openErr := pagestore.Open(*archiveDir, pagestore.Options{})
 		if openErr != nil {
 			return openErr
@@ -142,7 +143,7 @@ func run(args []string, out io.Writer) (err error) {
 		}()
 		meta := pagestore.Meta{FetchedAt: wk, Status: 200}
 		cfg.OnFetch = func(u string, body []byte) {
-			if err := arch.Put(lbl+"/"+u, meta, body); err != nil {
+			if err := arch.Put(corpus.ArchiveKey(lbl, u), meta, body); err != nil {
 				failed.Add(1)
 				firstErr.CompareAndSwap(nil, &err)
 			}

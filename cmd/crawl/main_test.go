@@ -10,8 +10,10 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
+	"pagequality/internal/corpus"
 	"pagequality/internal/crawler"
 	"pagequality/internal/graph"
 	"pagequality/internal/pagestore"
@@ -227,7 +229,12 @@ func TestCrawlCLIArchivesBodies(t *testing.T) {
 	if arch.Len() != snaps[0].Graph.NumNodes() {
 		t.Fatalf("archived %d bodies for %d crawled pages", arch.Len(), snaps[0].Graph.NumNodes())
 	}
-	keys := arch.KeysWithPrefix("t1/")
+	keys, err := corpus.ExtractStored(arch, func(r pagestore.StoredRecord) (string, bool, error) {
+		return r.Key, true, nil
+	}, corpus.Options{KeyPrefix: "t1/"})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(keys) != arch.Len() {
 		t.Fatalf("archive keys not label-prefixed: %v", keys[:1])
 	}
@@ -238,6 +245,35 @@ func TestCrawlCLIArchivesBodies(t *testing.T) {
 	}
 	if !strings.Contains(string(body), "<html") && !strings.Contains(string(body), "<!DOCTYPE") {
 		t.Fatalf("archived body is not HTML: %q", body[:min(len(body), 60)])
+	}
+}
+
+// TestCrawlCLIRefusesUnsplittableLabel: corpus.SplitKey splits an
+// archive key at its first '/', so a label holding one would archive
+// every body under another label. The crawl refuses it before any fetch,
+// names it, and writes neither the store nor the archive.
+func TestCrawlCLIRefusesUnsplittableLabel(t *testing.T) {
+	var requests atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		requests.Add(1)
+		fmt.Fprint(w, "<html>leaf</html>")
+	}))
+	defer ts.Close()
+	dir := t.TempDir()
+	store := filepath.Join(dir, "s.pqs")
+	archive := filepath.Join(dir, "pages")
+	var buf bytes.Buffer
+	err := run([]string{"-seed", ts.URL + "/", "-store", store, "-archive", archive, "-label", "a/b"}, &buf)
+	if err == nil || !strings.Contains(err.Error(), `"a/b"`) {
+		t.Fatalf("label a/b: err = %v, want a refusal naming it", err)
+	}
+	if n := requests.Load(); n != 0 {
+		t.Fatalf("the refused crawl made %d requests", n)
+	}
+	for _, p := range []string{store, archive} {
+		if _, err := os.Stat(p); !os.IsNotExist(err) {
+			t.Fatalf("the refused crawl wrote %s (stat: %v)", p, err)
+		}
 	}
 }
 

@@ -21,10 +21,33 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"pagequality/internal/analysis"
 )
+
+// loadModule type-checks the module's non-test packages once for all the
+// root audits.
+var loadModule = sync.OnceValues(func() ([]*analysis.Package, error) {
+	return analysis.LoadModule(".", false)
+})
+
+// modulePath returns a function giving a parsed file's slash-separated
+// path relative to the module root.
+func modulePath(t *testing.T) func(*token.FileSet, *ast.File) string {
+	root, err := filepath.Abs(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return func(fset *token.FileSet, f *ast.File) string {
+		r, err := filepath.Rel(root, fset.File(f.Package).Name())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return filepath.ToSlash(r)
+	}
+}
 
 // unreadAllowed are the fields no non-test file outside cmd/bench reads,
 // and why each is still a field.
@@ -56,21 +79,11 @@ var unreadAllowed = map[string]string{
 }
 
 func TestEveryFieldHasAReader(t *testing.T) {
-	pkgs, err := analysis.LoadModule(".", false)
+	pkgs, err := loadModule()
 	if err != nil {
 		t.Fatal(err)
 	}
-	root, err := filepath.Abs(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rel := func(fset *token.FileSet, f *ast.File) string {
-		r, err := filepath.Rel(root, fset.File(f.Package).Name())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return filepath.ToSlash(r)
-	}
+	rel := modulePath(t)
 
 	// Declarations: every named field of every struct under internal/
 	// (an embedded field has no name, so it is never audited), keyed by

@@ -32,6 +32,19 @@ func SplitKey(key string) (label, url string, ok bool) {
 	return key[:i], key[i+1:], true
 }
 
+// ArchiveKey is the archive key of the document fetched from url in the
+// crawl labelled label; SplitKey gives back a label CheckLabel accepts.
+func ArchiveKey(label, url string) string { return label + "/" + url }
+
+// CheckLabel refuses a crawl label that SplitKey would not give back
+// (empty, or holding a '/') or that is longer than pagestore.MaxLabelLen.
+func CheckLabel(label string) error {
+	if label == "" || strings.Contains(label, "/") || len(label) > pagestore.MaxLabelLen {
+		return fmt.Errorf("corpus: label %q cannot key an archive: it must be 1 to %d bytes, none a '/'", label, pagestore.MaxLabelLen)
+	}
+	return nil
+}
+
 // SnapshotFromArchive re-extracts the link-graph snapshot of one crawl
 // label from the archived bodies. The pass reads under the label's key
 // prefix, so no other label's body is inflated. The documents are
@@ -41,7 +54,7 @@ func SnapshotFromArchive(st *pagestore.Store, label string) (snapshot.Snapshot, 
 	recs, err := Extract(st, func(d Doc) (Doc, bool) {
 		l, _, ok := SplitKey(d.Key)
 		return d, ok && l == label
-	}, Options{KeyPrefix: label + "/"})
+	}, Options{KeyPrefix: ArchiveKey(label, "")})
 	if err != nil {
 		return snapshot.Snapshot{}, err
 	}

@@ -12,14 +12,16 @@ import (
 )
 
 // buildTestArchive archives three crawls of a small evolving site graph
-// under labels t1..t3 (weeks 1..3), across several pagestore segments.
-func buildTestArchive(t *testing.T) *pagestore.Store {
+// under labels t1..t3 (weeks 1..3), across several pagestore segments,
+// and returns the keys it wrote.
+func buildTestArchive(t *testing.T) (*pagestore.Store, map[string]bool) {
 	t.Helper()
 	st, err := pagestore.Open(t.TempDir(), pagestore.Options{MaxSegmentBytes: 2048})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { st.Close() })
+	written := map[string]bool{}
 	const n = 12
 	url := func(i int) string { return fmt.Sprintf("http://site.test/p%02d", i) }
 	for week := 1; week <= 3; week++ {
@@ -31,24 +33,26 @@ func buildTestArchive(t *testing.T) *pagestore.Store {
 				body += fmt.Sprintf(`<a href="%s">chord</a>`, url((i+week*2)%n))
 			}
 			body += `</body></html>`
-			key := label + "/" + url(i)
+			key := ArchiveKey(label, url(i))
 			if err := st.Put(key, pagestore.Meta{FetchedAt: float64(week), Status: 200}, []byte(body)); err != nil {
 				t.Fatal(err)
 			}
+			written[key] = true
 		}
 	}
-	return st
+	return st, written
 }
 
-// keyWalkSnapshots is the route the archive reader replaced: a
-// KeysWithPrefix+Get walk per label (what cmd/extract did), the first
-// document's fetch time as the snapshot time.
-func keyWalkSnapshots(t *testing.T, st *pagestore.Store, labels []string) []snapshot.Snapshot {
+// keyWalkSnapshots is the route the archive reader replaced: a Get per
+// key in key order, label by label (what cmd/extract did), the first
+// document's fetch time as the snapshot time. The keys are the ones the
+// fixture wrote, so the oracle does not read the store's index.
+func keyWalkSnapshots(t *testing.T, st *pagestore.Store, written map[string]bool, labels []string) []snapshot.Snapshot {
 	t.Helper()
 	var snaps []snapshot.Snapshot
 	for _, label := range labels {
 		prefix := label + "/"
-		keys := st.KeysWithPrefix(prefix)
+		keys := sortedKeys(written, prefix)
 		if len(keys) == 0 {
 			t.Fatalf("no keys under %q", prefix)
 		}
@@ -107,10 +111,46 @@ func FuzzSplitKey(f *testing.F) {
 			}
 			return
 		}
-		if label == "" || strings.Contains(label, "/") || label+"/"+url != key {
+		if label == "" || strings.Contains(label, "/") || ArchiveKey(label, url) != key {
 			t.Fatalf("SplitKey(%q) = (%q, %q)", key, label, url)
 		}
 	})
+}
+
+// TestCheckLabel: a label CheckLabel accepts is the one SplitKey gives
+// back from every key ArchiveKey builds with it, and a label it refuses
+// is named in the error.
+func TestCheckLabel(t *testing.T) {
+	for _, tc := range []struct {
+		label string
+		ok    bool
+	}{
+		{"t1", true},
+		{"week 4", true},
+		{strings.Repeat("x", pagestore.MaxLabelLen), true},
+		{"", false},
+		{"a/b", false},
+		{"t1/", false},
+		{"/t1", false},
+		{strings.Repeat("x", pagestore.MaxLabelLen+1), false},
+	} {
+		err := CheckLabel(tc.label)
+		if (err == nil) != tc.ok {
+			t.Errorf("CheckLabel(%q) = %v, want ok %v", tc.label, err, tc.ok)
+			continue
+		}
+		if !tc.ok {
+			if !strings.Contains(err.Error(), fmt.Sprintf("%q", tc.label)) {
+				t.Errorf("CheckLabel(%q) = %v: the error does not name the label", tc.label, err)
+			}
+			continue
+		}
+		for _, url := range []string{"http://a.test/x", "", "/", "http://a.test/b/c"} {
+			if label, got, ok := SplitKey(ArchiveKey(tc.label, url)); !ok || label != tc.label || got != url {
+				t.Errorf("SplitKey(ArchiveKey(%q, %q)) = (%q, %q, %v)", tc.label, url, label, got, ok)
+			}
+		}
+	}
 }
 
 // TestSnapshotsFromArchiveMatchExtract: every label's snapshot, read
@@ -118,9 +158,9 @@ func FuzzSplitKey(f *testing.F) {
 // refused, and so are the empty label and one holding a '/', which no
 // archive key splits into.
 func TestSnapshotsFromArchiveMatchExtract(t *testing.T) {
-	st := buildTestArchive(t)
+	st, written := buildTestArchive(t)
 	labels := []string{"t1", "t2", "t3"}
-	want := keyWalkSnapshots(t, st, labels)
+	want := keyWalkSnapshots(t, st, written, labels)
 	for k, label := range labels {
 		snap, err := SnapshotFromArchive(st, label)
 		if err != nil {

@@ -72,9 +72,10 @@ func buildStoreAt(t testing.TB, dir string, tiny bool, maxSeg int64) (*pagestore
 
 // TestExtractMatchesKeyWalk pins the parity lemma the CLI refactors
 // lean on: Extract(identity) is byte-identical to the pre-refactor
-// walk — sorted KeysWithPrefix + Get per key.
+// walk — Get per key, in key order. The walk's keys are the ones the
+// fixture wrote, so the oracle does not read the store's index.
 func TestExtractMatchesKeyWalk(t *testing.T) {
-	s, _ := buildStore(t, false)
+	s, written := buildStore(t, false)
 	prefix := "t2/"
 
 	// Pre-refactor walk.
@@ -84,10 +85,13 @@ func TestExtractMatchesKeyWalk(t *testing.T) {
 		body string
 	}
 	var want []rec
-	for _, k := range s.KeysWithPrefix(prefix) {
+	for _, k := range sortedKeys(written, prefix) {
 		meta, body, err := s.Get(k)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if string(body) != written[k] {
+			t.Fatalf("Get(%q) = %q, the fixture wrote %q", k, body, written[k])
 		}
 		want = append(want, rec{k, meta, string(body)})
 	}
@@ -106,6 +110,18 @@ func TestExtractMatchesKeyWalk(t *testing.T) {
 			t.Fatalf("workers=%d: Extract differs from key walk", workers)
 		}
 	}
+}
+
+// sortedKeys returns the keys of written that start with prefix, sorted.
+func sortedKeys[V any](written map[string]V, prefix string) []string {
+	var keys []string
+	for k := range written {
+		if strings.HasPrefix(k, prefix) {
+			keys = append(keys, k)
+		}
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 // TestExtractLayoutInvariant: Extract's output is a function of the

@@ -181,29 +181,6 @@ func (s *Store) openSegment(id int, fresh bool) (segWriter, error) {
 	return segWriter{f: f, id: id, entries: make(map[string]int64)}, nil
 }
 
-// append writes one encoded record and returns its offset.
-func (w *segWriter) append(key string, rec []byte) (int64, error) {
-	off := w.size
-	if _, err := w.f.Write(rec); err != nil {
-		return 0, fmt.Errorf("pagestore: append: %w", err)
-	}
-	w.size += int64(len(rec))
-	w.entries[key] = off
-	return off, nil
-}
-
-// write appends rec to w, first rolling a non-empty w over when rec
-// would push it past the rotation threshold. Put is its only caller.
-func (s *Store) write(w *segWriter, key string, rec []byte) (location, error) {
-	if w.size > 0 && w.size+int64(len(rec)) > s.maxSeg {
-		if err := s.rollover(w); err != nil {
-			return location{}, err
-		}
-	}
-	off, err := w.append(key, rec)
-	return location{seg: w.id, offset: off}, err
-}
-
 // rollover seals w — syncs its records, then appends and syncs the
 // footer that indexes them, so a footer never claims records the disk
 // may not hold — closes it, and reopens w on a fresh segment w.id+1.
@@ -552,11 +529,20 @@ func (s *Store) Put(key string, meta Meta, body []byte) error {
 	if s.closed {
 		return ErrClosed
 	}
-	loc, err := s.write(&s.active, key, rec)
-	if err != nil {
-		return err
+	// A record that would push a non-empty segment past the rotation
+	// threshold goes to a fresh one.
+	w := &s.active
+	if w.size > 0 && w.size+int64(len(rec)) > s.maxSeg {
+		if err := s.rollover(w); err != nil {
+			return err
+		}
 	}
-	s.index[key] = loc
+	if _, err := w.f.Write(rec); err != nil {
+		return fmt.Errorf("pagestore: append: %w", err)
+	}
+	s.index[key] = location{seg: w.id, offset: w.size}
+	w.entries[key] = w.size
+	w.size += int64(len(rec))
 	return nil
 }
 
@@ -572,21 +558,11 @@ func (s *Store) Get(key string) (Meta, []byte, error) {
 	if !ok {
 		return Meta{}, nil, fmt.Errorf("%w: %q", ErrNotFound, key)
 	}
-	return s.readAt(loc)
-}
-
-func (s *Store) readAt(loc location) (Meta, []byte, error) {
 	data, err := os.ReadFile(s.segPath(loc.seg))
 	if err != nil {
 		return Meta{}, nil, fmt.Errorf("pagestore: read segment: %w", err)
 	}
-	return decodeRecordAt(data, loc.offset)
-}
-
-// decodeRecordAt verifies the record at data[off] and returns its
-// metadata and decompressed body.
-func decodeRecordAt(data []byte, off int64) (Meta, []byte, error) {
-	_, _, meta, compressed, err := parseRecordAt(data, off)
+	_, _, meta, compressed, err := parseRecordAt(data, loc.offset)
 	if err != nil {
 		return Meta{}, nil, err
 	}
@@ -691,17 +667,10 @@ func (s *Store) SegmentIDs() []int {
 	return ids
 }
 
-// ReadLive returns the live records homed in segment seg in record
-// (offset) order, bodies decompressed. It reads the segment file once;
-// peak memory is the segment plus its decompressed live bodies. The
-// live set is snapshotted at call time; a segment file that cannot be
-// read reports an error rather than partial data.
-func (s *Store) ReadLive(seg int) ([]Record, error) { return s.ReadLivePrefix(seg, "") }
-
-// ReadLivePrefix is ReadLive restricted to the keys that start with
-// prefix: ReadStoredPrefix, each body inflated.
-func (s *Store) ReadLivePrefix(seg int, prefix string) ([]Record, error) {
-	stored, err := s.ReadStoredPrefix(seg, prefix)
+// ReadLive is ReadStoredPrefix(seg, ""), each body inflated: peak memory
+// is the segment plus its decompressed live bodies.
+func (s *Store) ReadLive(seg int) ([]Record, error) {
+	stored, err := s.ReadStoredPrefix(seg, "")
 	if len(stored) == 0 {
 		return nil, err
 	}
@@ -758,30 +727,6 @@ func (s *Store) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.index)
-}
-
-// Keys returns the live keys, sorted.
-func (s *Store) Keys() []string {
-	s.mu.Lock()
-	keys := make([]string, 0, len(s.index))
-	for k := range s.index {
-		keys = append(keys, k)
-	}
-	s.mu.Unlock()
-	sort.Strings(keys)
-	return keys
-}
-
-// KeysWithPrefix returns the live keys with the given prefix, sorted. The
-// crawl pipeline uses it to enumerate one snapshot's documents.
-func (s *Store) KeysWithPrefix(prefix string) []string {
-	var out []string
-	for _, k := range s.Keys() {
-		if strings.HasPrefix(k, prefix) {
-			out = append(out, k)
-		}
-	}
-	return out
 }
 
 // Sync flushes the active segment to stable storage.

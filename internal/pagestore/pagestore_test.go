@@ -39,9 +39,6 @@ func TestPutGetRoundTrip(t *testing.T) {
 	if !bytes.Equal(gotBody, body) {
 		t.Fatalf("body = %q", gotBody)
 	}
-	if keys := s.Keys(); len(keys) != 1 || keys[0] != "t1/http://a/" {
-		t.Fatalf("Keys = %q", keys)
-	}
 }
 
 func TestGetMissing(t *testing.T) {
@@ -204,26 +201,6 @@ func TestCorruptMiddleRecordRejected(t *testing.T) {
 	}
 	if _, err := Open(dir, Options{}); err == nil {
 		t.Fatal("corrupt middle record accepted")
-	}
-}
-
-func TestKeysAndPrefix(t *testing.T) {
-	s := open(t, t.TempDir(), Options{})
-	for _, k := range []string{"t2/b", "t1/a", "t1/b", "t2/a"} {
-		if err := s.Put(k, Meta{}, []byte(k)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	keys := s.Keys()
-	want := []string{"t1/a", "t1/b", "t2/a", "t2/b"}
-	for i := range want {
-		if keys[i] != want[i] {
-			t.Fatalf("Keys = %v", keys)
-		}
-	}
-	t1 := s.KeysWithPrefix("t1/")
-	if len(t1) != 2 || t1[0] != "t1/a" || t1[1] != "t1/b" {
-		t.Fatalf("prefix keys = %v", t1)
 	}
 }
 

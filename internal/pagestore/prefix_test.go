@@ -45,23 +45,23 @@ func buildLabelledFixture(t *testing.T, maxSeg int64) string {
 }
 
 // requirePrefixIsFilter fails unless, on every segment and for every
-// prefix, ReadLivePrefix returns exactly ReadLive's records under the
-// prefix, in ReadLive's order.
+// prefix, ReadStoredPrefix returns exactly the unprefixed read's records
+// under the prefix, in its order.
 func requirePrefixIsFilter(t *testing.T, s *Store, stage string) {
 	t.Helper()
 	for _, seg := range s.SegmentIDs() {
-		all, err := s.ReadLive(seg)
+		all, err := s.ReadStoredPrefix(seg, "")
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, prefix := range []string{"", "t1/", "t2/", "t3/", "t3/p1", "t", "zz/"} {
-			var want []Record
+			var want []StoredRecord
 			for _, r := range all {
 				if strings.HasPrefix(r.Key, prefix) {
 					want = append(want, r)
 				}
 			}
-			got, err := s.ReadLivePrefix(seg, prefix)
+			got, err := s.ReadStoredPrefix(seg, prefix)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -72,20 +72,20 @@ func requirePrefixIsFilter(t *testing.T, s *Store, stage string) {
 	}
 }
 
-// TestReadLivePrefix: the prefixed read is the filtered unprefixed read,
-// and what it streams is a function of the live set, not of the layout:
-// the same Puts into 2 KiB segments and into one 64 MiB segment stream
-// the same records under every prefix.
-func TestReadLivePrefix(t *testing.T) {
-	var layouts [2]map[string][]Record
+// TestReadStoredPrefix: the prefixed read is the filtered unprefixed
+// read, and what it streams is a function of the live set, not of the
+// layout: the same Puts into 2 KiB segments and into one 64 MiB segment
+// stream the same records under every prefix.
+func TestReadStoredPrefix(t *testing.T) {
+	var layouts [2]map[string][]StoredRecord
 	for i, maxSeg := range []int64{2048, 64 << 20} {
 		s := open(t, buildLabelledFixture(t, maxSeg), Options{MaxSegmentBytes: maxSeg})
 		stage := fmt.Sprintf("%d-byte segments", maxSeg)
 		requirePrefixIsFilter(t, s, stage)
-		layouts[i] = map[string][]Record{}
+		layouts[i] = map[string][]StoredRecord{}
 		for _, prefix := range []string{"", "t1/", "t2/", "t3/p1", "zz/"} {
 			for _, seg := range s.SegmentIDs() {
-				recs, err := s.ReadLivePrefix(seg, prefix)
+				recs, err := s.ReadStoredPrefix(seg, prefix)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -104,12 +104,12 @@ func TestReadLivePrefix(t *testing.T) {
 	}
 }
 
-// TestReadLivePrefixTouchesOnlyMatches proves the filter runs before any
+// TestReadStoredPrefixTouchesOnlyMatches proves the filter runs before any
 // I/O or verification: a segment file with no matching key can be gone,
 // and a damaged record outside the prefix goes unnoticed, while the
 // unprefixed read reports both — and a damaged record inside the prefix
 // still fails the prefixed read.
-func TestReadLivePrefixTouchesOnlyMatches(t *testing.T) {
+func TestReadStoredPrefixTouchesOnlyMatches(t *testing.T) {
 	dir := buildLabelledFixture(t, 2048)
 	s := open(t, dir, Options{MaxSegmentBytes: 2048})
 	defer s.Close()
@@ -147,10 +147,10 @@ func TestReadLivePrefixTouchesOnlyMatches(t *testing.T) {
 	if err := os.Remove(s.segPath(t2Only)); err != nil {
 		t.Fatal(err)
 	}
-	if recs, err := s.ReadLivePrefix(t2Only, "t3/"); err != nil || recs != nil {
+	if recs, err := s.ReadStoredPrefix(t2Only, "t3/"); err != nil || recs != nil {
 		t.Fatalf("prefixed read of a segment without matches: %d records, err %v", len(recs), err)
 	}
-	if _, err := s.ReadLive(t2Only); err == nil {
+	if _, err := s.ReadStoredPrefix(t2Only, ""); err == nil {
 		t.Fatal("unprefixed read of a removed segment succeeded")
 	}
 
@@ -167,14 +167,14 @@ func TestReadLivePrefixTouchesOnlyMatches(t *testing.T) {
 		}
 	}
 	flip("t2")
-	if recs, err := s.ReadLivePrefix(mixed, "t3/"); err != nil || len(recs) == 0 {
+	if recs, err := s.ReadStoredPrefix(mixed, "t3/"); err != nil || len(recs) == 0 {
 		t.Fatalf("prefixed read beside a damaged foreign record: %d records, err %v", len(recs), err)
 	}
-	if _, err := s.ReadLive(mixed); !errors.Is(err, ErrCorrupt) {
+	if _, err := s.ReadStoredPrefix(mixed, ""); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("unprefixed read over a damaged record: %v, want ErrCorrupt", err)
 	}
 	flip("t3")
-	if _, err := s.ReadLivePrefix(mixed, "t3/"); !errors.Is(err, ErrCorrupt) {
+	if _, err := s.ReadStoredPrefix(mixed, "t3/"); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("prefixed read over a damaged matching record: %v, want ErrCorrupt", err)
 	}
 }

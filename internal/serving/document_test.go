@@ -96,7 +96,7 @@ func TestDocumentsAreVisibleText(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer arch.Close()
-	keys := arch.KeysWithPrefix("t3/")
+	keys := archiveKeys(t, arch, "t3/")
 	if len(keys) != web.NumNodes() {
 		t.Fatalf("t3 holds %d pages, the corpus %d", len(keys), web.NumNodes())
 	}

@@ -113,7 +113,7 @@ func TestRefreshReadsRewrittenRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, k := range arch.KeysWithPrefix("t3/") {
+	for _, k := range archiveKeys(t, arch, "t3/") {
 		meta, body, err := arch.Get(k)
 		if err != nil {
 			t.Fatal(err)
@@ -191,7 +191,7 @@ func TestRefreshChecksReusedRecords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	keys := arch.KeysWithPrefix("t3/")
+	keys := archiveKeys(t, arch, "t3/")
 	if err := arch.Close(); err != nil {
 		t.Fatal(err)
 	}

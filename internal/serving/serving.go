@@ -269,7 +269,7 @@ func LoadGeneration(cfg Config, id uint64, prev *Generation) (*Generation, error
 			doc.canonical = fetchURL
 		}
 		return loaded{key: r.Key, doc: doc}, true, nil
-	}, corpus.Options{KeyPrefix: label + "/"})
+	}, corpus.Options{KeyPrefix: corpus.ArchiveKey(label, "")})
 	if err != nil {
 		return nil, err
 	}

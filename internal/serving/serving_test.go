@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"pagequality/internal/corpus"
 	"pagequality/internal/crawler"
 	"pagequality/internal/pagestore"
 	"pagequality/internal/quality"
@@ -113,6 +114,19 @@ func serviceConfig(storePath, archiveDir string) Config {
 		StorePath: storePath, ArchiveDir: archiveDir, Snaps: 3, Quality: defaultQCfg(),
 		CacheSize: 64, MaxInflight: 256, MaxWait: 5 * time.Millisecond,
 	}
+}
+
+// archiveKeys lists the live keys of st that start with prefix, sorted,
+// through the corpus walk the server reads the archive with.
+func archiveKeys(t testing.TB, st *pagestore.Store, prefix string) []string {
+	t.Helper()
+	keys, err := corpus.ExtractStored(st, func(r pagestore.StoredRecord) (string, bool, error) {
+		return r.Key, true, nil
+	}, corpus.Options{KeyPrefix: prefix})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return keys
 }
 
 // getStats decodes /stats: the counters, and last_refresh_error apart.
