@@ -183,7 +183,8 @@ func benchGraph100k(b *testing.B) *graph.CSR {
 	if err != nil {
 		b.Fatal(err)
 	}
-	first := g.AddNodes(2000)
+	first := graph.NodeID(g.NumNodes())
+	g.AddNodes(2000)
 	for i := 0; i < 2000; i++ {
 		g.AddLink(graph.NodeID(rng.Intn(100_000)), first+graph.NodeID(i))
 	}

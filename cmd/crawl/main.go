@@ -11,8 +11,10 @@
 //	crawl -seed  http://host/          -store web.pqs -label t2 -week 4
 //
 // With -archive dir the raw bodies are kept in a pagestore (for
-// cmd/extract and cmd/qualityserve); with -checkpoint file a Ctrl-C stops
-// gracefully and the next invocation resumes where it left off.
+// cmd/extract and cmd/qualityserve). SIGINT (Ctrl-C) or SIGTERM stops the
+// crawl once the in-flight fetches finish and appends no snapshot; with
+// -checkpoint file the frontier is saved there and the next invocation
+// resumes where it left off.
 package main
 
 import (
@@ -25,6 +27,7 @@ import (
 	"os/signal"
 	"strings"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"pagequality/internal/corpus"
@@ -34,13 +37,18 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	err := run(ctx, os.Args[1:], os.Stdout)
+	stop()
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "crawl:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string, out io.Writer) (err error) {
+// run crawls as the flags say; ctx's cancellation (SIGINT/SIGTERM) stops
+// the crawl gracefully.
+func run(ctx context.Context, args []string, out io.Writer) (err error) {
 	fs := flag.NewFlagSet("crawl", flag.ContinueOnError)
 	var (
 		seedList    = fs.String("seeds", "", "URL of a newline-separated seed list")
@@ -58,7 +66,7 @@ func run(args []string, out io.Writer) (err error) {
 		retrySeed   = fs.Int64("retry-seed", 1, "seed of the deterministic backoff jitter")
 		hostErrors  = fs.Int("host-errors", 0, "per-host error budget before the host is skipped (0 = unlimited)")
 		archiveDir  = fs.String("archive", "", "pagestore directory to archive raw bodies into (optional)")
-		checkpoint  = fs.String("checkpoint", "", "checkpoint file: resumed if present; written on interrupt (Ctrl-C)")
+		checkpoint  = fs.String("checkpoint", "", "checkpoint file: resumed if present; written on interrupt (SIGINT or SIGTERM)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -97,7 +105,7 @@ func run(args []string, out io.Writer) (err error) {
 		return fmt.Errorf("pass either -seeds or -seed, not both")
 	case *seedList != "":
 		var err error
-		seeds, err = crawler.FetchSeeds(context.Background(), client, *seedList)
+		seeds, err = crawler.FetchSeeds(ctx, client, *seedList)
 		if err != nil {
 			return err
 		}
@@ -114,6 +122,7 @@ func run(args []string, out io.Writer) (err error) {
 		Concurrency:     *concurrency,
 		Client:          client,
 		RequestTimeout:  *timeout,
+		Interrupt:       ctx.Done(),
 		MaxHostErrors:   *hostErrors,
 		Retry: crawler.Retry{
 			MaxAttempts: *retries,
@@ -160,18 +169,6 @@ func run(args []string, out io.Writer) (err error) {
 				*checkpoint, len(resume.Visited), len(resume.Frontier))
 			cfg.Resume = resume
 		}
-		// Ctrl-C triggers a graceful stop with a saved checkpoint.
-		sig := make(chan os.Signal, 1)
-		signal.Notify(sig, os.Interrupt)
-		defer signal.Stop(sig)
-		stop := make(chan struct{})
-		go func() {
-			if _, ok := <-sig; ok {
-				fmt.Fprintln(out, "interrupt received: finishing in-flight fetches...")
-				close(stop)
-			}
-		}()
-		cfg.Interrupt = stop
 	}
 
 	fmt.Fprintf(out, "crawling from %d seed(s)...\n", len(seeds))

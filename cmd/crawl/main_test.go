@@ -52,7 +52,7 @@ func TestCrawlCLIAppendsSnapshots(t *testing.T) {
 	// First crawl at week 0.
 	ts1 := startServer(t, sim)
 	var buf bytes.Buffer
-	if err := run([]string{
+	if err := run(context.Background(), []string{
 		"-seeds", ts1.URL + "/seeds.txt", "-store", store, "-label", "t1", "-week", "0",
 	}, &buf); err != nil {
 		t.Fatal(err)
@@ -65,7 +65,7 @@ func TestCrawlCLIAppendsSnapshots(t *testing.T) {
 	sim.AdvanceTo(4)
 	ts2 := startServer(t, sim)
 	buf.Reset()
-	if err := run([]string{"-seeds", ts2.URL + "/seeds.txt", "-store", store}, &buf); err != nil {
+	if err := run(context.Background(), []string{"-seeds", ts2.URL + "/seeds.txt", "-store", store}, &buf); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "appended snapshot t2 (week 4.0)") {
@@ -110,7 +110,7 @@ func TestCrawlCLISeedFlagAndCaps(t *testing.T) {
 	ts := startServer(t, sim)
 	store := filepath.Join(t.TempDir(), "s.pqs")
 	var buf bytes.Buffer
-	if err := run([]string{"-seed", ts.URL + "/p/0.html", "-store", store, "-maxpages", "3"}, &buf); err != nil {
+	if err := run(context.Background(), []string{"-seed", ts.URL + "/p/0.html", "-store", store, "-maxpages", "3"}, &buf); err != nil {
 		t.Fatal(err)
 	}
 	snaps, err := snapshot.ReadFile(store)
@@ -124,10 +124,10 @@ func TestCrawlCLISeedFlagAndCaps(t *testing.T) {
 
 func TestCrawlCLIErrors(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run([]string{}, &buf); err == nil {
+	if err := run(context.Background(), []string{}, &buf); err == nil {
 		t.Fatal("no seeds accepted")
 	}
-	if err := run([]string{"-seed", "http://x/", "-seeds", "http://x/s.txt"}, &buf); err == nil {
+	if err := run(context.Background(), []string{"-seed", "http://x/", "-seeds", "http://x/s.txt"}, &buf); err == nil {
 		t.Fatal("both seed flags accepted")
 	}
 	// Out-of-order week against an existing store.
@@ -144,10 +144,10 @@ func TestCrawlCLIErrors(t *testing.T) {
 	}
 	ts := startServer(t, sim)
 	store := filepath.Join(t.TempDir(), "s.pqs")
-	if err := run([]string{"-seeds", ts.URL + "/seeds.txt", "-store", store, "-week", "8"}, &buf); err != nil {
+	if err := run(context.Background(), []string{"-seeds", ts.URL + "/seeds.txt", "-store", store, "-week", "8"}, &buf); err != nil {
 		t.Fatal(err)
 	}
-	if err := run([]string{"-seeds", ts.URL + "/seeds.txt", "-store", store, "-week", "4"}, &buf); err == nil {
+	if err := run(context.Background(), []string{"-seeds", ts.URL + "/seeds.txt", "-store", store, "-week", "4"}, &buf); err == nil {
 		t.Fatal("time-travelling snapshot accepted")
 	}
 }
@@ -170,14 +170,14 @@ func TestCrawlCLIRefusesEqualWeek(t *testing.T) {
 	ts := startServer(t, sim)
 	store := filepath.Join(t.TempDir(), "s.pqs")
 	var buf bytes.Buffer
-	if err := run([]string{"-seeds", ts.URL + "/seeds.txt", "-store", store, "-week", "4"}, &buf); err != nil {
+	if err := run(context.Background(), []string{"-seeds", ts.URL + "/seeds.txt", "-store", store, "-week", "4"}, &buf); err != nil {
 		t.Fatal(err)
 	}
 	before, err := os.ReadFile(store)
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = run([]string{"-seeds", ts.URL + "/seeds.txt", "-store", store, "-week", "4"}, &buf)
+	err = run(context.Background(), []string{"-seeds", ts.URL + "/seeds.txt", "-store", store, "-week", "4"}, &buf)
 	if err == nil || !strings.Contains(err.Error(), "does not follow") {
 		t.Fatalf("equal week: err = %v", err)
 	}
@@ -211,7 +211,7 @@ func TestCrawlCLIArchivesBodies(t *testing.T) {
 	store := filepath.Join(dir, "s.pqs")
 	archive := filepath.Join(dir, "pages")
 	var buf bytes.Buffer
-	if err := run([]string{
+	if err := run(context.Background(), []string{
 		"-seeds", ts.URL + "/seeds.txt", "-store", store,
 		"-archive", archive, "-label", "t1", "-week", "0",
 	}, &buf); err != nil {
@@ -263,7 +263,7 @@ func TestCrawlCLIRefusesUnsplittableLabel(t *testing.T) {
 	store := filepath.Join(dir, "s.pqs")
 	archive := filepath.Join(dir, "pages")
 	var buf bytes.Buffer
-	err := run([]string{"-seed", ts.URL + "/", "-store", store, "-archive", archive, "-label", "a/b"}, &buf)
+	err := run(context.Background(), []string{"-seed", ts.URL + "/", "-store", store, "-archive", archive, "-label", "a/b"}, &buf)
 	if err == nil || !strings.Contains(err.Error(), `"a/b"`) {
 		t.Fatalf("label a/b: err = %v, want a refusal naming it", err)
 	}
@@ -317,7 +317,7 @@ func TestCrawlCLIResumeFromCheckpoint(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := run([]string{
+	if err := run(context.Background(), []string{
 		"-seeds", ts.URL + "/seeds.txt", "-store", store,
 		"-checkpoint", ckpt, "-label", "t1", "-week", "0",
 	}, &buf); err != nil {
@@ -339,6 +339,61 @@ func TestCrawlCLIResumeFromCheckpoint(t *testing.T) {
 	}
 	if snaps[0].Graph.NumNodes() == 0 {
 		t.Fatal("empty resumed snapshot")
+	}
+}
+
+// TestCrawlCLICancelSavesCheckpoint: cancelling run's context (what
+// SIGINT and SIGTERM do) mid-crawl stops the crawl gracefully: the
+// checkpoint is saved and no snapshot is appended.
+func TestCrawlCLICancelSavesCheckpoint(t *testing.T) {
+	cfg := webcorpus.DefaultConfig()
+	cfg.Sites = 5
+	cfg.InitialPagesPerSite = 5
+	cfg.Users = 2000
+	cfg.VisitRate = 2000
+	cfg.LinkProb = 0.2
+	cfg.BurnInWeeks = 10
+	cfg.Seed = 12
+	sim, err := webcorpus.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := webserver.New(sim.Graph().Clone(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var pages atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if strings.HasPrefix(r.URL.Path, "/p/") && pages.Add(1) == 2 {
+			cancel() // the signal arrives while the second page is in flight
+		}
+		srv.ServeHTTP(w, r)
+	}))
+	defer ts.Close()
+	dir := t.TempDir()
+	store := filepath.Join(dir, "s.pqs")
+	ckpt := filepath.Join(dir, "crawl.ckpt")
+
+	var buf bytes.Buffer
+	if err := run(ctx, []string{
+		"-seed", ts.URL + "/p/0.html", "-store", store, "-checkpoint", ckpt, "-concurrency", "1",
+	}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), "checkpoint saved to") {
+		t.Fatalf("no checkpoint saved:\n%s", buf.String())
+	}
+	resume, err := crawler.LoadCheckpoint(ckpt)
+	if err != nil || resume == nil || len(resume.Frontier) == 0 {
+		t.Fatalf("checkpoint %+v (%v): want a frontier to resume", resume, err)
+	}
+	if _, err := os.Stat(store); !os.IsNotExist(err) {
+		t.Fatalf("an interrupted crawl wrote the store (stat: %v)", err)
+	}
+	if n := pages.Load(); n >= int64(sim.NumPages()) {
+		t.Fatalf("%d of %d pages fetched: the crawl was not interrupted", n, sim.NumPages())
 	}
 }
 
@@ -375,7 +430,7 @@ func TestCrawlCLIRetryFlags(t *testing.T) {
 	defer ts.Close()
 	dir := t.TempDir()
 	var buf bytes.Buffer
-	if err := run([]string{
+	if err := run(context.Background(), []string{
 		"-seed", ts.URL + "/", "-store", filepath.Join(dir, "a.pqs"),
 		"-retries", "3", "-retry-base", "1ms", "-retry-max", "2ms",
 	}, &buf); err != nil {
@@ -388,7 +443,7 @@ func TestCrawlCLIRetryFlags(t *testing.T) {
 	ts2 := flakySite()
 	defer ts2.Close()
 	buf.Reset()
-	if err := run([]string{
+	if err := run(context.Background(), []string{
 		"-seed", ts2.URL + "/", "-store", filepath.Join(dir, "b.pqs"),
 		"-retries", "1",
 	}, &buf); err != nil {
@@ -433,7 +488,7 @@ func TestCrawlCLITransientCheckpointRetry(t *testing.T) {
 	store := filepath.Join(dir, "s.pqs")
 	ckpt := filepath.Join(dir, "crawl.ckpt")
 	var buf bytes.Buffer
-	if err := run([]string{
+	if err := run(context.Background(), []string{
 		"-seed", ts.URL + "/", "-store", store, "-checkpoint", ckpt,
 		"-retries", "2", "-retry-base", "1ms", "-retry-max", "2ms", "-label", "t1", "-week", "0",
 	}, &buf); err != nil {
@@ -454,7 +509,7 @@ func TestCrawlCLITransientCheckpointRetry(t *testing.T) {
 	healthy = true
 	mu.Unlock()
 	buf.Reset()
-	if err := run([]string{
+	if err := run(context.Background(), []string{
 		"-seed", ts.URL + "/", "-store", store, "-checkpoint", ckpt,
 		"-retries", "2", "-retry-base", "1ms", "-label", "t2", "-week", "4",
 	}, &buf); err != nil {
@@ -505,7 +560,7 @@ func TestCrawlCLIArchiveFailureFailsRun(t *testing.T) {
 	store := filepath.Join(dir, "s.pqs")
 	archive := filepath.Join(dir, "pages")
 	var buf bytes.Buffer
-	err := run([]string{
+	err := run(context.Background(), []string{
 		"-seed", ts.URL + "/", "-store", store, "-archive", archive, "-label", "t1", "-week", "0",
 	}, &buf)
 	if err == nil || !strings.Contains(err.Error(), "1 documents could not be archived") {
@@ -554,7 +609,7 @@ func TestCrawlCLIArchivesLongestURL(t *testing.T) {
 	store := filepath.Join(dir, "s.pqs")
 	archive := filepath.Join(dir, "pages")
 	var buf bytes.Buffer
-	if err := run([]string{"-seed", ts.URL + "/", "-store", store, "-archive", archive}, &buf); err != nil {
+	if err := run(context.Background(), []string{"-seed", ts.URL + "/", "-store", store, "-archive", archive}, &buf); err != nil {
 		t.Fatalf("run: %v\n%s", err, buf.String())
 	}
 	snaps, err := snapshot.ReadFile(store)
@@ -603,7 +658,7 @@ func TestCrawlCLIReportsRobotsSkips(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	var buf bytes.Buffer
-	if err := run([]string{"-seed", ts.URL + "/p/0.html", "-store", filepath.Join(t.TempDir(), "s.pqs")}, &buf); err != nil {
+	if err := run(context.Background(), []string{"-seed", ts.URL + "/p/0.html", "-store", filepath.Join(t.TempDir(), "s.pqs")}, &buf); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "0 skipped by caps, 2 skipped by robots.txt): 2 nodes, 1 links") {

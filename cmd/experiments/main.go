@@ -163,9 +163,9 @@ func figure1(out io.Writer, writeCSV csvSink) error {
 	}
 	fmt.Fprintf(out, "Figure 1: popularity evolution (Q=%.1f, n=%.0g, r=%.0g, P0=%.0g)\n",
 		res.Params.Q, res.Params.N, res.Params.R, res.Params.P0)
-	if err := textplot.Line(out, "", []textplot.Series{
+	if err := textplot.Line(out, []textplot.Series{
 		{Name: "P(p,t)", X: res.Trajectory.T, Y: res.Trajectory.P, Glyph: '*'},
-	}, 64, 16); err != nil {
+	}, 16); err != nil {
 		return err
 	}
 	fmt.Fprintf(out, "life stages: infant < %.1f <= expansion < %.1f <= maturity\n",
@@ -182,10 +182,10 @@ func figure2(out io.Writer, writeCSV csvSink) error {
 		return err
 	}
 	fmt.Fprintf(out, "Figure 2: I(p,t) and P(p,t) (Q=%.1f, P0=%.0g)\n", res.Params.Q, res.Params.P0)
-	if err := textplot.Line(out, "", []textplot.Series{
+	if err := textplot.Line(out, []textplot.Series{
 		{Name: "I(p,t) relative popularity increase", X: res.T, Y: res.I, Glyph: '*'},
 		{Name: "P(p,t) popularity", X: res.T, Y: res.P, Glyph: '.'},
-	}, 64, 16); err != nil {
+	}, 16); err != nil {
 		return err
 	}
 	fmt.Fprintln(out, "paper: I ≈ Q early (t<70), P ≈ Q late (t>120); complementary curves")
@@ -210,9 +210,9 @@ func figure3(out io.Writer, writeCSV csvSink) error {
 			return err
 		}
 	}
-	if err := textplot.Line(out, "", []textplot.Series{
+	if err := textplot.Line(out, []textplot.Series{
 		{Name: "I(p,t) + P(p,t)", X: res.T, Y: ys, Glyph: '*'},
-	}, 64, 8); err != nil {
+	}, 8); err != nil {
 		return err
 	}
 	maxDev := 0.0
@@ -276,10 +276,10 @@ func figure5(out io.Writer, c *experiments.Crawl, writeCSV csvSink) error {
 	for i := range labels {
 		labels[i] = res.HistQ.Label(i)
 	}
-	if err := textplot.Bars(out, "", labels, []textplot.BarGroup{
+	if err := textplot.Bars(out, labels, []textplot.BarGroup{
 		{Name: "Q(p)", Values: res.HistQ.Fractions(), Glyph: '#'},
 		{Name: "PR(p,t3)", Values: res.HistPR.Fractions(), Glyph: '='},
-	}, 48); err != nil {
+	}); err != nil {
 		return err
 	}
 	fmt.Fprintf(out, "first bin (err < 0.1): Q %.0f%% vs PR %.0f%%  (paper: 62%% vs 46%%)\n",
@@ -330,7 +330,7 @@ func ablationForgetting(out io.Writer, c *experiments.Crawl) error {
 
 func ablationWindow(out io.Writer, cfg experiments.HeadlineConfig, writeCSV csvSink) error {
 	fmt.Fprintln(out, "Ablation C: longer measurement windows de-noise low-popularity pages (§9.1)")
-	pts, err := experiments.AblationWindow(cfg, []float64{1, 2, 4, 8, 12}, 26)
+	pts, err := experiments.AblationWindow(cfg, []float64{1, 2, 4, 8, 12})
 	if err != nil {
 		return err
 	}
@@ -359,11 +359,12 @@ func multiSeed(out io.Writer, cfg experiments.HeadlineConfig) error {
 
 func risingStars(out io.Writer, c *experiments.Crawl) error {
 	fmt.Fprintln(out, "Rising stars: young high-quality pages under both rankings (the paper's motivation)")
-	res, err := c.RisingStars(20)
+	res, err := c.RisingStars()
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(out, "  %d stars (born <20 weeks before t1, top-quartile true quality)\n", res.Stars)
+	fmt.Fprintf(out, "  %d stars (born <%d weeks before t1, top-quartile true quality)\n",
+		res.Stars, experiments.RisingStarAgeWeeks)
 	fmt.Fprintf(out, "  mean rank percentile at t3:  PageRank %.2f   quality estimate %.2f\n",
 		res.MeanPercentilePR, res.MeanPercentileQ)
 	fmt.Fprintf(out, "  mean rank percentile at t4 (where they end up): %.2f\n", res.MeanPercentileFuture)
@@ -402,7 +403,7 @@ func rankingPolicies(out io.Writer, cfg experiments.HeadlineConfig, quick bool, 
 
 func ablationEstimator(out io.Writer, cfg experiments.HeadlineConfig) error {
 	fmt.Fprintln(out, "Ablation D: endpoint vs least-squares regression estimator (§9.1 smoothing)")
-	res, err := experiments.AblationEstimator(cfg, 5, 2, 26)
+	res, err := experiments.AblationEstimator(cfg)
 	if err != nil {
 		return err
 	}
@@ -441,7 +442,7 @@ func validateModel(out io.Writer) error {
 		DT:           0.02,
 		Seed:         42,
 	}
-	v, err := experiments.ValidateModel(cfg, 30)
+	v, err := experiments.ValidateModel(cfg)
 	if err != nil {
 		return err
 	}

@@ -10,8 +10,9 @@
 //	       [-policy none|pagerank|quality|randomized] [-epsilon 0.2] \
 //	       [-sessions-per-week 1500] [-topk 10]
 //
-// The default schedule is the paper's Figure-4 timeline (weeks 0, 4, 8,
-// 26, labelled t1..t4). With -sessions-per-week > 0 the corpus evolves
+// The defaults are the headline experiment's corpus
+// (experiments.DefaultHeadlineConfig) on the paper's Figure-4 timeline
+// (weeks 0, 4, 8, 26, labelled t1..t4). With -sessions-per-week > 0 the corpus evolves
 // with the search-discovery channel in the loop: users also find pages
 // through a search engine ranked by -policy, closing the feedback loop
 // the paper describes (search starts at week 0, after the burn-in).
@@ -26,6 +27,7 @@ import (
 	"strings"
 	"time"
 
+	"pagequality/internal/experiments"
 	"pagequality/internal/ranking"
 	"pagequality/internal/snapshot"
 	"pagequality/internal/webcorpus"
@@ -40,38 +42,34 @@ func main() {
 
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("websim", flag.ContinueOnError)
+	// The defaults are the headline experiment's corpus and schedule.
+	def := experiments.DefaultHeadlineConfig()
+	cfg := def.Corpus
+	weeks := make([]string, len(def.Schedule.Times))
+	for i, t := range def.Schedule.Times {
+		weeks[i] = strconv.FormatFloat(t, 'g', -1, 64)
+	}
 	var (
 		outPath  = fs.String("out", "web.pqs", "output snapshot store path")
-		sites    = fs.Int("sites", 154, "number of Web sites")
-		pages    = fs.Int("pages", 10, "mean initial pages per site")
-		users    = fs.Int("users", 20000, "simulated user population n")
-		seed     = fs.Int64("seed", 1, "random seed")
-		burnin   = fs.Float64("burnin", 40, "burn-in weeks before the first crawl")
-		birth    = fs.Float64("birth", 30, "new pages per week")
-		noise    = fs.Float64("noise", 0.01, "link-churn noise rate")
-		forget   = fs.Float64("forget", 0.01, "per-user forgetting rate per week")
-		schedule = fs.String("schedule", "0,4,8,26", "comma-separated crawl weeks")
-		workers  = fs.Int("workers", 0, "draw-phase workers (0 = GOMAXPROCS); results are identical at every setting")
+		schedule = fs.String("schedule", strings.Join(weeks, ","), "comma-separated crawl weeks")
 		policy   = fs.String("policy", "pagerank", "search ranking policy: none|pagerank|quality|randomized")
 		epsilon  = fs.Float64("epsilon", 0.2, "randomized fraction of result slots (randomized policy only)")
 		sessions = fs.Float64("sessions-per-week", 0, "search query sessions per week (0 = no search channel)")
 		topk     = fs.Int("topk", 10, "results each search session visits")
 	)
+	fs.IntVar(&cfg.Sites, "sites", cfg.Sites, "number of Web sites")
+	fs.IntVar(&cfg.InitialPagesPerSite, "pages", cfg.InitialPagesPerSite, "mean initial pages per site")
+	fs.IntVar(&cfg.Users, "users", cfg.Users, "simulated user population n")
+	fs.Int64Var(&cfg.Seed, "seed", cfg.Seed, "random seed")
+	fs.Float64Var(&cfg.BurnInWeeks, "burnin", cfg.BurnInWeeks, "burn-in weeks before the first crawl")
+	fs.Float64Var(&cfg.BirthRate, "birth", cfg.BirthRate, "new pages per week")
+	fs.Float64Var(&cfg.NoiseRate, "noise", cfg.NoiseRate, "link-churn noise rate")
+	fs.Float64Var(&cfg.ForgetRate, "forget", cfg.ForgetRate, "per-user forgetting rate per week")
+	fs.IntVar(&cfg.Workers, "workers", cfg.Workers, "draw-phase workers (0 = GOMAXPROCS); results are identical at every setting")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-
-	cfg := webcorpus.DefaultConfig()
-	cfg.Sites = *sites
-	cfg.InitialPagesPerSite = *pages
-	cfg.Users = *users
-	cfg.VisitRate = float64(*users)
-	cfg.Seed = *seed
-	cfg.BurnInWeeks = *burnin
-	cfg.BirthRate = *birth
-	cfg.NoiseRate = *noise
-	cfg.ForgetRate = *forget
-	cfg.Workers = *workers
+	cfg.VisitRate = float64(cfg.Users)
 	if *sessions > 0 {
 		pol, err := ranking.Parse(*policy, *epsilon)
 		if err != nil {

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"pagequality/internal/experiments"
 	"pagequality/internal/snapshot"
 	"pagequality/internal/webcorpus"
 )
@@ -41,6 +43,40 @@ func TestWebsimEndToEnd(t *testing.T) {
 		if err := s.Graph.Validate(); err != nil {
 			t.Fatalf("snapshot %d invalid: %v", i, err)
 		}
+	}
+}
+
+// TestWebsimDefaultsAreTheHeadlineCorpus: with no flag but the schedule,
+// websim writes the store webcorpus.New of the headline experiment's
+// corpus writes, byte for byte.
+func TestWebsimDefaultsAreTheHeadlineCorpus(t *testing.T) {
+	dir := t.TempDir()
+	got := filepath.Join(dir, "websim.pqs")
+	if err := run([]string{"-out", got, "-schedule", "0"}, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	sim, err := webcorpus.New(experiments.DefaultHeadlineConfig().Corpus)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snaps, err := sim.RunSchedule(webcorpus.Schedule{Times: []float64{0}, Labels: []string{"t1"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := filepath.Join(dir, "want.pqs")
+	if err := snapshot.WriteFile(want, snaps); err != nil {
+		t.Fatal(err)
+	}
+	a, err := os.ReadFile(got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a, b) {
+		t.Fatalf("websim wrote %d bytes, the headline corpus %d: the stores differ", len(a), len(b))
 	}
 }
 

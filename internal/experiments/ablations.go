@@ -97,12 +97,16 @@ type WindowPoint struct {
 	AvgErrQHigh float64
 }
 
+// futureWeek is the ablations' future crawl, whose PageRank the
+// estimates predict: week 26, where the paper's Figure-4 schedule ends.
+const futureWeek float64 = 26
+
 // AblationWindow varies the estimation-window length and reports the
 // error separately for low- and high-popularity pages, probing the §9.1
 // statistical-noise discussion: "for low-PageRank pages, we may want to
 // compute the PageRank increase over a longer period ... to reduce the
-// impact of noise."
-func AblationWindow(cfg HeadlineConfig, gaps []float64, futureWeek float64) ([]WindowPoint, error) {
+// impact of noise." Each gap is a window from week 0, below futureWeek.
+func AblationWindow(cfg HeadlineConfig, gaps []float64) ([]WindowPoint, error) {
 	if len(gaps) == 0 {
 		return nil, fmt.Errorf("experiments: empty gap sweep")
 	}
@@ -189,15 +193,19 @@ type ModelValidation struct {
 	FinalSim, FinalModel float64
 }
 
-// ValidateModel runs the agent-based simulator and measures its deviation
-// from the closed-form popularity evolution — the end-to-end check that
-// the implementation of Propositions 1–2 really produces Theorem 1.
-func ValidateModel(cfg usersim.Config, tMax float64) (*ModelValidation, error) {
+// validationWeeks is how long the model validation runs the simulator.
+const validationWeeks = 30
+
+// ValidateModel runs the agent-based simulator for validationWeeks and
+// measures its deviation from the closed-form popularity evolution — the
+// end-to-end check that the implementation of Propositions 1–2 really
+// produces Theorem 1.
+func ValidateModel(cfg usersim.Config) (*ModelValidation, error) {
 	sim, err := usersim.New(cfg)
 	if err != nil {
 		return nil, err
 	}
-	tr, err := sim.Run(tMax, 20)
+	tr, err := sim.Run(validationWeeks, 20)
 	if err != nil {
 		return nil, err
 	}

@@ -27,16 +27,16 @@ type EstimatorComparison struct {
 	FluctuatingFrac float64
 }
 
-// AblationEstimator crawls the corpus estimationCrawls times at weekly
-// gaps, then once more at futureWeek, and scores both estimator variants.
-func AblationEstimator(cfg HeadlineConfig, estimationCrawls int, gapWeeks, futureWeek float64) (*EstimatorComparison, error) {
-	if estimationCrawls < 3 {
-		return nil, fmt.Errorf("experiments: need >= 3 estimation crawls, got %d", estimationCrawls)
-	}
-	if gapWeeks <= 0 || float64(estimationCrawls-1)*gapWeeks >= futureWeek {
-		return nil, fmt.Errorf("experiments: gaps %g x %d do not fit before future week %g",
-			gapWeeks, estimationCrawls-1, futureWeek)
-	}
+// Ablation D's schedule: five estimation crawls two weeks apart.
+const (
+	estimationCrawls = 5
+	gapWeeks         = 2
+)
+
+// AblationEstimator crawls the corpus estimationCrawls times gapWeeks
+// apart, then once more at futureWeek, and scores both estimator
+// variants.
+func AblationEstimator(cfg HeadlineConfig) (*EstimatorComparison, error) {
 	sched := webcorpus.Schedule{}
 	for k := 0; k < estimationCrawls; k++ {
 		sched.Times = append(sched.Times, float64(k)*gapWeeks)

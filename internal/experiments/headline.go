@@ -217,7 +217,7 @@ func Evaluate(est *quality.Result, current, future, truth []float64) (*HeadlineR
 	}
 	res.AvgErrQ, res.MedianErrQ = sq.Mean, sq.Median
 	res.AvgErrPR, res.MedianErrPR = sp.Mean, sp.Median
-	res.DiffCILo, res.DiffCIHi, err = metrics.BootstrapMeanDiffCI(errsQ, errsPR, 2000, 0.95, 1)
+	res.DiffCILo, res.DiffCIHi, err = metrics.BootstrapMeanDiffCI(errsQ, errsPR)
 	if err != nil {
 		return nil, err
 	}

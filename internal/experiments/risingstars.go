@@ -11,9 +11,9 @@ import (
 // estimator gives young high-quality pages ("rising stars") a better rank
 // than raw PageRank does, shortening the time to get noticed.
 type RisingStarsResult struct {
-	// Stars is the number of rising-star pages: born within MaxAgeWeeks
-	// before the first crawl, with true quality in the corpus' top
-	// quartile.
+	// Stars is the number of rising-star pages: born within
+	// RisingStarAgeWeeks before the first crawl, with true quality in the
+	// corpus' top quartile.
 	Stars int
 	// MeanPercentilePR / MeanPercentileQ are the stars' mean rank
 	// percentiles (1 = ranked above every other page) at the last
@@ -30,12 +30,13 @@ type RisingStarsResult struct {
 	TopDecileQ  int
 }
 
+// RisingStarAgeWeeks is how young a rising star is: born less than this
+// many weeks before the first crawl.
+const RisingStarAgeWeeks = 20
+
 // RisingStars measures the ranking of the crawl's young high-quality
 // pages under both metrics.
-func (c *Crawl) RisingStars(maxAgeWeeks float64) (*RisingStarsResult, error) {
-	if maxAgeWeeks <= 0 {
-		return nil, fmt.Errorf("experiments: maxAgeWeeks=%g must be positive", maxAgeWeeks)
-	}
+func (c *Crawl) RisingStars() (*RisingStarsResult, error) {
 	est, err := quality.EstimateFromSeries(c.ranks[:c.cfg.EstimationSnaps], c.cfg.Estimator)
 	if err != nil {
 		return nil, err
@@ -50,7 +51,7 @@ func (c *Crawl) RisingStars(maxAgeWeeks float64) (*RisingStarsResult, error) {
 			return nil, fmt.Errorf("experiments: %q vanished", url)
 		}
 		pg := c.sim.Graph().Page(id)
-		if pg.Created > -maxAgeWeeks && pg.Quality >= qThreshold {
+		if pg.Created > -RisingStarAgeWeeks && pg.Quality >= qThreshold {
 			stars = append(stars, i)
 		}
 	}

@@ -19,7 +19,8 @@ func deltaFixture(t *testing.T) (old, cur *CSR) {
 
 	g.RemoveLink(2, 3)
 	g.AddLink(0, 3)
-	first := g.AddNodes(2)
+	first := NodeID(g.NumNodes())
+	g.AddNodes(2)
 	g.AddLink(first, 0)
 	g.AddLink(3, first+1)
 	cur = Freeze(g)

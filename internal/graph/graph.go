@@ -99,16 +99,15 @@ func (g *Graph) MustAddPage(p Page) NodeID {
 	return id
 }
 
-// AddNodes appends n anonymous pages (no URL, unknown site) and returns the
-// id of the first one. It is the fast path for synthetic generators.
-func (g *Graph) AddNodes(n int) NodeID {
-	first := NodeID(len(g.pages))
+// AddNodes appends n anonymous pages (no URL, unknown site); the first
+// one's id is the NumNodes before the call. It is the fast path for
+// synthetic generators.
+func (g *Graph) AddNodes(n int) {
 	for i := 0; i < n; i++ {
 		g.pages = append(g.pages, Page{Site: -1})
 		g.out = append(g.out, nil)
 		g.in = append(g.in, nil)
 	}
-	return first
 }
 
 // NumNodes returns the number of pages.
@@ -165,16 +164,13 @@ func (g *Graph) AddLink(from, to NodeID) bool {
 	return true
 }
 
-// RemoveLink deletes the directed link from → to if present, reporting
-// whether a link was removed. Used by the forgetting extension where stale
-// links decay.
-func (g *Graph) RemoveLink(from, to NodeID) bool {
-	if !removeFrom(&g.out[from], to) {
-		return false
+// RemoveLink deletes the directed link from → to if present. Used by the
+// forgetting extension where stale links decay.
+func (g *Graph) RemoveLink(from, to NodeID) {
+	if removeFrom(&g.out[from], to) {
+		removeFrom(&g.in[to], from)
+		g.edges--
 	}
-	removeFrom(&g.in[to], from)
-	g.edges--
-	return true
 }
 
 // AddInLink, RemoveInLinkAt and CommitOut split AddLink and RemoveLink:

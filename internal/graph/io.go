@@ -36,7 +36,7 @@ var ErrChecksum = errors.New("graph: checksum mismatch")
 // AppendBinary serialises g into buf (which may be nil) and returns the
 // extended buffer.
 func (g *Graph) AppendBinary(buf []byte) []byte {
-	payload := g.appendPayload(nil)
+	payload := g.appendPayload()
 	buf = append(buf, graphMagic[:]...)
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(payload)))
 	buf = append(buf, payload...)
@@ -44,8 +44,10 @@ func (g *Graph) AppendBinary(buf []byte) []byte {
 	return buf
 }
 
-func (g *Graph) appendPayload(b []byte) []byte {
-	b = binary.AppendUvarint(b, uint64(g.NumNodes()))
+// appendPayload returns g's checksummed payload: the counts, the pages
+// and each out-list sorted and delta-coded.
+func (g *Graph) appendPayload() []byte {
+	b := binary.AppendUvarint(nil, uint64(g.NumNodes()))
 	b = binary.AppendUvarint(b, uint64(g.NumEdges()))
 	for _, p := range g.pages {
 		b = binary.AppendUvarint(b, uint64(len(p.URL)))

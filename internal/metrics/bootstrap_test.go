@@ -7,13 +7,15 @@ import (
 	"testing"
 )
 
+// TestBootstrapMeanCIBasics: paired with zeros, the interval is the
+// bootstrap interval of a sample's mean.
 func TestBootstrapMeanCIBasics(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	xs := make([]float64, 500)
 	for i := range xs {
 		xs[i] = 2 + rng.NormFloat64()
 	}
-	lo, hi, err := BootstrapMeanCI(xs, 2000, 0.95, 7)
+	lo, hi, err := BootstrapMeanDiffCI(xs, make([]float64, len(xs)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,23 +40,17 @@ func TestBootstrapMeanCIBasics(t *testing.T) {
 
 func TestBootstrapDeterministic(t *testing.T) {
 	xs := []float64{1, 2, 3, 4, 5, 6, 7, 8}
-	lo1, hi1, err := BootstrapMeanCI(xs, 500, 0.9, 42)
+	zeros := make([]float64, len(xs))
+	lo1, hi1, err := BootstrapMeanDiffCI(xs, zeros)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lo2, hi2, err := BootstrapMeanCI(xs, 500, 0.9, 42)
+	lo2, hi2, err := BootstrapMeanDiffCI(xs, zeros)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lo1 != lo2 || hi1 != hi2 { //pqlint:allow floateq same-seed bootstrap must reproduce the interval bit-for-bit
-		t.Fatal("same seed gave different intervals")
-	}
-	lo3, _, err := BootstrapMeanCI(xs, 500, 0.9, 43)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lo3 == lo1 { //pqlint:allow floateq exact coincidence of different seeds is the (unlikely) case logged
-		t.Log("different seeds coincided (possible, unlikely)")
+	if lo1 != lo2 || hi1 != hi2 { //pqlint:allow floateq the fixed-seed bootstrap must reproduce the interval bit-for-bit
+		t.Fatal("the same samples gave different intervals")
 	}
 }
 
@@ -65,11 +61,11 @@ func TestBootstrapWidthShrinksWithN(t *testing.T) {
 		large[i] = rng.NormFloat64()
 	}
 	small := large[:100]
-	loS, hiS, err := BootstrapMeanCI(small, 1000, 0.95, 1)
+	loS, hiS, err := BootstrapMeanDiffCI(small, make([]float64, len(small)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	loL, hiL, err := BootstrapMeanCI(large, 1000, 0.95, 1)
+	loL, hiL, err := BootstrapMeanDiffCI(large, make([]float64, len(large)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,14 +75,8 @@ func TestBootstrapWidthShrinksWithN(t *testing.T) {
 }
 
 func TestBootstrapValidation(t *testing.T) {
-	if _, _, err := BootstrapMeanCI(nil, 100, 0.95, 1); !errors.Is(err, ErrBadInput) {
+	if _, _, err := BootstrapMeanDiffCI(nil, nil); !errors.Is(err, ErrBadInput) {
 		t.Fatal("empty sample accepted")
-	}
-	if _, _, err := BootstrapMeanCI([]float64{1}, 5, 0.95, 1); !errors.Is(err, ErrBadInput) {
-		t.Fatal("too few resamples accepted")
-	}
-	if _, _, err := BootstrapMeanCI([]float64{1}, 100, 1.5, 1); !errors.Is(err, ErrBadInput) {
-		t.Fatal("confidence > 1 accepted")
 	}
 }
 
@@ -100,7 +90,7 @@ func TestBootstrapMeanDiffCI(t *testing.T) {
 		a[i] = 1.0 + common + 0.2*rng.NormFloat64()
 		b[i] = 1.3 + common + 0.2*rng.NormFloat64()
 	}
-	lo, hi, err := BootstrapMeanDiffCI(a, b, 2000, 0.95, 9)
+	lo, hi, err := BootstrapMeanDiffCI(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +104,7 @@ func TestBootstrapMeanDiffCI(t *testing.T) {
 	if math.Abs(hi-lo) > 0.1 {
 		t.Fatalf("paired CI suspiciously wide: %g", hi-lo)
 	}
-	if _, _, err := BootstrapMeanDiffCI(a, b[:10], 100, 0.95, 1); !errors.Is(err, ErrBadInput) {
+	if _, _, err := BootstrapMeanDiffCI(a, b[:10]); !errors.Is(err, ErrBadInput) {
 		t.Fatal("unpaired lengths accepted")
 	}
 }

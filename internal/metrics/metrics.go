@@ -69,22 +69,10 @@ type Histogram struct {
 	Total int
 }
 
-// NewHistogram builds a histogram with the given bin width and bin count.
-func NewHistogram(width float64, bins int) (*Histogram, error) {
-	if width <= 0 || bins < 1 {
-		return nil, fmt.Errorf("%w: width=%g bins=%d", ErrBadInput, width, bins)
-	}
-	return &Histogram{Width: width, Bins: make([]int, bins)}, nil
-}
-
 // Figure5Histogram returns the paper's exact configuration: ten bins of
 // width 0.1 labelled 0.1 … 1, with errors above 1 in the last bin.
 func Figure5Histogram() *Histogram {
-	h, err := NewHistogram(0.1, 10)
-	if err != nil {
-		panic(err) // constants are valid by construction
-	}
-	return h
+	return &Histogram{Width: 0.1, Bins: make([]int, 10)}
 }
 
 // Add records one non-negative value.

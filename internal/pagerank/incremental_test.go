@@ -24,9 +24,8 @@ func churnGraphs(t testing.TB, nodes, newNodes, addEdges, removeEdges int, seed 
 	for removed := 0; removed < removeEdges; {
 		from := graph.NodeID(rng.Intn(nodes))
 		if outs := g.OutLinks(from); len(outs) > 1 { // keep the graph connected-ish
-			if g.RemoveLink(from, outs[rng.Intn(len(outs))]) {
-				removed++
-			}
+			g.RemoveLink(from, outs[rng.Intn(len(outs))])
+			removed++
 		}
 	}
 	for added := 0; added < addEdges; {
@@ -34,7 +33,8 @@ func churnGraphs(t testing.TB, nodes, newNodes, addEdges, removeEdges int, seed 
 			added++
 		}
 	}
-	first := g.AddNodes(newNodes)
+	first := graph.NodeID(g.NumNodes())
+	g.AddNodes(newNodes)
 	for i := 0; i < newNodes; i++ {
 		g.AddLink(graph.NodeID(rng.Intn(nodes)), first+graph.NodeID(i))
 		g.AddLink(first+graph.NodeID(i), graph.NodeID(rng.Intn(nodes)))

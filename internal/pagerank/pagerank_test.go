@@ -205,7 +205,8 @@ func danglyGraph(t testing.TB, nodes, extraDangling int, seed int64) *graph.CSR 
 	if err != nil {
 		t.Fatal(err)
 	}
-	first := g.AddNodes(extraDangling)
+	first := graph.NodeID(g.NumNodes())
+	g.AddNodes(extraDangling)
 	for i := 0; i < extraDangling; i++ {
 		g.AddLink(graph.NodeID(rng.Intn(nodes)), first+graph.NodeID(i))
 	}

@@ -328,8 +328,8 @@ func (ix *Index) Reintern(a Analyzed) Analyzed {
 	return Analyzed{ix: ix, ids: ids, tfs: a.tfs}
 }
 
-// Add indexes one document and returns its id (sequential from 0).
-func (ix *Index) Add(text string) int { return ix.AddAnalyzed(ix.Analyze(text)) }
+// Add indexes one document; ids are sequential from 0.
+func (ix *Index) Add(text string) { ix.AddAnalyzed(ix.Analyze(text)) }
 
 // AddAnalyzed indexes one document this index analysed and returns its
 // id (sequential from 0); another index's document panics. A term's

@@ -61,9 +61,6 @@ func (ix *Index) Shard(shards, workers int) (*ShardedIndex, error) {
 	return &ShardedIndex{f: f, parts: partitionFrozen(f, shards), workers: workers}, nil
 }
 
-// NumShards returns the number of doc-shards after clamping.
-func (si *ShardedIndex) NumShards() int { return len(si.parts) }
-
 // partitionFrozen splits the global posting layout into k per-shard
 // layouts. Shard s reuses the global term-id map and idf tables (query
 // statistics are corpus-wide by definition) and receives verbatim copies

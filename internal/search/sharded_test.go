@@ -83,8 +83,8 @@ func TestShardedParity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if si.NumShards() != shards {
-				t.Fatalf("NumShards = %d, want %d", si.NumShards(), shards)
+			if len(si.parts) != shards {
+				t.Fatalf("%d shards, want %d", len(si.parts), shards)
 			}
 			// One shard is the frozen view itself, not a copy of it; any
 			// other count owns its posting slices.
@@ -136,8 +136,8 @@ func TestShardedParityTinyCorpus(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if si.NumShards() != n {
-			t.Fatalf("n=%d: shards clamped to %d, want %d", n, si.NumShards(), n)
+		if len(si.parts) != n {
+			t.Fatalf("n=%d: shards clamped to %d, want %d", n, len(si.parts), n)
 		}
 		for _, q := range []string{"shared common", "unique0", "zzz"} {
 			want, err := ix.Search(q, Options{TopK: 5})
@@ -174,7 +174,7 @@ func TestShardValidation(t *testing.T) {
 	if si.workers != runtime.GOMAXPROCS(0) {
 		t.Fatalf("workers=0 resolved to %d, want GOMAXPROCS=%d", si.workers, runtime.GOMAXPROCS(0))
 	}
-	if si, err := ix.Shard(1000, 2); err != nil || si.NumShards() != ix.NumDocs() {
+	if si, err := ix.Shard(1000, 2); err != nil || len(si.parts) != ix.NumDocs() {
 		t.Fatalf("oversized shard count not clamped: %v, %v", si, err)
 	}
 
@@ -183,8 +183,8 @@ func TestShardValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if empty.NumShards() != 1 {
-		t.Fatalf("empty index sharded to %d", empty.NumShards())
+	if len(empty.parts) != 1 {
+		t.Fatalf("empty index sharded to %d", len(empty.parts))
 	}
 	hits, err := empty.SearchContext(context.Background(), "anything", Options{TopK: 3})
 	if err != nil || hits != nil {

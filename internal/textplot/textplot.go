@@ -24,11 +24,14 @@ type Series struct {
 	Glyph rune
 }
 
-// Line renders the series into w as an ASCII chart of the given interior
-// width and height (characters).
-func Line(w io.Writer, title string, series []Series, width, height int) error {
-	if width < 10 || height < 4 {
-		return fmt.Errorf("%w: chart %dx%d too small", ErrBadPlot, width, height)
+// lineWidth is a line chart's interior width in characters.
+const lineWidth = 64
+
+// Line renders the series into w as an ASCII chart lineWidth characters
+// wide and height rows high.
+func Line(w io.Writer, series []Series, height int) error {
+	if height < 4 {
+		return fmt.Errorf("%w: chart height %d too small", ErrBadPlot, height)
 	}
 	if len(series) == 0 {
 		return fmt.Errorf("%w: no series", ErrBadPlot)
@@ -65,7 +68,7 @@ func Line(w io.Writer, title string, series []Series, width, height int) error {
 	}
 	grid := make([][]rune, height)
 	for r := range grid {
-		grid[r] = []rune(strings.Repeat(" ", width))
+		grid[r] = []rune(strings.Repeat(" ", lineWidth))
 	}
 	for _, s := range series {
 		glyph := s.Glyph
@@ -76,14 +79,9 @@ func Line(w io.Writer, title string, series []Series, width, height int) error {
 			if math.IsNaN(s.X[i]) || math.IsNaN(s.Y[i]) {
 				continue
 			}
-			col := int((s.X[i] - minX) / (maxX - minX) * float64(width-1))
+			col := int((s.X[i] - minX) / (maxX - minX) * float64(lineWidth-1))
 			row := height - 1 - int((s.Y[i]-minY)/(maxY-minY)*float64(height-1))
 			grid[row][col] = glyph
-		}
-	}
-	if title != "" {
-		if _, err := fmt.Fprintf(w, "%s\n", title); err != nil {
-			return err
 		}
 	}
 	yLabelW := 10
@@ -93,10 +91,10 @@ func Line(w io.Writer, title string, series []Series, width, height int) error {
 			return err
 		}
 	}
-	if _, err := fmt.Fprintf(w, "%s +%s+\n", strings.Repeat(" ", yLabelW), strings.Repeat("-", width)); err != nil {
+	if _, err := fmt.Fprintf(w, "%s +%s+\n", strings.Repeat(" ", yLabelW), strings.Repeat("-", lineWidth)); err != nil {
 		return err
 	}
-	if _, err := fmt.Fprintf(w, "%s  %-*.4g%*.4g\n", strings.Repeat(" ", yLabelW), width/2, minX, width-width/2, maxX); err != nil {
+	if _, err := fmt.Fprintf(w, "%s  %-*.4g%*.4g\n", strings.Repeat(" ", yLabelW), lineWidth/2, minX, lineWidth-lineWidth/2, maxX); err != nil {
 		return err
 	}
 	for _, s := range series {
@@ -118,12 +116,13 @@ type BarGroup struct {
 	Glyph  rune
 }
 
+// barsWidth is the length in characters of a bar chart's longest bar.
+const barsWidth = 48
+
 // Bars renders grouped horizontal bars (one row per label and group),
-// scaled to the given width — the layout used for the Figure-5 histogram.
-func Bars(w io.Writer, title string, labels []string, groups []BarGroup, width int) error {
-	if width < 10 {
-		return fmt.Errorf("%w: width %d too small", ErrBadPlot, width)
-	}
+// the longest barsWidth characters long — the layout used for the
+// Figure-5 histogram.
+func Bars(w io.Writer, labels []string, groups []BarGroup) error {
 	if len(labels) == 0 || len(groups) == 0 {
 		return fmt.Errorf("%w: empty chart", ErrBadPlot)
 	}
@@ -142,11 +141,6 @@ func Bars(w io.Writer, title string, labels []string, groups []BarGroup, width i
 	if maxV == 0 {
 		maxV = 1
 	}
-	if title != "" {
-		if _, err := fmt.Fprintf(w, "%s\n", title); err != nil {
-			return err
-		}
-	}
 	labW := 0
 	for _, l := range labels {
 		if len(l) > labW {
@@ -159,7 +153,7 @@ func Bars(w io.Writer, title string, labels []string, groups []BarGroup, width i
 			if glyph == 0 {
 				glyph = '#'
 			}
-			n := int(g.Values[i] / maxV * float64(width))
+			n := int(g.Values[i] / maxV * barsWidth)
 			lab := label
 			if gi > 0 {
 				lab = strings.Repeat(" ", len(label))

@@ -11,13 +11,10 @@ import (
 func TestLineBasic(t *testing.T) {
 	var buf bytes.Buffer
 	s := Series{Name: "P(p,t)", X: []float64{0, 1, 2, 3}, Y: []float64{0, 1, 4, 9}, Glyph: 'o'}
-	if err := Line(&buf, "Figure X", []Series{s}, 40, 10); err != nil {
+	if err := Line(&buf, []Series{s}, 10); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	if !strings.Contains(out, "Figure X") {
-		t.Fatal("title missing")
-	}
 	if !strings.Contains(out, "o") {
 		t.Fatal("glyph missing")
 	}
@@ -25,8 +22,8 @@ func TestLineBasic(t *testing.T) {
 		t.Fatal("legend missing")
 	}
 	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
-	// title + height rows + axis + x labels + legend
-	if len(lines) != 1+10+1+1+1 {
+	// height rows + axis + x labels + legend
+	if len(lines) != 10+1+1+1 {
 		t.Fatalf("line count = %d:\n%s", len(lines), out)
 	}
 }
@@ -35,7 +32,7 @@ func TestLineMultiSeries(t *testing.T) {
 	var buf bytes.Buffer
 	a := Series{Name: "up", X: []float64{0, 1}, Y: []float64{0, 1}, Glyph: '*'}
 	b := Series{Name: "down", X: []float64{0, 1}, Y: []float64{1, 0}, Glyph: '+'}
-	if err := Line(&buf, "", []Series{a, b}, 20, 6); err != nil {
+	if err := Line(&buf, []Series{a, b}, 6); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -53,11 +50,13 @@ func TestLineDegenerateRanges(t *testing.T) {
 		s    Series
 		row  string // the middle of five rows
 	}{
-		{"flat", Series{X: []float64{0, 1, 2}, Y: []float64{5, 5, 5}}, "         5 |*        *         *|"},
-		{"single point", Series{X: []float64{3}, Y: []float64{4}}, "         4 |         *          |"},
+		{"flat", Series{X: []float64{0, 1, 2}, Y: []float64{5, 5, 5}},
+			"         5 |*" + strings.Repeat(" ", 30) + "*" + strings.Repeat(" ", 31) + "*|"},
+		{"single point", Series{X: []float64{3}, Y: []float64{4}},
+			"         4 |" + strings.Repeat(" ", 31) + "*" + strings.Repeat(" ", 32) + "|"},
 	} {
 		var buf bytes.Buffer
-		if err := Line(&buf, "", []Series{c.s}, 20, 5); err != nil {
+		if err := Line(&buf, []Series{c.s}, 5); err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
 		rows := strings.Split(buf.String(), "\n")[:5]
@@ -72,18 +71,18 @@ func TestLineDegenerateRanges(t *testing.T) {
 func TestLineErrors(t *testing.T) {
 	var buf bytes.Buffer
 	ok := Series{Name: "s", X: []float64{0, 1}, Y: []float64{0, 1}}
-	if err := Line(&buf, "", []Series{ok}, 5, 3); !errors.Is(err, ErrBadPlot) {
+	if err := Line(&buf, []Series{ok}, 3); !errors.Is(err, ErrBadPlot) {
 		t.Fatal("tiny chart accepted")
 	}
-	if err := Line(&buf, "", nil, 20, 10); !errors.Is(err, ErrBadPlot) {
+	if err := Line(&buf, nil, 10); !errors.Is(err, ErrBadPlot) {
 		t.Fatal("no series accepted")
 	}
 	ragged := Series{Name: "r", X: []float64{0, 1}, Y: []float64{0}}
-	if err := Line(&buf, "", []Series{ragged}, 20, 10); !errors.Is(err, ErrBadPlot) {
+	if err := Line(&buf, []Series{ragged}, 10); !errors.Is(err, ErrBadPlot) {
 		t.Fatal("ragged series accepted")
 	}
 	nan := Series{Name: "n", X: []float64{math.NaN()}, Y: []float64{math.NaN()}}
-	if err := Line(&buf, "", []Series{nan}, 20, 10); !errors.Is(err, ErrBadPlot) {
+	if err := Line(&buf, []Series{nan}, 10); !errors.Is(err, ErrBadPlot) {
 		t.Fatal("all-NaN series accepted")
 	}
 }
@@ -95,36 +94,33 @@ func TestBars(t *testing.T) {
 		{Name: "Q(p)", Values: []float64{0.62, 0.15, 0.05}, Glyph: '#'},
 		{Name: "PR(p,t3)", Values: []float64{0.46, 0.12, 0.10}, Glyph: '='},
 	}
-	if err := Bars(&buf, "Figure 5", labels, groups, 40); err != nil {
+	if err := Bars(&buf, labels, groups); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, want := range []string{"Figure 5", "0.1", "1.0", "Q(p)", "PR(p,t3)", "#", "="} {
+	for _, want := range []string{"0.1", "1.0", "Q(p)", "PR(p,t3)", "#", "="} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("output missing %q:\n%s", want, out)
 		}
 	}
 	// The largest value gets the longest bar.
-	if !strings.Contains(out, strings.Repeat("#", 40)) {
+	if !strings.Contains(out, strings.Repeat("#", barsWidth)) {
 		t.Fatalf("max bar not full width:\n%s", out)
 	}
 }
 
 func TestBarsErrors(t *testing.T) {
 	var buf bytes.Buffer
-	if err := Bars(&buf, "", []string{"a"}, []BarGroup{{Name: "g", Values: []float64{1}}}, 5); !errors.Is(err, ErrBadPlot) {
-		t.Fatal("narrow chart accepted")
-	}
-	if err := Bars(&buf, "", nil, nil, 40); !errors.Is(err, ErrBadPlot) {
+	if err := Bars(&buf, nil, nil); !errors.Is(err, ErrBadPlot) {
 		t.Fatal("empty chart accepted")
 	}
-	if err := Bars(&buf, "", []string{"a", "b"}, []BarGroup{{Name: "g", Values: []float64{1}}}, 40); !errors.Is(err, ErrBadPlot) {
+	if err := Bars(&buf, []string{"a", "b"}, []BarGroup{{Name: "g", Values: []float64{1}}}); !errors.Is(err, ErrBadPlot) {
 		t.Fatal("ragged group accepted")
 	}
-	if err := Bars(&buf, "", []string{"a"}, []BarGroup{{Name: "g", Values: []float64{-1}}}, 40); !errors.Is(err, ErrBadPlot) {
+	if err := Bars(&buf, []string{"a"}, []BarGroup{{Name: "g", Values: []float64{-1}}}); !errors.Is(err, ErrBadPlot) {
 		t.Fatal("negative value accepted")
 	}
-	if err := Bars(&buf, "", []string{"a"}, []BarGroup{{Name: "g", Values: []float64{0}}}, 40); err != nil {
+	if err := Bars(&buf, []string{"a"}, []BarGroup{{Name: "g", Values: []float64{0}}}); err != nil {
 		t.Fatalf("all-zero chart rejected: %v", err)
 	}
 }

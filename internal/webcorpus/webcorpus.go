@@ -288,13 +288,13 @@ func (s *Sim) BirthPage(site int, q float64) (graph.NodeID, error) {
 
 // birthPage creates one page on the given site with a Beta-distributed
 // quality and one seed user who likes it.
-func (s *Sim) birthPage(src *randx.Stream, site int, created float64) graph.NodeID {
+func (s *Sim) birthPage(src *randx.Stream, site int, created float64) {
 	q := randx.Beta(src, s.cfg.QualityAlpha, s.cfg.QualityBeta)
 	// Clamp away from 0 so the page can be visited at all (P0 = 1/n > 0).
 	if q < 0.01 {
 		q = 0.01
 	}
-	return s.birthPageQ(src, site, created, q)
+	s.birthPageQ(src, site, created, q)
 }
 
 func (s *Sim) birthPageQ(src *randx.Stream, site int, created, q float64) graph.NodeID {
