@@ -12,9 +12,11 @@
 //
 // With -archive dir the raw bodies are kept in a pagestore (for
 // cmd/extract and cmd/qualityserve). SIGINT (Ctrl-C) or SIGTERM stops the
-// crawl once the in-flight fetches finish and appends no snapshot; with
-// -checkpoint file the frontier is saved there and the next invocation
-// resumes where it left off.
+// crawl once the in-flight fetches finish and appends no snapshot. The
+// archive is the crawl's one record of progress: re-running the same
+// command resumes from the documents already archived under the label
+// and appends the whole snapshot; without -archive an interrupt keeps
+// nothing.
 package main
 
 import (
@@ -65,8 +67,7 @@ func run(ctx context.Context, args []string, out io.Writer) (err error) {
 		retryMax    = fs.Duration("retry-max", 5*time.Second, "backoff ceiling, Retry-After included")
 		retrySeed   = fs.Int64("retry-seed", 1, "seed of the deterministic backoff jitter")
 		hostErrors  = fs.Int("host-errors", 0, "per-host error budget before the host is skipped (0 = unlimited)")
-		archiveDir  = fs.String("archive", "", "pagestore directory to archive raw bodies into (optional)")
-		checkpoint  = fs.String("checkpoint", "", "checkpoint file: resumed if present; written on interrupt (SIGINT or SIGTERM)")
+		archiveDir  = fs.String("archive", "", "pagestore directory to archive raw bodies into, and to resume an interrupted crawl of the label from (optional)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -94,6 +95,11 @@ func run(ctx context.Context, args []string, out io.Writer) (err error) {
 	}
 	if n := len(snaps); n > 0 && wk <= snaps[n-1].Time {
 		return fmt.Errorf("snapshot week %g does not follow the last stored snapshot (%g)", wk, snaps[n-1].Time)
+	}
+	for _, s := range snaps {
+		if s.Label == lbl {
+			return fmt.Errorf("store %s already holds snapshot %s", *store, lbl)
+		}
 	}
 	if err := corpus.CheckLabel(lbl); err != nil && *archiveDir != "" {
 		return err
@@ -137,8 +143,8 @@ func run(ctx context.Context, args []string, out io.Writer) (err error) {
 			return openErr
 		}
 		// OnFetch runs on every fetcher. A document the archive did not
-		// get fails the run, after the snapshot and the checkpoint are
-		// written: the snapshot names pages qualityserve would not serve.
+		// get fails the run, after the snapshot is written: the snapshot
+		// names pages qualityserve would not serve.
 		var failed atomic.Int64
 		var firstErr atomic.Pointer[error]
 		defer func() {
@@ -150,6 +156,19 @@ func run(ctx context.Context, args []string, out io.Writer) (err error) {
 				err = cerr // run's result
 			}
 		}()
+		// The label is not stored yet, so what the archive holds under it
+		// is an interrupted run of this crawl: resume from it.
+		docs, at, readErr := corpus.LabelDocuments(arch, lbl)
+		if readErr != nil {
+			return readErr
+		}
+		if len(docs) > 0 {
+			if at != wk { //pqlint:allow floateq the archive stores the week the flag gave, bit for bit
+				return fmt.Errorf("label %s was archived at week %g, not %g", lbl, at, wk)
+			}
+			fmt.Fprintf(out, "resuming %s from %d archived documents\n", lbl, len(docs))
+			cfg.Archived = docs
+		}
 		meta := pagestore.Meta{FetchedAt: wk, Status: 200}
 		cfg.OnFetch = func(u string, body []byte) {
 			if err := arch.Put(corpus.ArchiveKey(lbl, u), meta, body); err != nil {
@@ -159,52 +178,18 @@ func run(ctx context.Context, args []string, out io.Writer) (err error) {
 		}
 	}
 
-	if *checkpoint != "" {
-		resume, err := crawler.LoadCheckpoint(*checkpoint)
-		if err != nil {
-			return err
-		}
-		if resume != nil {
-			fmt.Fprintf(out, "resuming from %s: %d visited, %d in the frontier\n",
-				*checkpoint, len(resume.Visited), len(resume.Frontier))
-			cfg.Resume = resume
-		}
-	}
-
 	fmt.Fprintf(out, "crawling from %d seed(s)...\n", len(seeds))
 	res, err := crawler.Crawl(cfg)
 	if err != nil {
 		return err
 	}
 	if res.Interrupted {
-		if *checkpoint == "" {
-			return fmt.Errorf("crawl interrupted but no -checkpoint path to save to")
+		if *archiveDir == "" {
+			return fmt.Errorf("crawl interrupted after %d pages; nothing was kept (with -archive a re-run resumes)", res.Stats.Fetched)
 		}
-		if err := res.Checkpoint.Save(*checkpoint); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "interrupted after %d pages; checkpoint saved to %s (re-run to resume)\n",
-			res.Stats.Fetched, *checkpoint)
+		fmt.Fprintf(out, "interrupted after %d pages; %s holds %d documents of %s (re-run to resume)\n",
+			res.Stats.Fetched, *archiveDir, len(cfg.Archived)+res.Stats.Fetched, lbl)
 		return nil
-	}
-	switch {
-	case res.Checkpoint != nil && *checkpoint != "":
-		// Completed, but some URLs failed transiently: save them so a
-		// re-run retries exactly those.
-		if err := res.Checkpoint.Save(*checkpoint); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "%d URLs failed transiently; checkpoint saved to %s (re-run to retry them)\n",
-			len(res.Checkpoint.Frontier), *checkpoint)
-	case res.Checkpoint != nil:
-		fmt.Fprintf(out, "warning: %d URLs failed transiently and were dropped (pass -checkpoint to keep them)\n",
-			len(res.Checkpoint.Frontier))
-	case *checkpoint != "":
-		// Completed cleanly: a stale checkpoint would resurrect the old
-		// frontier.
-		if err := os.Remove(*checkpoint); err != nil && !os.IsNotExist(err) {
-			return err
-		}
 	}
 	fmt.Fprintf(out, "fetched %d pages (%d errors, %d retries, %d timeouts, %d rate-limited, %d hosts degraded, %d skipped by caps, %d skipped by robots.txt): %d nodes, %d links\n",
 		res.Stats.Fetched, res.Stats.Errors, res.Stats.Retries, res.Stats.Timeouts,

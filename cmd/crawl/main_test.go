@@ -8,13 +8,13 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"pagequality/internal/corpus"
-	"pagequality/internal/crawler"
 	"pagequality/internal/graph"
 	"pagequality/internal/pagestore"
 	"pagequality/internal/snapshot"
@@ -277,75 +277,10 @@ func TestCrawlCLIRefusesUnsplittableLabel(t *testing.T) {
 	}
 }
 
-func TestCrawlCLIResumeFromCheckpoint(t *testing.T) {
-	cfg := webcorpus.DefaultConfig()
-	cfg.Sites = 5
-	cfg.InitialPagesPerSite = 5
-	cfg.Users = 2000
-	cfg.VisitRate = 2000
-	cfg.LinkProb = 0.2
-	cfg.BurnInWeeks = 10
-	cfg.Seed = 12
-	sim, err := webcorpus.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := startServer(t, sim)
-	dir := t.TempDir()
-	store := filepath.Join(dir, "s.pqs")
-	ckpt := filepath.Join(dir, "crawl.ckpt")
-
-	// Fabricate a mid-crawl checkpoint: the seed page already visited,
-	// its links in the frontier.
-	seeds, err := crawler.FetchSeeds(context.Background(), ts.Client(), ts.URL+"/seeds.txt")
-	if err != nil {
-		t.Fatal(err)
-	}
-	interrupt := make(chan struct{})
-	close(interrupt) // interrupt immediately after the first wave
-	partial, err := crawler.Crawl(crawler.Config{
-		Seeds: seeds, Client: ts.Client(), Interrupt: interrupt,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if partial.Checkpoint == nil {
-		t.Skip("crawl finished before the interrupt landed")
-	}
-	if err := partial.Checkpoint.Save(ckpt); err != nil {
-		t.Fatal(err)
-	}
-
-	var buf bytes.Buffer
-	if err := run(context.Background(), []string{
-		"-seeds", ts.URL + "/seeds.txt", "-store", store,
-		"-checkpoint", ckpt, "-label", "t1", "-week", "0",
-	}, &buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "resuming from") {
-		t.Fatalf("resume banner missing:\n%s", buf.String())
-	}
-	if !strings.Contains(buf.String(), "appended snapshot t1") {
-		t.Fatalf("completion missing:\n%s", buf.String())
-	}
-	// Completed run removes the checkpoint.
-	if _, err := os.Stat(ckpt); !os.IsNotExist(err) {
-		t.Fatalf("checkpoint not cleaned up: %v", err)
-	}
-	snaps, err := snapshot.ReadFile(store)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snaps[0].Graph.NumNodes() == 0 {
-		t.Fatal("empty resumed snapshot")
-	}
-}
-
-// TestCrawlCLICancelSavesCheckpoint: cancelling run's context (what
-// SIGINT and SIGTERM do) mid-crawl stops the crawl gracefully: the
-// checkpoint is saved and no snapshot is appended.
-func TestCrawlCLICancelSavesCheckpoint(t *testing.T) {
+// interruptFixture is the five-site corpus the interrupt tests crawl,
+// with the server that renders it.
+func interruptFixture(t *testing.T) (*webcorpus.Sim, *webserver.Server) {
+	t.Helper()
 	cfg := webcorpus.DefaultConfig()
 	cfg.Sites = 5
 	cfg.InitialPagesPerSite = 5
@@ -362,6 +297,110 @@ func TestCrawlCLICancelSavesCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return sim, srv
+}
+
+// TestCrawlCLIResumeFromArchive replays an interrupted crawl: run's
+// context is cancelled mid-crawl (what SIGINT and SIGTERM do), and the
+// same command run again resumes from the documents archived under the
+// label. It appends the store an uninterrupted crawl writes, byte for
+// byte, and fetches no page twice. A re-run at another week is refused.
+func TestCrawlCLIResumeFromArchive(t *testing.T) {
+	_, srv := interruptFixture(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var mu sync.Mutex
+	hits := map[string]int{}
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if strings.HasPrefix(r.URL.Path, "/p/") {
+			mu.Lock()
+			hits[r.URL.Path]++
+			if len(hits) == 5 {
+				cancel() // the signal arrives while the fifth page is in flight
+			}
+			mu.Unlock()
+		}
+		srv.ServeHTTP(w, r)
+	}))
+	defer ts.Close()
+	dir := t.TempDir()
+	args := func(name string, extra ...string) []string {
+		return append([]string{"-seeds", ts.URL + "/seeds.txt", "-store", filepath.Join(dir, name+".pqs"),
+			"-archive", filepath.Join(dir, name), "-label", "t1", "-week", "0"}, extra...)
+	}
+
+	var buf bytes.Buffer
+	if err := run(ctx, args("resumed"), &buf); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), "re-run to resume") {
+		t.Fatalf("interrupt not reported:\n%s", buf.String())
+	}
+	if _, err := os.Stat(filepath.Join(dir, "resumed.pqs")); !os.IsNotExist(err) {
+		t.Fatalf("an interrupted crawl wrote the store (stat: %v)", err)
+	}
+	err := run(context.Background(), args("resumed", "-week", "4"), &buf)
+	if err == nil || !strings.Contains(err.Error(), "archived at week 0") {
+		t.Fatalf("resume at another week: err = %v", err)
+	}
+	buf.Reset()
+	if err := run(context.Background(), args("resumed"), &buf); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), "resuming t1 from") {
+		t.Fatalf("no resume:\n%s", buf.String())
+	}
+	mu.Lock()
+	for path, n := range hits {
+		if n > 1 {
+			t.Errorf("%s fetched %d times", path, n)
+		}
+	}
+	mu.Unlock()
+
+	if err := run(context.Background(), args("whole"), &buf); err != nil {
+		t.Fatal(err)
+	}
+	resumed, err := os.ReadFile(filepath.Join(dir, "resumed.pqs"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	whole, err := os.ReadFile(filepath.Join(dir, "whole.pqs"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(resumed, whole) {
+		t.Fatal("the resumed crawl's store differs from the uninterrupted crawl's")
+	}
+	if a, b := archivedURLs(t, filepath.Join(dir, "resumed")), archivedURLs(t, filepath.Join(dir, "whole")); !slices.Equal(a, b) {
+		t.Fatalf("the resumed crawl archived %d URLs, the uninterrupted one %d", len(a), len(b))
+	}
+}
+
+// archivedURLs lists the URLs archived under label t1 in dir.
+func archivedURLs(t *testing.T, dir string) []string {
+	t.Helper()
+	arch, err := pagestore.Open(dir, pagestore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer arch.Close()
+	docs, _, err := corpus.LabelDocuments(arch, "t1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	urls := make([]string, len(docs))
+	for i, d := range docs {
+		urls[i] = d.FetchURL
+	}
+	return urls
+}
+
+// TestCrawlCLICancelWithoutArchive: cancelling run's context mid-crawl
+// without -archive stops the crawl gracefully, keeps nothing, says so,
+// and appends no snapshot.
+func TestCrawlCLICancelWithoutArchive(t *testing.T) {
+	sim, srv := interruptFixture(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var pages atomic.Int64
@@ -372,22 +411,12 @@ func TestCrawlCLICancelSavesCheckpoint(t *testing.T) {
 		srv.ServeHTTP(w, r)
 	}))
 	defer ts.Close()
-	dir := t.TempDir()
-	store := filepath.Join(dir, "s.pqs")
-	ckpt := filepath.Join(dir, "crawl.ckpt")
+	store := filepath.Join(t.TempDir(), "s.pqs")
 
 	var buf bytes.Buffer
-	if err := run(ctx, []string{
-		"-seed", ts.URL + "/p/0.html", "-store", store, "-checkpoint", ckpt, "-concurrency", "1",
-	}, &buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "checkpoint saved to") {
-		t.Fatalf("no checkpoint saved:\n%s", buf.String())
-	}
-	resume, err := crawler.LoadCheckpoint(ckpt)
-	if err != nil || resume == nil || len(resume.Frontier) == 0 {
-		t.Fatalf("checkpoint %+v (%v): want a frontier to resume", resume, err)
+	err := run(ctx, []string{"-seed", ts.URL + "/p/0.html", "-store", store, "-concurrency", "1"}, &buf)
+	if err == nil || !strings.Contains(err.Error(), "nothing was kept") {
+		t.Fatalf("interrupted crawl: err = %v, want it to say nothing was kept", err)
 	}
 	if _, err := os.Stat(store); !os.IsNotExist(err) {
 		t.Fatalf("an interrupted crawl wrote the store (stat: %v)", err)
@@ -397,9 +426,41 @@ func TestCrawlCLICancelSavesCheckpoint(t *testing.T) {
 	}
 }
 
+// TestCrawlCLIRefusesStoredLabel: a label the store already holds names
+// a finished crawl, so a crawl under it is refused before any fetch,
+// even at a later week, and the store is left as it was.
+func TestCrawlCLIRefusesStoredLabel(t *testing.T) {
+	var requests atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		requests.Add(1)
+		fmt.Fprint(w, "<html>leaf</html>")
+	}))
+	defer ts.Close()
+	store := filepath.Join(t.TempDir(), "s.pqs")
+	var buf bytes.Buffer
+	if err := run(context.Background(), []string{"-seed", ts.URL + "/", "-store", store, "-label", "t1", "-week", "0"}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requests.Store(0)
+	err = run(context.Background(), []string{"-seed", ts.URL + "/", "-store", store, "-label", "t1", "-week", "4"}, &buf)
+	if err == nil || !strings.Contains(err.Error(), "already holds snapshot t1") {
+		t.Fatalf("stored label: err = %v", err)
+	}
+	if n := requests.Load(); n != 0 {
+		t.Fatalf("the refused crawl made %d requests", n)
+	}
+	if after, err := os.ReadFile(store); err != nil || !bytes.Equal(before, after) {
+		t.Fatalf("the refused crawl changed the store (%v)", err)
+	}
+}
+
 // TestCrawlCLIRetryFlags drives the retry engine end to end from the
 // CLI: with retries enabled a transiently failing page is recovered and
-// counted; with -retries 1 it is dropped with a warning instead.
+// counted; with -retries 1 it is dropped and counted as an error.
 func TestCrawlCLIRetryFlags(t *testing.T) {
 	flakySite := func() *httptest.Server {
 		failed := false
@@ -449,92 +510,8 @@ func TestCrawlCLIRetryFlags(t *testing.T) {
 	}, &buf); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), "1 URLs failed transiently and were dropped") {
-		t.Fatalf("transient drop not warned:\n%s", buf.String())
-	}
 	if !strings.Contains(buf.String(), "fetched 1 pages (1 errors, 0 retries") {
 		t.Fatalf("stats wrong for -retries 1:\n%s", buf.String())
-	}
-}
-
-// TestCrawlCLITransientCheckpointRetry checks the completed-with-leftovers
-// path: a crawl that exhausts retries on one URL still writes its
-// snapshot, saves the failures to the checkpoint, and a re-run against
-// the recovered site fetches exactly the leftover URL.
-func TestCrawlCLITransientCheckpointRetry(t *testing.T) {
-	healthy := false
-	var mu sync.Mutex
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		switch r.URL.Path {
-		case "/":
-			fmt.Fprint(w, `<a href="/down">d</a>`)
-		case "/down":
-			mu.Lock()
-			up := healthy
-			mu.Unlock()
-			if !up {
-				http.Error(w, "down", http.StatusServiceUnavailable)
-				return
-			}
-			fmt.Fprint(w, "back up")
-		case "/robots.txt":
-			fmt.Fprint(w, "User-agent: *\nDisallow:\n")
-		default:
-			http.NotFound(w, r)
-		}
-	}))
-	defer ts.Close()
-	dir := t.TempDir()
-	store := filepath.Join(dir, "s.pqs")
-	ckpt := filepath.Join(dir, "crawl.ckpt")
-	var buf bytes.Buffer
-	if err := run(context.Background(), []string{
-		"-seed", ts.URL + "/", "-store", store, "-checkpoint", ckpt,
-		"-retries", "2", "-retry-base", "1ms", "-retry-max", "2ms", "-label", "t1", "-week", "0",
-	}, &buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "checkpoint saved to") {
-		t.Fatalf("leftover checkpoint not saved:\n%s", buf.String())
-	}
-	snaps, err := snapshot.ReadFile(store)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(snaps) != 1 || snaps[0].Graph.NumNodes() != 1 {
-		t.Fatalf("first snapshot wrong: %d snaps", len(snaps))
-	}
-
-	mu.Lock()
-	healthy = true
-	mu.Unlock()
-	buf.Reset()
-	if err := run(context.Background(), []string{
-		"-seed", ts.URL + "/", "-store", store, "-checkpoint", ckpt,
-		"-retries", "2", "-retry-base", "1ms", "-label", "t2", "-week", "4",
-	}, &buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "resuming from") {
-		t.Fatalf("checkpoint not resumed:\n%s", buf.String())
-	}
-	// Stats are cumulative across the resume: 1 prior page + the leftover,
-	// with the prior run's error and retry still on the books.
-	if !strings.Contains(buf.String(), "fetched 2 pages (1 errors, 1 retries") {
-		t.Fatalf("re-run should fetch only the leftover URL:\n%s", buf.String())
-	}
-	snaps, err = snapshot.ReadFile(store)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(snaps) != 2 {
-		t.Fatalf("store has %d snapshots", len(snaps))
-	}
-	if _, ok := snaps[1].Graph.Lookup(ts.URL + "/down"); !ok {
-		t.Fatal("re-run snapshot missing the recovered URL")
-	}
-	if _, err := os.Stat(ckpt); !os.IsNotExist(err) {
-		t.Fatalf("clean completion left the checkpoint behind (err=%v)", err)
 	}
 }
 

@@ -408,7 +408,7 @@ func ablationEstimator(out io.Writer, cfg experiments.HeadlineConfig) error {
 		return err
 	}
 	fmt.Fprintf(out, "  %d estimation crawls; %.0f%% of changed pages fluctuated (endpoint falls back to I := 0)\n",
-		res.Crawls, 100*res.FluctuatingFrac)
+		experiments.EstimationCrawls, 100*res.FluctuatingFrac)
 	fmt.Fprintf(out, "  avg rel. error: endpoint %.3f, regression %.3f\n",
 		res.AvgErrEndpoint, res.AvgErrRegression)
 	return nil

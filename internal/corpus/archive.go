@@ -45,31 +45,41 @@ func CheckLabel(label string) error {
 	return nil
 }
 
-// SnapshotFromArchive re-extracts the link-graph snapshot of one crawl
-// label from the archived bodies. The pass reads under the label's key
-// prefix, so no other label's body is inflated. The documents are
-// assembled in key order, with the first document's fetch time as the
-// snapshot time.
-func SnapshotFromArchive(st *pagestore.Store, label string) (snapshot.Snapshot, error) {
+// LabelDocuments reads the documents archived under one crawl label, in
+// key order, and the first one's fetch time. The pass reads under the
+// label's key prefix, so no other label's body is inflated. A label the
+// archive does not hold gives no documents and no error.
+func LabelDocuments(st *pagestore.Store, label string) ([]crawler.Document, float64, error) {
 	recs, err := Extract(st, func(d Doc) (Doc, bool) {
 		l, _, ok := SplitKey(d.Key)
 		return d, ok && l == label
 	}, Options{KeyPrefix: ArchiveKey(label, "")})
-	if err != nil {
-		return snapshot.Snapshot{}, err
-	}
-	if len(recs) == 0 {
-		return snapshot.Snapshot{}, fmt.Errorf("corpus: no documents with label %q in archive", label)
+	if err != nil || len(recs) == 0 {
+		return nil, 0, err
 	}
 	docs := make([]crawler.Document, len(recs))
 	for i, r := range recs {
 		docs[i] = crawler.Document{FetchURL: r.Key[len(label)+1:], Body: r.Body}
 	}
+	return docs, recs[0].Meta.FetchedAt, nil
+}
+
+// SnapshotFromArchive re-extracts the link-graph snapshot of one crawl
+// label from the archived bodies (LabelDocuments), with the first
+// document's fetch time as the snapshot time.
+func SnapshotFromArchive(st *pagestore.Store, label string) (snapshot.Snapshot, error) {
+	docs, week, err := LabelDocuments(st, label)
+	if err != nil {
+		return snapshot.Snapshot{}, err
+	}
+	if len(docs) == 0 {
+		return snapshot.Snapshot{}, fmt.Errorf("corpus: no documents with label %q in archive", label)
+	}
 	res, err := crawler.Assemble(docs)
 	if err != nil {
 		return snapshot.Snapshot{}, fmt.Errorf("corpus: label %q: %w", label, err)
 	}
-	return snapshot.Snapshot{Label: label, Time: recs[0].Meta.FetchedAt, Graph: res.Graph}, nil
+	return snapshot.Snapshot{Label: label, Time: week, Graph: res.Graph}, nil
 }
 
 // LabelStat summarizes one crawl label's archived documents.

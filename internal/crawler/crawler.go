@@ -12,8 +12,8 @@
 // graph: transient failures (network errors, timeouts, 429/503) retry
 // with deterministic exponential backoff, permanently failed URLs refund
 // the page budgets they held, hosts that keep failing degrade into a
-// skip state instead of burning the caps, and whatever could not be
-// fetched this run survives into the checkpoint for the next one.
+// skip state instead of burning the caps, and a crawl stopped part-way
+// resumes from the documents it archived (Config.Archived).
 package crawler
 
 import (
@@ -24,7 +24,6 @@ import (
 	"net/http"
 	"net/url"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -55,8 +54,8 @@ type Config struct {
 	Retry Retry
 	// MaxHostErrors is the per-host error budget: once this many URLs of
 	// one host have ultimately failed (after retries), the host degrades —
-	// its remaining URLs are skipped without fetching and requeued via the
-	// checkpoint instead of burning the page caps. Zero disables degrading.
+	// its remaining URLs are skipped without fetching instead of burning
+	// the page caps. Zero disables degrading.
 	MaxHostErrors int
 	// OnFetch, when non-nil, receives every successfully fetched document
 	// (e.g. to archive it into a pagestore). It runs on the archive stage:
@@ -67,17 +66,16 @@ type Config struct {
 	// and so holds the fetchers back.
 	OnFetch func(fetchURL string, body []byte)
 	// Interrupt, when non-nil, stops the crawl gracefully once closed:
-	// in-flight fetches finish, the remaining frontier is returned in
-	// Result.Checkpoint, and a later Crawl with Resume set picks up where
-	// this one stopped.
+	// in-flight fetches finish and reach OnFetch, the rest of the frontier
+	// is dropped, and Result.Interrupted is set.
 	Interrupt <-chan struct{}
-	// Resume continues a previous crawl from its checkpoint: the visited
-	// set is preloaded (so nothing is re-fetched) and the saved frontier
-	// is re-enqueued. Seeds are still honoured (deduplicated against the
-	// visited set). Pages fetched by the earlier run are NOT in this run's
-	// Result.Graph — rebuild the full graph from the archive with
-	// Assemble.
-	Resume *Checkpoint
+	// Archived holds the documents an earlier, interrupted run of this
+	// crawl fetched, as its OnFetch archived them. Each is parsed as
+	// Assemble parses it, charged to the page caps, marked visited and
+	// added to the graph, and its links are enqueued, so the frontier is
+	// rebuilt and no archived URL is fetched again: Result.Graph covers
+	// both runs, and Result.Stats counts this run only.
+	Archived []Document
 }
 
 // ErrBadConfig reports invalid crawler configuration.
@@ -130,10 +128,6 @@ type Result struct {
 	Stats Stats
 	// Interrupted reports that Config.Interrupt stopped the crawl early.
 	Interrupted bool
-	// Checkpoint is non-nil when the crawl was interrupted or when some
-	// URLs failed transiently (they sit in its Frontier); pass it as
-	// Config.Resume to continue or retry.
-	Checkpoint *Checkpoint
 }
 
 // page is one fetched document, recorded under its fetch URL.
@@ -151,7 +145,7 @@ type robotsEntry struct {
 }
 
 // errHostDegraded marks a URL that was skipped, not fetched, because its
-// host exhausted the error budget; it is requeued via the checkpoint.
+// host exhausted the error budget.
 var errHostDegraded = errors.New("crawler: host degraded")
 
 // crawl is the shared state of one Crawl invocation. All maps and slices
@@ -168,13 +162,11 @@ type crawl struct {
 	hostErrs map[string]int          // ultimately-failed URLs per host
 	degraded map[string]bool         // hosts past the error budget
 
-	pages           []page
-	stats           Stats
-	pending         int
-	frontier        []string
-	failedTransient []string // exhausted retries or degraded host: requeue
-	failedPermanent []string // never retry
-	interrupted     bool
+	pages       []page
+	stats       Stats
+	pending     int
+	frontier    []string
+	interrupted bool
 
 	// archive carries fetched bodies to OnFetch; nil without one. Its
 	// capacity, Concurrency, gives each archiver a body ready behind the
@@ -197,25 +189,17 @@ func Crawl(cfg Config) (*Result, error) {
 	}
 	c.cond = sync.NewCond(&c.mu)
 
-	if cfg.Resume != nil {
-		c.stats = cfg.Resume.Stats
-		for _, u := range cfg.Resume.Visited {
-			c.visited[u] = true
-			c.admitted++
-			if cfg.MaxPagesPerSite > 0 {
-				c.perSite[hostOf(u)]++
-			}
+	for _, d := range cfg.Archived {
+		pg, err := parsePage(d.FetchURL, d.Body)
+		if err != nil {
+			return nil, fmt.Errorf("crawler: archived %s: %w", d.FetchURL, err)
 		}
-		// Permanently failed URLs are remembered (never re-fetched) but
-		// hold no budget.
-		for _, u := range cfg.Resume.Failed {
-			c.visited[u] = true
+		c.visited[d.FetchURL] = true
+		c.admitted++
+		if cfg.MaxPagesPerSite > 0 {
+			c.perSite[hostOf(d.FetchURL)]++
 		}
-		// Saved frontier entries are already visited; re-enqueue directly.
-		for _, u := range cfg.Resume.Frontier {
-			c.frontier = append(c.frontier, u)
-			c.pending++
-		}
+		c.pages = append(c.pages, pg)
 	}
 	if cfg.Interrupt != nil {
 		// The watcher leaves before Crawl returns, so an Interrupt that is
@@ -244,6 +228,12 @@ func Crawl(cfg Config) (*Result, error) {
 			return nil, fmt.Errorf("crawler: seed %q: %w", s, err)
 		}
 		c.enqueueLocked(u.String())
+	}
+	// Every archived URL is visited before any link is enqueued.
+	for _, pg := range c.pages {
+		for _, link := range pg.links {
+			c.enqueueLocked(link)
+		}
 	}
 	c.mu.Unlock()
 
@@ -288,11 +278,8 @@ func Crawl(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	res.Interrupted = c.interrupted
-	if c.interrupted || len(c.failedTransient) > 0 {
-		res.Checkpoint = c.checkpointLocked()
-	}
+	c.mu.Unlock()
 	return res, nil
 }
 
@@ -305,7 +292,7 @@ func (c *crawl) next() (string, bool) {
 	}
 	if c.interrupted || len(c.frontier) == 0 {
 		// Done or interrupted; wake the others and leave the remaining
-		// frontier for the checkpoint.
+		// frontier unfetched.
 		c.cond.Broadcast()
 		return "", false
 	}
@@ -356,9 +343,8 @@ func (c *crawl) fetchWithRetry(u string) (page, []byte, error) {
 }
 
 // complete records one URL's outcome: successes feed the graph and the
-// frontier; failures refund the page budgets they held, charge the host's
-// error budget, and are remembered for checkpoint requeue (transient) or
-// permanently skipped.
+// frontier; failures refund the page budgets they held and charge the
+// host's error budget.
 func (c *crawl) complete(u string, pg page, body []byte, err error) {
 	if err == nil && c.archive != nil {
 		c.archive <- Document{FetchURL: u, Body: body}
@@ -373,9 +359,8 @@ func (c *crawl) complete(u string, pg page, body []byte, err error) {
 			c.enqueueLocked(link)
 		}
 	case errors.Is(err, errHostDegraded):
-		// Not the URL's own failure: requeue it without charging the host.
+		// Not the URL's own failure: the host is not charged again.
 		c.refundLocked(u)
-		c.failedTransient = append(c.failedTransient, u)
 	default:
 		c.stats.Errors++
 		c.refundLocked(u)
@@ -384,11 +369,6 @@ func (c *crawl) complete(u string, pg page, body []byte, err error) {
 		if c.cfg.MaxHostErrors > 0 && c.hostErrs[host] >= c.cfg.MaxHostErrors && !c.degraded[host] {
 			c.degraded[host] = true
 			c.stats.HostsDegraded++
-		}
-		if classify(err) == classTransient {
-			c.failedTransient = append(c.failedTransient, u)
-		} else {
-			c.failedPermanent = append(c.failedPermanent, u)
 		}
 	}
 	c.pending--
@@ -433,7 +413,7 @@ func (c *crawl) enqueueLocked(u string) {
 	if err != nil {
 		return
 	}
-	host := pu.Scheme + "://" + pu.Host // hostOf(u), the key refundLocked and Resume use
+	host := pu.Scheme + "://" + pu.Host // hostOf(u), the key refundLocked and Archived use
 	if !c.robotsForLocked(host).allowed(pu.Path) {
 		c.stats.SkippedRobots++
 		return
@@ -457,32 +437,6 @@ func (c *crawl) enqueueLocked(u string) {
 	c.frontier = append(c.frontier, u)
 	c.pending++
 	c.cond.Signal()
-}
-
-// checkpointLocked assembles the resume state: transiently failed URLs
-// rejoin the frontier so the next run retries them, permanently failed
-// ones are carried separately (remembered, never re-fetched, holding no
-// budget).
-func (c *crawl) checkpointLocked() *Checkpoint {
-	permanent := make(map[string]bool, len(c.failedPermanent))
-	for _, u := range c.failedPermanent {
-		permanent[u] = true
-	}
-	ck := &Checkpoint{
-		Visited:  make([]string, 0, len(c.visited)),
-		Frontier: append(append([]string(nil), c.frontier...), c.failedTransient...),
-		Failed:   append([]string(nil), c.failedPermanent...),
-		Stats:    c.stats,
-	}
-	for u := range c.visited {
-		if !permanent[u] {
-			ck.Visited = append(ck.Visited, u)
-		}
-	}
-	sort.Strings(ck.Visited)
-	sort.Strings(ck.Frontier)
-	sort.Strings(ck.Failed)
-	return ck
 }
 
 // fetch downloads one page and extracts its links, returning the raw body

@@ -9,7 +9,6 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"sort"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -223,9 +222,6 @@ func TestRetryTransientThenSucceed(t *testing.T) {
 	if res.Stats.Retries != 2 {
 		t.Fatalf("retries = %d, want 2", res.Stats.Retries)
 	}
-	if res.Checkpoint != nil {
-		t.Fatal("fully recovered crawl produced a checkpoint")
-	}
 	if srv.hitCount("/a") != 3 {
 		t.Fatalf("/a hit %d times, want 3", srv.hitCount("/a"))
 	}
@@ -264,15 +260,6 @@ func TestRetryExhaustionRequeuesTransient(t *testing.T) {
 	}
 	if res.Interrupted {
 		t.Fatal("uninterrupted crawl marked interrupted")
-	}
-	if res.Checkpoint == nil {
-		t.Fatal("transient failure produced no checkpoint")
-	}
-	if len(res.Checkpoint.Frontier) != 1 || res.Checkpoint.Frontier[0] != ts.URL+"/dead" {
-		t.Fatalf("checkpoint frontier = %v", res.Checkpoint.Frontier)
-	}
-	if len(res.Checkpoint.Failed) != 0 {
-		t.Fatalf("transient failure recorded as permanent: %v", res.Checkpoint.Failed)
 	}
 	if srv.hitCount("/dead") != 2 {
 		t.Fatalf("/dead hit %d times, want MaxAttempts=2", srv.hitCount("/dead"))
@@ -345,9 +332,6 @@ func TestRequestTimeoutClassifiedTransient(t *testing.T) {
 	if res.Stats.Errors != 1 || res.Stats.Retries != 1 {
 		t.Fatalf("stats = %+v", res.Stats)
 	}
-	if res.Checkpoint == nil || len(res.Checkpoint.Frontier) != 1 {
-		t.Fatal("timed-out URL not requeued for a later run")
-	}
 }
 
 func TestHostErrorBudgetDegradesHost(t *testing.T) {
@@ -374,12 +358,9 @@ func TestHostErrorBudgetDegradesHost(t *testing.T) {
 		t.Fatalf("hosts degraded = %d, want 1", res.Stats.HostsDegraded)
 	}
 	// Exactly MaxHostErrors URLs were actually fetched-and-failed; the
-	// rest were skipped without a single request and requeued.
+	// rest were skipped without a single request.
 	if res.Stats.Errors != 2 {
 		t.Fatalf("errors = %d, want 2 (the budget)", res.Stats.Errors)
-	}
-	if res.Checkpoint == nil || len(res.Checkpoint.Frontier) != 4 {
-		t.Fatalf("checkpoint = %+v, want all 4 failing URLs requeued", res.Checkpoint)
 	}
 	total := 0
 	for _, p := range []string{"/e1", "/e2", "/e3", "/e4"} {
@@ -388,107 +369,5 @@ func TestHostErrorBudgetDegradesHost(t *testing.T) {
 	// 2 failed URLs x 2 attempts; the two skipped ones cost zero requests.
 	if total != 4 {
 		t.Fatalf("degraded host still received %d requests, want 4", total)
-	}
-}
-
-// TestTransientRequeueAcrossCheckpoint pins the end-to-end story: a URL
-// that fails transiently survives into the checkpoint, a resumed crawl
-// retries it once the server recovers, and the combined archive matches a
-// never-failing crawl — while a permanently failed URL is remembered and
-// never re-fetched.
-func TestTransientRequeueAcrossCheckpoint(t *testing.T) {
-	pages := map[string]string{
-		"/":      `<a href="/flaky">f</a><a href="/a">a</a><a href="/gone">g</a>`,
-		"/flaky": `<a href="/b">b</a>`,
-		"/a":     "leaf",
-		"/b":     "leaf",
-	}
-	// Reference: the healthy crawl.
-	healthy := newFlakyServer(http.StatusServiceUnavailable, pages, nil)
-	hts := httptest.NewServer(healthy)
-	defer hts.Close()
-	ref, err := Crawl(Config{Seeds: []string{hts.URL + "/"}, Client: hts.Client()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ref.Stats.Fetched != 4 || ref.Stats.Errors != 1 { // /gone 404s
-		t.Fatalf("reference stats = %+v", ref.Stats)
-	}
-
-	srv := newFlakyServer(http.StatusServiceUnavailable, pages, map[string]int{"/flaky": 1 << 30})
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-
-	var mu sync.Mutex
-	docs := map[string][]byte{}
-	onFetch := func(u string, body []byte) {
-		mu.Lock()
-		docs[strings.TrimPrefix(u, ts.URL)] = append([]byte(nil), body...)
-		mu.Unlock()
-	}
-	phase1, err := Crawl(Config{
-		Seeds:   []string{ts.URL + "/"},
-		Client:  ts.Client(),
-		Retry:   Retry{MaxAttempts: 2, Sleep: noSleep},
-		OnFetch: onFetch,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if phase1.Stats.Fetched != 2 { // "/" and "/a"; /flaky down, /b unreachable
-		t.Fatalf("phase1 fetched %d, want 2", phase1.Stats.Fetched)
-	}
-	ck := phase1.Checkpoint
-	if ck == nil {
-		t.Fatal("no checkpoint despite transient failure")
-	}
-	if len(ck.Frontier) != 1 || ck.Frontier[0] != ts.URL+"/flaky" {
-		t.Fatalf("frontier = %v", ck.Frontier)
-	}
-	if len(ck.Failed) != 1 || ck.Failed[0] != ts.URL+"/gone" {
-		t.Fatalf("failed = %v", ck.Failed)
-	}
-	goneHits := srv.hitCount("/gone")
-
-	// The server recovers; resume retries exactly the flaky URL.
-	srv.mu.Lock()
-	srv.failures["/flaky"] = 0
-	srv.mu.Unlock()
-	phase2, err := Crawl(Config{
-		Seeds:   []string{ts.URL + "/"},
-		Client:  ts.Client(),
-		Resume:  ck,
-		Retry:   Retry{MaxAttempts: 2, Sleep: noSleep},
-		OnFetch: onFetch,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if phase2.Checkpoint != nil {
-		t.Fatalf("recovered resume still has failures: %+v", phase2.Checkpoint)
-	}
-	if phase2.Stats.Fetched != ref.Stats.Fetched {
-		t.Fatalf("cumulative fetched %d, want %d", phase2.Stats.Fetched, ref.Stats.Fetched)
-	}
-	if srv.hitCount("/gone") != goneHits {
-		t.Fatal("permanently failed URL was re-fetched on resume")
-	}
-	// The combined archive rebuilds the healthy crawl's graph (rekeyed to
-	// the healthy server's host for comparison).
-	all := make([]Document, 0, len(docs))
-	paths := make([]string, 0, len(docs))
-	for path := range docs {
-		paths = append(paths, path)
-	}
-	sort.Strings(paths)
-	for _, path := range paths {
-		all = append(all, Document{FetchURL: hts.URL + path, Body: docs[path]})
-	}
-	rebuilt, err := Assemble(all)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(rebuilt.Graph.AppendBinary(nil)) != string(ref.Graph.AppendBinary(nil)) {
-		t.Fatal("resumed archive differs from the healthy crawl")
 	}
 }

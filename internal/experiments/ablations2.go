@@ -15,8 +15,6 @@ import (
 // EstimatorComparison compares the paper's endpoint estimator with the
 // least-squares regression variant on a densely crawled corpus.
 type EstimatorComparison struct {
-	// Crawls is the number of estimation snapshots used.
-	Crawls int
 	// AvgErrEndpoint / AvgErrRegression are the mean relative errors
 	// predicting the future PageRank over the changed pages.
 	AvgErrEndpoint   float64
@@ -29,16 +27,16 @@ type EstimatorComparison struct {
 
 // Ablation D's schedule: five estimation crawls two weeks apart.
 const (
-	estimationCrawls = 5
+	EstimationCrawls = 5
 	gapWeeks         = 2
 )
 
-// AblationEstimator crawls the corpus estimationCrawls times gapWeeks
+// AblationEstimator crawls the corpus EstimationCrawls times gapWeeks
 // apart, then once more at futureWeek, and scores both estimator
 // variants.
 func AblationEstimator(cfg HeadlineConfig) (*EstimatorComparison, error) {
 	sched := webcorpus.Schedule{}
-	for k := 0; k < estimationCrawls; k++ {
+	for k := 0; k < EstimationCrawls; k++ {
 		sched.Times = append(sched.Times, float64(k)*gapWeeks)
 		sched.Labels = append(sched.Labels, fmt.Sprintf("t%d", k+1))
 	}
@@ -46,21 +44,21 @@ func AblationEstimator(cfg HeadlineConfig) (*EstimatorComparison, error) {
 	sched.Labels = append(sched.Labels, "future")
 
 	cfg.Schedule = sched
-	cfg.EstimationSnaps = estimationCrawls
+	cfg.EstimationSnaps = EstimationCrawls
 	c, err := NewCrawl(cfg)
 	if err != nil {
 		return nil, err
 	}
 	ranks := c.ranks
-	est := ranks[:estimationCrawls]
+	est := ranks[:EstimationCrawls]
 	future := ranks[len(ranks)-1]
-	cur := ranks[estimationCrawls-1]
+	cur := ranks[EstimationCrawls-1]
 
 	endpoint, err := quality.EstimateFromSeries(est, c.cfg.Estimator)
 	if err != nil {
 		return nil, err
 	}
-	regression, err := quality.EstimateWithRegression(est, sched.Times[:estimationCrawls], c.cfg.Estimator)
+	regression, err := quality.EstimateWithRegression(est, sched.Times[:EstimationCrawls], c.cfg.Estimator)
 	if err != nil {
 		return nil, err
 	}
@@ -81,7 +79,6 @@ func AblationEstimator(cfg HeadlineConfig) (*EstimatorComparison, error) {
 		}
 	}
 	return &EstimatorComparison{
-		Crawls:           estimationCrawls,
 		AvgErrEndpoint:   e.AvgErrQ,
 		AvgErrRegression: r.AvgErrQ,
 		FluctuatingFrac:  float64(fluct) / float64(e.PagesScored),

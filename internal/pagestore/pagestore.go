@@ -208,32 +208,6 @@ func (s *Store) rollover(w *segWriter) error {
 	return nil
 }
 
-// WriteFileAtomic replaces path with data so that a reader sees the old
-// file or the new one, never a partial write: the bytes go to a
-// temporary file in the same directory, which is synced, closed and
-// renamed over path. The temporary file is removed on failure.
-func WriteFileAtomic(path string, data []byte) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return fmt.Errorf("pagestore: create temp: %w", err)
-	}
-	defer os.Remove(tmp.Name()) // no-op after the rename
-	_, err = tmp.Write(data)
-	if err == nil {
-		err = tmp.Sync()
-	}
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp.Name(), path)
-	}
-	if err != nil {
-		return fmt.Errorf("pagestore: write %s: %w", path, err)
-	}
-	return nil
-}
-
 // listSegments returns the numeric ids of existing segments, ascending.
 func listSegments(dir string) ([]int, error) {
 	entries, err := os.ReadDir(dir)

@@ -14,9 +14,9 @@ import (
 	"io/fs"
 	"math"
 	"os"
+	"path/filepath"
 
 	"pagequality/internal/graph"
-	"pagequality/internal/pagestore"
 )
 
 // Snapshot is one crawl of the Web at a point in time.
@@ -157,13 +157,39 @@ func uvarint(b *[]byte) (uint64, bool) {
 }
 
 // WriteFile atomically persists the snapshots to path
-// (pagestore.WriteFileAtomic), so readers never observe a partial store.
+// (writeFileAtomic), so readers never observe a partial store.
 func WriteFile(path string, snaps []Snapshot) error {
 	data, err := Encode(snaps)
 	if err != nil {
 		return err
 	}
-	return pagestore.WriteFileAtomic(path, data)
+	return writeFileAtomic(path, data)
+}
+
+// writeFileAtomic replaces path with data so that a reader sees the old
+// file or the new one, never a partial write: the bytes go to a
+// temporary file in the same directory, which is synced, closed and
+// renamed over path. The temporary file is removed on failure.
+func writeFileAtomic(path string, data []byte) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+".tmp-*")
+	if err != nil {
+		return fmt.Errorf("snapshot: create temp: %w", err)
+	}
+	defer os.Remove(tmp.Name()) // no-op after the rename
+	_, err = tmp.Write(data)
+	if err == nil {
+		err = tmp.Sync()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err != nil {
+		return fmt.Errorf("snapshot: write %s: %w", path, err)
+	}
+	return nil
 }
 
 // AppendFile appends s to the store at path, creating the store if the

@@ -116,6 +116,41 @@ func TestWriteReadFileAtomic(t *testing.T) {
 	}
 }
 
+// TestWriteFileAtomicFailure: when the rename cannot happen — the target
+// is a directory — writeFileAtomic fails, the target is untouched and no
+// temporary file is left in the directory.
+func TestWriteFileAtomicFailure(t *testing.T) {
+	dir := t.TempDir()
+	target := filepath.Join(dir, "web.pqs")
+	if err := os.Mkdir(target, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	inside := filepath.Join(target, "keep")
+	if err := os.WriteFile(inside, []byte("kept"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := writeFileAtomic(target, []byte("new bytes")); err == nil {
+		t.Fatal("writeFileAtomic replaced a directory")
+	}
+	if st, err := os.Stat(target); err != nil || !st.IsDir() {
+		t.Fatalf("target is no longer the directory: %v", err)
+	}
+	if got, err := os.ReadFile(inside); err != nil || string(got) != "kept" {
+		t.Fatalf("directory contents changed: %q, %v", got, err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != "web.pqs" {
+		names := make([]string, len(entries))
+		for i, e := range entries {
+			names[i] = e.Name()
+		}
+		t.Fatalf("directory holds %v after the failed write, want only the target", names)
+	}
+}
+
 func TestReadFileMissing(t *testing.T) {
 	if _, err := ReadFile(filepath.Join(t.TempDir(), "nope.pqs")); err == nil {
 		t.Fatal("missing file accepted")
