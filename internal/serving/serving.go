@@ -50,6 +50,7 @@ import (
 	"pagequality/internal/corpus"
 	"pagequality/internal/crawler"
 	"pagequality/internal/pagestore"
+	"pagequality/internal/par"
 	"pagequality/internal/quality"
 	"pagequality/internal/search"
 	"pagequality/internal/snapshot"
@@ -206,75 +207,85 @@ func LoadGeneration(cfg Config, id uint64, prev *Generation) (*Generation, error
 	if err != nil {
 		return nil, err
 	}
-	al, err := snapshot.Align(snaps)
-	if err != nil {
-		return nil, err
+	if cfg.Snaps < 2 || cfg.Snaps > len(snaps) {
+		return nil, fmt.Errorf("%w: estimationSnaps=%d with %d snapshots", quality.ErrBadInput, cfg.Snaps, len(snaps))
 	}
-	est, ranks, err := quality.FromAligned(al, cfg.Snaps, cfg.Quality)
-	if err != nil {
-		return nil, err
-	}
-	cur := ranks[cfg.Snaps-1]
-
 	label := cfg.Label
 	if label == "" {
-		label = al.Labels[cfg.Snaps-1]
-	}
-	arch, err := pagestore.Open(cfg.ArchiveDir, pagestore.Options{})
-	if err != nil {
-		return nil, err
-	}
-	defer arch.Close()
-
-	// Map canonical URL -> aligned index for score lookup.
-	byURL := make(map[string]int, len(al.URLs))
-	for i, u := range al.URLs {
-		byURL[u] = i
+		label = snaps[cfg.Snaps-1].Label
 	}
 	var prevArchive map[string]record
 	if prev != nil {
 		prevArchive = prev.archive
 	}
 
-	// One corpus pass reads every record under the label (the key prefix
-	// keeps the other crawls' records unread) and checks each against its
-	// checksum. A record whose key and stored bytes prev read takes over
-	// prev's canonical URL and analysis, re-interned into the new index;
-	// any other is inflated, canonicalised and analysed. All of it runs in
-	// the parallel map phase; ExtractStored returns key order, so the
-	// sequential index build below — posting appends only — adds the
-	// documents in key order.
+	// Two halves that share no data run side by side, inline in order at
+	// one worker, and the first one's error wins when both fail: align,
+	// solve and estimate; and one corpus pass over every record under the
+	// label (the key prefix keeps the other crawls' records unread), each
+	// checked against its checksum. A record whose key and stored bytes
+	// prev read takes over prev's canonical URL and analysis, re-interned
+	// into the new index; any other is inflated, canonicalised and
+	// analysed, all in the parallel map phase. ExtractStored returns key
+	// order, so the sequential index build below — posting appends only —
+	// adds the documents in key order.
 	type loaded struct {
 		key    string
 		doc    record
 		reused bool
 	}
+	var al *snapshot.Aligned
+	var est *quality.Result
+	var ranks [][]float64
+	var recs []loaded
 	ix := search.NewIndex()
-	recs, err := corpus.ExtractStored(arch, func(r pagestore.StoredRecord) (loaded, bool, error) {
-		l, fetchURL, ok := corpus.SplitKey(r.Key)
-		if !ok || l != label {
-			return loaded{}, false, nil
+	err = par.DoErr(2, 0, func(half int) error {
+		if half == 0 {
+			var err error
+			if al, err = snapshot.Align(snaps); err == nil {
+				est, ranks, err = quality.FromAligned(al, cfg.Snaps, cfg.Quality)
+			}
+			return err
 		}
-		if old, ok := prevArchive[r.Key]; ok && bytes.Equal(old.stored, r.Flate) {
-			old.terms = ix.Reintern(old.terms)
-			return loaded{key: r.Key, doc: old, reused: true}, true, nil
-		}
-		b, err := r.Inflate()
+		arch, err := pagestore.Open(cfg.ArchiveDir, pagestore.Options{})
 		if err != nil {
-			return loaded{}, false, err
+			return err
 		}
-		body := string(b)
-		doc := record{stored: bytes.Clone(r.Flate), canonical: crawler.Canonical(body), terms: ix.Analyze(body)}
-		if doc.canonical == "" {
-			doc.canonical = fetchURL
-		}
-		return loaded{key: r.Key, doc: doc}, true, nil
-	}, corpus.Options{KeyPrefix: corpus.ArchiveKey(label, "")})
+		defer arch.Close()
+		recs, err = corpus.ExtractStored(arch, func(r pagestore.StoredRecord) (loaded, bool, error) {
+			l, fetchURL, ok := corpus.SplitKey(r.Key)
+			if !ok || l != label {
+				return loaded{}, false, nil
+			}
+			if old, ok := prevArchive[r.Key]; ok && bytes.Equal(old.stored, r.Flate) {
+				old.terms = ix.Reintern(old.terms)
+				return loaded{key: r.Key, doc: old, reused: true}, true, nil
+			}
+			b, err := r.Inflate()
+			if err != nil {
+				return loaded{}, false, err
+			}
+			body := string(b)
+			doc := record{stored: bytes.Clone(r.Flate), canonical: crawler.Canonical(body), terms: ix.Analyze(body)}
+			if doc.canonical == "" {
+				doc.canonical = fetchURL
+			}
+			return loaded{key: r.Key, doc: doc}, true, nil
+		}, corpus.Options{KeyPrefix: corpus.ArchiveKey(label, "")})
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
 	if len(recs) == 0 {
 		return nil, fmt.Errorf("serving: no documents with label %q in %s", label, cfg.ArchiveDir)
+	}
+	cur := ranks[cfg.Snaps-1]
+
+	// Map canonical URL -> aligned index for score lookup.
+	byURL := make(map[string]int, len(al.URLs))
+	for i, u := range al.URLs {
+		byURL[u] = i
 	}
 
 	urls := make([]string, 0, len(recs))

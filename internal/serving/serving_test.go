@@ -3,7 +3,9 @@ package serving
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -273,20 +275,41 @@ func TestServiceBadRequests(t *testing.T) {
 
 func TestNewErrors(t *testing.T) {
 	good := fixtureConfig(t)
+	snaps, err := snapshot.ReadFile(good.StorePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snaps[1].Time = snaps[0].Time
+	unaligned := filepath.Join(t.TempDir(), "unaligned.pqs")
+	if err := snapshot.WriteFile(unaligned, snaps); err != nil {
+		t.Fatal(err)
+	}
+	const noDocs = "no documents with label"
 	for _, bad := range []struct {
 		name   string
 		mutate func(*Config)
+		is     error  // the sentinel the error wraps, if any
+		text   string // a phrase the error carries, if any
 	}{
-		{"missing store", func(c *Config) { c.StorePath = filepath.Join(t.TempDir(), "none.pqs") }},
-		{"empty archive", func(c *Config) { c.ArchiveDir = t.TempDir() }},
-		{"unknown label", func(c *Config) { c.Label = "zz" }},
-		{"snaps beyond series", func(c *Config) { c.Snaps = 9 }},
-		{"no admission slot", func(c *Config) { c.MaxInflight = 0 }},
+		{"missing store", func(c *Config) { c.StorePath = filepath.Join(t.TempDir(), "none.pqs") }, fs.ErrNotExist, ""},
+		{"empty archive", func(c *Config) { c.ArchiveDir = t.TempDir() }, nil, noDocs},
+		{"unknown label", func(c *Config) { c.Label = "zz" }, nil, noDocs},
+		{"snaps beyond series", func(c *Config) { c.Snaps = 9 }, quality.ErrBadInput, ""},
+		{"no admission slot", func(c *Config) { c.MaxInflight = 0 }, nil, "max in-flight"},
+		// The serial build estimated before it opened the archive, so its
+		// estimator's error is the one reported.
+		{"snaps beyond series, empty archive", func(c *Config) { c.Snaps = 9; c.ArchiveDir = t.TempDir() }, quality.ErrBadInput, ""},
+		// Both halves of the build fail: the snapshot half's error wins.
+		{"unaligned store, archive not a directory", func(c *Config) { c.StorePath, c.ArchiveDir = unaligned, unaligned }, snapshot.ErrAlign, ""},
 	} {
 		cfg := good
 		bad.mutate(&cfg)
-		if _, err := New(cfg); err == nil {
+		_, err := New(cfg)
+		if err == nil {
 			t.Fatalf("%s accepted", bad.name)
+		}
+		if bad.is != nil && !errors.Is(err, bad.is) || !strings.Contains(err.Error(), bad.text) {
+			t.Errorf("%s: err = %v, want %v %q", bad.name, err, bad.is, bad.text)
 		}
 	}
 }

@@ -118,20 +118,25 @@ func (a *Aligned) CSRs() []*graph.CSR { return a.csrs }
 // PageRankSeries computes the paper-variant PageRank of every common page
 // in every snapshot, returning ranks[k][i] = PR of page i at snapshot k.
 // Each snapshot is solved cold with pagerank.Compute, so ranks[k] is
-// Compute(CSRs()[k]) bit for bit, for every GOMAXPROCS: the sweeps inside
-// each solve are parallel, the snapshots sequential.
+// Compute(CSRs()[k]) bit for bit, for every GOMAXPROCS: the snapshots
+// are solved side by side, each solve's sweeps on one worker, and the
+// lowest failing snapshot's error is the one reported.
 func (a *Aligned) PageRankSeries() ([][]float64, error) {
 	ranks := make([][]float64, len(a.csrs))
-	for k, c := range a.csrs {
-		res, err := pagerank.Compute(c, pagerank.Options{})
+	err := par.DoErr(len(a.csrs), 0, func(k int) error {
+		res, err := pagerank.Compute(a.csrs[k], pagerank.Options{Workers: 1})
 		if err != nil {
-			return nil, fmt.Errorf("snapshot %s: %w", a.Labels[k], err)
+			return fmt.Errorf("snapshot %s: %w", a.Labels[k], err)
 		}
 		if !res.Converged {
-			return nil, fmt.Errorf("snapshot %s: PageRank did not converge (delta %g after %d iters)",
+			return fmt.Errorf("snapshot %s: PageRank did not converge (delta %g after %d iters)",
 				a.Labels[k], res.Delta, res.Iterations)
 		}
 		ranks[k] = res.Rank
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return ranks, nil
 }

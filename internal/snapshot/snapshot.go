@@ -17,6 +17,7 @@ import (
 	"path/filepath"
 
 	"pagequality/internal/graph"
+	"pagequality/internal/par"
 )
 
 // Snapshot is one crawl of the Web at a point in time.
@@ -110,36 +111,54 @@ func Decode(data []byte) ([]Snapshot, error) {
 	if uint64(count)*minRecordBytes > uint64(len(rest)) {
 		return nil, fmt.Errorf("%w: %d snapshots claimed in %d bytes", ErrBadStore, count, len(rest))
 	}
+	// The headers are walked in order, then the graphs they frame decode
+	// side by side; a graph before the first bad header (or trailing
+	// bytes) fails first, as in a serial read.
 	snaps := make([]Snapshot, 0, count)
-	for i := uint32(0); i < count; i++ {
-		llen, ok := uvarint(&rest)
-		if !ok || llen > uint64(len(rest)) {
-			return nil, fmt.Errorf("%w: snapshot %d label length", ErrBadStore, i)
+	blobs := make([][]byte, 0, count)
+	headerErr := func() error {
+		for i := uint32(0); i < count; i++ {
+			llen, ok := uvarint(&rest)
+			if !ok || llen > uint64(len(rest)) {
+				return fmt.Errorf("%w: snapshot %d label length", ErrBadStore, i)
+			}
+			label := string(rest[:llen])
+			rest = rest[llen:]
+			if len(rest) < 8 {
+				return fmt.Errorf("%w: snapshot %d time", ErrBadStore, i)
+			}
+			ts := math.Float64frombits(binary.LittleEndian.Uint64(rest))
+			rest = rest[8:]
+			blen, ok := uvarint(&rest)
+			if !ok || blen > uint64(len(rest)) {
+				return fmt.Errorf("%w: snapshot %d blob length", ErrBadStore, i)
+			}
+			snaps = append(snaps, Snapshot{Label: label, Time: ts})
+			blobs = append(blobs, rest[:blen])
+			rest = rest[blen:]
 		}
-		label := string(rest[:llen])
-		rest = rest[llen:]
-		if len(rest) < 8 {
-			return nil, fmt.Errorf("%w: snapshot %d time", ErrBadStore, i)
+		if len(rest) != 0 {
+			return fmt.Errorf("%w: %d trailing bytes", ErrBadStore, len(rest))
 		}
-		ts := math.Float64frombits(binary.LittleEndian.Uint64(rest))
-		rest = rest[8:]
-		blen, ok := uvarint(&rest)
-		if !ok || blen > uint64(len(rest)) {
-			return nil, fmt.Errorf("%w: snapshot %d blob length", ErrBadStore, i)
-		}
+		return nil
+	}()
+	err := par.DoErr(len(blobs), 0, func(i int) error {
 		// The graph decoder reads the blob in place and keeps no reference.
-		g, n, err := graph.DecodeBinary(rest[:blen])
+		g, n, err := graph.DecodeBinary(blobs[i])
 		if err != nil {
-			return nil, fmt.Errorf("%w: snapshot %d graph: %w", ErrBadStore, i, err)
+			return fmt.Errorf("%w: snapshot %d graph: %w", ErrBadStore, i, err)
 		}
-		if uint64(n) != blen {
-			return nil, fmt.Errorf("%w: snapshot %d: %d bytes after its graph", ErrBadStore, i, blen-uint64(n))
+		if n != len(blobs[i]) {
+			return fmt.Errorf("%w: snapshot %d: %d bytes after its graph", ErrBadStore, i, len(blobs[i])-n)
 		}
-		rest = rest[blen:]
-		snaps = append(snaps, Snapshot{Label: label, Time: ts, Graph: g})
+		snaps[i].Graph = g
+		return nil
+	})
+	if err == nil {
+		err = headerErr
 	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadStore, len(rest))
+	if err != nil {
+		return nil, err
 	}
 	return snaps, nil
 }

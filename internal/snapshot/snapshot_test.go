@@ -2,12 +2,14 @@ package snapshot
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 
 	"pagequality/internal/graph"
@@ -76,6 +78,22 @@ func TestDecodeCorruption(t *testing.T) {
 		if _, err := Decode(mutate(buf)); err == nil {
 			t.Fatal("corruption not detected")
 		}
+	}
+
+	// Snapshot 0's graph fails its own checksum and snapshot 1's header
+	// is cut inside its time, behind a valid store checksum: the headers
+	// are walked before any graph decodes, yet the lower-numbered failure
+	// is the one reported, as a serial read reports it.
+	two, err := Encode([]Snapshot{{Label: "t1", Time: 1, Graph: chain(4)}, {Label: "t2", Time: 2, Graph: chain(4)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob := chain(4).AppendBinary(nil)
+	rec0 := 1 + len("t1") + 8 + len(binary.AppendUvarint(nil, uint64(len(blob)))) + len(blob)
+	body := append([]byte(nil), two[4:4+4+rec0+1+len("t2")+3]...)
+	body[4+rec0-1] ^= 0xff // the last byte of snapshot 0's graph checksum
+	if _, err := Decode(frame(body)); !errors.Is(err, ErrBadStore) || !strings.Contains(err.Error(), "snapshot 0 graph") {
+		t.Fatalf("err = %v, want snapshot 0's graph reported", err)
 	}
 }
 
@@ -394,7 +412,8 @@ func growingSeries(t *testing.T, n, k, extra int) *Aligned {
 }
 
 // TestPageRankSeriesParallelDeterministic checks that the series
-// does not depend on the schedule: under GOMAXPROCS 1, 2 and 4 it is
+// does not depend on the schedule: under GOMAXPROCS 1, 2 and 4 — the
+// snapshots solved inline, then two or four side by side — it is
 // bitwise identical, on a series wide enough (5,000 pages) that every
 // solve splits its sweeps into several 2,048-node chunks.
 func TestPageRankSeriesParallelDeterministic(t *testing.T) {
