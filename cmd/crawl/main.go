@@ -93,13 +93,8 @@ func run(ctx context.Context, args []string, out io.Writer) (err error) {
 	if wk < 0 {
 		wk = float64(len(snaps)) * 4
 	}
-	if n := len(snaps); n > 0 && wk <= snaps[n-1].Time {
-		return fmt.Errorf("snapshot week %g does not follow the last stored snapshot (%g)", wk, snaps[n-1].Time)
-	}
-	for _, s := range snaps {
-		if s.Label == lbl {
-			return fmt.Errorf("store %s already holds snapshot %s", *store, lbl)
-		}
+	if err := snapshot.CheckAppend(snaps, lbl, wk); err != nil {
+		return fmt.Errorf("%s: %w", *store, err)
 	}
 	if err := corpus.CheckLabel(lbl); err != nil && *archiveDir != "" {
 		return err

@@ -458,6 +458,32 @@ func TestCrawlCLIRefusesStoredLabel(t *testing.T) {
 	}
 }
 
+// TestCrawlCLIRefusesNonFiniteWeek: a week that is NaN or infinite would
+// let any later week pass the store's order check, so it is refused
+// before any fetch and no store is written.
+func TestCrawlCLIRefusesNonFiniteWeek(t *testing.T) {
+	var requests atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		requests.Add(1)
+		fmt.Fprint(w, "<html>leaf</html>")
+	}))
+	defer ts.Close()
+	store := filepath.Join(t.TempDir(), "s.pqs")
+	var buf bytes.Buffer
+	for _, week := range []string{"NaN", "+Inf"} {
+		err := run(context.Background(), []string{"-seed", ts.URL + "/", "-store", store, "-week", week}, &buf)
+		if err == nil || !strings.Contains(err.Error(), "not finite") {
+			t.Fatalf("-week %s: err = %v", week, err)
+		}
+	}
+	if n := requests.Load(); n != 0 {
+		t.Fatalf("the refused crawls made %d requests", n)
+	}
+	if _, err := os.Stat(store); !os.IsNotExist(err) {
+		t.Fatalf("a refused crawl wrote the store (%v)", err)
+	}
+}
+
 // TestCrawlCLIRetryFlags drives the retry engine end to end from the
 // CLI: with retries enabled a transiently failing page is recovered and
 // counted; with -retries 1 it is dropped and counted as an error.

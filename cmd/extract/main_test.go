@@ -137,6 +137,28 @@ func TestExtractRefusesEqualWeek(t *testing.T) {
 	}
 }
 
+// TestExtractRefusesStoredLabel: extracting a label the store already
+// holds is refused even at a later week, and the store is left as it was.
+func TestExtractRefusesStoredLabel(t *testing.T) {
+	archiveDir, _ := crawlIntoArchive(t, "t1")
+	store := filepath.Join(t.TempDir(), "web.pqs")
+	var buf bytes.Buffer
+	if err := run([]string{"-archive", archiveDir, "-label", "t1", "-store", store}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = run([]string{"-archive", archiveDir, "-label", "t1", "-store", store, "-week", "8"}, &buf)
+	if err == nil || !strings.Contains(err.Error(), "already holds snapshot t1") {
+		t.Fatalf("stored label: err = %v", err)
+	}
+	if after, err := os.ReadFile(store); err != nil || !bytes.Equal(before, after) {
+		t.Fatalf("the refused extract changed the store (%v)", err)
+	}
+}
+
 func TestExtractErrors(t *testing.T) {
 	var buf bytes.Buffer
 	if err := run([]string{}, &buf); err == nil {

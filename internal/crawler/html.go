@@ -1,22 +1,28 @@
 package crawler
 
 import (
+	"html"
 	"strings"
 
 	"pagequality/internal/search"
 )
 
-// This file is a minimal, dependency-free HTML scanner extracting exactly
-// what the crawler needs: anchor hrefs and the rel=canonical link. It
-// tolerates the usual messiness (attribute order, casing, single/double/
-// missing quotes) without pulling in a full HTML5 parser.
+// This file reads exactly what the crawler needs from a page: anchor
+// hrefs and the rel=canonical link. Tags are cut by search.ReadTag, the
+// rule the index reads documents by, so a link inside a comment, a script
+// or a style is not one. Attributes tolerate the usual messiness (order,
+// casing, single/double/missing quotes) without a full HTML5 parser.
 
 // ExtractLinks returns the href of every <a> tag in document order, and
 // the href of the first <link rel="canonical"> if present.
 func ExtractLinks(body string) (hrefs []string, canonical string) {
-	for i := 0; i < len(body); {
+	for i := 0; ; {
+		lt := strings.IndexByte(body[i:], '<')
+		if lt < 0 {
+			return hrefs, canonical
+		}
 		var name, attrs string
-		name, attrs, i = nextTag(body, i)
+		name, attrs, i = search.ReadTag(body, i+lt)
 		switch {
 		case strings.EqualFold(name, "a"):
 			if href := attrValue(attrs, "href"); href != "" {
@@ -26,23 +32,25 @@ func ExtractLinks(body string) (hrefs []string, canonical string) {
 			canonical = canonicalHref(attrs)
 		}
 	}
-	return hrefs, canonical
 }
 
 // Canonical returns ExtractLinks' second result alone: it stops at the
 // first canonical link (normally in <head>) and parses the attributes
 // of <link> tags only.
 func Canonical(body string) string {
-	for i := 0; i < len(body); {
+	for i := 0; ; {
+		lt := strings.IndexByte(body[i:], '<')
+		if lt < 0 {
+			return ""
+		}
 		var name, attrs string
-		name, attrs, i = nextTag(body, i)
+		name, attrs, i = search.ReadTag(body, i+lt)
 		if strings.EqualFold(name, "link") {
 			if href := canonicalHref(attrs); href != "" {
 				return href
 			}
 		}
 	}
-	return ""
 }
 
 // canonicalHref returns the href of a <link> tag's attribute text if its
@@ -56,37 +64,11 @@ func canonicalHref(attrs string) string {
 	return ""
 }
 
-// nextTag finds the first '<' at or after body[i] and returns the tag's
-// name as written (match it with EqualFold), its unparsed attribute text
-// and the index just past '>'. Comments, closing tags and malformed
-// fragments return an empty name; when no tag is left, next is len(body).
-func nextTag(body string, i int) (name, attrs string, next int) {
-	lt := strings.IndexByte(body[i:], '<')
-	if lt < 0 {
-		return "", "", len(body)
-	}
-	i += lt + 1
-	end := strings.IndexByte(body[i:], '>')
-	if end < 0 {
-		return "", "", len(body)
-	}
-	content := body[i : i+end]
-	next = i + end + 1
-	if content == "" || content[0] == '/' || content[0] == '!' || content[0] == '?' {
-		return "", "", next
-	}
-	// Tag name: leading run of letters/digits.
-	j := 0
-	for j < len(content) && search.IsNameByte(content[j]) {
-		j++
-	}
-	return content[:j], content[j:], next
-}
-
 // attrValue returns the value of attribute name (lower case) in a tag's
-// ` key="value" key2='v' key3=v key4 ` text, entity-unescaped, without
-// building a map: keys match case-insensitively, the last duplicate
-// wins, and a valueless or absent attribute reads as "".
+// ` key="value" key2='v' key3=v key4 ` text, decoded by
+// html.UnescapeString (the inverse of the html.EscapeString the webserver
+// writes with), without building a map: keys match case-insensitively,
+// the last duplicate wins, and a valueless or absent attribute reads as "".
 func attrValue(s, name string) string {
 	var val string
 	i := 0
@@ -144,18 +126,8 @@ func attrValue(s, name string) string {
 			}
 		}
 		if match {
-			val = htmlUnescape(s[vs:ve])
+			val = html.UnescapeString(s[vs:ve])
 		}
 	}
 	return val
 }
-
-// htmlUnescape handles the few entities that matter inside URLs.
-func htmlUnescape(s string) string {
-	if !strings.ContainsRune(s, '&') {
-		return s
-	}
-	return entities.Replace(s)
-}
-
-var entities = strings.NewReplacer("&amp;", "&", "&lt;", "<", "&gt;", ">", "&quot;", `"`, "&#39;", "'")

@@ -2,6 +2,7 @@ package crawler
 
 import (
 	"fmt"
+	"html"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -13,6 +14,7 @@ import (
 
 	"pagequality/internal/graph"
 	"pagequality/internal/randx"
+	"pagequality/internal/search"
 	"pagequality/internal/webcorpus"
 	"pagequality/internal/webserver"
 )
@@ -43,12 +45,14 @@ func TestExtractLinksAttributeOrderAndNoise(t *testing.T) {
 	body := `<a class="x" target=_blank href="/late">x</a>
 	<a nohref>skip</a>
 	<a href="">skip-empty</a>
-	<!-- <a href="/commented">no</a> is inside a comment's text, but the
-	  scanner sees tags, so it may appear; real crawlers fetch it too -->
+	<!-- a comment holding '>' hides <a href="/commented">no</a> too -->
 	<a href="/q?x=1&amp;y=2">entity</a>`
 	hrefs, _ := ExtractLinks(body)
 	if hrefs[0] != "/late" {
 		t.Fatalf("hrefs[0] = %q", hrefs[0])
+	}
+	if slices.Contains(hrefs, "/commented") {
+		t.Fatalf("a link inside a comment was extracted: %v", hrefs)
 	}
 	// entity-unescaped query
 	found := false
@@ -94,6 +98,62 @@ func TestExtractLinksIgnoresNonAnchorHref(t *testing.T) {
 	hrefs, _ := ExtractLinks(body)
 	if len(hrefs) != 1 || hrefs[0] != "/yes" {
 		t.Fatalf("hrefs = %v", hrefs)
+	}
+}
+
+// hiddenLinkBodies are pages whose markup hides a link or decodes one:
+// a comment holding '>', a script and a style holding tags, and hrefs
+// written with numeric entities, as html.EscapeString writes '"' and as
+// '&' may be written. ExtractLinks reads them as the index does. They
+// are also seeds of FuzzParsePage and of search's FuzzAnalyze.
+var hiddenLinkBodies = []struct {
+	body      string
+	hrefs     []string
+	canonical string
+}{
+	{`<!-- old nav > <a href="/p/9.html">x</a> --><a href="/p/1.html">y</a>`, []string{"/p/1.html"}, ""},
+	{`<script>var s = '<a href="/p/8.html">';</script><a href="/p/2.html">y</a>`, []string{"/p/2.html"}, ""},
+	{`<style>/* <link rel="canonical" href="http://evil/"> */</style><link rel="canonical" href="http://good/">`, nil, "http://good/"},
+	{`<link rel="canonical" href="http://a.example/say &#34;hi&#34;">`, nil, `http://a.example/say "hi"`},
+	{`<a href="/p/3.html?a=1&#38;b=2">z</a>`, []string{"/p/3.html?a=1&b=2"}, ""},
+}
+
+func TestExtractLinksReadsTagsAsTheIndexDoes(t *testing.T) {
+	for _, c := range hiddenLinkBodies {
+		hrefs, canonical := ExtractLinks(c.body)
+		if !reflect.DeepEqual(hrefs, c.hrefs) || canonical != c.canonical || Canonical(c.body) != c.canonical {
+			t.Errorf("ExtractLinks(%q) = %q, %q; want %q, %q", c.body, hrefs, canonical, c.hrefs, c.canonical)
+		}
+	}
+}
+
+// TestCanonicalRoundTrip: a page the webserver renders, whose URL holds
+// every byte html.EscapeString escapes and non-ASCII letters, crawls to
+// a node named by the graph's URL itself.
+func TestCanonicalRoundTrip(t *testing.T) {
+	for _, u := range []string{
+		`http://a.example/say "hi"`,
+		`http://a.example/q?a=1&b=2`,
+		`http://a.example/it's`,
+		`http://a.example/a<b>c`,
+		`http://bücher.example/straße`,
+		`http://a.example/"&'<>é`,
+	} {
+		g := graph.New(0)
+		g.MustAddPage(graph.Page{URL: u})
+		srv, err := webserver.New(g, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(srv)
+		res, err := Crawl(Config{Seeds: []string{ts.URL + webserver.PagePath(0)}, Client: ts.Client()})
+		ts.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Graph.NumNodes() != 1 || res.Graph.Page(0).URL != u {
+			t.Errorf("%q crawled to %d nodes, the first %q", u, res.Graph.NumNodes(), res.Graph.Page(0).URL)
+		}
 	}
 }
 
@@ -236,16 +296,21 @@ func parseAttrs(s string) map[string]string {
 			}
 			val = s[vs:i]
 		}
-		attrs[key] = htmlUnescape(val)
+		attrs[key] = html.UnescapeString(val)
 	}
 	return attrs
 }
 
-// extractLinksReference is ExtractLinks over parseAttrs maps.
+// extractLinksReference is ExtractLinks over parseAttrs maps, cutting
+// tags at every '<' by the shared search.ReadTag.
 func extractLinksReference(body string) (hrefs []string, canonical string) {
 	for i := 0; i < len(body); {
+		if body[i] != '<' {
+			i++
+			continue
+		}
 		var name, attrs string
-		name, attrs, i = nextTag(body, i)
+		name, attrs, i = search.ReadTag(body, i)
 		switch {
 		case strings.EqualFold(name, "a"):
 			if href := parseAttrs(attrs)["href"]; href != "" {
@@ -305,7 +370,8 @@ func parsePageReference(fetchURL string, base *url.URL, body []byte) page {
 // compare: upper-case scheme, userinfo, ports, IPv6 zones, scheme-relative
 // and %-escaped hosts; and the fast path's boundary: rooted hrefs with dot
 // or empty segments, escapes, queries, fragments, non-ASCII bytes or
-// spaces, on bases without a scheme or host, or with userinfo.
+// spaces, on bases without a scheme or host, or with userinfo; and the
+// hiddenLinkBodies.
 func FuzzParsePage(f *testing.F) {
 	for _, body := range slices.Concat(canonicalFrags, malformedTags) {
 		f.Add(body, "http://a.example/x/")

@@ -199,7 +199,9 @@ func TestLexiconMatchesAnalyze(t *testing.T) {
 // the reference extractor's visible text, and with Tokenize itself on
 // the bytes made markup-free and on the bytes escaped, on a fresh index
 // and on one shared by every input. The committed corpus under testdata/fuzz/FuzzAnalyze runs on
-// every plain `go test`.
+// every plain `go test`; it holds the crawler's hidden-link bodies too (a
+// comment holding '>', a script and a style holding tags, numeric
+// entities in attributes).
 func FuzzAnalyze(f *testing.F) {
 	for _, s := range analyzeSeeds {
 		f.Add(s)

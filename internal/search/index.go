@@ -146,13 +146,11 @@ func (an *analyzer) intern(ix *Index, tok []byte) int32 {
 
 // Analyze counts the terms of a document's visible text: Tokenize of the
 // runs of text between its pieces of markup, each run entity-decoded as
-// html.UnescapeString decodes it and each piece a term break. A piece
-// runs from '<' to the next '>', attributes and all; a comment from
-// "<!--" to "-->"; an <a>, <script> or <style> element, in any case, to
-// the '>' of the next close tag of its name; and to the end of the
-// document when its end is missing. Anchor text is skipped because on the
-// served pages it is the linked page's URL. A document holding no '<' and
-// no '&' is tokenized exactly as Tokenize does.
+// html.UnescapeString decodes it and each piece a term break. A piece is
+// what ReadTag reads, except that an <a> element, in any case, runs on to
+// the '>' of its close tag: on the served pages anchor text is the linked
+// page's URL. A document holding no '<' and no '&' is tokenized exactly
+// as Tokenize does.
 //
 // An ASCII document with no '&' in its visible text takes one pass that
 // skips the markup and lower-cases token by token: below 0x80 IsTermRune
@@ -216,30 +214,56 @@ func visibleText(doc string) string {
 	return b.String()
 }
 
-// skipMarkup returns the index just past the piece of markup that starts
-// at doc[i] == '<', as Analyze defines the pieces.
+// skipMarkup returns the index just past the piece of markup at doc[i] ==
+// '<': ReadTag's, or an <a> element's through the '>' of its close tag.
 func skipMarkup(doc string, i int) int {
-	if strings.HasPrefix(doc[i:], "<!--") {
-		return after(doc, i+4, "-->")
+	name, _, end := ReadTag(doc, i)
+	if strings.EqualFold(name, "a") {
+		return closeTag(doc, end, name)
 	}
-	end := after(doc, i+1, ">")
+	return end
+}
+
+// ReadTag reads the piece of markup at doc[i] == '<', by the one rule the
+// index and the crawler cut markup by, and returns its tag name as written
+// (match it with EqualFold), its unparsed attributes and the index just
+// past it. A piece runs from '<' to the next '>', its name the run of
+// IsNameByte after '<'; a comment from "<!--" to "-->"; a <script> or
+// <style> element, in any case, to the '>' of the next close tag of its
+// name. A close tag, "<!", "<?" and a piece whose end is missing have no
+// name, and the last runs to the end of the document.
+func ReadTag(doc string, i int) (name, attrs string, end int) {
+	if strings.HasPrefix(doc[i:], "<!--") {
+		return "", "", after(doc, i+4, "-->")
+	}
+	gt := strings.IndexByte(doc[i:], '>')
+	if gt < 0 {
+		return "", "", len(doc)
+	}
+	gt += i
 	n := i + 1
-	for n < end && IsNameByte(doc[n]) {
+	for n < gt && IsNameByte(doc[n]) {
 		n++
 	}
-	name := doc[i+1 : n]
-	if !strings.EqualFold(name, "a") && !strings.EqualFold(name, "script") && !strings.EqualFold(name, "style") {
-		return end
+	name, attrs, end = doc[i+1:n], doc[n:gt], gt+1
+	if len(name) >= len("style") && (strings.EqualFold(name, "script") || strings.EqualFold(name, "style")) {
+		end = closeTag(doc, end, name) // the length test spares most tags both calls
 	}
-	for j := end; ; {
-		k := strings.Index(doc[j:], "</")
+	return name, attrs, end
+}
+
+// closeTag returns the index just past the '>' of the first close tag of
+// name at or after doc[i], or len(doc) if there is none.
+func closeTag(doc string, i int, name string) int {
+	for {
+		k := strings.Index(doc[i:], "</")
 		if k < 0 {
 			return len(doc)
 		}
-		j += k + 2
-		if rest := doc[j:]; len(rest) >= len(name) && strings.EqualFold(rest[:len(name)], name) &&
+		i += k + 2
+		if rest := doc[i:]; len(rest) >= len(name) && strings.EqualFold(rest[:len(name)], name) &&
 			(len(rest) == len(name) || !IsNameByte(rest[len(name)])) {
-			return after(doc, j, ">")
+			return after(doc, i, ">")
 		}
 	}
 }
@@ -254,7 +278,7 @@ func after(doc string, i int, sep string) int {
 }
 
 // IsNameByte reports whether c belongs to a tag name: an ASCII letter or
-// digit. Analyze and the crawler's tag reader both read names by it.
+// digit.
 func IsNameByte(c byte) bool {
 	return c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9'
 }

@@ -211,19 +211,38 @@ func writeFileAtomic(path string, data []byte) error {
 	return nil
 }
 
+// CheckAppend returns an error if a snapshot labelled label at week may
+// not follow snaps in a store: its week is not finite or does not
+// strictly follow the last stored snapshot's (Align needs increasing
+// times), or the store already holds its label.
+func CheckAppend(snaps []Snapshot, label string, week float64) error {
+	if math.IsNaN(week) || math.IsInf(week, 0) {
+		return fmt.Errorf("snapshot week %g is not finite", week)
+	}
+	if n := len(snaps); n > 0 && week <= snaps[n-1].Time {
+		return fmt.Errorf("snapshot week %g does not follow the last stored snapshot (%g)", week, snaps[n-1].Time)
+	}
+	for _, s := range snaps {
+		if s.Label == label {
+			return fmt.Errorf("store already holds snapshot %s", label)
+		}
+	}
+	return nil
+}
+
 // AppendFile appends s to the store at path, creating the store if the
 // file does not exist, and returns how many snapshots the store then
 // holds. It reads the store at write time, so a snapshot another process
 // appended earlier is kept; nothing locks the file between that read and
-// the write. A week that does not strictly follow the last stored
-// snapshot's is refused, and the file is left as it was.
+// the write. A snapshot CheckAppend refuses is not written, and the file
+// is left as it was.
 func AppendFile(path string, s Snapshot) (total int, err error) {
 	snaps, err := ReadFile(path)
 	if err != nil && !errors.Is(err, fs.ErrNotExist) {
 		return 0, fmt.Errorf("existing store: %w", err)
 	}
-	if n := len(snaps); n > 0 && s.Time <= snaps[n-1].Time {
-		return 0, fmt.Errorf("snapshot week %g does not follow the last stored snapshot (%g)", s.Time, snaps[n-1].Time)
+	if err := CheckAppend(snaps, s.Label, s.Time); err != nil {
+		return 0, fmt.Errorf("%s: %w", path, err)
 	}
 	snaps = append(snaps, s)
 	if err := WriteFile(path, snaps); err != nil {

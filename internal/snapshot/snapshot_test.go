@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io/fs"
 	"math"
 	"os"
 	"path/filepath"
@@ -176,10 +177,16 @@ func TestReadFileMissing(t *testing.T) {
 }
 
 // TestAppendFile: a missing file becomes a one-snapshot store, and a
-// week that does not strictly follow the last stored one is refused
-// without touching the file.
+// week that is not finite or does not strictly follow the last stored
+// one, or a label the store holds, is refused without touching the file.
 func TestAppendFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "web.pqs")
+	if _, err := AppendFile(path, Snapshot{Label: "t1", Time: math.NaN(), Graph: chain(3)}); err == nil {
+		t.Fatal("week NaN accepted into a missing file")
+	}
+	if _, err := os.Stat(path); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("refused week NaN created the file (%v)", err)
+	}
 	if total, err := AppendFile(path, Snapshot{Label: "t1", Time: 4, Graph: chain(3)}); err != nil || total != 1 {
 		t.Fatalf("append to a missing file: total %d, %v; want 1", total, err)
 	}
@@ -187,16 +194,26 @@ func TestAppendFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, week := range []float64{4, 0} { // equal, then earlier
-		if total, err := AppendFile(path, Snapshot{Label: "t2", Time: week, Graph: chain(3)}); err == nil {
-			t.Fatalf("week %g after week 4 accepted: total %d", week, total)
+	for _, c := range []struct {
+		label string
+		week  float64
+	}{
+		{"t2", 4}, // equal
+		{"t2", 0}, // earlier
+		{"t2", math.NaN()},
+		{"t2", math.Inf(1)},
+		{"t2", math.Inf(-1)},
+		{"t1", 8}, // a stored label at a later week
+	} {
+		if total, err := AppendFile(path, Snapshot{Label: c.label, Time: c.week, Graph: chain(3)}); err == nil {
+			t.Fatalf("%s at week %g after t1 at week 4 accepted: total %d", c.label, c.week, total)
 		}
 		after, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(before, after) {
-			t.Fatalf("refused week %g changed the file", week)
+			t.Fatalf("refused %s at week %g changed the file", c.label, c.week)
 		}
 	}
 }

@@ -171,20 +171,11 @@ func (s *Sim) refreshSearch() {
 		// construction; a failure here is a programming error.
 		panic("webcorpus: refresh pagerank: " + err.Error())
 	}
-	// Equation 1 over the two-snapshot window {last refresh, this one}.
-	// Pages are never deleted, so the previous vector is a prefix of this
-	// one; pages born since are padded with popularity 0 and so score
-	// their current PageRank, as a 0→positive page does in any series.
-	// The first refresh has no history: Q is the current PageRank.
-	q := pr.Rank
-	if s.prevPR != nil {
-		prev := make([]float64, len(pr.Rank))
-		copy(prev, s.prevPR)
-		est, err := quality.EstimateFromSeries([][]float64{prev, pr.Rank}, liveEstimator)
-		if err != nil {
-			panic("webcorpus: refresh live quality: " + err.Error())
-		}
-		q = est.Q
+	// Equation 1 over the two-snapshot window {last refresh, this one};
+	// the first refresh has no history, so Q is the current PageRank.
+	q, err := quality.Live(s.prevPR, pr.Rank, liveEstimator)
+	if err != nil {
+		panic("webcorpus: refresh live quality: " + err.Error())
 	}
 	s.prevPR = pr.Rank
 	s.rank = &ranking.Context{

@@ -62,7 +62,6 @@ var unreachedAllowed = map[string]string{
 	"graph.Delta.NumChanges":            "only cmd/bench's replay and the Diff tests read it; goes with ROADMAP item 22",
 	"search.Index.Shard":                "only cmd/bench builds a sharded view; goes with ROADMAP item 22",
 	"search.ShardedIndex.SearchContext": "only cmd/bench searches a sharded view; goes with ROADMAP item 22",
-	"quality.Live":                      "cmd/bench/README.md names it as simulate's estimator and the docs test holds that citation to a declaration; goes with ROADMAP item 22",
 	"search.Index.AddAll":               "only cmd/bench adds whole texts to an index, through it and Index.Add, which it calls; goes with ROADMAP item 7b",
 	"snapshot.Aligned.CSRs":             "only cmd/bench's replay reads the aligned graphs; goes with ROADMAP item 7b",
 	"webcorpus.Sim.AllTexts":            "only cmd/bench and the text-bearing test fixtures render the corpus's texts; ROADMAP item 25 gives cmd/serve the text",
