@@ -74,7 +74,6 @@ var unreadAllowed = map[string]string{
 	"pagerank.AdaptiveResult.SkippedUpdates": "only TestAdaptiveActuallySkipsWork reads it, to show that the adaptive method skips frozen pages",
 	"pagestore.Store.footerSegments":         "only the footer tests read it: TestOpenUsesFooters, and TestOpenMatchesLegacyScan for a store without footers",
 	"pagestore.Store.scannedSegments":        "only the footer tests read it; TestOpenFooterFallback's scan check is what notices a footer accepted without its CRC",
-	"serving.Generation.urls":                "the URL table the hit fragments are rendered from; the parity and encoder tests rebuild responses from it",
 	"pagestore.footer.dataLen":               "the footer's record-data length, checked against the footer's offset while decoding; the footer tests cut and corrupt segments at it",
 }
 

@@ -57,6 +57,37 @@ func Freeze(g *Graph) *CSR {
 	return c
 }
 
+// FreezeSubgraph is Freeze of the graph g induces on keep, built from
+// g's out-rows alone: node i of the CSR is node keep[i] of g, and links
+// with an endpoint outside keep are dropped. keep must hold distinct ids;
+// Align's do, one per common URL. Used to restrict snapshots to the
+// common pages downloaded in every crawl (§8.1 of the paper). Each row
+// keeps g's order, and the in-lists are one transpose of the rows in
+// (from, row) order, the order AddLink appends them in when the rows are
+// added one after the other — whatever order g's own in-lists are in.
+func FreezeSubgraph(g *Graph, keep []NodeID) *CSR {
+	remap := make([]NodeID, len(g.pages)) // 1 + a kept node's new id, else 0
+	bound := 0
+	for i, old := range keep {
+		remap[old] = NodeID(i) + 1
+		bound += len(g.out[old])
+	}
+	n := len(keep)
+	c := &CSR{n: n, outOff: make([]uint32, n+1), outTo: make([]NodeID, 0, bound), outDegs: make([]uint32, n)}
+	for i, old := range keep {
+		for _, t := range g.out[old] {
+			if to := remap[t]; to != 0 {
+				c.outTo = append(c.outTo, to-1)
+			}
+		}
+		c.outOff[i+1] = uint32(len(c.outTo))
+		c.outDegs[i] = c.outOff[i+1] - c.outOff[i]
+	}
+	c.inOff, c.inFrom = transpose(c.outOff, c.outTo)
+	c.buildInvOut()
+	return c
+}
+
 // NumNodes returns the node count.
 func (c *CSR) NumNodes() int { return c.n }
 

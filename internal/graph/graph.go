@@ -261,72 +261,42 @@ func (g *Graph) Clone() *Graph {
 	return c
 }
 
-// Subgraph returns a new graph induced by keep: node i of the result is
-// node keep[i] of g, and links with an endpoint outside keep are dropped.
-// keep must hold distinct ids; Align's do, one per common URL. Used to
-// restrict snapshots to the common pages downloaded in every crawl (§8.1
-// of the paper). Rows keep g's order; the in-lists come out in the
-// (from, row) order AddLink would have appended them in.
-func (g *Graph) Subgraph(keep []NodeID) *Graph {
-	remap := make([]NodeID, len(g.pages))
-	for i := range remap {
-		remap[i] = InvalidNode
-	}
-	sub := New(len(keep))
-	bound := 0
-	for i, old := range keep {
-		remap[old] = NodeID(i)
-		sub.MustAddPage(g.pages[old])
-		bound += len(g.out[old])
-	}
-	targets := make([]NodeID, 0, bound)
-	for i, old := range keep {
-		lo := len(targets)
-		for _, t := range g.out[old] {
-			if to := remap[t]; to != InvalidNode {
-				targets = append(targets, to)
-			}
-		}
-		if n := len(targets); n > lo {
-			sub.out[i] = targets[lo:n:n]
+// fillIn sets the in-lists, which must be empty, and the edge count of a
+// graph whose out-rows are the rows of to at off (see transpose): each
+// list a window of transpose's sources with its capacity capped at its
+// length, as Clone's are.
+func (g *Graph) fillIn(off []uint32, to []NodeID) {
+	inOff, from := transpose(off, to)
+	for t := range g.in {
+		if lo, hi := inOff[t], inOff[t+1]; hi > lo {
+			g.in[t] = from[lo:hi:hi]
 		}
 	}
-	sub.fillIn()
-	return sub
+	g.edges = len(to)
 }
 
-// fillIn builds every in-list of a graph whose out-rows are set and whose
-// in-lists are empty, and sets the edge count. The rows must hold no
-// duplicate or self link. Sources are appended in (from, row) order, as
-// AddLink appends them, into one packed backing array with each list's
-// capacity capped at its length, as Clone's are.
-func (g *Graph) fillIn() {
-	end := make([]uint32, len(g.pages)) // in-degree, then start, then end of each list
-	for _, row := range g.out {
-		for _, t := range row {
-			end[t]++
+// transpose returns the in-lists of the rows to[off[i]:off[i+1]], which
+// must hold no duplicate or self link, laid out as they are: node t's
+// sources are from[inOff[t]:inOff[t+1]], in (from, row) order, the order
+// AddLink appends them in when the rows are added one after the other.
+func transpose(off []uint32, to []NodeID) (inOff []uint32, from []NodeID) {
+	n := len(off) - 1
+	inOff = make([]uint32, n+1)
+	for _, t := range to {
+		inOff[t+1]++
+	}
+	for t := 0; t < n; t++ {
+		inOff[t+1] += inOff[t]
+	}
+	from = make([]NodeID, len(to))
+	next := append([]uint32(nil), inOff[:n]...) // each list's fill cursor
+	for f := 0; f < n; f++ {
+		for _, t := range to[off[f]:off[f+1]] {
+			from[next[t]] = NodeID(f)
+			next[t]++
 		}
 	}
-	sum := uint32(0)
-	for t, deg := range end {
-		end[t] = sum
-		sum += deg
-	}
-	backing := make([]NodeID, sum)
-	for from, row := range g.out {
-		for _, t := range row {
-			backing[end[t]] = NodeID(from)
-			end[t]++
-		}
-	}
-	lo := uint32(0)
-	for t, hi := range end {
-		if hi > lo {
-			g.in[t] = backing[lo:hi:hi]
-		}
-		lo = hi
-	}
-	g.edges = int(sum)
+	return inOff, from
 }
 
 func sortNodeIDs(s []NodeID) {

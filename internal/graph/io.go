@@ -144,8 +144,10 @@ func (r *payloadReader) float() float64 {
 // parsePayload builds the graph straight into packed rows. A row is
 // delta-coded ascending, so a zero delta after its first target is a
 // duplicate and a target equal to the row is a self edge: neither needs
-// a search of the row. The in-lists are filled afterwards in (from, row)
-// order, the order AddLink would have appended them in.
+// a search of the row. A one-byte delta is read inline, a longer one by
+// uvarint, and both pass the same checks. The in-lists are filled
+// afterwards by one transpose of the rows, in (from, row) order, the
+// order AddLink would have appended them in.
 func parsePayload(payload []byte) (*Graph, error) {
 	r := &payloadReader{b: payload}
 	nodes, edges := r.uvarint(), r.uvarint()
@@ -179,6 +181,7 @@ func parsePayload(payload []byte) (*Graph, error) {
 	// Every target takes at least one byte, so the bytes left bound the
 	// edge count a truthful header can give.
 	targets := make([]NodeID, 0, min(edges, uint64(len(r.b))))
+	off := make([]uint32, nodes+1) // row i is targets[off[i]:off[i+1]]
 	for i := uint64(0); i < nodes; i++ {
 		deg := r.uvarint()
 		if deg > nodes {
@@ -186,7 +189,12 @@ func parsePayload(payload []byte) (*Graph, error) {
 		}
 		lo, prev := len(targets), uint64(0)
 		for k := uint64(0); k < deg && !r.bad; k++ {
-			d := r.uvarint()
+			var d uint64
+			if len(r.b) > 0 && r.b[0] < 0x80 { // one byte, as nearly every delta is
+				d, r.b = uint64(r.b[0]), r.b[1:]
+			} else {
+				d = r.uvarint()
+			}
 			switch {
 			case r.bad: // reported after the loop
 			case d >= nodes-prev: // prev < nodes, so this cannot overflow
@@ -203,6 +211,7 @@ func parsePayload(payload []byte) (*Graph, error) {
 		if n := len(targets); n > lo {
 			g.out[i] = targets[lo:n:n]
 		}
+		off[i+1] = uint32(len(targets))
 	}
 	if uint64(len(targets)) != edges {
 		return nil, fmt.Errorf("%w: edge count %d, header says %d", ErrBadFormat, len(targets), edges)
@@ -210,6 +219,6 @@ func parsePayload(payload []byte) (*Graph, error) {
 	if len(r.b) != 0 {
 		return nil, fmt.Errorf("%w: %d trailing payload bytes", ErrBadFormat, len(r.b))
 	}
-	g.fillIn()
+	g.fillIn(off, targets)
 	return g, nil
 }

@@ -236,6 +236,29 @@ func BenchmarkFreeze(b *testing.B) {
 	}
 }
 
+// BenchmarkFreezeSubgraph restricts BenchmarkFreeze's graph to a
+// shuffled nine in ten of its pages, as Align restricts each crawl to the
+// common pages in URL order.
+func BenchmarkFreezeSubgraph(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	g, err := GeneratePreferentialAttachment(PreferentialAttachmentConfig{Nodes: 50000, OutPerNode: 6}, rng)
+	if err != nil {
+		b.Fatal(err)
+	}
+	perm := rng.Perm(g.NumNodes())
+	keep := make([]NodeID, g.NumNodes()*9/10)
+	for i := range keep {
+		keep[i] = NodeID(perm[i])
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if FreezeSubgraph(g, keep).NumNodes() != len(keep) {
+			b.Fatal("wrong node count")
+		}
+	}
+}
+
 // Property: arbitrary byte soup never panics the decoder and is always
 // rejected (the only accepted inputs are genuine encodings).
 func TestQuickDecodeFuzz(t *testing.T) {
@@ -327,13 +350,26 @@ func rowsPayload(nodes, edges int, rows [][]uint64) []byte {
 	return p
 }
 
+// paddedDelta is rowsPayload(3, 3, [][]uint64{{1, 1}, {0}}) with node
+// 1's delta written as the padded two-byte varint 0x80 0x00, after node
+// 0's one-byte deltas: well formed but for the padding.
+func paddedDelta() []byte {
+	p := rowsPayload(3, 3, [][]uint64{{1, 1}}) // ends in nodes 1 and 2's empty rows
+	return append(p[:len(p)-2], 1, 0x80, 0x00, 0)
+}
+
 // badRows are adjacency rows every decoder must refuse, checksum intact.
+// In the 200-node rows the bad delta is one byte after a two-byte one.
 var badRows = map[string][]byte{
-	"zero-delta":    rowsPayload(3, 2, [][]uint64{{1, 0}}),
-	"self-edge":     rowsPayload(3, 1, [][]uint64{nil, {1}}),
-	"out-of-range":  rowsPayload(3, 1, [][]uint64{{3}}),
-	"wrapped-delta": rowsPayload(3, 2, [][]uint64{{2, math.MaxUint64}}),
-	"edge-count":    rowsPayload(3, 2, [][]uint64{{1}}),
+	"zero-delta":            rowsPayload(3, 2, [][]uint64{{1, 0}}),
+	"self-edge":             rowsPayload(3, 1, [][]uint64{nil, {1}}),
+	"out-of-range":          rowsPayload(3, 1, [][]uint64{{3}}),
+	"wrapped-delta":         rowsPayload(3, 2, [][]uint64{{2, math.MaxUint64}}),
+	"edge-count":            rowsPayload(3, 2, [][]uint64{{1}}),
+	"zero-delta-one-byte":   rowsPayload(200, 2, [][]uint64{{130, 0}}),
+	"self-edge-one-byte":    rowsPayload(200, 2, [][]uint64{129: {128, 1}}),
+	"out-of-range-one-byte": rowsPayload(200, 2, [][]uint64{{130, 70}}),
+	"padded-delta":          paddedDelta(),
 }
 
 func TestDecodeRejectsBadRows(t *testing.T) {
@@ -342,8 +378,14 @@ func TestDecodeRejectsBadRows(t *testing.T) {
 			t.Errorf("%s: err = %v, want ErrBadFormat", name, err)
 		}
 	}
-	if _, _, err := DecodeBinary(reframe(rowsPayload(3, 2, [][]uint64{{1, 1}}))); err != nil {
-		t.Fatalf("the well-formed control row is refused: %v", err)
+	for _, p := range [][]byte{
+		rowsPayload(3, 2, [][]uint64{{1, 1}}),
+		rowsPayload(3, 3, [][]uint64{{1, 1}, {0}}),
+		rowsPayload(200, 4, [][]uint64{{130, 69}, {128, 2}}),
+	} {
+		if _, _, err := DecodeBinary(reframe(p)); err != nil {
+			t.Fatalf("a well-formed control row is refused: %v", err)
+		}
 	}
 }
 

@@ -14,10 +14,10 @@ import (
 )
 
 // The oracles below are the graph builders as they were before the
-// decoder, Subgraph and Diff filled packed rows directly: every edge goes
-// through AddLink (and its HasLink scan), the subgraph remaps through a
-// map, and Diff builds two sets per changed row. The production versions
-// must return exactly what these return.
+// decoder, FreezeSubgraph and Diff filled packed rows directly: every edge
+// goes through AddLink (and its HasLink scan), the subgraph remaps through
+// a map and is frozen afterwards, and Diff builds two sets per changed
+// row. The production versions must return exactly what these return.
 
 // decodeOracle parses a checksum-verified payload one AddLink at a time.
 func decodeOracle(payload []byte) (*Graph, error) {
@@ -102,7 +102,8 @@ func decodeOracle(payload []byte) (*Graph, error) {
 	return g, nil
 }
 
-// subgraphOracle is Subgraph through an old→new map and AddLink.
+// subgraphOracle is the graph g induces on keep, built through an old→new
+// map and AddLink, one kept row after the other.
 func subgraphOracle(g *Graph, keep []NodeID) *Graph {
 	remap := make(map[NodeID]NodeID, len(keep))
 	sub := New(len(keep))
@@ -268,11 +269,32 @@ func TestDecodeMatchesAddLinkOracle(t *testing.T) {
 	}
 }
 
-// TestSubgraphMatchesOracle holds Subgraph to the map-based one over
-// churned graphs and random keep permutations: rows, in-list order, edge
-// count and the URL index.
-func TestSubgraphMatchesOracle(t *testing.T) {
+// sameCSR fails t unless a and b hold the same rows and in-lists, element
+// for element and in order, and the same out-degrees and their inverses
+// (Float64bits).
+func sameCSR(t *testing.T, a, b *CSR) {
+	t.Helper()
+	if a.n != b.n || !slices.Equal(a.outOff, b.outOff) || !slices.Equal(a.outTo, b.outTo) ||
+		!slices.Equal(a.inOff, b.inOff) || !slices.Equal(a.inFrom, b.inFrom) || !slices.Equal(a.outDegs, b.outDegs) {
+		t.Fatalf("CSR differs:\n got out %v %v in %v %v\nwant out %v %v in %v %v",
+			a.outOff, a.outTo, a.inOff, a.inFrom, b.outOff, b.outTo, b.inOff, b.inFrom)
+	}
+	for i := range a.invOut {
+		if math.Float64bits(a.invOut[i]) != math.Float64bits(b.invOut[i]) {
+			t.Fatalf("1/out-degree of node %d = %v, want %v", i, a.invOut[i], b.invOut[i])
+		}
+	}
+}
+
+// TestFreezeSubgraphMatchesOracle holds FreezeSubgraph to Freeze of the
+// map-based subgraph over churned graphs and random keep permutations:
+// rows, in-list order, degrees and their inverses. Churned in-lists are
+// in the order links were added and removed, not in transpose order, and
+// the test checks that some trials' are, so a FreezeSubgraph that copied
+// g's in-lists instead of transposing the rows would fail.
+func TestFreezeSubgraphMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
+	reordered := 0
 	for trial := 0; trial < 60; trial++ {
 		g := churnedGraph(rng, 1+rng.Intn(120))
 		perm := rng.Perm(g.NumNodes())
@@ -280,11 +302,31 @@ func TestSubgraphMatchesOracle(t *testing.T) {
 		for i := range keep {
 			keep[i] = NodeID(perm[i])
 		}
-		got := g.Subgraph(keep)
-		sameGraph(t, got, subgraphOracle(g, keep))
-		if err := got.Validate(); err != nil {
+		sub := subgraphOracle(g, keep)
+		if err := sub.Validate(); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
+		sameCSR(t, FreezeSubgraph(g, keep), Freeze(sub))
+
+		remap := make(map[NodeID]NodeID, len(keep))
+		for i, old := range keep {
+			remap[old] = NodeID(i)
+		}
+		for i, old := range keep {
+			var copied []NodeID
+			for _, from := range g.InLinks(old) {
+				if f, ok := remap[from]; ok {
+					copied = append(copied, f)
+				}
+			}
+			if !slices.Equal(copied, sub.InLinks(NodeID(i))) {
+				reordered++
+				break
+			}
+		}
+	}
+	if reordered == 0 {
+		t.Fatal("no trial's in-lists differ from the transpose: copying them would pass")
 	}
 }
 

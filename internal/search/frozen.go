@@ -65,6 +65,7 @@ func (ix *Index) frozen() *frozen {
 	}
 	f := ix.freeze()
 	ix.fz.Store(f)
+	ix.moved.Store(nil)
 	return f
 }
 

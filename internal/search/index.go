@@ -82,8 +82,19 @@ type Index struct {
 	terms     []string         // id -> term
 	postings  [][]posting      // per id; empty for a term analysed but never added
 	numDocs   int
-	fz        atomic.Pointer[frozen] // current frozen view; nil after mutation
-	analyzers sync.Pool              // *analyzer
+	fz        atomic.Pointer[frozen]  // current frozen view; nil after mutation
+	analyzers sync.Pool               // *analyzer
+	moved     atomic.Pointer[termMap] // Reintern's map from its last source; a freeze drops it
+}
+
+// termMap translates one source index's term ids into an index's own:
+// ids[s] is 1 + the id here of terms[s], the source's term s, or 0 until
+// a Reintern first meets it. Reintern calls share it without a lock; two
+// that meet a term at once store its one id.
+type termMap struct {
+	src   *Index
+	terms []string // the source's terms when the map was made
+	ids   []atomic.Int32
 }
 
 // NewIndex returns an empty index.
@@ -336,18 +347,34 @@ func (lx *Lexicon) Analyze(title string, slots []int) Analyzed {
 // a's order. It equals this index's Analyze of the text a was analysed
 // from, so a document analysed once can be added to every later index
 // without reading its text again. Like Analyze, it may run concurrently.
+//
+// A term moves by id: the index keeps a map from the source index's term
+// ids to its own, made anew whenever the source changes or has grown past
+// it, and interns a term by its string only the first time the map misses
+// it. The freeze drops the map, so a frozen index keeps no source
+// reachable.
 func (ix *Index) Reintern(a Analyzed) Analyzed {
-	a.ix.mu.Lock()
-	terms := a.ix.terms // append-only: the entries a names never change
-	a.ix.mu.Unlock()
 	an := ix.analyzers.Get().(*analyzer)
 	defer ix.analyzers.Put(an)
+	m := ix.moved.Load()
 	ids := make([]int32, len(a.ids))
 	for i, id := range a.ids {
-		var ok bool
-		if ids[i], ok = an.cache[terms[id]]; !ok {
-			ids[i] = an.intern(ix, []byte(terms[id]))
+		if m == nil || m.src != a.ix || int(id) >= len(m.terms) {
+			a.ix.mu.Lock()
+			terms := a.ix.terms // append-only: the entries a names never change
+			a.ix.mu.Unlock()
+			m = &termMap{src: a.ix, terms: terms, ids: make([]atomic.Int32, len(terms))}
+			ix.moved.Store(m)
 		}
+		if v := m.ids[id].Load(); v != 0 {
+			ids[i] = v - 1
+			continue
+		}
+		var ok bool
+		if ids[i], ok = an.cache[m.terms[id]]; !ok {
+			ids[i] = an.intern(ix, []byte(m.terms[id]))
+		}
+		m.ids[id].Store(ids[i] + 1)
 	}
 	return Analyzed{ix: ix, ids: ids, tfs: a.tfs}
 }

@@ -127,32 +127,45 @@ func TestAnalyzeConcurrentWithAdd(t *testing.T) {
 // another, whose terms are interned in a different order, under par.Do
 // beside fresh Analyze calls: each moved document equals the new index's
 // Analyze of its page, and the index freezes as a serial Add of the
-// pages does.
+// pages does. Then the documents come alternately from two source
+// indexes that interned their terms in different orders, so a term map
+// kept across a change of source would give one source's document the
+// other's ids.
 func TestReinternEqualsAnalyze(t *testing.T) {
 	pages := webPages(200, 11)
 	want := NewIndex()
 	want.AddAll(pages)
-	old := NewIndex()
-	old.Analyze("Onlyold first " + pages[len(pages)-1])
-	moved := make([]Analyzed, len(pages))
-	par.Do(len(pages), 0, func(i int) { moved[i] = old.Analyze(pages[i]) })
-	for _, workers := range []int{1, 2, 8} {
-		ix := NewIndex()
+	analysed := func(first string) []Analyzed {
+		src := NewIndex()
+		src.Analyze(first)
 		docs := make([]Analyzed, len(pages))
-		par.Do(len(pages), workers, func(i int) {
-			if i%3 == 0 {
-				docs[i] = ix.Analyze(pages[i])
-			} else {
-				docs[i] = ix.Reintern(moved[i])
+		par.Do(len(pages), 0, func(i int) { docs[i] = src.Analyze(pages[i]) })
+		return docs
+	}
+	moved := analysed("Onlyold first " + pages[len(pages)-1])
+	other := analysed(pages[len(pages)/2] + " zzfirst")
+	for _, alternate := range []bool{false, true} {
+		for _, workers := range []int{1, 2, 8} {
+			ix := NewIndex()
+			docs := make([]Analyzed, len(pages))
+			par.Do(len(pages), workers, func(i int) {
+				switch {
+				case i%3 == 0:
+					docs[i] = ix.Analyze(pages[i])
+				case alternate && i%2 == 0:
+					docs[i] = ix.Reintern(other[i])
+				default:
+					docs[i] = ix.Reintern(moved[i])
+				}
+			})
+			for i, a := range docs {
+				if !reflect.DeepEqual(a, ix.Analyze(pages[i])) {
+					t.Fatalf("alternate=%v workers=%d: page %d re-interned differs from its analysis", alternate, workers, i)
+				}
+				ix.AddAnalyzed(a)
 			}
-		})
-		for i, a := range docs {
-			if !reflect.DeepEqual(a, ix.Analyze(pages[i])) {
-				t.Fatalf("workers=%d: page %d re-interned differs from its analysis", workers, i)
-			}
-			ix.AddAnalyzed(a)
+			requireSameFrozen(t, ix, want)
 		}
-		requireSameFrozen(t, ix, want)
 	}
 }
 

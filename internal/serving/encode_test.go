@@ -138,3 +138,20 @@ func TestSearchBodiesMatchEncoder(t *testing.T) {
 		t.Fatalf("only %d bodies carried hits", bodies)
 	}
 }
+
+// TestNewGenerationNaNQualityNamesDocument: a NaN quality fails the
+// generation with the rendering's error, which names the document, though
+// the authority orders built beside the rendering refuse the NaN too.
+func TestNewGenerationNaNQualityNamesDocument(t *testing.T) {
+	ix := search.NewIndex()
+	ix.Add("alpha")
+	ix.Add("beta")
+	urls := []string{"http://a.example/", "http://b.example/"}
+	want := "serving: http://b.example/: quality: json: unsupported value: NaN"
+	for i := 0; i < 50; i++ {
+		g, err := newGeneration(1, ix, urls, []float64{0.5, math.NaN()}, []float64{0.1, 0.2})
+		if g != nil || err == nil || err.Error() != want {
+			t.Fatalf("newGeneration = %v, %v; want the error %q", g, err, want)
+		}
+	}
+}

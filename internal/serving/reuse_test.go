@@ -152,13 +152,23 @@ func TestRefreshAfterCrawlAppended(t *testing.T) {
 		t.Fatal(err)
 	}
 	t3 := snaps[2].Graph
-	var keep []graph.NodeID
+	t4 := graph.New(t3.NumNodes())
+	remap := make(map[graph.NodeID]graph.NodeID)
 	for id := graph.NodeID(0); int(id) < t3.NumNodes(); id++ {
 		if id%5 != 0 {
-			keep = append(keep, id)
+			remap[id] = t4.MustAddPage(t3.Page(id))
 		}
 	}
-	if _, err := snapshot.AppendFile(cfg.StorePath, snapshot.Snapshot{Label: "t4", Time: 12, Graph: t3.Subgraph(keep)}); err != nil {
+	for id := graph.NodeID(0); int(id) < t3.NumNodes(); id++ {
+		for _, to := range t3.OutLinks(id) {
+			if from, ok := remap[id]; ok {
+				if to, ok := remap[to]; ok {
+					t4.AddLink(from, to)
+				}
+			}
+		}
+	}
+	if _, err := snapshot.AppendFile(cfg.StorePath, snapshot.Snapshot{Label: "t4", Time: 12, Graph: t4}); err != nil {
 		t.Fatal(err)
 	}
 	g := refreshed(t, svc, 0)

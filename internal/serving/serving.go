@@ -115,38 +115,55 @@ type record struct {
 // newGeneration freezes ix — once, so no reader pays (or races on) the
 // lazy posting-layout build after the swap — renders what a hit on each
 // document always says: its URL, quality and PageRank, and sorts the
-// documents by each score. A non-finite score has no JSON form, so it
-// fails the generation instead of every query that ranks the document.
+// documents by each score. The four run side by side, the rendering
+// first: a non-finite score has no JSON form, so it fails the generation
+// instead of every query that ranks the document, and the lowest failing
+// part's error wins, so it names the document whatever the schedule.
 func newGeneration(id uint64, ix *search.Index, urls []string, qual, pr []float64) (*Generation, error) {
-	ix.Freeze()
-	g := &Generation{ID: id, ix: ix, urls: urls, qual: qual, pr: pr, fragOff: make([]int, 0, 2*len(urls)+1)}
-	for d, u := range urls {
+	g := &Generation{ID: id, ix: ix, urls: urls, qual: qual, pr: pr}
+	err := par.DoErr(4, 0, func(part int) error {
+		var err error
+		switch part {
+		case 0:
+			err = g.render()
+		case 1:
+			ix.Freeze()
+		case 2:
+			g.qualOrder, err = search.NewAuthorityOrder(qual)
+		case 3:
+			g.prOrder, err = search.NewAuthorityOrder(pr)
+		}
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return g, nil
+}
+
+// render fills frag and fragOff from the URL table and the scores.
+func (g *Generation) render() error {
+	g.fragOff = make([]int, 0, 2*len(g.urls)+1)
+	for d, u := range g.urls {
 		// encoding/json escapes the URL, so HTML-escaping, U+2028/2029 and
 		// invalid-UTF-8 replacement are the json.Encoder's own.
 		esc, err := json.Marshal(u)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		g.fragOff = append(g.fragOff, len(g.frag))
 		g.frag = append(append(append(g.frag, `{"url":`...), esc...), `,"score":`...)
 		g.fragOff = append(g.fragOff, len(g.frag))
-		if g.frag, err = appendJSONFloat(append(g.frag, `,"quality":`...), qual[d]); err != nil {
-			return nil, fmt.Errorf("serving: %s: quality: %w", u, err)
+		if g.frag, err = appendJSONFloat(append(g.frag, `,"quality":`...), g.qual[d]); err != nil {
+			return fmt.Errorf("serving: %s: quality: %w", u, err)
 		}
-		if g.frag, err = appendJSONFloat(append(g.frag, `,"pagerank":`...), pr[d]); err != nil {
-			return nil, fmt.Errorf("serving: %s: pagerank: %w", u, err)
+		if g.frag, err = appendJSONFloat(append(g.frag, `,"pagerank":`...), g.pr[d]); err != nil {
+			return fmt.Errorf("serving: %s: pagerank: %w", u, err)
 		}
 		g.frag = append(g.frag, '}')
 	}
 	g.fragOff = append(g.fragOff, len(g.frag))
-	var err error
-	if g.qualOrder, err = search.NewAuthorityOrder(qual); err != nil {
-		return nil, err
-	}
-	if g.prOrder, err = search.NewAuthorityOrder(pr); err != nil {
-		return nil, err
-	}
-	return g, nil
+	return nil
 }
 
 // NumDocs returns the number of indexed documents.

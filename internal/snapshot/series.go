@@ -96,7 +96,7 @@ func Align(snaps []Snapshot) (*Aligned, error) {
 			}
 			keep[i] = id
 		}
-		al.csrs[k] = graph.Freeze(g.Subgraph(keep))
+		al.csrs[k] = graph.FreezeSubgraph(g, keep)
 		return nil
 	})
 	if err != nil {
